@@ -97,11 +97,14 @@ func main() {
 		fmt.Printf("lfserve: serving from store %s with live fallback\n", *storeDir)
 	}
 
+	// One persistent DVS client for publishing, registration and the
+	// steward; sa.Close drops its idle connections on the way out.
+	dvsClient := &dvs.Client{Addr: *dvsAddr}
 	sa, err := agent.NewServerAgent(agent.ServerAgentConfig{
 		Dataset:    *dataset,
 		Gen:        gen,
 		Depots:     depotList,
-		DVS:        &dvs.Client{Addr: *dvsAddr},
+		DVS:        dvsClient,
 		Replicas:   *replicas,
 		MaxPending: *maxPending,
 	})
@@ -150,7 +153,6 @@ func main() {
 
 	// Register with the DVS so it can forward misses here.
 	stack.SetStatus("registering with DVS")
-	dvsClient := &dvs.Client{Addr: *dvsAddr}
 	if err := dvsClient.RegisterAgent(context.Background(), *dataset, bound); err != nil {
 		log.Printf("lfserve: DVS agent registration failed: %v", err)
 	}

@@ -78,6 +78,7 @@ func main() {
 	}
 
 	dvsClient := &dvs.Client{Addr: *dvsAddr}
+	defer dvsClient.CloseIdle()
 	cfg := steward.Config{
 		ReplicationTarget: *replicas,
 		RenewalWindow:     *renewWindow,

@@ -391,11 +391,13 @@ func (ca *ClientAgent) RegisterMetrics(reg *obs.Registry) {
 	})
 }
 
-// Close stops background work and tears down pipelined depot connections.
+// Close stops background work and tears down the pipelined depot
+// connections and the DVS client's idle ones.
 func (ca *ClientAgent) Close() {
 	ca.stopOnce.Do(func() {
 		close(ca.stopCh)
 		ca.pipes.Close()
+		ca.cfg.DVS.CloseIdle()
 	})
 }
 

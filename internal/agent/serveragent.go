@@ -177,9 +177,13 @@ func (sa *ServerAgent) setQueueDepth(n int) {
 	sa.registry().Gauge(obs.MAgentRenderQueueDepth).Set(int64(n))
 }
 
-// Close stops the scheduler and listener.
+// Close stops the scheduler and listener and drops the DVS client's idle
+// connections.
 func (sa *ServerAgent) Close() error {
 	sa.once.Do(func() { close(sa.done) })
+	if sa.cfg.DVS != nil {
+		sa.cfg.DVS.CloseIdle()
+	}
 	sa.mu.Lock()
 	defer sa.mu.Unlock()
 	if sa.lis != nil {

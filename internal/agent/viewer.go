@@ -61,13 +61,18 @@ func NewViewer(p lightfield.Params, src ViewSetSource) (*Viewer, error) {
 	return &Viewer{P: p, Source: src, MaxDecoded: 4, decoded: make(map[lightfield.ViewSetID]*lightfield.ViewSet)}, nil
 }
 
-// MoveTo processes one cursor movement: it informs the agent (driving
-// prefetch and staging order), and if the new view angle leaves the
-// current view set, requests and decompresses the needed one. The returned
-// record reflects what the user experienced; moves within the already
-// decoded view set return a zero-latency record with Class AccessHit.
+// MoveTo processes one cursor movement: if the new view angle leaves the
+// current view set, it requests and decompresses the needed one, and it
+// informs the agent of the move (driving prefetch and staging order). The
+// returned record reflects what the user experienced; moves within the
+// already decoded view set return a zero-latency record with Class
+// AccessHit.
+//
+// Foreground first: the agent hears of the move once the move's own view
+// set is in hand (at once on a decoded hit, else when the bytes are here or
+// the fetch has failed), so the prefetches it sets off fill the think time
+// instead of sharing the link with the transfer the user is waiting for.
 func (v *Viewer) MoveTo(ctx context.Context, sp geom.Spherical) (AccessRecord, error) {
-	v.Source.OnUserMove(sp)
 	i, j := v.P.NearestCamera(sp)
 	id := v.P.ViewSetOf(i, j)
 
@@ -75,6 +80,7 @@ func (v *Viewer) MoveTo(ctx context.Context, sp geom.Spherical) (AccessRecord, e
 	_, have := v.decoded[id]
 	v.mu.Unlock()
 	if have {
+		v.Source.OnUserMove(sp)
 		rec := AccessRecord{ID: id, Class: AccessHit}
 		v.mu.Lock()
 		v.current = id
@@ -91,10 +97,12 @@ func (v *Viewer) MoveTo(ctx context.Context, sp geom.Spherical) (AccessRecord, e
 	// path below rather than failing the move.
 	if src, ok := v.Source.(ViewSetStreamer); ok {
 		if rec, ok := v.moveToStreaming(ctx, src, id, start); ok {
+			v.Source.OnUserMove(sp)
 			return rec, nil
 		}
 	}
 	frame, rep, err := v.Source.GetViewSet(ctx, id)
+	v.Source.OnUserMove(sp)
 	if err != nil {
 		return AccessRecord{}, err
 	}

@@ -98,7 +98,9 @@ type Server struct {
 	exnodes map[Key][][]byte  // exNode table: replicas' XML documents
 	agents  map[string]string // server agent table: dataset -> agent addr
 	lis     net.Listener
+	conns   map[net.Conn]struct{} // accepted and still being served
 	closed  bool
+	parent  *Client // forwards local misses to Parent; made on first use
 
 	metricsOnce sync.Once
 }
@@ -109,6 +111,7 @@ func NewServer(parent string) *Server {
 		Parent:  parent,
 		exnodes: make(map[Key][][]byte),
 		agents:  make(map[string]string),
+		conns:   make(map[net.Conn]struct{}),
 	}
 }
 
@@ -183,8 +186,7 @@ func (s *Server) Resolve(ctx context.Context, key Key) ([][]byte, error) {
 		return reps, nil
 	}
 	if s.Parent != "" {
-		cl := &Client{Addr: s.Parent, Dialer: s.Dialer, Timeout: s.Timeout}
-		reps, err := cl.Get(ctx, key)
+		reps, err := s.forward(ctx, key)
 		if err == nil && len(reps) > 0 {
 			// Cache on the way down, DNS style.
 			s.mu.Lock()
@@ -243,15 +245,44 @@ func (s *Server) ListenAndServe(addr string) (string, error) {
 	return l.Addr().String(), nil
 }
 
-// Close stops the listener.
+// Close stops the listener and closes the accepted connections (whose
+// handlers otherwise sit in a read for as long as a client pools them)
+// and the idle ones to the parent.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true
+	for c := range s.conns {
+		c.Close()
+	}
+	if s.parent != nil {
+		s.parent.CloseIdle()
+	}
 	if s.lis != nil {
 		return s.lis.Close()
 	}
 	return nil
+}
+
+// forward asks the parent level over the one persistent client every
+// forwarded query shares, built from Parent/Dialer/Timeout as they stand
+// at the first one. A query still out when Close runs gives its connection
+// back to a pool Close has already emptied, so it empties it again.
+func (s *Server) forward(ctx context.Context, key Key) ([][]byte, error) {
+	s.mu.Lock()
+	if s.parent == nil {
+		s.parent = &Client{Addr: s.Parent, Dialer: s.Dialer, Timeout: s.Timeout}
+	}
+	parent := s.parent
+	s.mu.Unlock()
+	reps, err := parent.Get(ctx, key)
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		parent.CloseIdle()
+	}
+	return reps, err
 }
 
 func (s *Server) tracer() *obs.Tracer {
@@ -316,6 +347,18 @@ func (s *Server) shed(bw *bufio.Writer, verb, reason string) {
 
 func (s *Server) handle(c net.Conn) {
 	defer c.Close()
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
+	s.conns[c] = struct{}{}
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, c)
+		s.mu.Unlock()
+	}()
 	s.initMetrics()
 	br := bufio.NewReaderSize(c, 64*1024)
 	bw := bufio.NewWriterSize(c, 64*1024)
@@ -435,7 +478,12 @@ func (s *Server) dispatch(ctx context.Context, br *bufio.Reader, bw *bufio.Write
 
 func oneLine(s string) string { return strings.ReplaceAll(s, "\n", " ") }
 
-// Client queries a DVS server.
+// maxConns bounds the connections one Client holds open, busy or idle:
+// requests beyond it wait for a connection instead of dialing another.
+const maxConns = 4
+
+// Client queries a DVS server over a small pool of persistent connections.
+// The zero value plus Addr is ready to use; do not copy it after first use.
 type Client struct {
 	Addr    string
 	Dialer  Dialer
@@ -443,13 +491,17 @@ type Client struct {
 	// Obs receives per-operation latency histograms and error counters
 	// (dvs.op.*); nil records into obs.Default().
 	Obs *obs.Registry
+
+	mu    sync.Mutex
+	slots chan struct{} // one token per request in flight, made on first use
+	idle  []*clientConn // most recently used last
 }
 
-// lineSuffix returns the optional trailing request-line tokens
-// (" deadline=<ms> trace=<tid>/<sid>") for ctx, or "" when propagation
-// is off — request lines stay byte-identical to pre-propagation ones
-// unless a deadline or trace is actually being carried.
-func lineSuffix(ctx context.Context) string { return obs.LineTokens(ctx) }
+// clientConn is one pooled connection and its buffered reply reader.
+type clientConn struct {
+	net.Conn
+	br *bufio.Reader
+}
 
 // remoteErr classifies one "ERR ..." reply: a BUSY shed becomes the
 // typed ErrBusy, anything else the generic remote error pre-overload
@@ -476,75 +528,183 @@ func (c *Client) observeOp(op string, start time.Time, err error) {
 	}
 }
 
-func (c *Client) dial() (net.Conn, error) {
+// acquire claims a request slot, waiting while maxConns are taken, and a
+// connection: the last used idle one (reused) unless fresh, else a new dial.
+func (c *Client) acquire(ctx context.Context, fresh bool) (cc *clientConn, reused bool, err error) {
+	c.mu.Lock()
+	if c.slots == nil {
+		c.slots = make(chan struct{}, maxConns)
+	}
+	slots := c.slots
+	c.mu.Unlock()
+	select {
+	case slots <- struct{}{}:
+	case <-ctx.Done():
+		return nil, false, ctx.Err()
+	}
+	if !fresh {
+		c.mu.Lock()
+		if n := len(c.idle); n > 0 {
+			cc, c.idle = c.idle[n-1], c.idle[:n-1]
+		}
+		c.mu.Unlock()
+		if cc != nil {
+			return cc, true, nil
+		}
+	}
 	d := c.Dialer
 	if d == nil {
 		d = netDialer{}
 	}
 	conn, err := d.Dial(c.Addr)
 	if err != nil {
-		return nil, err
+		<-slots
+		return nil, false, err
 	}
-	timeout := c.Timeout
-	if timeout == 0 {
-		timeout = 30 * time.Second
+	return &clientConn{Conn: conn, br: bufio.NewReaderSize(conn, 64*1024)}, false, nil
+}
+
+// release gives back the slot and pools cc with its deadline cleared, or
+// closes it. Unread reply bytes mean it is out of step with the server.
+func (c *Client) release(cc *clientConn, keep bool) {
+	keep = keep && cc.br.Buffered() == 0 && cc.SetDeadline(time.Time{}) == nil
+	c.mu.Lock()
+	if keep && len(c.idle) < maxConns {
+		c.idle = append(c.idle, cc)
+		cc = nil
 	}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	return conn, nil
+	c.mu.Unlock()
+	if cc != nil {
+		cc.Close()
+	}
+	<-c.slots
+}
+
+// CloseIdle closes the pooled connections; the Client redials on demand.
+func (c *Client) CloseIdle() {
+	c.mu.Lock()
+	idle := c.idle
+	c.idle = nil
+	c.mu.Unlock()
+	for _, cc := range idle {
+		cc.Close()
+	}
+}
+
+// roundTrip sends req (a request line plus any body) on a pooled
+// connection and hands the reply to read, which reports whether the
+// connection is good for another request (after OK and MISS; the server
+// drops it with ERR BUSY, and any other ERR is treated alike).
+//
+// A connection that fails with an I/O or protocol error is closed. If it
+// was a reused one the server may simply have gone away since the last
+// request, so the request is sent once more on a fresh dial, but only if
+// repeating it is harmless: the verb is idempotent, or not a byte was
+// written. PUT appends a replica and is never repeated blindly.
+func (c *Client) roundTrip(ctx context.Context, idempotent bool, req []byte, read func(*bufio.Reader) (keep bool, err error)) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	// The caller's deadline bounds the request; without one, Timeout does.
+	deadline, ok := ctx.Deadline()
+	if !ok {
+		timeout := c.Timeout
+		if timeout == 0 {
+			timeout = 30 * time.Second
+		}
+		deadline = time.Now().Add(timeout)
+	}
+	for fresh := false; ; fresh = true {
+		cc, reused, err := c.acquire(ctx, fresh)
+		if err != nil {
+			return err
+		}
+		_ = cc.SetDeadline(deadline) // a conn that cannot take one still fails on its own I/O errors
+		// Cancellation mid-request fails the blocked I/O at once.
+		stop := context.AfterFunc(ctx, func() { _ = cc.SetDeadline(time.Unix(1, 0)) })
+		keep := false
+		wrote, err := cc.Write(req)
+		broken := err != nil
+		if !broken {
+			keep, err = read(cc.br)
+			broken = errors.Is(err, ErrProto)
+		}
+		// A cancel func that has started may yet set its deadline: no pooling.
+		stopped := stop()
+		c.release(cc, keep && stopped)
+		if !broken {
+			return err
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
+		}
+		if !time.Now().Before(deadline) {
+			// Timed out, not stale: a redial would only fail the same way.
+			if ok {
+				return context.DeadlineExceeded // the connection's timer beat ctx's own
+			}
+			return err
+		}
+		if !reused || !(idempotent || wrote == 0) {
+			return err
+		}
+		// The other idle connections are as old as the one that just failed.
+		c.CloseIdle()
+	}
+}
+
+// readLine reads one reply line and splits it into fields.
+func readLine(br *bufio.Reader) (line string, f []string, err error) {
+	line, err = br.ReadString('\n')
+	if err != nil {
+		return "", nil, fmt.Errorf("%w: %v", ErrProto, err)
+	}
+	return line, strings.Fields(line), nil
 }
 
 // Get fetches all known exNode replicas for key. A pure miss returns
 // ErrMiss.
 func (c *Client) Get(ctx context.Context, key Key) (reps [][]byte, err error) {
 	defer func(start time.Time) { c.observeOp("GET", start, err) }(time.Now())
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	conn, err := c.dial()
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(deadline)
-	}
-	fmt.Fprintf(conn, "GET %s %s%s\n", key.Dataset, key.ViewSet, lineSuffix(ctx))
-	br := bufio.NewReaderSize(conn, 64*1024)
-	line, err := br.ReadString('\n')
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrProto, err)
-	}
-	f := strings.Fields(strings.TrimSpace(line))
-	switch {
-	case len(f) >= 1 && f[0] == "MISS":
-		return nil, fmt.Errorf("%w: %s", ErrMiss, key)
-	case len(f) >= 1 && f[0] == "ERR":
-		return nil, remoteErr(f)
-	case len(f) == 2 && f[0] == "OK":
+	req := fmt.Appendf(nil, "GET %s %s%s\n", key.Dataset, key.ViewSet, obs.LineTokens(ctx))
+	err = c.roundTrip(ctx, true, req, func(br *bufio.Reader) (bool, error) {
+		line, f, err := readLine(br)
+		switch {
+		case err != nil:
+			return false, err
+		case len(f) >= 1 && f[0] == "MISS":
+			return true, fmt.Errorf("%w: %s", ErrMiss, key)
+		case len(f) >= 1 && f[0] == "ERR":
+			return false, remoteErr(f)
+		case len(f) != 2 || f[0] != "OK":
+			return false, fmt.Errorf("%w: response %q", ErrProto, line)
+		}
 		n, err := strconv.Atoi(f[1])
 		if err != nil || n < 0 || n > 1024 {
-			return nil, fmt.Errorf("%w: bad replica count", ErrProto)
+			return false, fmt.Errorf("%w: bad replica count", ErrProto)
 		}
-		out := make([][]byte, 0, n)
+		reps = make([][]byte, 0, n)
 		for i := 0; i < n; i++ {
 			szLine, err := br.ReadString('\n')
 			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrProto, err)
+				return false, fmt.Errorf("%w: %v", ErrProto, err)
 			}
 			sz, err := strconv.Atoi(strings.TrimSpace(szLine))
 			if err != nil || sz <= 0 || sz > maxEntry {
-				return nil, fmt.Errorf("%w: bad entry size", ErrProto)
+				return false, fmt.Errorf("%w: bad entry size", ErrProto)
 			}
 			body := make([]byte, sz)
 			if _, err := io.ReadFull(br, body); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrProto, err)
+				return false, fmt.Errorf("%w: %v", ErrProto, err)
 			}
-			out = append(out, body)
+			reps = append(reps, body)
 		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("%w: response %q", ErrProto, line)
+		return true, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return reps, nil
 }
 
 // Put registers an exNode replica for key.
@@ -560,70 +720,49 @@ func (c *Client) Replace(ctx context.Context, key Key, exnodeXML []byte) error {
 
 func (c *Client) record(ctx context.Context, verb string, key Key, exnodeXML []byte) (err error) {
 	defer func(start time.Time) { c.observeOp(verb, start, err) }(time.Now())
-	conn, err := c.dial()
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(deadline)
-	}
-	fmt.Fprintf(conn, "%s %s %s %d%s\n", verb, key.Dataset, key.ViewSet, len(exnodeXML), lineSuffix(ctx))
-	if _, err := conn.Write(exnodeXML); err != nil {
-		return err
-	}
-	return expectOK(conn)
+	req := fmt.Appendf(nil, "%s %s %s %d%s\n", verb, key.Dataset, key.ViewSet, len(exnodeXML), obs.LineTokens(ctx))
+	return c.roundTrip(ctx, verb == "REPLACE", append(req, exnodeXML...), expectOK)
 }
 
 // RegisterAgent records the server agent for a dataset.
 func (c *Client) RegisterAgent(ctx context.Context, dataset, agentAddr string) (err error) {
 	defer func(start time.Time) { c.observeOp("REGAGENT", start, err) }(time.Now())
-	conn, err := c.dial()
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "REGAGENT %s %s%s\n", dataset, agentAddr, lineSuffix(ctx))
-	return expectOK(conn)
+	req := fmt.Appendf(nil, "REGAGENT %s %s%s\n", dataset, agentAddr, obs.LineTokens(ctx))
+	return c.roundTrip(ctx, true, req, expectOK)
 }
 
 // AgentFor queries the server-agent table.
 func (c *Client) AgentFor(ctx context.Context, dataset string) (addr string, err error) {
 	defer func(start time.Time) { c.observeOp("AGENT", start, err) }(time.Now())
-	conn, err := c.dial()
-	if err != nil {
-		return "", err
-	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "AGENT %s%s\n", dataset, lineSuffix(ctx))
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		return "", fmt.Errorf("%w: %v", ErrProto, err)
-	}
-	f := strings.Fields(strings.TrimSpace(line))
-	if len(f) == 2 && f[0] == "OK" {
-		return f[1], nil
-	}
-	if len(f) >= 1 && f[0] == "MISS" {
-		return "", ErrMiss
-	}
-	if len(f) >= 1 && f[0] == "ERR" {
-		return "", remoteErr(f)
-	}
-	return "", fmt.Errorf("%w: response %q", ErrProto, line)
+	req := fmt.Appendf(nil, "AGENT %s%s\n", dataset, obs.LineTokens(ctx))
+	err = c.roundTrip(ctx, true, req, func(br *bufio.Reader) (bool, error) {
+		line, f, err := readLine(br)
+		switch {
+		case err != nil:
+			return false, err
+		case len(f) == 2 && f[0] == "OK":
+			addr = f[1]
+			return true, nil
+		case len(f) >= 1 && f[0] == "MISS":
+			return true, ErrMiss
+		case len(f) >= 1 && f[0] == "ERR":
+			return false, remoteErr(f)
+		}
+		return false, fmt.Errorf("%w: response %q", ErrProto, line)
+	})
+	return addr, err
 }
 
-func expectOK(conn net.Conn) error {
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrProto, err)
+// expectOK reads the reply to a verb that answers a bare OK.
+func expectOK(br *bufio.Reader) (keep bool, err error) {
+	line, f, err := readLine(br)
+	switch {
+	case err != nil:
+		return false, err
+	case len(f) >= 1 && f[0] == "OK":
+		return true, nil
+	case len(f) >= 1 && f[0] == "ERR":
+		return false, remoteErr(f)
 	}
-	line = strings.TrimSpace(line)
-	if line != "OK" && !strings.HasPrefix(line, "OK ") {
-		if f := strings.Fields(line); len(f) >= 1 && f[0] == "ERR" {
-			return remoteErr(f)
-		}
-		return fmt.Errorf("dvs: remote: %s", line)
-	}
-	return nil
+	return false, fmt.Errorf("dvs: remote: %s", strings.TrimSpace(line))
 }

@@ -179,8 +179,8 @@ func (s *Server) handle(c net.Conn) {
 	reg := s.registry()
 	s.initMetrics()
 	br := bufio.NewReaderSize(c, 64*1024)
-	ew := &respSniffer{w: c}
-	bw := bufio.NewWriterSize(ew, 64*1024)
+	bw := bufio.NewWriterSize(c, 64*1024)
+	ew := &respSniffer{w: bw} // above the buffer, as on the depot
 	for {
 		line, err := readLine(br)
 		if err != nil {
@@ -232,22 +232,24 @@ func (s *Server) handle(c net.Conn) {
 			reg.Counter(obs.Label(obs.MEdgeShed, "reason", reason)).Inc()
 			obs.DefaultLogger().Warn(context.Background(), obs.EvShed,
 				"component", "edge", "reason", reason, "op", verb)
-			writeErrCode(bw, codeBusy, reason)
+			writeErrCode(ew, codeBusy, reason)
 			// Unlike the depot, every edge verb is payload-free, so the
 			// connection stays synchronized after a shed and is kept open.
 			keep = true
 		} else {
-			keep = s.dispatch(rctx, bw, f)
+			keep = s.dispatch(rctx, ew, f)
 			release()
 		}
 		cancel()
-		flushErr := bw.Flush()
-		reg.Histogram(obs.Label(obs.MEdgeServeMs, "op", verb), obs.LatencyBucketsMs...).
-			Observe(float64(time.Since(start)) / 1e6)
+		// As on the depot, the span is exported before the last of the
+		// reply leaves: a client holding its reply may assume it is.
 		if ew.sawErr {
 			span.SetAttr("err", "1")
 		}
 		span.Finish()
+		flushErr := bw.Flush()
+		reg.Histogram(obs.Label(obs.MEdgeServeMs, "op", verb), obs.LatencyBucketsMs...).
+			Observe(float64(time.Since(start)) / 1e6)
 		if !keep || flushErr != nil {
 			return
 		}
@@ -273,7 +275,7 @@ func (s *Server) acquire(ctx context.Context, reg *obs.Registry) (func(), error)
 
 // dispatch executes one request; the returned bool says whether to keep
 // the connection (false after protocol-fatal errors).
-func (s *Server) dispatch(ctx context.Context, bw *bufio.Writer, f []string) bool {
+func (s *Server) dispatch(ctx context.Context, bw io.Writer, f []string) bool {
 	if len(f) == 0 {
 		writeErrCode(bw, codeProto, "empty request")
 		return false
@@ -290,7 +292,7 @@ func (s *Server) dispatch(ctx context.Context, bw *bufio.Writer, f []string) boo
 	}
 }
 
-func (s *Server) doLoad(ctx context.Context, bw *bufio.Writer, f []string) bool {
+func (s *Server) doLoad(ctx context.Context, bw io.Writer, f []string) bool {
 	if len(f) != 4 {
 		writeErrCode(bw, codeProto, "LOAD wants 3 args")
 		return false
@@ -316,7 +318,7 @@ func (s *Server) doLoad(ctx context.Context, bw *bufio.Writer, f []string) bool 
 	return true
 }
 
-func (s *Server) doStatus(bw *bufio.Writer, f []string) bool {
+func (s *Server) doStatus(bw io.Writer, f []string) bool {
 	if len(f) != 1 {
 		writeErrCode(bw, codeProto, "STATUS wants no args")
 		return false
@@ -343,7 +345,7 @@ func sanitize(s string) string {
 	return string(out)
 }
 
-// respSniffer classifies each response by its first flushed chunk.
+// respSniffer classifies each response by its first Write.
 type respSniffer struct {
 	w      io.Writer
 	wrote  bool

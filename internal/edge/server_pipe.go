@@ -129,13 +129,13 @@ func (s *Server) servePipelinedOne(tw *tagWriter, reg *obs.Registry, c net.Conn,
 		release()
 	}
 	cancel()
-	err := tw.write(tag, head, body)
-	reg.Histogram(obs.Label(obs.MEdgeServeMs, "op", verb), obs.LatencyBucketsMs...).
-		Observe(float64(time.Since(start)) / 1e6)
 	if bytes.HasPrefix(head, []byte("ERR")) {
 		span.SetAttr("err", "1")
 	}
 	span.Finish()
+	err := tw.write(tag, head, body)
+	reg.Histogram(obs.Label(obs.MEdgeServeMs, "op", verb), obs.LatencyBucketsMs...).
+		Observe(float64(time.Since(start)) / 1e6)
 	if err != nil {
 		c.Close()
 	}

@@ -100,7 +100,7 @@ func (s *Server) initMetrics() {
 // unread payload on the wire, and dropping the connection is the only
 // way to stay synchronized without reading bytes on a request we refused
 // to serve.
-func (s *Server) shed(bw *bufio.Writer, verb, reason string) {
+func (s *Server) shed(bw io.Writer, verb, reason string) {
 	reg := s.registry()
 	reg.Counter(obs.Label(obs.MIBPShed, "reason", reason)).Inc()
 	obs.DefaultLogger().Warn(context.Background(), obs.EvShed,
@@ -184,12 +184,12 @@ func (s *Server) handle(c net.Conn) {
 	reg := s.registry()
 	s.initMetrics()
 	br := bufio.NewReaderSize(c, 64*1024)
-	// The response-sniffing writer sits under the bufio.Writer: the first
-	// chunk flushed per request always begins with the status line, so it
-	// can classify the outcome without threading a result through every
-	// verb handler.
-	ew := &respSniffer{w: c}
-	bw := bufio.NewWriterSize(ew, 64*1024)
+	// The response-sniffing writer sits on top of the bufio.Writer: the
+	// first Write of each request is always the status line, so it can
+	// classify the outcome without threading a result through every verb
+	// handler, and before any of the reply is flushed.
+	bw := bufio.NewWriterSize(c, 64*1024)
+	ew := &respSniffer{w: bw}
 	for {
 		line, err := readLine(br)
 		if err != nil {
@@ -245,21 +245,21 @@ func (s *Server) handle(c net.Conn) {
 		release, admitErr := s.acquire(rctx, reg)
 		var keep bool
 		if admitErr != nil {
-			s.shed(bw, verb, overload.Reason(admitErr))
+			s.shed(ew, verb, overload.Reason(admitErr))
 			keep = false
 		} else {
 			// CPU attribution: any profile of a loaded depot slices by
 			// {class=ibp, verb=...}. The wrapper is a no-op (and
 			// alloc-free) until -metrics-addr turns the stack on.
 			lctx := prof.Begin2(rctx, prof.KeyClass, "ibp", prof.KeyVerb, verb)
-			keep = s.dispatch(lctx, br, bw, f)
+			keep = s.dispatch(lctx, br, ew, f)
 			prof.End(rctx)
 			release()
 		}
 		cancel()
-		flushErr := bw.Flush()
-		reg.Histogram(obs.Label(obs.MIBPServerOpMs, "op", verb), obs.LatencyBucketsMs...).
-			Observe(float64(time.Since(start)) / 1e6)
+		// A client holding its reply may assume the server span is
+		// exported (the trace collector does), so the span finishes
+		// before the last of the reply leaves.
 		if ew.sawErr {
 			reg.Counter(obs.Label(obs.MIBPServerErrors, "op", verb)).Inc()
 			span.SetAttr("err", "1")
@@ -267,6 +267,9 @@ func (s *Server) handle(c net.Conn) {
 				"op", verb, "peer", c.RemoteAddr().String())
 		}
 		span.Finish()
+		flushErr := bw.Flush()
+		reg.Histogram(obs.Label(obs.MIBPServerOpMs, "op", verb), obs.LatencyBucketsMs...).
+			Observe(float64(time.Since(start)) / 1e6)
 		if !keep || flushErr != nil {
 			return
 		}
@@ -298,8 +301,8 @@ func (s *Server) acquire(ctx context.Context, reg *obs.Registry) (func(), error)
 	}, nil
 }
 
-// respSniffer classifies each response by its first flushed chunk (which
-// always starts with the "OK"/"ERR" status line).
+// respSniffer classifies each response by its first Write (which always
+// starts with the "OK"/"ERR" status line).
 type respSniffer struct {
 	w      io.Writer
 	wrote  bool
@@ -331,7 +334,7 @@ func readLine(br *bufio.Reader) (string, error) {
 // dispatch executes one request (fields already parsed and tokens
 // stripped; ctx carries any propagated deadline); the returned bool says
 // whether to keep the connection (false after protocol-fatal errors).
-func (s *Server) dispatch(ctx context.Context, br *bufio.Reader, bw *bufio.Writer, f []string) bool {
+func (s *Server) dispatch(ctx context.Context, br *bufio.Reader, bw io.Writer, f []string) bool {
 	if len(f) == 0 {
 		writeErr(bw, ErrProto, "empty request")
 		return false
@@ -380,7 +383,7 @@ func sanitize(s string) string {
 	return string(out)
 }
 
-func (s *Server) doAllocate(bw *bufio.Writer, f []string) bool {
+func (s *Server) doAllocate(bw io.Writer, f []string) bool {
 	if len(f) != 4 {
 		writeErr(bw, ErrProto, "ALLOCATE wants 3 args")
 		return false
@@ -400,7 +403,7 @@ func (s *Server) doAllocate(bw *bufio.Writer, f []string) bool {
 	return true
 }
 
-func (s *Server) doStore(br *bufio.Reader, bw *bufio.Writer, f []string) bool {
+func (s *Server) doStore(br *bufio.Reader, bw io.Writer, f []string) bool {
 	if len(f) != 4 {
 		writeErr(bw, ErrProto, "STORE wants 3 args")
 		return false
@@ -426,7 +429,7 @@ func (s *Server) doStore(br *bufio.Reader, bw *bufio.Writer, f []string) bool {
 // doStoreData performs a STORE whose payload has already been consumed
 // (serial path above, or the pipelined reader loop). The caller owns
 // data and may recycle it once this returns.
-func (s *Server) doStoreData(bw *bufio.Writer, f []string, offset int64, data []byte) bool {
+func (s *Server) doStoreData(bw io.Writer, f []string, offset int64, data []byte) bool {
 	if err := s.Depot.Store(f[1], offset, data); err != nil {
 		writeErr(bw, err, "")
 		return true
@@ -435,7 +438,7 @@ func (s *Server) doStoreData(bw *bufio.Writer, f []string, offset int64, data []
 	return true
 }
 
-func (s *Server) doLoad(bw *bufio.Writer, f []string) bool {
+func (s *Server) doLoad(bw io.Writer, f []string) bool {
 	if len(f) != 4 {
 		writeErr(bw, ErrProto, "LOAD wants 3 args")
 		return false
@@ -460,7 +463,7 @@ func (s *Server) doLoad(bw *bufio.Writer, f []string) bool {
 	return true
 }
 
-func (s *Server) doProbe(bw *bufio.Writer, f []string) bool {
+func (s *Server) doProbe(bw io.Writer, f []string) bool {
 	if len(f) != 2 {
 		writeErr(bw, ErrProto, "PROBE wants 1 arg")
 		return false
@@ -474,7 +477,7 @@ func (s *Server) doProbe(bw *bufio.Writer, f []string) bool {
 	return true
 }
 
-func (s *Server) doExtend(bw *bufio.Writer, f []string) bool {
+func (s *Server) doExtend(bw io.Writer, f []string) bool {
 	if len(f) != 3 {
 		writeErr(bw, ErrProto, "EXTEND wants 2 args")
 		return false
@@ -493,7 +496,7 @@ func (s *Server) doExtend(bw *bufio.Writer, f []string) bool {
 	return true
 }
 
-func (s *Server) doFree(bw *bufio.Writer, f []string) bool {
+func (s *Server) doFree(bw io.Writer, f []string) bool {
 	if len(f) != 2 {
 		writeErr(bw, ErrProto, "FREE wants 1 arg")
 		return false
@@ -509,7 +512,7 @@ func (s *Server) doFree(bw *bufio.Writer, f []string) bool {
 // doCopy implements third-party copy: this depot reads the extent locally
 // and stores it on the target depot directly, without routing bytes
 // through the requesting client.
-func (s *Server) doCopy(ctx context.Context, bw *bufio.Writer, f []string) bool {
+func (s *Server) doCopy(ctx context.Context, bw io.Writer, f []string) bool {
 	if len(f) != 7 {
 		writeErr(bw, ErrProto, "COPY wants 6 args")
 		return false
@@ -542,7 +545,7 @@ func (s *Server) doCopy(ctx context.Context, bw *bufio.Writer, f []string) bool 
 	return true
 }
 
-func (s *Server) doStatus(bw *bufio.Writer, f []string) bool {
+func (s *Server) doStatus(bw io.Writer, f []string) bool {
 	if len(f) != 1 {
 		writeErr(bw, ErrProto, "STATUS wants no args")
 		return false

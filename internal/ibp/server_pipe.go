@@ -183,12 +183,7 @@ func (s *Server) servePipelinedOne(tw *tagWriter, reg *obs.Registry, c net.Conn,
 		release()
 	}
 	cancel()
-	err := tw.write(tag, head, body)
-	if body != nil {
-		bufpool.Put(body)
-	}
-	reg.Histogram(obs.Label(obs.MIBPServerOpMs, "op", verb), obs.LatencyBucketsMs...).
-		Observe(float64(time.Since(start)) / 1e6)
+	// As in the serial loop, the span is exported before the reply leaves.
 	if bytes.HasPrefix(head, []byte("ERR")) {
 		reg.Counter(obs.Label(obs.MIBPServerErrors, "op", verb)).Inc()
 		span.SetAttr("err", "1")
@@ -196,6 +191,12 @@ func (s *Server) servePipelinedOne(tw *tagWriter, reg *obs.Registry, c net.Conn,
 			"op", verb, "peer", c.RemoteAddr().String())
 	}
 	span.Finish()
+	err := tw.write(tag, head, body)
+	if body != nil {
+		bufpool.Put(body)
+	}
+	reg.Histogram(obs.Label(obs.MIBPServerOpMs, "op", verb), obs.LatencyBucketsMs...).
+		Observe(float64(time.Since(start)) / 1e6)
 	if err != nil {
 		c.Close() // poisoned writer: tear the pipe down, client redials
 	}

@@ -30,6 +30,12 @@ func (p Params) QuadrantPrefetch(sp geom.Spherical) []ViewSetID {
 	if j < 0 {
 		j += p.Cols()
 	}
+	if col > float64(j)+0.5 {
+		// The half step after phi = 0 rounds up to column Cols, which is
+		// column 0 approached from its left. Measure the cursor from there,
+		// or fc is a whole turn off and picks the far-side neighbour.
+		col -= float64(p.Cols())
+	}
 	cur := p.ViewSetOf(i, j)
 
 	// Fractional position of the cursor within the view set's angular span.

@@ -13,6 +13,8 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
+# vet's copylocks check is what catches a dvs.Client copied by value now
+# that it holds its connection pool behind a mutex.
 echo "== go vet ./..."
 go vet ./...
 
@@ -27,6 +29,20 @@ go test -shuffle=on ./...
 
 echo "== go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
+
+# Twenty rounds each of the two places where an ordering, not a value, is
+# the contract: the DVS client's connection pool (reuse, redial, deadlines,
+# cancellation) and "the server span is exported before the reply leaves",
+# which the TestWire* trace tests read back the moment they hold a reply.
+echo "== connection-reuse and span-order stress (-count=20)"
+go test -race -count=20 ./internal/dvs
+go test -count=20 -run 'TestWire' ./internal/ibp
+
+# bench/ is its own module, so ./... above skips it. It wires dvs.Client
+# and agent.Viewer by struct literal: build and smoke-test it here, so a
+# change that breaks that wiring fails CI, not the next benchmark run.
+echo "== benchmark module: vet + short tests"
+(cd bench && go vet ./... && go test -short ./...)
 
 echo "== docs audit"
 sh scripts/docscheck.sh
