@@ -8,12 +8,12 @@ import (
 	"net"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"lonviz/internal/geom"
 	"lonviz/internal/ibp"
 	"lonviz/internal/lightfield"
+	"lonviz/internal/wire"
 )
 
 // The client <-> client agent protocol (the paper runs them on separate
@@ -30,8 +30,7 @@ type ClientAgentServer struct {
 	Agent   *ClientAgent
 	Dataset string
 
-	mu  sync.Mutex
-	lis net.Listener
+	loop *wire.Server
 }
 
 // NewClientAgentServer wraps an agent for network service.
@@ -42,97 +41,85 @@ func NewClientAgentServer(ca *ClientAgent, dataset string) (*ClientAgentServer, 
 	if dataset == "" {
 		return nil, fmt.Errorf("agent: empty dataset")
 	}
-	return &ClientAgentServer{Agent: ca, Dataset: dataset}, nil
+	s := &ClientAgentServer{Agent: ca, Dataset: dataset}
+	s.loop = wire.NewServer(wire.Service{
+		Names: wire.Names{Component: "clientagent"},
+		Verbs: map[string]wire.Verb{
+			"GETVS": {Handle: s.doGetVS},
+			"MOVE":  {Handle: s.doMove},
+			"STATS": {Handle: s.doStats},
+		},
+		LineCap: 1024,
+		Refuse:  func(string) string { return "ERR bad request" },
+	}, func() wire.Settings { return wire.Settings{} })
+	return s, nil
 }
 
 // ListenAndServe starts serving on addr and returns the bound address.
 func (s *ClientAgentServer) ListenAndServe(addr string) (string, error) {
-	l, err := net.Listen("tcp", addr)
+	return s.loop.ListenAndServe(addr)
+}
+
+// Serve serves on l until Close.
+func (s *ClientAgentServer) Serve(l net.Listener) error { return s.loop.Serve(l) }
+
+// Close stops the listener and closes the accepted connections.
+func (s *ClientAgentServer) Close() error { return s.loop.Close() }
+
+func badRequest(r *wire.Reply) bool {
+	r.Line("ERR bad request")
+	return false
+}
+
+func (s *ClientAgentServer) doGetVS(_ context.Context, req *wire.Request, r *wire.Reply) bool {
+	f := req.Fields
+	if len(f) != 3 {
+		return badRequest(r)
+	}
+	if f[1] != s.Dataset {
+		r.Line("ERR unknown dataset " + f[1])
+		return true
+	}
+	id, err := ParseViewSetKey(f[2])
 	if err != nil {
-		return "", err
+		r.Line("ERR " + wire.OneLine(err.Error()))
+		return true
 	}
-	s.mu.Lock()
-	s.lis = l
-	s.mu.Unlock()
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go s.handle(c)
-		}
-	}()
-	return l.Addr().String(), nil
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	frame, rep, err := s.Agent.GetViewSet(ctx, id)
+	cancel()
+	if err != nil {
+		r.Line("ERR " + wire.OneLine(err.Error()))
+		return true
+	}
+	fmt.Fprintf(r, "OK %s %d\n", rep.Class, len(frame))
+	r.Body(frame)
+	return true
 }
 
-// Close stops the listener.
-func (s *ClientAgentServer) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lis != nil {
-		return s.lis.Close()
+func (s *ClientAgentServer) doMove(_ context.Context, req *wire.Request, r *wire.Reply) bool {
+	f := req.Fields
+	if len(f) != 3 {
+		return badRequest(r)
 	}
-	return nil
+	theta, err1 := strconv.ParseFloat(f[1], 64)
+	phi, err2 := strconv.ParseFloat(f[2], 64)
+	if err1 != nil || err2 != nil {
+		r.Line("ERR bad angles")
+		return true
+	}
+	s.Agent.OnUserMove(geom.Spherical{Theta: theta, Phi: phi})
+	r.Line("OK")
+	return true
 }
 
-func (s *ClientAgentServer) handle(c net.Conn) {
-	defer c.Close()
-	br := bufio.NewReaderSize(c, 64*1024)
-	bw := bufio.NewWriterSize(c, 64*1024)
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil || len(line) > 1024 {
-			return
-		}
-		f := strings.Fields(strings.TrimSpace(line))
-		keep := s.dispatch(bw, f)
-		if bw.Flush() != nil || !keep {
-			return
-		}
+func (s *ClientAgentServer) doStats(_ context.Context, req *wire.Request, r *wire.Reply) bool {
+	if len(req.Fields) != 1 {
+		return badRequest(r)
 	}
-}
-
-func (s *ClientAgentServer) dispatch(bw *bufio.Writer, f []string) bool {
-	switch {
-	case len(f) == 3 && f[0] == "GETVS":
-		if f[1] != s.Dataset {
-			fmt.Fprintf(bw, "ERR unknown dataset %s\n", f[1])
-			return true
-		}
-		id, err := ParseViewSetKey(f[2])
-		if err != nil {
-			fmt.Fprintf(bw, "ERR %s\n", strings.ReplaceAll(err.Error(), "\n", " "))
-			return true
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		frame, rep, err := s.Agent.GetViewSet(ctx, id)
-		cancel()
-		if err != nil {
-			fmt.Fprintf(bw, "ERR %s\n", strings.ReplaceAll(err.Error(), "\n", " "))
-			return true
-		}
-		fmt.Fprintf(bw, "OK %s %d\n", rep.Class, len(frame))
-		bw.Write(frame)
-		return true
-	case len(f) == 3 && f[0] == "MOVE":
-		theta, err1 := strconv.ParseFloat(f[1], 64)
-		phi, err2 := strconv.ParseFloat(f[2], 64)
-		if err1 != nil || err2 != nil {
-			fmt.Fprintf(bw, "ERR bad angles\n")
-			return true
-		}
-		s.Agent.OnUserMove(geom.Spherical{Theta: theta, Phi: phi})
-		fmt.Fprintf(bw, "OK\n")
-		return true
-	case len(f) == 1 && f[0] == "STATS":
-		st := s.Agent.Stats()
-		fmt.Fprintf(bw, "OK %d %d %d %d\n", st.Hits, st.LANFetches, st.WANFetches, st.Staged)
-		return true
-	default:
-		fmt.Fprintf(bw, "ERR bad request\n")
-		return false
-	}
+	st := s.Agent.Stats()
+	fmt.Fprintf(r, "OK %d %d %d %d\n", st.Hits, st.LANFetches, st.WANFetches, st.Staged)
+	return true
 }
 
 // RemoteSource is a ViewSetSource backed by a remote client agent. It

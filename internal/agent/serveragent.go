@@ -20,6 +20,7 @@ import (
 	"lonviz/internal/obs"
 	"lonviz/internal/obs/prof"
 	"lonviz/internal/overload"
+	"lonviz/internal/wire"
 )
 
 // ErrRenderBusy reports that the server agent shed a render request —
@@ -84,7 +85,7 @@ type ServerAgent struct {
 	waiters map[lightfield.ViewSetID][]renderWaiter
 	queued  map[lightfield.ViewSetID]bool
 	stats   ServerAgentStats
-	lis     net.Listener
+	loop    *wire.Server
 	wake    chan struct{}
 	done    chan struct{}
 	once    sync.Once
@@ -142,6 +143,18 @@ func NewServerAgent(cfg ServerAgentConfig) (*ServerAgent, error) {
 		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
+	// The paper's "server monitor ... interface for all such run-time
+	// queries": RENDER <dataset> <viewset> -> OK <len>\n<exnode xml> | ERR <msg>.
+	// The loop sheds nothing here: the scheduler below does, in Request.
+	sa.loop = wire.NewServer(wire.Service{
+		Names: wire.Names{Component: "render", Span: obs.SpanRenderServe},
+		Verbs: map[string]wire.Verb{
+			"RENDER": {Handle: sa.doRender},
+		},
+		LineCap: 1024,
+		Tokens:  true,
+		Refuse:  func(string) string { return "ERR bad request" },
+	}, func() wire.Settings { return wire.Settings{} })
 	sa.initMetrics()
 	go sa.schedulerLoop()
 	return sa, nil
@@ -177,19 +190,14 @@ func (sa *ServerAgent) setQueueDepth(n int) {
 	sa.registry().Gauge(obs.MAgentRenderQueueDepth).Set(int64(n))
 }
 
-// Close stops the scheduler and listener and drops the DVS client's idle
-// connections.
+// Close stops the scheduler, the listener and the accepted connections, and
+// drops the DVS client's idle connections.
 func (sa *ServerAgent) Close() error {
 	sa.once.Do(func() { close(sa.done) })
 	if sa.cfg.DVS != nil {
 		sa.cfg.DVS.CloseIdle()
 	}
-	sa.mu.Lock()
-	defer sa.mu.Unlock()
-	if sa.lis != nil {
-		return sa.lis.Close()
-	}
-	return nil
+	return sa.loop.Close()
 }
 
 // Stats returns a snapshot of agent counters.
@@ -431,84 +439,41 @@ func (sa *ServerAgent) PrecomputeAll(ctx context.Context) (map[lightfield.ViewSe
 	return out, nil
 }
 
-// --- server agent wire protocol ---
-//
-//	RENDER <dataset> <viewset> -> OK <len>\n<exnode xml> | ERR <msg>
-
-// ListenAndServe exposes the agent's render service on addr (the paper's
-// "server monitor ... interface for all such run-time queries").
+// ListenAndServe exposes the agent's render service on addr.
 func (sa *ServerAgent) ListenAndServe(addr string) (string, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	sa.mu.Lock()
-	sa.lis = l
-	sa.mu.Unlock()
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go sa.handleConn(c)
-		}
-	}()
-	return l.Addr().String(), nil
+	return sa.loop.ListenAndServe(addr)
 }
 
-func (sa *ServerAgent) handleConn(c net.Conn) {
-	defer c.Close()
-	br := bufio.NewReader(c)
-	bw := bufio.NewWriter(c)
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil || len(line) > 1024 {
-			return
-		}
-		// Strip the optional trailing tokens before the strict 3-field
-		// check: trace= is emitted last, deadline= before it. The trace
-		// parents this render's span under the caller; the deadline
-		// bounds the render so queued work for departed callers is
-		// dropped instead of served.
-		f, tc, traced := obs.StripTraceToken(strings.Fields(strings.TrimSpace(line)))
-		f, budget, hasBudget := obs.StripDeadlineToken(f)
-		if len(f) != 3 || f[0] != "RENDER" || f[1] != sa.cfg.Dataset {
-			fmt.Fprintf(bw, "ERR bad request\n")
-			bw.Flush()
-			return
-		}
-		id, err := ParseViewSetKey(f[2])
-		if err != nil {
-			fmt.Fprintf(bw, "ERR %s\n", err)
-			bw.Flush()
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-		ctx, dcancel := obs.DeadlineContext(ctx, budget, hasBudget)
-		var span *obs.Span
-		if traced {
-			ctx, span = obs.DefaultTracer().StartSpan(obs.ContextWithRemote(ctx, tc), obs.SpanRenderServe)
-			span.SetAttr("viewset", f[2])
-		}
-		xml, err := sa.Request(ctx, id)
-		span.Finish()
-		dcancel()
-		cancel()
-		if err != nil {
-			if errors.Is(err, ibp.ErrBusy) {
-				fmt.Fprintf(bw, "ERR BUSY render request shed, retry later\n")
-			} else {
-				fmt.Fprintf(bw, "ERR %s\n", strings.ReplaceAll(err.Error(), "\n", " "))
-			}
-		} else {
-			fmt.Fprintf(bw, "OK %d\n", len(xml))
-			bw.Write(xml)
-		}
-		if bw.Flush() != nil {
-			return
-		}
+// Serve exposes the render service on l until Close.
+func (sa *ServerAgent) Serve(l net.Listener) error { return sa.loop.Serve(l) }
+
+func (sa *ServerAgent) doRender(ctx context.Context, req *wire.Request, r *wire.Reply) bool {
+	f := req.Fields
+	if len(f) != 3 || f[1] != sa.cfg.Dataset {
+		r.Line("ERR bad request")
+		return false
 	}
+	id, err := ParseViewSetKey(f[2])
+	if err != nil {
+		r.Line("ERR " + err.Error())
+		return true
+	}
+	obs.SpanFromContext(ctx).SetAttr("viewset", f[2])
+	// ctx carries the caller's propagated deadline, so queued work for a
+	// departed caller is dropped instead of rendered.
+	ctx, cancel := context.WithTimeout(ctx, 5*time.Minute)
+	xml, err := sa.Request(ctx, id)
+	cancel()
+	switch {
+	case errors.Is(err, ibp.ErrBusy):
+		r.Line("ERR BUSY render request shed, retry later")
+	case err != nil:
+		r.Line("ERR " + wire.OneLine(err.Error()))
+	default:
+		fmt.Fprintf(r, "OK %d\n", len(xml))
+		r.Body(xml)
+	}
+	return true
 }
 
 // RequestRemote asks a remote server agent (by address) to render a view

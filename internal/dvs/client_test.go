@@ -93,10 +93,7 @@ func TestClientSequentialGetsDialOnce(t *testing.T) {
 	if n := d.dials.Load(); n != 1 {
 		t.Errorf("a PUT and 50 sequential GETs dialed %d times, want 1", n)
 	}
-	s.mu.Lock()
-	served := len(s.conns)
-	s.mu.Unlock()
-	if served != 1 {
+	if served := s.loop.Conns(); served != 1 {
 		t.Errorf("server holds %d connections, want 1", served)
 	}
 }

@@ -22,8 +22,8 @@ import (
 	"time"
 
 	"lonviz/internal/obs"
-	"lonviz/internal/obs/prof"
 	"lonviz/internal/overload"
+	"lonviz/internal/wire"
 )
 
 // Key identifies a view set within a dataset.
@@ -94,48 +94,62 @@ type Server struct {
 	// into obs.Default().
 	Obs *obs.Registry
 
+	loop *wire.Server
+
 	mu      sync.Mutex
 	exnodes map[Key][][]byte  // exNode table: replicas' XML documents
 	agents  map[string]string // server agent table: dataset -> agent addr
-	lis     net.Listener
-	conns   map[net.Conn]struct{} // accepted and still being served
 	closed  bool
 	parent  *Client // forwards local misses to Parent; made on first use
-
-	metricsOnce sync.Once
 }
 
 // NewServer creates an empty DVS level.
 func NewServer(parent string) *Server {
-	return &Server{
+	s := &Server{
 		Parent:  parent,
 		exnodes: make(map[Key][][]byte),
 		agents:  make(map[string]string),
-		conns:   make(map[net.Conn]struct{}),
 	}
+	record := wire.Verb{Handle: s.doRecord, Payload: recordPayload}
+	s.loop = wire.NewServer(wire.Service{
+		Names: wire.Names{
+			Component:  "dvs",
+			Span:       obs.SpanDVSServe,
+			ProfClass:  "dvs",
+			Shed:       obs.MDVSShed,
+			Inflight:   obs.MDVSInflight,
+			QueueDepth: obs.MDVSQueueDepth,
+		},
+		Verbs: map[string]wire.Verb{
+			"GET":      {Handle: s.doGet},
+			"PUT":      record,
+			"REPLACE":  record,
+			"REGAGENT": {Handle: s.doRegAgent},
+			"AGENT":    {Handle: s.doAgent},
+		},
+		LineCap: maxLine,
+		Tokens:  true,
+		Busy:    func(reason string) string { return "ERR BUSY " + reason },
+		Refuse:  func(string) string { return "ERR bad request" },
+	}, func() wire.Settings {
+		return wire.Settings{Admission: s.Admission, Obs: s.Obs, Tracer: s.Tracer}
+	})
+	return s
 }
 
 // Put records an exNode replica for key (appending to existing replicas).
-func (s *Server) Put(key Key, exnodeXML []byte) error {
-	if key.Dataset == "" || key.ViewSet == "" {
-		return fmt.Errorf("dvs: empty key %+v", key)
-	}
-	if len(exnodeXML) == 0 || len(exnodeXML) > maxEntry {
-		return fmt.Errorf("dvs: exnode size %d out of range", len(exnodeXML))
-	}
-	cp := append([]byte{}, exnodeXML...)
-	s.mu.Lock()
-	s.exnodes[key] = append(s.exnodes[key], cp)
-	s.mu.Unlock()
-	return nil
-}
+func (s *Server) Put(key Key, exnodeXML []byte) error { return s.record(key, exnodeXML, false) }
 
 // Replace overwrites every recorded exNode replica for key with the single
 // given document. Maintenance tooling uses it after lease renewal or
 // replica repair so browsing clients resolve the updated layout instead of
 // an accumulating list of stale ones. (Parents and children in the
 // hierarchy may still hold cached copies until they refresh.)
-func (s *Server) Replace(key Key, exnodeXML []byte) error {
+func (s *Server) Replace(key Key, exnodeXML []byte) error { return s.record(key, exnodeXML, true) }
+
+// record stores a copy of exnodeXML under key, after or instead of the
+// replicas already there.
+func (s *Server) record(key Key, exnodeXML []byte, replace bool) error {
 	if key.Dataset == "" || key.ViewSet == "" {
 		return fmt.Errorf("dvs: empty key %+v", key)
 	}
@@ -144,7 +158,10 @@ func (s *Server) Replace(key Key, exnodeXML []byte) error {
 	}
 	cp := append([]byte{}, exnodeXML...)
 	s.mu.Lock()
-	s.exnodes[key] = [][]byte{cp}
+	if replace {
+		delete(s.exnodes, key)
+	}
+	s.exnodes[key] = append(s.exnodes[key], cp)
 	s.mu.Unlock()
 	return nil
 }
@@ -224,44 +241,22 @@ func (s *Server) Resolve(ctx context.Context, key Key) ([][]byte, error) {
 //	AGENT <dataset>                    -> OK <addr> | MISS
 
 // ListenAndServe starts the DVS on addr and returns the bound address.
-func (s *Server) ListenAndServe(addr string) (string, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.mu.Lock()
-	s.lis = l
-	s.mu.Unlock()
-	s.initMetrics()
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go s.handle(c)
-		}
-	}()
-	return l.Addr().String(), nil
-}
+func (s *Server) ListenAndServe(addr string) (string, error) { return s.loop.ListenAndServe(addr) }
+
+// Serve accepts connections on l until Close.
+func (s *Server) Serve(l net.Listener) error { return s.loop.Serve(l) }
 
 // Close stops the listener and closes the accepted connections (whose
 // handlers otherwise sit in a read for as long as a client pools them)
 // and the idle ones to the parent.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
 	if s.parent != nil {
 		s.parent.CloseIdle()
 	}
-	if s.lis != nil {
-		return s.lis.Close()
-	}
-	return nil
+	s.mu.Unlock()
+	return s.loop.Close()
 }
 
 // forward asks the parent level over the one persistent client every
@@ -285,198 +280,92 @@ func (s *Server) forward(ctx context.Context, key Key) ([][]byte, error) {
 	return reps, err
 }
 
-func (s *Server) tracer() *obs.Tracer {
-	if s.Tracer != nil {
-		return s.Tracer
-	}
-	return obs.DefaultTracer()
+// badRequest answers a line the verb's handler cannot take; the connection
+// is dropped.
+func badRequest(r *wire.Reply) bool {
+	r.Line("ERR bad request")
+	return false
 }
 
-func (s *Server) registry() *obs.Registry {
-	if s.Obs != nil {
-		return s.Obs
+func (s *Server) doGet(ctx context.Context, req *wire.Request, r *wire.Reply) bool {
+	f := req.Fields
+	if len(f) != 3 {
+		return badRequest(r)
 	}
-	return obs.Default()
-}
-
-// initMetrics eagerly registers the overload families so /metrics shows
-// them at zero on an idle directory.
-func (s *Server) initMetrics() {
-	s.metricsOnce.Do(func() {
-		reg := s.registry()
-		reg.Counter(obs.Label(obs.MDVSShed, "reason", overload.ReasonQueueFull))
-		reg.Gauge(obs.MDVSInflight).Set(0)
-		reg.Gauge(obs.MDVSQueueDepth).Set(0)
-	})
-}
-
-// acquire runs one request through admission control, keeping the load
-// gauges current. With Admission nil it still sheds requests whose
-// propagated deadline budget is already spent.
-func (s *Server) acquire(ctx context.Context) (func(), error) {
-	if s.Admission == nil {
-		if ctx.Err() != nil {
-			return nil, &overload.ShedError{Reason: overload.ReasonDeadline}
-		}
-		return func() {}, nil
+	// Queries may recurse upstream; bound them. The span context rides
+	// along so hierarchy forwarding re-propagates the same trace to the
+	// parent DVS and to on-demand generation.
+	timeout := s.Timeout
+	if timeout == 0 {
+		timeout = 30 * time.Second
 	}
-	release, err := s.Admission.Acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	reg := s.registry()
-	reg.Gauge(obs.MDVSInflight).Set(s.Admission.InFlight())
-	reg.Gauge(obs.MDVSQueueDepth).Set(s.Admission.Queued())
-	return func() {
-		release()
-		reg.Gauge(obs.MDVSInflight).Set(s.Admission.InFlight())
-		reg.Gauge(obs.MDVSQueueDepth).Set(s.Admission.Queued())
-	}, nil
-}
-
-// shed answers one request with ERR BUSY and records why. Callers close
-// the connection afterwards: a shed PUT/REPLACE has an unread XML body
-// on the wire, and dropping the connection is the only way to stay
-// synchronized without reading bytes of a refused request.
-func (s *Server) shed(bw *bufio.Writer, verb, reason string) {
-	s.registry().Counter(obs.Label(obs.MDVSShed, "reason", reason)).Inc()
-	obs.DefaultLogger().Warn(context.Background(), obs.EvShed,
-		"component", "dvs", "reason", reason, "op", verb)
-	fmt.Fprintf(bw, "ERR BUSY %s\n", reason)
-}
-
-func (s *Server) handle(c net.Conn) {
-	defer c.Close()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.conns[c] = struct{}{}
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
-	}()
-	s.initMetrics()
-	br := bufio.NewReaderSize(c, 64*1024)
-	bw := bufio.NewWriterSize(c, 64*1024)
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil || len(line) > maxLine {
-			return
-		}
-		// Strip the optional trailing tokens before the exact
-		// argument-count matching below: trace= (emitted last) parents
-		// this request's span under the calling client's, deadline=
-		// bounds the request context with the client's remaining budget.
-		// Token-less requests (pre-propagation clients) skip both.
-		f, tc, traced := obs.StripTraceToken(strings.Fields(strings.TrimSpace(line)))
-		f, budget, hasBudget := obs.StripDeadlineToken(f)
-		verb := ""
-		if len(f) > 0 {
-			verb = f[0]
-		}
-		ctx := context.Background()
-		var span *obs.Span
-		if traced {
-			ctx, span = s.tracer().StartSpan(obs.ContextWithRemote(ctx, tc), obs.SpanDVSServe)
-			span.SetAttr("op", verb)
-		}
-		rctx, dcancel := obs.DeadlineContext(ctx, budget, hasBudget)
-		var keep bool
-		release, admitErr := s.acquire(rctx)
-		if admitErr != nil {
-			s.shed(bw, verb, overload.Reason(admitErr))
-			keep = false
-		} else {
-			// CPU attribution: directory-service work profiles under
-			// {class=dvs, verb}; no-op until -metrics-addr enables labels.
-			lctx := prof.Begin2(rctx, prof.KeyClass, "dvs", prof.KeyVerb, verb)
-			keep = s.dispatch(lctx, br, bw, f)
-			prof.End(rctx)
-			release()
-		}
-		dcancel()
-		span.Finish()
-		if !keep {
-			bw.Flush()
-			return
-		}
-		if bw.Flush() != nil {
-			return
-		}
-	}
-}
-
-func (s *Server) dispatch(ctx context.Context, br *bufio.Reader, bw *bufio.Writer, f []string) bool {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	reps, err := s.Resolve(ctx, Key{Dataset: f[1], ViewSet: f[2]})
+	cancel()
 	switch {
-	case len(f) == 3 && f[0] == "GET":
-		// Queries may recurse upstream; bound them. The span context rides
-		// along so hierarchy forwarding re-propagates the same trace to the
-		// parent DVS and to on-demand generation.
-		timeout := s.Timeout
-		if timeout == 0 {
-			timeout = 30 * time.Second
-		}
-		ctx, cancel := context.WithTimeout(ctx, timeout)
-		reps, err := s.Resolve(ctx, Key{Dataset: f[1], ViewSet: f[2]})
-		cancel()
-		switch {
-		case errors.Is(err, ErrMiss):
-			fmt.Fprintf(bw, "MISS\n")
-		case err != nil:
-			fmt.Fprintf(bw, "ERR %s\n", oneLine(err.Error()))
-		default:
-			fmt.Fprintf(bw, "OK %d\n", len(reps))
-			for _, r := range reps {
-				fmt.Fprintf(bw, "%d\n", len(r))
-				bw.Write(r)
-			}
-		}
-		return true
-	case len(f) == 4 && (f[0] == "PUT" || f[0] == "REPLACE"):
-		n, err := strconv.Atoi(f[3])
-		if err != nil || n <= 0 || n > maxEntry {
-			fmt.Fprintf(bw, "ERR bad length\n")
-			return false
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return false
-		}
-		record := s.Put
-		if f[0] == "REPLACE" {
-			record = s.Replace
-		}
-		if err := record(Key{Dataset: f[1], ViewSet: f[2]}, body); err != nil {
-			fmt.Fprintf(bw, "ERR %s\n", oneLine(err.Error()))
-			return true
-		}
-		fmt.Fprintf(bw, "OK\n")
-		return true
-	case len(f) == 3 && f[0] == "REGAGENT":
-		if err := s.RegisterAgent(f[1], f[2]); err != nil {
-			fmt.Fprintf(bw, "ERR %s\n", oneLine(err.Error()))
-			return true
-		}
-		fmt.Fprintf(bw, "OK\n")
-		return true
-	case len(f) == 2 && f[0] == "AGENT":
-		if addr, ok := s.AgentFor(f[1]); ok {
-			fmt.Fprintf(bw, "OK %s\n", addr)
-		} else {
-			fmt.Fprintf(bw, "MISS\n")
-		}
-		return true
+	case errors.Is(err, ErrMiss):
+		r.Line("MISS")
+	case err != nil:
+		r.Line("ERR " + wire.OneLine(err.Error()))
 	default:
-		fmt.Fprintf(bw, "ERR bad request\n")
-		return false
+		fmt.Fprintf(r, "OK %d\n", len(reps))
+		for _, rep := range reps {
+			fmt.Fprintf(r, "%d\n", len(rep))
+			r.Write(rep)
+		}
 	}
+	return true
 }
 
-func oneLine(s string) string { return strings.ReplaceAll(s, "\n", " ") }
+// recordPayload reads the XML length a PUT or REPLACE line declares.
+func recordPayload(req *wire.Request, r *wire.Reply) (int, bool) {
+	if len(req.Fields) != 4 {
+		return 0, badRequest(r)
+	}
+	n, err := strconv.Atoi(req.Fields[3])
+	if err != nil || n <= 0 || n > maxEntry {
+		r.Line("ERR bad length")
+		return 0, false
+	}
+	return n, true
+}
+
+// doRecord serves PUT and REPLACE; record copies the pooled payload.
+func (s *Server) doRecord(_ context.Context, req *wire.Request, r *wire.Reply) bool {
+	f := req.Fields
+	if err := s.record(Key{Dataset: f[1], ViewSet: f[2]}, req.Payload, f[0] == "REPLACE"); err != nil {
+		r.Line("ERR " + wire.OneLine(err.Error()))
+		return true
+	}
+	r.Line("OK")
+	return true
+}
+
+func (s *Server) doRegAgent(_ context.Context, req *wire.Request, r *wire.Reply) bool {
+	f := req.Fields
+	if len(f) != 3 {
+		return badRequest(r)
+	}
+	if err := s.RegisterAgent(f[1], f[2]); err != nil {
+		r.Line("ERR " + wire.OneLine(err.Error()))
+		return true
+	}
+	r.Line("OK")
+	return true
+}
+
+func (s *Server) doAgent(_ context.Context, req *wire.Request, r *wire.Reply) bool {
+	f := req.Fields
+	if len(f) != 2 {
+		return badRequest(r)
+	}
+	if addr, ok := s.AgentFor(f[1]); ok {
+		r.Line("OK " + addr)
+	} else {
+		r.Line("MISS")
+	}
+	return true
+}
 
 // maxConns bounds the connections one Client holds open, busy or idle:
 // requests beyond it wait for a connection instead of dialing another.

@@ -146,6 +146,10 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 			items:    make(map[string][]byte),
 		})
 	}
+	// Registered at zero so /metrics shows them on an idle edge.
+	for _, name := range []string{obs.MEdgeHits, obs.MEdgeMisses, obs.MEdgeFills} {
+		c.registry().Counter(name)
+	}
 	return c, nil
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"lonviz/internal/obs"
 	"lonviz/internal/obs/prof"
+	"lonviz/internal/wire"
 )
 
 // Client performs IBP operations against one depot address. Each operation
@@ -184,11 +185,11 @@ func (c *Client) exchange(conn net.Conn, req string, payload, dst []byte) ([]str
 		return nil, nil, err
 	}
 	br := bufio.NewReaderSize(conn, 64*1024)
-	line, err := readLine(br)
+	line, err := wire.ReadLine(br, maxLineLen)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: reading response: %v", ErrProto, err)
 	}
-	f := parseFields(line)
+	f := strings.Fields(line)
 	if len(f) == 0 {
 		return nil, nil, fmt.Errorf("%w: empty response", ErrProto)
 	}

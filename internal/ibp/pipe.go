@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"lonviz/internal/obs"
+	"lonviz/internal/wire"
 )
 
 // errSerialOnly reports that the depot answered the PIPELINE handshake
@@ -126,12 +127,12 @@ func DialPipe(ctx context.Context, addr string, dialer Dialer, window int, reg *
 		return nil, err
 	}
 	br := bufio.NewReaderSize(conn, 64*1024)
-	line, err := readLine(br)
+	line, err := wire.ReadLine(br, maxLineLen)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("%w: reading PIPELINE response: %v", ErrProto, err)
 	}
-	f := parseFields(line)
+	f := strings.Fields(line)
 	switch {
 	case len(f) == 2 && f[0] == "OK":
 		granted, err := strconv.Atoi(f[1])
@@ -218,7 +219,7 @@ func (p *Pipe) inflight() int {
 func (p *Pipe) readLoop(br *bufio.Reader) {
 	for {
 		_ = p.conn.SetReadDeadline(time.Now().Add(pipeIdleTimeout))
-		line, err := readLine(br)
+		line, err := wire.ReadLine(br, maxLineLen)
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() && p.inflight() == 0 {
@@ -230,7 +231,7 @@ func (p *Pipe) readLoop(br *bufio.Reader) {
 			p.fail(fmt.Errorf("%w: %v", ErrPipeBroken, err))
 			return
 		}
-		f := parseFields(line)
+		f := strings.Fields(line)
 		if len(f) < 2 {
 			p.fail(fmt.Errorf("%w: short pipelined response %q", ErrPipeBroken, line))
 			return

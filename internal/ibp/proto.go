@@ -6,6 +6,8 @@ import (
 	"net"
 	"strconv"
 	"strings"
+
+	"lonviz/internal/wire"
 )
 
 // The wire protocol is a text command line followed by optional binary
@@ -64,42 +66,12 @@ var ErrProto = errors.New("ibp: protocol error")
 var ErrPipeBroken = errors.New("ibp: pipelined connection broken")
 
 // DefaultPipelineWindow is the in-flight window a pipelined connection
-// uses when neither side configures one. Sized for a striped view set:
-// deep enough that a whole stripe fan-out (typically 4-16 extents) rides
-// one round trip, small enough to bound per-connection depot memory.
-const DefaultPipelineWindow = 32
-
-// maxPipelineWindow caps what a client may request, bounding the
-// server-side buffering one connection can demand.
-const maxPipelineWindow = 256
-
-// tagPrefix marks the per-request tag token on pipelined connections.
-// On the wire it is ordered before deadline= and trace=, so servers
-// strip trace (last), then deadline, then tag.
-const tagPrefix = "tag="
+// uses when neither side configures one (see wire.DefaultPipelineWindow).
+const DefaultPipelineWindow = wire.DefaultPipelineWindow
 
 // responseTagPrefix starts every response line on a pipelined
 // connection: "T<n> OK ..." / "T<n> ERR ...".
 const responseTagPrefix = "T"
-
-// StripTagToken removes a trailing tag=<n> token from parsed request
-// fields. Pipelined server loops call it after StripTraceToken and
-// StripDeadlineToken; ok is false when the last field is not a
-// well-formed tag, which on a pipelined connection is a protocol error.
-func StripTagToken(fields []string) ([]string, uint64, bool) {
-	if len(fields) == 0 {
-		return fields, 0, false
-	}
-	last := fields[len(fields)-1]
-	if !strings.HasPrefix(last, tagPrefix) {
-		return fields, 0, false
-	}
-	tag, err := strconv.ParseUint(last[len(tagPrefix):], 10, 64)
-	if err != nil {
-		return fields, 0, false
-	}
-	return fields[:len(fields)-1], tag, true
-}
 
 // parseResponseTag splits the "T<n>" prefix off a pipelined response
 // line's first field.
@@ -180,8 +152,3 @@ type NetDialer struct{}
 
 // Dial implements Dialer.
 func (NetDialer) Dial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-
-// parseFields splits a protocol line and validates the verb.
-func parseFields(line string) []string {
-	return strings.Fields(strings.TrimSpace(line))
-}

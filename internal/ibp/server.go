@@ -1,21 +1,16 @@
 package ibp
 
 import (
-	"bufio"
 	"context"
 	"fmt"
-	"io"
-	"log"
 	"net"
 	"strconv"
-	"strings"
-	"sync"
 	"time"
 
 	"lonviz/internal/bufpool"
 	"lonviz/internal/obs"
-	"lonviz/internal/obs/prof"
 	"lonviz/internal/overload"
+	"lonviz/internal/wire"
 )
 
 // Server exposes a Depot over the wire protocol.
@@ -50,485 +45,212 @@ type Server struct {
 	// obs.DefaultTracer().
 	Tracer *obs.Tracer
 
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]bool
-	closed   bool
-
-	metricsOnce sync.Once
+	loop *wire.Server
 }
 
 // NewServer wraps a depot.
 func NewServer(d *Depot) *Server {
-	return &Server{Depot: d, conns: make(map[net.Conn]bool)}
-}
-
-func (s *Server) logf(format string, args ...interface{}) {
-	if s.Logf != nil {
-		s.Logf(format, args...)
-	}
-}
-
-func (s *Server) tracer() *obs.Tracer {
-	if s.Tracer != nil {
-		return s.Tracer
-	}
-	return obs.DefaultTracer()
-}
-
-func (s *Server) registry() *obs.Registry {
-	if s.Obs != nil {
-		return s.Obs
-	}
-	return obs.Default()
-}
-
-// initMetrics eagerly registers the overload families so /metrics shows
-// them at zero on an idle depot (the check.sh smoke greps for them
-// before any traffic arrives).
-func (s *Server) initMetrics() {
-	s.metricsOnce.Do(func() {
-		reg := s.registry()
-		reg.Counter(obs.Label(obs.MIBPShed, "reason", overload.ReasonQueueFull))
-		reg.Gauge(obs.MIBPInflight).Set(0)
-		reg.Gauge(obs.MIBPQueueDepth).Set(0)
+	s := &Server{Depot: d}
+	s.loop = wire.NewServer(wire.Service{
+		Names: wire.Names{
+			Component:  "ibp",
+			Span:       obs.SpanIBPServe,
+			ProfClass:  "ibp",
+			OpMs:       obs.MIBPServerOpMs,
+			Errors:     obs.MIBPServerErrors,
+			ErrEvent:   obs.EvIBPServeErr,
+			Shed:       obs.MIBPShed,
+			Inflight:   obs.MIBPInflight,
+			QueueDepth: obs.MIBPQueueDepth,
+		},
+		Verbs: map[string]wire.Verb{
+			"ALLOCATE": {Handle: s.doAllocate},
+			"STORE":    {Handle: s.doStore, Payload: storePayload},
+			"LOAD":     {Handle: s.doLoad},
+			"PROBE":    {Handle: s.doProbe},
+			"EXTEND":   {Handle: s.doExtend},
+			"FREE":     {Handle: s.doFree},
+			"COPY":     {Handle: s.doCopy},
+			"STATUS":   {Handle: s.doStatus},
+			"PIPELINE": wire.Pipeline,
+		},
+		LineCap: maxLineLen,
+		Tokens:  true,
+		Busy:    func(reason string) string { return errLine(ErrBusy, reason) },
+		Refuse:  func(msg string) string { return errLine(ErrProto, msg) },
+	}, func() wire.Settings {
+		return wire.Settings{PipelineWindow: s.PipelineWindow, Admission: s.Admission,
+			Logf: s.Logf, Obs: s.Obs, Tracer: s.Tracer}
 	})
-}
-
-// shed answers one request with ERR BUSY and records why. The connection
-// is closed afterwards (callers return keep=false): a shed STORE has an
-// unread payload on the wire, and dropping the connection is the only
-// way to stay synchronized without reading bytes on a request we refused
-// to serve.
-func (s *Server) shed(bw io.Writer, verb, reason string) {
-	reg := s.registry()
-	reg.Counter(obs.Label(obs.MIBPShed, "reason", reason)).Inc()
-	obs.DefaultLogger().Warn(context.Background(), obs.EvShed,
-		"component", "ibp", "reason", reason, "op", verb)
-	writeErr(bw, ErrBusy, reason)
+	return s
 }
 
 // Serve accepts connections on l until Close. It returns when the listener
 // fails (net.ErrClosed after Close).
-func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("ibp: server closed")
-	}
-	s.listener = l
-	s.mu.Unlock()
-	s.initMetrics()
-	for {
-		c, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			c.Close()
-			return nil
-		}
-		s.conns[c] = true
-		s.mu.Unlock()
-		go s.handle(c)
-	}
-}
+func (s *Server) Serve(l net.Listener) error { return s.loop.Serve(l) }
 
 // ListenAndServe listens on addr and serves in a new goroutine, returning
 // the bound address (useful with ":0").
-func (s *Server) ListenAndServe(addr string) (string, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	go func() {
-		if err := s.Serve(l); err != nil {
-			s.logf("ibp server on %s stopped: %v", l.Addr(), err)
-		}
-	}()
-	return l.Addr().String(), nil
-}
+func (s *Server) ListenAndServe(addr string) (string, error) { return s.loop.ListenAndServe(addr) }
 
 // Close stops the listener and closes active connections.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	var err error
-	if s.listener != nil {
-		err = s.listener.Close()
-	}
-	for c := range s.conns {
-		c.Close()
-	}
-	s.conns = make(map[net.Conn]bool)
-	return err
-}
+func (s *Server) Close() error { return s.loop.Close() }
 
-func (s *Server) removeConn(c net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, c)
-	s.mu.Unlock()
-}
-
-func (s *Server) handle(c net.Conn) {
-	defer c.Close()
-	defer s.removeConn(c)
-	defer func() {
-		if r := recover(); r != nil {
-			log.Printf("ibp: panic handling %v: %v", c.RemoteAddr(), r)
-		}
-	}()
-	reg := s.registry()
-	s.initMetrics()
-	br := bufio.NewReaderSize(c, 64*1024)
-	// The response-sniffing writer sits on top of the bufio.Writer: the
-	// first Write of each request is always the status line, so it can
-	// classify the outcome without threading a result through every verb
-	// handler, and before any of the reply is flushed.
-	bw := bufio.NewWriterSize(c, 64*1024)
-	ew := &respSniffer{w: bw}
-	for {
-		line, err := readLine(br)
-		if err != nil {
-			return // client hung up or sent an overlong line
-		}
-		// Optional trailing tokens ride the request line: a
-		// trace=<tid>/<sid> token names the calling client's active span,
-		// and a deadline=<ms> token carries its remaining time budget.
-		// Both are stripped before verb dispatch (argument-count checks
-		// must not see them); the trace token parents this request's span
-		// under the client's, and the deadline token bounds the request
-		// context so work whose client has already moved on is dropped.
-		// Requests without tokens (all pre-propagation clients) take the
-		// untouched fast path.
-		f := parseFields(line)
-		f, tc, traced := obs.StripTraceToken(f)
-		f, budget, hasBudget := obs.StripDeadlineToken(f)
-		verb := ""
-		if len(f) > 0 {
-			verb = f[0]
-		}
-		var span *obs.Span
-		sctx := context.Background()
-		if traced {
-			sctx, span = s.tracer().StartSpan(obs.ContextWithRemote(sctx, tc), obs.SpanIBPServe)
-			span.SetAttr("op", verb)
-			span.SetAttr("peer", c.RemoteAddr().String())
-		}
-		// PIPELINE is the mode switch, not a data-plane verb: grant a
-		// window, answer OK, and hand the connection to the tagged
-		// multiplexed loop. A refusal (disabled or malformed) is
-		// protocol-fatal, exactly like an unknown verb on a pre-PIPELINE
-		// depot, so clients read any ERR as "speak serial here".
-		if verb == "PIPELINE" {
-			granted, grantErr := s.pipelineGrant(f)
-			if grantErr != "" {
-				writeErr(bw, ErrProto, grantErr)
-				span.Finish()
-				bw.Flush()
-				return
-			}
-			fmt.Fprintf(bw, "OK %d\n", granted)
-			span.Finish()
-			if bw.Flush() != nil {
-				return
-			}
-			s.servePipelined(c, br, granted)
-			return
-		}
-		rctx, cancel := obs.DeadlineContext(sctx, budget, hasBudget)
-		ew.reset()
-		start := time.Now()
-		release, admitErr := s.acquire(rctx, reg)
-		var keep bool
-		if admitErr != nil {
-			s.shed(ew, verb, overload.Reason(admitErr))
-			keep = false
-		} else {
-			// CPU attribution: any profile of a loaded depot slices by
-			// {class=ibp, verb=...}. The wrapper is a no-op (and
-			// alloc-free) until -metrics-addr turns the stack on.
-			lctx := prof.Begin2(rctx, prof.KeyClass, "ibp", prof.KeyVerb, verb)
-			keep = s.dispatch(lctx, br, ew, f)
-			prof.End(rctx)
-			release()
-		}
-		cancel()
-		// A client holding its reply may assume the server span is
-		// exported (the trace collector does), so the span finishes
-		// before the last of the reply leaves.
-		if ew.sawErr {
-			reg.Counter(obs.Label(obs.MIBPServerErrors, "op", verb)).Inc()
-			span.SetAttr("err", "1")
-			obs.DefaultLogger().Warn(sctx, obs.EvIBPServeErr,
-				"op", verb, "peer", c.RemoteAddr().String())
-		}
-		span.Finish()
-		flushErr := bw.Flush()
-		reg.Histogram(obs.Label(obs.MIBPServerOpMs, "op", verb), obs.LatencyBucketsMs...).
-			Observe(float64(time.Since(start)) / 1e6)
-		if !keep || flushErr != nil {
-			return
-		}
-	}
-}
-
-// acquire runs one request through admission control and keeps the load
-// gauges current. With Admission nil it still sheds requests whose
-// propagated deadline budget is already exhausted — the client stopped
-// waiting, so serving it only burns depot capacity.
-func (s *Server) acquire(ctx context.Context, reg *obs.Registry) (func(), error) {
-	g := s.Admission
-	if g == nil {
-		if ctx.Err() != nil {
-			return nil, &overload.ShedError{Reason: overload.ReasonDeadline}
-		}
-		return func() {}, nil
-	}
-	release, err := g.Acquire(ctx)
-	reg.Gauge(obs.MIBPInflight).Set(g.InFlight())
-	reg.Gauge(obs.MIBPQueueDepth).Set(g.Queued())
-	if err != nil {
-		return nil, err
-	}
-	return func() {
-		release()
-		reg.Gauge(obs.MIBPInflight).Set(g.InFlight())
-		reg.Gauge(obs.MIBPQueueDepth).Set(g.Queued())
-	}, nil
-}
-
-// respSniffer classifies each response by its first Write (which always
-// starts with the "OK"/"ERR" status line).
-type respSniffer struct {
-	w      io.Writer
-	wrote  bool
-	sawErr bool
-}
-
-func (w *respSniffer) reset() { w.wrote, w.sawErr = false, false }
-
-func (w *respSniffer) Write(p []byte) (int, error) {
-	if !w.wrote {
-		w.wrote = true
-		w.sawErr = strings.HasPrefix(string(p[:min(3, len(p))]), "ERR")
-	}
-	return w.w.Write(p)
-}
-
-// readLine reads one \n-terminated line with a length cap.
-func readLine(br *bufio.Reader) (string, error) {
-	line, err := br.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	if len(line) > maxLineLen {
-		return "", ErrProto
-	}
-	return line, nil
-}
-
-// dispatch executes one request (fields already parsed and tokens
-// stripped; ctx carries any propagated deadline); the returned bool says
-// whether to keep the connection (false after protocol-fatal errors).
-func (s *Server) dispatch(ctx context.Context, br *bufio.Reader, bw io.Writer, f []string) bool {
-	if len(f) == 0 {
-		writeErr(bw, ErrProto, "empty request")
-		return false
-	}
-	switch f[0] {
-	case "ALLOCATE":
-		return s.doAllocate(bw, f)
-	case "STORE":
-		return s.doStore(br, bw, f)
-	case "LOAD":
-		return s.doLoad(bw, f)
-	case "PROBE":
-		return s.doProbe(bw, f)
-	case "EXTEND":
-		return s.doExtend(bw, f)
-	case "FREE":
-		return s.doFree(bw, f)
-	case "COPY":
-		return s.doCopy(ctx, bw, f)
-	case "STATUS":
-		return s.doStatus(bw, f)
-	default:
-		writeErr(bw, ErrProto, "unknown verb "+f[0])
-		return false
-	}
-}
-
-func writeErr(w io.Writer, err error, context string) {
+// errLine renders "ERR <CODE> <message>" for a typed error, kept to one
+// line. Codes map 1:1 to the typed errors (codeOf).
+func errLine(err error, context string) string {
 	msg := err.Error()
 	if context != "" {
 		msg = context + ": " + msg
 	}
-	fmt.Fprintf(w, "ERR %s %s\n", codeOf(err), sanitize(msg))
+	return "ERR " + codeOf(err) + " " + wire.OneLine(msg)
 }
 
-// sanitize keeps error messages single-line.
-func sanitize(s string) string {
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' || s[i] == '\r' {
-			out = append(out, ' ')
-			continue
-		}
-		out = append(out, s[i])
-	}
-	return string(out)
+// fail answers a command error; the connection stays.
+func fail(r *wire.Reply, err error, context string) bool {
+	r.Line(errLine(err, context))
+	return true
 }
 
-func (s *Server) doAllocate(bw io.Writer, f []string) bool {
+// refuse answers a malformed request, which is protocol-fatal.
+func refuse(r *wire.Reply, msg string) bool {
+	r.Line(errLine(ErrProto, msg))
+	return false
+}
+
+func (s *Server) doAllocate(_ context.Context, req *wire.Request, r *wire.Reply) bool {
+	f := req.Fields
 	if len(f) != 4 {
-		writeErr(bw, ErrProto, "ALLOCATE wants 3 args")
-		return false
+		return refuse(r, "ALLOCATE wants 3 args")
 	}
 	size, err1 := strconv.ParseInt(f[1], 10, 64)
 	leaseMs, err2 := strconv.ParseInt(f[2], 10, 64)
 	if err1 != nil || err2 != nil {
-		writeErr(bw, ErrProto, "bad ALLOCATE numbers")
-		return false
+		return refuse(r, "bad ALLOCATE numbers")
 	}
 	caps, err := s.Depot.Allocate(size, time.Duration(leaseMs)*time.Millisecond, Policy(f[3]))
 	if err != nil {
-		writeErr(bw, err, "")
-		return true
+		return fail(r, err, "")
 	}
-	fmt.Fprintf(bw, "OK %s %s %s\n", caps.Read, caps.Write, caps.Manage)
+	fmt.Fprintf(r, "OK %s %s %s\n", caps.Read, caps.Write, caps.Manage)
 	return true
 }
 
-func (s *Server) doStore(br *bufio.Reader, bw io.Writer, f []string) bool {
+// storePayload reads a STORE line's payload length. The payload must be
+// consumed even if the store will fail, to keep the connection
+// synchronized, so a line that does not give one is protocol-fatal.
+func storePayload(req *wire.Request, r *wire.Reply) (int, bool) {
+	f := req.Fields
 	if len(f) != 4 {
-		writeErr(bw, ErrProto, "STORE wants 3 args")
-		return false
+		return 0, refuse(r, "STORE wants 3 args")
 	}
-	offset, err1 := strconv.ParseInt(f[2], 10, 64)
-	length, err2 := strconv.ParseInt(f[3], 10, 64)
-	if err1 != nil || err2 != nil || length < 0 || length > maxTransfer {
-		writeErr(bw, ErrProto, "bad STORE numbers")
-		return false
+	_, length, ok := parseExtent(f[2], f[3])
+	if !ok {
+		return 0, refuse(r, "bad STORE numbers")
 	}
-	// The payload must be consumed even if the store will fail, to keep
-	// the connection synchronized. The wire buffer is pooled: the depot
-	// copies into its backing store, so the buffer is free again as soon
-	// as the store returns.
-	data := bufpool.Get(int(length))
-	defer bufpool.Put(data)
-	if _, err := io.ReadFull(br, data); err != nil {
-		return false
-	}
-	return s.doStoreData(bw, f, offset, data)
+	return int(length), true
 }
 
-// doStoreData performs a STORE whose payload has already been consumed
-// (serial path above, or the pipelined reader loop). The caller owns
-// data and may recycle it once this returns.
-func (s *Server) doStoreData(bw io.Writer, f []string, offset int64, data []byte) bool {
-	if err := s.Depot.Store(f[1], offset, data); err != nil {
-		writeErr(bw, err, "")
-		return true
+// doStore runs after storePayload accepted the line and the loop read the
+// payload into a pooled wire buffer: the depot copies into its backing
+// store, so the buffer is free again as soon as this returns.
+func (s *Server) doStore(_ context.Context, req *wire.Request, r *wire.Reply) bool {
+	offset, _ := strconv.ParseInt(req.Fields[2], 10, 64)
+	if err := s.Depot.Store(req.Fields[1], offset, req.Payload); err != nil {
+		return fail(r, err, "")
 	}
-	fmt.Fprintf(bw, "OK %d\n", len(data))
+	fmt.Fprintf(r, "OK %d\n", len(req.Payload))
 	return true
 }
 
-func (s *Server) doLoad(bw io.Writer, f []string) bool {
+// parseExtent parses the <offset> <len> pair of STORE, LOAD and COPY.
+func parseExtent(off, n string) (offset, length int64, ok bool) {
+	offset, err1 := strconv.ParseInt(off, 10, 64)
+	length, err2 := strconv.ParseInt(n, 10, 64)
+	return offset, length, err1 == nil && err2 == nil && length >= 0 && length <= maxTransfer
+}
+
+func (s *Server) doLoad(_ context.Context, req *wire.Request, r *wire.Reply) bool {
+	f := req.Fields
 	if len(f) != 4 {
-		writeErr(bw, ErrProto, "LOAD wants 3 args")
-		return false
+		return refuse(r, "LOAD wants 3 args")
 	}
-	offset, err1 := strconv.ParseInt(f[2], 10, 64)
-	length, err2 := strconv.ParseInt(f[3], 10, 64)
-	if err1 != nil || err2 != nil || length < 0 || length > maxTransfer {
-		writeErr(bw, ErrProto, "bad LOAD numbers")
-		return false
+	offset, length, ok := parseExtent(f[2], f[3])
+	if !ok {
+		return refuse(r, "bad LOAD numbers")
 	}
 	// Pooled read: the depot copies from backing storage into a recycled
-	// wire buffer, which goes back to the pool as soon as it has been
-	// handed to the socket writer.
+	// wire buffer, which the loop hands to the socket writer as it is and
+	// then returns to the pool.
 	data := bufpool.Get(int(length))
-	defer bufpool.Put(data)
 	if err := s.Depot.LoadInto(f[1], offset, data); err != nil {
-		writeErr(bw, err, "")
-		return true
+		bufpool.Put(data)
+		return fail(r, err, "")
 	}
-	fmt.Fprintf(bw, "OK %d\n", len(data))
-	bw.Write(data)
+	fmt.Fprintf(r, "OK %d\n", len(data))
+	r.PooledBody(data)
 	return true
 }
 
-func (s *Server) doProbe(bw io.Writer, f []string) bool {
+func (s *Server) doProbe(_ context.Context, req *wire.Request, r *wire.Reply) bool {
+	f := req.Fields
 	if len(f) != 2 {
-		writeErr(bw, ErrProto, "PROBE wants 1 arg")
-		return false
+		return refuse(r, "PROBE wants 1 arg")
 	}
 	info, err := s.Depot.Probe(f[1])
 	if err != nil {
-		writeErr(bw, err, "")
-		return true
+		return fail(r, err, "")
 	}
-	fmt.Fprintf(bw, "OK %d %d %s\n", info.Size, info.Expires.UnixMilli(), info.Policy)
+	fmt.Fprintf(r, "OK %d %d %s\n", info.Size, info.Expires.UnixMilli(), info.Policy)
 	return true
 }
 
-func (s *Server) doExtend(bw io.Writer, f []string) bool {
+func (s *Server) doExtend(_ context.Context, req *wire.Request, r *wire.Reply) bool {
+	f := req.Fields
 	if len(f) != 3 {
-		writeErr(bw, ErrProto, "EXTEND wants 2 args")
-		return false
+		return refuse(r, "EXTEND wants 2 args")
 	}
 	leaseMs, err := strconv.ParseInt(f[2], 10, 64)
 	if err != nil {
-		writeErr(bw, ErrProto, "bad EXTEND lease")
-		return false
+		return refuse(r, "bad EXTEND lease")
 	}
 	exp, err := s.Depot.Extend(f[1], time.Duration(leaseMs)*time.Millisecond)
 	if err != nil {
-		writeErr(bw, err, "")
-		return true
+		return fail(r, err, "")
 	}
-	fmt.Fprintf(bw, "OK %d\n", exp.UnixMilli())
+	fmt.Fprintf(r, "OK %d\n", exp.UnixMilli())
 	return true
 }
 
-func (s *Server) doFree(bw io.Writer, f []string) bool {
+func (s *Server) doFree(_ context.Context, req *wire.Request, r *wire.Reply) bool {
+	f := req.Fields
 	if len(f) != 2 {
-		writeErr(bw, ErrProto, "FREE wants 1 arg")
-		return false
+		return refuse(r, "FREE wants 1 arg")
 	}
 	if err := s.Depot.Free(f[1]); err != nil {
-		writeErr(bw, err, "")
-		return true
+		return fail(r, err, "")
 	}
-	fmt.Fprintf(bw, "OK 0\n")
+	r.Line("OK 0")
 	return true
 }
 
 // doCopy implements third-party copy: this depot reads the extent locally
 // and stores it on the target depot directly, without routing bytes
 // through the requesting client.
-func (s *Server) doCopy(ctx context.Context, bw io.Writer, f []string) bool {
+func (s *Server) doCopy(ctx context.Context, req *wire.Request, r *wire.Reply) bool {
+	f := req.Fields
 	if len(f) != 7 {
-		writeErr(bw, ErrProto, "COPY wants 6 args")
-		return false
+		return refuse(r, "COPY wants 6 args")
 	}
-	offset, err1 := strconv.ParseInt(f[2], 10, 64)
-	length, err2 := strconv.ParseInt(f[3], 10, 64)
-	targetOff, err3 := strconv.ParseInt(f[6], 10, 64)
-	if err1 != nil || err2 != nil || err3 != nil || length < 0 || length > maxTransfer {
-		writeErr(bw, ErrProto, "bad COPY numbers")
-		return false
+	offset, length, ok := parseExtent(f[2], f[3])
+	targetOff, err := strconv.ParseInt(f[6], 10, 64)
+	if !ok || err != nil {
+		return refuse(r, "bad COPY numbers")
 	}
 	data := bufpool.Get(int(length))
 	defer bufpool.Put(data)
 	if err := s.Depot.LoadInto(f[1], offset, data); err != nil {
-		writeErr(bw, err, "local read")
-		return true
+		return fail(r, err, "local read")
 	}
 	dialer := s.CopyDialer
 	if dialer == nil {
@@ -538,19 +260,17 @@ func (s *Server) doCopy(ctx context.Context, bw io.Writer, f []string) bool {
 	// ctx carries the caller's propagated deadline (if any); the client's
 	// Timeout bounds the onward store otherwise.
 	if err := target.Store(ctx, f[5], targetOff, data); err != nil {
-		writeErr(bw, err, "target store")
-		return true
+		return fail(r, err, "target store")
 	}
-	fmt.Fprintf(bw, "OK %d\n", length)
+	fmt.Fprintf(r, "OK %d\n", length)
 	return true
 }
 
-func (s *Server) doStatus(bw io.Writer, f []string) bool {
-	if len(f) != 1 {
-		writeErr(bw, ErrProto, "STATUS wants no args")
-		return false
+func (s *Server) doStatus(_ context.Context, req *wire.Request, r *wire.Reply) bool {
+	if len(req.Fields) != 1 {
+		return refuse(r, "STATUS wants no args")
 	}
 	st := s.Depot.Stat()
-	fmt.Fprintf(bw, "OK %d %d %d\n", st.Capacity, st.Used, st.Allocations)
+	fmt.Fprintf(r, "OK %d %d %d\n", st.Capacity, st.Used, st.Allocations)
 	return true
 }

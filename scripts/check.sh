@@ -21,6 +21,9 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
+# ROADMAP's tracked number: it should fall.
+echo "== non-test Go lines outside bench/: $(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+
 # -shuffle=on randomizes test order within each package, so hidden
 # inter-test coupling (shared registries, leaked goroutines, package
 # globals) fails here instead of in some future reordering.
@@ -37,6 +40,16 @@ go test -race -shuffle=on ./...
 echo "== connection-reuse and span-order stress (-count=20)"
 go test -race -count=20 ./internal/dvs
 go test -count=20 -run 'TestWire' ./internal/ibp
+# The one server loop under all five services: transcript parity (every
+# verb and error, untagged and tagged), the shed matrix, Close, and the
+# bounded line read.
+go test -race -count=20 \
+	-run 'TestTranscriptParity|TestShed|TestCloseLeavesNoHandler|TestRequestLineIsBounded' \
+	./internal/wire
+
+echo "== fuzz the one request parser and the one serve loop (10s each)"
+go test -run '^$' -fuzz FuzzParseRequest -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
+go test -run '^$' -fuzz FuzzServeConn -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
 
 # bench/ is its own module, so ./... above skips it. It wires dvs.Client
 # and agent.Viewer by struct literal: build and smoke-test it here, so a
@@ -55,6 +68,7 @@ echo "== pipelined data plane race smoke"
 go test -race -count=1 \
 	-run 'TestPipelined|TestPipeWindowBackpressure|TestPipeMidstreamDrop|TestPipePoolSerialFallback' \
 	./internal/ibp
+go test -race -count=1 -run 'TestTranscriptParity|TestShed' ./internal/wire
 go test -race -count=1 -run 'TestDownloadPipelinedPool|TestStreamBuffer' ./internal/lors
 go test -race -count=1 -run 'TestGetViewSetStream|TestViewerUsesStreamingPath' ./internal/agent
 
