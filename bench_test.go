@@ -393,7 +393,7 @@ func BenchmarkAblationZlibLevel(b *testing.B) {
 	for _, lv := range []struct {
 		name  string
 		level int
-	}{{"speed1", codec.BestSpeed}, {"default6", 6}, {"best9", codec.BestCompression}} {
+	}{{"speed1", codec.BestSpeed}, {"default5", codec.DefaultCompression}, {"zlib6", 6}, {"best9", codec.BestCompression}} {
 		level := lv.level
 		b.Run(lv.name, func(b *testing.B) {
 			frame, err := lightfield.EncodeViewSet(vs, p, level)

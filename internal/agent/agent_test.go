@@ -466,6 +466,17 @@ func TestViewerMoveDecodeRender(t *testing.T) {
 	if len(v.Records()) != 2 {
 		t.Errorf("records = %d", len(v.Records()))
 	}
+	// The first render built the renderer's camera cache, one camera per
+	// lattice position; later renders must find it, not build it again.
+	cameras := float64(r.params.Rows() * r.params.Cols())
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, _, err := v.Render(sp2, r.params.OuterRadius*1.6, 24); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= cameras {
+		t.Errorf("a warm Render allocates %.0f times with %.0f lattice cameras: the camera cache is rebuilt per frame", allocs, cameras)
+	}
 }
 
 func TestViewerDecodedCacheEviction(t *testing.T) {

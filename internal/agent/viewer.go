@@ -48,17 +48,23 @@ type Viewer struct {
 	order   []lightfield.ViewSetID // FIFO for eviction
 	current lightfield.ViewSetID
 	records []AccessRecord
+
+	// One renderer for the viewer's life: on first use it caches a camera
+	// per lattice position, too much to rebuild on every cursor move.
+	rend *lightfield.Renderer
 }
 
 // NewViewer validates params and builds a viewer.
 func NewViewer(p lightfield.Params, src ViewSetSource) (*Viewer, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
 	if src == nil {
 		return nil, fmt.Errorf("agent: viewer needs a view set source")
 	}
-	return &Viewer{P: p, Source: src, MaxDecoded: 4, decoded: make(map[lightfield.ViewSetID]*lightfield.ViewSet)}, nil
+	v := &Viewer{P: p, Source: src, MaxDecoded: 4, decoded: make(map[lightfield.ViewSetID]*lightfield.ViewSet)}
+	var err error
+	if v.rend, err = lightfield.NewRenderer(p, v); err != nil { // validates p
+		return nil, err
+	}
+	return v, nil
 }
 
 // MoveTo processes one cursor movement: if the new view angle leaves the
@@ -193,15 +199,11 @@ func (v *Viewer) ViewSet(id lightfield.ViewSetID) (*lightfield.ViewSet, bool) {
 // Render reconstructs the novel view from direction sp at the given
 // display resolution using whatever view sets are decoded locally.
 func (v *Viewer) Render(sp geom.Spherical, dist float64, res int) (*render.Image, lightfield.RenderStats, error) {
-	r, err := lightfield.NewRenderer(v.P, v)
-	if err != nil {
-		return nil, lightfield.RenderStats{}, err
-	}
 	cam, err := v.P.ViewerCamera(sp, dist, res)
 	if err != nil {
 		return nil, lightfield.RenderStats{}, err
 	}
-	return r.RenderView(cam)
+	return v.rend.RenderView(cam)
 }
 
 // Records returns a copy of all access records so far, in order.

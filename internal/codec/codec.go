@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 )
 
 var frameMagic = []byte("LVZ1")
@@ -29,6 +30,13 @@ const (
 	BestCompression    = zlib.BestCompression
 )
 
+// defaultLevel is what DefaultCompression means here. View-set payloads
+// are inter-view residuals (lightfield.Marshal), which deflate's longer
+// match searches serve badly: on the benchmark database level 5 gives a
+// smaller frame than plain pixels get at 6, in less time, while 6 costs
+// 1.7x the deflate time for 4 % fewer bytes (docs/PERFORMANCE.md).
+const defaultLevel = 5
+
 // ErrCorrupt is returned when a frame fails structural or checksum
 // validation.
 var ErrCorrupt = errors.New("codec: corrupt frame")
@@ -36,23 +44,32 @@ var ErrCorrupt = errors.New("codec: corrupt frame")
 // Compress frames and zlib-compresses data at the given level (use
 // DefaultCompression when unsure).
 func Compress(data []byte, level int) ([]byte, error) {
-	if level != DefaultCompression && (level < zlib.NoCompression || level > zlib.BestCompression) {
+	if level == DefaultCompression {
+		level = defaultLevel
+	}
+	if level < zlib.NoCompression || level > zlib.BestCompression {
 		return nil, fmt.Errorf("codec: invalid compression level %d", level)
 	}
 	var buf bytes.Buffer
 	buf.Grow(headerLen + len(data)/4)
-	buf.Write(frameMagic)
-	lvl := byte(level & 0xff)
-	buf.WriteByte(lvl)
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(data)))
-	buf.Write(u32[:])
-	binary.LittleEndian.PutUint32(u32[:], crc32.ChecksumIEEE(data))
-	buf.Write(u32[:])
-	zw, err := zlib.NewWriterLevel(&buf, level)
-	if err != nil {
-		return nil, err
+	var hdr [headerLen]byte
+	copy(hdr[:], frameMagic)
+	hdr[4] = byte(level)
+	binary.LittleEndian.PutUint32(hdr[5:], uint32(len(data)))
+	binary.LittleEndian.PutUint32(hdr[9:], crc32.ChecksumIEEE(data))
+	buf.Write(hdr[:])
+	// A deflate writer is over 1 MB of hash tables and window: reuse it.
+	pool := &deflaters[level]
+	zw, _ := pool.Get().(*zlib.Writer)
+	if zw == nil {
+		var err error
+		if zw, err = zlib.NewWriterLevel(&buf, level); err != nil {
+			return nil, err
+		}
+	} else {
+		zw.Reset(&buf)
 	}
+	defer pool.Put(zw)
 	if _, err := zw.Write(data); err != nil {
 		return nil, err
 	}
@@ -62,45 +79,28 @@ func Compress(data []byte, level int) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decompress validates and decodes a frame produced by Compress.
-func Decompress(frame []byte) ([]byte, error) {
-	if len(frame) < headerLen {
-		return nil, fmt.Errorf("%w: frame shorter than header", ErrCorrupt)
-	}
-	if !bytes.Equal(frame[:4], frameMagic) {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	origLen := binary.LittleEndian.Uint32(frame[5:9])
-	wantCRC := binary.LittleEndian.Uint32(frame[9:13])
-	zr, err := zlib.NewReader(bytes.NewReader(frame[headerLen:]))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	defer zr.Close()
-	out := make([]byte, 0, origLen)
-	outBuf := bytes.NewBuffer(out)
-	// Limit reads to origLen+1 so a lying header cannot balloon memory.
-	n, err := io.Copy(outBuf, io.LimitReader(zr, int64(origLen)+1))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if n != int64(origLen) {
-		return nil, fmt.Errorf("%w: length %d, header says %d", ErrCorrupt, n, origLen)
-	}
-	data := outBuf.Bytes()
-	if crc32.ChecksumIEEE(data) != wantCRC {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	return data, nil
+// deflaters holds idle zlib writers, one pool per level 0..9 (a writer's
+// level is fixed when it is made); inflaters holds idle zlib readers.
+var (
+	deflaters [zlib.BestCompression + 1]sync.Pool
+	inflaters sync.Pool
+)
+
+// Reader inflates one frame as its bytes arrive and holds it to what the
+// header promised: Read never yields more than Len bytes, and Close reports
+// ErrCorrupt unless exactly that many were inflated, the zlib stream ended
+// there, and their CRC-32 is the header's. Bytes a caller consumed before
+// Close are unverified until Close returns nil.
+type Reader struct {
+	zr        io.ReadCloser
+	remaining int
+	crc, want uint32
 }
 
-// DecompressFrom validates and decodes a frame read incrementally from r
-// — the streaming counterpart of Decompress. Because zlib inflates as
-// input arrives, handing it a reader that tracks a download in progress
-// (lors.StreamBuffer) overlaps decompression with communication instead
-// of serializing them. The output buffer is sized exactly from the frame
-// header before inflation starts.
-func DecompressFrom(r io.Reader) ([]byte, error) {
+// NewReader reads and validates the frame header from r. Because zlib
+// inflates as input arrives, a reader that tracks a download in progress
+// (lors.StreamBuffer) overlaps decompression with communication.
+func NewReader(r io.Reader) (*Reader, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
@@ -108,24 +108,99 @@ func DecompressFrom(r io.Reader) ([]byte, error) {
 	if !bytes.Equal(hdr[:4], frameMagic) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	origLen := binary.LittleEndian.Uint32(hdr[5:9])
-	wantCRC := binary.LittleEndian.Uint32(hdr[9:13])
-	zr, err := zlib.NewReader(r)
+	d := &Reader{
+		remaining: int(binary.LittleEndian.Uint32(hdr[5:9])),
+		want:      binary.LittleEndian.Uint32(hdr[9:13]),
+	}
+	var err error
+	if zr, ok := inflaters.Get().(io.ReadCloser); ok {
+		d.zr, err = zr, zr.(zlib.Resetter).Reset(r, nil)
+	} else {
+		d.zr, err = zlib.NewReader(r)
+	}
 	if err != nil {
+		d.release()
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	defer zr.Close()
-	out := make([]byte, origLen)
-	if _, err := io.ReadFull(zr, out); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	return d, nil
+}
+
+// Len returns how many bytes the header says are still to be read.
+func (d *Reader) Len() int { return d.remaining }
+
+// Read inflates into p, never past the length the header gives.
+func (d *Reader) Read(p []byte) (int, error) {
+	if d.remaining == 0 {
+		return 0, io.EOF
 	}
-	// A lying header must not pass: the stream has to end exactly here.
+	if len(p) > d.remaining {
+		p = p[:d.remaining]
+	}
+	n, err := d.zr.Read(p)
+	d.remaining -= n
+	d.crc = crc32.Update(d.crc, crc32.IEEETable, p[:n])
+	if err == io.EOF {
+		// Whether the stream may end here is Close's to judge, unless it
+		// ended short of the header's length.
+		if err = nil; d.remaining > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+	}
+	if err != nil {
+		err = fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return n, err
+}
+
+// Close verifies the frame (see Reader) and releases the inflater. Closing
+// an unfinished or failed Reader is how to abandon it.
+func (d *Reader) Close() error {
+	if d.zr == nil {
+		return nil
+	}
+	defer d.release()
+	if d.remaining != 0 {
+		return fmt.Errorf("%w: %d bytes short of the header's length", ErrCorrupt, d.remaining)
+	}
+	// A lying header must not pass: the stream has to end exactly here,
+	// which is also where zlib checks its own Adler-32.
 	var one [1]byte
-	if n, _ := zr.Read(one[:]); n != 0 {
-		return nil, fmt.Errorf("%w: payload longer than header says", ErrCorrupt)
+	if n, err := d.zr.Read(one[:]); n != 0 || err != io.EOF {
+		return fmt.Errorf("%w: payload does not end where the header says (%v)", ErrCorrupt, err)
 	}
-	if crc32.ChecksumIEEE(out) != wantCRC {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	if d.crc != d.want {
+		return fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	return nil
+}
+
+func (d *Reader) release() {
+	if d.zr != nil {
+		inflaters.Put(d.zr)
+		d.zr = nil
+	}
+}
+
+// Decompress validates and decodes a frame produced by Compress.
+func Decompress(frame []byte) ([]byte, error) {
+	return DecompressFrom(bytes.NewReader(frame))
+}
+
+// DecompressFrom is Decompress over a frame read incrementally from r. The
+// output buffer is sized exactly from the frame header before inflation
+// starts.
+func DecompressFrom(r io.Reader) ([]byte, error) {
+	d, err := NewReader(r)
+	if err != nil {
+		return nil, err
+	}
+	defer d.Close()
+	out := make([]byte, d.Len())
+	if _, err := io.ReadFull(d, out); err != nil {
+		return nil, err
+	}
+	if err := d.Close(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

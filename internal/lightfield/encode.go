@@ -1,6 +1,7 @@
 package lightfield
 
 import (
+	"bytes"
 	"io"
 
 	"lonviz/internal/codec"
@@ -20,20 +21,27 @@ func EncodeViewSet(vs *ViewSet, p Params, level int) ([]byte, error) {
 
 // DecodeViewSet reverses EncodeViewSet, validating the checksum.
 func DecodeViewSet(frame []byte, p Params) (*ViewSet, error) {
-	raw, err := codec.Decompress(frame)
-	if err != nil {
-		return nil, err
-	}
-	return UnmarshalViewSet(raw, p)
+	return DecodeViewSetFrom(bytes.NewReader(frame), p)
 }
 
 // DecodeViewSetFrom is DecodeViewSet over an incrementally arriving
 // frame: inflation proceeds as r delivers bytes, so a reader backed by an
-// in-flight download overlaps decompression with communication.
+// in-flight download overlaps decompression with communication. Inflated
+// bytes go straight into the views (readViewSet), with no buffer of the
+// whole payload in between; the view set is returned only once the codec
+// reader has confirmed the frame's length, end and CRC-32.
 func DecodeViewSetFrom(r io.Reader, p Params) (*ViewSet, error) {
-	raw, err := codec.DecompressFrom(r)
+	zr, err := codec.NewReader(r)
 	if err != nil {
 		return nil, err
 	}
-	return UnmarshalViewSet(raw, p)
+	defer zr.Close()
+	vs, err := readViewSet(zr, zr.Len(), p)
+	if err != nil {
+		return nil, err
+	}
+	if err := zr.Close(); err != nil {
+		return nil, err
+	}
+	return vs, nil
 }

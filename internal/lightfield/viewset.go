@@ -1,10 +1,13 @@
 package lightfield
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"sync"
 
 	"lonviz/internal/geom"
 	"lonviz/internal/render"
@@ -152,7 +155,29 @@ func (vs *ViewSet) Equal(other *ViewSet) bool {
 	return true
 }
 
-const viewSetMagic = "LVVS1\x00"
+// A marshalled view set is viewSetMagic, a 10-byte header (R and C as
+// uint16, L as uint8, Res as uint32, one format-flags byte), then the stored
+// pixels of the L*L views.
+const (
+	viewSetMagic  = "LVVS1\x00"
+	viewSetHdrLen = len(viewSetMagic) + 10
+
+	// flagInterView: views follow in serpentine order (odd block rows
+	// right to left, so consecutive views are always lattice neighbours),
+	// the first as is and each later one as its byte-wise difference from
+	// the one before. Without it, views are row-major and stored as is.
+	flagInterView = 1
+)
+
+// serpentine returns the index into Views of the k-th view in serpentine
+// order.
+func serpentine(l, k int) int {
+	a, b := k/l, k%l
+	if a%2 == 1 {
+		b = l - 1 - b
+	}
+	return a*l + b
+}
 
 // Marshal serializes the view set using the occlusion mask implied by the
 // database geometry (paper: "we can naturally save storage by not storing
@@ -160,49 +185,139 @@ const viewSetMagic = "LVVS1\x00"
 // ray misses the inner (focal) sphere can never see the volume; they are
 // omitted from the byte stream and restored as background on Unmarshal. Both
 // sides recompute the mask from Params, so it costs no wire bytes.
+//
+// Neighbouring cameras see nearly the same image and the mask is the same
+// for every camera, so stored pixel k of one view lines up with stored pixel
+// k of the next: views are written with flagInterView, which leaves the
+// compressor small residuals where plain pixels would have repeated 25 KB
+// apart.
 func (vs *ViewSet) Marshal(p Params) ([]byte, error) {
 	if vs.L != p.ViewSetL || vs.Res != p.Res {
 		return nil, fmt.Errorf("lightfield: view set %dx%d/r%d does not match params %dx%d/r%d",
 			vs.L, vs.L, vs.Res, p.ViewSetL, p.ViewSetL, p.Res)
 	}
-	buf := make([]byte, 0, len(viewSetMagic)+10+int(p.BytesPerViewSet()))
-	buf = append(buf, viewSetMagic...)
-	var hdr [10]byte
+	m, err := maskCache.get(p)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, viewSetHdrLen+len(vs.Views)*m.stored)
+	copy(buf, viewSetMagic)
+	hdr := buf[len(viewSetMagic):]
 	binary.LittleEndian.PutUint16(hdr[0:], uint16(vs.ID.R))
 	binary.LittleEndian.PutUint16(hdr[2:], uint16(vs.ID.C))
 	hdr[4] = byte(vs.L)
 	binary.LittleEndian.PutUint32(hdr[5:], uint32(vs.Res))
-	hdr[9] = 0 // format flags, reserved
-	buf = append(buf, hdr[:]...)
+	hdr[9] = flagInterView
+	vs.writeViews(buf[viewSetHdrLen:], m, true)
+	if !residualsPay(vs, m, buf[viewSetHdrLen:]) {
+		hdr[9] = 0
+		vs.writeViews(buf[viewSetHdrLen:], m, false)
+	}
+	return buf, nil
+}
 
-	for a := 0; a < vs.L; a++ {
-		for b := 0; b < vs.L; b++ {
-			i, j := vs.LatticePos(a, b)
-			mask, err := p.ViewMask(i, j)
-			if err != nil {
-				return nil, err
+// writeViews fills out with the stored pixels of every view, inter-view
+// coded (see flagInterView) or plain.
+func (vs *ViewSet) writeViews(out []byte, m *viewMask, interView bool) {
+	var prev []byte
+	for k := range vs.Views {
+		cur := vs.Views[k].Pix
+		if interView {
+			cur = vs.Views[serpentine(vs.L, k)].Pix
+		}
+		for _, r := range m.runs {
+			if prev == nil {
+				copy(out[:r.n], cur[r.off:])
+			} else {
+				subBytes(out[:r.n], cur[r.off:], prev[r.off:])
 			}
-			im := vs.Views[a*vs.L+b]
-			for idx := 0; idx < vs.Res*vs.Res; idx++ {
-				if mask.Get(idx) {
-					buf = append(buf, im.Pix[3*idx], im.Pix[3*idx+1], im.Pix[3*idx+2])
-				}
+			out = out[r.n:]
+		}
+		if interView {
+			prev = cur
+		}
+	}
+}
+
+// residualsPay decides, from the bytes themselves, whether the inter-view
+// residuals of vs will deflate smaller than its pixels. On a fine lattice
+// (5 degrees and below) neighbouring views differ by little and the
+// residuals win by 15 to 35 %; on a coarse one (15 degrees and up) they are
+// noisier than the images and lose by as much. The measure is the order-0
+// entropy of each stream. Deflate also finds repeats, and finds more of
+// them in pixels than in residuals, so the residuals have to be ahead by a
+// margin: over lattices of 2.5 to 45 degrees (docs/PERFORMANCE.md) the
+// deflated sizes cross where the residuals are 0.6 to 0.8 bit per byte
+// ahead.
+func residualsPay(vs *ViewSet, m *viewMask, residuals []byte) bool {
+	const (
+		margin = 0.75 // bits per byte
+		stride = 4    // a quarter of the bytes is sample enough; coprime to the 3 channels
+	)
+	var pix, res [256]int
+	for _, v := range vs.Views {
+		for _, r := range m.runs {
+			for i := r.off; i < r.off+r.n; i += stride {
+				pix[v.Pix[i]]++
 			}
 		}
 	}
-	return buf, nil
+	for i := 0; i < len(residuals); i += stride {
+		res[residuals[i]]++
+	}
+	return entropy(&res)+margin < entropy(&pix)
+}
+
+// entropy returns the order-0 entropy of a byte histogram, in bits per
+// byte.
+func entropy(hist *[256]int) float64 {
+	n := 0
+	for _, c := range hist {
+		n += c
+	}
+	var h float64
+	for _, c := range hist {
+		if c > 0 {
+			q := float64(c) / float64(n)
+			h -= q * math.Log2(q)
+		}
+	}
+	return h
 }
 
 // UnmarshalViewSet reconstructs a view set serialized by Marshal. Masked-out
 // pixels are restored as black background.
 func UnmarshalViewSet(data []byte, p Params) (*ViewSet, error) {
-	if len(data) < len(viewSetMagic)+10 {
-		return nil, errors.New("lightfield: view set payload truncated")
+	return readViewSet(bytes.NewReader(data), len(data), p)
+}
+
+// viewScratch holds one view's worth of stored bytes between the source
+// and the view's Pix.
+var viewScratch sync.Pool
+
+// readViewSet decodes the n-byte marshalled view set that r delivers, one
+// view at a time: each view's stored bytes land in a pooled scratch and
+// the mask runs place them in the view's Pix, adding the previous view's
+// pixels when the payload is inter-view coded. n is checked against what p
+// implies before anything is allocated, which covers truncation and
+// trailing bytes both; r is read for exactly n bytes.
+func readViewSet(r io.Reader, n int, p Params) (*ViewSet, error) {
+	m, err := maskCache.get(p)
+	if err != nil {
+		return nil, err
 	}
-	if string(data[:len(viewSetMagic)]) != viewSetMagic {
+	if want := viewSetHdrLen + p.ViewSetL*p.ViewSetL*m.stored; n != want {
+		return nil, fmt.Errorf("lightfield: view set payload is %d bytes, params l=%d res=%d store %d",
+			n, p.ViewSetL, p.Res, want)
+	}
+	var head [viewSetHdrLen]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return nil, fmt.Errorf("lightfield: view set header: %w", err)
+	}
+	if string(head[:len(viewSetMagic)]) != viewSetMagic {
 		return nil, errors.New("lightfield: bad view set magic")
 	}
-	h := data[len(viewSetMagic):]
+	h := head[len(viewSetMagic):]
 	id := ViewSetID{
 		R: int(binary.LittleEndian.Uint16(h[0:])),
 		C: int(binary.LittleEndian.Uint16(h[2:])),
@@ -216,37 +331,77 @@ func UnmarshalViewSet(data []byte, p Params) (*ViewSet, error) {
 	if !p.ValidID(id) {
 		return nil, fmt.Errorf("lightfield: payload view set %v outside database", id)
 	}
+	flags := h[9]
+	if flags&^flagInterView != 0 {
+		return nil, fmt.Errorf("lightfield: unknown view set format flags %#x", flags)
+	}
 	vs, err := NewViewSet(id, l, res)
 	if err != nil {
 		return nil, err
 	}
-	pos := len(viewSetMagic) + 10
-	for a := 0; a < l; a++ {
-		for b := 0; b < l; b++ {
-			i, j := vs.LatticePos(a, b)
-			mask, err := p.ViewMask(i, j)
-			if err != nil {
-				return nil, err
+	sp, _ := viewScratch.Get().(*[]byte)
+	if sp == nil || len(*sp) < m.stored {
+		b := make([]byte, m.stored)
+		sp = &b
+	}
+	defer viewScratch.Put(sp)
+	scratch := (*sp)[:m.stored]
+	var prev []byte
+	for k := range vs.Views {
+		if _, err := io.ReadFull(r, scratch); err != nil {
+			return nil, fmt.Errorf("lightfield: view set pixel data: %w", err)
+		}
+		cur := vs.Views[k].Pix
+		if flags&flagInterView != 0 {
+			cur = vs.Views[serpentine(l, k)].Pix
+		}
+		src := scratch
+		for _, r := range m.runs {
+			if prev == nil {
+				copy(cur[r.off:], src[:r.n])
+			} else {
+				addBytes(cur[r.off:r.off+r.n], src, prev[r.off:])
 			}
-			im := vs.Views[a*l+b]
-			for idx := 0; idx < res*res; idx++ {
-				if !mask.Get(idx) {
-					continue
-				}
-				if pos+3 > len(data) {
-					return nil, errors.New("lightfield: view set payload truncated in pixel data")
-				}
-				im.Pix[3*idx] = data[pos]
-				im.Pix[3*idx+1] = data[pos+1]
-				im.Pix[3*idx+2] = data[pos+2]
-				pos += 3
-			}
+			src = src[r.n:]
+		}
+		if flags&flagInterView != 0 {
+			prev = cur
 		}
 	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("lightfield: %d trailing bytes in view set payload", len(data)-pos)
-	}
 	return vs, nil
+}
+
+// laneHi is the top bit of each of a word's eight byte lanes. The two
+// kernels below do the codec's only per-byte arithmetic eight lanes at a
+// time: the low seven bits of every lane are added or subtracted in one
+// word operation that cannot carry across lanes, and the top bits are put
+// back with an exclusive or.
+const laneHi = 0x8080808080808080
+
+// subBytes sets dst[i] = a[i] - b[i] (mod 256) for every i in dst.
+func subBytes(dst, a, b []byte) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	i := 0
+	for ; i+8 <= len(dst); i += 8 {
+		x, y := binary.LittleEndian.Uint64(a[i:]), binary.LittleEndian.Uint64(b[i:])
+		binary.LittleEndian.PutUint64(dst[i:], ((x|laneHi)-(y&^laneHi))^((x^^y)&laneHi))
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = a[i] - b[i]
+	}
+}
+
+// addBytes sets dst[i] = a[i] + b[i] (mod 256) for every i in dst.
+func addBytes(dst, a, b []byte) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	i := 0
+	for ; i+8 <= len(dst); i += 8 {
+		x, y := binary.LittleEndian.Uint64(a[i:]), binary.LittleEndian.Uint64(b[i:])
+		binary.LittleEndian.PutUint64(dst[i:], ((x&^laneHi)+(y&^laneHi))^((x^y)&laneHi))
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = a[i] + b[i]
+	}
 }
 
 // Bitmask is a simple bit set over pixel indices.
@@ -301,7 +456,11 @@ func (p Params) ViewMask(i, j int) (*Bitmask, error) {
 	// All orbit cameras are related by rotation about the sphere center,
 	// and the mask depends only on the camera-to-center geometry, which is
 	// identical for every lattice position. Compute once per Params value.
-	return maskCache.get(p)
+	m, err := maskCache.get(p)
+	if err != nil {
+		return nil, err
+	}
+	return m.bits, nil
 }
 
 // computeMask builds the mask for the canonical camera.

@@ -51,6 +51,15 @@ echo "== fuzz the one request parser and the one serve loop (10s each)"
 go test -run '^$' -fuzz FuzzParseRequest -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
 go test -run '^$' -fuzz FuzzServeConn -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
 
+echo "== fuzz the view-set payload and frame decoders (10s each)"
+go test -run '^$' -fuzz FuzzUnmarshalViewSet -fuzztime=10s -fuzzminimizetime=1s ./internal/lightfield
+go test -run '^$' -fuzz FuzzDecodeViewSetFrom -fuzztime=10s -fuzzminimizetime=1s ./internal/lightfield
+
+# One iteration each, so the in-package benchmarks cannot rot; their
+# numbers are read with -benchtime and -count by hand, never from here.
+echo "== in-package benchmarks build and run (1x)"
+go test -run '^$' -bench . -benchtime 1x ./internal/lightfield ./internal/codec
+
 # bench/ is its own module, so ./... above skips it. It wires dvs.Client
 # and agent.Viewer by struct literal: build and smoke-test it here, so a
 # change that breaks that wiring fails CI, not the next benchmark run.
