@@ -56,6 +56,7 @@ func main() {
 		go func(c int) {
 			defer wg.Done()
 			src := &agent.RemoteSource{Addr: addr, Dataset: "neghip"}
+			defer src.CloseIdle()
 			viewer, err := agent.NewViewer(d.Params, src)
 			if err != nil {
 				log.Printf("client %d: %v", c, err)

@@ -1,13 +1,13 @@
 package agent
 
 import (
-	"bufio"
 	"context"
+	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"lonviz/internal/geom"
@@ -122,60 +122,57 @@ func (s *ClientAgentServer) doStats(_ context.Context, req *wire.Request, r *wir
 	return true
 }
 
-// RemoteSource is a ViewSetSource backed by a remote client agent. It
-// keeps one persistent connection per concurrent request via a small pool.
+// errProto wraps a reply from a server agent or client agent that cannot be
+// parsed or did not arrive.
+var errProto = errors.New("agent: protocol error")
+
+// agentProto is the client <-> client agent protocol as the one transport in
+// internal/wire sees it: no optional tokens, no metrics of its own.
+var agentProto = wire.Protocol{
+	Err:       func(f []string) error { return fmt.Errorf("agent: remote getvs: %s", strings.Join(f, " ")) },
+	Malformed: errProto,
+}
+
+// RemoteSource is a ViewSetSource backed by a remote client agent. It keeps
+// one persistent connection per concurrent request, four at most, and must
+// not be copied after its first request.
 type RemoteSource struct {
 	Addr    string
 	Dataset string
 	Dialer  ibp.Dialer
 	Timeout time.Duration
+
+	once sync.Once
+	t    wire.Client
 }
 
 var _ ViewSetSource = (*RemoteSource)(nil)
 
-func (r *RemoteSource) dial() (net.Conn, error) {
-	d := r.Dialer
-	if d == nil {
-		d = ibp.NetDialer{}
-	}
-	conn, err := d.Dial(r.Addr)
-	if err != nil {
-		return nil, err
-	}
-	timeout := r.Timeout
-	if timeout == 0 {
-		timeout = 2 * time.Minute
-	}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	return conn, nil
+func (r *RemoteSource) wire() *wire.Client {
+	r.once.Do(func() {
+		r.t.Addr, r.t.Dialer, r.t.Proto, r.t.Keep = r.Addr, r.Dialer, &agentProto, 4
+		if r.t.Timeout = r.Timeout; r.Timeout == 0 {
+			r.t.Timeout = 2 * time.Minute
+		}
+	})
+	return &r.t
 }
+
+// CloseIdle closes the kept connections; the source redials on demand.
+func (r *RemoteSource) CloseIdle() { r.wire().CloseIdle() }
 
 // GetViewSet implements ViewSetSource over the wire.
 func (r *RemoteSource) GetViewSet(ctx context.Context, id lightfield.ViewSetID) ([]byte, AccessReport, error) {
 	start := time.Now()
 	rep := AccessReport{ID: id}
-	conn, err := r.dial()
-	if err != nil {
+	call := wire.Call{Line: "GETVS " + r.Dataset + " " + id.String(), Idempotent: true, Body: wire.SizedBody, Max: 256 << 20}
+	if err := r.wire().Do(ctx, &call); err != nil {
 		return nil, rep, err
 	}
-	defer conn.Close()
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(deadline)
+	if len(call.Fields) != 2 || len(call.Data) == 0 {
+		return nil, rep, fmt.Errorf("%w: getvs response %q", errProto, call.Fields)
 	}
-	fmt.Fprintf(conn, "GETVS %s %s\n", r.Dataset, id)
-	br := bufio.NewReaderSize(conn, 64*1024)
-	line, err := br.ReadString('\n')
-	if err != nil {
-		return nil, rep, fmt.Errorf("agent: remote getvs: %w", err)
-	}
-	f := strings.Fields(strings.TrimSpace(line))
-	if len(f) >= 1 && f[0] == "ERR" {
-		return nil, rep, fmt.Errorf("agent: remote getvs: %s", strings.Join(f[1:], " "))
-	}
-	if len(f) != 3 || f[0] != "OK" {
-		return nil, rep, fmt.Errorf("agent: bad getvs response %q", line)
-	}
-	switch f[1] {
+	switch call.Fields[0] {
 	case AccessHit.String():
 		rep.Class = AccessHit
 	case AccessLANDepot.String():
@@ -185,29 +182,17 @@ func (r *RemoteSource) GetViewSet(ctx context.Context, id lightfield.ViewSetID) 
 	case AccessEdge.String():
 		rep.Class = AccessEdge
 	default:
-		return nil, rep, fmt.Errorf("agent: unknown access class %q", f[1])
+		return nil, rep, fmt.Errorf("%w: unknown access class %q", errProto, call.Fields[0])
 	}
-	n, err := strconv.Atoi(f[2])
-	if err != nil || n <= 0 || n > 256<<20 {
-		return nil, rep, fmt.Errorf("agent: bad getvs length")
-	}
-	frame := make([]byte, n)
-	if _, err := io.ReadFull(br, frame); err != nil {
-		return nil, rep, err
-	}
-	rep.Bytes = n
+	rep.Bytes = len(call.Data)
 	rep.Comm = time.Since(start)
-	return frame, rep, nil
+	return call.Data, rep, nil
 }
 
 // OnUserMove implements ViewSetSource; errors are dropped (cursor updates
-// are advisory).
+// are advisory, and one that would wait out four slow GETVS is stale).
 func (r *RemoteSource) OnUserMove(sp geom.Spherical) {
-	conn, err := r.dial()
-	if err != nil {
-		return
-	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "MOVE %g %g\n", sp.Theta, sp.Phi)
-	_, _ = bufio.NewReader(conn).ReadString('\n')
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	_ = r.wire().Do(ctx, &wire.Call{Line: fmt.Sprintf("MOVE %g %g", sp.Theta, sp.Phi), Idempotent: true})
 }

@@ -1,11 +1,9 @@
 package agent
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -476,52 +474,34 @@ func (sa *ServerAgent) doRender(ctx context.Context, req *wire.Request, r *wire.
 	return true
 }
 
+// renderProto is the render protocol as the one transport in internal/wire
+// sees it.
+var renderProto = wire.Protocol{
+	Tokens: true,
+	Err: func(f []string) error {
+		if f[0] == "BUSY" {
+			// Typed so callers treat an agent shed as retryable, exactly
+			// like a depot BUSY; pre-overload agents never emit this shape.
+			return fmt.Errorf("agent: remote render: %s: %w", strings.Join(f[1:], " "), ibp.ErrBusy)
+		}
+		return fmt.Errorf("agent: remote render: %s", strings.Join(f, " "))
+	},
+	Malformed: errProto,
+}
+
 // RequestRemote asks a remote server agent (by address) to render a view
 // set, returning the exNode XML. It is also the standard dvs.GenerateFunc
-// implementation.
+// implementation. Each request dials its own connection.
 func RequestRemote(ctx context.Context, dialer ibp.Dialer, agentAddr, dataset, viewSetKey string) ([]byte, error) {
-	d := dialer
-	if d == nil {
-		d = ibp.NetDialer{}
-	}
-	conn, err := d.Dial(agentAddr)
-	if err != nil {
+	t := wire.Client{Addr: agentAddr, Dialer: dialer, Timeout: 5 * time.Minute, Proto: &renderProto}
+	call := wire.Call{Line: "RENDER " + dataset + " " + viewSetKey, Body: wire.SizedBody, Max: 4 << 20}
+	if err := t.Do(ctx, &call); err != nil {
 		return nil, err
 	}
-	defer conn.Close()
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(deadline)
-	} else {
-		_ = conn.SetDeadline(time.Now().Add(5 * time.Minute))
+	if len(call.Fields) != 1 || len(call.Data) == 0 {
+		return nil, fmt.Errorf("%w: render response %q", errProto, call.Fields)
 	}
-	fmt.Fprintf(conn, "RENDER %s %s%s\n", dataset, viewSetKey, obs.LineTokens(ctx))
-	br := bufio.NewReader(conn)
-	line, err := br.ReadString('\n')
-	if err != nil {
-		return nil, fmt.Errorf("agent: reading render response: %w", err)
-	}
-	f := strings.Fields(strings.TrimSpace(line))
-	if len(f) >= 2 && f[0] == "ERR" && f[1] == "BUSY" {
-		// Typed so callers treat an agent shed as retryable, exactly
-		// like a depot BUSY; pre-overload agents never emit this shape
-		// and fall through to the generic case below.
-		return nil, fmt.Errorf("agent: remote render: %s: %w", strings.Join(f[2:], " "), ibp.ErrBusy)
-	}
-	if len(f) >= 1 && f[0] == "ERR" {
-		return nil, fmt.Errorf("agent: remote render: %s", strings.Join(f[1:], " "))
-	}
-	if len(f) != 2 || f[0] != "OK" {
-		return nil, fmt.Errorf("agent: bad render response %q", line)
-	}
-	n, err := strconv.Atoi(f[1])
-	if err != nil || n <= 0 || n > 4<<20 {
-		return nil, fmt.Errorf("agent: bad render response length")
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, err
-	}
-	return body, nil
+	return call.Data, nil
 }
 
 // GenerateFunc adapts RequestRemote to the dvs.GenerateFunc signature.

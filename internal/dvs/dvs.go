@@ -10,11 +10,9 @@
 package dvs
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -54,13 +52,7 @@ const (
 )
 
 // Dialer abstracts connection establishment (netsim-compatible).
-type Dialer interface {
-	Dial(addr string) (net.Conn, error)
-}
-
-type netDialer struct{}
-
-func (netDialer) Dial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+type Dialer = wire.Dialer
 
 // GenerateFunc asks a server agent to render and upload a view set,
 // returning the exNode XML for the freshly uploaded data. The agent
@@ -371,8 +363,33 @@ func (s *Server) doAgent(_ context.Context, req *wire.Request, r *wire.Reply) bo
 // requests beyond it wait for a connection instead of dialing another.
 const maxConns = 4
 
-// Client queries a DVS server over a small pool of persistent connections.
-// The zero value plus Addr is ready to use; do not copy it after first use.
+// clientProto is the DVS protocol as the one transport in internal/wire
+// sees it. A connection is kept after OK and MISS only: the server drops it
+// with ERR BUSY, and any other ERR is treated alike.
+var clientProto = wire.Protocol{
+	Names:     wire.ClientNames{OpMs: obs.MDVSOpMs, Errors: obs.MDVSOpErrors},
+	Tokens:    true,
+	Err:       remoteErr,
+	Miss:      ErrMiss,
+	Malformed: ErrProto,
+}
+
+// remoteErr classifies the fields after "ERR": a BUSY shed becomes the
+// typed ErrBusy, anything else the generic remote error pre-overload
+// servers already produced.
+func remoteErr(f []string) error {
+	if f[0] == "BUSY" {
+		return fmt.Errorf("dvs: remote: %s: %w", strings.Join(f[1:], " "), ErrBusy)
+	}
+	return fmt.Errorf("dvs: remote: %s", strings.Join(f, " "))
+}
+
+// Client queries a DVS server over a small pool of persistent connections:
+// the transport keeps up to maxConns untagged ones, and repeats a request
+// that failed on a reused connection once, on a new one, only if that is
+// harmless — PUT appends a replica and is never repeated blindly. The zero
+// value plus Addr is ready to use; the fields are read at the first request,
+// and the Client must not be copied after it.
 type Client struct {
 	Addr    string
 	Dialer  Dialer
@@ -381,219 +398,38 @@ type Client struct {
 	// (dvs.op.*); nil records into obs.Default().
 	Obs *obs.Registry
 
-	mu    sync.Mutex
-	slots chan struct{} // one token per request in flight, made on first use
-	idle  []*clientConn // most recently used last
+	once sync.Once
+	t    wire.Client
 }
 
-// clientConn is one pooled connection and its buffered reply reader.
-type clientConn struct {
-	net.Conn
-	br *bufio.Reader
-}
-
-// remoteErr classifies one "ERR ..." reply: a BUSY shed becomes the
-// typed ErrBusy, anything else the generic remote error pre-overload
-// servers already produced.
-func remoteErr(f []string) error {
-	if len(f) >= 2 && f[1] == "BUSY" {
-		return fmt.Errorf("dvs: remote: %s: %w", strings.Join(f[2:], " "), ErrBusy)
-	}
-	return fmt.Errorf("dvs: remote: %s", strings.Join(f[1:], " "))
-}
-
-// observeOp records one client operation's latency and outcome.
-func (c *Client) observeOp(op string, start time.Time, err error) {
-	reg := c.Obs
-	if reg == nil {
-		reg = obs.Default()
-	}
-	reg.Histogram(obs.Label(obs.MDVSOpMs, "op", op), obs.LatencyBucketsMs...).
-		Observe(float64(time.Since(start)) / 1e6)
-	// A miss is an expected outcome (it triggers on-demand generation),
-	// not an operational failure.
-	if err != nil && !errors.Is(err, ErrMiss) {
-		reg.Counter(obs.Label(obs.MDVSOpErrors, "op", op)).Inc()
-	}
-}
-
-// acquire claims a request slot, waiting while maxConns are taken, and a
-// connection: the last used idle one (reused) unless fresh, else a new dial.
-func (c *Client) acquire(ctx context.Context, fresh bool) (cc *clientConn, reused bool, err error) {
-	c.mu.Lock()
-	if c.slots == nil {
-		c.slots = make(chan struct{}, maxConns)
-	}
-	slots := c.slots
-	c.mu.Unlock()
-	select {
-	case slots <- struct{}{}:
-	case <-ctx.Done():
-		return nil, false, ctx.Err()
-	}
-	if !fresh {
-		c.mu.Lock()
-		if n := len(c.idle); n > 0 {
-			cc, c.idle = c.idle[n-1], c.idle[:n-1]
+func (c *Client) wire() *wire.Client {
+	c.once.Do(func() {
+		c.t.Addr, c.t.Dialer, c.t.Obs, c.t.Proto, c.t.Keep = c.Addr, c.Dialer, c.Obs, &clientProto, maxConns
+		if c.t.Timeout = c.Timeout; c.Timeout == 0 {
+			c.t.Timeout = 30 * time.Second
 		}
-		c.mu.Unlock()
-		if cc != nil {
-			return cc, true, nil
-		}
-	}
-	d := c.Dialer
-	if d == nil {
-		d = netDialer{}
-	}
-	conn, err := d.Dial(c.Addr)
-	if err != nil {
-		<-slots
-		return nil, false, err
-	}
-	return &clientConn{Conn: conn, br: bufio.NewReaderSize(conn, 64*1024)}, false, nil
-}
-
-// release gives back the slot and pools cc with its deadline cleared, or
-// closes it. Unread reply bytes mean it is out of step with the server.
-func (c *Client) release(cc *clientConn, keep bool) {
-	keep = keep && cc.br.Buffered() == 0 && cc.SetDeadline(time.Time{}) == nil
-	c.mu.Lock()
-	if keep && len(c.idle) < maxConns {
-		c.idle = append(c.idle, cc)
-		cc = nil
-	}
-	c.mu.Unlock()
-	if cc != nil {
-		cc.Close()
-	}
-	<-c.slots
+	})
+	return &c.t
 }
 
 // CloseIdle closes the pooled connections; the Client redials on demand.
-func (c *Client) CloseIdle() {
-	c.mu.Lock()
-	idle := c.idle
-	c.idle = nil
-	c.mu.Unlock()
-	for _, cc := range idle {
-		cc.Close()
-	}
-}
-
-// roundTrip sends req (a request line plus any body) on a pooled
-// connection and hands the reply to read, which reports whether the
-// connection is good for another request (after OK and MISS; the server
-// drops it with ERR BUSY, and any other ERR is treated alike).
-//
-// A connection that fails with an I/O or protocol error is closed. If it
-// was a reused one the server may simply have gone away since the last
-// request, so the request is sent once more on a fresh dial, but only if
-// repeating it is harmless: the verb is idempotent, or not a byte was
-// written. PUT appends a replica and is never repeated blindly.
-func (c *Client) roundTrip(ctx context.Context, idempotent bool, req []byte, read func(*bufio.Reader) (keep bool, err error)) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	// The caller's deadline bounds the request; without one, Timeout does.
-	deadline, ok := ctx.Deadline()
-	if !ok {
-		timeout := c.Timeout
-		if timeout == 0 {
-			timeout = 30 * time.Second
-		}
-		deadline = time.Now().Add(timeout)
-	}
-	for fresh := false; ; fresh = true {
-		cc, reused, err := c.acquire(ctx, fresh)
-		if err != nil {
-			return err
-		}
-		_ = cc.SetDeadline(deadline) // a conn that cannot take one still fails on its own I/O errors
-		// Cancellation mid-request fails the blocked I/O at once.
-		stop := context.AfterFunc(ctx, func() { _ = cc.SetDeadline(time.Unix(1, 0)) })
-		keep := false
-		wrote, err := cc.Write(req)
-		broken := err != nil
-		if !broken {
-			keep, err = read(cc.br)
-			broken = errors.Is(err, ErrProto)
-		}
-		// A cancel func that has started may yet set its deadline: no pooling.
-		stopped := stop()
-		c.release(cc, keep && stopped)
-		if !broken {
-			return err
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		if !time.Now().Before(deadline) {
-			// Timed out, not stale: a redial would only fail the same way.
-			if ok {
-				return context.DeadlineExceeded // the connection's timer beat ctx's own
-			}
-			return err
-		}
-		if !reused || !(idempotent || wrote == 0) {
-			return err
-		}
-		// The other idle connections are as old as the one that just failed.
-		c.CloseIdle()
-	}
-}
-
-// readLine reads one reply line and splits it into fields.
-func readLine(br *bufio.Reader) (line string, f []string, err error) {
-	line, err = br.ReadString('\n')
-	if err != nil {
-		return "", nil, fmt.Errorf("%w: %v", ErrProto, err)
-	}
-	return line, strings.Fields(line), nil
-}
+func (c *Client) CloseIdle() { c.wire().CloseIdle() }
 
 // Get fetches all known exNode replicas for key. A pure miss returns
 // ErrMiss.
-func (c *Client) Get(ctx context.Context, key Key) (reps [][]byte, err error) {
-	defer func(start time.Time) { c.observeOp("GET", start, err) }(time.Now())
-	req := fmt.Appendf(nil, "GET %s %s%s\n", key.Dataset, key.ViewSet, obs.LineTokens(ctx))
-	err = c.roundTrip(ctx, true, req, func(br *bufio.Reader) (bool, error) {
-		line, f, err := readLine(br)
-		switch {
-		case err != nil:
-			return false, err
-		case len(f) >= 1 && f[0] == "MISS":
-			return true, fmt.Errorf("%w: %s", ErrMiss, key)
-		case len(f) >= 1 && f[0] == "ERR":
-			return false, remoteErr(f)
-		case len(f) != 2 || f[0] != "OK":
-			return false, fmt.Errorf("%w: response %q", ErrProto, line)
-		}
-		n, err := strconv.Atoi(f[1])
-		if err != nil || n < 0 || n > 1024 {
-			return false, fmt.Errorf("%w: bad replica count", ErrProto)
-		}
-		reps = make([][]byte, 0, n)
-		for i := 0; i < n; i++ {
-			szLine, err := br.ReadString('\n')
-			if err != nil {
-				return false, fmt.Errorf("%w: %v", ErrProto, err)
-			}
-			sz, err := strconv.Atoi(strings.TrimSpace(szLine))
-			if err != nil || sz <= 0 || sz > maxEntry {
-				return false, fmt.Errorf("%w: bad entry size", ErrProto)
-			}
-			body := make([]byte, sz)
-			if _, err := io.ReadFull(br, body); err != nil {
-				return false, fmt.Errorf("%w: %v", ErrProto, err)
-			}
-			reps = append(reps, body)
-		}
-		return true, nil
-	})
-	if err != nil {
+func (c *Client) Get(ctx context.Context, key Key) ([][]byte, error) {
+	call := wire.Call{Line: "GET " + key.Dataset + " " + key.ViewSet, Idempotent: true, Body: wire.ListBody, Max: maxEntry}
+	if err := c.wire().Do(ctx, &call); errors.Is(err, ErrMiss) {
+		return nil, fmt.Errorf("%w: %s", ErrMiss, key)
+	} else if err != nil {
 		return nil, err
 	}
-	return reps, nil
+	for _, rep := range call.List {
+		if len(rep) == 0 {
+			return nil, fmt.Errorf("%w: empty entry", ErrProto)
+		}
+	}
+	return call.List, nil
 }
 
 // Put registers an exNode replica for key.
@@ -607,51 +443,26 @@ func (c *Client) Replace(ctx context.Context, key Key, exnodeXML []byte) error {
 	return c.record(ctx, "REPLACE", key, exnodeXML)
 }
 
-func (c *Client) record(ctx context.Context, verb string, key Key, exnodeXML []byte) (err error) {
-	defer func(start time.Time) { c.observeOp(verb, start, err) }(time.Now())
-	req := fmt.Appendf(nil, "%s %s %s %d%s\n", verb, key.Dataset, key.ViewSet, len(exnodeXML), obs.LineTokens(ctx))
-	return c.roundTrip(ctx, verb == "REPLACE", append(req, exnodeXML...), expectOK)
+func (c *Client) record(ctx context.Context, verb string, key Key, exnodeXML []byte) error {
+	return c.wire().Do(ctx, &wire.Call{
+		Line:    fmt.Sprintf("%s %s %s %d", verb, key.Dataset, key.ViewSet, len(exnodeXML)),
+		Payload: exnodeXML, Idempotent: verb == "REPLACE",
+	})
 }
 
 // RegisterAgent records the server agent for a dataset.
-func (c *Client) RegisterAgent(ctx context.Context, dataset, agentAddr string) (err error) {
-	defer func(start time.Time) { c.observeOp("REGAGENT", start, err) }(time.Now())
-	req := fmt.Appendf(nil, "REGAGENT %s %s%s\n", dataset, agentAddr, obs.LineTokens(ctx))
-	return c.roundTrip(ctx, true, req, expectOK)
+func (c *Client) RegisterAgent(ctx context.Context, dataset, agentAddr string) error {
+	return c.wire().Do(ctx, &wire.Call{Line: "REGAGENT " + dataset + " " + agentAddr, Idempotent: true})
 }
 
 // AgentFor queries the server-agent table.
-func (c *Client) AgentFor(ctx context.Context, dataset string) (addr string, err error) {
-	defer func(start time.Time) { c.observeOp("AGENT", start, err) }(time.Now())
-	req := fmt.Appendf(nil, "AGENT %s%s\n", dataset, obs.LineTokens(ctx))
-	err = c.roundTrip(ctx, true, req, func(br *bufio.Reader) (bool, error) {
-		line, f, err := readLine(br)
-		switch {
-		case err != nil:
-			return false, err
-		case len(f) == 2 && f[0] == "OK":
-			addr = f[1]
-			return true, nil
-		case len(f) >= 1 && f[0] == "MISS":
-			return true, ErrMiss
-		case len(f) >= 1 && f[0] == "ERR":
-			return false, remoteErr(f)
-		}
-		return false, fmt.Errorf("%w: response %q", ErrProto, line)
-	})
-	return addr, err
-}
-
-// expectOK reads the reply to a verb that answers a bare OK.
-func expectOK(br *bufio.Reader) (keep bool, err error) {
-	line, f, err := readLine(br)
-	switch {
-	case err != nil:
-		return false, err
-	case len(f) >= 1 && f[0] == "OK":
-		return true, nil
-	case len(f) >= 1 && f[0] == "ERR":
-		return false, remoteErr(f)
+func (c *Client) AgentFor(ctx context.Context, dataset string) (string, error) {
+	call := wire.Call{Line: "AGENT " + dataset, Idempotent: true}
+	if err := c.wire().Do(ctx, &call); err != nil {
+		return "", err
 	}
-	return false, fmt.Errorf("dvs: remote: %s", strings.TrimSpace(line))
+	if len(call.Fields) != 1 {
+		return "", fmt.Errorf("%w: AGENT response %q", ErrProto, call.Fields)
+	}
+	return call.Fields[0], nil
 }

@@ -2,197 +2,82 @@ package ibp
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 
 	"lonviz/internal/obs"
+	"lonviz/internal/wire"
 )
 
-// PipePool manages one pipelined connection per depot address and falls
-// back to serial one-shot connections against depots that refuse the
-// PIPELINE handshake. It is the data-plane entry point lors and the edge
-// cache use for reads: LoadInto goes through the depot's pipe when it
-// has one, redials once if the pipe broke, and remembers old-protocol
-// depots so they are never handshaken twice.
+// PipePool keeps one pipelined connection per depot address: the
+// data-plane entry point lors and the edge cache use for reads. The
+// transport under it dials and handshakes on first use, falls back to
+// one-shot connections against a depot that refuses PIPELINE (and never
+// asks it again), and redials once when a pipe that has served before
+// breaks under a load.
 type PipePool struct {
 	// Dialer establishes connections; nil means plain TCP.
 	Dialer Dialer
 	// Window is the in-flight window requested per depot connection
 	// (the depot may grant less). 0 means DefaultPipelineWindow;
-	// negative disables pipelining, making every operation serial —
-	// the ablation/compatibility switch.
+	// negative disables pipelining, making every operation dial its own
+	// connection — the ablation/compatibility switch.
 	Window int
 	// Timeout bounds one operation when the caller's context has no
-	// deadline (default 30s), matching Client.Timeout semantics.
+	// sooner deadline (default 30s), matching Client.Timeout semantics.
 	Timeout time.Duration
 	// Obs receives the ibp.pipe.* families; nil records into
 	// obs.Default().
 	Obs *obs.Registry
 
-	mu      sync.Mutex
-	entries map[string]*pipeEntry
-}
-
-// pipeEntry is the per-depot state: the live pipe, or the verdict that
-// this depot only speaks serial.
-type pipeEntry struct {
 	mu     sync.Mutex
-	pipe   *Pipe
-	serial bool
+	depots map[string]*wire.Client
 }
 
-func (pp *PipePool) registry() *obs.Registry {
-	if pp.Obs != nil {
-		return pp.Obs
-	}
-	return obs.Default()
-}
-
-func (pp *PipePool) timeout() time.Duration {
-	if pp.Timeout > 0 {
-		return pp.Timeout
-	}
-	return 30 * time.Second
-}
-
-func (pp *PipePool) entry(addr string) *pipeEntry {
+// depot returns the transport for addr, made on first contact from the
+// pool's fields as they stand then.
+func (pp *PipePool) depot(addr string) *wire.Client {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
-	if pp.entries == nil {
-		pp.entries = make(map[string]*pipeEntry)
+	t := pp.depots[addr]
+	if t == nil {
+		t = &wire.Client{Addr: addr, Dialer: pp.Dialer, Timeout: orDefault(pp.Timeout), Obs: pp.Obs, Proto: &pipeProto}
+		if t.Window = pp.Window; pp.Window == 0 {
+			t.Window = DefaultPipelineWindow
+		}
+		if pp.depots == nil {
+			pp.depots = make(map[string]*wire.Client)
+		}
+		pp.depots[addr] = t
 	}
-	e := pp.entries[addr]
-	if e == nil {
-		e = &pipeEntry{serial: pp.Window < 0}
-		pp.entries[addr] = e
-	}
-	return e
-}
-
-// pipe returns the live pipe for addr, dialing and handshaking if
-// needed. serial=true means the depot is pinned to serial mode.
-func (pp *PipePool) pipe(ctx context.Context, addr string) (p *Pipe, serial bool, err error) {
-	e := pp.entry(addr)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.serial {
-		return nil, true, nil
-	}
-	if e.pipe != nil && e.pipe.Broken() == nil {
-		return e.pipe, false, nil
-	}
-	reg := pp.registry()
-	p, err = DialPipe(ctx, addr, pp.Dialer, pp.Window, reg)
-	switch {
-	case err == nil:
-		reg.Counter(obs.MIBPPipeDials).Inc()
-		e.pipe = p
-		return p, false, nil
-	case errors.Is(err, errSerialOnly):
-		reg.Counter(obs.MIBPPipeFallbacks).Inc()
-		e.serial = true
-		return nil, true, nil
-	default:
-		return nil, false, err
-	}
-}
-
-// serialClient builds the one-shot fallback client for addr.
-func (pp *PipePool) serialClient(addr string) *Client {
-	return &Client{Addr: addr, Dialer: pp.Dialer, Timeout: pp.Timeout, Obs: pp.Obs}
-}
-
-// opCtx applies the pool timeout when the caller's ctx is unbounded.
-func (pp *PipePool) opCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if _, ok := ctx.Deadline(); ok {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, pp.timeout())
+	return t
 }
 
 // LoadInto reads exactly len(dst) bytes at offset through readCap on the
-// depot at addr, directly into dst. Pipelined when the depot allows it
-// (one redial if the pipe broke under us), serial otherwise.
+// depot at addr, directly into dst.
 func (pp *PipePool) LoadInto(ctx context.Context, addr, readCap string, offset int64, dst []byte) error {
-	ctx, cancel := pp.opCtx(ctx)
-	defer cancel()
-	reg := pp.registry()
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		p, serial, err := pp.pipe(ctx, addr)
-		if err != nil {
-			return err
-		}
-		if serial {
-			reg.Counter(obs.Label(obs.MIBPPipeOps, "mode", "serial")).Inc()
-			return pp.serialClient(addr).LoadInto(ctx, readCap, offset, dst)
-		}
-		reg.Counter(obs.Label(obs.MIBPPipeOps, "mode", "pipelined")).Inc()
-		err = p.Load(ctx, readCap, offset, dst)
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, ErrPipeBroken) || ctx.Err() != nil {
-			return err
-		}
-		// The pipe died mid-flight (depot restart, watchdog): count it,
-		// drop the entry, and retry once on a fresh connection before
-		// surfacing a failed attempt to lors.
-		reg.Counter(obs.MIBPPipeBroken).Inc()
-		pp.dropBroken(addr, p)
-		lastErr = err
-	}
-	return lastErr
-}
-
-// dropBroken forgets a dead pipe so the next operation redials.
-func (pp *PipePool) dropBroken(addr string, dead *Pipe) {
-	e := pp.entry(addr)
-	e.mu.Lock()
-	if e.pipe == dead {
-		e.pipe = nil
-	}
-	e.mu.Unlock()
+	return load(ctx, pp.depot(addr), readCap, offset, dst)
 }
 
 // Mode reports how the pool currently reaches addr: "pipelined",
 // "serial", or "" when the depot has not been contacted yet.
 func (pp *PipePool) Mode(addr string) string {
 	pp.mu.Lock()
-	e := pp.entries[addr]
+	t := pp.depots[addr]
 	pp.mu.Unlock()
-	if e == nil {
+	if t == nil {
 		return ""
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	switch {
-	case e.serial:
-		return "serial"
-	case e.pipe != nil:
-		return "pipelined"
-	default:
-		return ""
-	}
+	return t.Mode()
 }
 
 // Close tears down every live pipe. The pool remains usable; subsequent
 // operations redial.
 func (pp *PipePool) Close() error {
 	pp.mu.Lock()
-	entries := make([]*pipeEntry, 0, len(pp.entries))
-	for _, e := range pp.entries {
-		entries = append(entries, e)
-	}
-	pp.mu.Unlock()
-	for _, e := range entries {
-		e.mu.Lock()
-		if e.pipe != nil {
-			e.pipe.Close()
-			e.pipe = nil
-		}
-		e.mu.Unlock()
+	defer pp.mu.Unlock()
+	for _, t := range pp.depots {
+		t.Close()
 	}
 	return nil
 }

@@ -3,9 +3,6 @@ package ibp
 import (
 	"errors"
 	"fmt"
-	"net"
-	"strconv"
-	"strings"
 
 	"lonviz/internal/wire"
 )
@@ -69,23 +66,6 @@ var ErrPipeBroken = errors.New("ibp: pipelined connection broken")
 // uses when neither side configures one (see wire.DefaultPipelineWindow).
 const DefaultPipelineWindow = wire.DefaultPipelineWindow
 
-// responseTagPrefix starts every response line on a pipelined
-// connection: "T<n> OK ..." / "T<n> ERR ...".
-const responseTagPrefix = "T"
-
-// parseResponseTag splits the "T<n>" prefix off a pipelined response
-// line's first field.
-func parseResponseTag(field string) (uint64, bool) {
-	if !strings.HasPrefix(field, responseTagPrefix) {
-		return 0, false
-	}
-	tag, err := strconv.ParseUint(field[len(responseTagPrefix):], 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return tag, true
-}
-
 // ErrBusy reports that admission control shed the request: the depot is
 // overloaded (or the request's deadline budget was already exhausted on
 // arrival) and the caller should retry elsewhere, not here. Pre-BUSY
@@ -140,15 +120,3 @@ func errOf(code, msg string) error {
 	}
 	return fmt.Errorf("%w: %s", base, msg)
 }
-
-// Dialer abstracts connection establishment so tests and experiments can
-// inject netsim-shaped links. *netsim.Dialer satisfies it.
-type Dialer interface {
-	Dial(addr string) (net.Conn, error)
-}
-
-// NetDialer dials plain TCP.
-type NetDialer struct{}
-
-// Dial implements Dialer.
-func (NetDialer) Dial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }

@@ -252,11 +252,7 @@ func (s *Server) doCopy(ctx context.Context, req *wire.Request, r *wire.Reply) b
 	if err := s.Depot.LoadInto(f[1], offset, data); err != nil {
 		return fail(r, err, "local read")
 	}
-	dialer := s.CopyDialer
-	if dialer == nil {
-		dialer = NetDialer{}
-	}
-	target := &Client{Addr: f[4], Dialer: dialer}
+	target := &Client{Addr: f[4], Dialer: s.CopyDialer}
 	// ctx carries the caller's propagated deadline (if any); the client's
 	// Timeout bounds the onward store otherwise.
 	if err := target.Store(ctx, f[5], targetOff, data); err != nil {

@@ -73,7 +73,7 @@ type FaultDialer struct {
 }
 
 // UnderlyingDialer is the connection source a FaultDialer wraps;
-// *netsim.Dialer and ibp.NetDialer both satisfy it.
+// *netsim.Dialer satisfies it.
 type UnderlyingDialer interface {
 	Dial(addr string) (net.Conn, error)
 }

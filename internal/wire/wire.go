@@ -448,7 +448,7 @@ func ReadLine(br *bufio.Reader, max int) (string, error) {
 	}
 }
 
-var errLineTooLong = errors.New("wire: request line too long")
+var errLineTooLong = errors.New("wire: line too long")
 
 // readPayload reads the payload x's verb declares into a pooled buffer. On
 // false the connection is done for: either the line gave no usable length

@@ -33,23 +33,49 @@ go test -shuffle=on ./...
 echo "== go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
-# Twenty rounds each of the two places where an ordering, not a value, is
-# the contract: the DVS client's connection pool (reuse, redial, deadlines,
-# cancellation) and "the server span is exported before the reply leaves",
-# which the TestWire* trace tests read back the moment they hold a reply.
+# run_named <go test flags...> -run <pattern> <packages>: like go test, but a
+# -run pattern that matches no test is a failure. A renamed test silently
+# matching nothing is how coverage rots.
+run_named() {
+	out=$(go test -v "$@" 2>&1) || { printf '%s\n' "$out" | grep -v '^ts=' | tail -40 >&2; exit 1; }
+	pattern=""
+	prev=""
+	for a in "$@"; do
+		[ "$prev" = "-run" ] && pattern=$a
+		prev=$a
+	done
+	for alt in $(printf '%s' "$pattern" | tr '|' ' '); do
+		printf '%s\n' "$out" | grep -q -- "^--- PASS: $alt" || {
+			echo "check.sh: -run alternative '$alt' matched no passing test in: $*" >&2
+			exit 1
+		}
+	done
+	printf '%s\n' "$out" | grep -E '^(ok|PASS)' | sort -u
+}
+
+# Twenty rounds each of the places where an ordering, not a value, is the
+# contract: the one client transport under its three configurations (reuse,
+# redial, deadlines, cancellation, the handshake wait, the retry rule — the
+# client matrix and transcript in internal/wire, and the suites of the two
+# packages that wrap it) and "the server span is exported before the reply
+# leaves", which the TestWire* trace tests read back the moment they hold a
+# reply.
 echo "== connection-reuse and span-order stress (-count=20)"
-go test -race -count=20 ./internal/dvs
-go test -count=20 -run 'TestWire' ./internal/ibp
+go test -race -count=20 ./internal/dvs ./internal/ibp
+run_named -race -count=20 \
+	-run 'TestClientTranscript|TestClientCancel|TestClientNeverReuses|TestClientRepeats|TestClientRemembers|TestClientCloseLeaves|TestClientHandshakeWait|TestClientReplyLineIsBounded|TestClientWatchdog|TestRemoteSourceKeeps' \
+	./internal/wire
 # The one server loop under all five services: transcript parity (every
 # verb and error, untagged and tagged), the shed matrix, Close, and the
 # bounded line read.
-go test -race -count=20 \
+run_named -race -count=20 \
 	-run 'TestTranscriptParity|TestShed|TestCloseLeavesNoHandler|TestRequestLineIsBounded' \
 	./internal/wire
 
-echo "== fuzz the one request parser and the one serve loop (10s each)"
+echo "== fuzz the one request parser, the one serve loop and the one client's reply path (10s each)"
 go test -run '^$' -fuzz FuzzParseRequest -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
 go test -run '^$' -fuzz FuzzServeConn -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
+go test -run '^$' -fuzz FuzzClientReply -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
 
 echo "== fuzz the view-set payload and frame decoders (10s each)"
 go test -run '^$' -fuzz FuzzUnmarshalViewSet -fuzztime=10s -fuzzminimizetime=1s ./internal/lightfield
@@ -58,7 +84,7 @@ go test -run '^$' -fuzz FuzzDecodeViewSetFrom -fuzztime=10s -fuzzminimizetime=1s
 # One iteration each, so the in-package benchmarks cannot rot; their
 # numbers are read with -benchtime and -count by hand, never from here.
 echo "== in-package benchmarks build and run (1x)"
-go test -run '^$' -bench . -benchtime 1x ./internal/lightfield ./internal/codec
+go test -run '^$' -bench . -benchtime 1x ./internal/lightfield ./internal/codec ./internal/ibp ./internal/dvs
 
 # bench/ is its own module, so ./... above skips it. It wires dvs.Client
 # and agent.Viewer by struct literal: build and smoke-test it here, so a
@@ -74,12 +100,12 @@ echo "== pipelined data plane race smoke"
 # connections and hands pooled buffers across goroutines; run its most
 # concurrency-heavy tests under the race detector explicitly (and
 # -count=1, so they rerun even when the cached ./... results are fresh).
-go test -race -count=1 \
+run_named -race -count=1 \
 	-run 'TestPipelined|TestPipeWindowBackpressure|TestPipeMidstreamDrop|TestPipePoolSerialFallback' \
 	./internal/ibp
-go test -race -count=1 -run 'TestTranscriptParity|TestShed' ./internal/wire
-go test -race -count=1 -run 'TestDownloadPipelinedPool|TestStreamBuffer' ./internal/lors
-go test -race -count=1 -run 'TestGetViewSetStream|TestViewerUsesStreamingPath' ./internal/agent
+run_named -race -count=1 -run 'TestTranscriptParity|TestShed|TestClientCancelledLoadNeverWritesDst' ./internal/wire
+run_named -race -count=1 -run 'TestDownloadPipelinedPool|TestStreamBuffer' ./internal/lors
+run_named -race -count=1 -run 'TestGetViewSetStream|TestViewerUsesStreamingPath' ./internal/agent
 
 echo "== lfbench -quick + benchdiff vs newest committed baseline (warn-only except LAN fps)"
 baseline=$(ls BENCH_[0-9]*.json 2>/dev/null | sort -V | tail -1)

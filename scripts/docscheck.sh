@@ -19,6 +19,10 @@
 #     fleet SLO rule name in internal/obs/slo must appear in
 #     docs/OBSERVABILITY.md, and the rule names in the
 #     docs/OPERATIONS.md runbook too.
+#  7. One client transport: outside internal/wire, no non-test file of a
+#     package that speaks a line protocol as a client reads replies off a
+#     connection itself (a bufio.Reader) or appends the optional tokens
+#     (obs.LineTokens). DESIGN.md §10 lists what lives only in wire.Client.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -140,6 +144,15 @@ for r in $fleetrules; do
 		fi
 	done
 done
+
+echo "== one client transport (DESIGN.md §10)"
+strays=$(grep -rnE --include='*.go' --exclude='*_test.go' 'bufio\.NewReader|obs\.LineTokens' \
+	internal/ibp internal/dvs internal/agent internal/edge internal/lors internal/steward || true)
+if [ -n "$strays" ]; then
+	echo "STRAY: a line-protocol client outside internal/wire reads replies or appends tokens itself:" >&2
+	echo "$strays" >&2
+	fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
 	echo "docs audit failed" >&2
