@@ -6,19 +6,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
 	"sync"
 	"time"
 
 	"lonviz/internal/dvs"
-	"lonviz/internal/edge"
 	"lonviz/internal/exnode"
 	"lonviz/internal/geom"
 	"lonviz/internal/ibp"
 	"lonviz/internal/lightfield"
 	"lonviz/internal/lors"
 	"lonviz/internal/obs"
-	"lonviz/internal/obs/prof"
 	"lonviz/internal/singleflight"
 )
 
@@ -157,19 +154,23 @@ type ClientAgentConfig struct {
 	// Retries is how many replica-list passes each extent download makes
 	// (default 2 so a transient fault gets one backed-off second chance).
 	Retries int
-	// FetchTimeout bounds one coalesced view-set fetch flight (default
-	// 1m). Flights run detached from any single caller's context — one
-	// impatient client must not kill the fetch other clients share — so
-	// this, not the caller's deadline, is what stops a wedged flight.
+	// FetchTimeout bounds one view-set fetch flight (default 1m), and with
+	// it the prefetches, which are flights nobody else waits for. Flights
+	// run detached from any single caller's context — one impatient client
+	// must not kill the fetch other clients share, buffered or streaming —
+	// so this, not the caller's deadline, is what stops a wedged flight
+	// (one that every caller has abandoned is cancelled at once).
 	FetchTimeout time.Duration
 	// Obs receives the agent.* metric families (fetch latency per access
 	// class, cache hits/misses, prefetch and staging counters) and is
 	// threaded through to the lors transfer layer; nil records into
 	// obs.Default().
 	Obs *obs.Registry
-	// Tracer records one span tree per GetViewSet (agent.getviewset with
-	// resolve/download/stage children); nil records into
-	// obs.DefaultTracer(), visible at /debug/traces.
+	// Tracer records one agent.getviewset span per request — GetViewSet,
+	// GetViewSetStream, a viewer's move, a remote GETVS, a prefetch — with
+	// the flight's resolve/download/stage spans under the root of the
+	// request that started it; nil records into obs.DefaultTracer(),
+	// visible at /debug/traces.
 	Tracer *obs.Tracer
 	// ReplicaBias, when set, scores depots for replica ordering in
 	// downloads (lower is better); lors stable-sorts each extent's
@@ -230,15 +231,10 @@ type ClientAgent struct {
 	staging map[lightfield.ViewSetID]bool // claimed by a staging worker
 	wanBusy int                           // outstanding client-facing WAN fetches
 	stats   ClientAgentStats
-	// flights coalesces concurrent identical view-set fetches: N clients
-	// browsing to the same view set cost one depot fetch. Flights detach
-	// from individual callers' cancellation (see singleflight).
-	flights singleflight.Group[lightfield.ViewSetID, fetchResult]
-	// streams is the streaming counterpart of flights: one entry per
-	// in-flight GetViewSetStream download, which later identical streaming
-	// requests attach to with their own readers instead of starting a
-	// duplicate transfer. Guarded by mu.
-	streams map[lightfield.ViewSetID]*streamFlight
+	// flights holds the one fetch in progress per view set (flight.go):
+	// every request that misses the cache joins it, whichever entry point
+	// it came through.
+	flights singleflight.Group[lightfield.ViewSetID, *fetch]
 	// prefetched marks frames a prefetch loaded into the cache but no user
 	// request has consumed yet; a later hit on one counts as prefetch-useful
 	// (and clears the mark, so each prefetch is credited at most once).
@@ -315,7 +311,6 @@ func NewClientAgent(cfg ClientAgentConfig) (*ClientAgent, error) {
 		staged:     make(map[lightfield.ViewSetID]*exnode.ExNode),
 		staging:    make(map[lightfield.ViewSetID]bool),
 		prefetched: make(map[string]bool),
-		streams:    make(map[lightfield.ViewSetID]*streamFlight),
 		pipes: &ibp.PipePool{
 			Dialer: cfg.Dialer,
 			Window: cfg.PipelineWindow,
@@ -448,17 +443,6 @@ func (ca *ClientAgent) stage(ctx context.Context, ex *exnode.ExNode) (*exnode.Ex
 	return staged, err
 }
 
-// download runs one lors download under its own span.
-func (ca *ClientAgent) download(ctx context.Context, ex *exnode.ExNode, dl lors.DownloadOptions) ([]byte, lors.DownloadStats, error) {
-	_, span := ca.tracer().StartSpan(ctx, obs.SpanDownload)
-	defer span.Finish()
-	frame, st, err := lors.Download(ctx, ex, dl)
-	if err != nil {
-		span.SetAttr("error", err.Error())
-	}
-	return frame, st, err
-}
-
 // resolveExNodes returns the exNode replicas for a view set, consulting
 // the exNode cache before the DVS.
 func (ca *ClientAgent) resolveExNodes(ctx context.Context, id lightfield.ViewSetID) ([]*exnode.ExNode, error) {
@@ -499,106 +483,15 @@ func mustMarshal(ex *exnode.ExNode) []byte {
 	return data
 }
 
-// GetViewSet returns the compressed frame of a view set, serving from the
-// cache, the LAN depot (if prestaged), or the WAN, in that order.
-func (ca *ClientAgent) GetViewSet(ctx context.Context, id lightfield.ViewSetID) ([]byte, AccessReport, error) {
-	return ca.getViewSet(ctx, id, false)
-}
-
-// getViewSet is GetViewSet plus provenance: viaPrefetch marks requests the
-// prefetcher issues on its own, so their loads can be credited when a user
-// request later hits them.
-func (ca *ClientAgent) getViewSet(ctx context.Context, id lightfield.ViewSetID, viaPrefetch bool) (frame []byte, rep AccessReport, err error) {
-	if !ca.cfg.Params.ValidID(id) {
-		return nil, AccessReport{}, fmt.Errorf("agent: view set %v outside database", id)
-	}
-	start := time.Now()
-	rep = AccessReport{ID: id}
-	reg := ca.registry()
-	ctx, span := ca.tracer().StartSpan(ctx, obs.SpanGetViewSet)
-	span.SetAttr("id", id.String())
-	defer func() {
-		if err == nil {
-			span.SetAttr("class", rep.Class.String())
-			reg.Histogram(obs.Label(obs.MAgentFetchMs, "class", rep.Class.String()), obs.LatencyBucketsMs...).
-				Observe(float64(rep.Comm) / 1e6)
-			obs.DefaultLogger().Debug(ctx, obs.EvAgentFetch,
-				"viewset", id.String(), "class", rep.Class.String(),
-				"ms", strconv.FormatInt(rep.Comm.Milliseconds(), 10))
-		} else {
-			span.SetAttr("error", err.Error())
-		}
-		span.Finish()
-	}()
-
-	if frame, ok := ca.cache.Get(id.String()); ok {
-		ca.recordHit(reg, id, viaPrefetch)
-		rep.Class = AccessHit
-		rep.Comm = time.Since(start)
-		rep.Bytes = len(frame)
-		return frame, rep, nil
-	}
-
-	// Coalesce duplicate concurrent fetches (N clients browsing to the
-	// same view set, or a prefetch racing a user request) into one
-	// transfer. The flight runs detached from any single caller's
-	// context — bounded by FetchTimeout instead — so one canceller never
-	// kills the fetch everyone else is waiting on; a caller whose own ctx
-	// expires stops waiting with its ctx.Err() and the flight carries on.
-	res, shared, err := ca.flights.Do(ctx, id, func(fctx context.Context) (fetchResult, error) {
-		// Re-check under the flight: a just-finished fetch may have landed
-		// the frame between our cache miss and winning flight leadership.
-		if frame, ok := ca.cache.Get(id.String()); ok {
-			ca.recordHit(reg, id, viaPrefetch)
-			return fetchResult{frame: frame, class: AccessHit}, nil
-		}
-		fctx, cancel := context.WithTimeout(fctx, ca.cfg.FetchTimeout)
-		defer cancel()
-		reg.Counter(obs.MAgentMisses).Inc()
-		frame, class, err := ca.fetch(fctx, id)
-		if err == nil && viaPrefetch {
-			ca.mu.Lock()
-			ca.prefetched[id.String()] = true
-			ca.mu.Unlock()
-		}
-		return fetchResult{frame: frame, class: class}, err
-	})
-	if err != nil {
-		return nil, rep, err
-	}
-	if shared {
-		// Piggybacked on another caller's transfer: this request paid no
-		// depot work, so it counts as a hit in the paper's access-class
-		// accounting, plus the coalesce counter overload dashboards watch.
-		reg.Counter(obs.MAgentCoalesced).Inc()
-		ca.mu.Lock()
-		ca.stats.Coalesced++
-		ca.mu.Unlock()
-		ca.recordHit(reg, id, viaPrefetch)
-		rep.Class = AccessHit
-	} else {
-		rep.Class = res.class
-	}
-	rep.Comm = time.Since(start)
-	rep.Bytes = len(res.frame)
-	return res.frame, rep, nil
-}
-
-// fetchResult is one coalesced flight's outcome.
-type fetchResult struct {
-	frame []byte
-	class AccessClass
-}
-
 // recordHit folds one cache-served (or coalesced) access into the hit
 // accounting, crediting the prefetcher when a user request consumes a
 // frame a prefetch loaded.
-func (ca *ClientAgent) recordHit(reg *obs.Registry, id lightfield.ViewSetID, viaPrefetch bool) {
+func (ca *ClientAgent) recordHit(reg *obs.Registry, key string, viaPrefetch bool) {
 	reg.Counter(obs.MAgentHits).Inc()
 	ca.mu.Lock()
 	ca.stats.Hits++
-	if !viaPrefetch && ca.prefetched[id.String()] {
-		delete(ca.prefetched, id.String())
+	if !viaPrefetch && ca.prefetched[key] {
+		delete(ca.prefetched, key)
 		reg.Counter(obs.MAgentPrefetchUseful).Inc()
 	}
 	ca.mu.Unlock()
@@ -619,120 +512,6 @@ func (ca *ClientAgent) downloadOpts() lors.DownloadOptions {
 		Obs:         ca.cfg.Obs,
 		Tracer:      ca.cfg.Tracer,
 	}
-}
-
-// fetch performs the actual transfer: LAN depot first, then WAN.
-func (ca *ClientAgent) fetch(ctx context.Context, id lightfield.ViewSetID) ([]byte, AccessClass, error) {
-	ca.mu.Lock()
-	stagedEx := ca.staged[id]
-	ca.mu.Unlock()
-	dl := ca.downloadOpts()
-	if stagedEx != nil {
-		// CPU attribution: profiles slice agent downloads by access class
-		// ({class=agent_fetch, verb=lan-depot|wan|edge}), mirroring the
-		// paper's three-tier access taxonomy. The closure form is fine
-		// here — a download allocates orders of magnitude more than the
-		// wrapper.
-		var frame []byte
-		var st lors.DownloadStats
-		var err error
-		prof.Do(ctx, func(lctx context.Context) {
-			frame, st, err = ca.download(lctx, stagedEx, dl)
-		}, prof.KeyClass, "agent_fetch", prof.KeyVerb, "lan-depot")
-		ca.addTransferStats(st)
-		if err == nil {
-			_ = ca.cache.Put(id.String(), frame)
-			ca.mu.Lock()
-			ca.stats.LANFetches++
-			ca.mu.Unlock()
-			return frame, AccessLANDepot, nil
-		}
-		// Staged copy gone (lease expiry/revocation): forget and fall
-		// through to the WAN path.
-		ca.mu.Lock()
-		delete(ca.staged, id)
-		ca.mu.Unlock()
-	}
-
-	ca.mu.Lock()
-	ca.wanBusy++
-	ca.mu.Unlock()
-	defer func() {
-		ca.mu.Lock()
-		ca.wanBusy--
-		ca.mu.Unlock()
-	}()
-	exs, err := ca.resolveExNodes(ctx, id)
-	if err != nil {
-		return nil, AccessWAN, err
-	}
-
-	if ca.cfg.RouteMissesThroughDepot && len(ca.cfg.LANDepots) > 0 {
-		// Stage first, then read locally: the WAN crossing becomes a
-		// third-party copy whose result stays cached on the depot.
-		var staged *exnode.ExNode
-		var err error
-		prof.Do(ctx, func(lctx context.Context) {
-			staged, err = ca.stage(lctx, exs[0])
-		}, prof.KeyClass, "agent_fetch", prof.KeyVerb, "wan")
-		if err == nil {
-			var frame []byte
-			var st lors.DownloadStats
-			prof.Do(ctx, func(lctx context.Context) {
-				frame, st, err = ca.download(lctx, staged, dl)
-			}, prof.KeyClass, "agent_fetch", prof.KeyVerb, "wan")
-			ca.addTransferStats(st)
-			if err == nil {
-				ca.registry().Counter(obs.MAgentStaged).Inc()
-				ca.mu.Lock()
-				ca.staged[id] = staged
-				ca.stats.Staged++
-				ca.stats.WANFetches++ // the copy crossed the WAN on our behalf
-				ca.mu.Unlock()
-				_ = ca.cache.Put(id.String(), frame)
-				return frame, AccessWAN, nil
-			}
-		}
-		// Routing failed; fall back to the direct path below.
-	}
-
-	var lastErr error
-	for _, ex := range exs {
-		verb := "wan"
-		if ca.cfg.EdgeAddr != "" {
-			ex = edge.RewriteExNode(ex, ca.cfg.EdgeAddr, id.String())
-			verb = "edge"
-		}
-		var frame []byte
-		var st lors.DownloadStats
-		var err error
-		prof.Do(ctx, func(lctx context.Context) {
-			frame, st, err = ca.download(lctx, ex, dl)
-		}, prof.KeyClass, "agent_fetch", prof.KeyVerb, verb)
-		ca.addTransferStats(st)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		_ = ca.cache.Put(id.String(), frame)
-		// Classify by who actually served the bytes: only a download whose
-		// every extent came off the edge tier avoided the WAN from this
-		// agent's seat; any origin-replica failover keeps the wan class.
-		class := AccessWAN
-		if ea := ca.cfg.EdgeAddr; ea != "" && st.ExtentFetches > 0 &&
-			st.ServedBy[ea] == st.ExtentFetches {
-			class = AccessEdge
-		}
-		ca.mu.Lock()
-		if class == AccessEdge {
-			ca.stats.EdgeFetches++
-		} else {
-			ca.stats.WANFetches++
-		}
-		ca.mu.Unlock()
-		return frame, class, nil
-	}
-	return nil, AccessWAN, fmt.Errorf("agent: all exNode replicas failed for %v: %w", id, lastErr)
 }
 
 // replicaPrefer composes the replica-ordering bias: the edge tier (when
@@ -787,19 +566,29 @@ func (ca *ClientAgent) OnUserMove(sp geom.Spherical) {
 		if ca.cache.Contains(id.String()) {
 			continue
 		}
-		if ca.flights.Pending(id) || ca.streamPending(id) {
-			continue
-		}
-		ca.registry().Counter(obs.MAgentPrefetches).Inc()
-		ca.mu.Lock()
-		ca.stats.Prefetches++
-		ca.mu.Unlock()
-		go func(id lightfield.ViewSetID) {
-			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-			defer cancel()
-			_, _, _ = ca.getViewSet(ctx, id, true)
-		}(id)
+		go ca.prefetch(id)
 	}
+}
+
+// prefetch is a GetViewSet on the agent's own account that nobody waits
+// for. A view set somebody is fetching already needs no prefetch and
+// counts as none.
+func (ca *ClientAgent) prefetch(id lightfield.ViewSetID) {
+	ctx, cancel := context.WithTimeout(context.Background(), ca.cfg.FetchTimeout)
+	defer cancel()
+	a, err := ca.open(ctx, id, true)
+	if err != nil {
+		return
+	}
+	if !a.hit && a.call.Shared {
+		a.call.Leave()
+		return
+	}
+	ca.registry().Counter(obs.MAgentPrefetches).Inc()
+	ca.mu.Lock()
+	ca.stats.Prefetches++
+	ca.mu.Unlock()
+	_, _, _ = a.finish()
 }
 
 // StartPrestaging launches the aggressive staging stage (paper Figure 5):

@@ -130,9 +130,9 @@ func TestViewerTellsSourceAfterForeground(t *testing.T) {
 		{"streamed miss", func(l *eventLog) ViewSetSource {
 			return &recordingStreamer{recordingSource: recordingSource{log: l, frame: frame}}
 		}, []string{"stream:start", "stream:end", "move"}, false},
-		{"failed stream falls back", func(l *eventLog) ViewSetSource {
+		{"failed stream fails the move", func(l *eventLog) ViewSetSource {
 			return &recordingStreamer{recordingSource: recordingSource{log: l, frame: frame}, streamErr: fetchErr}
-		}, []string{"stream:start", "stream:end", "get:start", "get:end", "move"}, false},
+		}, []string{"stream:start", "stream:end", "move"}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -75,9 +75,10 @@ func NewViewer(p lightfield.Params, src ViewSetSource) (*Viewer, error) {
 // AccessHit.
 //
 // Foreground first: the agent hears of the move once the move's own view
-// set is in hand (at once on a decoded hit, else when the bytes are here or
-// the fetch has failed), so the prefetches it sets off fill the think time
-// instead of sharing the link with the transfer the user is waiting for.
+// set is in hand (at once on a decoded hit, else when it is decoded — which
+// a streamed one is as its last bytes arrive — or the fetch has failed), so
+// the prefetches it sets off fill the think time instead of sharing the
+// link with the transfer the user is waiting for.
 func (v *Viewer) MoveTo(ctx context.Context, sp geom.Spherical) (AccessRecord, error) {
 	i, j := v.P.NearestCamera(sp)
 	id := v.P.ViewSetOf(i, j)
@@ -85,86 +86,71 @@ func (v *Viewer) MoveTo(ctx context.Context, sp geom.Spherical) (AccessRecord, e
 	v.mu.Lock()
 	_, have := v.decoded[id]
 	v.mu.Unlock()
-	if have {
-		v.Source.OnUserMove(sp)
-		rec := AccessRecord{ID: id, Class: AccessHit}
-		v.mu.Lock()
-		v.current = id
-		v.records = append(v.records, rec)
-		v.mu.Unlock()
-		return rec, nil
+	rec := AccessRecord{ID: id, Class: AccessHit}
+	var vs *lightfield.ViewSet
+	var err error
+	if !have {
+		vs, rec, err = v.fetchDecode(ctx, id)
 	}
-
-	start := time.Now()
-	// Streaming fast path: when the source can deliver bytes as extents
-	// verify, inflate while the download is still in flight. Decompress is
-	// then the residual tail after the last byte arrived (Total − Comm),
-	// not a serialized phase. A stream failure falls back to the buffered
-	// path below rather than failing the move.
-	if src, ok := v.Source.(ViewSetStreamer); ok {
-		if rec, ok := v.moveToStreaming(ctx, src, id, start); ok {
-			v.Source.OnUserMove(sp)
-			return rec, nil
-		}
-	}
-	frame, rep, err := v.Source.GetViewSet(ctx, id)
 	v.Source.OnUserMove(sp)
 	if err != nil {
 		return AccessRecord{}, err
 	}
-	dstart := time.Now()
-	vs, err := lightfield.DecodeViewSet(frame, v.P)
-	if err != nil {
-		return AccessRecord{}, fmt.Errorf("agent: decoding view set %v: %w", id, err)
-	}
-	dElapsed := time.Since(dstart)
-	rec := AccessRecord{
-		ID:         id,
-		Class:      rep.Class,
-		Comm:       rep.Comm,
-		Decompress: dElapsed,
-		Total:      time.Since(start),
-		Bytes:      rep.Bytes,
-	}
 	v.mu.Lock()
-	v.insertDecoded(id, vs)
+	if vs != nil {
+		v.insertDecoded(id, vs)
+	}
 	v.current = id
 	v.records = append(v.records, rec)
 	v.mu.Unlock()
 	return rec, nil
 }
 
-// moveToStreaming attempts the decompress-while-downloading path; false
-// means the caller should retry via the buffered path.
-func (v *Viewer) moveToStreaming(ctx context.Context, src ViewSetStreamer, id lightfield.ViewSetID, start time.Time) (AccessRecord, bool) {
-	stream, err := src.GetViewSetStream(ctx, id)
-	if err != nil {
-		return AccessRecord{}, false
+// fetchDecode is a move's one fetch-and-decode step. A source that can
+// deliver bytes as extents verify is inflated while the download is still in
+// flight; one that cannot (the remote proxy) hands over the whole frame
+// first. Whatever can be retried — another copy, another replica — the
+// source's flight has already tried, so a failure here fails the move.
+func (v *Viewer) fetchDecode(ctx context.Context, id lightfield.ViewSetID) (*lightfield.ViewSet, AccessRecord, error) {
+	start := time.Now()
+	var (
+		vs   *lightfield.ViewSet
+		rep  AccessReport
+		derr error
+	)
+	if src, ok := v.Source.(ViewSetStreamer); ok {
+		stream, err := src.GetViewSetStream(ctx, id)
+		if err != nil {
+			return nil, AccessRecord{}, err
+		}
+		vs, derr = lightfield.DecodeViewSetFrom(stream.Reader, v.P)
+		// The transfer's own error says more than the decoder's view of it.
+		if rep, err = stream.Report(); err != nil {
+			return nil, AccessRecord{}, err
+		}
+	} else {
+		frame, r, err := v.Source.GetViewSet(ctx, id)
+		if err != nil {
+			return nil, AccessRecord{}, err
+		}
+		rep = r
+		vs, derr = lightfield.DecodeViewSet(frame, v.P)
 	}
-	vs, derr := lightfield.DecodeViewSetFrom(stream.Reader, v.P)
-	rep, rerr := stream.Report()
-	if derr != nil || rerr != nil {
-		return AccessRecord{}, false
+	if derr != nil {
+		return nil, AccessRecord{}, fmt.Errorf("agent: decoding view set %v: %w", id, derr)
 	}
+	// Decompress is what the user waited beyond the transfer: the whole
+	// decode behind a buffered source, only the residual tail after the
+	// last byte arrived when inflation ran while the bytes were coming in.
 	total := time.Since(start)
-	dec := total - rep.Comm
-	if dec < 0 {
-		dec = 0
-	}
-	rec := AccessRecord{
+	return vs, AccessRecord{
 		ID:         id,
 		Class:      rep.Class,
 		Comm:       rep.Comm,
-		Decompress: dec,
+		Decompress: max(total-rep.Comm, 0),
 		Total:      total,
 		Bytes:      rep.Bytes,
-	}
-	v.mu.Lock()
-	v.insertDecoded(id, vs)
-	v.current = id
-	v.records = append(v.records, rec)
-	v.mu.Unlock()
-	return rec, true
+	}, nil
 }
 
 // insertDecoded adds to the decoded cache with FIFO eviction; caller holds

@@ -38,7 +38,7 @@ func TestDoCoalescesConcurrentCalls(t *testing.T) {
 		}(i)
 	}
 	// Let all callers pile onto the flight, then release it.
-	for g.InFlight() == 0 {
+	for g.inFlight() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(10 * time.Millisecond)
@@ -56,7 +56,7 @@ func TestDoCoalescesConcurrentCalls(t *testing.T) {
 	if sharedCount.Load() == 0 {
 		t.Fatal("no caller reported shared")
 	}
-	if g.InFlight() != 0 {
+	if g.inFlight() != 0 {
 		t.Fatal("flight not unlinked after completion")
 	}
 }
@@ -122,7 +122,7 @@ func TestCancellerDoesNotKillFlight(t *testing.T) {
 		got <- v
 		joinErr <- err
 	}()
-	for g.InFlight() != 1 {
+	for g.inFlight() != 1 {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(5 * time.Millisecond) // let the second caller register
@@ -175,7 +175,7 @@ func TestLastWaiterCancelsFlight(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("flight ctx not cancelled after last waiter left")
 	}
-	if g.InFlight() != 0 {
+	if g.inFlight() != 0 {
 		t.Fatal("abandoned flight still linked")
 	}
 }
@@ -219,10 +219,73 @@ func TestConcurrentCancellationStorm(t *testing.T) {
 	// Flights may briefly outlive their last waiter; drain before the
 	// leak check.
 	deadline := time.Now().Add(2 * time.Second)
-	for g.InFlight() != 0 && time.Now().Before(deadline) {
+	for g.inFlight() != 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if g.InFlight() != 0 {
-		t.Fatalf("%d flights leaked", g.InFlight())
+	if g.inFlight() != 0 {
+		t.Fatalf("%d flights leaked", g.inFlight())
+	}
+}
+
+// inFlight counts the keys being fetched; only these tests need it.
+func (g *Group[K, V]) inFlight() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.flights)
+}
+
+// TestJoinSharesStarterState: Join returns before the flight ends, every
+// joiner reads the state of the caller that started it, and Leave by all of
+// them cancels the flight exactly as abandoning a Do does.
+func TestJoinSharesStarterState(t *testing.T) {
+	var g Group[string, *atomic.Int32]
+	release := make(chan struct{})
+	run := func(fctx context.Context, st *atomic.Int32) error {
+		st.Store(1) // published while the flight is still running
+		select {
+		case <-release:
+			return nil
+		case <-fctx.Done():
+			return fctx.Err()
+		}
+	}
+	lead := g.Join(context.Background(), "k", new(atomic.Int32), run)
+	follow := g.Join(context.Background(), "k", new(atomic.Int32), func(context.Context, *atomic.Int32) error {
+		t.Error("a joiner's run was executed")
+		return nil
+	})
+	if lead.Shared || !follow.Shared {
+		t.Fatalf("shared = %v, %v; want false, true", lead.Shared, follow.Shared)
+	}
+	if lead.Value() != follow.Value() {
+		t.Fatal("joiner does not see the starter's state")
+	}
+	for follow.Value().Load() != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-follow.Done():
+		t.Fatal("flight finished before it was released")
+	default:
+	}
+
+	// One caller leaves: the flight carries on for the other.
+	lead.Leave()
+	close(release)
+	if err := follow.Wait(context.Background()); err != nil {
+		t.Fatalf("surviving joiner: %v", err)
+	}
+
+	// Everyone leaves a running flight: it is cancelled and unlinked.
+	release = make(chan struct{})
+	only := g.Join(context.Background(), "k", new(atomic.Int32), run)
+	only.Leave()
+	select {
+	case <-only.Done():
+	case <-time.After(2 * time.Second):
+		t.Fatal("flight not cancelled after its last caller left")
+	}
+	if g.inFlight() != 0 {
+		t.Fatal("abandoned flight still linked")
 	}
 }

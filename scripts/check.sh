@@ -72,6 +72,14 @@ run_named -race -count=20 \
 	-run 'TestTranscriptParity|TestShed|TestCloseLeavesNoHandler|TestRequestLineIsBounded' \
 	./internal/wire
 
+# The one fetch flight: who shares a transfer, who may leave it, what a
+# reader sees when an attempt fails under it — orderings all, judged by
+# the race detector.
+run_named -race -count=20 \
+	-run 'TestFlightSharedAcrossEntryPoints|TestFlightStagedGoneCostsOneMiss|TestFlightTriesEveryExNodeReplica|TestFlightTracedFromViewer|TestFlightSemantics|TestFlightCancellation|TestFlightFailureAfterPublishedBytes' \
+	./internal/agent
+run_named -race -count=20 -run 'TestJoinSharesStarterState|TestCancellerDoesNotKillFlight|TestLastWaiterCancelsFlight|TestConcurrentCancellationStorm' ./internal/singleflight
+
 echo "== fuzz the one request parser, the one serve loop and the one client's reply path (10s each)"
 go test -run '^$' -fuzz FuzzParseRequest -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
 go test -run '^$' -fuzz FuzzServeConn -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
@@ -84,7 +92,7 @@ go test -run '^$' -fuzz FuzzDecodeViewSetFrom -fuzztime=10s -fuzzminimizetime=1s
 # One iteration each, so the in-package benchmarks cannot rot; their
 # numbers are read with -benchtime and -count by hand, never from here.
 echo "== in-package benchmarks build and run (1x)"
-go test -run '^$' -bench . -benchtime 1x ./internal/lightfield ./internal/codec ./internal/ibp ./internal/dvs
+go test -run '^$' -bench . -benchtime 1x ./internal/lightfield ./internal/codec ./internal/ibp ./internal/dvs ./internal/agent
 
 # bench/ is its own module, so ./... above skips it. It wires dvs.Client
 # and agent.Viewer by struct literal: build and smoke-test it here, so a

@@ -23,6 +23,10 @@
 #     package that speaks a line protocol as a client reads replies off a
 #     connection itself (a bufio.Reader) or appends the optional tokens
 #     (obs.LineTokens). DESIGN.md §10 lists what lives only in wire.Client.
+#  8. One miss path: the non-test files of internal/agent call
+#     lors.DownloadInto once, lors.Download never, and open the
+#     agent.getviewset span in one place (DESIGN.md §10, "One fetch
+#     flight": every entry point reaches the same flight).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -153,6 +157,17 @@ if [ -n "$strays" ]; then
 	echo "$strays" >&2
 	fail=1
 fi
+
+echo "== one miss path (DESIGN.md §10)"
+agentsrc=$(ls internal/agent/*.go | grep -v '_test\.go$')
+count_in_agent() { cat $agentsrc | grep -v '^[[:space:]]*//' | grep -oE -- "$1" | wc -l; }
+for want in '1 lors\.DownloadInto\(' '0 lors\.Download\(' '1 StartSpan\([^)]*obs\.SpanGetViewSet\)'; do
+	n=$(count_in_agent "${want#* }")
+	if [ "$n" -ne "${want%% *}" ]; then
+		echo "STRAY: internal/agent has $n occurrences of ${want#* }, want ${want%% *}: a second miss path?" >&2
+		fail=1
+	fi
+done
 
 if [ "$fail" -ne 0 ]; then
 	echo "docs audit failed" >&2

@@ -133,12 +133,44 @@ func TestEndToEndTraceAcrossProcesses(t *testing.T) {
 		t.Fatal("no fetch recorded a failed lors.attempt despite a fully corrupting depot")
 	}
 
-	// The merge: pull the remote halves exactly as `lfbrowse -trace-peers`
-	// does and reassemble the end-to-end tree.
-	col := &obs.Collector{
-		Local: clientTracer,
-		Peers: []string{depots[0].endpoint, depots[1].endpoint, dvsHTTP.URL},
+	// The path users take: a viewer's move streams the frame while it
+	// downloads. It must leave the same merged tree as the buffered call.
+	viewer, err := agent.NewViewer(params, ca)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var moveTrace uint64
+	for _, id := range params.AllViewSets() {
+		rec, err := viewer.MoveTo(context.Background(), params.SetCenterAngles(id))
+		if err != nil {
+			t.Fatalf("MoveTo(%v): %v", id, err)
+		}
+		if rec.Class != agent.AccessWAN {
+			continue // fetched by the loop above
+		}
+		for _, s := range clientTracer.Completed() {
+			if s.Name == obs.SpanLorsAttempt && s.Attrs["err"] != "" && s.TraceID != traceID {
+				moveTrace = s.TraceID
+			}
+		}
+		if moveTrace != 0 {
+			break
+		}
+	}
+	if moveTrace == 0 {
+		t.Fatal("no move's miss recorded a failed lors.attempt despite a fully corrupting depot")
+	}
+
+	peers := []string{depots[0].endpoint, depots[1].endpoint, dvsHTTP.URL}
+	assertMergedTrace(t, traceID, clientTracer, peers)
+	assertMergedTrace(t, moveTrace, clientTracer, peers)
+}
+
+// assertMergedTrace pulls the remote halves of one trace exactly as
+// `lfbrowse -trace-peers` does and checks the reassembled end-to-end tree.
+func assertMergedTrace(t *testing.T, traceID uint64, clientTracer *obs.Tracer, peers []string) {
+	t.Helper()
+	col := &obs.Collector{Local: clientTracer, Peers: peers}
 	cctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	spans, errs := col.Collect(cctx, traceID)
