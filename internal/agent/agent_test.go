@@ -504,6 +504,110 @@ func TestViewerDecodedCacheEviction(t *testing.T) {
 	}
 }
 
+// TestViewerRecyclesEvictedSet: with MaxDecoded = 1 (the benchmark's PDA
+// client) the viewer decodes every move into the images of the set it
+// evicted the move before, so two sets' worth of pixels serve the session;
+// what it decodes there is what a fresh decode gives; and a set evicted
+// while a Render is in flight is never recycled.
+func TestViewerRecyclesEvictedSet(t *testing.T) {
+	r := newRig(t)
+	if _, err := r.sa.PrecomputeAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ca := r.newClientAgent(t, nil)
+	v, err := NewViewer(r.params, ca)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.MaxDecoded = 1
+	ids := r.params.AllViewSets()
+	buffers := map[*byte]bool{}
+	move := func(id lightfield.ViewSetID) *lightfield.ViewSet {
+		t.Helper()
+		if _, err := v.MoveTo(context.Background(), r.params.SetCenterAngles(id)); err != nil {
+			t.Fatal(err)
+		}
+		vs, ok := v.ViewSet(id)
+		if !ok {
+			t.Fatalf("%v not decoded after the move", id)
+		}
+		buffers[&vs.Views[0].Pix[0]] = true
+		frame, _, err := ca.GetViewSet(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh, err := lightfield.DecodeViewSet(frame, r.params); err != nil || !vs.Equal(fresh) {
+			t.Fatalf("%v decoded into a recycled set differs from a fresh decode (err %v)", id, err)
+		}
+		return vs
+	}
+	for _, id := range ids {
+		move(id)
+	}
+	if len(buffers) != 2 {
+		t.Errorf("%d moves decoded into %d distinct sets of images, want 2", len(ids), len(buffers))
+	}
+
+	// A Render in flight may hold the set the next move evicts.
+	v.countRender(1)
+	read := move(ids[0])
+	move(ids[1])
+	if v.spare != nil {
+		t.Fatal("a set evicted under a Render in flight became the spare")
+	}
+	v.countRender(-1)
+	if now := move(ids[2]); now == read {
+		t.Fatal("a move decoded over a set a Render could still read")
+	}
+	if v.spare == nil {
+		t.Error("no Render in flight, and the evicted set was not kept")
+	}
+}
+
+// TestViewerRecycleUnderRender moves and renders on two goroutines; the
+// race detector reports a decode that writes pixels a Render still reads.
+func TestViewerRecycleUnderRender(t *testing.T) {
+	r := newRig(t)
+	if _, err := r.sa.PrecomputeAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ca := r.newClientAgent(t, nil)
+	v, err := NewViewer(r.params, ca)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.MaxDecoded = 1
+	ids := r.params.AllViewSets()
+	stop := make(chan struct{})
+	rendered := make(chan int)
+	go func() {
+		n := 0
+		defer func() { rendered <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, _, err := v.Render(r.params.SetCenterAngles(ids[n%len(ids)]), r.params.OuterRadius*1.6, 16); err != nil {
+				t.Error(err)
+				return
+			}
+			n++
+		}
+	}()
+	for k := 0; k < 60; k++ {
+		if _, err := v.MoveTo(context.Background(), r.params.SetCenterAngles(ids[k%len(ids)])); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	if n := <-rendered; n == 0 {
+		t.Error("no frame was rendered beside the moves")
+	}
+}
+
 func TestAccessClassString(t *testing.T) {
 	if AccessHit.String() != "hit" || AccessLANDepot.String() != "lan-depot" || AccessWAN.String() != "wan" {
 		t.Error("AccessClass strings wrong")

@@ -443,22 +443,23 @@ func (ca *ClientAgent) stage(ctx context.Context, ex *exnode.ExNode) (*exnode.Ex
 	return staged, err
 }
 
-// resolveExNodes returns the exNode replicas for a view set, consulting
-// the exNode cache before the DVS.
-func (ca *ClientAgent) resolveExNodes(ctx context.Context, id lightfield.ViewSetID) ([]*exnode.ExNode, error) {
+// resolveExNodes returns the exNode replicas for a view set: the one an
+// earlier fetch was served by, if the exNode cache still has it (cached),
+// else every one the DVS lists.
+func (ca *ClientAgent) resolveExNodes(ctx context.Context, id lightfield.ViewSetID) (exs []*exnode.ExNode, cached bool, err error) {
 	ctx, span := ca.tracer().StartSpan(ctx, obs.SpanResolve)
 	defer span.Finish()
 	key := id.String()
 	if xml, ok := ca.excach.Get(key); ok {
 		ex, err := exnode.Unmarshal(xml)
 		if err == nil {
-			return []*exnode.ExNode{ex}, nil
+			return []*exnode.ExNode{ex}, true, nil
 		}
 		ca.excach.Remove(key) // cached garbage: drop and refetch
 	}
 	docs, err := ca.cfg.DVS.Get(ctx, dvs.Key{Dataset: ca.cfg.Dataset, ViewSet: key})
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	out := make([]*exnode.ExNode, 0, len(docs))
 	for _, doc := range docs {
@@ -469,10 +470,9 @@ func (ca *ClientAgent) resolveExNodes(ctx context.Context, id lightfield.ViewSet
 		out = append(out, ex)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("agent: no valid exNodes for %v", id)
+		return nil, false, fmt.Errorf("agent: no valid exNodes for %v", id)
 	}
-	_ = ca.excach.Put(key, mustMarshal(out[0]))
-	return out, nil
+	return out, false, nil
 }
 
 func mustMarshal(ex *exnode.ExNode) []byte {
@@ -711,7 +711,7 @@ func (ca *ClientAgent) stageWorker(ctx context.Context) {
 
 // stageOne copies one view set to the LAN depot via third-party copy.
 func (ca *ClientAgent) stageOne(ctx context.Context, id lightfield.ViewSetID) error {
-	exs, err := ca.resolveExNodes(ctx, id)
+	exs, cached, err := ca.resolveExNodes(ctx, id)
 	if err != nil {
 		return err
 	}
@@ -719,6 +719,7 @@ func (ca *ClientAgent) stageOne(ctx context.Context, id lightfield.ViewSetID) er
 	if err != nil {
 		return err
 	}
+	ca.remember(id.String(), exs[0], cached)
 	ca.registry().Counter(obs.MAgentStaged).Inc()
 	ca.mu.Lock()
 	ca.staged[id] = staged

@@ -243,7 +243,7 @@ func (ca *ClientAgent) fly(ctx context.Context, f *fetch) (err error) {
 		ca.wanBusy--
 		ca.mu.Unlock()
 	}()
-	exs, err := ca.resolveExNodes(ctx, f.id)
+	exs, cached, err := ca.resolveExNodes(ctx, f.id)
 	if err != nil {
 		return err
 	}
@@ -263,6 +263,7 @@ func (ca *ClientAgent) fly(ctx context.Context, f *fetch) (err error) {
 				ca.staged[f.id] = copied
 				ca.stats.Staged++
 				ca.mu.Unlock()
+				ca.remember(f.key, exs[0], cached)
 				ca.landed(f, AccessWAN) // the copy crossed the WAN on our behalf
 				return nil
 			}
@@ -271,8 +272,9 @@ func (ca *ClientAgent) fly(ctx context.Context, f *fetch) (err error) {
 	}
 
 	var lastErr error
-	for _, ex := range exs {
-		verb := "wan"
+	for k := 0; k < len(exs); k++ {
+		origin, verb := exs[k], "wan"
+		ex := origin
 		if ca.cfg.EdgeAddr != "" {
 			ex = edge.RewriteExNode(ex, ca.cfg.EdgeAddr, f.key)
 			verb = "edge"
@@ -280,6 +282,15 @@ func (ca *ClientAgent) fly(ctx context.Context, f *fetch) (err error) {
 		st, err := ca.download(ctx, f, ex, verb)
 		if err != nil {
 			lastErr = err
+			if cached && ctx.Err() == nil {
+				// The exNode remembered from an earlier fetch serves no
+				// longer: forget it and go through what the DVS lists now.
+				ca.excach.Remove(f.key)
+				if exs, cached, err = ca.resolveExNodes(ctx, f.id); err != nil {
+					return err
+				}
+				k = -1
+			}
 			continue
 		}
 		// Classify by who actually served the bytes: only a download whose
@@ -290,6 +301,7 @@ func (ca *ClientAgent) fly(ctx context.Context, f *fetch) (err error) {
 			st.ServedBy[ea] == st.ExtentFetches {
 			class = AccessEdge
 		}
+		ca.remember(f.key, origin, cached)
 		ca.landed(f, class)
 		return nil
 	}
@@ -327,6 +339,16 @@ func (ca *ClientAgent) download(ctx context.Context, f *fetch, ex *exnode.ExNode
 	}
 	f.frame = buf
 	return st, nil
+}
+
+// remember puts ex, which the DVS listed for view set key and which has
+// just served a download or a staging copy, in the exNode cache (unless
+// that is where it came from): the next miss of the view set starts from
+// an exNode that worked, not from the first one listed.
+func (ca *ClientAgent) remember(key string, ex *exnode.ExNode, cached bool) {
+	if !cached {
+		_ = ca.excach.Put(key, mustMarshal(ex))
+	}
 }
 
 // landed caches a flight's downloaded frame and counts the transfer under

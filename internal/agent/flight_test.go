@@ -401,6 +401,83 @@ func TestFlightTriesEveryExNodeReplica(t *testing.T) {
 	}
 }
 
+// TestFlightRemembersTheExNodeThatServed: of two exNodes the DVS lists, the
+// first on a closed depot, the one remembered for the next miss is the one
+// the frame came from; and when a remembered exNode stops serving, the miss
+// drops it and goes back to the DVS instead of failing.
+func TestFlightRemembersTheExNodeThatServed(t *testing.T) {
+	r := newRig(t)
+	id := lightfield.ViewSetID{R: 0, C: 1}
+	good, err := r.sa.Request(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := referenceFrame(t, r, id)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := l.Addr().String()
+	l.Close()
+	dead, err := exnode.Unmarshal(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range dead.Extents {
+		for j := range dead.Extents[i].Replicas {
+			dead.Extents[i].Replicas[j].Depot = closed
+		}
+	}
+	deadXML, err := dead.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := dvs.Key{Dataset: "twin", ViewSet: id.String()}
+	for _, doc := range [][]byte{deadXML, good} {
+		if err := r.dvsServer.Put(key, doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ca, _, tr := tracedAgent(t, r, func(c *ClientAgentConfig) { c.Dataset = "twin" })
+	// miss fetches the view set past the frame cache and returns how many
+	// downloads were attempted and how many of them failed.
+	seen := 0
+	miss := func(what string) (attempts, failed int) {
+		t.Helper()
+		ca.cache.Remove(id.String())
+		frame, rep, err := ca.GetViewSet(context.Background(), id)
+		if err != nil || rep.Class != AccessWAN || !bytes.Equal(frame, want) {
+			t.Fatalf("%s: class %v, %d bytes, %v; want the %d published bytes from the wan", what, rep.Class, len(frame), err, len(want))
+		}
+		spans := spansNamed(tr, obs.SpanDownload)
+		for _, s := range spans[seen:] {
+			if s.Attrs["error"] != "" {
+				failed++
+			}
+		}
+		attempts, seen = len(spans)-seen, len(spans)
+		return attempts, failed
+	}
+	if attempts, failed := miss("first miss"); attempts != 2 || failed != 1 {
+		t.Fatalf("first miss: %d downloads, %d failed; want the dead exNode tried first, then the live one", attempts, failed)
+	}
+	if attempts, failed := miss("second miss"); attempts != 1 || failed != 0 {
+		t.Errorf("second miss: %d downloads, %d failed; want one, from the exNode that served the first", attempts, failed)
+	}
+
+	// The remembered exNode goes dead in its turn: the miss tries it, drops
+	// it, and goes through the DVS's list.
+	if err := ca.excach.Put(id.String(), deadXML); err != nil {
+		t.Fatal(err)
+	}
+	if attempts, failed := miss("miss with a dead exNode remembered"); attempts != 3 || failed != 2 {
+		t.Errorf("miss with a dead exNode remembered: %d downloads, %d failed; want 3 and 2", attempts, failed)
+	}
+	if attempts, failed := miss("miss after the recovery"); attempts != 1 || failed != 0 {
+		t.Errorf("miss after the recovery: %d downloads, %d failed; want 1 and 0", attempts, failed)
+	}
+}
+
 // TestFlightTracedFromViewer: the path users take — Viewer.MoveTo, which
 // streams — leaves the trace, the event and the profile labels the
 // buffered call always left.

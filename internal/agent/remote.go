@@ -45,7 +45,7 @@ func NewClientAgentServer(ca *ClientAgent, dataset string) (*ClientAgentServer, 
 	s.loop = wire.NewServer(wire.Service{
 		Names: wire.Names{Component: "clientagent"},
 		Verbs: map[string]wire.Verb{
-			"GETVS": {Handle: s.doGetVS},
+			"GETVS": {Handle: s.doGetVS, Hangup: true},
 			"MOVE":  {Handle: s.doMove},
 			"STATS": {Handle: s.doStats},
 		},
@@ -71,7 +71,10 @@ func badRequest(r *wire.Reply) bool {
 	return false
 }
 
-func (s *ClientAgentServer) doGetVS(_ context.Context, req *wire.Request, r *wire.Reply) bool {
+// doGetVS waits as any caller of the agent does: ctx ends when the client
+// hangs up, which takes this waiter off the view set's flight, and the
+// flight is bounded by the agent's FetchTimeout.
+func (s *ClientAgentServer) doGetVS(ctx context.Context, req *wire.Request, r *wire.Reply) bool {
 	f := req.Fields
 	if len(f) != 3 {
 		return badRequest(r)
@@ -85,9 +88,7 @@ func (s *ClientAgentServer) doGetVS(_ context.Context, req *wire.Request, r *wir
 		r.Line("ERR " + wire.OneLine(err.Error()))
 		return true
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	frame, rep, err := s.Agent.GetViewSet(ctx, id)
-	cancel()
 	if err != nil {
 		r.Line("ERR " + wire.OneLine(err.Error()))
 		return true

@@ -2,6 +2,7 @@ package agent
 
 import (
 	"context"
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -10,6 +11,7 @@ import (
 
 	"lonviz/internal/geom"
 	"lonviz/internal/lightfield"
+	"lonviz/internal/obs"
 )
 
 func startRemoteAgent(t *testing.T) (*rig, *RemoteSource, *ClientAgent) {
@@ -177,4 +179,66 @@ func TestRemoteSourceBadAddr(t *testing.T) {
 	}
 	// OnUserMove must not panic on a dead agent.
 	src.OnUserMove(geom.Spherical{Theta: 1, Phi: 1})
+}
+
+// TestRemoteHangupLeavesFlight: a remote GETVS waits under its connection,
+// not under a timeout of the server's own. When the client gives up and
+// closes the connection, its waiter leaves the view set's flight, and being
+// the last, cancels the transfer.
+func TestRemoteHangupLeavesFlight(t *testing.T) {
+	r := newRig(t)
+	if _, err := r.sa.PrecomputeAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	gate := newGateDialer(t, 0)
+	ca, reg, tr := tracedAgent(t, r, func(c *ClientAgentConfig) { c.Dialer = gate })
+	srv, err := NewClientAgentServer(ca, "neghip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := srv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	src := &RemoteSource{Addr: addr, Dataset: "neghip"}
+	id := lightfield.ViewSetID{R: 1, C: 1}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	asked := make(chan error, 1)
+	go func() {
+		_, _, err := src.GetViewSet(ctx, id)
+		asked <- err
+	}()
+	gate.waitBlocked(t)
+	cancel()
+	if err := <-asked; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled remote GETVS returned %v", err)
+	}
+	waitFor(t, "the abandoned flight's download to be cancelled", func() bool {
+		for _, s := range spansNamed(tr, obs.SpanDownload) {
+			if s.Attrs["error"] != "" {
+				return true
+			}
+		}
+		return false
+	})
+	gate.open()
+	// The flight is gone, not waiting out FetchTimeout: the next request
+	// starts its own.
+	if _, rep, err := ca.GetViewSet(context.Background(), id); err != nil || rep.Class != AccessWAN {
+		t.Errorf("after the hang-up: class %v, %v; want a fresh wan fetch", rep.Class, err)
+	}
+	if misses := reg.Counter(obs.MAgentMisses).Value(); misses != 2 {
+		t.Errorf("agent.misses = %d, want 2", misses)
+	}
+	// The connection machinery survives a watched request: the same source
+	// is served again.
+	if _, rep, err := src.GetViewSet(context.Background(), id); err != nil || rep.Class != AccessHit {
+		t.Errorf("remote GETVS after the hang-up: class %v, %v", rep.Class, err)
+	}
+	if _, _, err := src.GetViewSet(context.Background(), lightfield.ViewSetID{R: 0, C: 0}); err != nil {
+		t.Errorf("second remote GETVS on the kept connection: %v", err)
+	}
 }

@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -49,6 +50,15 @@ type Viewer struct {
 	current lightfield.ViewSetID
 	records []AccessRecord
 
+	// spare is the decoded set evicted last; the next decode writes into
+	// its images instead of allocating 36 new ones per move. The rule: a
+	// set becomes the spare only if no Render was in flight (rendering ==
+	// 0) when it left decoded. A Render gets its sets from decoded while
+	// it is counted in rendering, both under mu, so one that could still
+	// read the set was counted, and one that starts later cannot find it.
+	spare     *lightfield.ViewSet
+	rendering int
+
 	// One renderer for the viewer's life: on first use it caches a camera
 	// per lattice position, too much to rebuild on every cursor move.
 	rend *lightfield.Renderer
@@ -85,12 +95,16 @@ func (v *Viewer) MoveTo(ctx context.Context, sp geom.Spherical) (AccessRecord, e
 
 	v.mu.Lock()
 	_, have := v.decoded[id]
+	spare := v.spare
+	if !have {
+		v.spare = nil // this move's decode has it
+	}
 	v.mu.Unlock()
 	rec := AccessRecord{ID: id, Class: AccessHit}
 	var vs *lightfield.ViewSet
 	var err error
 	if !have {
-		vs, rec, err = v.fetchDecode(ctx, id)
+		vs, rec, err = v.fetchDecode(ctx, id, spare)
 	}
 	v.Source.OnUserMove(sp)
 	if err != nil {
@@ -110,8 +124,9 @@ func (v *Viewer) MoveTo(ctx context.Context, sp geom.Spherical) (AccessRecord, e
 // deliver bytes as extents verify is inflated while the download is still in
 // flight; one that cannot (the remote proxy) hands over the whole frame
 // first. Whatever can be retried — another copy, another replica — the
-// source's flight has already tried, so a failure here fails the move.
-func (v *Viewer) fetchDecode(ctx context.Context, id lightfield.ViewSetID) (*lightfield.ViewSet, AccessRecord, error) {
+// source's flight has already tried, so a failure here fails the move. The
+// pixels go into spare's images, if there is one.
+func (v *Viewer) fetchDecode(ctx context.Context, id lightfield.ViewSetID, spare *lightfield.ViewSet) (*lightfield.ViewSet, AccessRecord, error) {
 	start := time.Now()
 	var (
 		vs   *lightfield.ViewSet
@@ -123,7 +138,7 @@ func (v *Viewer) fetchDecode(ctx context.Context, id lightfield.ViewSetID) (*lig
 		if err != nil {
 			return nil, AccessRecord{}, err
 		}
-		vs, derr = lightfield.DecodeViewSetFrom(stream.Reader, v.P)
+		vs, derr = lightfield.DecodeViewSetInto(stream.Reader, v.P, spare)
 		// The transfer's own error says more than the decoder's view of it.
 		if rep, err = stream.Report(); err != nil {
 			return nil, AccessRecord{}, err
@@ -134,7 +149,7 @@ func (v *Viewer) fetchDecode(ctx context.Context, id lightfield.ViewSetID) (*lig
 			return nil, AccessRecord{}, err
 		}
 		rep = r
-		vs, derr = lightfield.DecodeViewSet(frame, v.P)
+		vs, derr = lightfield.DecodeViewSetInto(bytes.NewReader(frame), v.P, spare)
 	}
 	if derr != nil {
 		return nil, AccessRecord{}, fmt.Errorf("agent: decoding view set %v: %w", id, derr)
@@ -168,13 +183,18 @@ func (v *Viewer) insertDecoded(id lightfield.ViewSetID, vs *lightfield.ViewSet) 
 		old := v.order[0]
 		v.order = v.order[1:]
 		if old != id {
+			if v.rendering == 0 {
+				v.spare = v.decoded[old]
+			}
 			delete(v.decoded, old)
 		}
 	}
 }
 
 // ViewSet implements lightfield.Provider over the decoded cache, so the
-// viewer itself is the renderer's data source.
+// viewer itself is the renderer's data source. Once a MoveTo has evicted
+// the set, a later one may decode over its pixels (see spare): only Render
+// may keep it across a move.
 func (v *Viewer) ViewSet(id lightfield.ViewSetID) (*lightfield.ViewSet, bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -189,7 +209,15 @@ func (v *Viewer) Render(sp geom.Spherical, dist float64, res int) (*render.Image
 	if err != nil {
 		return nil, lightfield.RenderStats{}, err
 	}
+	v.countRender(1)
+	defer v.countRender(-1)
 	return v.rend.RenderView(cam)
+}
+
+func (v *Viewer) countRender(d int) {
+	v.mu.Lock()
+	v.rendering += d
+	v.mu.Unlock()
 }
 
 // Records returns a copy of all access records so far, in order.

@@ -77,30 +77,44 @@ func BenchmarkDecodeViewSetFrom(b *testing.B) {
 
 // BenchmarkRenderView renders the benchmark's 128² display view with a
 // warm renderer (camera cache built), the steady state of a browsing
-// session.
+// session, holding one view set as the benchmark's viewer does
+// (MaxDecoded = 1): "browse" from a cursor position of the benchmark's
+// scripts inside a mid-latitude set, its neighbours absent; "pole" from
+// beside the pole, where a frame sweeps every lattice column.
 func BenchmarkRenderView(b *testing.B) {
 	p := benchParams()
-	sets := benchSets(b, 1)
-	prov := MapProvider{sets[0].ID: sets[0]}
-	r, err := NewRenderer(p, prov)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cam, err := p.ViewerCamera(geom.Spherical{Theta: math.Pi / 24, Phi: math.Pi / 24}, p.OuterRadius*1.6, 128)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, _, err := r.RenderView(cam); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.SetBytes(int64(3 * cam.Res * cam.Res))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		im, _, err := r.RenderView(cam)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink = im
+	sets := benchSets(b, 2) // r00c00 and r03c00
+	for _, c := range []struct {
+		name string
+		set  *ViewSet
+		sp   geom.Spherical
+	}{
+		{"browse", sets[1], browseCursor(p, sets[1].ID)},
+		{"pole", sets[0], geom.Spherical{Theta: math.Pi / 24, Phi: math.Pi / 24}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			r, err := NewRenderer(p, MapProvider{c.set.ID: c.set})
+			if err != nil {
+				b.Fatal(err)
+			}
+			cam, err := p.ViewerCamera(c.sp, p.OuterRadius*1.6, 128)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := r.RenderView(cam); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(3 * cam.Res * cam.Res))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				im, _, err := r.RenderView(cam)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = im
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cam.Res*cam.Res), "ns/pixel")
+		})
 	}
 }

@@ -428,3 +428,51 @@ func FuzzDecodeViewSetFrom(f *testing.F) {
 		}
 	})
 }
+
+// TestDecodeIntoRecycledSet: a decode into a view set an earlier decode
+// filled, or half filled before failing, reuses its images and leaves
+// exactly what a fresh decode leaves, background included, in both payload
+// formats; a set of other dimensions is left alone.
+func TestDecodeIntoRecycledSet(t *testing.T) {
+	p := smallParams()
+	want, frames := testFrames(t, p)
+	earlier, err := EncodeViewSet(smoothViewSet(t, p, ViewSetID{R: 0, C: 2}, 7, 3), p, codec.DefaultCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, frame := range frames {
+		old, err := DecodeViewSet(earlier, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := old.Views[p.ViewSetL*p.ViewSetL-1].Clone()
+		pix := &old.Views[0].Pix[0]
+
+		// Half a frame: the first views are the new payload's, the last
+		// still the earlier one's.
+		if _, err := DecodeViewSetInto(bytes.NewReader(frame[:len(frame)/2]), p, old); err == nil {
+			t.Fatalf("%s: half a frame decoded", name)
+		}
+		if !old.Views[0].Equal(want.Views[0]) || !old.Views[len(old.Views)-1].Equal(held) {
+			t.Fatalf("%s: half a frame did not leave the recycled set half written", name)
+		}
+		got, err := DecodeViewSetInto(bytes.NewReader(frame), p, old)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got != old || &got.Views[0].Pix[0] != pix {
+			t.Errorf("%s: the recycled set's images were not reused", name)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s: decoded into a recycled set, pixels or ID differ from a fresh decode", name)
+		}
+
+		other, err := NewViewSet(ViewSetID{}, p.ViewSetL, p.Res+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := DecodeViewSetInto(bytes.NewReader(frame), p, other); err != nil || got == other || !got.Equal(want) {
+			t.Errorf("%s: a set of another resolution was not replaced by a fresh one (err %v)", name, err)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"lonviz/internal/geom"
 	"lonviz/internal/render"
@@ -67,8 +68,8 @@ func NewRenderer(p Params, prov Provider) (*Renderer, error) {
 	return &Renderer{P: p, Prov: prov, Blend: true}, nil
 }
 
-// camera returns the cached sample camera at lattice (i, j).
-func (r *Renderer) camera(i, j int) (*geom.Camera, error) {
+// buildCameras fills the sample camera cache on first use.
+func (r *Renderer) buildCameras() error {
 	r.camsOnce.Do(func() {
 		rows, cols := r.P.Rows(), r.P.Cols()
 		r.cams = make([]*geom.Camera, rows*cols)
@@ -83,10 +84,7 @@ func (r *Renderer) camera(i, j int) (*geom.Camera, error) {
 			}
 		}
 	})
-	if r.camsErr != nil {
-		return nil, r.camsErr
-	}
-	return r.cams[i*r.P.Cols()+j], nil
+	return r.camsErr
 }
 
 // CurrentViewSetID returns the view set that supports viewing from
@@ -98,205 +96,312 @@ func (r *Renderer) CurrentViewSetID(sp geom.Spherical) ViewSetID {
 
 // RenderView reconstructs the view seen by cam. The camera should be
 // outside the outer sphere looking toward the volume (the paper's external
-// browsing regime). Scanlines render in parallel across GOMAXPROCS
-// goroutines; lookups touch only immutable data, so no locking is needed.
+// browsing regime). Scanlines render in parallel on GOMAXPROCS goroutines,
+// this one included; lookups touch only immutable data, so no locking is
+// needed.
+//
+// A pixel's arithmetic is that of the per-ray lookup this kernel replaced
+// (renderer_test.go keeps it as the oracle), operation for operation and in
+// the same order, so frames are bit-identical; what changed is where each
+// value is computed. Once per frame: everything below that does not depend
+// on the pixel (frame). Once per lattice cell a worker's rows enter: its
+// corner cameras, their views and whether their view sets are here (cell).
+// Per pixel: the ray, one quadratic for both spheres, acos and atan2 for
+// (u,v), then per live tap three dot products and a bilinear fetch.
 func (r *Renderer) RenderView(cam *geom.Camera) (*render.Image, RenderStats, error) {
 	im, err := render.NewImage(cam.Res)
 	if err != nil {
 		return nil, RenderStats{}, err
 	}
-	// Force the camera cache to build once before fan-out.
-	if _, err := r.camera(0, 0); err != nil {
+	if err := r.buildCameras(); err != nil {
 		return nil, RenderStats{}, err
 	}
+	f := r.newFrame(cam, im)
 	nw := runtime.GOMAXPROCS(0)
 	if nw > cam.Res {
 		nw = cam.Res
 	}
+	// Workers take the next scanline nobody has: a frame is not held up by
+	// one that found its processor busy or asleep.
 	perWorker := make([]RenderStats, nw)
 	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
+	for w := 1; w < nw; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			st := &perWorker[w]
-			var memo providerMemo
-			for y := w; y < cam.Res; y += nw {
-				for x := 0; x < cam.Res; x++ {
-					cr, cg, cb, class := r.lookupRay(cam.PrimaryRayRaw(x, y), &memo)
-					switch class {
-					case rayBackground:
-						st.Background++
-					case rayFilled:
-						st.Filled++
-					case rayMissingSet:
-						st.MissingSet++
-					}
-					im.Set(x, y, cr, cg, cb)
-				}
-			}
+			perWorker[w] = f.renderRows()
 		}(w)
 	}
+	perWorker[0] = f.renderRows()
 	wg.Wait()
 	stats := RenderStats{Pixels: cam.Res * cam.Res}
 	for _, st := range perWorker {
-		stats.Background += st.Background
 		stats.Filled += st.Filled
 		stats.MissingSet += st.MissingSet
 	}
+	stats.Background = stats.Pixels - stats.Filled - stats.MissingSet
 	return im, stats, nil
 }
 
-type rayClass int
+// frame is what one RenderView computes once and its workers share,
+// read-only.
+type frame struct {
+	r     *Renderer
+	im    *render.Image
+	blend bool
+	next  atomic.Int64 // the next scanline nobody has taken
 
-const (
-	rayBackground rayClass = iota
-	rayFilled
-	rayMissingSet
-)
+	// The viewer: a pixel's ray direction is colDir[x] + up*v(y), the sum
+	// Camera.PrimaryRayRaw forms, in its order.
+	eye, up geom.Vec3
+	colDir  []geom.Vec3
+	halfH   float64
 
-// providerMemo caches the last provider answer; neighboring pixels almost
-// always need the same view set, so this removes a map lookup per tap.
-type providerMemo struct {
-	id    ViewSetID
-	vs    *ViewSet
-	ok    bool
-	valid bool
+	// The two concentric spheres: oc = eye - center and oc.oc - radius²
+	// for each, the terms of the ray-sphere quadratic that do not depend
+	// on the ray.
+	center, oc  geom.Vec3
+	cIn, cOut   float64
+	rows, cols  int
+	setL        int // lattice cameras along a view set's side
+	frows       float64
+	fcols       float64
+	sres        int     // sample view resolution
+	fsres, shi  float64 // float64(sres), float64(sres-1)
+	sampleHalfH float64
 }
 
-func (m *providerMemo) get(prov Provider, id ViewSetID) (*ViewSet, bool) {
-	if m.valid && m.id == id {
-		return m.vs, m.ok
+func (r *Renderer) newFrame(cam *geom.Camera, im *render.Image) *frame {
+	p := &r.P
+	f := &frame{
+		r: r, im: im, blend: r.Blend,
+		eye: cam.Eye, up: cam.Up(), colDir: make([]geom.Vec3, cam.Res),
+		// The cameras keep tan(fov/2) to themselves; Tan is a pure
+		// function of a field nothing writes after LookAt, so these are
+		// the values PrimaryRayRaw and Project use.
+		halfH: math.Tan(cam.FovY / 2), sampleHalfH: math.Tan(p.FovY() / 2),
+		center: p.Center, oc: cam.Eye.Sub(p.Center),
+		rows: p.Rows(), cols: p.Cols(), setL: p.ViewSetL,
+		sres: p.Res, fsres: float64(p.Res), shi: float64(p.Res - 1),
 	}
-	vs, ok := prov.ViewSet(id)
-	m.id, m.vs, m.ok, m.valid = id, vs, ok, true
-	return vs, ok
+	f.frows, f.fcols = float64(f.rows), float64(f.cols)
+	f.cIn = f.oc.Len2() - p.InnerRadius*p.InnerRadius
+	f.cOut = f.oc.Len2() - p.OuterRadius*p.OuterRadius
+	for x := range f.colDir {
+		u := (2*(float64(x)+0.5)/float64(cam.Res) - 1) * f.halfH
+		f.colDir[x] = cam.Forward().Add(cam.Right().Scale(u))
+	}
+	return f
 }
 
-// lookupRay maps one display ray through the 4-D database.
-func (r *Renderer) lookupRay(ray geom.Ray, memo *providerMemo) (cr, cg, cb byte, class rayClass) {
-	inner := r.P.InnerSphere()
-	outer := r.P.OuterSphere()
-
-	// (s,t): entry point on the focal sphere. Rays that miss it can never
-	// see the volume (same predicate as the storage occlusion mask).
-	tn, tf, ok := inner.IntersectRayGeneral(ray)
-	if !ok || tf <= 0 {
-		return 0, 0, 0, rayBackground
-	}
-	if tn < 0 {
-		tn = 0
-	}
-	focal := ray.At(tn)
-
-	// (u,v): intersection with the camera sphere on the viewer's side.
-	un, uf, ok := outer.IntersectRayGeneral(ray)
-	if !ok {
-		return 0, 0, 0, rayBackground
-	}
-	tuv := un
-	if tuv < 0 {
-		tuv = uf // viewer inside the camera sphere: use the exit point
-	}
-	if tuv < 0 {
-		return 0, 0, 0, rayBackground
-	}
-	uv := outer.SphericalOf(ray.At(tuv))
-
-	row, col := r.P.LatticeCoords(uv)
-	var sumW, sumR, sumG, sumB float64
-	missing := false
-	taps, nTaps := r.cameraTaps(row, col)
-	for _, s := range taps[:nTaps] {
-		vsID := r.P.ViewSetOf(s.i, s.j)
-		vs, ok := memo.get(r.Prov, vsID)
-		if !ok {
-			missing = true
-			continue
-		}
-		cam, err := r.camera(s.i, s.j)
-		if err != nil {
-			continue
-		}
-		px, py, ok := cam.Project(focal)
-		if !ok {
-			continue
-		}
-		if px < 0 || py < 0 || px > float64(r.P.Res-1) || py > float64(r.P.Res-1) {
-			continue // focal point outside this sample view's frame
-		}
-		a := s.i - vs.ID.R*vs.L
-		b := s.j - vs.ID.C*vs.L
-		view, err := vs.View(a, b)
-		if err != nil {
-			continue
-		}
-		var pr, pg, pb float64
-		if r.Blend {
-			pr, pg, pb = view.SampleBilinear(px, py)
-		} else {
-			// Pure table lookup: the nearest stored sample (paper 3.1 —
-			// "simply a sequence of table lookup operations").
-			xr, yr := int(px+0.5), int(py+0.5)
-			r8, g8, b8 := view.At(xr, yr)
-			pr, pg, pb = float64(r8), float64(g8), float64(b8)
-		}
-		sumR += s.w * pr
-		sumG += s.w * pg
-		sumB += s.w * pb
-		sumW += s.w
-	}
-	if sumW == 0 {
-		if missing {
-			return 0, 0, 0, rayMissingSet
-		}
-		return 0, 0, 0, rayBackground
-	}
-	inv := 1 / sumW
-	return clampByte(sumR * inv), clampByte(sumG * inv), clampByte(sumB * inv), rayFilled
+// cell is one lattice cell resolved: the sample cameras a ray through it
+// blends — its four corners in the order (i,j), (i+1,j), (i,j+1),
+// (i+1,j+1), rows clamped at the poles and columns wrapped, or with Blend
+// off the one nearest camera — each with its view's pixels.
+type cell struct {
+	i, j int // unclamped, unwrapped
+	n    int // taps in use; 0 marks an empty slot
+	taps [4]cellTap
 }
 
-// tap is one sample camera contribution with its bilinear weight.
-type tap struct {
-	i, j int
-	w    float64
+// cellTap is one corner. view is nil when the tap contributes nothing:
+// its view set is not here (missing), or the set the provider gave does
+// not hold the view.
+type cellTap struct {
+	cam     *geom.Camera
+	view    *render.Image
+	missing bool
 }
 
-// cameraTaps returns the sample cameras blended for continuous lattice
-// coordinates (row, col). The fixed-size return avoids a per-pixel heap
-// allocation on the rendering hot path.
-func (r *Renderer) cameraTaps(row, col float64) ([4]tap, int) {
-	rows, cols := r.P.Rows(), r.P.Cols()
-	clampRow := func(i int) int {
-		if i < 0 {
-			return 0
-		}
-		if i >= rows {
-			return rows - 1
-		}
-		return i
+// cellSlots sizes a worker's direct-mapped cell table, indexed by the low
+// two bits of the lattice row and the low six of the column. From browsing
+// distance a frame crosses 15 cells of a 5 degree lattice and 54 of the
+// paper's 2.5, a scanline runs along a row or two of them, and a worker's
+// next scanline comes back to the same ones; beside a pole a scanline
+// sweeps every column of the first rows. Cells that collide are resolved
+// again.
+const cellSlots = 256
+
+// worker is one scanline goroutine's memory: the cells it has resolved
+// and the provider's answers (nil: not here), asked once per view set.
+type worker struct {
+	f     *frame
+	cells [cellSlots]cell
+	sets  map[ViewSetID]*ViewSet
+}
+
+// cell returns the resolved cell (i, j).
+func (w *worker) cell(i, j int) *cell {
+	c := &w.cells[(i&3)<<6|j&63]
+	if c.n == 0 || c.i != i || c.j != j {
+		w.resolve(c, i, j)
 	}
-	wrapCol := func(j int) int {
-		j %= cols
-		if j < 0 {
-			j += cols
+	return c
+}
+
+func (w *worker) resolve(c *cell, i, j int) {
+	f := w.f
+	c.i, c.j, c.n = i, j, 1
+	if f.blend {
+		c.n = 4
+	}
+	for k := 0; k < c.n; k++ {
+		ti := min(max(i+k&1, 0), f.rows-1)
+		tj := (j + k>>1) % f.cols
+		if tj < 0 {
+			tj += f.cols
 		}
-		return j
+		t := &c.taps[k]
+		*t = cellTap{cam: f.r.cams[ti*f.cols+tj]}
+		id := ViewSetID{R: ti / f.setL, C: tj / f.setL}
+		vs, asked := w.sets[id]
+		if !asked {
+			if here, ok := f.r.Prov.ViewSet(id); ok {
+				vs = here
+			}
+			w.sets[id] = vs
+		}
+		if vs == nil {
+			t.missing = true
+			continue
+		}
+		// A view whose resolution is not the database's cannot be
+		// sampled with the database's projection.
+		a, b := ti-vs.ID.R*vs.L, tj-vs.ID.C*vs.L
+		if view, err := vs.View(a, b); err == nil && view.Res == f.sres {
+			t.view = view
+		}
 	}
-	var out [4]tap
-	if !r.Blend {
-		out[0] = tap{i: clampRow(int(math.Round(row))), j: wrapCol(int(math.Round(col))), w: 1}
-		return out, 1
+}
+
+// renderRows is one worker: it renders scanlines until none is left and
+// counts the pixels it filled and those it left for an absent view set.
+func (f *frame) renderRows() (st RenderStats) {
+	w := &worker{f: f, sets: make(map[ViewSetID]*ViewSet)}
+	res, blend := f.im.Res, f.blend
+	for y := int(f.next.Add(1)) - 1; y < res; y = int(f.next.Add(1)) - 1 {
+		v := (1 - 2*(float64(y)+0.5)/float64(res)) * f.halfH
+		rowDir := f.up.Scale(v)
+		out := f.im.Pix[3*y*res : 3*(y+1)*res]
+		for x := 0; x < res; x++ {
+			dir := f.colDir[x].Add(rowDir)
+
+			// (s,t): entry point on the focal sphere. Rays that miss it can
+			// never see the volume (same predicate as the storage occlusion
+			// mask). a and b serve the camera sphere below as well.
+			a := dir.Dot(dir)
+			b := 2 * f.oc.Dot(dir)
+			disc := b*b - 4*a*f.cIn
+			if a == 0 || disc < 0 {
+				continue
+			}
+			sq := math.Sqrt(disc)
+			if (-b+sq)/(2*a) <= 0 {
+				continue
+			}
+			tn := (-b - sq) / (2 * a)
+			if tn < 0 {
+				tn = 0
+			}
+			focal := f.eye.Add(dir.Scale(tn))
+
+			// (u,v): intersection with the camera sphere on the viewer's side.
+			disc = b*b - 4*a*f.cOut
+			if disc < 0 {
+				continue
+			}
+			sq = math.Sqrt(disc)
+			tuv := (-b - sq) / (2 * a)
+			if tuv < 0 {
+				tuv = (-b + sq) / (2 * a) // viewer inside the camera sphere: use the exit point
+			}
+			if tuv < 0 {
+				continue
+			}
+			var theta, phi float64
+			d := f.eye.Add(dir.Scale(tuv)).Sub(f.center)
+			if l := d.Len(); l != 0 {
+				theta = math.Acos(geom.Clamp(d.Z/l, -1, 1))
+				if phi = math.Atan2(d.Y, d.X); phi < 0 {
+					phi += 2 * math.Pi
+				}
+			}
+			row := theta/math.Pi*f.frows - 0.5
+			col := phi/(2*math.Pi)*f.fcols - 0.5
+			if col < 0 {
+				col += f.fcols
+			}
+
+			// The cell, and each corner's bilinear weight; with Blend off,
+			// pure table lookup: the nearest stored sample of the nearest
+			// camera (paper 3.1 — "simply a sequence of table lookup
+			// operations").
+			var c *cell
+			wts := [4]float64{1}
+			if blend {
+				i0, j0 := int(math.Floor(row)), int(math.Floor(col))
+				ft, fp := row-float64(i0), col-float64(j0)
+				wts = [4]float64{(1 - ft) * (1 - fp), ft * (1 - fp), (1 - ft) * fp, ft * fp}
+				c = w.cell(i0, j0)
+			} else {
+				c = w.cell(int(math.Round(row)), int(math.Round(col)))
+			}
+			var sumW, sumR, sumG, sumB float64
+			missing := false
+			for k := 0; k < c.n; k++ {
+				t := &c.taps[k]
+				if t.view == nil {
+					missing = missing || t.missing
+					continue
+				}
+				pix := t.view.Pix
+				// Camera.Project, inlined.
+				d := focal.Sub(t.cam.Eye)
+				depth := d.Dot(t.cam.Forward())
+				if depth <= 1e-12 {
+					continue
+				}
+				pu := d.Dot(t.cam.Right()) / depth / f.sampleHalfH
+				pv := d.Dot(t.cam.Up()) / depth / f.sampleHalfH
+				px := (pu+1)/2*f.fsres - 0.5
+				py := (1-pv)/2*f.fsres - 0.5
+				if px < 0 || py < 0 || px > f.shi || py > f.shi {
+					continue // focal point outside this sample view's frame
+				}
+				var pr, pg, pb float64
+				if blend {
+					// Image.SampleBilinear, inlined; px and py are inside
+					// the view, so its clamp has nothing to do.
+					x0, y0 := int(px), int(py)
+					x1, y1 := min(x0+1, f.sres-1), min(y0+1, f.sres-1)
+					tx, ty := px-float64(x0), py-float64(y0)
+					texel := func(x, y int) []byte { return pix[3*(y*f.sres+x):][:3] }
+					p00, p10, p01, p11 := texel(x0, y0), texel(x1, y0), texel(x0, y1), texel(x1, y1)
+					lerp2 := func(ch int) float64 {
+						top := float64(p00[ch]) + (float64(p10[ch])-float64(p00[ch]))*tx
+						bot := float64(p01[ch]) + (float64(p11[ch])-float64(p01[ch]))*tx
+						return top + (bot-top)*ty
+					}
+					pr, pg, pb = lerp2(0), lerp2(1), lerp2(2)
+				} else {
+					s := pix[3*(int(py+0.5)*f.sres+int(px+0.5)):]
+					pr, pg, pb = float64(s[0]), float64(s[1]), float64(s[2])
+				}
+				sumR += wts[k] * pr
+				sumG += wts[k] * pg
+				sumB += wts[k] * pb
+				sumW += wts[k]
+			}
+			if sumW != 0 {
+				inv := 1 / sumW
+				out[3*x], out[3*x+1], out[3*x+2] = clampByte(sumR*inv), clampByte(sumG*inv), clampByte(sumB*inv)
+				st.Filled++
+			} else if missing {
+				st.MissingSet++
+			}
+		}
 	}
-	i0 := int(math.Floor(row))
-	j0 := int(math.Floor(col))
-	ft := row - float64(i0)
-	fp := col - float64(j0)
-	out[0] = tap{i: clampRow(i0), j: wrapCol(j0), w: (1 - ft) * (1 - fp)}
-	out[1] = tap{i: clampRow(i0 + 1), j: wrapCol(j0), w: ft * (1 - fp)}
-	out[2] = tap{i: clampRow(i0), j: wrapCol(j0 + 1), w: (1 - ft) * fp}
-	out[3] = tap{i: clampRow(i0 + 1), j: wrapCol(j0 + 1), w: ft * fp}
-	return out, 4
+	return st
 }
 
 func clampByte(x float64) byte {

@@ -1,11 +1,16 @@
 package lightfield
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"lonviz/internal/geom"
+	"lonviz/internal/render"
 )
 
 // buildSmallDB builds a complete procedural database for renderer tests.
@@ -181,5 +186,265 @@ func TestProjectInvertsPrimaryRay(t *testing.T) {
 				t.Fatalf("Project(%d,%d) = (%v,%v)", px, py, gx, gy)
 			}
 		}
+	}
+}
+
+// oracle is the per-ray lookup the scanline kernel replaced, kept as it
+// was: every display ray rebuilds both spheres, intersects each on its own,
+// and asks the provider, the camera table, ViewSet.View, Camera.Project and
+// Image.SampleBilinear for every tap. The kernel must reproduce its frames
+// bit for bit.
+type oracle struct {
+	p     Params
+	prov  Provider
+	blend bool
+	cams  map[[2]int]*geom.Camera
+}
+
+func (o *oracle) camera(i, j int) *geom.Camera {
+	if cam, ok := o.cams[[2]int{i, j}]; ok {
+		return cam
+	}
+	cam, err := o.p.Camera(i, j)
+	if err != nil {
+		panic(err)
+	}
+	o.cams[[2]int{i, j}] = cam
+	return cam
+}
+
+func (o *oracle) renderView(cam *geom.Camera) (*render.Image, RenderStats) {
+	im, _ := render.NewImage(cam.Res)
+	st := RenderStats{Pixels: cam.Res * cam.Res}
+	for y := 0; y < cam.Res; y++ {
+		for x := 0; x < cam.Res; x++ {
+			cr, cg, cb, class := o.lookupRay(cam.PrimaryRayRaw(x, y))
+			switch class {
+			case 0:
+				st.Background++
+			case 1:
+				st.Filled++
+			case 2:
+				st.MissingSet++
+			}
+			im.Set(x, y, cr, cg, cb)
+		}
+	}
+	return im, st
+}
+
+// lookupRay maps one display ray through the 4-D database; class is 0 for
+// background, 1 for filled, 2 for a pixel that needed an absent view set.
+func (o *oracle) lookupRay(ray geom.Ray) (cr, cg, cb byte, class int) {
+	inner := o.p.InnerSphere()
+	outer := o.p.OuterSphere()
+	tn, tf, ok := inner.IntersectRayGeneral(ray)
+	if !ok || tf <= 0 {
+		return 0, 0, 0, 0
+	}
+	if tn < 0 {
+		tn = 0
+	}
+	focal := ray.At(tn)
+	un, uf, ok := outer.IntersectRayGeneral(ray)
+	if !ok {
+		return 0, 0, 0, 0
+	}
+	tuv := un
+	if tuv < 0 {
+		tuv = uf
+	}
+	if tuv < 0 {
+		return 0, 0, 0, 0
+	}
+	uv := outer.SphericalOf(ray.At(tuv))
+
+	row, col := o.p.LatticeCoords(uv)
+	var sumW, sumR, sumG, sumB float64
+	missing := false
+	taps, nTaps := o.cameraTaps(row, col)
+	for _, s := range taps[:nTaps] {
+		vs, ok := o.prov.ViewSet(o.p.ViewSetOf(s.i, s.j))
+		if !ok {
+			missing = true
+			continue
+		}
+		px, py, ok := o.camera(s.i, s.j).Project(focal)
+		if !ok {
+			continue
+		}
+		if px < 0 || py < 0 || px > float64(o.p.Res-1) || py > float64(o.p.Res-1) {
+			continue
+		}
+		view, err := vs.View(s.i-vs.ID.R*vs.L, s.j-vs.ID.C*vs.L)
+		if err != nil {
+			continue
+		}
+		var pr, pg, pb float64
+		if o.blend {
+			pr, pg, pb = view.SampleBilinear(px, py)
+		} else {
+			r8, g8, b8 := view.At(int(px+0.5), int(py+0.5))
+			pr, pg, pb = float64(r8), float64(g8), float64(b8)
+		}
+		sumR += s.w * pr
+		sumG += s.w * pg
+		sumB += s.w * pb
+		sumW += s.w
+	}
+	if sumW == 0 {
+		if missing {
+			return 0, 0, 0, 2
+		}
+		return 0, 0, 0, 0
+	}
+	inv := 1 / sumW
+	return clampByte(sumR * inv), clampByte(sumG * inv), clampByte(sumB * inv), 1
+}
+
+type oracleTap struct {
+	i, j int
+	w    float64
+}
+
+func (o *oracle) cameraTaps(row, col float64) ([4]oracleTap, int) {
+	rows, cols := o.p.Rows(), o.p.Cols()
+	clampRow := func(i int) int {
+		if i < 0 {
+			return 0
+		}
+		if i >= rows {
+			return rows - 1
+		}
+		return i
+	}
+	wrapCol := func(j int) int {
+		j %= cols
+		if j < 0 {
+			j += cols
+		}
+		return j
+	}
+	var out [4]oracleTap
+	if !o.blend {
+		out[0] = oracleTap{i: clampRow(int(math.Round(row))), j: wrapCol(int(math.Round(col))), w: 1}
+		return out, 1
+	}
+	i0 := int(math.Floor(row))
+	j0 := int(math.Floor(col))
+	ft := row - float64(i0)
+	fp := col - float64(j0)
+	out[0] = oracleTap{i: clampRow(i0), j: wrapCol(j0), w: (1 - ft) * (1 - fp)}
+	out[1] = oracleTap{i: clampRow(i0 + 1), j: wrapCol(j0), w: ft * (1 - fp)}
+	out[2] = oracleTap{i: clampRow(i0), j: wrapCol(j0 + 1), w: (1 - ft) * fp}
+	out[3] = oracleTap{i: clampRow(i0 + 1), j: wrapCol(j0 + 1), w: ft * fp}
+	return out, 4
+}
+
+// countingProvider counts ViewSet calls per view set.
+type countingProvider struct {
+	Provider
+	mu    sync.Mutex
+	calls map[ViewSetID]int
+}
+
+func (c *countingProvider) ViewSet(id ViewSetID) (*ViewSet, bool) {
+	c.mu.Lock()
+	c.calls[id]++
+	c.mu.Unlock()
+	return c.Provider.ViewSet(id)
+}
+
+// browseCursor is a cursor position of the kind the repository benchmark's
+// scripts visit: inside view set id, 0.15 of its span off its centre both
+// ways (the scripts stay within 0.2).
+func browseCursor(p Params, id ViewSetID) geom.Spherical {
+	c := p.SetCenterAngles(id)
+	off := 0.15 * geom.Radians(p.AngularStepDeg) * float64(p.ViewSetL)
+	return geom.Spherical{Theta: c.Theta - off, Phi: c.Phi - off}
+}
+
+// TestRenderMatchesPerRayOracle: frames and stats of the scanline kernel
+// are those of the per-ray lookup, byte for byte, and no worker asks the
+// provider for a view set twice in a frame.
+func TestRenderMatchesPerRayOracle(t *testing.T) {
+	small := smallParams()
+	full := buildSmallDB(t, small)
+	bench := benchParams()
+	gen, err := NewProceduralGenerator(bench, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	benchID := ViewSetID{R: 3, C: 5}
+	benchSet, err := gen.GenerateViewSet(context.Background(), benchID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := MapProvider{benchID: benchSet}
+
+	orbit := func(p Params, sp geom.Spherical, dist float64, res int) *geom.Camera {
+		cam, err := geom.OrbitCamera(p.Center, dist, sp, p.FovY()*p.OuterRadius/dist, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cam
+	}
+	cases := []struct {
+		name string
+		p    Params
+		prov Provider
+		sp   geom.Spherical
+		dist float64 // in outer radii
+		res  []int
+	}{
+		{"benchmark, one decoded set", bench, one, browseCursor(bench, benchID), 1.6, []int{128}},
+		{"benchmark, set centre", bench, one, bench.SetCenterAngles(benchID), 1.6, []int{24}},
+		{"full database", small, full, geom.Spherical{Theta: 1.4, Phi: 2.0}, 1.7, []int{1, 24, 128}},
+		{"north pole", small, full, geom.Spherical{Theta: 0.01, Phi: 0.3}, 1.5, []int{24, 128}},
+		{"south pole", small, full, geom.Spherical{Theta: math.Pi - 0.004, Phi: 4}, 1.5, []int{24}},
+		{"phi seam", small, full, geom.Spherical{Theta: 1.2, Phi: 2*math.Pi - 0.01}, 1.6, []int{24, 128}},
+		{"phi zero", small, full, geom.Spherical{Theta: 2.0, Phi: 0}, 2.5, []int{24}},
+		{"inside the camera sphere", small, full, geom.Spherical{Theta: 1.1, Phi: 5}, 0.7, []int{24, 128}},
+		{"half a database", small, MapProvider{{R: 0, C: 1}: full[ViewSetID{R: 0, C: 1}], {R: 1, C: 2}: full[ViewSetID{R: 1, C: 2}]},
+			geom.Spherical{Theta: 1.5, Phi: 2.6}, 1.6, []int{24, 128}},
+		{"empty provider", small, MapProvider{}, geom.Spherical{Theta: 1.5, Phi: 0.3}, 1.5, []int{1, 24}},
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, c := range cases {
+			for _, blend := range []bool{true, false} {
+				for _, res := range c.res {
+					counted := &countingProvider{Provider: c.prov, calls: map[ViewSetID]int{}}
+					r, err := NewRenderer(c.p, counted)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r.Blend = blend
+					cam := orbit(c.p, c.sp, c.dist*c.p.OuterRadius, res)
+					got, gotStats, err := r.RenderView(cam)
+					if err != nil {
+						t.Fatal(err)
+					}
+					o := &oracle{p: c.p, prov: c.prov, blend: blend, cams: map[[2]int]*geom.Camera{}}
+					want, wantStats := o.renderView(cam)
+					name := fmt.Sprintf("%s, blend %v, res %d, GOMAXPROCS %d", c.name, blend, res, procs)
+					if !bytes.Equal(got.Pix, want.Pix) {
+						t.Errorf("%s: frame differs from the per-ray oracle's", name)
+					}
+					if gotStats != wantStats {
+						t.Errorf("%s: stats %+v, oracle %+v", name, gotStats, wantStats)
+					}
+					if res > 1 && len(c.prov.(MapProvider)) > 0 && wantStats.Filled == 0 {
+						t.Errorf("%s: nothing filled, the case compares black frames", name)
+					}
+					for id, n := range counted.calls {
+						if n > min(procs, res) {
+							t.Errorf("%s: provider asked %d times for %v by %d workers", name, n, id, min(procs, res))
+						}
+					}
+				}
+			}
+		}
+		runtime.GOMAXPROCS(prev)
 	}
 }

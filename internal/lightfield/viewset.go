@@ -128,6 +128,19 @@ func NewViewSet(id ViewSetID, l, res int) (*ViewSet, error) {
 	return vs, nil
 }
 
+// holds reports whether vs is a complete block of l x l views of res².
+func (vs *ViewSet) holds(l, res int) bool {
+	if vs == nil || vs.L != l || vs.Res != res || len(vs.Views) != l*l {
+		return false
+	}
+	for _, im := range vs.Views {
+		if im == nil || im.Res != res || len(im.Pix) != 3*res*res {
+			return false
+		}
+	}
+	return true
+}
+
 // View returns the sample view at local position (a, b) within the block,
 // a, b in [0, L).
 func (vs *ViewSet) View(a, b int) (*render.Image, error) {
@@ -288,7 +301,7 @@ func entropy(hist *[256]int) float64 {
 // UnmarshalViewSet reconstructs a view set serialized by Marshal. Masked-out
 // pixels are restored as black background.
 func UnmarshalViewSet(data []byte, p Params) (*ViewSet, error) {
-	return readViewSet(bytes.NewReader(data), len(data), p)
+	return readViewSet(bytes.NewReader(data), len(data), p, nil)
 }
 
 // viewScratch holds one view's worth of stored bytes between the source
@@ -300,8 +313,9 @@ var viewScratch sync.Pool
 // the mask runs place them in the view's Pix, adding the previous view's
 // pixels when the payload is inter-view coded. n is checked against what p
 // implies before anything is allocated, which covers truncation and
-// trailing bytes both; r is read for exactly n bytes.
-func readViewSet(r io.Reader, n int, p Params) (*ViewSet, error) {
+// trailing bytes both; r is read for exactly n bytes. The views are old's
+// if old has the payload's dimensions (see DecodeViewSetInto), else new.
+func readViewSet(r io.Reader, n int, p Params, old *ViewSet) (*ViewSet, error) {
 	m, err := maskCache.get(p)
 	if err != nil {
 		return nil, err
@@ -335,8 +349,10 @@ func readViewSet(r io.Reader, n int, p Params) (*ViewSet, error) {
 	if flags&^flagInterView != 0 {
 		return nil, fmt.Errorf("lightfield: unknown view set format flags %#x", flags)
 	}
-	vs, err := NewViewSet(id, l, res)
-	if err != nil {
+	vs := old
+	if vs.holds(l, res) {
+		vs.ID = id
+	} else if vs, err = NewViewSet(id, l, res); err != nil {
 		return nil, err
 	}
 	sp, _ := viewScratch.Get().(*[]byte)

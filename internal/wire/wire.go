@@ -168,6 +168,10 @@ type Verb struct {
 	// line does not give a usable length it writes the refusal and returns
 	// false, which drops the connection in either mode.
 	Payload func(req *Request, r *Reply) (n int, ok bool)
+	// Hangup is set for a verb whose Handle may wait a long time on work
+	// others share (the client agent's GETVS): on an untagged connection
+	// ctx is then cancelled when the peer hangs up before it has its reply.
+	Hangup bool
 
 	upgrade bool
 }
@@ -510,7 +514,13 @@ func (c *conn) exec(x *exchange) (keep bool) {
 			lctx = prof.Begin2(rctx, prof.KeyClass, n.ProfClass, prof.KeyVerb, verb)
 		}
 		if v.Payload == nil || c.tagged || c.readPayload(v, x) {
-			keep = v.Handle(lctx, req, rep)
+			if v.Hangup && !c.tagged {
+				hctx, stop := c.watchHangup(lctx)
+				keep = v.Handle(hctx, req, rep)
+				stop()
+			} else {
+				keep = v.Handle(lctx, req, rep)
+			}
 		}
 		if n.ProfClass != "" {
 			prof.End(rctx)
@@ -537,6 +547,29 @@ func (c *conn) exec(x *exchange) (keep bool) {
 		c.nc.Close() // poisoned writer: tear the pipe down, client redials
 	}
 	return keep && err == nil
+}
+
+// watchHangup returns ctx cancelled if the peer of an untagged connection
+// hangs up while its one request is being handled. Such a client sends
+// nothing more before it has its reply, so a read that fails before stop is
+// called is the hang-up (closing only the sending half counts as one); stop
+// ends the read by a deadline and leaves the connection readable, any byte
+// that did arrive still buffered.
+func (c *conn) watchHangup(ctx context.Context) (_ context.Context, stop func()) {
+	ctx, cancel := context.WithCancel(ctx)
+	done := make(chan struct{})
+	go func() {
+		if _, err := c.br.Peek(1); err != nil {
+			cancel()
+		}
+		close(done)
+	}()
+	return ctx, func() {
+		c.nc.SetReadDeadline(time.Unix(1, 0))
+		<-done
+		c.nc.SetReadDeadline(time.Time{})
+		cancel()
+	}
 }
 
 // admit runs one request through admission control and keeps the load

@@ -80,6 +80,13 @@ run_named -race -count=20 \
 	./internal/agent
 run_named -race -count=20 -run 'TestJoinSharesStarterState|TestCancellerDoesNotKillFlight|TestLastWaiterCancelsFlight|TestConcurrentCancellationStorm' ./internal/singleflight
 
+# The render kernel against the per-ray oracle it replaced (frames byte for
+# byte, at GOMAXPROCS 1 and 4), and the viewer decoding into the set it
+# evicted while another goroutine renders: the race detector is the judge
+# of "a set a Render may still read is never recycled".
+run_named -race -count=20 -run 'TestRenderMatchesPerRayOracle|TestDecodeIntoRecycledSet' ./internal/lightfield
+run_named -race -count=20 -run 'TestViewerRecyclesEvictedSet|TestViewerRecycleUnderRender' ./internal/agent
+
 echo "== fuzz the one request parser, the one serve loop and the one client's reply path (10s each)"
 go test -run '^$' -fuzz FuzzParseRequest -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
 go test -run '^$' -fuzz FuzzServeConn -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
