@@ -450,9 +450,20 @@ func (ca *ClientAgent) resolveExNodes(ctx context.Context, id lightfield.ViewSet
 	ctx, span := ca.tracer().StartSpan(ctx, obs.SpanResolve)
 	defer span.Finish()
 	key := id.String()
+	// A download allocates the exNode's length before its first byte, so
+	// an exNode longer than any frame of these params is refused here.
+	maxLen, err := ca.cfg.Params.MaxFrameLen()
+	if err != nil {
+		return nil, false, err
+	}
+	parse := func(doc []byte) *exnode.ExNode {
+		if ex, err := exnode.Unmarshal(doc); err == nil && ex.Length <= int64(maxLen) {
+			return ex
+		}
+		return nil
+	}
 	if xml, ok := ca.excach.Get(key); ok {
-		ex, err := exnode.Unmarshal(xml)
-		if err == nil {
+		if ex := parse(xml); ex != nil {
 			return []*exnode.ExNode{ex}, true, nil
 		}
 		ca.excach.Remove(key) // cached garbage: drop and refetch
@@ -463,11 +474,9 @@ func (ca *ClientAgent) resolveExNodes(ctx context.Context, id lightfield.ViewSet
 	}
 	out := make([]*exnode.ExNode, 0, len(docs))
 	for _, doc := range docs {
-		ex, err := exnode.Unmarshal(doc)
-		if err != nil {
-			continue
+		if ex := parse(doc); ex != nil {
+			out = append(out, ex)
 		}
-		out = append(out, ex)
 	}
 	if len(out) == 0 {
 		return nil, false, fmt.Errorf("agent: no valid exNodes for %v", id)

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lonviz/internal/codec"
 	"lonviz/internal/edge"
 	"lonviz/internal/exnode"
 	"lonviz/internal/lightfield"
@@ -190,7 +191,7 @@ type fetch struct {
 	// the frame was cached after all, or no exNode resolved — never
 	// closes it.
 	ready chan struct{}
-	buf   atomic.Pointer[lors.StreamBuffer]
+	buf   atomic.Pointer[codec.StreamBuffer]
 
 	// The outcome, written by the flight before it ends.
 	frame []byte
@@ -319,7 +320,7 @@ func (ca *ClientAgent) fly(ctx context.Context, f *fetch) (err error) {
 // written under them.
 func (ca *ClientAgent) download(ctx context.Context, f *fetch, ex *exnode.ExNode, verb string) (st lors.DownloadStats, err error) {
 	buf := make([]byte, ex.Length)
-	sb := lors.NewStreamBuffer(buf)
+	sb := codec.NewStreamBuffer(buf)
 	if f.buf.Swap(sb) == nil {
 		close(f.ready)
 	}
@@ -382,7 +383,7 @@ type flightReader struct {
 	f    *fetch
 	done <-chan struct{}
 
-	sb    *lors.StreamBuffer // the attempt being followed
+	sb    *codec.StreamBuffer // the attempt being followed
 	cur   io.Reader
 	pos   int
 	final bool // cur is the finished frame

@@ -478,6 +478,49 @@ func TestFlightRemembersTheExNodeThatServed(t *testing.T) {
 	}
 }
 
+// TestFlightRefusesAnOversizedExNode: the DVS lists, before a valid exNode,
+// one that claims a frame of 1 TiB — valid as an exNode, and a download
+// allocates its length before the first byte. The agent refuses it as
+// longer than any frame of its params and fetches from the valid one.
+func TestFlightRefusesAnOversizedExNode(t *testing.T) {
+	r := newRig(t)
+	id := lightfield.ViewSetID{R: 1, C: 1}
+	good, err := r.sa.Request(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := referenceFrame(t, r, id)
+	ex, err := exnode.Unmarshal(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := &exnode.ExNode{Name: ex.Name, Length: 1 << 40, Extents: []exnode.Extent{
+		{Offset: 0, Length: 1 << 40, Replicas: ex.Extents[0].Replicas},
+	}}
+	hugeXML, err := huge.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := dvs.Key{Dataset: "twin", ViewSet: id.String()}
+	for _, doc := range [][]byte{hugeXML, good} {
+		if err := r.dvsServer.Put(key, doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ca := r.newClientAgent(t, func(c *ClientAgentConfig) { c.Dataset = "twin" })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	frame, rep, err := ca.GetViewSet(context.Background(), id)
+	runtime.ReadMemStats(&after)
+	if err != nil || rep.Class != AccessWAN || !bytes.Equal(frame, want) {
+		t.Fatalf("class %v, %d bytes, %v; want the %d published bytes from the wan", rep.Class, len(frame), err, len(want))
+	}
+	// Trying the 1 TiB exNode would have allocated its length.
+	if d := after.TotalAlloc - before.TotalAlloc; d > 64<<20 {
+		t.Errorf("the fetch allocated %d bytes in all", d)
+	}
+}
+
 // TestFlightTracedFromViewer: the path users take — Viewer.MoveTo, which
 // streams — leaves the trace, the event and the profile labels the
 // buffered call always left.

@@ -1,11 +1,21 @@
 // Package codec implements the lossless compression framing used for view
 // sets on the wire and in depot storage. The paper compresses each view set
 // with zlib (its reference [1]); we add a small frame around the zlib
-// stream carrying the uncompressed length and a CRC-32 so corruption
-// surfaces as an error rather than garbage pixels.
+// streams carrying the lengths and CRC-32s, so corruption surfaces as an
+// error rather than garbage pixels.
 //
-// Frame layout: magic "LVZ1", uint8 level, uint32 origLen, uint32 crc32
-// (IEEE, of the uncompressed data), then the raw zlib stream.
+// A frame holds its payload in one or more segments, each an independent
+// zlib stream, so a reader can inflate them on as many goroutines.
+//
+//	LVZ1 (one segment): magic "LVZ1", uint8 level, uint32 payload length,
+//	    uint32 CRC-32 (IEEE) of the payload, then the zlib stream.
+//	LVZ2 (segmented): magic "LVZ2", uint8 level, uint32 payload length,
+//	    uint8 segment count S, then S entries of uint32 payload length,
+//	    uint32 compressed length and uint32 CRC-32 of the segment's
+//	    payload bytes, then the S zlib streams back to back.
+//
+// The payload length sits at the same offset in both, so UncompressedLen
+// and Ratio read either. Compress writes LVZ1 when given no cuts.
 package codec
 
 import (
@@ -19,9 +29,28 @@ import (
 	"sync"
 )
 
-var frameMagic = []byte("LVZ1")
+const (
+	magicLen  = 4
+	prefixLen = magicLen + 1 + 4 // magic, level, payload length
+	lvz1Len   = prefixLen + 4    // + CRC-32
+	entryLen  = 12               // one LVZ2 segment table entry
 
-const headerLen = 4 + 1 + 4 + 4
+	// maxSegments is the most segments a frame can be cut into (a byte).
+	maxSegments = 255
+)
+
+var (
+	magicOne = []byte("LVZ1")
+	magicSeg = []byte("LVZ2")
+)
+
+// headerLen is the size of the header of a frame of segs segments.
+func headerLen(segs int) int {
+	if segs == 1 {
+		return lvz1Len
+	}
+	return prefixLen + 1 + segs*entryLen
+}
 
 // Compression levels re-exported so callers do not import compress/zlib.
 const (
@@ -41,23 +70,48 @@ const defaultLevel = 5
 // validation.
 var ErrCorrupt = errors.New("codec: corrupt frame")
 
+// streamBound is the most bytes compress/zlib writes for n input bytes: a
+// 2-byte header and 4-byte Adler-32, and deflate blocks that are never
+// larger than storing their input would be — 5 bytes of stored-block
+// header per block of at least 16 KiB input (what is left at Close can be
+// smaller), plus the empty final block Close appends and bit padding.
+func streamBound(n int) int { return n + n>>10 + 64 }
+
+// Bound returns the size of the largest frame Compress can write for n
+// payload bytes cut into at most segs segments. A frame header is held to
+// the same arithmetic: no segment's compressed length may exceed what it
+// allows for that segment's payload, so a lying header buys no memory.
+func Bound(n, segs int) int {
+	segs = min(max(segs, 1), maxSegments)
+	return headerLen(segs) + streamBound(n) + (segs-1)*streamBound(0)
+}
+
 // Compress frames and zlib-compresses data at the given level (use
-// DefaultCompression when unsure).
-func Compress(data []byte, level int) ([]byte, error) {
+// DefaultCompression when unsure). With cuts, strictly increasing offsets
+// inside data, the payload is written as that many more segments, each
+// compressed on its own (LVZ2); without, as one (LVZ1).
+func Compress(data []byte, level int, cuts ...int) ([]byte, error) {
 	if level == DefaultCompression {
 		level = defaultLevel
 	}
 	if level < zlib.NoCompression || level > zlib.BestCompression {
 		return nil, fmt.Errorf("codec: invalid compression level %d", level)
 	}
+	if len(cuts) >= maxSegments {
+		return nil, fmt.Errorf("codec: %d cuts, at most %d segments", len(cuts), maxSegments)
+	}
+	segs := len(cuts) + 1
 	var buf bytes.Buffer
-	buf.Grow(headerLen + len(data)/4)
-	var hdr [headerLen]byte
-	copy(hdr[:], frameMagic)
+	buf.Grow(headerLen(segs) + len(data)/4)
+	hdr := make([]byte, headerLen(segs))
+	copy(hdr, magicOne)
+	if segs > 1 {
+		copy(hdr, magicSeg)
+		hdr[prefixLen] = byte(segs)
+	}
 	hdr[4] = byte(level)
 	binary.LittleEndian.PutUint32(hdr[5:], uint32(len(data)))
-	binary.LittleEndian.PutUint32(hdr[9:], crc32.ChecksumIEEE(data))
-	buf.Write(hdr[:])
+	buf.Write(hdr)
 	// A deflate writer is over 1 MB of hash tables and window: reuse it.
 	pool := &deflaters[level]
 	zw, _ := pool.Get().(*zlib.Writer)
@@ -66,15 +120,34 @@ func Compress(data []byte, level int) ([]byte, error) {
 		if zw, err = zlib.NewWriterLevel(&buf, level); err != nil {
 			return nil, err
 		}
-	} else {
-		zw.Reset(&buf)
 	}
 	defer pool.Put(zw)
-	if _, err := zw.Write(data); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
+	for i, off := 0, 0; i < segs; i++ {
+		end := len(data)
+		if i < len(cuts) {
+			if end = cuts[i]; end <= off || end >= len(data) {
+				return nil, fmt.Errorf("codec: cuts %v do not split %d bytes", cuts, len(data))
+			}
+		}
+		seg := data[off:end]
+		off = end
+		start := buf.Len()
+		zw.Reset(&buf)
+		if _, err := zw.Write(seg); err != nil {
+			return nil, err
+		}
+		if err := zw.Close(); err != nil {
+			return nil, err
+		}
+		crc := crc32.ChecksumIEEE(seg)
+		if segs == 1 {
+			binary.LittleEndian.PutUint32(buf.Bytes()[prefixLen:], crc)
+			break
+		}
+		e := buf.Bytes()[prefixLen+1+i*entryLen:]
+		binary.LittleEndian.PutUint32(e[0:], uint32(len(seg)))
+		binary.LittleEndian.PutUint32(e[4:], uint32(buf.Len()-start))
+		binary.LittleEndian.PutUint32(e[8:], crc)
 	}
 	return buf.Bytes(), nil
 }
@@ -86,50 +159,114 @@ var (
 	inflaters sync.Pool
 )
 
-// Reader inflates one frame as its bytes arrive and holds it to what the
-// header promised: Read never yields more than Len bytes, and Close reports
-// ErrCorrupt unless exactly that many were inflated, the zlib stream ended
-// there, and their CRC-32 is the header's. Bytes a caller consumed before
-// Close are unverified until Close returns nil.
-type Reader struct {
-	zr        io.ReadCloser
-	remaining int
-	crc, want uint32
+// Segment is one entry of a frame's segment table.
+type Segment struct {
+	Len     int    // payload bytes it inflates to
+	CompLen int    // its zlib stream's bytes; -1 in LVZ1, whose one stream runs to the frame's end
+	CRC     uint32 // CRC-32 (IEEE) of its payload bytes
 }
 
-// NewReader reads and validates the frame header from r. Because zlib
-// inflates as input arrives, a reader that tracks a download in progress
-// (lors.StreamBuffer) overlaps decompression with communication.
-func NewReader(r io.Reader) (*Reader, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
+// Header is a parsed frame header.
+type Header struct {
+	Len  int // payload bytes, all segments together
+	Segs []Segment
+}
+
+// ReadHeader reads a frame header from r and checks what can be checked
+// before any payload: the magic, an LVZ2 segment count of at least 2,
+// segment lengths that add up to the payload length, and compressed
+// lengths within Bound. It reads LVZ1 as a frame of one segment.
+func ReadHeader(r io.Reader) (Header, error) {
+	var pre [prefixLen + 1]byte
+	short := func(err error) (Header, error) {
+		return Header{}, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
 	}
-	if !bytes.Equal(hdr[:4], frameMagic) {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	if _, err := io.ReadFull(r, pre[:prefixLen]); err != nil {
+		return short(err)
 	}
-	d := &Reader{
-		remaining: int(binary.LittleEndian.Uint32(hdr[5:9])),
-		want:      binary.LittleEndian.Uint32(hdr[9:13]),
+	h := Header{Len: int(binary.LittleEndian.Uint32(pre[5:]))}
+	switch {
+	case bytes.Equal(pre[:magicLen], magicOne):
+		var crc [4]byte
+		if _, err := io.ReadFull(r, crc[:]); err != nil {
+			return short(err)
+		}
+		h.Segs = []Segment{{Len: h.Len, CompLen: -1, CRC: binary.LittleEndian.Uint32(crc[:])}}
+		return h, nil
+	case !bytes.Equal(pre[:magicLen], magicSeg):
+		return Header{}, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	}
+	if _, err := io.ReadFull(r, pre[prefixLen:]); err != nil {
+		return short(err)
+	}
+	n := int(pre[prefixLen])
+	if n < 2 {
+		// Compress writes one segment as LVZ1.
+		return Header{}, fmt.Errorf("%w: %d segments", ErrCorrupt, n)
+	}
+	table := make([]byte, n*entryLen)
+	if _, err := io.ReadFull(r, table); err != nil {
+		return short(err)
+	}
+	h.Segs = make([]Segment, n)
+	sum := 0
+	for i := range h.Segs {
+		e := table[i*entryLen:]
+		s := Segment{
+			Len:     int(binary.LittleEndian.Uint32(e[0:])),
+			CompLen: int(binary.LittleEndian.Uint32(e[4:])),
+			CRC:     binary.LittleEndian.Uint32(e[8:]),
+		}
+		if s.CompLen > streamBound(s.Len) {
+			return Header{}, fmt.Errorf("%w: segment %d: %d compressed bytes for %d", ErrCorrupt, i, s.CompLen, s.Len)
+		}
+		h.Segs[i], sum = s, sum+s.Len
+	}
+	if sum != h.Len {
+		return Header{}, fmt.Errorf("%w: segments hold %d bytes, header says %d", ErrCorrupt, sum, h.Len)
+	}
+	return h, nil
+}
+
+// Reader inflates one segment as its bytes arrive and holds it to its
+// table entry: Read never yields more than the segment's length, and Close
+// reports ErrCorrupt unless exactly that many were inflated, the zlib
+// stream ended there (which is where zlib checks its Adler-32), the stream
+// took up its compressed length exactly, and the bytes' CRC-32 is the
+// entry's. Bytes a caller consumed before Close are unverified until Close
+// returns nil.
+type Reader struct {
+	src       *StreamReader
+	zr        io.ReadCloser
+	err       error // sticky, from opening or reading
+	remaining int
+	crc, want uint32
+	done      func() // tells the Frame the reader is closed; nil once it is
+}
+
+// open starts the inflater on the first Read or Close, so that a Reader
+// handed to another goroutine touches no byte before that goroutine runs.
+func (d *Reader) open() error {
+	if d.zr != nil || d.err != nil {
+		return d.err
 	}
 	var err error
 	if zr, ok := inflaters.Get().(io.ReadCloser); ok {
-		d.zr, err = zr, zr.(zlib.Resetter).Reset(r, nil)
+		d.zr, err = zr, zr.(zlib.Resetter).Reset(d.src, nil)
 	} else {
-		d.zr, err = zlib.NewReader(r)
+		d.zr, err = zlib.NewReader(d.src)
 	}
 	if err != nil {
-		d.release()
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		d.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return d, nil
+	return d.err
 }
 
-// Len returns how many bytes the header says are still to be read.
-func (d *Reader) Len() int { return d.remaining }
-
-// Read inflates into p, never past the length the header gives.
+// Read inflates into p, never past the segment's length.
 func (d *Reader) Read(p []byte) (int, error) {
+	if err := d.open(); err != nil {
+		return 0, err
+	}
 	if d.remaining == 0 {
 		return 0, io.EOF
 	}
@@ -141,44 +278,174 @@ func (d *Reader) Read(p []byte) (int, error) {
 	d.crc = crc32.Update(d.crc, crc32.IEEETable, p[:n])
 	if err == io.EOF {
 		// Whether the stream may end here is Close's to judge, unless it
-		// ended short of the header's length.
+		// ended short of the segment's length.
 		if err = nil; d.remaining > 0 {
 			err = io.ErrUnexpectedEOF
 		}
 	}
 	if err != nil {
-		err = fmt.Errorf("%w: %v", ErrCorrupt, err)
+		d.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return n, err
+	return n, d.err
 }
 
-// Close verifies the frame (see Reader) and releases the inflater. Closing
-// an unfinished or failed Reader is how to abandon it.
+// Close verifies the segment (see Reader) and releases the inflater.
+// Closing an unfinished or failed Reader is how to abandon it.
 func (d *Reader) Close() error {
-	if d.zr == nil {
-		return nil
+	if d.done == nil {
+		return d.err
 	}
-	defer d.release()
+	defer func() {
+		if d.zr != nil {
+			inflaters.Put(d.zr)
+			d.zr = nil
+		}
+		d.done()
+		d.done = nil
+	}()
+	if err := d.open(); err != nil {
+		return err
+	}
 	if d.remaining != 0 {
-		return fmt.Errorf("%w: %d bytes short of the header's length", ErrCorrupt, d.remaining)
+		d.err = fmt.Errorf("%w: %d bytes short of the segment's length", ErrCorrupt, d.remaining)
+		return d.err
 	}
-	// A lying header must not pass: the stream has to end exactly here,
-	// which is also where zlib checks its own Adler-32.
+	// A lying header must not pass: the stream has to end exactly here, and
+	// so do its compressed bytes.
 	var one [1]byte
 	if n, err := d.zr.Read(one[:]); n != 0 || err != io.EOF {
-		return fmt.Errorf("%w: payload does not end where the header says (%v)", ErrCorrupt, err)
+		d.err = fmt.Errorf("%w: payload does not end where the header says (%v)", ErrCorrupt, err)
+	} else if _, err := d.src.ReadByte(); err != io.EOF {
+		d.err = fmt.Errorf("%w: zlib stream ends before its segment does (%v)", ErrCorrupt, err)
+	} else if d.crc != d.want {
+		d.err = fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	if d.crc != d.want {
-		return fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	return nil
+	return d.err
 }
 
-func (d *Reader) release() {
-	if d.zr != nil {
-		inflaters.Put(d.zr)
-		d.zr = nil
+// A Frame is a frame being read from a source: its header, parsed before
+// OpenFrame returns, and its body, which a goroutine of the Frame's own (the
+// pump) copies from the source into a pooled arrival buffer as the source
+// delivers it. Each segment's Reader inflates from that buffer as its bytes
+// land, so segments can be inflated on several goroutines at once while a
+// download is still coming in, and the source is read exactly once.
+type Frame struct {
+	Header
+	sb      *StreamBuffer
+	arrival *[]byte
+	starts  []int // each segment's offset in the body
+	readers sync.WaitGroup
+	pumped  chan struct{}
+	pumpErr error // valid once pumped is closed
+}
+
+// arrivals holds idle arrival buffers.
+var arrivals sync.Pool
+
+// errClosed is what a Frame's readers see of a frame closed under them.
+var errClosed = errors.New("codec: frame closed")
+
+// OpenFrame reads a frame's header from r, calls check with it (when not
+// nil) before allocating anything for the body, and starts the pump.
+// Every OpenFrame that returns a Frame must be followed by its Close.
+func OpenFrame(r io.Reader, check func(Header) error) (*Frame, error) {
+	h, err := ReadHeader(r)
+	if err != nil {
+		return nil, err
 	}
+	if check != nil {
+		if err := check(h); err != nil {
+			return nil, err
+		}
+	}
+	f := &Frame{Header: h, starts: make([]int, len(h.Segs)), pumped: make(chan struct{})}
+	body := 0
+	for i, s := range h.Segs {
+		f.starts[i] = body
+		if s.CompLen < 0 {
+			body += streamBound(s.Len)
+		} else {
+			body += s.CompLen
+		}
+	}
+	f.arrival, _ = arrivals.Get().(*[]byte)
+	if f.arrival == nil || cap(*f.arrival) < body {
+		b := make([]byte, body)
+		f.arrival = &b
+	}
+	f.sb = NewStreamBuffer((*f.arrival)[:body])
+	go f.pump(r)
+	return f, nil
+}
+
+// pump copies the body from r into the arrival buffer, publishing each
+// longer prefix, and then confirms that r ends where the frame does. An LVZ1
+// body's length is unknown until r ends, so its buffer is the bound and
+// ending short of it is no error.
+func (f *Frame) pump(r io.Reader) {
+	defer close(f.pumped)
+	buf := f.sb.Bytes()
+	n := 0
+	var err error
+	for n < len(buf) && err == nil {
+		var k int
+		k, err = r.Read(buf[n:])
+		n += k
+		f.sb.Advance(int64(n))
+	}
+	var one [1]byte
+	for err == nil {
+		var k int
+		if k, err = r.Read(one[:]); k > 0 {
+			err = fmt.Errorf("%w: bytes past the end of the frame", ErrCorrupt)
+		}
+	}
+	if err == io.EOF {
+		f.sb.Fail(io.EOF)
+		if n < len(buf) && f.Segs[0].CompLen >= 0 {
+			f.pumpErr = fmt.Errorf("%w: %d of %d bytes", ErrCorrupt, n, len(buf))
+		}
+		return
+	}
+	f.sb.Fail(err)
+	f.pumpErr = err
+}
+
+// Segment returns a Reader of segment i, which inflates from the arrival
+// buffer as its bytes land and may be handed to another goroutine.
+func (f *Frame) Segment(i int) *Reader {
+	s := f.Segs[i]
+	end := len(f.sb.Bytes())
+	if s.CompLen >= 0 {
+		end = f.starts[i] + s.CompLen
+	}
+	f.readers.Add(1)
+	return &Reader{src: f.sb.Section(f.starts[i], end), remaining: s.Len, want: s.CRC, done: f.readers.Done}
+}
+
+// Close ends the frame and returns the error it ended with. Given the
+// error a caller's decode failed with, it wakes any Reader still waiting
+// for bytes and returns that error; given nil, it waits for the pump and
+// returns what the pump found (a read error, a short body, bytes past the
+// end). Either way it returns once every Reader handed out is closed, and
+// after that nothing of the frame's writes memory anyone can reach: the
+// arrival buffer goes back to the pool, unless the pump is still blocked
+// in the source's Read — then it is abandoned to the garbage collector.
+func (f *Frame) Close(err error) error {
+	if err != nil {
+		f.sb.Fail(errClosed)
+	}
+	f.readers.Wait()
+	if err == nil {
+		<-f.pumped
+		err = f.pumpErr
+	}
+	select {
+	case <-f.pumped:
+		arrivals.Put(f.arrival)
+	default:
+	}
+	return err
 }
 
 // Decompress validates and decodes a frame produced by Compress.
@@ -189,18 +456,28 @@ func Decompress(frame []byte) ([]byte, error) {
 // DecompressFrom is Decompress over a frame read incrementally from r. The
 // output buffer is sized exactly from the frame header before inflation
 // starts.
-func DecompressFrom(r io.Reader) ([]byte, error) {
-	d, err := NewReader(r)
+func DecompressFrom(r io.Reader) (out []byte, err error) {
+	f, err := OpenFrame(r, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer d.Close()
-	out := make([]byte, d.Len())
-	if _, err := io.ReadFull(d, out); err != nil {
-		return nil, err
-	}
-	if err := d.Close(); err != nil {
-		return nil, err
+	defer func() {
+		if err = f.Close(err); err != nil {
+			out = nil
+		}
+	}()
+	out = make([]byte, f.Len)
+	off := 0
+	for i, s := range f.Segs {
+		d := f.Segment(i)
+		_, err := io.ReadFull(d, out[off:off+s.Len])
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return nil, err
+		}
+		off += s.Len
 	}
 	return out, nil
 }
@@ -208,20 +485,17 @@ func DecompressFrom(r io.Reader) ([]byte, error) {
 // Ratio returns the compression ratio (uncompressed/compressed) of a frame
 // without decompressing it. Returns an error for malformed frames.
 func Ratio(frame []byte) (float64, error) {
-	if len(frame) < headerLen || !bytes.Equal(frame[:4], frameMagic) {
-		return 0, ErrCorrupt
+	n, err := UncompressedLen(frame)
+	if err != nil {
+		return 0, err
 	}
-	origLen := binary.LittleEndian.Uint32(frame[5:9])
-	if len(frame) == 0 {
-		return 0, ErrCorrupt
-	}
-	return float64(origLen) / float64(len(frame)), nil
+	return float64(n) / float64(len(frame)), nil
 }
 
 // UncompressedLen returns the original payload length recorded in a frame
 // header.
 func UncompressedLen(frame []byte) (int, error) {
-	if len(frame) < headerLen || !bytes.Equal(frame[:4], frameMagic) {
+	if len(frame) < lvz1Len || !bytes.Equal(frame[:magicLen], magicOne) && !bytes.Equal(frame[:magicLen], magicSeg) {
 		return 0, ErrCorrupt
 	}
 	return int(binary.LittleEndian.Uint32(frame[5:9])), nil

@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"testing"
 	"testing/iotest"
@@ -135,7 +136,7 @@ func TestRoundTripQuick(t *testing.T) {
 func TestDecompressNoiseQuick(t *testing.T) {
 	f := func(noise []byte) bool {
 		_, err := Decompress(noise)
-		return err != nil || len(noise) >= headerLen
+		return err != nil || len(noise) >= lvz1Len
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -166,5 +167,65 @@ func TestDecompressFromMatchesBuffered(t *testing.T) {
 	// Truncation surfaces as ErrCorrupt, not a hang.
 	if _, err := DecompressFrom(bytes.NewReader(frame[:len(frame)/2])); err == nil {
 		t.Fatal("truncated stream accepted")
+	}
+}
+
+// Segmented frames round-trip through both readers, every cut position is
+// honoured, and cuts that do not split the payload are refused.
+func TestSegmentedRoundTrip(t *testing.T) {
+	data := bytes.Repeat([]byte("segmented payload, "), 500)
+	for _, cuts := range [][]int{{1}, {len(data) / 2}, {len(data) - 1}, {10, 20, 5000}} {
+		frame, err := Compress(data, DefaultCompression, cuts...)
+		if err != nil {
+			t.Fatalf("cuts %v: %v", cuts, err)
+		}
+		h, err := ReadHeader(bytes.NewReader(frame))
+		if err != nil || len(h.Segs) != len(cuts)+1 || h.Segs[0].Len != cuts[0] {
+			t.Fatalf("cuts %v: header %+v, %v", cuts, h, err)
+		}
+		if n, err := UncompressedLen(frame); err != nil || n != len(data) {
+			t.Errorf("cuts %v: UncompressedLen = %d, %v", cuts, n, err)
+		}
+		for name, r := range map[string]io.Reader{
+			"buffered": bytes.NewReader(frame),
+			"one byte": iotest.OneByteReader(bytes.NewReader(frame)),
+		} {
+			if got, err := DecompressFrom(r); err != nil || !bytes.Equal(got, data) {
+				t.Errorf("cuts %v, %s: %v", cuts, name, err)
+			}
+		}
+	}
+	for _, cuts := range [][]int{{0}, {len(data)}, {5, 5}, {7, 3}, make([]int, maxSegments)} {
+		if _, err := Compress(data, DefaultCompression, cuts...); err == nil {
+			t.Errorf("cuts %v accepted", cuts)
+		}
+	}
+}
+
+// Bound holds for what Compress writes at every level, incompressible data
+// (all stored blocks) included — the decoder refuses any segment table
+// that claims more, so a frame past it would be a frame nobody can read.
+func TestBoundHolds(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 100, 16 << 10, 64<<10 + 1, 300 << 10} {
+		noise := make([]byte, n)
+		rng.Read(noise)
+		for level := 0; level <= BestCompression; level++ {
+			for _, cuts := range [][]int{nil, {n / 2}} {
+				if n < 2 && cuts != nil {
+					continue
+				}
+				frame, err := Compress(noise, level, cuts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b := Bound(n, len(cuts)+1); len(frame) > b {
+					t.Errorf("n=%d level %d cuts %v: frame %d bytes, bound %d", n, level, cuts, len(frame), b)
+				}
+				if _, err := Decompress(frame); err != nil {
+					t.Errorf("n=%d level %d cuts %v: %v", n, level, cuts, err)
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,8 @@ package exnode
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -274,4 +276,45 @@ func TestClone(t *testing.T) {
 	if err := e.Validate(); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzExNodeUnmarshal: whatever XML Unmarshal accepts — a DVS answer, an
+// exNode cache entry — is a valid exNode whose extents tile exactly its
+// length, and it survives Marshal unchanged.
+func FuzzExNodeUnmarshal(f *testing.F) {
+	for _, e := range []*ExNode{sampleExNode(), {Name: "empty"}} {
+		doc, err := e.Marshal()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(doc)
+	}
+	f.Add([]byte(`<exnode name="x" length="9223372036854775807"><extent offset="0" length="9223372036854775807"><replica depot="d:1" read="r"/></extent></exnode>`))
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		e, err := Unmarshal(doc)
+		if err != nil {
+			return
+		}
+		if err := e.Validate(); err != nil {
+			t.Fatalf("accepted an exNode that does not validate: %v", err)
+		}
+		var sum int64
+		for _, x := range e.Extents {
+			if x.Length > math.MaxInt64-sum {
+				t.Fatalf("extent lengths overflow past %d", sum)
+			}
+			sum += x.Length
+		}
+		if sum != e.Length {
+			t.Fatalf("extents sum to %d, length is %d", sum, e.Length)
+		}
+		again, err := e.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Unmarshal(again)
+		if err != nil || !reflect.DeepEqual(back, e) {
+			t.Fatalf("marshal round trip: %v\n got %+v\nwant %+v", err, back, e)
+		}
+	})
 }

@@ -3,8 +3,11 @@ package lightfield
 import (
 	"bytes"
 	"context"
+	"io"
 	"math"
+	"syscall"
 	"testing"
+	"time"
 
 	"lonviz/internal/codec"
 	"lonviz/internal/geom"
@@ -53,6 +56,11 @@ func BenchmarkEncodeViewSet(b *testing.B) {
 	b.ReportMetric(float64(frameBytes)/float64(b.N)/1024, "frame-KiB")
 }
 
+// BenchmarkDecodeViewSetFrom decodes frames of the benchmark's database,
+// "buffered" from a cached frame and "streamed" as a download delivers
+// one, 64 KiB (a stripe) at a time. Beside wall time it reports the
+// process's CPU time per decode (user + system, from getrusage), so a
+// decode spread over several goroutines cannot hide extra work.
 func BenchmarkDecodeViewSetFrom(b *testing.B) {
 	p := benchParams()
 	sets := benchSets(b, 4)
@@ -63,16 +71,45 @@ func BenchmarkDecodeViewSetFrom(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportAllocs()
-	b.SetBytes(p.BytesPerViewSet())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vs, err := DecodeViewSetFrom(bytes.NewReader(frames[i%len(frames)]), p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink = vs
+	for _, c := range []struct {
+		name   string
+		source func(frame []byte) io.Reader
+	}{
+		{"buffered", func(frame []byte) io.Reader { return bytes.NewReader(frame) }},
+		{"streamed", func(frame []byte) io.Reader {
+			sb := codec.NewStreamBuffer(frame)
+			go func() {
+				for n := 64 << 10; n < len(frame)+64<<10; n += 64 << 10 {
+					sb.Advance(int64(min(n, len(frame))))
+				}
+			}()
+			return sb.Reader()
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(p.BytesPerViewSet())
+			b.ResetTimer()
+			cpu := cpuTime()
+			for i := 0; i < b.N; i++ {
+				vs, err := DecodeViewSetFrom(c.source(frames[i%len(frames)]), p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = vs
+			}
+			b.ReportMetric(float64(cpuTime()-cpu)/1e6/float64(b.N), "cpu-ms/op")
+		})
 	}
+}
+
+// cpuTime is the CPU time the process has used, user and system.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // BenchmarkRenderView renders the benchmark's 128² display view with a

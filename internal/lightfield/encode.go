@@ -2,7 +2,9 @@ package lightfield
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"sync"
 
 	"lonviz/internal/codec"
 )
@@ -11,15 +13,42 @@ import (
 // transfer or depot storage — the wire representation used throughout the
 // streaming system. level is a codec compression level
 // (codec.DefaultCompression when unsure).
+//
+// The frame is cut in two at the view boundary nearest the middle of the
+// payload, so a client inflates the halves on two cores at once. The cut
+// leaves the payload as it is: the residual chain runs across it, and the
+// second half's first view is still predicted from the first half's last.
+// A set of fewer than two views stays one segment.
 func EncodeViewSet(vs *ViewSet, p Params, level int) ([]byte, error) {
 	raw, err := vs.Marshal(p)
 	if err != nil {
 		return nil, err
 	}
-	return codec.Compress(raw, level)
+	m, err := maskCache.get(p)
+	if err != nil {
+		return nil, err
+	}
+	var cuts []int
+	if views := p.ViewSetL * p.ViewSetL; views >= 2 && m.stored > 0 {
+		k := min(max((len(raw)/2-viewSetHdrLen+m.stored/2)/m.stored, 1), views-1)
+		cuts = append(cuts, viewSetHdrLen+k*m.stored)
+	}
+	return codec.Compress(raw, level, cuts...)
 }
 
-// DecodeViewSet reverses EncodeViewSet, validating the checksum.
+// MaxFrameLen is the size of the largest frame DecodeViewSet accepts under
+// p: a client can refuse a longer object before it allocates anything for
+// it.
+func (p Params) MaxFrameLen() (int, error) {
+	m, err := maskCache.get(p)
+	if err != nil {
+		return 0, err
+	}
+	l2 := p.ViewSetL * p.ViewSetL
+	return codec.Bound(viewSetHdrLen+l2*m.stored, l2), nil
+}
+
+// DecodeViewSet reverses EncodeViewSet, validating the checksums.
 func DecodeViewSet(frame []byte, p Params) (*ViewSet, error) {
 	return DecodeViewSetFrom(bytes.NewReader(frame), p)
 }
@@ -28,8 +57,9 @@ func DecodeViewSet(frame []byte, p Params) (*ViewSet, error) {
 // frame: inflation proceeds as r delivers bytes, so a reader backed by an
 // in-flight download overlaps decompression with communication. Inflated
 // bytes go straight into the views (readViewSet), with no buffer of the
-// whole payload in between; the view set is returned only once the codec
-// reader has confirmed the frame's length, end and CRC-32.
+// whole payload in between; the view set is returned only once every
+// segment's length, end and CRC-32 are confirmed and r has ended where the
+// frame does.
 func DecodeViewSetFrom(r io.Reader, p Params) (*ViewSet, error) {
 	return DecodeViewSetInto(r, p, nil)
 }
@@ -42,18 +72,122 @@ func DecodeViewSetFrom(r io.Reader, p Params) (*ViewSet, error) {
 // background is still the black NewViewSet gave it, with no clearing. After
 // an error old holds a mix of both payloads and is good only for recycling
 // again.
-func DecodeViewSetInto(r io.Reader, p Params, old *ViewSet) (*ViewSet, error) {
-	zr, err := codec.NewReader(r)
+//
+// The first segment inflates on the calling goroutine, every later one on
+// a lane of its own into a pooled buffer, each as its bytes arrive; the
+// loop places a lane's views when it reaches them. Lanes write only their
+// buffers, and all have ended when DecodeViewSetInto returns.
+func DecodeViewSetInto(r io.Reader, p Params, old *ViewSet) (vs *ViewSet, err error) {
+	m, err := maskCache.get(p)
 	if err != nil {
 		return nil, err
 	}
-	defer zr.Close()
-	vs, err := readViewSet(zr, zr.Len(), p, old)
+	var firsts []int
+	f, err := codec.OpenFrame(r, func(h codec.Header) (err error) {
+		firsts, err = segmentViews(h, p, m)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := zr.Close(); err != nil {
+	lanes := make([]*lane, len(firsts))
+	for i := 1; i < len(lanes); i++ {
+		lanes[i] = startLane(f.Segment(i), f.Segs[i].Len)
+	}
+	seg0 := f.Segment(0)
+	scratch := getBuf(&viewScratch, m.stored)
+	defer func() {
+		seg0.Close()
+		if err = f.Close(err); err != nil {
+			vs = nil
+		}
+		for _, ln := range lanes[1:] {
+			<-ln.done
+			laneBufs.Put(ln.buf)
+		}
+		viewScratch.Put(scratch)
+	}()
+	var head [viewSetHdrLen]byte
+	if _, err := io.ReadFull(seg0, head[:]); err != nil {
+		return nil, fmt.Errorf("lightfield: view set header: %w", err)
+	}
+	seg := 0 // the segment of the view last asked for
+	vs, err = readViewSet(head[:], p, m, old, func(k int) ([]byte, error) {
+		for seg+1 < len(firsts) && k >= firsts[seg+1] {
+			seg++
+			<-lanes[seg].done
+			if lanes[seg].err != nil {
+				return nil, lanes[seg].err
+			}
+		}
+		if seg == 0 {
+			_, err := io.ReadFull(seg0, *scratch)
+			return *scratch, err
+		}
+		return (*lanes[seg].buf)[(k-firsts[seg])*m.stored:][:m.stored], nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := seg0.Close(); err != nil {
 		return nil, err
 	}
 	return vs, nil
+}
+
+// segmentViews checks that a frame's payload is as long as p implies and
+// that its segments cut it at view boundaries, each holding at least one
+// view (so there are at most L² of them), and returns the index of each
+// segment's first view.
+func segmentViews(h codec.Header, p Params, m *viewMask) ([]int, error) {
+	if err := checkPayloadLen(h.Len, p, m); err != nil {
+		return nil, err
+	}
+	firsts := make([]int, len(h.Segs))
+	off := 0
+	for i := 1; i < len(h.Segs); i++ {
+		off += h.Segs[i-1].Len
+		v := off - viewSetHdrLen
+		if m.stored == 0 || v%m.stored != 0 || v/m.stored <= firsts[i-1] || v/m.stored >= p.ViewSetL*p.ViewSetL {
+			return nil, fmt.Errorf("lightfield: frame segment %d starts at payload byte %d, not at a view boundary past segment %d's first view",
+				i, off, i-1)
+		}
+		firsts[i] = v / m.stored
+	}
+	return firsts, nil
+}
+
+// viewScratch holds one view's worth of stored bytes between the first
+// segment's inflater and the view's Pix; laneBufs hold the residuals of
+// the segments the lanes inflate.
+var viewScratch, laneBufs sync.Pool
+
+func getBuf(pool *sync.Pool, n int) *[]byte {
+	b, _ := pool.Get().(*[]byte)
+	if b == nil || cap(*b) < n {
+		s := make([]byte, n)
+		b = &s
+	}
+	*b = (*b)[:n]
+	return b
+}
+
+// A lane inflates one segment after the first into a pooled buffer.
+type lane struct {
+	buf  *[]byte
+	done chan struct{}
+	err  error // valid once done is closed
+}
+
+func startLane(d *codec.Reader, n int) *lane {
+	ln := &lane{buf: getBuf(&laneBufs, n), done: make(chan struct{})}
+	go func() {
+		defer close(ln.done)
+		_, err := io.ReadFull(d, *ln.buf)
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
+		ln.err = err
+	}()
+	return ln
 }

@@ -222,6 +222,17 @@ func TestDecodeViewSetFromStreamingEquivalence(t *testing.T) {
 		"OneByteReader": iotest.OneByteReader,
 		"HalfReader":    iotest.HalfReader,
 		"DataErrReader": iotest.DataErrReader,
+		// A download's buffer, its prefix published 64 bytes at a time.
+		"StreamBuffer": func(r io.Reader) io.Reader {
+			data, _ := io.ReadAll(r)
+			sb := codec.NewStreamBuffer(data)
+			go func() {
+				for n := 64; n < len(data)+64; n += 64 {
+					sb.Advance(int64(min(n, len(data))))
+				}
+			}()
+			return sb.Reader()
+		},
 	}
 	for fname, frame := range frames {
 		for rname, wrap := range readers {
@@ -237,22 +248,62 @@ func TestDecodeViewSetFromStreamingEquivalence(t *testing.T) {
 	}
 }
 
+// streamTails returns, for each zlib stream of a frame, the offset of the
+// 5-byte empty stored block Go's writer ends it with, just before its
+// Adler-32: the final block's three header bits share a byte with
+// alignment padding that no inflater checks.
+func streamTails(t *testing.T, frame []byte) []int {
+	t.Helper()
+	h, err := codec.ReadHeader(bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tails := make([]int, len(h.Segs))
+	end := len(frame)
+	for i := len(h.Segs) - 1; i >= 0; i-- {
+		tails[i] = end - 9
+		end -= h.Segs[i].CompLen
+	}
+	return tails
+}
+
 // Every single-byte flip and every truncation of a small frame is an error,
-// through both entry points; the frame-level cases are named.
+// through both entry points, in both frame layouts; the frame- and
+// segment-level cases are named.
 func TestDecodeViewSetRejectsEveryCorruption(t *testing.T) {
 	p := ScaledParams(45, 2, 6)
-	_, frames := testFrames(t, p)
+	vs, frames := testFrames(t, p)
 	decoders := map[string]func([]byte) (*ViewSet, error){
 		"buffered": func(f []byte) (*ViewSet, error) { return DecodeViewSet(f, p) },
 		"streamed": func(f []byte) (*ViewSet, error) {
 			return DecodeViewSetFrom(iotest.OneByteReader(bytes.NewReader(f)), p)
 		},
 	}
+	if string(frames["flag0"][:4]) != "LVZ1" || string(frames["flag1"][:4]) != "LVZ2" {
+		t.Fatal("the test frames are not one of each layout")
+	}
+	views := p.ViewSetL * p.ViewSetL
 	for fname, frame := range frames {
 		payload, err := codec.Decompress(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
+		stored := (len(payload) - viewSetHdrLen) / views
+		cut := viewSetHdrLen + views/2*stored
+		// cutAt frames the payload in segments cut at cuts and lets mutate
+		// change the frame; a two-segment frame's table entries are at
+		// 10 and 22, each length, compressed length, CRC-32.
+		cutAt := func(cuts []int, mutate func(f []byte) []byte) []byte {
+			f, err := codec.Compress(payload, codec.DefaultCompression, cuts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return mutate(f)
+		}
+		add32 := func(b []byte, d int) {
+			binary.LittleEndian.PutUint32(b, uint32(int(binary.LittleEndian.Uint32(b))+d))
+		}
+		same := func(f []byte) []byte { return f }
 		// reframe wraps a payload in a frame whose header fields the
 		// caller may then falsify.
 		reframe := func(payload []byte, mutate func(hdr []byte)) []byte {
@@ -290,6 +341,48 @@ func TestDecodeViewSetRejectsEveryCorruption(t *testing.T) {
 					binary.LittleEndian.PutUint32(h[9:], crc32.ChecksumIEEE(payload))
 				})
 			}(),
+			"segments: lengths do not add up": cutAt([]int{cut}, func(f []byte) []byte {
+				add32(f[10:], 1)
+				return f
+			}),
+			"segments: total says less, like the lengths": cutAt([]int{cut}, func(f []byte) []byte {
+				add32(f[5:], -1)
+				add32(f[22:], -1)
+				return f
+			}),
+			"segments: cut off a view boundary": cutAt([]int{cut + 3}, same),
+			"segments: cut inside the header":   cutAt([]int{viewSetHdrLen / 2}, same),
+			"segments: count 0":                 cutAt([]int{cut}, func(f []byte) []byte { f[9] = 0; return f }),
+			"segments: count 1 in LVZ2":         cutAt([]int{cut}, func(f []byte) []byte { f[9] = 1; return f }),
+			"segments: count past the table":    cutAt([]int{cut}, func(f []byte) []byte { f[9] = 3; return f }),
+			// Every view boundary cut, the header alone first: one segment
+			// more than there are views.
+			"segments: more than L²": cutAt(func() (cuts []int) {
+				for k := 0; k < views; k++ {
+					cuts = append(cuts, viewSetHdrLen+k*stored)
+				}
+				return cuts
+			}(), same),
+			"segments: compressed lengths shifted by one": cutAt([]int{cut}, func(f []byte) []byte {
+				add32(f[14:], 1)
+				add32(f[26:], -1)
+				return f
+			}),
+			"segments: compressed length past the bound": cutAt([]int{cut}, func(f []byte) []byte {
+				binary.LittleEndian.PutUint32(f[14:], 1<<31)
+				return f
+			}),
+			"segments: second crc flipped": cutAt([]int{cut}, func(f []byte) []byte { f[30] ^= 1; return f }),
+			"segments: streams swapped under their table": cutAt([]int{cut}, func(f []byte) []byte {
+				c0 := int(binary.LittleEndian.Uint32(f[14:]))
+				return append(append(f[:34:34], f[34+c0:]...), f[34:34+c0]...)
+			}),
+			"segments: swapped with their table entries": cutAt([]int{cut}, func(f []byte) []byte {
+				c0 := int(binary.LittleEndian.Uint32(f[14:]))
+				hdr := append(append(f[:10:10], f[22:34]...), f[10:22]...)
+				return append(append(hdr, f[34+c0:]...), f[34:34+c0]...)
+			}),
+			"segments: trailing byte after the last": cutAt([]int{cut}, func(f []byte) []byte { return append(f, 0) }),
 		}
 		for dname, decode := range decoders {
 			for name, bad := range named {
@@ -297,13 +390,31 @@ func TestDecodeViewSetRejectsEveryCorruption(t *testing.T) {
 					t.Errorf("%s %s, %s: vs=%v err=%v, want an error and no view set", fname, dname, name, vs != nil, err)
 				}
 			}
+			// One flip may pass, and only to the identical view set: a bit
+			// of the alignment padding in a stream's final empty stored
+			// block, which no inflater checks. LVZ1 frames avoid it only by
+			// where their bits happen to fall.
+			tails := streamTails(t, frame)
+			padding := func(i int) bool {
+				for _, at := range tails {
+					if i >= at && i < at+5 {
+						return true
+					}
+				}
+				return false
+			}
 			for i := range frame {
 				if i == 4 {
 					continue // the level byte is informational
 				}
 				bad := append([]byte(nil), frame...)
 				bad[i] ^= 0x04
-				if vs, err := decode(bad); err == nil || vs != nil {
+				got, err := decode(bad)
+				if err == nil && padding(i) && got.Equal(vs) {
+					t.Logf("%s %s: flip at byte %d of %d, in a final stored block's padding, decodes to the same view set", fname, dname, i, len(frame))
+					continue
+				}
+				if err == nil || got != nil {
 					t.Errorf("%s %s: flip at byte %d of %d accepted", fname, dname, i, len(frame))
 				}
 			}
@@ -414,13 +525,22 @@ func FuzzDecodeViewSetFrom(f *testing.F) {
 			return
 		}
 		// Success means the frame's own header vouches for the pixels:
-		// the payload they re-encode to has the length and CRC-32 it gives.
+		// the payload they re-encode to has the length it gives, and each
+		// segment of it the CRC-32 of its table entry.
 		payload, err := codec.Decompress(frame)
 		if err != nil {
 			t.Fatalf("view set returned from a frame the codec rejects: %v", err)
 		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[9:13]) {
-			t.Fatal("view set returned from a frame whose CRC does not match")
+		h, err := codec.ReadHeader(bytes.NewReader(frame))
+		if err != nil || h.Len != len(payload) {
+			t.Fatalf("view set returned from a frame whose header says %d bytes (%v), payload %d", h.Len, err, len(payload))
+		}
+		off := 0
+		for i, s := range h.Segs {
+			if crc32.ChecksumIEEE(payload[off:off+s.Len]) != s.CRC {
+				t.Fatalf("view set returned from a frame whose segment %d's CRC does not match", i)
+			}
+			off += s.Len
 		}
 		want, err := UnmarshalViewSet(payload, p)
 		if err != nil || !want.Equal(got) {

@@ -1,13 +1,10 @@
 package lightfield
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"sync"
 
 	"lonviz/internal/geom"
 	"lonviz/internal/render"
@@ -301,33 +298,36 @@ func entropy(hist *[256]int) float64 {
 // UnmarshalViewSet reconstructs a view set serialized by Marshal. Masked-out
 // pixels are restored as black background.
 func UnmarshalViewSet(data []byte, p Params) (*ViewSet, error) {
-	return readViewSet(bytes.NewReader(data), len(data), p, nil)
-}
-
-// viewScratch holds one view's worth of stored bytes between the source
-// and the view's Pix.
-var viewScratch sync.Pool
-
-// readViewSet decodes the n-byte marshalled view set that r delivers, one
-// view at a time: each view's stored bytes land in a pooled scratch and
-// the mask runs place them in the view's Pix, adding the previous view's
-// pixels when the payload is inter-view coded. n is checked against what p
-// implies before anything is allocated, which covers truncation and
-// trailing bytes both; r is read for exactly n bytes. The views are old's
-// if old has the payload's dimensions (see DecodeViewSetInto), else new.
-func readViewSet(r io.Reader, n int, p Params, old *ViewSet) (*ViewSet, error) {
 	m, err := maskCache.get(p)
 	if err != nil {
 		return nil, err
 	}
+	if err := checkPayloadLen(len(data), p, m); err != nil {
+		return nil, err
+	}
+	return readViewSet(data[:viewSetHdrLen], p, m, nil, func(k int) ([]byte, error) {
+		return data[viewSetHdrLen+k*m.stored:][:m.stored], nil
+	})
+}
+
+// checkPayloadLen checks a payload's length against what p implies. Its
+// callers check before they allocate anything, which covers truncation and
+// trailing bytes both.
+func checkPayloadLen(n int, p Params, m *viewMask) error {
 	if want := viewSetHdrLen + p.ViewSetL*p.ViewSetL*m.stored; n != want {
-		return nil, fmt.Errorf("lightfield: view set payload is %d bytes, params l=%d res=%d store %d",
+		return fmt.Errorf("lightfield: view set payload is %d bytes, params l=%d res=%d store %d",
 			n, p.ViewSetL, p.Res, want)
 	}
-	var head [viewSetHdrLen]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return nil, fmt.Errorf("lightfield: view set header: %w", err)
-	}
+	return nil
+}
+
+// readViewSet is the one decode loop: given a marshalled view set's header
+// and view(k), which returns the stored bytes of the k-th view in payload
+// order, it places each view with the mask runs in the view's Pix, adding
+// the previous view's pixels when the payload is inter-view coded — one
+// pass, each pixel written once. The views are old's if old has the
+// payload's dimensions (see DecodeViewSetInto), else new.
+func readViewSet(head []byte, p Params, m *viewMask, old *ViewSet, view func(k int) ([]byte, error)) (*ViewSet, error) {
 	if string(head[:len(viewSetMagic)]) != viewSetMagic {
 		return nil, errors.New("lightfield: bad view set magic")
 	}
@@ -352,26 +352,22 @@ func readViewSet(r io.Reader, n int, p Params, old *ViewSet) (*ViewSet, error) {
 	vs := old
 	if vs.holds(l, res) {
 		vs.ID = id
-	} else if vs, err = NewViewSet(id, l, res); err != nil {
-		return nil, err
+	} else {
+		var err error
+		if vs, err = NewViewSet(id, l, res); err != nil {
+			return nil, err
+		}
 	}
-	sp, _ := viewScratch.Get().(*[]byte)
-	if sp == nil || len(*sp) < m.stored {
-		b := make([]byte, m.stored)
-		sp = &b
-	}
-	defer viewScratch.Put(sp)
-	scratch := (*sp)[:m.stored]
 	var prev []byte
 	for k := range vs.Views {
-		if _, err := io.ReadFull(r, scratch); err != nil {
+		src, err := view(k)
+		if err != nil {
 			return nil, fmt.Errorf("lightfield: view set pixel data: %w", err)
 		}
 		cur := vs.Views[k].Pix
 		if flags&flagInterView != 0 {
 			cur = vs.Views[serpentine(l, k)].Pix
 		}
-		src := scratch
 		for _, r := range m.runs {
 			if prev == nil {
 				copy(cur[r.off:], src[:r.n])

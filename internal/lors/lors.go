@@ -316,11 +316,13 @@ type DownloadOptions struct {
 	Pipes *ibp.PipePool
 	// OnPrefix, when set, is invoked with the byte length of the
 	// verified contiguous prefix of the object each time it grows — the
-	// hook streaming consumers (codec.DecompressFrom over a
-	// lors.StreamBuffer) use to decompress while later extents are still
-	// in flight. Calls are serialized and the argument is strictly
-	// increasing, ending with the object length on success. The callback
-	// must not block: it runs on extent-fetch goroutines.
+	// hook streaming consumers use to decompress while later extents are
+	// still in flight: set it to the Advance of a codec.StreamBuffer over
+	// the destination buffer, and read the frame through that buffer's
+	// cursors (the client agent's flight does). Calls are serialized and
+	// the argument is strictly increasing, ending with the object length
+	// on success. The callback must not block: it runs on extent-fetch
+	// goroutines.
 	OnPrefix func(n int64)
 	// Obs receives download timings and transfer counters
 	// (lors.download.*); nil records into obs.Default().

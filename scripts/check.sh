@@ -87,6 +87,14 @@ run_named -race -count=20 -run 'TestJoinSharesStarterState|TestCancellerDoesNotK
 run_named -race -count=20 -run 'TestRenderMatchesPerRayOracle|TestDecodeIntoRecycledSet' ./internal/lightfield
 run_named -race -count=20 -run 'TestViewerRecyclesEvictedSet|TestViewerRecycleUnderRender' ./internal/agent
 
+# The two-lane decode: a source that fails in either segment, a decode that
+# fails while its pump is still in Read (nothing it started may write where
+# anyone can see once it has returned, and nothing is left running), and
+# every corruption of both frame layouts, segment tables included.
+run_named -race -count=20 \
+	-run 'TestDecodeFailsInEitherSegment|TestDecodeLeavesNothingBehind|TestDecodeViewSetRejectsEveryCorruption|TestLyingSegmentTableBuysNoMemory' \
+	./internal/lightfield
+
 echo "== fuzz the one request parser, the one serve loop and the one client's reply path (10s each)"
 go test -run '^$' -fuzz FuzzParseRequest -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
 go test -run '^$' -fuzz FuzzServeConn -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
@@ -95,6 +103,9 @@ go test -run '^$' -fuzz FuzzClientReply -fuzztime=10s -fuzzminimizetime=1s ./int
 echo "== fuzz the view-set payload and frame decoders (10s each)"
 go test -run '^$' -fuzz FuzzUnmarshalViewSet -fuzztime=10s -fuzzminimizetime=1s ./internal/lightfield
 go test -run '^$' -fuzz FuzzDecodeViewSetFrom -fuzztime=10s -fuzzminimizetime=1s ./internal/lightfield
+
+echo "== fuzz the exNode XML parser (10s)"
+go test -run '^$' -fuzz FuzzExNodeUnmarshal -fuzztime=10s -fuzzminimizetime=1s ./internal/exnode
 
 # One iteration each, so the in-package benchmarks cannot rot; their
 # numbers are read with -benchtime and -count by hand, never from here.
@@ -119,7 +130,8 @@ run_named -race -count=1 \
 	-run 'TestPipelined|TestPipeWindowBackpressure|TestPipeMidstreamDrop|TestPipePoolSerialFallback' \
 	./internal/ibp
 run_named -race -count=1 -run 'TestTranscriptParity|TestShed|TestClientCancelledLoadNeverWritesDst' ./internal/wire
-run_named -race -count=1 -run 'TestDownloadPipelinedPool|TestStreamBuffer' ./internal/lors
+run_named -race -count=1 -run 'TestDownloadPipelinedPool' ./internal/lors
+run_named -race -count=1 -run 'TestStreamBuffer' ./internal/codec
 run_named -race -count=1 -run 'TestGetViewSetStream|TestViewerUsesStreamingPath' ./internal/agent
 
 echo "== lfbench -quick + benchdiff vs newest committed baseline (warn-only except LAN fps)"
