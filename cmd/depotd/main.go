@@ -9,126 +9,74 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"lonviz/internal/daemon"
 	"lonviz/internal/ibp"
 	"lonviz/internal/lbone"
 	"lonviz/internal/obs"
 	"lonviz/internal/obs/slo"
-	"lonviz/internal/overload"
 )
 
 func main() {
+	d := daemon.New("depotd")
 	addr := flag.String("addr", "127.0.0.1:6714", "listen address")
 	capacity := flag.Int64("capacity", 1<<30, "storage capacity in bytes")
 	dir := flag.String("dir", "", "back allocations with files in this directory (default: memory)")
 	maxLease := flag.Duration("max-lease", time.Hour, "maximum allocation lease")
-	pipelineWindow := flag.Int("pipeline-window", ibp.DefaultPipelineWindow, "in-flight window granted to clients that negotiate pipelined mode, per connection (0 disables PIPELINE; clients fall back to serial)")
-	maxInflight := flag.Int("max-inflight", 0, "admission control: max concurrently executing requests (0 = unlimited)")
-	maxQueue := flag.Int("max-queue", 0, "admission control: max requests waiting for a slot before shedding with BUSY")
-	maxQueueWait := flag.Duration("max-queue-wait", 100*time.Millisecond, "admission control: max time a request may queue before shedding with BUSY")
+	pipelineWindow := d.PipelineWindow("in-flight window granted to clients that negotiate pipelined mode, per connection (0 disables PIPELINE; clients fall back to serial)")
+	admission := d.Admission()
 	lboneURL := flag.String("lbone", "", "L-Bone base URL to register with (e.g. http://host:port)")
 	x := flag.Float64("x", 0, "network coordinate X for L-Bone proximity")
 	y := flag.Float64("y", 0, "network coordinate Y for L-Bone proximity")
 	heartbeat := flag.Duration("heartbeat", 10*time.Second, "L-Bone heartbeat interval")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (empty disables)")
-	sloConfig := flag.String("slo-config", "", "JSON SLO rule file (empty: built-in rules; needs -metrics-addr)")
-	profRates := flag.Bool("prof-rates", false, "enable mutex/block profiling rates (contention evidence in capture bundles)")
-	tsdbInterval := flag.Duration("tsdb-interval", time.Second, "metrics history sampling interval (/debug/tsdb retention scales with it)")
-	logLevel := flag.String("log-level", "info", "event log level: debug|info|warn|error")
-	logFormat := flag.String("log-format", "kv", "event log line format: kv|json")
 	flag.Parse()
 
-	if err := obs.ConfigureDefaultLogger(*logLevel, *logFormat); err != nil {
-		log.Fatalf("depotd: %v", err)
-	}
-	depot, err := ibp.NewDepot(ibp.DepotConfig{Capacity: *capacity, MaxLease: *maxLease, Dir: *dir})
-	if err != nil {
-		log.Fatalf("depotd: %v", err)
-	}
-	srv := ibp.NewServer(depot)
-	srv.Logf = log.Printf
-	// Flag 0 means "off" on the command line; the library spells that as a
-	// negative window (its own 0 means "default").
-	srv.PipelineWindow = *pipelineWindow
-	if *pipelineWindow == 0 {
-		srv.PipelineWindow = -1
-	}
-	if *maxInflight > 0 {
-		srv.Admission = overload.NewGate(*maxInflight, *maxQueue, *maxQueueWait)
-		fmt.Printf("depotd: admission control: %d in-flight, %d queued, %v max wait\n",
-			*maxInflight, *maxQueue, *maxQueueWait)
-	}
-	bound, err := srv.ListenAndServe(*addr)
-	if err != nil {
-		log.Fatalf("depotd: listen: %v", err)
-	}
-	fmt.Printf("depotd: serving IBP on %s (capacity %d bytes, max lease %v)\n", bound, *capacity, *maxLease)
+	d.Run(func(ctx context.Context, stack *slo.Stack) error {
+		depot, err := ibp.NewDepot(ibp.DepotConfig{Capacity: *capacity, MaxLease: *maxLease, Dir: *dir})
+		if err != nil {
+			return err
+		}
+		srv := ibp.NewServer(depot)
+		srv.Logf = log.Printf
+		srv.PipelineWindow = pipelineWindow()
+		srv.Admission = admission.Gate()
+		bound, err := srv.ListenAndServe(*addr)
+		if err != nil {
+			return fmt.Errorf("listen: %w", err)
+		}
+		fmt.Printf("depotd: serving IBP on %s (capacity %d bytes, max lease %v)\n", bound, *capacity, *maxLease)
 
-	if *metricsAddr != "" {
-		obs.Default().RegisterSnapshot("depot", func() map[string]float64 {
-			st := depot.Stat()
-			return map[string]float64{
-				"capacity":    float64(st.Capacity),
-				"used":        float64(st.Used),
-				"allocations": float64(st.Allocations),
-				"expirations": float64(st.Expirations),
-				"revocations": float64(st.Revocations),
-			}
-		})
-	}
-	stack, err := slo.Start(slo.Options{
-		Addr:           *metricsAddr,
-		RulesPath:      *sloConfig,
-		SampleInterval: *tsdbInterval,
-		ProfRates:      *profRates,
+		if stack.Enabled() {
+			obs.Default().RegisterSnapshot("depot", func() map[string]float64 {
+				st := depot.Stat()
+				return map[string]float64{
+					"capacity":    float64(st.Capacity),
+					"used":        float64(st.Used),
+					"allocations": float64(st.Allocations),
+					"expirations": float64(st.Expirations),
+					"revocations": float64(st.Revocations),
+				}
+			})
+		}
+		// Register before declaring readiness: a depot nobody can discover
+		// is not ready to serve the deployment.
+		if *lboneURL != "" {
+			d.Announce(ctx, stack, *lboneURL, *heartbeat, func() lbone.DepotRecord {
+				st := depot.Stat()
+				return lbone.DepotRecord{
+					Addr: bound, Kind: lbone.KindDepot, X: *x, Y: *y,
+					Capacity: st.Capacity, Free: st.Capacity - st.Used,
+				}
+			})
+		}
+		stack.MarkReady()
+
+		<-ctx.Done()
+		srv.Close()
+		st := depot.Stat()
+		fmt.Printf("depotd: shutting down; %d allocations, %d/%d bytes used, %d expirations, %d revocations\n",
+			st.Allocations, st.Used, st.Capacity, st.Expirations, st.Revocations)
+		return nil
 	})
-	if err != nil {
-		log.Fatalf("depotd: metrics listen: %v", err)
-	}
-	if stack.Enabled() {
-		fmt.Printf("depotd: metrics on http://%s/metrics\n", stack.Addr())
-	}
-
-	stop := make(chan struct{})
-	if *lboneURL != "" {
-		cl := &lbone.Client{BaseURL: *lboneURL}
-		record := func() lbone.DepotRecord {
-			st := depot.Stat()
-			return lbone.DepotRecord{
-				Addr: bound, Kind: lbone.KindDepot, X: *x, Y: *y,
-				Capacity: st.Capacity, Free: st.Capacity - st.Used,
-				// The metrics address rides the heartbeat so a fleet
-				// scraper can discover and scrape this depot without
-				// static configuration.
-				MetricsAddr: stack.Addr(),
-			}
-		}
-		// Register synchronously once before declaring readiness: a depot
-		// nobody can discover is not ready to serve the deployment.
-		stack.SetStatus("registering with L-Bone")
-		regCtx, regCancel := context.WithTimeout(context.Background(), 10*time.Second)
-		if err := cl.Register(regCtx, record()); err != nil {
-			log.Printf("depotd: initial L-Bone registration: %v (heartbeat will retry)", err)
-		}
-		regCancel()
-		go cl.Heartbeat(record, *heartbeat, stop)
-		fmt.Printf("depotd: heartbeating to %s at (%g, %g)\n", *lboneURL, *x, *y)
-	}
-	stack.MarkReady()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	close(stop)
-	srv.Close()
-	closeCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-	_ = stack.Close(closeCtx)
-	cancel()
-	st := depot.Stat()
-	fmt.Printf("depotd: shutting down; %d allocations, %d/%d bytes used, %d expirations, %d revocations\n",
-		st.Allocations, st.Used, st.Capacity, st.Expirations, st.Revocations)
 }

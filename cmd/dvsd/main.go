@@ -7,76 +7,41 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"lonviz/internal/agent"
+	"lonviz/internal/daemon"
 	"lonviz/internal/dvs"
-	"lonviz/internal/obs"
 	"lonviz/internal/obs/slo"
-	"lonviz/internal/overload"
 )
 
 func main() {
+	d := daemon.New("dvsd")
 	addr := flag.String("addr", "127.0.0.1:6800", "listen address")
 	parent := flag.String("parent", "", "parent DVS address (empty for the root)")
 	generate := flag.Bool("generate", false, "forward full-hierarchy misses to registered server agents")
-	maxInflight := flag.Int("max-inflight", 0, "admission control: max concurrently executing requests (0 = unlimited)")
-	maxQueue := flag.Int("max-queue", 0, "admission control: max requests waiting for a slot before shedding with BUSY")
-	maxQueueWait := flag.Duration("max-queue-wait", 100*time.Millisecond, "admission control: max time a request may queue before shedding with BUSY")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (empty disables)")
-	sloConfig := flag.String("slo-config", "", "JSON SLO rule file (empty: built-in rules; needs -metrics-addr)")
-	profRates := flag.Bool("prof-rates", false, "enable mutex/block profiling rates (contention evidence in capture bundles)")
-	tsdbInterval := flag.Duration("tsdb-interval", time.Second, "metrics history sampling interval (/debug/tsdb retention scales with it)")
-	logLevel := flag.String("log-level", "info", "event log level: debug|info|warn|error")
-	logFormat := flag.String("log-format", "kv", "event log line format: kv|json")
+	admission := d.Admission()
 	flag.Parse()
 
-	if err := obs.ConfigureDefaultLogger(*logLevel, *logFormat); err != nil {
-		log.Fatalf("dvsd: %v", err)
-	}
+	d.Run(func(ctx context.Context, stack *slo.Stack) error {
+		srv := dvs.NewServer(*parent)
+		if *generate {
+			srv.Generate = agent.GenerateFunc(nil)
+		}
+		srv.Admission = admission.Gate()
+		bound, err := srv.ListenAndServe(*addr)
+		if err != nil {
+			return err
+		}
+		role := "root"
+		if *parent != "" {
+			role = "child of " + *parent
+		}
+		fmt.Printf("dvsd: serving DVS on %s (%s, on-demand generation %v)\n", bound, role, *generate)
+		stack.MarkReady()
 
-	srv := dvs.NewServer(*parent)
-	if *generate {
-		srv.Generate = agent.GenerateFunc(nil)
-	}
-	if *maxInflight > 0 {
-		srv.Admission = overload.NewGate(*maxInflight, *maxQueue, *maxQueueWait)
-		fmt.Printf("dvsd: admission control: %d in-flight, %d queued, %v max wait\n",
-			*maxInflight, *maxQueue, *maxQueueWait)
-	}
-	bound, err := srv.ListenAndServe(*addr)
-	if err != nil {
-		log.Fatalf("dvsd: %v", err)
-	}
-	role := "root"
-	if *parent != "" {
-		role = "child of " + *parent
-	}
-	fmt.Printf("dvsd: serving DVS on %s (%s, on-demand generation %v)\n", bound, role, *generate)
-
-	stack, err := slo.Start(slo.Options{
-		Addr:           *metricsAddr,
-		RulesPath:      *sloConfig,
-		SampleInterval: *tsdbInterval,
-		ProfRates:      *profRates,
+		<-ctx.Done()
+		srv.Close()
+		fmt.Println("dvsd: shutting down")
+		return nil
 	})
-	if err != nil {
-		log.Fatalf("dvsd: metrics listen: %v", err)
-	}
-	if stack.Enabled() {
-		fmt.Printf("dvsd: metrics on http://%s/metrics\n", stack.Addr())
-	}
-	stack.MarkReady()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	srv.Close()
-	closeCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-	_ = stack.Close(closeCtx)
-	cancel()
 }

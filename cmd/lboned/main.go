@@ -6,59 +6,32 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"lonviz/internal/daemon"
 	"lonviz/internal/lbone"
-	"lonviz/internal/obs"
 	"lonviz/internal/obs/slo"
 )
 
 func main() {
+	d := daemon.New("lboned")
 	addr := flag.String("addr", "127.0.0.1:6767", "listen address")
 	ttl := flag.Duration("ttl", 30*time.Second, "registration freshness window")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (empty disables)")
-	sloConfig := flag.String("slo-config", "", "JSON SLO rule file (empty: built-in rules; needs -metrics-addr)")
-	profRates := flag.Bool("prof-rates", false, "enable mutex/block profiling rates (contention evidence in capture bundles)")
-	tsdbInterval := flag.Duration("tsdb-interval", time.Second, "metrics history sampling interval (/debug/tsdb retention scales with it)")
-	logLevel := flag.String("log-level", "info", "event log level: debug|info|warn|error")
-	logFormat := flag.String("log-format", "kv", "event log line format: kv|json")
 	flag.Parse()
 
-	if err := obs.ConfigureDefaultLogger(*logLevel, *logFormat); err != nil {
-		log.Fatalf("lboned: %v", err)
-	}
+	d.Run(func(ctx context.Context, stack *slo.Stack) error {
+		srv := lbone.NewServer()
+		srv.TTL = *ttl
+		bound, err := srv.ListenAndServe(*addr)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("lboned: serving directory on http://%s (TTL %v)\n", bound, *ttl)
+		stack.MarkReady()
 
-	srv := lbone.NewServer()
-	srv.TTL = *ttl
-	bound, err := srv.ListenAndServe(*addr)
-	if err != nil {
-		log.Fatalf("lboned: %v", err)
-	}
-	fmt.Printf("lboned: serving directory on http://%s (TTL %v)\n", bound, *ttl)
-
-	stack, err := slo.Start(slo.Options{
-		Addr:           *metricsAddr,
-		RulesPath:      *sloConfig,
-		SampleInterval: *tsdbInterval,
-		ProfRates:      *profRates,
+		<-ctx.Done()
+		srv.Close()
+		fmt.Println("lboned: shutting down")
+		return nil
 	})
-	if err != nil {
-		log.Fatalf("lboned: metrics listen: %v", err)
-	}
-	if stack.Enabled() {
-		fmt.Printf("lboned: metrics on http://%s/metrics\n", stack.Addr())
-	}
-	stack.MarkReady()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	srv.Close()
-	closeCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-	_ = stack.Close(closeCtx)
-	cancel()
 }

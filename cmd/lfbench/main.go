@@ -36,14 +36,16 @@ import (
 	"time"
 
 	"lonviz/internal/agent"
+	"lonviz/internal/daemon"
 	"lonviz/internal/experiments"
-	"lonviz/internal/obs"
 	"lonviz/internal/obs/prof"
 	"lonviz/internal/obs/slo"
 	"lonviz/internal/session"
 )
 
 func main() {
+	d := daemon.New("lfbench")
+	flag.Lookup("metrics-addr").Usage = "serve /metrics and /debug/pprof on this address while the benchmark runs (empty disables)"
 	fig := flag.String("fig", "all", "figure to regenerate: 7|8|9|10|11|12|fps|rates|qgr|all")
 	full := flag.Bool("full", false, "use the paper-scale lattice (2.5 deg, l=6); much slower")
 	seed := flag.Int64("seed", 1, "experiment seed")
@@ -58,17 +60,7 @@ func main() {
 	benchName := flag.String("bench-name", "quick", "name for the emitted BENCH_<name>.json in quick/fleet mode")
 	compare := flag.String("compare", "", "baseline BENCH_*.json to diff the -quick run against; warns on >20% regressions")
 	fleetDebug := flag.String("fleet-debug", "", "metrics address of a scraping steward (-fleet-scrape); its /debug/fleet view is snapshotted into the report's fleet_obs section")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address while the benchmark runs (empty disables)")
-	sloConfig := flag.String("slo-config", "", "JSON SLO rule file (empty: built-in rules; needs -metrics-addr)")
-	profRates := flag.Bool("prof-rates", false, "enable mutex/block profiling rates (contention evidence in capture bundles)")
-	tsdbInterval := flag.Duration("tsdb-interval", time.Second, "metrics history sampling interval (/debug/tsdb retention scales with it)")
-	logLevel := flag.String("log-level", "info", "event log level: debug|info|warn|error")
-	logFormat := flag.String("log-format", "kv", "event log line format: kv|json")
 	flag.Parse()
-
-	if err := obs.ConfigureDefaultLogger(*logLevel, *logFormat); err != nil {
-		fatal(err)
-	}
 
 	cfg := experiments.DefaultConfig()
 	if *full {
@@ -79,76 +71,45 @@ func main() {
 	if *think > 0 {
 		cfg.ThinkTime = *think
 	}
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fatal(err)
+
+	d.Run(func(ctx context.Context, stack *slo.Stack) error {
+		stack.MarkReady()
+		if *csvDir != "" {
+			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+				return err
+			}
 		}
-	}
-	stack, err := slo.Start(slo.Options{
-		Addr:           *metricsAddr,
-		RulesPath:      *sloConfig,
-		SampleInterval: *tsdbInterval,
-		ProfRates:      *profRates,
+		if *quick || *clients > 1 || *edgeOn {
+			return runQuick(ctx, cfg, *jsonDir, *compare, *benchName, *clients, *edgeOn, *edgeAddr, *fleetDebug)
+		}
+
+		figs := []struct {
+			name, title string
+			run         func() error
+		}{
+			{"7", "Figure 7: light field database sizes", func() error { return fig7(ctx, cfg, *csvDir) }},
+			{"8", "Figure 8: view set decompression time per access", func() error { return fig8(ctx, cfg, *csvDir) }},
+			{"9", "Figure 9: client latency per access, 200x200", func() error { return figLatency(ctx, cfg, "9", 200, *csvDir, *jsonDir) }},
+			{"10", "Figure 10: client latency per access, 300x300", func() error { return figLatency(ctx, cfg, "10", 300, *csvDir, *jsonDir) }},
+			{"11", "Figure 11: client latency per access, 500x500", func() error { return figLatency(ctx, cfg, "11", 500, *csvDir, *jsonDir) }},
+			{"12", "Figure 12: communication latency per access (log-scale data)", func() error { return fig12(ctx, cfg, *csvDir) }},
+			{"fps", "In-text: client rendering frame rate", func() error { return figFPS(ctx, cfg) }},
+			{"rates", "In-text 4.3: initial-phase WAN access and hit rates", func() error { return figRates(ctx, cfg) }},
+			{"qgr", "In-text 4.2: Quality Guaranteed Rate per case", func() error { return figQGR(ctx, cfg) }},
+		}
+		for _, f := range figs {
+			if *fig != "all" && *fig != f.name {
+				continue
+			}
+			start := time.Now()
+			fmt.Printf("==== %s ====\n", f.title)
+			if err := f.run(); err != nil {
+				return fmt.Errorf("%s: %w", f.title, err)
+			}
+			fmt.Printf("(%.1fs)\n\n", time.Since(start).Seconds())
+		}
+		return nil
 	})
-	if err != nil {
-		fatal(err)
-	}
-	if stack.Enabled() {
-		fmt.Printf("lfbench: metrics on http://%s/metrics\n", stack.Addr())
-	}
-	stack.MarkReady()
-	defer func() {
-		closeCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		_ = stack.Close(closeCtx)
-		cancel()
-	}()
-
-	ctx := context.Background()
-
-	if *quick || *clients > 1 || *edgeOn {
-		if err := runQuick(ctx, cfg, *jsonDir, *compare, *benchName, *clients, *edgeOn, *edgeAddr, *fleetDebug); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	run := func(name string, f func() error) {
-		start := time.Now()
-		fmt.Printf("==== %s ====\n", name)
-		if err := f(); err != nil {
-			fatal(fmt.Errorf("%s: %w", name, err))
-		}
-		fmt.Printf("(%.1fs)\n\n", time.Since(start).Seconds())
-	}
-
-	want := func(name string) bool { return *fig == "all" || *fig == name }
-
-	if want("7") {
-		run("Figure 7: light field database sizes", func() error { return fig7(ctx, cfg, *csvDir) })
-	}
-	if want("8") {
-		run("Figure 8: view set decompression time per access", func() error { return fig8(ctx, cfg, *csvDir) })
-	}
-	for _, fr := range []struct {
-		name     string
-		paperRes int
-	}{{"9", 200}, {"10", 300}, {"11", 500}} {
-		if want(fr.name) {
-			name := fmt.Sprintf("Figure %s: client latency per access, %dx%d", fr.name, fr.paperRes, fr.paperRes)
-			run(name, func() error { return figLatency(ctx, cfg, fr.name, fr.paperRes, *csvDir, *jsonDir) })
-		}
-	}
-	if want("12") {
-		run("Figure 12: communication latency per access (log-scale data)", func() error { return fig12(ctx, cfg, *csvDir) })
-	}
-	if want("fps") {
-		run("In-text: client rendering frame rate", func() error { return figFPS(ctx, cfg) })
-	}
-	if want("rates") {
-		run("In-text 4.3: initial-phase WAN access and hit rates", func() error { return figRates(ctx, cfg) })
-	}
-	if want("qgr") {
-		run("In-text 4.2: Quality Guaranteed Rate per case", func() error { return figQGR(ctx, cfg) })
-	}
 }
 
 func figQGR(ctx context.Context, cfg experiments.Config) error {
@@ -173,11 +134,6 @@ func figQGR(ctx context.Context, cfg experiments.Config) error {
 	}
 	fmt.Println("paper: case 2's QGR is significantly slower than cases 1 and 3 (section 4.2)")
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "lfbench:", err)
-	os.Exit(1)
 }
 
 // benchPercentiles are exact order statistics over one latency series.

@@ -17,7 +17,9 @@ import (
 	"time"
 
 	"lonviz/internal/agent"
+	"lonviz/internal/daemon"
 	"lonviz/internal/dvs"
+	"lonviz/internal/geom"
 	"lonviz/internal/lightfield"
 	"lonviz/internal/obs"
 	"lonviz/internal/obs/slo"
@@ -25,6 +27,7 @@ import (
 )
 
 func main() {
+	d := daemon.New("lfbrowse")
 	dvsAddr := flag.String("dvs", "", "DVS address (required)")
 	dataset := flag.String("dataset", "neghip", "dataset name")
 	res := flag.Int("res", 64, "sample view resolution (must match the published database)")
@@ -32,7 +35,7 @@ func main() {
 	l := flag.Int("l", 3, "view set side length (must match)")
 	lanDepots := flag.String("lan-depots", "", "comma-separated LAN depot addresses for prestaging")
 	edgeAddr := flag.String("edge-addr", "", "shared edge cache (lfedged) address; misses route through it instead of the WAN depots")
-	pipelineWindow := flag.Int("pipeline-window", 0, "in-flight window per pipelined depot connection (0 = library default, negative forces serial one-connection-per-operation transfers)")
+	pipelineWindow := d.PipelineWindow("in-flight window per pipelined depot connection (0 or negative forces serial one-connection-per-operation transfers)")
 	trajectory := flag.Bool("trajectory", false, "trajectory-predictive prefetch (extrapolated cursor motion) instead of the quadrant policy")
 	accesses := flag.Int("accesses", session.PaperAccessCount, "orchestrated accesses")
 	think := flag.Duration("think", 100*time.Millisecond, "cursor think time")
@@ -41,144 +44,106 @@ func main() {
 	frames := flag.String("frames", "", "directory to write rendered PNG frames into")
 	display := flag.Int("display", 200, "display resolution for rendered frames")
 	serve := flag.String("serve", "", "also expose the client agent to remote clients on this address")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (empty disables)")
-	sloConfig := flag.String("slo-config", "", "JSON SLO rule file (empty: built-in rules; needs -metrics-addr)")
-	profRates := flag.Bool("prof-rates", false, "enable mutex/block profiling rates (contention evidence in capture bundles)")
-	tsdbInterval := flag.Duration("tsdb-interval", time.Second, "metrics history sampling interval (/debug/tsdb retention scales with it)")
 	tracePeers := flag.String("trace-peers", "", "comma-separated peer observability endpoints (host:port) to pull depot-side trace halves from; prints merged end-to-end trees for the slowest accesses (requires -metrics-addr)")
-	logLevel := flag.String("log-level", "info", "event log level: debug|info|warn|error")
-	logFormat := flag.String("log-format", "kv", "event log line format: kv|json")
 	flag.Parse()
 
 	if *dvsAddr == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := obs.ConfigureDefaultLogger(*logLevel, *logFormat); err != nil {
-		log.Fatalf("lfbrowse: %v", err)
-	}
 	p := lightfield.ScaledParams(*step, *l, *res)
 	if err := p.Validate(); err != nil {
 		log.Fatalf("lfbrowse: %v", err)
 	}
 
-	stack, err := slo.Start(slo.Options{
-		Addr:           *metricsAddr,
-		RulesPath:      *sloConfig,
-		SampleInterval: *tsdbInterval,
-		ProfRates:      *profRates,
-	})
-	if err != nil {
-		log.Fatalf("lfbrowse: metrics listen: %v", err)
-	}
-	if stack.Enabled() {
-		fmt.Printf("lfbrowse: metrics on http://%s/metrics (pprof at /debug/pprof/)\n", stack.Addr())
-	}
-	defer func() {
-		closeCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		_ = stack.Close(closeCtx)
-		cancel()
-	}()
-
-	var lan []string
-	if *lanDepots != "" {
-		lan = strings.Split(*lanDepots, ",")
-	}
-	stack.SetStatus("starting client agent")
-	ca, err := agent.NewClientAgent(agent.ClientAgentConfig{
-		Dataset:            *dataset,
-		Params:             p,
-		DVS:                &dvs.Client{Addr: *dvsAddr},
-		LANDepots:          lan,
-		Prefetch:           *prefetch,
-		EdgeAddr:           *edgeAddr,
-		PipelineWindow:     *pipelineWindow,
-		TrajectoryPrefetch: *trajectory,
-		// Bias replica selection toward depots with good recent latency
-		// history; nil (metrics off) keeps the pure shuffled order.
-		ReplicaBias: stack.ReplicaBias(5 * time.Minute),
-	})
-	if err != nil {
-		log.Fatalf("lfbrowse: %v", err)
-	}
-	defer ca.Close()
-	if stack.Enabled() {
-		ca.RegisterMetrics(nil)
-	}
-
-	if *serve != "" {
-		srv, err := agent.NewClientAgentServer(ca, *dataset)
+	d.Run(func(ctx context.Context, stack *slo.Stack) error {
+		var lan []string
+		if *lanDepots != "" {
+			lan = strings.Split(*lanDepots, ",")
+		}
+		stack.SetStatus("starting client agent")
+		ca, err := agent.NewClientAgent(agent.ClientAgentConfig{
+			Dataset:            *dataset,
+			Params:             p,
+			DVS:                &dvs.Client{Addr: *dvsAddr},
+			LANDepots:          lan,
+			Prefetch:           *prefetch,
+			EdgeAddr:           *edgeAddr,
+			PipelineWindow:     pipelineWindow(),
+			TrajectoryPrefetch: *trajectory,
+			// Bias replica selection toward depots with good recent
+			// latency history; nil (metrics off) keeps the pure shuffled
+			// order.
+			ReplicaBias: stack.ReplicaBias(5 * time.Minute),
+		})
 		if err != nil {
-			log.Fatalf("lfbrowse: %v", err)
+			return err
 		}
-		bound, err := srv.ListenAndServe(*serve)
-		if err != nil {
-			log.Fatalf("lfbrowse: %v", err)
+		defer ca.Close()
+		if stack.Enabled() {
+			ca.RegisterMetrics(nil)
 		}
-		defer srv.Close()
-		fmt.Printf("lfbrowse: client agent also serving remote clients on %s\n", bound)
-	}
 
-	ctx := context.Background()
-	if len(lan) > 0 {
-		if _, err := ca.StartPrestaging(ctx); err != nil {
-			log.Fatalf("lfbrowse: %v", err)
-		}
-		fmt.Printf("lfbrowse: aggressive prestaging to %d LAN depots started\n", len(lan))
-	}
-	stack.MarkReady()
-
-	viewer, err := agent.NewViewer(p, ca)
-	if err != nil {
-		log.Fatalf("lfbrowse: %v", err)
-	}
-	script, err := session.StandardScript(p, *accesses, *seed)
-	if err != nil {
-		log.Fatalf("lfbrowse: %v", err)
-	}
-	if *frames != "" {
-		if err := os.MkdirAll(*frames, 0o755); err != nil {
-			log.Fatalf("lfbrowse: %v", err)
-		}
-	}
-
-	fmt.Printf("%-7s %-8s %-12s %-10s %-10s %-10s %-9s\n",
-		"access", "viewset", "class", "comm(s)", "unzip(s)", "total(s)", "bytes")
-	records, err := session.Run(ctx, viewer, script, session.RunOptions{
-		ThinkTime: *think,
-		OnAccess: func(i int, rec agent.AccessRecord) {
-			fmt.Printf("%-7d %-8s %-12s %-10.4f %-10.4f %-10.4f %-9d\n",
-				i+1, rec.ID, rec.Class, rec.Comm.Seconds(), rec.Decompress.Seconds(),
-				rec.Total.Seconds(), rec.Bytes)
-			if *frames != "" {
-				im, _, err := viewer.Render(script.Moves[i], p.OuterRadius*1.6, *display)
-				if err != nil {
-					log.Printf("lfbrowse: render frame %d: %v", i, err)
-					return
-				}
-				path := filepath.Join(*frames, fmt.Sprintf("frame%03d.png", i))
-				f, err := os.Create(path)
-				if err != nil {
-					log.Printf("lfbrowse: %v", err)
-					return
-				}
-				if err := im.WritePNG(f); err != nil {
-					log.Printf("lfbrowse: encode %s: %v", path, err)
-				}
-				f.Close()
+		if *serve != "" {
+			srv, err := agent.NewClientAgentServer(ca, *dataset)
+			if err != nil {
+				return err
 			}
-		},
-	})
-	if err != nil {
-		log.Fatalf("lfbrowse: session: %v", err)
-	}
-	counts := session.ClassCounts(records)
-	fmt.Printf("\nlfbrowse: %d accesses, classes %v, initial phase %d, agent stats %+v\n",
-		len(records), counts, session.InitialPhaseLength(records), ca.Stats())
+			bound, err := srv.ListenAndServe(*serve)
+			if err != nil {
+				return err
+			}
+			defer srv.Close()
+			fmt.Printf("lfbrowse: client agent also serving remote clients on %s\n", bound)
+		}
 
-	if *tracePeers != "" {
-		printMergedTraces(ctx, *tracePeers)
-	}
+		if len(lan) > 0 {
+			if _, err := ca.StartPrestaging(ctx); err != nil {
+				return err
+			}
+			fmt.Printf("lfbrowse: aggressive prestaging to %d LAN depots started\n", len(lan))
+		}
+		stack.MarkReady()
+
+		viewer, err := agent.NewViewer(p, ca)
+		if err != nil {
+			return err
+		}
+		script, err := session.StandardScript(p, *accesses, *seed)
+		if err != nil {
+			return err
+		}
+		if *frames != "" {
+			if err := os.MkdirAll(*frames, 0o755); err != nil {
+				return err
+			}
+		}
+
+		fmt.Printf("%-7s %-8s %-12s %-10s %-10s %-10s %-9s\n",
+			"access", "viewset", "class", "comm(s)", "unzip(s)", "total(s)", "bytes")
+		records, err := session.Run(ctx, viewer, script, session.RunOptions{
+			ThinkTime: *think,
+			OnAccess: func(i int, rec agent.AccessRecord) {
+				fmt.Printf("%-7d %-8s %-12s %-10.4f %-10.4f %-10.4f %-9d\n",
+					i+1, rec.ID, rec.Class, rec.Comm.Seconds(), rec.Decompress.Seconds(),
+					rec.Total.Seconds(), rec.Bytes)
+				if *frames != "" {
+					writeFrame(viewer, script.Moves[i], p, *display, filepath.Join(*frames, fmt.Sprintf("frame%03d.png", i)))
+				}
+			},
+		})
+		if err != nil {
+			return fmt.Errorf("session: %w", err)
+		}
+		counts := session.ClassCounts(records)
+		fmt.Printf("\nlfbrowse: %d accesses, classes %v, initial phase %d, agent stats %+v\n",
+			len(records), counts, session.InitialPhaseLength(records), ca.Stats())
+
+		if *tracePeers != "" {
+			printMergedTraces(ctx, *tracePeers)
+		}
+		return nil
+	})
 }
 
 // printMergedTraces pulls the remote halves of this session's traces from
@@ -205,4 +170,23 @@ func printMergedTraces(ctx context.Context, peers string) {
 		}
 		tt.Render(os.Stdout)
 	}
+}
+
+// writeFrame renders the view at sp and saves it as a PNG at path; a
+// failure is logged, not fatal, so one bad frame does not end a session.
+func writeFrame(viewer *agent.Viewer, sp geom.Spherical, p lightfield.Params, display int, path string) {
+	im, _, err := viewer.Render(sp, p.OuterRadius*1.6, display)
+	if err != nil {
+		log.Printf("lfbrowse: render %s: %v", path, err)
+		return
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		log.Printf("lfbrowse: %v", err)
+		return
+	}
+	if err := im.WritePNG(f); err != nil {
+		log.Printf("lfbrowse: encode %s: %v", path, err)
+	}
+	f.Close()
 }

@@ -14,121 +14,75 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"lonviz/internal/daemon"
 	"lonviz/internal/edge"
-	"lonviz/internal/ibp"
 	"lonviz/internal/lbone"
-	"lonviz/internal/obs"
 	"lonviz/internal/obs/slo"
-	"lonviz/internal/overload"
 )
 
 func main() {
+	d := daemon.New("lfedged")
 	addr := flag.String("addr", "127.0.0.1:6730", "listen address")
 	cacheBytes := flag.Int64("cache-bytes", 256<<20, "cache capacity in bytes")
 	shards := flag.Int("shards", 0, "LRU shard count (0 = default 16, clamped to keep shards usefully sized)")
 	fillTimeout := flag.Duration("fill-timeout", 30*time.Second, "max duration of one origin-depot fill")
-	pipelineWindow := flag.Int("pipeline-window", ibp.DefaultPipelineWindow, "in-flight window for pipelined mode, both granted to clients and used on origin-depot fill connections (0 disables; everything falls back to serial)")
+	pipelineWindow := d.PipelineWindow("in-flight window for pipelined mode, both granted to clients and used on origin-depot fill connections (0 disables; everything falls back to serial)")
 	popHalfLife := flag.Duration("pop-half-life", 30*time.Second, "popularity tracker decay half-life")
-	maxInflight := flag.Int("max-inflight", 0, "admission control: max concurrently executing requests (0 = unlimited)")
-	maxQueue := flag.Int("max-queue", 0, "admission control: max requests waiting for a slot before shedding with BUSY")
-	maxQueueWait := flag.Duration("max-queue-wait", 100*time.Millisecond, "admission control: max time a request may queue before shedding with BUSY")
+	admission := d.Admission()
 	lboneURL := flag.String("lbone", "", "L-Bone base URL to announce membership to (e.g. http://host:port); lets a fleet scraper discover this edge")
 	x := flag.Float64("x", 0, "network coordinate X for the L-Bone announcement")
 	y := flag.Float64("y", 0, "network coordinate Y for the L-Bone announcement")
 	heartbeat := flag.Duration("heartbeat", 10*time.Second, "L-Bone heartbeat interval")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (empty disables)")
-	sloConfig := flag.String("slo-config", "", "JSON SLO rule file (empty: built-in rules; needs -metrics-addr)")
-	profRates := flag.Bool("prof-rates", false, "enable mutex/block profiling rates (contention evidence in capture bundles)")
-	tsdbInterval := flag.Duration("tsdb-interval", time.Second, "metrics history sampling interval (/debug/tsdb retention scales with it)")
-	logLevel := flag.String("log-level", "info", "event log level: debug|info|warn|error")
-	logFormat := flag.String("log-format", "kv", "event log line format: kv|json")
 	flag.Parse()
 
-	if err := obs.ConfigureDefaultLogger(*logLevel, *logFormat); err != nil {
-		log.Fatalf("lfedged: %v", err)
-	}
-	// Flag 0 means "off" on the command line; the library spells that as a
-	// negative window (its own 0 means "default").
-	window := *pipelineWindow
-	if window == 0 {
-		window = -1
-	}
-	cache, err := edge.NewCache(edge.CacheConfig{
-		CapacityBytes:  *cacheBytes,
-		Shards:         *shards,
-		FillTimeout:    *fillTimeout,
-		HalfLife:       *popHalfLife,
-		PipelineWindow: window,
-	})
-	if err != nil {
-		log.Fatalf("lfedged: %v", err)
-	}
-	cache.RegisterMetrics(nil)
-	srv := edge.NewServer(cache)
-	srv.Logf = log.Printf
-	srv.PipelineWindow = window
-	if *maxInflight > 0 {
-		srv.Admission = overload.NewGate(*maxInflight, *maxQueue, *maxQueueWait)
-		fmt.Printf("lfedged: admission control: %d in-flight, %d queued, %v max wait\n",
-			*maxInflight, *maxQueue, *maxQueueWait)
-	}
-	bound, err := srv.ListenAndServe(*addr)
-	if err != nil {
-		log.Fatalf("lfedged: listen: %v", err)
-	}
-	fmt.Printf("lfedged: serving IBP edge cache on %s (capacity %d bytes)\n", bound, *cacheBytes)
-
-	stack, err := slo.Start(slo.Options{
-		Addr:           *metricsAddr,
-		RulesPath:      *sloConfig,
-		SampleInterval: *tsdbInterval,
-		ProfRates:      *profRates,
-	})
-	if err != nil {
-		log.Fatalf("lfedged: metrics listen: %v", err)
-	}
-	if stack.Enabled() {
-		fmt.Printf("lfedged: metrics on http://%s/metrics\n", stack.Addr())
-	}
-
-	// The edge is not a depot — the L-Bone never hands it out for
-	// allocation — but announcing membership (kind=edge, with the metrics
-	// address) lets the steward's fleet scraper find it and fold its hit
-	// rate and hot set into the cluster view.
-	stop := make(chan struct{})
-	if *lboneURL != "" {
-		cl := &lbone.Client{BaseURL: *lboneURL}
-		record := func() lbone.DepotRecord {
-			st := cache.Stats()
-			return lbone.DepotRecord{
-				Addr: bound, Kind: lbone.KindEdge, X: *x, Y: *y,
-				Capacity: st.Capacity, Free: st.Capacity - st.Used,
-				MetricsAddr: stack.Addr(),
-			}
+	d.Run(func(ctx context.Context, stack *slo.Stack) error {
+		cache, err := edge.NewCache(edge.CacheConfig{
+			CapacityBytes:  *cacheBytes,
+			Shards:         *shards,
+			FillTimeout:    *fillTimeout,
+			HalfLife:       *popHalfLife,
+			PipelineWindow: pipelineWindow(),
+		})
+		if err != nil {
+			return err
 		}
-		go cl.Heartbeat(record, *heartbeat, stop)
-		fmt.Printf("lfedged: announcing to %s at (%g, %g)\n", *lboneURL, *x, *y)
-	}
-	stack.MarkReady()
+		cache.RegisterMetrics(nil)
+		srv := edge.NewServer(cache)
+		srv.Logf = log.Printf
+		srv.PipelineWindow = pipelineWindow()
+		srv.Admission = admission.Gate()
+		bound, err := srv.ListenAndServe(*addr)
+		if err != nil {
+			return fmt.Errorf("listen: %w", err)
+		}
+		fmt.Printf("lfedged: serving IBP edge cache on %s (capacity %d bytes)\n", bound, *cacheBytes)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	close(stop)
-	srv.Close()
-	closeCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-	_ = stack.Close(closeCtx)
-	cancel()
-	st := cache.Stats()
-	hitRate := 0.0
-	if total := st.Hits + st.Misses; total > 0 {
-		hitRate = float64(st.Hits) / float64(total)
-	}
-	fmt.Printf("lfedged: shutting down; %d entries, %d/%d bytes, hit rate %.2f, %d fills (%d failed), %d evictions\n",
-		st.Entries, st.Used, st.Capacity, hitRate, st.Fills, st.FillErrors, st.Evictions)
+		// The edge is not a depot — the L-Bone never hands it out for
+		// allocation — but announcing membership (kind=edge, with the
+		// metrics address) lets the steward's fleet scraper find it and
+		// fold its hit rate and hot set into the cluster view.
+		if *lboneURL != "" {
+			d.Announce(ctx, stack, *lboneURL, *heartbeat, func() lbone.DepotRecord {
+				st := cache.Stats()
+				return lbone.DepotRecord{
+					Addr: bound, Kind: lbone.KindEdge, X: *x, Y: *y,
+					Capacity: st.Capacity, Free: st.Capacity - st.Used,
+				}
+			})
+		}
+		stack.MarkReady()
+
+		<-ctx.Done()
+		srv.Close()
+		st := cache.Stats()
+		hitRate := 0.0
+		if total := st.Hits + st.Misses; total > 0 {
+			hitRate = float64(st.Hits) / float64(total)
+		}
+		fmt.Printf("lfedged: shutting down; %d entries, %d/%d bytes, hit rate %.2f, %d fills (%d failed), %d evictions\n",
+			st.Entries, st.Used, st.Capacity, hitRate, st.Fills, st.FillErrors, st.Evictions)
+		return nil
+	})
 }

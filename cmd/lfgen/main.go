@@ -16,13 +16,14 @@ import (
 	"time"
 
 	"lonviz/internal/codec"
+	"lonviz/internal/daemon"
 	"lonviz/internal/lightfield"
-	"lonviz/internal/obs"
 	"lonviz/internal/obs/slo"
 	"lonviz/internal/volume"
 )
 
 func main() {
+	d := daemon.New("lfgen")
 	out := flag.String("out", "lfd", "output directory")
 	res := flag.Int("res", 64, "sample view resolution r (paper: 200..600)")
 	step := flag.Float64("step", 10, "lattice angular step in degrees (paper: 2.5)")
@@ -32,106 +33,83 @@ func main() {
 	procedural := flag.Bool("procedural", false, "use the fast procedural generator instead of ray casting")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel generation workers")
 	seed := flag.Int64("seed", 1, "seed for synthetic data")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (empty disables)")
-	sloConfig := flag.String("slo-config", "", "JSON SLO rule file (empty: built-in rules; needs -metrics-addr)")
-	profRates := flag.Bool("prof-rates", false, "enable mutex/block profiling rates (contention evidence in capture bundles)")
-	tsdbInterval := flag.Duration("tsdb-interval", time.Second, "metrics history sampling interval (/debug/tsdb retention scales with it)")
-	logLevel := flag.String("log-level", "info", "event log level: debug|info|warn|error")
-	logFormat := flag.String("log-format", "kv", "event log line format: kv|json")
 	flag.Parse()
 
-	if err := obs.ConfigureDefaultLogger(*logLevel, *logFormat); err != nil {
-		log.Fatalf("lfgen: %v", err)
-	}
 	p := lightfield.ScaledParams(*step, *l, *res)
 	if err := p.Validate(); err != nil {
 		log.Fatalf("lfgen: %v", err)
 	}
-	stack, err := slo.Start(slo.Options{
-		Addr:           *metricsAddr,
-		RulesPath:      *sloConfig,
-		SampleInterval: *tsdbInterval,
-		ProfRates:      *profRates,
+	d.Run(func(ctx context.Context, stack *slo.Stack) error {
+		stack.MarkReady()
+		fmt.Printf("lfgen: lattice %dx%d, %d view sets of %dx%d views at %dx%d px\n",
+			p.Rows(), p.Cols(), p.NumViewSets(), *l, *l, *res, *res)
+		fmt.Printf("lfgen: uncompressed database %d bytes\n", p.UncompressedDBBytes())
+
+		var gen lightfield.Generator
+		if *procedural {
+			g, err := lightfield.NewProceduralGenerator(p, *seed)
+			if err != nil {
+				return err
+			}
+			gen = g
+		} else {
+			var vol *volume.Volume
+			var err error
+			switch *dataset {
+			case "neghip":
+				vol, err = volume.NegHip(*volSize)
+			case "blobs":
+				vol, err = volume.Blobs(*volSize, 12, *seed)
+			case "shell":
+				vol, err = volume.Shell(*volSize, 0.35, 0.05)
+			default:
+				return fmt.Errorf("unknown dataset %q", *dataset)
+			}
+			if err != nil {
+				return err
+			}
+			g, err := lightfield.NewRaycastGenerator(p, vol, volume.DefaultNegHipTF())
+			if err != nil {
+				return err
+			}
+			gen = g
+		}
+
+		if err := os.MkdirAll(*out, 0o755); err != nil {
+			return err
+		}
+		start := time.Now()
+		build, err := lightfield.BuildDatabase(ctx, gen, *workers)
+		if err != nil {
+			return fmt.Errorf("build: %w", err)
+		}
+		var compressed int64
+		for id, vs := range build.Sets {
+			frame, err := lightfield.EncodeViewSet(vs, p, codec.DefaultCompression)
+			if err != nil {
+				return fmt.Errorf("encode %v: %w", id, err)
+			}
+			path := filepath.Join(*out, id.String()+".lvz")
+			if err := os.WriteFile(path, frame, 0o644); err != nil {
+				return fmt.Errorf("write %s: %w", path, err)
+			}
+			compressed += int64(len(frame))
+		}
+		manifest := filepath.Join(*out, "MANIFEST")
+		mf, err := os.Create(manifest)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(mf, "dataset=%s step=%g l=%d res=%d viewsets=%d uncompressed=%d compressed=%d\n",
+			*dataset, *step, *l, *res, p.NumViewSets(), build.UncompressedBytes, compressed)
+		mf.Close()
+
+		elapsed := time.Since(start)
+		fmt.Printf("lfgen: generated %d view sets in %v with %d workers\n",
+			len(build.Sets), elapsed.Round(time.Millisecond), *workers)
+		fmt.Printf("lfgen: %d -> %d bytes (%.2fx zlib, lossless)\n",
+			build.UncompressedBytes, compressed, float64(build.UncompressedBytes)/float64(compressed))
+		fmt.Printf("lfgen: wrote %s\n", *out)
+		return nil
 	})
-	if err != nil {
-		log.Fatalf("lfgen: metrics listen: %v", err)
-	}
-	if stack.Enabled() {
-		fmt.Printf("lfgen: metrics on http://%s/metrics (pprof at /debug/pprof/)\n", stack.Addr())
-	}
-	stack.MarkReady()
-	defer func() {
-		closeCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		_ = stack.Close(closeCtx)
-		cancel()
-	}()
-	fmt.Printf("lfgen: lattice %dx%d, %d view sets of %dx%d views at %dx%d px\n",
-		p.Rows(), p.Cols(), p.NumViewSets(), *l, *l, *res, *res)
-	fmt.Printf("lfgen: uncompressed database %d bytes\n", p.UncompressedDBBytes())
-
-	var gen lightfield.Generator
-	if *procedural {
-		g, err := lightfield.NewProceduralGenerator(p, *seed)
-		if err != nil {
-			log.Fatalf("lfgen: %v", err)
-		}
-		gen = g
-	} else {
-		var vol *volume.Volume
-		var err error
-		switch *dataset {
-		case "neghip":
-			vol, err = volume.NegHip(*volSize)
-		case "blobs":
-			vol, err = volume.Blobs(*volSize, 12, *seed)
-		case "shell":
-			vol, err = volume.Shell(*volSize, 0.35, 0.05)
-		default:
-			log.Fatalf("lfgen: unknown dataset %q", *dataset)
-		}
-		if err != nil {
-			log.Fatalf("lfgen: %v", err)
-		}
-		g, err := lightfield.NewRaycastGenerator(p, vol, volume.DefaultNegHipTF())
-		if err != nil {
-			log.Fatalf("lfgen: %v", err)
-		}
-		gen = g
-	}
-
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		log.Fatalf("lfgen: %v", err)
-	}
-	start := time.Now()
-	build, err := lightfield.BuildDatabase(context.Background(), gen, *workers)
-	if err != nil {
-		log.Fatalf("lfgen: build: %v", err)
-	}
-	var compressed int64
-	for id, vs := range build.Sets {
-		frame, err := lightfield.EncodeViewSet(vs, p, codec.DefaultCompression)
-		if err != nil {
-			log.Fatalf("lfgen: encode %v: %v", id, err)
-		}
-		path := filepath.Join(*out, id.String()+".lvz")
-		if err := os.WriteFile(path, frame, 0o644); err != nil {
-			log.Fatalf("lfgen: write %s: %v", path, err)
-		}
-		compressed += int64(len(frame))
-	}
-	manifest := filepath.Join(*out, "MANIFEST")
-	mf, err := os.Create(manifest)
-	if err != nil {
-		log.Fatalf("lfgen: %v", err)
-	}
-	fmt.Fprintf(mf, "dataset=%s step=%g l=%d res=%d viewsets=%d uncompressed=%d compressed=%d\n",
-		*dataset, *step, *l, *res, p.NumViewSets(), build.UncompressedBytes, compressed)
-	mf.Close()
-
-	elapsed := time.Since(start)
-	fmt.Printf("lfgen: generated %d view sets in %v with %d workers\n",
-		len(build.Sets), elapsed.Round(time.Millisecond), *workers)
-	fmt.Printf("lfgen: %d -> %d bytes (%.2fx zlib, lossless)\n",
-		build.UncompressedBytes, compressed, float64(build.UncompressedBytes)/float64(compressed))
-	fmt.Printf("lfgen: wrote %s\n", *out)
 }

@@ -12,24 +12,26 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"lonviz/internal/agent"
+	"lonviz/internal/daemon"
 	"lonviz/internal/dvs"
 	"lonviz/internal/exnode"
 	"lonviz/internal/lbone"
 	"lonviz/internal/lightfield"
 	"lonviz/internal/lors"
-	"lonviz/internal/obs"
 	"lonviz/internal/obs/slo"
 	"lonviz/internal/steward"
 	"lonviz/internal/volume"
 )
 
+// announceEvery is how often lfserve re-announces itself to the L-Bone.
+const announceEvery = 10 * time.Second
+
 func main() {
+	d := daemon.New("lfserve")
 	addr := flag.String("addr", "127.0.0.1:6900", "server agent listen address")
 	depots := flag.String("depots", "", "comma-separated server depot addresses (required)")
 	dvsAddr := flag.String("dvs", "", "DVS address (required)")
@@ -48,20 +50,11 @@ func main() {
 	stewardInterval := flag.Duration("steward-interval", time.Minute, "steward scan cycle interval")
 	stewardLease := flag.Duration("steward-lease", 30*time.Minute, "lease term for steward renewals and repairs")
 	lboneURL := flag.String("lbone", "", "L-Bone base URL for steward repair depot discovery; empty restricts repair to -depots")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (empty disables)")
-	sloConfig := flag.String("slo-config", "", "JSON SLO rule file (empty: built-in rules; needs -metrics-addr)")
-	profRates := flag.Bool("prof-rates", false, "enable mutex/block profiling rates (contention evidence in capture bundles)")
-	tsdbInterval := flag.Duration("tsdb-interval", time.Second, "metrics history sampling interval (/debug/tsdb retention scales with it)")
-	logLevel := flag.String("log-level", "info", "event log level: debug|info|warn|error")
-	logFormat := flag.String("log-format", "kv", "event log line format: kv|json")
 	flag.Parse()
 
 	if *depots == "" || *dvsAddr == "" {
 		flag.Usage()
 		os.Exit(2)
-	}
-	if err := obs.ConfigureDefaultLogger(*logLevel, *logFormat); err != nil {
-		log.Fatalf("lfserve: %v", err)
 	}
 	depotList := strings.Split(*depots, ",")
 	p := lightfield.ScaledParams(*step, *l, *res)
@@ -69,188 +62,166 @@ func main() {
 		log.Fatalf("lfserve: %v", err)
 	}
 
-	var gen lightfield.Generator
-	if *procedural {
-		g, err := lightfield.NewProceduralGenerator(p, *seed)
-		if err != nil {
-			log.Fatalf("lfserve: %v", err)
-		}
-		gen = g
-	} else {
-		vol, err := volume.NegHip(*volSize)
-		if err != nil {
-			log.Fatalf("lfserve: %v", err)
-		}
-		g, err := lightfield.NewRaycastGenerator(p, vol, volume.DefaultNegHipTF())
-		if err != nil {
-			log.Fatalf("lfserve: %v", err)
-		}
-		gen = g
-	}
-
-	if *storeDir != "" {
-		store, err := lightfield.NewDirStore(*storeDir, p)
-		if err != nil {
-			log.Fatalf("lfserve: %v", err)
-		}
-		gen = &lightfield.FallbackGenerator{Store: store, Live: gen}
-		fmt.Printf("lfserve: serving from store %s with live fallback\n", *storeDir)
-	}
-
-	// One persistent DVS client for publishing, registration and the
-	// steward; sa.Close drops its idle connections on the way out.
-	dvsClient := &dvs.Client{Addr: *dvsAddr}
-	sa, err := agent.NewServerAgent(agent.ServerAgentConfig{
-		Dataset:    *dataset,
-		Gen:        gen,
-		Depots:     depotList,
-		DVS:        dvsClient,
-		Replicas:   *replicas,
-		MaxPending: *maxPending,
-	})
-	if err != nil {
-		log.Fatalf("lfserve: %v", err)
-	}
-	defer sa.Close()
-	bound, err := sa.ListenAndServe(*addr)
-	if err != nil {
-		log.Fatalf("lfserve: %v", err)
-	}
-	fmt.Printf("lfserve: server agent for %q on %s, %d depots, DVS %s\n",
-		*dataset, bound, len(depotList), *dvsAddr)
-
-	if *metricsAddr != "" {
-		sa.RegisterMetrics(nil)
-	}
-	stack, err := slo.Start(slo.Options{
-		Addr:           *metricsAddr,
-		RulesPath:      *sloConfig,
-		SampleInterval: *tsdbInterval,
-		ProfRates:      *profRates,
-	})
-	if err != nil {
-		log.Fatalf("lfserve: metrics listen: %v", err)
-	}
-	if stack.Enabled() {
-		fmt.Printf("lfserve: metrics on http://%s/metrics (pprof at /debug/pprof/)\n", stack.Addr())
-	}
-
-	// Announce fleet membership: the server agent never serves IBP, so
-	// the L-Bone will not hand it out for allocation (kind=agent), but
-	// the steward's fleet scraper discovers its metrics address here and
-	// folds render/upload health into the cluster view.
-	announceStop := make(chan struct{})
-	defer close(announceStop)
-	if *lboneURL != "" && stack.Enabled() {
-		cl := &lbone.Client{BaseURL: *lboneURL}
-		record := func() lbone.DepotRecord {
-			return lbone.DepotRecord{
-				Addr: bound, Kind: lbone.KindAgent, MetricsAddr: stack.Addr(),
-			}
-		}
-		go cl.Heartbeat(record, 10*time.Second, announceStop)
-	}
-
-	// Register with the DVS so it can forward misses here.
-	stack.SetStatus("registering with DVS")
-	if err := dvsClient.RegisterAgent(context.Background(), *dataset, bound); err != nil {
-		log.Printf("lfserve: DVS agent registration failed: %v", err)
-	}
-
-	var published map[lightfield.ViewSetID][]byte
-	if *precompute {
-		stack.SetStatus("precomputing database")
-		start := time.Now()
-		out, err := sa.PrecomputeAll(context.Background())
-		if err != nil {
-			log.Fatalf("lfserve: precompute: %v", err)
-		}
-		published = out
-		fmt.Printf("lfserve: published %d view sets in %v\n", len(out), time.Since(start).Round(time.Millisecond))
-	}
-
-	// With -steward, adopt everything just published and keep it healthy in
-	// the background: lease renewal, replica repair, republication.
-	var stw *steward.Steward
-	if *runSteward {
-		if len(published) == 0 {
-			log.Fatalf("lfserve: -steward requires -precompute (nothing to adopt)")
-		}
-		cfg := steward.Config{
-			ReplicationTarget: *replicas,
-			LeaseTerm:         *stewardLease,
-			ScanInterval:      *stewardInterval,
-			Health:            lors.NewHealthTracker(lors.HealthConfig{}),
-			Publish: func(ctx context.Context, name string, ex *exnode.ExNode) error {
-				xml, err := ex.Marshal()
-				if err != nil {
-					return err
-				}
-				return dvsClient.Replace(ctx, dvs.Key{Dataset: *dataset, ViewSet: name}, xml)
-			},
-			OnEvent: func(ev steward.Event) {
-				if ev.Type != steward.EventRenew {
-					log.Printf("lfserve: steward: %s", ev)
-				}
-			},
-		}
-		if *lboneURL != "" {
-			cfg.Locate = steward.LBoneLocator(&lbone.Client{BaseURL: *lboneURL}, 0, 0)
-		} else {
-			// No directory: repair within the configured depot pool.
-			cfg.Locate = func(_ context.Context, n int, _ int64, exclude map[string]bool) ([]string, error) {
-				var out []string
-				for _, d := range depotList {
-					if !exclude[d] {
-						out = append(out, d)
-					}
-				}
-				if n > 0 && len(out) > n {
-					out = out[:n]
-				}
-				return out, nil
-			}
-		}
-		stw = steward.New(cfg)
-		if *metricsAddr != "" {
-			stw.RegisterMetrics(nil)
-		}
-		for id, xml := range published {
-			ex, err := exnode.Unmarshal(xml)
+	d.Run(func(ctx context.Context, stack *slo.Stack) error {
+		var gen lightfield.Generator
+		if *procedural {
+			g, err := lightfield.NewProceduralGenerator(p, *seed)
 			if err != nil {
-				log.Fatalf("lfserve: steward adopt %s: %v", id, err)
+				return err
 			}
-			if err := stw.Adopt(id.String(), ex); err != nil {
-				log.Fatalf("lfserve: steward adopt %s: %v", id, err)
+			gen = g
+		} else {
+			vol, err := volume.NegHip(*volSize)
+			if err != nil {
+				return err
 			}
+			g, err := lightfield.NewRaycastGenerator(p, vol, volume.DefaultNegHipTF())
+			if err != nil {
+				return err
+			}
+			gen = g
 		}
-		// Close the loop: a firing depot alert triggers a targeted audit of
-		// that depot's replicas ahead of the periodic cycle.
-		stack.Subscribe(steward.AlertTrigger(stw))
-		stewCtx, stewCancel := context.WithCancel(context.Background())
-		defer stewCancel()
-		go func() {
-			if err := stw.Run(stewCtx); err != nil && stewCtx.Err() == nil {
-				log.Printf("lfserve: steward stopped: %v", err)
-			}
-		}()
-		fmt.Printf("lfserve: steward managing %d view sets (interval %v, target replication %d)\n",
-			len(published), *stewardInterval, *replicas)
-	}
-	stack.MarkReady()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	closeCtx, closeCancel := context.WithTimeout(context.Background(), 3*time.Second)
-	_ = stack.Close(closeCtx)
-	closeCancel()
-	st := sa.Stats()
-	fmt.Printf("lfserve: shutting down; rendered %d, uploaded %d (%d bytes), %d DVS updates\n",
-		st.Rendered, st.Uploaded, st.BytesSent, st.DVSUpdates)
-	if stw != nil {
-		ss := stw.Stats()
-		fmt.Printf("lfserve: steward: %d cycles, %d renewals, %d/%d repairs, %d pruned, %d republished\n",
-			ss.Cycles, ss.LeasesRenewed, ss.RepairsSucceeded, ss.RepairsAttempted, ss.ReplicasPruned, ss.Republishes)
-	}
+		if *storeDir != "" {
+			store, err := lightfield.NewDirStore(*storeDir, p)
+			if err != nil {
+				return err
+			}
+			gen = &lightfield.FallbackGenerator{Store: store, Live: gen}
+			fmt.Printf("lfserve: serving from store %s with live fallback\n", *storeDir)
+		}
+
+		// One persistent DVS client for publishing, registration and the
+		// steward; sa.Close drops its idle connections on the way out.
+		dvsClient := &dvs.Client{Addr: *dvsAddr}
+		sa, err := agent.NewServerAgent(agent.ServerAgentConfig{
+			Dataset:    *dataset,
+			Gen:        gen,
+			Depots:     depotList,
+			DVS:        dvsClient,
+			Replicas:   *replicas,
+			MaxPending: *maxPending,
+		})
+		if err != nil {
+			return err
+		}
+		defer sa.Close()
+		bound, err := sa.ListenAndServe(*addr)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("lfserve: server agent for %q on %s, %d depots, DVS %s\n",
+			*dataset, bound, len(depotList), *dvsAddr)
+		if stack.Enabled() {
+			sa.RegisterMetrics(nil)
+		}
+
+		// Announce fleet membership: the server agent never serves IBP, so
+		// the L-Bone will not hand it out for allocation (kind=agent), but
+		// the steward's fleet scraper discovers its metrics address here
+		// and folds render/upload health into the cluster view.
+		if *lboneURL != "" && stack.Enabled() {
+			d.Announce(ctx, stack, *lboneURL, announceEvery, func() lbone.DepotRecord {
+				return lbone.DepotRecord{Addr: bound, Kind: lbone.KindAgent}
+			})
+		}
+
+		// Register with the DVS so it can forward misses here.
+		stack.SetStatus("registering with DVS")
+		if err := dvsClient.RegisterAgent(ctx, *dataset, bound); err != nil {
+			log.Printf("lfserve: DVS agent registration failed: %v", err)
+		}
+
+		var published map[lightfield.ViewSetID][]byte
+		if *precompute {
+			stack.SetStatus("precomputing database")
+			start := time.Now()
+			out, err := sa.PrecomputeAll(ctx)
+			if err != nil {
+				return fmt.Errorf("precompute: %w", err)
+			}
+			published = out
+			fmt.Printf("lfserve: published %d view sets in %v\n", len(out), time.Since(start).Round(time.Millisecond))
+		}
+
+		// With -steward, adopt everything just published and keep it
+		// healthy in the background: lease renewal, replica repair,
+		// republication.
+		var stw *steward.Steward
+		if *runSteward {
+			if len(published) == 0 {
+				return fmt.Errorf("-steward requires -precompute (nothing to adopt)")
+			}
+			cfg := steward.Config{
+				ReplicationTarget: *replicas,
+				LeaseTerm:         *stewardLease,
+				ScanInterval:      *stewardInterval,
+				Health:            lors.NewHealthTracker(lors.HealthConfig{}),
+				Publish: func(ctx context.Context, name string, ex *exnode.ExNode) error {
+					xml, err := ex.Marshal()
+					if err != nil {
+						return err
+					}
+					return dvsClient.Replace(ctx, dvs.Key{Dataset: *dataset, ViewSet: name}, xml)
+				},
+				OnEvent: func(ev steward.Event) {
+					if ev.Type != steward.EventRenew {
+						log.Printf("lfserve: steward: %s", ev)
+					}
+				},
+			}
+			if *lboneURL != "" {
+				cfg.Locate = steward.LBoneLocator(&lbone.Client{BaseURL: *lboneURL}, 0, 0)
+			} else {
+				// No directory: repair within the configured depot pool.
+				cfg.Locate = func(_ context.Context, n int, _ int64, exclude map[string]bool) ([]string, error) {
+					var out []string
+					for _, a := range depotList {
+						if !exclude[a] {
+							out = append(out, a)
+						}
+					}
+					if n > 0 && len(out) > n {
+						out = out[:n]
+					}
+					return out, nil
+				}
+			}
+			stw = steward.New(cfg)
+			if stack.Enabled() {
+				stw.RegisterMetrics(nil)
+			}
+			for id, xml := range published {
+				ex, err := exnode.Unmarshal(xml)
+				if err != nil {
+					return fmt.Errorf("steward adopt %s: %w", id, err)
+				}
+				if err := stw.Adopt(id.String(), ex); err != nil {
+					return fmt.Errorf("steward adopt %s: %w", id, err)
+				}
+			}
+			// Close the loop: a firing depot alert triggers a targeted
+			// audit of that depot's replicas ahead of the periodic cycle.
+			stack.Subscribe(steward.AlertTrigger(stw))
+			go func() {
+				if err := stw.Run(ctx); err != nil && ctx.Err() == nil {
+					log.Printf("lfserve: steward stopped: %v", err)
+				}
+			}()
+			fmt.Printf("lfserve: steward managing %d view sets (interval %v, target replication %d)\n",
+				len(published), *stewardInterval, *replicas)
+		}
+		stack.MarkReady()
+
+		<-ctx.Done()
+		st := sa.Stats()
+		fmt.Printf("lfserve: shutting down; rendered %d, uploaded %d (%d bytes), %d DVS updates\n",
+			st.Rendered, st.Uploaded, st.BytesSent, st.DVSUpdates)
+		if stw != nil {
+			ss := stw.Stats()
+			fmt.Printf("lfserve: steward: %d cycles, %d renewals, %d/%d repairs, %d pruned, %d republished\n",
+				ss.Cycles, ss.LeasesRenewed, ss.RepairsSucceeded, ss.RepairsAttempted, ss.ReplicasPruned, ss.Republishes)
+		}
+		return nil
+	})
 }

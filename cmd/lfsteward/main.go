@@ -19,25 +19,24 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"lonviz/internal/agent"
+	"lonviz/internal/daemon"
 	"lonviz/internal/dvs"
 	"lonviz/internal/edge"
 	"lonviz/internal/exnode"
 	"lonviz/internal/lbone"
 	"lonviz/internal/lightfield"
 	"lonviz/internal/lors"
-	"lonviz/internal/obs"
 	"lonviz/internal/obs/fleet"
 	"lonviz/internal/obs/slo"
 	"lonviz/internal/steward"
 )
 
 func main() {
+	d := daemon.New("lfsteward")
 	dvsAddr := flag.String("dvs", "", "DVS address (required)")
 	dataset := flag.String("dataset", "neghip", "dataset name")
 	res := flag.Int("res", 64, "sample view resolution (must match the published database)")
@@ -53,24 +52,15 @@ func main() {
 	budget := flag.Int("repair-budget", 16, "max repair copies per cycle")
 	verbose := flag.Bool("v", false, "log every steward event")
 	once := flag.Bool("once", false, "run a single scan cycle and exit")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (empty disables)")
-	sloConfig := flag.String("slo-config", "", "JSON SLO rule file (empty: built-in rules; needs -metrics-addr)")
-	profRates := flag.Bool("prof-rates", false, "enable mutex/block profiling rates (contention evidence in capture bundles)")
-	tsdbInterval := flag.Duration("tsdb-interval", time.Second, "metrics history sampling interval (/debug/tsdb retention scales with it)")
 	fleetScrape := flag.Bool("fleet-scrape", false, "scrape the whole fleet's observability endpoints into a cluster TSDB served at /debug/fleet (needs -metrics-addr; discovers members via -lbone plus -fleet-peers)")
 	fleetPeers := flag.String("fleet-peers", "", "comma-separated static metrics addresses to scrape in addition to L-Bone discovery")
 	fleetInterval := flag.Duration("fleet-interval", 5*time.Second, "fleet scrape poll interval")
 	edgeAddr := flag.String("edge", "", "edge depot address for demand-driven hot-set warming (needs -fleet-scrape; empty disables)")
-	logLevel := flag.String("log-level", "info", "event log level: debug|info|warn|error")
-	logFormat := flag.String("log-format", "kv", "event log line format: kv|json")
 	flag.Parse()
 
 	if *dvsAddr == "" {
 		flag.Usage()
 		os.Exit(2)
-	}
-	if err := obs.ConfigureDefaultLogger(*logLevel, *logFormat); err != nil {
-		log.Fatalf("lfsteward: %v", err)
 	}
 	p := lightfield.ScaledParams(*step, *l, *res)
 	if err := p.Validate(); err != nil {
@@ -78,7 +68,6 @@ func main() {
 	}
 
 	dvsClient := &dvs.Client{Addr: *dvsAddr}
-	defer dvsClient.CloseIdle()
 	cfg := steward.Config{
 		ReplicationTarget: *replicas,
 		RenewalWindow:     *renewWindow,
@@ -97,28 +86,18 @@ func main() {
 	if *lboneURL != "" {
 		cfg.Locate = steward.LBoneLocator(&lbone.Client{BaseURL: *lboneURL}, *x, *y)
 	}
-	if *verbose {
-		cfg.OnEvent = func(ev steward.Event) { log.Printf("lfsteward: %s", ev) }
-	} else {
-		cfg.OnEvent = func(ev steward.Event) {
-			switch ev.Type {
-			case steward.EventRenew:
-			default:
-				log.Printf("lfsteward: %s", ev)
-			}
+	cfg.OnEvent = func(ev steward.Event) {
+		if *verbose || ev.Type != steward.EventRenew {
+			log.Printf("lfsteward: %s", ev)
 		}
 	}
 	s := steward.New(cfg)
-
-	if *metricsAddr != "" {
-		s.RegisterMetrics(nil)
-	}
 
 	// The fleet scraper is built before the stack so its endpoints mount
 	// on the same mux and its critical alerts degrade the same /healthz.
 	var fl *fleet.Fleet
 	if *fleetScrape {
-		if *metricsAddr == "" {
+		if d.MetricsAddr() == "" {
 			log.Fatalf("lfsteward: -fleet-scrape needs -metrics-addr")
 		}
 		fcfg := fleet.Config{
@@ -144,146 +123,130 @@ func main() {
 		}
 		fl = fleet.New(fcfg)
 	}
-	stack, err := slo.Start(slo.Options{
-		Addr:           *metricsAddr,
-		RulesPath:      *sloConfig,
-		SampleInterval: *tsdbInterval,
-		ProfRates:      *profRates,
-		Extra: map[string]http.Handler{
-			"/debug/fleet":      fl.Handler(),
-			"/debug/fleet/tsdb": fl.TSDBHandler(),
-		},
-		ExtraHealth: []func() error{fl.HealthError},
-	})
-	if err != nil {
-		log.Fatalf("lfsteward: metrics listen: %v", err)
+	d.Extra = map[string]http.Handler{
+		"/debug/fleet":      fl.Handler(),
+		"/debug/fleet/tsdb": fl.TSDBHandler(),
 	}
-	if stack.Enabled() {
-		fmt.Printf("lfsteward: metrics on http://%s/metrics (pprof at /debug/pprof/)\n", stack.Addr())
-	}
-	defer func() {
-		closeCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		_ = stack.Close(closeCtx)
-		cancel()
-	}()
-	// A firing depot alert jumps the queue: audit that depot's replicas now
-	// instead of waiting out the scan interval.
-	stack.Subscribe(steward.AlertTrigger(s))
-	if fl != nil {
-		// The scraper itself is part of the fleet it watches.
-		fl.SetSelf(stack.Addr())
-		fl.AddStaticPeer(stack.Addr(), lbone.KindSteward)
-		// Fleet-scope alerts feed the same plumbing node alerts do: a
-		// critical breach captures a forensic bundle and jumps the
-		// steward's audit queue.
-		fl.Subscribe(func(a slo.Alert) {
-			if a.State == slo.StateFiring && a.Severity == slo.SeverityCritical {
-				stack.Recorder.TriggerAsync("fleet:"+a.Rule, a.Reason)
-			}
-		})
-		fl.Subscribe(steward.AlertTrigger(s))
-	}
+	d.ExtraHealth = []func() error{fl.HealthError}
 
-	// Adopt every view set the lattice defines; sets the DVS does not know
-	// (not yet published, or published at different parameters) are skipped
-	// with a warning.
-	stack.SetStatus("adopting exNodes from DVS")
-	ctx := context.Background()
-	adopted, missing := 0, 0
-	for _, id := range p.AllViewSets() {
-		key := dvs.Key{Dataset: *dataset, ViewSet: id.String()}
-		docs, err := dvsClient.Get(ctx, key)
-		if err != nil {
-			if errors.Is(err, dvs.ErrMiss) {
-				missing++
-				continue
-			}
-			log.Fatalf("lfsteward: DVS get %s: %v", key, err)
+	d.Run(func(ctx context.Context, stack *slo.Stack) error {
+		defer dvsClient.CloseIdle()
+		if stack.Enabled() {
+			s.RegisterMetrics(nil)
 		}
-		ex, err := exnode.Unmarshal(docs[0])
-		if err != nil {
-			log.Printf("lfsteward: bad exNode for %s: %v", key, err)
-			continue
-		}
-		if err := s.Adopt(id.String(), ex); err != nil {
-			log.Printf("lfsteward: adopt %s: %v", key, err)
-			continue
-		}
-		adopted++
-	}
-	if adopted == 0 {
-		log.Fatalf("lfsteward: no exNodes to manage (%d view sets missing from DVS %s)", missing, *dvsAddr)
-	}
-	fmt.Printf("lfsteward: managing %d view sets of %q (%d not in DVS), target replication %d\n",
-		adopted, *dataset, missing, *replicas)
-	stack.MarkReady()
-
-	// ParseViewSetKey round-trips the names we adopt; assert early so a
-	// lattice/DVS mismatch is a startup error, not a runtime surprise.
-	for _, name := range s.Objects() {
-		if _, err := agent.ParseViewSetKey(name); err != nil {
-			log.Fatalf("lfsteward: unparseable view set name %q: %v", name, err)
-		}
-	}
-
-	if *once {
-		fl.ScrapeOnce(ctx)
-		rep, err := s.RunCycle(ctx)
-		if err != nil {
-			log.Fatalf("lfsteward: %v", err)
-		}
-		fmt.Printf("lfsteward: cycle: %+v\n", rep)
-		printStats(s.Stats())
-		return
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() { <-sig; cancel() }()
-
-	if fl != nil {
-		fleetStop := make(chan struct{})
-		defer close(fleetStop)
-		go fl.Run(fleetStop)
-
-		if *edgeAddr != "" {
-			// Demand-driven hot-set replication: the fleet scraper's
-			// aggregated edge popularity feeds the replicator, which warms
-			// the hottest view sets toward the edge ahead of client demand.
-			hs, err := steward.NewHotSetReplicator(steward.HotSetConfig{
-				Feed: func(n int) []edge.HotItem {
-					items := fl.HotItems(n)
-					out := make([]edge.HotItem, len(items))
-					for i, it := range items {
-						out[i] = edge.HotItem{Hint: it.Hint, Count: float64(it.Count)}
-					}
-					return out
-				},
-				Warm: func(ctx context.Context, hint string) error {
-					ex := s.ExNode(hint)
-					if ex == nil {
-						return fmt.Errorf("unmanaged view set %q", hint)
-					}
-					return edge.Warm(ctx, ex, *edgeAddr, hint, nil)
-				},
-			})
-			if err != nil {
-				log.Fatalf("lfsteward: %v", err)
-			}
+		// A firing depot alert jumps the queue: audit that depot's
+		// replicas now instead of waiting out the scan interval.
+		stack.Subscribe(steward.AlertTrigger(s))
+		if fl != nil {
+			// The scraper itself is part of the fleet it watches.
+			fl.SetSelf(stack.Addr())
+			fl.AddStaticPeer(stack.Addr(), lbone.KindSteward)
+			// Fleet-scope alerts feed the same plumbing node alerts do: a
+			// critical breach captures a forensic bundle and jumps the
+			// steward's audit queue.
 			fl.Subscribe(func(a slo.Alert) {
-				if a.State == slo.StateFiring {
-					hs.Trigger()
+				if a.State == slo.StateFiring && a.Severity == slo.SeverityCritical {
+					stack.Recorder.TriggerAsync("fleet:"+a.Rule, a.Reason)
 				}
 			})
-			go hs.Run(runCtx)
+			fl.Subscribe(steward.AlertTrigger(s))
 		}
-	}
 
-	if err := s.Run(runCtx); err != nil && !errors.Is(err, context.Canceled) {
-		log.Printf("lfsteward: %v", err)
-	}
-	printStats(s.Stats())
+		// Adopt every view set the lattice defines; sets the DVS does not
+		// know (not yet published, or published at different parameters)
+		// are skipped with a warning.
+		stack.SetStatus("adopting exNodes from DVS")
+		adopted, missing := 0, 0
+		for _, id := range p.AllViewSets() {
+			key := dvs.Key{Dataset: *dataset, ViewSet: id.String()}
+			docs, err := dvsClient.Get(ctx, key)
+			if err != nil {
+				if errors.Is(err, dvs.ErrMiss) {
+					missing++
+					continue
+				}
+				return fmt.Errorf("DVS get %s: %w", key, err)
+			}
+			ex, err := exnode.Unmarshal(docs[0])
+			if err != nil {
+				log.Printf("lfsteward: bad exNode for %s: %v", key, err)
+				continue
+			}
+			if err := s.Adopt(id.String(), ex); err != nil {
+				log.Printf("lfsteward: adopt %s: %v", key, err)
+				continue
+			}
+			adopted++
+		}
+		if adopted == 0 {
+			return fmt.Errorf("no exNodes to manage (%d view sets missing from DVS %s)", missing, *dvsAddr)
+		}
+		fmt.Printf("lfsteward: managing %d view sets of %q (%d not in DVS), target replication %d\n",
+			adopted, *dataset, missing, *replicas)
+		stack.MarkReady()
+
+		// ParseViewSetKey round-trips the names we adopt; assert early so a
+		// lattice/DVS mismatch is a startup error, not a runtime surprise.
+		for _, name := range s.Objects() {
+			if _, err := agent.ParseViewSetKey(name); err != nil {
+				return fmt.Errorf("unparseable view set name %q: %w", name, err)
+			}
+		}
+
+		if *once {
+			fl.ScrapeOnce(ctx)
+			rep, err := s.RunCycle(ctx)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("lfsteward: cycle: %+v\n", rep)
+			printStats(s.Stats())
+			return nil
+		}
+
+		if fl != nil {
+			go fl.Run(ctx.Done())
+
+			if *edgeAddr != "" {
+				// Demand-driven hot-set replication: the fleet scraper's
+				// aggregated edge popularity feeds the replicator, which
+				// warms the hottest view sets toward the edge ahead of
+				// client demand.
+				hs, err := steward.NewHotSetReplicator(steward.HotSetConfig{
+					Feed: func(n int) []edge.HotItem {
+						items := fl.HotItems(n)
+						out := make([]edge.HotItem, len(items))
+						for i, it := range items {
+							out[i] = edge.HotItem{Hint: it.Hint, Count: float64(it.Count)}
+						}
+						return out
+					},
+					Warm: func(ctx context.Context, hint string) error {
+						ex := s.ExNode(hint)
+						if ex == nil {
+							return fmt.Errorf("unmanaged view set %q", hint)
+						}
+						return edge.Warm(ctx, ex, *edgeAddr, hint, nil)
+					},
+				})
+				if err != nil {
+					return err
+				}
+				fl.Subscribe(func(a slo.Alert) {
+					if a.State == slo.StateFiring {
+						hs.Trigger()
+					}
+				})
+				go hs.Run(ctx)
+			}
+		}
+
+		if err := s.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
+			log.Printf("lfsteward: %v", err)
+		}
+		printStats(s.Stats())
+		return nil
+	})
 }
 
 func printStats(st steward.Stats) {

@@ -5,11 +5,13 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -17,13 +19,14 @@ import (
 // TestBinariesEndToEnd builds the real executables and runs a complete
 // deployment: two depots, an L-Bone, a DVS, a server agent publishing a
 // procedural database, and a browsing client — the multi-process shape of
-// the paper's system, on loopback.
+// the paper's system, on loopback. It ends every daemon the way an
+// operator does, with SIGTERM, and checks each shuts down cleanly.
 func TestBinariesEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs real binaries")
 	}
 	bin := t.TempDir()
-	for _, tool := range []string{"depotd", "lboned", "dvsd", "lfserve", "lfbrowse", "lfgen"} {
+	for _, tool := range []string{"depotd", "lboned", "dvsd", "lfserve", "lfbrowse", "lfgen", "lfedged"} {
 		out, err := exec.Command("go", "build", "-o", filepath.Join(bin, tool), "./cmd/"+tool).CombinedOutput()
 		if err != nil {
 			t.Fatalf("building %s: %v\n%s", tool, err, out)
@@ -53,24 +56,28 @@ func TestBinariesEndToEnd(t *testing.T) {
 		}
 	}
 
-	var procs []*exec.Cmd
+	type proc struct {
+		name string
+		cmd  *exec.Cmd
+		out  *syncBuffer
+		done chan error // receives Wait's result once the process exits
+	}
+	var procs []*proc
 	start := func(name string, args ...string) *syncBuffer {
-		cmd := exec.Command(filepath.Join(bin, name), args...)
-		buf := &syncBuffer{}
-		cmd.Stdout = buf
-		cmd.Stderr = buf
-		if err := cmd.Start(); err != nil {
+		p := &proc{name: name, cmd: exec.Command(filepath.Join(bin, name), args...), out: &syncBuffer{}, done: make(chan error, 1)}
+		p.cmd.Stdout = p.out
+		p.cmd.Stderr = p.out
+		if err := p.cmd.Start(); err != nil {
 			t.Fatalf("starting %s: %v", name, err)
 		}
-		procs = append(procs, cmd)
-		return buf
+		go func() { p.done <- p.cmd.Wait() }()
+		procs = append(procs, p)
+		return p.out
 	}
 	t.Cleanup(func() {
 		for _, p := range procs {
-			if p.Process != nil {
-				p.Process.Kill()
-				p.Wait()
-			}
+			p.cmd.Process.Kill()
+			<-p.done
 		}
 	})
 
@@ -145,6 +152,47 @@ func TestBinariesEndToEnd(t *testing.T) {
 	}
 	if rows == 0 {
 		t.Errorf("no per-access rows in output:\n%s", text)
+	}
+	// An edge cache with the observability stack on reports ready on
+	// /readyz once it serves and has announced itself to the L-Bone.
+	edgeMetrics := freePort()
+	start("lfedged", "-addr", freePort(), "-metrics-addr", edgeMetrics, "-lbone", "http://"+lbAddr)
+	deadline = time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get("http://" + edgeMetrics + "/readyz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("lfedged /readyz never returned 200 (last: %v)", err)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+
+	// SIGTERM ends every daemon: each prints its shutdown line and exits 0
+	// within a few seconds.
+	for _, p := range procs {
+		if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatalf("signalling %s: %v", p.name, err)
+		}
+	}
+	for _, p := range procs {
+		select {
+		case err := <-p.done:
+			p.done <- err // for Cleanup
+			if err != nil {
+				t.Errorf("%s after SIGTERM: %v\n%s", p.name, err, p.out.String())
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s still running 5s after SIGTERM\n%s", p.name, p.out.String())
+			continue
+		}
+		if !strings.Contains(p.out.String(), p.name+": shutting down") {
+			t.Errorf("%s printed no shutdown line:\n%s", p.name, p.out.String())
+		}
 	}
 	fmt.Fprintln(os.Stderr, "integration: full binary pipeline OK")
 }

@@ -107,6 +107,9 @@ go test -run '^$' -fuzz FuzzDecodeViewSetFrom -fuzztime=10s -fuzzminimizetime=1s
 echo "== fuzz the exNode XML parser (10s)"
 go test -run '^$' -fuzz FuzzExNodeUnmarshal -fuzztime=10s -fuzzminimizetime=1s ./internal/exnode
 
+echo "== fuzz the -slo-config rule parser every daemon reads (10s)"
+go test -run '^$' -fuzz FuzzParseRules -fuzztime=10s -fuzzminimizetime=1s ./internal/obs/slo
+
 # One iteration each, so the in-package benchmarks cannot rot; their
 # numbers are read with -benchtime and -count by hand, never from here.
 echo "== in-package benchmarks build and run (1x)"

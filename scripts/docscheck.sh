@@ -1,8 +1,9 @@
 #!/bin/sh
 # Docs audit: the operator docs must not drift from the source.
 #
-#  1. Every command-line flag defined in cmd/*/main.go must appear in
-#     docs/OPERATIONS.md as `-flagname`.
+#  1. Every command-line flag defined in cmd/*/main.go or in the daemon
+#     harness (internal/daemon) must appear in docs/OPERATIONS.md as
+#     `-flagname`.
 #  2. Every metric family and span name declared in
 #     internal/obs/names.go must appear in docs/OBSERVABILITY.md.
 #  3. Every HTTP endpoint the obs mux serves (including the SLO stack's
@@ -27,6 +28,10 @@
 #     lors.DownloadInto once, lors.Download never, and open the
 #     agent.getviewset span in one place (DESIGN.md §10, "One fetch
 #     flight": every entry point reaches the same flight).
+#  9. One harness: no file under cmd/ calls slo.Start, signal.Notify,
+#     obs.ConfigureDefaultLogger or overload.NewGate, or defines any of
+#     the six observability flags or the three admission flags — they
+#     live once, in internal/daemon (DESIGN.md, "One daemon harness").
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -34,16 +39,20 @@ cd "$(dirname "$0")/.."
 fail=0
 
 echo "== flags vs docs/OPERATIONS.md"
-for main in cmd/*/main.go; do
-	cmdname=$(basename "$(dirname "$main")")
-	flags=$(grep -oE 'flag\.[A-Za-z0-9]+\("[^"]+"' "$main" | sed 's/.*("\([^"]*\)"/\1/' | sort -u)
+# A definition is flag.X("name" in a main, or fs.X(&v, "name" / d.fs.X("name"
+# in the harness.
+for src in cmd/*/main.go internal/daemon/daemon.go; do
+	owner=$(basename "$(dirname "$src")")
+	flags=$(grep -oE '(flag|fs)\.[A-Z][A-Za-z0-9]*\((&[^,]+, *)?"[^"]+"' "$src" | sed 's/.*"\([^"]*\)"$/\1/' | sort -u)
 	for f in $flags; do
 		if ! grep -qE -- "(^|[\`| ])-$f(\`|,| |\$)" docs/OPERATIONS.md; then
-			echo "MISSING: flag -$f of $cmdname not documented in docs/OPERATIONS.md" >&2
+			echo "MISSING: flag -$f of $owner not documented in docs/OPERATIONS.md" >&2
 			fail=1
 		fi
 	done
 done
+nharness=$(grep -cE 'fs\.[A-Z][A-Za-z0-9]*\((&[^,]+, *)?"' internal/daemon/daemon.go)
+[ "$nharness" -ge 10 ] || { echo "docscheck: extracted only $nharness flags from internal/daemon, want >= 10" >&2; exit 1; }
 
 echo "== metric names vs docs/OBSERVABILITY.md"
 names=$(grep -oE '= "[a-z][a-z0-9._]+"' internal/obs/names.go | sed 's/= "\(.*\)"/\1/' | sort -u)
@@ -168,6 +177,15 @@ for want in '1 lors\.DownloadInto\(' '0 lors\.Download\(' '1 StartSpan\([^)]*obs
 		fail=1
 	fi
 done
+
+echo "== one harness (DESIGN.md, \"One daemon harness\")"
+strays=$(grep -nE 'slo\.Start\(|signal\.Notify|obs\.ConfigureDefaultLogger\(|overload\.NewGate\(|flag\.[A-Z][A-Za-z0-9]*\((&[^,]+, *)?"(metrics-addr|slo-config|prof-rates|tsdb-interval|log-level|log-format|max-inflight|max-queue|max-queue-wait)"' \
+	cmd/*/*.go | grep -v 'flag\.Lookup(' || true)
+if [ -n "$strays" ]; then
+	echo "STRAY: a main wires what internal/daemon owns:" >&2
+	echo "$strays" >&2
+	fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
 	echo "docs audit failed" >&2
