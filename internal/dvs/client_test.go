@@ -321,9 +321,8 @@ func TestClientCancelReturnsPromptly(t *testing.T) {
 // asks its parent over one persistent client, not a new one per query.
 func TestServerForwardsOverOneParentConnection(t *testing.T) {
 	root, rootCl := startDVS(t, "")
-	leaf, leafCl := startDVS(t, rootCl.Addr)
 	d := &countingDialer{}
-	leaf.Dialer = d
+	_, leafCl := startDVS(t, rootCl.Addr, func(s *Server) { s.Dialer = d })
 	for i := 0; i < 20; i++ {
 		k := key("r0c" + string(rune('a'+i)))
 		if err := root.Put(k, []byte("<exnode/>")); err != nil {

@@ -9,9 +9,15 @@ import (
 	"time"
 )
 
-func startDVS(t *testing.T, parent string) (*Server, *Client) {
+// startDVS serves a directory under parent ("" for a root). set, if any,
+// configures the server before it serves: its fields are not to be written
+// once connections may read them.
+func startDVS(t *testing.T, parent string, set ...func(*Server)) (*Server, *Client) {
 	t.Helper()
 	s := NewServer(parent)
+	for _, f := range set {
+		f(s)
+	}
 	addr, err := s.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

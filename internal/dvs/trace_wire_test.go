@@ -14,9 +14,8 @@ func TestDVSTracePropagation(t *testing.T) {
 	obs.SetPropagation(true)
 	defer obs.SetPropagation(false)
 
-	srv, cl := startDVS(t, "")
 	serverTracer := obs.NewTracer(64)
-	srv.Tracer = serverTracer
+	_, cl := startDVS(t, "", func(s *Server) { s.Tracer = serverTracer })
 
 	clientTracer := obs.NewTracer(64)
 	ctx, span := clientTracer.StartSpan(context.Background(), "test.client")
@@ -57,9 +56,8 @@ func TestDVSTokenlessBackwardCompat(t *testing.T) {
 	if obs.PropagationEnabled() {
 		t.Fatal("propagation unexpectedly on at test start")
 	}
-	srv, cl := startDVS(t, "")
 	serverTracer := obs.NewTracer(64)
-	srv.Tracer = serverTracer
+	_, cl := startDVS(t, "", func(s *Server) { s.Tracer = serverTracer })
 
 	ctx, span := obs.NewTracer(64).StartSpan(context.Background(), "test.client")
 	key := Key{Dataset: "neghip", ViewSet: "r03c04"}
@@ -82,11 +80,9 @@ func TestDVSHierarchyTracePropagation(t *testing.T) {
 	obs.SetPropagation(true)
 	defer obs.SetPropagation(false)
 
-	rootSrv, rootCl := startDVS(t, "")
-	rootTracer := obs.NewTracer(64)
-	rootSrv.Tracer = rootTracer
-	leafSrv, leafCl := startDVS(t, rootCl.Addr)
-	leafSrv.Tracer = obs.NewTracer(64)
+	rootTracer, leafTracer := obs.NewTracer(64), obs.NewTracer(64)
+	_, rootCl := startDVS(t, "", func(s *Server) { s.Tracer = rootTracer })
+	_, leafCl := startDVS(t, rootCl.Addr, func(s *Server) { s.Tracer = leafTracer })
 
 	key := Key{Dataset: "neghip", ViewSet: "r05c06"}
 	if err := rootCl.Put(context.Background(), key, []byte("<exnode/>")); err != nil {
@@ -106,7 +102,7 @@ func TestDVSHierarchyTracePropagation(t *testing.T) {
 	if rootRecs[0].ParentID == span.ID {
 		t.Error("root span parented directly under the client; want the leaf's serve span in between")
 	}
-	leafRecs := leafSrv.Tracer.Export(span.TraceID)
+	leafRecs := leafTracer.Export(span.TraceID)
 	if len(leafRecs) != 1 || leafRecs[0].ParentID != span.ID {
 		t.Fatalf("leaf spans = %+v, want one parented under client span %x", leafRecs, span.ID)
 	}

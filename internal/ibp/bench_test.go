@@ -10,11 +10,15 @@ import (
 )
 
 // The client transport alone: one in-memory depot behind a loopback
-// listener, the extent size the browse workloads send (one 64 KiB stripe).
-// The pipelined benchmarks run two callers on one pipe, as the repository
-// benchmark's depot_mix workload does.
+// listener, the extent sizes the browse workloads send (one 64 KiB stripe,
+// and the 26 KiB tail extent of a view set). The pipelined benchmarks run
+// two callers on one pipe, as the repository benchmark's depot_mix workload
+// does.
 
-const benchStripe = 64 * 1024
+const (
+	benchStripe = 64 * 1024
+	benchTail   = 26 * 1024
+)
 
 func benchDepot(b *testing.B) (addr string, caps Capabilities) {
 	b.Helper()
@@ -89,6 +93,15 @@ func BenchmarkPipeLoad64K(b *testing.B) {
 	b.SetBytes(benchStripe)
 	benchOnPipe(b, func(ctx context.Context, p *Pipe, caps Capabilities, buf []byte) error {
 		return p.Load(ctx, caps.Read, 0, buf)
+	})
+}
+
+// BenchmarkPipeLoad26K is the reply that fitted a connection's write buffer
+// whole when replies went through one, so it took one write then as now.
+func BenchmarkPipeLoad26K(b *testing.B) {
+	b.SetBytes(benchTail)
+	benchOnPipe(b, func(ctx context.Context, p *Pipe, caps Capabilities, buf []byte) error {
+		return p.Load(ctx, caps.Read, 0, buf[:benchTail])
 	})
 }
 

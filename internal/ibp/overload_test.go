@@ -17,8 +17,9 @@ import (
 // queue full, a new request is rejected with a typed ErrBusy the client
 // can classify.
 func TestAdmissionShedsBusy(t *testing.T) {
-	_, cl, srv := startDepotServer(t, 1<<20)
-	srv.Admission = overload.NewGate(1, 0, 50*time.Millisecond)
+	_, cl, srv := startDepotServer(t, 1<<20, func(s *Server) {
+		s.Admission = overload.NewGate(1, 0, 50*time.Millisecond)
+	})
 
 	// Occupy the single slot out-of-band so the wire request finds the
 	// gate full with an empty queue.
@@ -37,8 +38,7 @@ func TestAdmissionShedsBusy(t *testing.T) {
 // TestAdmissionAdmitsAfterDrain: releasing the slot lets the next
 // request through unchanged.
 func TestAdmissionAdmitsAfterDrain(t *testing.T) {
-	_, cl, srv := startDepotServer(t, 1<<20)
-	srv.Admission = overload.NewGate(1, 2, time.Second)
+	_, cl, _ := startDepotServer(t, 1<<20, func(s *Server) { s.Admission = overload.NewGate(1, 2, time.Second) })
 	if _, _, _, err := cl.Status(context.Background()); err != nil {
 		t.Fatalf("status through idle gate: %v", err)
 	}
@@ -56,8 +56,9 @@ func TestAdmissionAdmitsAfterDrain(t *testing.T) {
 // tokens or the BUSY code) receives a well-formed "ERR BUSY ..." line it
 // parses as a generic error, not a protocol break.
 func TestBusyWireOldClientNewDepot(t *testing.T) {
-	addr, _, srv := startDepotServer(t, 1<<20)
-	srv.Admission = overload.NewGate(1, 0, 50*time.Millisecond)
+	addr, _, srv := startDepotServer(t, 1<<20, func(s *Server) {
+		s.Admission = overload.NewGate(1, 0, 50*time.Millisecond)
+	})
 	release, err := srv.Admission.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)

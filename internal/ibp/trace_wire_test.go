@@ -18,9 +18,8 @@ func TestWireTracePropagation(t *testing.T) {
 	obs.SetPropagation(true)
 	defer obs.SetPropagation(false)
 
-	_, cl, srv := startDepotServer(t, 1<<20)
 	serverTracer := obs.NewTracer(64)
-	srv.Tracer = serverTracer
+	_, cl, _ := startDepotServer(t, 1<<20, func(s *Server) { s.Tracer = serverTracer })
 
 	clientTracer := obs.NewTracer(64)
 	ctx, span := clientTracer.StartSpan(context.Background(), "test.client")
@@ -66,9 +65,8 @@ func TestWireNoTokenWhenPropagationOff(t *testing.T) {
 	if obs.PropagationEnabled() {
 		t.Fatal("propagation unexpectedly on at test start")
 	}
-	_, cl, srv := startDepotServer(t, 1<<20)
 	serverTracer := obs.NewTracer(64)
-	srv.Tracer = serverTracer
+	_, cl, _ := startDepotServer(t, 1<<20, func(s *Server) { s.Tracer = serverTracer })
 
 	ctx, span := obs.NewTracer(64).StartSpan(context.Background(), "test.client")
 	if _, err := cl.Allocate(ctx, 100, time.Minute, Stable); err != nil {
@@ -108,9 +106,8 @@ func TestWireTokenlessBackwardCompat(t *testing.T) {
 // trailing-token encoding documented in docs/OBSERVABILITY.md: a server
 // must parse "VERB ... trace=<tid>/<sid>" and parent its span there.
 func TestWireRawTraceToken(t *testing.T) {
-	addr, _, srv := startDepotServer(t, 4096)
 	serverTracer := obs.NewTracer(64)
-	srv.Tracer = serverTracer
+	addr, _, _ := startDepotServer(t, 4096, func(s *Server) { s.Tracer = serverTracer })
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {

@@ -13,14 +13,18 @@ import (
 )
 
 // startDepotServer starts a depot server on loopback and returns its
-// address and a plain client.
-func startDepotServer(t *testing.T, capacity int64) (addr string, cl *Client, srv *Server) {
+// address and a plain client. set, if any, configures the server before it
+// serves: its fields are not to be written once connections may read them.
+func startDepotServer(t *testing.T, capacity int64, set ...func(*Server)) (addr string, cl *Client, srv *Server) {
 	t.Helper()
 	d, err := NewDepot(DepotConfig{Capacity: capacity, MaxLease: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv = NewServer(d)
+	for _, f := range set {
+		f(srv)
+	}
 	addr, err = srv.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

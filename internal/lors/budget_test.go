@@ -95,8 +95,9 @@ func TestRetryBudgetCapsAmplification(t *testing.T) {
 // depot's circuit stays closed, and the shed is accounted separately
 // from failures.
 func TestBusyFailsOverWithoutTrippingCircuit(t *testing.T) {
-	// Two depots, one object replicated on both.
-	var srvs []*ibp.Server
+	// Two depots, one object replicated on both. Depot 0's gate (one slot,
+	// no queue) is in place before it serves and admits the upload.
+	gate := overload.NewGate(1, 0, 10*time.Millisecond)
 	var addrs []string
 	for i := 0; i < 2; i++ {
 		d, err := ibp.NewDepot(ibp.DepotConfig{Capacity: 1 << 20, MaxLease: time.Hour})
@@ -104,12 +105,14 @@ func TestBusyFailsOverWithoutTrippingCircuit(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv := ibp.NewServer(d)
+		if i == 0 {
+			srv.Admission = gate
+		}
 		addr, err := srv.ListenAndServe("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
-		srvs = append(srvs, srv)
 		addrs = append(addrs, addr)
 	}
 	data := testPayload(8*1024, 11)
@@ -122,8 +125,7 @@ func TestBusyFailsOverWithoutTrippingCircuit(t *testing.T) {
 	}
 
 	// Depot 0 starts shedding everything: zero-slot queue, slot held.
-	srvs[0].Admission = overload.NewGate(1, 0, 10*time.Millisecond)
-	release, err := srvs[0].Admission.Acquire(context.Background())
+	release, err := gate.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

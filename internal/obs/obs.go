@@ -378,9 +378,17 @@ func trimFloat(f float64) string {
 // dimensional model: use it for bounded sets (operation verbs, depot
 // addresses of a deployment), never for unbounded values.
 func Label(name string, kv ...string) string {
-	if len(kv) == 0 {
+	switch len(kv) {
+	case 0:
 		return name
+	case 2: // one pair, as on every request path: nothing to sort
+		return name + "{" + kv[0] + "=" + kv[1] + "}"
 	}
+	return labelSorted(name, kv)
+}
+
+// labelSorted is Label's general path, any number of pairs.
+func labelSorted(name string, kv []string) string {
 	if len(kv)%2 != 0 {
 		kv = append(kv, "")
 	}

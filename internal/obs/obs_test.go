@@ -223,3 +223,19 @@ func TestLabel(t *testing.T) {
 		t.Fatal("BaseName must strip the label block")
 	}
 }
+
+// TestLabelOnePairMatchesGeneralPath: the one-pair fast path renders
+// byte for byte what the sorting path does, empty keys and values included.
+func TestLabelOnePairMatchesGeneralPath(t *testing.T) {
+	for _, c := range [][3]string{
+		{"ibp.server.op.ms", "op", "LOAD"},
+		{"ibp.depot.ms", "depot", "127.0.0.1:7711"},
+		{"ibp.errors", "op", ""},
+		{"x", "", "v"},
+		{"", "", ""},
+	} {
+		if got, want := Label(c[0], c[1], c[2]), labelSorted(c[0], []string{c[1], c[2]}); got != want {
+			t.Errorf("Label(%q, %q, %q) = %q, general path %q", c[0], c[1], c[2], got, want)
+		}
+	}
+}

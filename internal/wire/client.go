@@ -503,50 +503,38 @@ func (c *Client) dial(ctx context.Context) (*ClientConn, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
-		cc := &ClientConn{c: c, nc: r.nc}
-		cc.br, cc.bw = getBuffers(r.nc)
+		cc := &ClientConn{c: c, nc: r.nc, br: readers.Get().(*bufio.Reader)}
+		cc.br.Reset(r.nc)
 		return cc, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 }
 
-// A connection that serves one operation must not cost two fresh 64 KiB
-// buffers: a client connection's come from here and go back once no
-// goroutine can touch them.
-var (
-	readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, connBuf) }}
-	writers = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, connBuf) }}
-)
+// A connection that serves one operation must not cost a fresh 64 KiB
+// buffer: a client connection's reader comes from here and goes back once
+// no goroutine can touch it.
+var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, connBuf) }}
 
-func getBuffers(nc net.Conn) (*bufio.Reader, *bufio.Writer) {
-	br, bw := readers.Get().(*bufio.Reader), writers.Get().(*bufio.Writer)
-	br.Reset(nc)
-	bw.Reset(nc)
-	return br, bw
-}
-
-func putBuffers(br *bufio.Reader, bw *bufio.Writer) {
+func putReader(br *bufio.Reader) {
 	br.Reset(nil)
-	bw.Reset(nil)
 	readers.Put(br)
-	writers.Put(bw)
 }
 
 // ClientConn is one client connection: untagged, carrying one request at a
 // time on its caller's goroutine, until the handshake gives it a window and
 // a reader goroutine. Only a tagged one is ever handed out of the package.
 type ClientConn struct {
-	c  *Client
-	nc net.Conn
-	br *bufio.Reader
-	bw *bufio.Writer
+	c   *Client
+	nc  net.Conn
+	br  *bufio.Reader
+	out gather
 
 	// Tagged state.
 	window int
 	slots  chan struct{} // one token per request in flight: the window
 	done   chan struct{} // closed when the connection breaks
-	wmu    sync.Mutex    // serializes whole requests onto bw
+	wmu    sync.Mutex    // serializes whole requests onto nc
 	depth  atomic.Int64
 
 	mu      sync.Mutex
@@ -556,25 +544,22 @@ type ClientConn struct {
 }
 
 // closeUntagged closes a connection no goroutine but the caller's can be
-// using, which is what makes its buffers safe to hand on.
+// using, which is what makes its reader safe to hand on.
 func (cc *ClientConn) closeUntagged() {
 	cc.nc.Close()
-	putBuffers(cc.br, cc.bw)
+	putReader(cc.br)
 }
 
 // send writes one request — line, tag, tokens, newline, payload — as one
-// flushed unit. tag= rides before the tokens so servers can strip right to
-// left: trace, deadline, tag. A failed write sticks until Flush reports it.
-func (cc *ClientConn) send(call *Call, tag uint64, tokens string) error {
-	cc.bw.WriteString(call.Line)
+// gathered write and returns the bytes it moved. tag= rides before the
+// tokens so servers can strip right to left: trace, deadline, tag.
+func (cc *ClientConn) send(call *Call, tag uint64, tokens string) (int64, error) {
+	h := append(cc.out.head[:0], call.Line...)
 	if tag != 0 {
-		var b [24]byte
-		cc.bw.Write(strconv.AppendUint(append(b[:0], " tag="...), tag, 10))
+		h = strconv.AppendUint(append(h, " tag="...), tag, 10)
 	}
-	cc.bw.WriteString(tokens)
-	cc.bw.WriteByte('\n')
-	cc.bw.Write(call.Payload)
-	return cc.bw.Flush()
+	cc.out.head = append(append(h, tokens...), '\n')
+	return cc.out.write(cc.nc, call.Payload)
 }
 
 // roundTrip is the untagged exchange: the window of one, run on the
@@ -584,9 +569,9 @@ func (cc *ClientConn) roundTrip(ctx context.Context, call *Call, tokens string, 
 	// Cancellation mid-request fails the blocked I/O at once.
 	stop := context.AfterFunc(ctx, func() { _ = cc.nc.SetDeadline(time.Unix(1, 0)) })
 	var line string
-	if err = cc.send(call, 0, tokens); err != nil {
-		// Whole in the buffer still: the first write moved nothing.
-		unwritten = cc.bw.Buffered() == len(call.Line)+len(tokens)+1+len(call.Payload)
+	var sent int64
+	if sent, err = cc.send(call, 0, tokens); err != nil {
+		unwritten = sent == 0
 	} else if line, err = ReadLine(cc.br, replyLineCap); err != nil {
 		err = cc.c.malformed("reading response: %v", err)
 	} else {
@@ -766,7 +751,7 @@ func (cc *ClientConn) exchange(ctx context.Context, call *Call, tokens string) (
 	cc.mu.Unlock()
 	cc.addDepth(1)
 	cc.wmu.Lock()
-	err := cc.send(call, tag, tokens)
+	_, err := cc.send(call, tag, tokens)
 	cc.wmu.Unlock()
 	if err != nil {
 		cc.fail(cc.brokenf("write: %v", err)) // which delivers to our registered call
@@ -791,10 +776,7 @@ func (cc *ClientConn) exchange(ctx context.Context, call *Call, tokens string) (
 // calls by tag, lets readReply consume them, and turns any corruption or
 // connection error into the failure of every request in flight.
 func (cc *ClientConn) readLoop() {
-	defer func() {
-		cc.br.Reset(nil)
-		readers.Put(cc.br) // the writer stays: a late request may still hold it
-	}()
+	defer putReader(cc.br)
 	idle := cc.c.idle
 	if idle == 0 {
 		idle = idleTimeout

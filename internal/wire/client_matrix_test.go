@@ -83,6 +83,16 @@ func closeIdle(v any) {
 	}
 }
 
+// rescript changes p's script under p.mu. The peer holds p.mu to record a
+// request and to hand out a reply, and records a connection's PIPELINE
+// before it reads refuse, mute or respond, so a change made before the
+// client dials is one the peer sees.
+func (p *scriptedPeer) rescript(f func()) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	f()
+}
+
 // waitRequests blocks until the peer has seen n requests.
 func waitRequests(t *testing.T, p *scriptedPeer, n int) {
 	t.Helper()
@@ -130,12 +140,14 @@ func TestClientCancelReturnsCtxErr(t *testing.T) {
 // arrives later is read off the wire and dropped, and the pipe goes on.
 func TestClientCancelledLoadNeverWritesDst(t *testing.T) {
 	peer := startScriptedPeer(t)
-	peer.respond = func(req string) string {
-		if strings.Contains(req, "tag=1") {
-			return "" // answered together with the next one
+	peer.rescript(func() {
+		peer.respond = func(req string) string {
+			if strings.Contains(req, "tag=1") {
+				return "" // answered together with the next one
+			}
+			return "T1 OK 5\nhelloT2 OK 5\nworld"
 		}
-		return "T1 OK 5\nhelloT2 OK 5\nworld"
-	}
+	})
 	p, err := ibp.DialPipe(context.Background(), peer.addr, nil, 8, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
@@ -194,9 +206,14 @@ func TestClientNeverReusesUnreadReply(t *testing.T) {
 	})
 }
 
-// failingDialer hands out connections whose writes fail, writing nothing,
-// while broken is set.
-type failingDialer struct{ broken atomic.Bool }
+// failingDialer hands out connections one of whose writes fails, writing
+// nothing, once broken is set: the first, or the one after the next pass
+// writes. A request is one write on a TCP socket but a write per part (line,
+// payload) on a wrapped connection like these.
+type failingDialer struct {
+	broken atomic.Bool
+	pass   atomic.Int32
+}
 
 type failingConn struct {
 	net.Conn
@@ -212,7 +229,7 @@ func (d *failingDialer) Dial(addr string) (net.Conn, error) {
 }
 
 func (c *failingConn) Write(p []byte) (int, error) {
-	if c.d.broken.CompareAndSwap(true, false) {
+	if c.d.broken.Load() && c.d.pass.Add(-1) < 0 && c.d.broken.CompareAndSwap(true, false) {
 		return 0, errors.New("write refused")
 	}
 	return c.Conn.Write(p)
@@ -286,6 +303,24 @@ func TestClientRepeatsOnlyWhatIsSafe(t *testing.T) {
 			t.Errorf("peer saw %d PUTs on %d connections, want 1 on 2", n, c)
 		}
 	})
+	t.Run("kept/PUT-half-written", func(t *testing.T) {
+		peer := startScriptedPeer(t, "MISS\n", "OK\n")
+		d := &failingDialer{}
+		cl := &dvs.Client{Addr: peer.addr, Dialer: d}
+		defer cl.CloseIdle()
+		if _, err := cl.Get(ctx, matrixKey); !errors.Is(err, dvs.ErrMiss) {
+			t.Fatal(err)
+		}
+		d.pass.Store(1) // the request line leaves, the payload write fails
+		d.broken.Store(true)
+		if err := cl.Put(ctx, matrixKey, []byte("<exnode/>")); err == nil {
+			t.Error("PUT whose payload write failed reported success")
+		}
+		// The peer never read a whole PUT, and no second connection came.
+		if n, c := count(peer, "PUT"), peer.accepted(); n != 0 || c != 1 {
+			t.Errorf("peer saw %d PUTs on %d connections, want 0 on 1", n, c)
+		}
+	})
 	t.Run("tagged/LOAD-on-reused", func(t *testing.T) {
 		peer := startScriptedPeer(t, "OK 5\nhello", hangup, "OK 5\nworld")
 		pool := &ibp.PipePool{Obs: obs.NewRegistry()}
@@ -317,7 +352,7 @@ func TestClientRepeatsOnlyWhatIsSafe(t *testing.T) {
 // its own.
 func TestClientRemembersPipelineRefusal(t *testing.T) {
 	peer := startScriptedPeer(t, "OK 5\nhello", "OK 5\nhello", "OK 5\nhello")
-	peer.refuse = true
+	peer.rescript(func() { peer.refuse = true })
 	reg := obs.NewRegistry()
 	pool := &ibp.PipePool{Obs: reg}
 	defer pool.Close()
@@ -441,7 +476,7 @@ func TestClientCloseLeavesNoGoroutine(t *testing.T) {
 // context allows, whatever the caller doing the handshake has to spare.
 func TestClientHandshakeWaitHonoursCtx(t *testing.T) {
 	peer := startScriptedPeer(t)
-	peer.mute = true
+	peer.rescript(func() { peer.mute = true })
 	pool := &ibp.PipePool{Obs: obs.NewRegistry()}
 	defer pool.Close()
 	ctxA, cancelA := context.WithTimeout(context.Background(), 2*time.Second)
@@ -495,7 +530,7 @@ func TestClientReplyLineIsBounded(t *testing.T) {
 			d := &meteredDialer{}
 			cfgName, _, sizeLine := strings.Cut(name, "/")
 			if sizeLine {
-				peer.replies[0] = "OK 1\n" + flood
+				peer.rescript(func() { peer.replies[0] = "OK 1\n" + flood })
 			}
 			cfg := configurations(peer.addr, d)[cfgName]
 			defer cfg.close()

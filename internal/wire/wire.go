@@ -47,7 +47,8 @@ const DefaultPipelineWindow = 32
 // server-side buffering one connection can demand.
 const maxPipelineWindow = 256
 
-// connBuf sizes both halves of a connection's buffering: one 64 KiB stripe.
+// connBuf sizes a connection's read buffer (writes are not buffered): one
+// 64 KiB stripe.
 const connBuf = 64 * 1024
 
 // tagPrefix marks the per-request tag token on tagged connections. On the
@@ -117,10 +118,10 @@ func StripTagToken(fields []string) ([]string, uint64, bool) {
 }
 
 // Reply collects one request's answer: a status line (with whatever small
-// text follows it), then optionally one payload that is handed to the
-// connection's writer as it is, never copied. Nothing reaches the socket
-// until the handler has returned, so the outcome is known, and the span
-// finished, before the first byte leaves.
+// text follows it), then optionally one payload that leaves from where it
+// is, never copied. Nothing reaches the socket until the handler has
+// returned, so the outcome is known, and the span finished, before the
+// first byte leaves.
 type Reply struct {
 	head   []byte
 	body   []byte
@@ -351,7 +352,8 @@ func (s *Server) Conns() int {
 
 // conn is one accepted connection. Untagged, its window is the one
 // exchange exch; tagged, it is the granted number of exchanges cycling
-// through free, each carried by one worker goroutine at a time.
+// through free, each carried by one worker goroutine at a time. A worker
+// that has finished one waits on idle for the reader to hand it the next.
 type conn struct {
 	srv *Server
 	nc  net.Conn
@@ -359,10 +361,11 @@ type conn struct {
 
 	tagged bool
 	free   chan *exchange
+	idle   chan *exchange
 	exch   exchange
 
-	wmu  sync.Mutex // serializes whole replies onto bw
-	bw   *bufio.Writer
+	wmu  sync.Mutex // serializes whole replies onto nc
+	out  gather
 	werr error // first write error; sticks
 }
 
@@ -377,12 +380,15 @@ func (s *Server) serveConn(nc net.Conn) {
 		srv: s,
 		nc:  nc,
 		br:  bufio.NewReaderSize(nc, connBuf),
-		bw:  bufio.NewWriterSize(nc, connBuf),
 	}
 	var workers sync.WaitGroup
+	nworkers := 0
 	defer func() {
 		if r := recover(); r != nil {
 			log.Printf("%s: panic handling %v: %v", s.svc.Names.Component, nc.RemoteAddr(), r)
+		}
+		if c.idle != nil {
+			close(c.idle) // the waiting workers exit, the busy ones after their exchange
 		}
 		workers.Wait()
 		nc.Close()
@@ -418,15 +424,28 @@ func (s *Server) serveConn(nc net.Conn) {
 			c.send(x, nil)
 			return
 		}
-		workers.Add(1)
-		go c.work(x, &workers)
+		// Unless every worker holds an exchange, one is waiting on idle or
+		// has put its exchange back and is on its way there. Only when all are
+		// busy does a new one start: the peak concurrency has grown.
+		if busy := cap(c.free) - len(c.free) - 1; nworkers > busy {
+			c.idle <- x
+		} else {
+			nworkers++
+			workers.Add(1)
+			go c.work(x, &workers)
+		}
 	}
 }
 
+// work runs exchanges until the connection ends, so a connection has as
+// many workers as it once had exchanges in hand at the same time, not one
+// per request, and each keeps the stack it has grown.
 func (c *conn) work(x *exchange, workers *sync.WaitGroup) {
-	c.exec(x)
-	c.free <- x
-	workers.Done()
+	defer workers.Done()
+	for ok := true; ok; x, ok = <-c.idle {
+		c.exec(x)
+		c.free <- x
+	}
 }
 
 // ReadLine reads one \n-terminated line of at most max bytes, newline
@@ -629,7 +648,7 @@ func (c *conn) upgrade(x *exchange, max int, span *obs.Span) bool {
 	if c.send(x, span) != nil {
 		return false
 	}
-	c.tagged, c.free = true, make(chan *exchange, granted)
+	c.tagged, c.free, c.idle = true, make(chan *exchange, granted), make(chan *exchange)
 	for i := 0; i < granted; i++ {
 		c.free <- new(exchange)
 	}
@@ -637,27 +656,46 @@ func (c *conn) upgrade(x *exchange, max int, span *obs.Span) bool {
 }
 
 // send finishes the request's span and then writes its reply — tag prefix,
-// status text, payload — as one flushed unit. It is the only place a reply
-// leaves a server, so the span is always exported before the client can
-// act on the answer (the trace collector relies on it).
+// status text, payload — as one gathered write. It is the only place a
+// reply leaves a server, so the span is always exported before the client
+// can act on the answer (the trace collector relies on it).
 func (c *conn) send(x *exchange, span *obs.Span) error {
 	span.Finish()
 	rep := &x.rep
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if c.werr == nil && len(rep.head) > 0 {
+		h := c.out.head[:0]
 		if x.req.Tagged {
-			var tb [24]byte
-			c.bw.Write(append(strconv.AppendUint(append(tb[:0], 'T'), x.req.Tag, 10), ' '))
+			h = append(strconv.AppendUint(append(h, 'T'), x.req.Tag, 10), ' ')
 		}
-		c.bw.Write(rep.head)
-		c.bw.Write(rep.body)
-		c.werr = c.bw.Flush()
+		c.out.head = append(h, rep.head...)
+		_, c.werr = c.out.write(c.nc, rep.body)
 	}
 	if rep.pooled {
 		bufpool.Put(rep.body)
 	}
 	return c.werr
+}
+
+// gather is one connection's message in the making: head is built in place
+// (request line and tokens, or tag prefix and status text), and write sends
+// it with the payload that follows it, if any, straight from where that
+// lies: one writev on a TCP socket, a Write per part on a wrapped conn.
+// Reused by its connection under the lock that orders its messages, so a
+// write allocates nothing.
+type gather struct {
+	head []byte
+	iov  [2][]byte
+	vec  net.Buffers
+}
+
+func (g *gather) write(w io.Writer, body []byte) (int64, error) {
+	g.vec = append(g.iov[:0], g.head)
+	if len(body) > 0 {
+		g.vec = append(g.vec, body)
+	}
+	return g.vec.WriteTo(w)
 }
 
 // OneLine keeps an error message on the reply's one line.

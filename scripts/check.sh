@@ -71,6 +71,14 @@ run_named -race -count=20 \
 run_named -race -count=20 \
 	-run 'TestTranscriptParity|TestShed|TestCloseLeavesNoHandler|TestRequestLineIsBounded' \
 	./internal/wire
+# Tagged execution and the gathered write: workers number the peak
+# concurrency and leave with their connection, a blocked handler holds its
+# own worker only, and a reply whose write fails mid-body is the
+# connection's last with its pooled body returned. The client's half-written
+# PUT is a row of TestClientRepeatsOnlyWhatIsSafe above.
+run_named -race -count=20 \
+	-run 'TestWorkersNumberPeakConcurrency|TestWorkersLeaveWithTheConnection|TestWorkerBlockedDoesNotStallOthers|TestReplyWriteFailsMidBody' \
+	./internal/wire
 
 # The one fetch flight: who shares a transfer, who may leave it, what a
 # reader sees when an attempt fails under it — orderings all, judged by
