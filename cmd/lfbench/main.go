@@ -11,34 +11,20 @@
 //	lfbench -fig fps    in-text: client rendering frame rate
 //	lfbench -fig rates  in-text 4.3: WAN access & hit rates, cases 2 vs 3
 //	lfbench -fig all    everything
-//	lfbench -quick      small smoke run; writes BENCH_quick.json and exits
-//	lfbench -clients N  multi-client fleet benchmark (implies -quick): adds a
-//	                    "fleet" section — aggregate fps, per-client p99,
-//	                    fairness spread, shed counts — to the report
 //
-// -csv DIR writes each series as CSV next to the printed tables. -json DIR
-// writes a machine-readable BENCH_<name>.json (frames/sec, fetch-latency
-// percentiles, cache hit rate) for the latency figures and -quick.
+// -csv DIR writes each series as CSV next to the printed tables.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"math"
-	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
-	"lonviz/internal/agent"
 	"lonviz/internal/daemon"
 	"lonviz/internal/experiments"
-	"lonviz/internal/obs/prof"
 	"lonviz/internal/obs/slo"
 	"lonviz/internal/session"
 )
@@ -52,14 +38,6 @@ func main() {
 	accesses := flag.Int("accesses", session.PaperAccessCount, "session length in view set accesses")
 	think := flag.Duration("think", 0, "cursor think time (0 = config default)")
 	csvDir := flag.String("csv", "", "directory to write CSV series into")
-	jsonDir := flag.String("json", ".", "directory to write BENCH_*.json reports into")
-	quick := flag.Bool("quick", false, "run a short smoke benchmark, write BENCH_quick.json, verify it parses, and exit")
-	clients := flag.Int("clients", 0, "also run a multi-client fleet benchmark with this many concurrent viewers (implies -quick)")
-	edgeOn := flag.Bool("edge", false, "also run the edge-fleet benchmark: shared edge cache vs isolated per-client caches, side by side (implies -quick)")
-	edgeAddr := flag.String("edge-addr", "", "address of an external lfedged for the -edge shared leg (empty starts an in-process edge)")
-	benchName := flag.String("bench-name", "quick", "name for the emitted BENCH_<name>.json in quick/fleet mode")
-	compare := flag.String("compare", "", "baseline BENCH_*.json to diff the -quick run against; warns on >20% regressions")
-	fleetDebug := flag.String("fleet-debug", "", "metrics address of a scraping steward (-fleet-scrape); its /debug/fleet view is snapshotted into the report's fleet_obs section")
 	flag.Parse()
 
 	cfg := experiments.DefaultConfig()
@@ -79,9 +57,6 @@ func main() {
 				return err
 			}
 		}
-		if *quick || *clients > 1 || *edgeOn {
-			return runQuick(ctx, cfg, *jsonDir, *compare, *benchName, *clients, *edgeOn, *edgeAddr, *fleetDebug)
-		}
 
 		figs := []struct {
 			name, title string
@@ -89,9 +64,9 @@ func main() {
 		}{
 			{"7", "Figure 7: light field database sizes", func() error { return fig7(ctx, cfg, *csvDir) }},
 			{"8", "Figure 8: view set decompression time per access", func() error { return fig8(ctx, cfg, *csvDir) }},
-			{"9", "Figure 9: client latency per access, 200x200", func() error { return figLatency(ctx, cfg, "9", 200, *csvDir, *jsonDir) }},
-			{"10", "Figure 10: client latency per access, 300x300", func() error { return figLatency(ctx, cfg, "10", 300, *csvDir, *jsonDir) }},
-			{"11", "Figure 11: client latency per access, 500x500", func() error { return figLatency(ctx, cfg, "11", 500, *csvDir, *jsonDir) }},
+			{"9", "Figure 9: client latency per access, 200x200", func() error { return figLatency(ctx, cfg, "9", 200, *csvDir) }},
+			{"10", "Figure 10: client latency per access, 300x300", func() error { return figLatency(ctx, cfg, "10", 300, *csvDir) }},
+			{"11", "Figure 11: client latency per access, 500x500", func() error { return figLatency(ctx, cfg, "11", 500, *csvDir) }},
 			{"12", "Figure 12: communication latency per access (log-scale data)", func() error { return fig12(ctx, cfg, *csvDir) }},
 			{"fps", "In-text: client rendering frame rate", func() error { return figFPS(ctx, cfg) }},
 			{"rates", "In-text 4.3: initial-phase WAN access and hit rates", func() error { return figRates(ctx, cfg) }},
@@ -133,515 +108,6 @@ func figQGR(ctx context.Context, cfg experiments.Config) error {
 		fmt.Printf("%-20s %-14v %-14v %-12s\n", names[r.Case], r.MinThink, r.WorstLatency, rate)
 	}
 	fmt.Println("paper: case 2's QGR is significantly slower than cases 1 and 3 (section 4.2)")
-	return nil
-}
-
-// benchPercentiles are exact order statistics over one latency series.
-type benchPercentiles struct {
-	P50 float64 `json:"p50"`
-	P95 float64 `json:"p95"`
-	P99 float64 `json:"p99"`
-}
-
-// benchCase is one deployment case's results inside a bench report.
-type benchCase struct {
-	Case            string           `json:"case"`
-	Accesses        int              `json:"accesses"`
-	FramesPerSecond float64          `json:"frames_per_second"`
-	FetchLatencyMs  benchPercentiles `json:"fetch_latency_ms"`
-	CommLatencyMs   benchPercentiles `json:"comm_latency_ms"`
-	CacheHitRate    float64          `json:"cache_hit_rate"`
-	Classes         map[string]int   `json:"classes"`
-}
-
-// benchFleet is the multi-client section of a bench report: the same
-// deployment under N concurrent viewers sharing one client agent.
-type benchFleet struct {
-	Clients           int       `json:"clients"`
-	AccessesPerClient int       `json:"accesses_per_client"`
-	Successes         int       `json:"successes"`
-	AggregateFPS      float64   `json:"aggregate_fps"`
-	PerClientP99Ms    []float64 `json:"per_client_p99_ms"`
-	WorstP99Ms        float64   `json:"worst_p99_ms"`
-	// FairnessSpread is fastest-client fps over slowest-client fps
-	// (1.0 = perfectly fair); -1 records that some client starved
-	// completely (the true spread is infinite, which JSON cannot carry).
-	FairnessSpread  float64 `json:"fairness_spread"`
-	Busy            int     `json:"busy"`
-	Expired         int     `json:"expired"`
-	Errors          int     `json:"errors"`
-	Coalesced       int64   `json:"coalesced"`
-	BusyRejections  int64   `json:"busy_rejections"`
-	BudgetExhausted int64   `json:"budget_exhausted"`
-}
-
-// benchEdge is the edge-fleet section of a bench report: the same fleet
-// of clients run twice over identical cursor scripts, once with isolated
-// per-client caches and once sharing an edge cache tier.
-type benchEdge struct {
-	Clients           int `json:"clients"`
-	AccessesPerClient int `json:"accesses_per_client"`
-	// SharedHitRate counts local hits plus edge hits over all shared-leg
-	// accesses (the fleet-aggregate LAN-or-better rate); IsolatedHitRate
-	// is the baseline leg's local-cache hit rate.
-	SharedHitRate      float64 `json:"shared_hit_rate"`
-	IsolatedHitRate    float64 `json:"isolated_hit_rate"`
-	SharedWorstP99Ms   float64 `json:"shared_worst_p99_ms"`
-	IsolatedWorstP99Ms float64 `json:"isolated_worst_p99_ms"`
-	EdgeHits           int64   `json:"edge_hits"`
-	EdgeFills          int64   `json:"edge_fills"`
-	// WANFetches counts shared-leg accesses the agents still had to serve
-	// from the WAN depots directly (edge down or failed over).
-	WANFetches int64 `json:"wan_fetches"`
-	// Classes is the shared leg's access-class breakdown.
-	Classes map[string]int `json:"classes"`
-	// External records a run against an external lfedged (edge hit/fill
-	// counters are not visible in-process then and read 0 here).
-	External bool `json:"external,omitempty"`
-}
-
-// benchReport is the machine-readable BENCH_<name>.json document. The
-// runtime section is the process's own fingerprint over the run
-// (allocator throughput, GC pauses, goroutine peak), so a latency
-// regression in a later diff carries its likely runtime cause along.
-type benchReport struct {
-	Name        string         `json:"name"`
-	GeneratedAt string         `json:"generated_at"`
-	Cases       []benchCase    `json:"cases"`
-	Fleet       *benchFleet    `json:"fleet,omitempty"`
-	Edge        *benchEdge     `json:"edge,omitempty"`
-	Runtime     *prof.Summary  `json:"runtime,omitempty"`
-	FleetObs    *benchFleetObs `json:"fleet_obs,omitempty"`
-}
-
-// benchFleetObs is the cluster-observability context of a run: a
-// scraping steward's /debug/fleet view snapshotted as the benchmark
-// finishes, so a perf diff carries the fleet health it ran against (a
-// degraded depot or a firing coverage alert explains a latency shift
-// better than the numbers alone).
-type benchFleetObs struct {
-	Source          string             `json:"source"`
-	MembersUp       int                `json:"members_up"`
-	MembersDegraded int                `json:"members_degraded"`
-	MembersDown     int                `json:"members_down"`
-	Firing          int                `json:"firing"`
-	Aggregates      map[string]float64 `json:"aggregates,omitempty"`
-}
-
-// fetchFleetObs pulls and condenses one /debug/fleet document; a nil
-// return (unreachable steward, bad payload) just omits the section.
-func fetchFleetObs(addr string) *benchFleetObs {
-	base := addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	cl := &http.Client{Timeout: 5 * time.Second}
-	resp, err := cl.Get(strings.TrimSuffix(base, "/") + "/debug/fleet")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	var doc struct {
-		Members []struct {
-			State string `json:"state"`
-		} `json:"members"`
-		Aggregates map[string]float64 `json:"aggregates"`
-		Firing     int                `json:"firing"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&doc); err != nil {
-		return nil
-	}
-	out := &benchFleetObs{Source: addr, Firing: doc.Firing}
-	for _, m := range doc.Members {
-		switch m.State {
-		case "up":
-			out.MembersUp++
-		case "degraded":
-			out.MembersDegraded++
-		default:
-			out.MembersDown++
-		}
-	}
-	// Keep only the cluster-level aggregates; the per-node mirrors are
-	// matrix detail a report diff does not want.
-	for k, v := range doc.Aggregates {
-		if strings.Contains(k, "{") {
-			continue
-		}
-		if out.Aggregates == nil {
-			out.Aggregates = make(map[string]float64)
-		}
-		out.Aggregates[k] = v
-	}
-	return out
-}
-
-func summarizeEdge(er *experiments.EdgeFleetRun) *benchEdge {
-	classes := make(map[string]int)
-	for class, n := range er.Shared.ClassCounts() {
-		classes[class.String()] = n
-	}
-	return &benchEdge{
-		Clients:            er.Clients,
-		AccessesPerClient:  er.Accesses,
-		SharedHitRate:      er.SharedHitRate(),
-		IsolatedHitRate:    er.IsolatedHitRate(),
-		SharedWorstP99Ms:   er.Shared.WorstP99Ms(),
-		IsolatedWorstP99Ms: er.Isolated.WorstP99Ms(),
-		EdgeHits:           er.EdgeStats.Hits,
-		EdgeFills:          er.EdgeStats.Fills,
-		WANFetches:         er.SharedAgents.WANFetches,
-		Classes:            classes,
-		External:           er.External,
-	}
-}
-
-func summarizeFleet(fr *experiments.FleetRun) *benchFleet {
-	out := &benchFleet{
-		Clients:           fr.Clients,
-		AccessesPerClient: fr.Accesses,
-		Successes:         fr.Result.Accesses(),
-		AggregateFPS:      fr.Result.AggregateFPS(),
-		WorstP99Ms:        fr.Result.WorstP99Ms(),
-		FairnessSpread:    fr.Result.FairnessSpread(),
-		Coalesced:         fr.Agent.Coalesced,
-		BusyRejections:    fr.Agent.BusyRejections,
-		BudgetExhausted:   fr.Agent.BudgetExhausted,
-	}
-	if math.IsInf(out.FairnessSpread, 1) {
-		out.FairnessSpread = -1
-	}
-	for _, r := range fr.Result.Runs {
-		out.PerClientP99Ms = append(out.PerClientP99Ms, r.P99Ms())
-		out.Busy += r.Busy
-		out.Expired += r.Expired
-		out.Errors += r.Errors
-	}
-	return out
-}
-
-var caseNames = map[experiments.Case]string{
-	experiments.Case1LAN:    "case1_lan",
-	experiments.Case2WAN:    "case2_wan",
-	experiments.Case3Staged: "case3_landepot",
-}
-
-// exactPercentile returns the q-quantile (0..1) by nearest-rank over a
-// sorted copy of xs.
-func exactPercentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-func percentilesMs(seconds []float64) benchPercentiles {
-	sorted := append([]float64(nil), seconds...)
-	sort.Float64s(sorted)
-	return benchPercentiles{
-		P50: exactPercentile(sorted, 0.50) * 1e3,
-		P95: exactPercentile(sorted, 0.95) * 1e3,
-		P99: exactPercentile(sorted, 0.99) * 1e3,
-	}
-}
-
-func summarizeCase(r experiments.CaseRun) benchCase {
-	total := session.TotalSeconds(r.Records)
-	sum := 0.0
-	for _, s := range total {
-		sum += s
-	}
-	fps := 0.0
-	if sum > 0 {
-		fps = float64(len(r.Records)) / sum
-	}
-	counts := session.ClassCounts(r.Records)
-	classes := make(map[string]int, len(counts))
-	for class, n := range counts {
-		classes[class.String()] = n
-	}
-	hitRate := 0.0
-	if len(r.Records) > 0 {
-		hitRate = float64(counts[agent.AccessHit]) / float64(len(r.Records))
-	}
-	return benchCase{
-		Case:            caseNames[r.Case],
-		Accesses:        len(r.Records),
-		FramesPerSecond: fps,
-		FetchLatencyMs:  percentilesMs(total),
-		CommLatencyMs:   percentilesMs(session.CommSeconds(r.Records)),
-		CacheHitRate:    hitRate,
-		Classes:         classes,
-	}
-}
-
-// writeBenchJSON renders runs into BENCH_<name>.json under dir and returns
-// the file path. fleet and edge are optional.
-func writeBenchJSON(dir, name string, runs []experiments.CaseRun, fleet *benchFleet, edge *benchEdge, rt *prof.Summary, fleetObs *benchFleetObs) (string, error) {
-	report := benchReport{
-		Name:        name,
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Fleet:       fleet,
-		Edge:        edge,
-		Runtime:     rt,
-		FleetObs:    fleetObs,
-	}
-	for _, r := range runs {
-		report.Cases = append(report.Cases, summarizeCase(r))
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, "BENCH_"+name+".json")
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return "", err
-	}
-	fmt.Printf("lfbench: wrote %s\n", path)
-	return path, nil
-}
-
-// runQuick is the CI smoke mode: a short three-case run at one resolution,
-// reported as BENCH_<name>.json and re-read to prove the file parses. With a
-// baseline it also diffs the fresh report against it (warn-only). With
-// clients > 1 it additionally runs the multi-client fleet benchmark and
-// records the fleet section alongside the standard single-client cases.
-func runQuick(ctx context.Context, cfg experiments.Config, jsonDir, baseline, name string, clients int, edgeOn bool, edgeAddr, fleetDebug string) error {
-	if jsonDir == "" {
-		jsonDir = "."
-	}
-	if name == "" {
-		name = "quick"
-	}
-	// With a baseline, match its session length and keep the configured
-	// cursor pacing so the diff is apples-to-apples (a short, unpaced
-	// session has a different cache-hit tail and starves prestaging,
-	// which would warn on every run). Without one, keep the smoke run as
-	// short as possible.
-	if bl, err := readBenchReport(baseline); err == nil && len(bl.Cases) > 0 && bl.Cases[0].Accesses > 0 {
-		cfg.Accesses = bl.Cases[0].Accesses
-	} else {
-		if cfg.Accesses > 24 {
-			cfg.Accesses = 24
-		}
-		cfg.ThinkTime = 0
-	}
-	start := time.Now()
-	// Collect the process's runtime fingerprint across every experiment
-	// in the run, so the report's runtime section reflects the same work
-	// the case numbers describe.
-	collector := prof.StartSummary(0)
-	runs, err := experiments.LatencyExperiment(ctx, cfg, 200)
-	if err != nil {
-		return err
-	}
-	var fleet *benchFleet
-	if clients > 1 {
-		fr, err := experiments.FleetExperiment(ctx, cfg, 200, clients)
-		if err != nil {
-			return err
-		}
-		fleet = summarizeFleet(fr)
-		fmt.Printf("lfbench: fleet %d clients x %d accesses: %.1f aggregate fps, worst p99 %.1f ms, spread %.2f, busy=%d expired=%d errors=%d coalesced=%d\n",
-			fleet.Clients, fleet.AccessesPerClient, fleet.AggregateFPS, fleet.WorstP99Ms,
-			fleet.FairnessSpread, fleet.Busy, fleet.Expired, fleet.Errors, fleet.Coalesced)
-	}
-	// The edge comparison also runs when the baseline carries one, so a
-	// plain -compare run keeps diffing the edge section it was given.
-	var edge *benchEdge
-	var baseEdge *benchEdge
-	if bl, err := readBenchReport(baseline); err == nil {
-		baseEdge = bl.Edge
-	}
-	if edgeOn || baseEdge != nil {
-		edgeClients := clients
-		if baseEdge != nil && baseEdge.Clients > 0 {
-			edgeClients = baseEdge.Clients
-		}
-		if edgeClients <= 1 {
-			edgeClients = 10
-		}
-		er, err := experiments.EdgeFleetExperiment(ctx, cfg, 200, experiments.EdgeFleetOptions{
-			Clients:    edgeClients,
-			EdgeAddr:   edgeAddr,
-			Trajectory: true,
-		})
-		if err != nil {
-			return err
-		}
-		edge = summarizeEdge(er)
-		fmt.Printf("lfbench: edge fleet %d clients x %d accesses: hit rate shared=%.2f isolated=%.2f, worst p99 shared=%.1fms isolated=%.1fms, edge hits=%d fills=%d, wan fetches=%d\n",
-			edge.Clients, edge.AccessesPerClient, edge.SharedHitRate, edge.IsolatedHitRate,
-			edge.SharedWorstP99Ms, edge.IsolatedWorstP99Ms, edge.EdgeHits, edge.EdgeFills, edge.WANFetches)
-	}
-	rt := collector.Stop()
-	fmt.Printf("lfbench: runtime: alloc=%.1fMB/s gc_pause_p99=%.3fms gc_cycles=%d peak_goroutines=%d over %.1fs\n",
-		rt.AllocRateMBs, rt.GCPauseP99Ms, rt.GCCycles, rt.PeakGoroutines, rt.DurationSec)
-	var fleetObs *benchFleetObs
-	if fleetDebug != "" {
-		if fleetObs = fetchFleetObs(fleetDebug); fleetObs == nil {
-			fmt.Printf("lfbench: fleet obs: no /debug/fleet at %s (section omitted)\n", fleetDebug)
-		} else {
-			fmt.Printf("lfbench: fleet obs: %d up / %d degraded / %d down, %d alert(s) firing\n",
-				fleetObs.MembersUp, fleetObs.MembersDegraded, fleetObs.MembersDown, fleetObs.Firing)
-		}
-	}
-	path, err := writeBenchJSON(jsonDir, name, runs, fleet, edge, &rt, fleetObs)
-	if err != nil {
-		return err
-	}
-	// Self-verify: the emitted report must round-trip and carry the keys
-	// scripts/check.sh depends on.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var back benchReport
-	if err := json.Unmarshal(data, &back); err != nil {
-		return fmt.Errorf("%s does not parse: %w", path, err)
-	}
-	if len(back.Cases) == 0 {
-		return fmt.Errorf("%s has no cases", path)
-	}
-	for _, c := range back.Cases {
-		if c.Accesses == 0 || c.FramesPerSecond <= 0 {
-			return fmt.Errorf("%s case %q is empty", path, c.Case)
-		}
-	}
-	if clients > 1 && (back.Fleet == nil || back.Fleet.Successes == 0) {
-		return fmt.Errorf("%s fleet section is empty", path)
-	}
-	if edge != nil && (back.Edge == nil || back.Edge.SharedHitRate <= 0) {
-		return fmt.Errorf("%s edge section is empty", path)
-	}
-	fmt.Printf("lfbench: quick run ok: %d cases, %d accesses each, %.1fs total\n",
-		len(back.Cases), back.Cases[0].Accesses, time.Since(start).Seconds())
-	if baseline != "" {
-		if err := compareReports(baseline, back); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readBenchReport loads and parses one BENCH_*.json.
-func readBenchReport(path string) (benchReport, error) {
-	var r benchReport
-	if path == "" {
-		return r, fmt.Errorf("compare baseline: no path")
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return r, fmt.Errorf("compare baseline: %w", err)
-	}
-	if err := json.Unmarshal(data, &r); err != nil {
-		return r, fmt.Errorf("compare baseline %s does not parse: %w", path, err)
-	}
-	return r, nil
-}
-
-// compareReports diffs a fresh bench report against a committed baseline.
-// Most metrics print WARN lines past a 20% regression and never fail the
-// run — micro benchmarks on shared CI machines are too noisy to gate on,
-// but a persistent warning in every run is hard to ignore. One exception
-// gates hard: the LAN case's frames_per_second runs with no simulated WAN
-// in the path, so it is the stable throughput signature of the zero-copy
-// data plane, and a >10% drop fails the run (and check.sh with it).
-func compareReports(baselinePath string, current benchReport) error {
-	base, err := readBenchReport(baselinePath)
-	if err != nil {
-		return err
-	}
-	baseCases := make(map[string]benchCase, len(base.Cases))
-	for _, c := range base.Cases {
-		baseCases[c.Case] = c
-	}
-	const tolerance = 1.20 // warn past a 20% regression
-	regressions := 0
-	// warnSlower flags metrics where bigger is worse (latencies).
-	warnSlower := func(kase, metric string, baseV, curV float64) {
-		if baseV > 0 && curV > baseV*tolerance {
-			fmt.Printf("lfbench: WARN %s %s regressed %.1f%%: %.3f -> %.3f\n",
-				kase, metric, 100*(curV/baseV-1), baseV, curV)
-			regressions++
-		}
-	}
-	// warnFaster flags metrics where smaller is worse (throughput).
-	warnFaster := func(kase, metric string, baseV, curV float64) {
-		if baseV > 0 && curV < baseV/tolerance {
-			fmt.Printf("lfbench: WARN %s %s regressed %.1f%%: %.3f -> %.3f\n",
-				kase, metric, 100*(1-curV/baseV), baseV, curV)
-			regressions++
-		}
-	}
-	compared := 0
-	for _, c := range current.Cases {
-		b, ok := baseCases[c.Case]
-		if !ok {
-			fmt.Printf("lfbench: WARN case %q missing from baseline %s\n", c.Case, baselinePath)
-			continue
-		}
-		compared++
-		warnFaster(c.Case, "frames_per_second", b.FramesPerSecond, c.FramesPerSecond)
-		warnSlower(c.Case, "fetch_latency_ms.p50", b.FetchLatencyMs.P50, c.FetchLatencyMs.P50)
-		warnSlower(c.Case, "fetch_latency_ms.p95", b.FetchLatencyMs.P95, c.FetchLatencyMs.P95)
-		warnSlower(c.Case, "fetch_latency_ms.p99", b.FetchLatencyMs.P99, c.FetchLatencyMs.P99)
-	}
-	if compared == 0 {
-		return fmt.Errorf("compare: no cases in common with baseline %s", baselinePath)
-	}
-	// Hard gate (see the function comment): >10% LAN throughput regression
-	// is an error, not a warning.
-	const lanGate = 1.10
-	if b, ok := baseCases["case1_lan"]; ok && b.FramesPerSecond > 0 {
-		for _, c := range current.Cases {
-			if c.Case == "case1_lan" && c.FramesPerSecond < b.FramesPerSecond/lanGate {
-				return fmt.Errorf("compare: case1_lan frames_per_second regressed %.1f%% (%.2f -> %.2f), past the 10%% hard gate",
-					100*(1-c.FramesPerSecond/b.FramesPerSecond), b.FramesPerSecond, c.FramesPerSecond)
-			}
-		}
-	}
-	// Fleet sections only diff like-for-like: same client count, both runs
-	// actually produced one (a plain -quick run against a fleet baseline
-	// just skips this block).
-	if base.Fleet != nil && current.Fleet != nil && base.Fleet.Clients == current.Fleet.Clients {
-		warnFaster("fleet", "aggregate_fps", base.Fleet.AggregateFPS, current.Fleet.AggregateFPS)
-		warnSlower("fleet", "worst_p99_ms", base.Fleet.WorstP99Ms, current.Fleet.WorstP99Ms)
-		if base.Fleet.FairnessSpread > 0 && current.Fleet.FairnessSpread > 0 {
-			warnSlower("fleet", "fairness_spread", base.Fleet.FairnessSpread, current.Fleet.FairnessSpread)
-		}
-	}
-	// Edge sections likewise diff only like-for-like fleets.
-	if base.Edge != nil && current.Edge != nil && base.Edge.Clients == current.Edge.Clients {
-		warnFaster("edge", "shared_hit_rate", base.Edge.SharedHitRate, current.Edge.SharedHitRate)
-		warnSlower("edge", "shared_worst_p99_ms", base.Edge.SharedWorstP99Ms, current.Edge.SharedWorstP99Ms)
-	}
-	// Runtime fingerprints diff warn-only: allocator throughput, GC pause
-	// tail, and goroutine peak are the usual suspects behind a latency
-	// warning above, so surface their drift in the same breath.
-	if base.Runtime != nil && current.Runtime != nil {
-		warnSlower("runtime", "alloc_rate_mb_s", base.Runtime.AllocRateMBs, current.Runtime.AllocRateMBs)
-		warnSlower("runtime", "gc_pause_p99_ms", base.Runtime.GCPauseP99Ms, current.Runtime.GCPauseP99Ms)
-		warnSlower("runtime", "peak_goroutines", float64(base.Runtime.PeakGoroutines), float64(current.Runtime.PeakGoroutines))
-	}
-	if regressions == 0 {
-		fmt.Printf("lfbench: compare vs %s ok (%d cases within 20%%)\n", baselinePath, compared)
-	} else {
-		fmt.Printf("lfbench: compare vs %s: %d regression warning(s)\n", baselinePath, regressions)
-	}
 	return nil
 }
 
@@ -688,7 +154,7 @@ func fig8(ctx context.Context, cfg experiments.Config, csvDir string) error {
 	return nil
 }
 
-func figLatency(ctx context.Context, cfg experiments.Config, figName string, paperRes int, csvDir, jsonDir string) error {
+func figLatency(ctx context.Context, cfg experiments.Config, figName string, paperRes int, csvDir string) error {
 	runs, err := experiments.LatencyExperiment(ctx, cfg, paperRes)
 	if err != nil {
 		return err
@@ -700,11 +166,6 @@ func figLatency(ctx context.Context, cfg experiments.Config, figName string, pap
 	}
 	printCaseSeries(headers, series)
 	summarizeCases(headers, runs)
-	if jsonDir != "" {
-		if _, err := writeBenchJSON(jsonDir, "fig"+figName, runs, nil, nil, nil, nil); err != nil {
-			return err
-		}
-	}
 	if csvDir != "" {
 		f, err := os.Create(filepath.Join(csvDir, "fig"+figName+".csv"))
 		if err != nil {

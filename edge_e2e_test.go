@@ -55,7 +55,7 @@ func TestEdgeFleetEndToEnd(t *testing.T) {
 		t.Errorf("shared-edge fleet hit rate %.3f, want >= 0.75", shared)
 	}
 	// The isolated baseline sits in the historical single-cache band
-	// (BENCH reports 0.62 for a full-length session) — in particular it
+	// (about 0.62 for a full-length session) — in particular it
 	// must not itself clear the shared bar, or the comparison is vacuous.
 	if isolated < 0.30 || isolated > 0.72 {
 		t.Errorf("isolated baseline hit rate %.3f outside the expected [0.30, 0.72] band", isolated)

@@ -3,6 +3,7 @@ package lonviz
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -19,7 +20,8 @@ import (
 // TestBinariesEndToEnd builds the real executables and runs a complete
 // deployment: two depots, an L-Bone, a DVS, a server agent publishing a
 // procedural database, and a browsing client — the multi-process shape of
-// the paper's system, on loopback. It ends every daemon the way an
+// the paper's system, on loopback — plus a shared edge cache that two more
+// clients browse through, cold then warm. It ends every daemon the way an
 // operator does, with SIGTERM, and checks each shuts down cleanly.
 func TestBinariesEndToEnd(t *testing.T) {
 	if testing.Short() {
@@ -125,19 +127,43 @@ func TestBinariesEndToEnd(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 	}
 
-	// The client browses 10 accesses.
-	browse := exec.Command(filepath.Join(bin, "lfbrowse"),
-		"-dvs", dvsAddr,
-		"-res", "16", "-step", "30", "-l", "3",
-		"-accesses", "10", "-think", "5ms")
-	out, err := browse.CombinedOutput()
-	if err != nil {
-		t.Fatalf("lfbrowse: %v\n%s", err, out)
+	// An edge cache with the observability stack on reports ready on
+	// /readyz once it serves and has announced itself to the L-Bone.
+	edgeAddr := freePort()
+	edgeMetrics := freePort()
+	start("lfedged", "-addr", edgeAddr, "-metrics-addr", edgeMetrics, "-lbone", "http://"+lbAddr)
+	deadline = time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get("http://" + edgeMetrics + "/readyz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("lfedged /readyz never returned 200 (last: %v)", err)
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
-	text := string(out)
-	if !strings.Contains(text, "10 accesses") {
-		t.Errorf("lfbrowse did not complete the session:\n%s", text)
+
+	// browse runs one 10-access lfbrowse session and returns its output.
+	browse := func(args ...string) string {
+		t.Helper()
+		args = append([]string{"-dvs", dvsAddr, "-res", "16", "-step", "30", "-l", "3",
+			"-accesses", "10", "-think", "5ms"}, args...)
+		out, err := exec.Command(filepath.Join(bin, "lfbrowse"), args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("lfbrowse %v: %v\n%s", args, err, out)
+		}
+		text := string(out)
+		if !strings.Contains(text, "10 accesses") {
+			t.Errorf("lfbrowse %v did not complete the session:\n%s", args, text)
+		}
+		return text
 	}
+
+	text := browse()
 	// At least one access had to cross the network.
 	if !strings.Contains(text, "wan") {
 		t.Errorf("no WAN access recorded:\n%s", text)
@@ -153,23 +179,28 @@ func TestBinariesEndToEnd(t *testing.T) {
 	if rows == 0 {
 		t.Errorf("no per-access rows in output:\n%s", text)
 	}
-	// An edge cache with the observability stack on reports ready on
-	// /readyz once it serves and has announced itself to the L-Bone.
-	edgeMetrics := freePort()
-	start("lfedged", "-addr", freePort(), "-metrics-addr", edgeMetrics, "-lbone", "http://"+lbAddr)
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get("http://" + edgeMetrics + "/readyz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				break
-			}
+
+	// Two fresh clients browse through the edge, different cursor paths:
+	// the first fills it, the second rides the first's fills. Every miss
+	// of both goes to the edge, none to the depots directly.
+	for _, seed := range []string{"8", "9"} {
+		text := browse("-seed", seed, "-edge-addr", edgeAddr)
+		if !strings.Contains(text, "edge:") || !strings.Contains(text, "WANFetches:0 ") {
+			t.Errorf("browse with -seed %s through the edge recorded no edge accesses, or WAN fetches:\n%s", seed, text)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("lfedged /readyz never returned 200 (last: %v)", err)
-		}
-		time.Sleep(50 * time.Millisecond)
+	}
+	resp, err := http.Get("http://" + edgeMetrics + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metrics map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&metrics)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("lfedged /metrics: %v", err)
+	}
+	if hits, _ := metrics["edge.hits"].(float64); hits <= 0 {
+		t.Errorf("lfedged edge.hits = %v after the warm browse, want > 0", metrics["edge.hits"])
 	}
 
 	// SIGTERM ends every daemon: each prints its shutdown line and exits 0

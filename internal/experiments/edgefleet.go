@@ -24,11 +24,7 @@ import (
 type EdgeFleetOptions struct {
 	// Clients is the fleet size (default 10).
 	Clients int
-	// EdgeAddr points the shared leg at an already-running lfedged. Empty
-	// starts an in-process edge on loopback, routed at LAN cost.
-	EdgeAddr string
-	// EdgeCacheBytes sizes the in-process edge (default 64 MiB; ignored
-	// with an external EdgeAddr).
+	// EdgeCacheBytes sizes the edge (default 64 MiB).
 	EdgeCacheBytes int64
 	// Trajectory turns on trajectory-predictive prefetch for the shared
 	// leg (the isolated leg always runs the quadrant baseline).
@@ -45,11 +41,8 @@ type EdgeFleetRun struct {
 	// SharedAgents/IsolatedAgents sum every client agent's accounting for
 	// the corresponding leg.
 	SharedAgents, IsolatedAgents agent.ClientAgentStats
-	// EdgeStats is the in-process edge's final accounting (zero when the
-	// shared leg used an external lfedged).
+	// EdgeStats is the edge's final accounting.
 	EdgeStats edge.CacheStats
-	// External marks a run against an external lfedged.
-	External bool
 }
 
 // SharedHitRate is the shared leg's fleet-aggregate WAN-free rate. Every
@@ -59,13 +52,9 @@ type EdgeFleetRun struct {
 // filled crossed the WAN exactly once for the whole fleet; charging one
 // access per filled set yields a figure comparable with the isolated
 // leg's local hit rate (a fleet of one would score exactly its private
-// cache rate). With an external lfedged the fill history is not visible
-// in-process and the raw cooperative rate is returned as-is.
+// cache rate).
 func (r *EdgeFleetRun) SharedHitRate() float64 {
 	rate := r.Shared.CooperativeHitRate()
-	if r.External {
-		return rate
-	}
 	if total := r.Shared.Accesses(); total > 0 {
 		rate -= float64(r.EdgeStats.FilledSets) / float64(total)
 	}
@@ -173,38 +162,29 @@ func EdgeFleetExperiment(ctx context.Context, cfg Config, paperRes int, opts Edg
 		return nil, fmt.Errorf("experiments: isolated leg: %w", err)
 	}
 
-	edgeAddr := opts.EdgeAddr
-	var cache *edge.Cache
-	if edgeAddr == "" {
-		// In-process edge: fills cross the deployment's shaped WAN (the
-		// dialer carries the WAN routes to the server depots), clients
-		// reach the edge itself at LAN cost.
-		cache, err = edge.NewCache(edge.CacheConfig{
-			CapacityBytes: opts.EdgeCacheBytes,
-			Dialer:        d.Dialer,
-			Obs:           obs.NewRegistry(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		esrv := edge.NewServer(cache)
-		edgeAddr, err = esrv.ListenAndServe("127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		defer esrv.Close()
-		d.Dialer.SetRoute(edgeAddr, cfg.LAN)
-	} else {
-		run.External = true
-		d.Dialer.SetRoute(edgeAddr, cfg.LAN)
+	// The edge's fills cross the deployment's shaped WAN (the dialer
+	// carries the WAN routes to the server depots); clients reach the edge
+	// itself at LAN cost.
+	cache, err := edge.NewCache(edge.CacheConfig{
+		CapacityBytes: opts.EdgeCacheBytes,
+		Dialer:        d.Dialer,
+		Obs:           obs.NewRegistry(),
+	})
+	if err != nil {
+		return nil, err
 	}
+	esrv := edge.NewServer(cache)
+	edgeAddr, err := esrv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	defer esrv.Close()
+	d.Dialer.SetRoute(edgeAddr, cfg.LAN)
 
 	run.Shared, run.SharedAgents, err = edgeFleetLeg(ctx, d, opts.Clients, edgeAddr, opts.Trajectory)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: shared leg: %w", err)
 	}
-	if cache != nil {
-		run.EdgeStats = cache.Stats()
-	}
+	run.EdgeStats = cache.Stats()
 	return run, nil
 }

@@ -3,7 +3,9 @@
 #
 #  1. Every command-line flag defined in cmd/*/main.go or in the daemon
 #     harness (internal/daemon) must appear in docs/OPERATIONS.md as
-#     `-flagname`.
+#     `-flagname`; and the other way, every flag row of docs/OPERATIONS.md
+#     must name a defined flag — under a "### N. `cmd`" heading, one of
+#     cmd's own or the harness's, anywhere else any command's.
 #  2. Every metric family and span name declared in
 #     internal/obs/names.go must appear in docs/OBSERVABILITY.md.
 #  3. Every HTTP endpoint the obs mux serves (including the SLO stack's
@@ -41,9 +43,12 @@ fail=0
 echo "== flags vs docs/OPERATIONS.md"
 # A definition is flag.X("name" in a main, or fs.X(&v, "name" / d.fs.X("name"
 # in the harness.
+defined_flags() {
+	grep -hoE '(flag|fs)\.[A-Z][A-Za-z0-9]*\((&[^,]+, *)?"[^"]+"' "$@" | sed 's/.*"\([^"]*\)"$/\1/' | sort -u
+}
 for src in cmd/*/main.go internal/daemon/daemon.go; do
 	owner=$(basename "$(dirname "$src")")
-	flags=$(grep -oE '(flag|fs)\.[A-Z][A-Za-z0-9]*\((&[^,]+, *)?"[^"]+"' "$src" | sed 's/.*"\([^"]*\)"$/\1/' | sort -u)
+	flags=$(defined_flags "$src")
 	for f in $flags; do
 		if ! grep -qE -- "(^|[\`| ])-$f(\`|,| |\$)" docs/OPERATIONS.md; then
 			echo "MISSING: flag -$f of $owner not documented in docs/OPERATIONS.md" >&2
@@ -53,6 +58,37 @@ for src in cmd/*/main.go internal/daemon/daemon.go; do
 done
 nharness=$(grep -cE 'fs\.[A-Z][A-Za-z0-9]*\((&[^,]+, *)?"' internal/daemon/daemon.go)
 [ "$nharness" -ge 10 ] || { echo "docscheck: extracted only $nharness flags from internal/daemon, want >= 10" >&2; exit 1; }
+# The other way: one "<owner> <flag>" line per flag named in the first cell
+# of a table row, owner "-" outside a command's section.
+rows=$(awk '
+	/^### [0-9]+\. `[a-z]+`/ { split($0, h, "`"); owner = h[2]; next }
+	/^##? / { owner = "" }
+	/^\| `-/ {
+		split($0, cell, "|")
+		s = cell[2]
+		while (match(s, /`-[a-z0-9-]+`/)) {
+			print (owner == "" ? "-" : owner), substr(s, RSTART + 2, RLENGTH - 3)
+			s = substr(s, RSTART + RLENGTH)
+		}
+	}' docs/OPERATIONS.md)
+nrows=$(printf '%s\n' "$rows" | grep -c .)
+[ "$nrows" -ge 70 ] || { echo "docscheck: extracted only $nrows flag rows from docs/OPERATIONS.md, want >= 70" >&2; exit 1; }
+anyflags=$(defined_flags cmd/*/main.go internal/daemon/daemon.go)
+while read -r owner f; do
+	if [ "$owner" = "-" ]; then
+		known=$anyflags
+		who="any command"
+	else
+		known=$(defined_flags "cmd/$owner/main.go" internal/daemon/daemon.go)
+		who=$owner
+	fi
+	if ! printf '%s\n' "$known" | grep -qxF -- "$f"; then
+		echo "STALE: docs/OPERATIONS.md documents -$f, which $who does not define" >&2
+		fail=1
+	fi
+done <<EOF
+$rows
+EOF
 
 echo "== metric names vs docs/OBSERVABILITY.md"
 names=$(grep -oE '= "[a-z][a-z0-9._]+"' internal/obs/names.go | sed 's/= "\(.*\)"/\1/' | sort -u)
