@@ -232,6 +232,9 @@ func main() {
 				if err != nil {
 					return err
 				}
+				if stack.Enabled() {
+					hs.RegisterMetrics(nil)
+				}
 				fl.Subscribe(func(a slo.Alert) {
 					if a.State == slo.StateFiring {
 						hs.Trigger()

@@ -1,10 +1,10 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/url"
 	"sort"
 	"strings"
 	"time"
@@ -46,36 +46,15 @@ type fleetSummary struct {
 // it with sparklines from the cluster TSDB at /debug/fleet/tsdb.
 func (t *lftop) pollFleet(ep string) fleetSummary {
 	sum := fleetSummary{Endpoint: ep}
-	base := baseURL(ep)
-
-	resp, err := t.client.Get(base + "/debug/fleet")
-	if err != nil {
-		sum.Err = err.Error()
-		return sum
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		sum.Err = fmt.Sprintf("/debug/fleet: HTTP %d", resp.StatusCode)
-		return sum
-	}
 	var doc struct {
-		Self       string            `json:"self"`
-		Updated    time.Time         `json:"updated"`
-		ScrapeMs   float64           `json:"scrape_ms"`
-		Members    []fleetMemberLine `json:"members"`
-		Aggregates map[string]float64
-		Firing     int `json:"firing"`
-		Alerts     []struct {
-			Rule      string    `json:"rule"`
-			Severity  string    `json:"severity"`
-			Instance  string    `json:"instance"`
-			State     string    `json:"state"`
-			Since     time.Time `json:"since"`
-			Value     float64   `json:"value"`
-			Threshold float64   `json:"threshold"`
-		} `json:"alerts"`
+		Self       string             `json:"self"`
+		Updated    time.Time          `json:"updated"`
+		ScrapeMs   float64            `json:"scrape_ms"`
+		Members    []fleetMemberLine  `json:"members"`
+		Aggregates map[string]float64 `json:"aggregates"`
+		alertDoc
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&doc); err != nil {
+	if err := t.pc.GetJSON(context.Background(), ep, "/debug/fleet", nil, &doc); err != nil {
 		sum.Err = err.Error()
 		return sum
 	}
@@ -87,45 +66,25 @@ func (t *lftop) pollFleet(ep string) fleetSummary {
 	sum.Members = doc.Members
 	sum.Aggregates = doc.Aggregates
 	sum.Firing = doc.Firing
-	for _, a := range doc.Alerts {
-		sum.Alerts = append(sum.Alerts, alertLine{
-			Rule: a.Rule, Severity: a.Severity, Instance: a.Instance, State: a.State,
-			Since: a.Since.UTC().Format(time.RFC3339), Value: a.Value, Threshold: a.Threshold,
-		})
-	}
-	t.fleetSparks(base, &sum)
+	sum.Alerts = doc.lines()
+	t.fleetSparks(ep, &sum)
 	return sum
 }
 
 // fleetSparks fills the per-node latency sparklines and the fleet fps
-// sparkline from the cluster TSDB index.
-func (t *lftop) fleetSparks(base string, sum *fleetSummary) {
-	resp, err := t.client.Get(base + "/debug/fleet/tsdb")
-	if err != nil {
-		return
-	}
-	var idx struct {
-		Series []struct {
-			Name string `json:"name"`
-		} `json:"series"`
-	}
-	derr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&idx)
-	resp.Body.Close()
-	if derr != nil {
-		return
-	}
+// sparkline from the cluster TSDB.
+func (t *lftop) fleetSparks(ep string, sum *fleetSummary) {
+	const path = "/debug/fleet/tsdb"
 	// Per node, keep the sparkline of the hottest p99 family so the matrix
 	// column tracks whatever that member actually serves.
 	best := make(map[string]historyLine, len(sum.Members))
-	for _, s := range idx.Series {
-		if !strings.HasPrefix(s.Name, "fleet.node.p99.ms{") {
-			continue
-		}
-		node := labelValue(s.Name, "node")
+	for _, name := range t.seriesNames(ep, path, obs.MFleetNodeP99Ms+"{") {
+		_, labels := obs.ParseLabels(name)
+		node := labels["node"]
 		if node == "" {
 			continue
 		}
-		h, ok := t.fetchFleetSeries(base, s.Name)
+		h, ok := t.fetchSeries(ep, path, name, "")
 		if !ok {
 			continue
 		}
@@ -138,55 +97,9 @@ func (t *lftop) fleetSparks(base string, sum *fleetSummary) {
 			sum.Members[i].Spark = h.Spark
 		}
 	}
-	if h, ok := t.fetchFleetSeries(base, "fleet.fps"); ok {
+	if h, ok := t.fetchSeries(ep, path, obs.MFleetFPS, ""); ok {
 		sum.FPSSpark = h.Spark
 	}
-}
-
-// fetchFleetSeries pulls one cluster series' raw history over the
-// -history-window and renders it as a sparkline.
-func (t *lftop) fetchFleetSeries(base, name string) (historyLine, bool) {
-	q := fmt.Sprintf("%s/debug/fleet/tsdb?name=%s&since=%s",
-		base, url.QueryEscape(name), t.histWindow)
-	resp, err := t.client.Get(q)
-	if err != nil {
-		return historyLine{}, false
-	}
-	var series struct {
-		Points []obs.Point `json:"points"`
-	}
-	derr := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&series)
-	resp.Body.Close()
-	if derr != nil || len(series.Points) == 0 {
-		return historyLine{}, false
-	}
-	h := historyLine{
-		Series: name,
-		Points: len(series.Points),
-		LastMs: series.Points[len(series.Points)-1].V,
-		Spark:  sparkline(series.Points),
-	}
-	for _, p := range series.Points {
-		if p.V > h.MaxMs {
-			h.MaxMs = p.V
-		}
-	}
-	return h, true
-}
-
-// labelValue extracts one label's value from a folded metric name like
-// "fleet.node.p99.ms{family=ibp.server.op.ms,node=127.0.0.1:9001}".
-func labelValue(name, key string) string {
-	i := strings.IndexByte(name, '{')
-	if i < 0 || !strings.HasSuffix(name, "}") {
-		return ""
-	}
-	for _, pair := range strings.Split(name[i+1:len(name)-1], ",") {
-		if k, v, ok := strings.Cut(pair, "="); ok && k == key {
-			return v
-		}
-	}
-	return ""
 }
 
 func writeFleetJSON(w io.Writer, sums []fleetSummary) error {

@@ -161,10 +161,9 @@ type ClientAgentConfig struct {
 	// so this, not the caller's deadline, is what stops a wedged flight
 	// (one that every caller has abandoned is cancelled at once).
 	FetchTimeout time.Duration
-	// Obs receives the agent.* metric families (fetch latency per access
-	// class, cache hits/misses, prefetch and staging counters) and is
-	// threaded through to the lors transfer layer; nil records into
-	// obs.Default().
+	// Obs receives the agent.fetch.ms latency histograms and is threaded
+	// through to the lors transfer layer; nil records into obs.Default().
+	// The agent's own counts live in Stats, published by RegisterMetrics.
 	Obs *obs.Registry
 	// Tracer records one agent.getviewset span per request — GetViewSet,
 	// GetViewSetStream, a viewer's move, a remote GETVS, a prefetch — with
@@ -196,9 +195,15 @@ type ClientAgentStats struct {
 	// EdgeFetches counts misses served entirely by the edge cache tier
 	// (no WAN crossing by this agent; the edge may have filled once).
 	EdgeFetches int64
-	Prefetches  int64
-	Staged      int64
-	StageErrors int64
+	// Misses counts fetch flights that went to the network (one per view
+	// set in flight, however many callers joined it).
+	Misses     int64
+	Prefetches int64
+	// PrefetchUseful counts hits on a frame a prefetch loaded, each
+	// prefetched frame credited at most once.
+	PrefetchUseful int64
+	Staged         int64
+	StageErrors    int64
 	// ReplicaTries/FailedAttempts/ChecksumErrors aggregate the transfer
 	// accounting of every lors download the agent performed, so failovers
 	// and detected corruption are visible at the agent level.
@@ -349,10 +354,11 @@ func (ca *ClientAgent) tracer() *obs.Tracer {
 	return obs.DefaultTracer()
 }
 
-// RegisterMetrics bridges this agent's per-instance counters into reg
-// (scraped as agent.* at /metrics), including the cache hit rate. Daemons
-// call it once after constructing the agent; passing nil bridges into
-// obs.Default().
+// RegisterMetrics publishes this agent's Stats into reg (scraped as
+// agent.* at /metrics), including the cache hit rate: the agent counts
+// each event once, in Stats, and this is its only way onto /metrics.
+// Daemons call it once after constructing the agent; passing nil
+// publishes into obs.Default().
 func (ca *ClientAgent) RegisterMetrics(reg *obs.Registry) {
 	if reg == nil {
 		reg = obs.Default()
@@ -365,13 +371,16 @@ func (ca *ClientAgent) RegisterMetrics(reg *obs.Registry) {
 			hitRate = float64(cs.Hits) / float64(total)
 		}
 		return map[string]float64{
-			"hits":             float64(st.Hits),
+			"cache.hits":       float64(st.Hits),
+			"cache.misses":     float64(st.Misses),
 			"lan_fetches":      float64(st.LANFetches),
 			"wan_fetches":      float64(st.WANFetches),
 			"edge_fetches":     float64(st.EdgeFetches),
-			"prefetches":       float64(st.Prefetches),
-			"staged":           float64(st.Staged),
-			"stage_errors":     float64(st.StageErrors),
+			"prefetch.issued":  float64(st.Prefetches),
+			"prefetch.useful":  float64(st.PrefetchUseful),
+			"stage.completed":  float64(st.Staged),
+			"stage.errors":     float64(st.StageErrors),
+			"coalesced":        float64(st.Coalesced),
 			"replica_tries":    float64(st.ReplicaTries),
 			"failed_attempts":  float64(st.FailedAttempts),
 			"checksum_errors":  float64(st.ChecksumErrors),
@@ -495,13 +504,12 @@ func mustMarshal(ex *exnode.ExNode) []byte {
 // recordHit folds one cache-served (or coalesced) access into the hit
 // accounting, crediting the prefetcher when a user request consumes a
 // frame a prefetch loaded.
-func (ca *ClientAgent) recordHit(reg *obs.Registry, key string, viaPrefetch bool) {
-	reg.Counter(obs.MAgentHits).Inc()
+func (ca *ClientAgent) recordHit(key string, viaPrefetch bool) {
 	ca.mu.Lock()
 	ca.stats.Hits++
 	if !viaPrefetch && ca.prefetched[key] {
 		delete(ca.prefetched, key)
-		reg.Counter(obs.MAgentPrefetchUseful).Inc()
+		ca.stats.PrefetchUseful++
 	}
 	ca.mu.Unlock()
 }
@@ -593,7 +601,6 @@ func (ca *ClientAgent) prefetch(id lightfield.ViewSetID) {
 		a.call.Leave()
 		return
 	}
-	ca.registry().Counter(obs.MAgentPrefetches).Inc()
 	ca.mu.Lock()
 	ca.stats.Prefetches++
 	ca.mu.Unlock()
@@ -708,7 +715,6 @@ func (ca *ClientAgent) stageWorker(ctx context.Context) {
 		ca.mu.Lock()
 		delete(ca.staging, id)
 		if err != nil {
-			ca.registry().Counter(obs.MAgentStageErrors).Inc()
 			ca.stats.StageErrors++
 			// Record a tombstone so the loop terminates; the fetch path
 			// ignores nil entries.
@@ -729,7 +735,6 @@ func (ca *ClientAgent) stageOne(ctx context.Context, id lightfield.ViewSetID) er
 		return err
 	}
 	ca.remember(id.String(), exs[0], cached)
-	ca.registry().Counter(obs.MAgentStaged).Inc()
 	ca.mu.Lock()
 	ca.staged[id] = staged
 	ca.stats.Staged++

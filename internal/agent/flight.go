@@ -151,7 +151,7 @@ func (a *access) finish() (frame []byte, rep AccessReport, err error) {
 	}()
 	if a.hit {
 		frame = a.frame
-		ca.recordHit(reg, a.key, a.viaPrefetch)
+		ca.recordHit(a.key, a.viaPrefetch)
 	} else {
 		if err = a.call.Wait(a.ctx); err != nil {
 			return nil, rep, err
@@ -161,12 +161,11 @@ func (a *access) finish() (frame []byte, rep AccessReport, err error) {
 		if a.call.Shared {
 			// Piggybacked on another caller's transfer: this request paid no
 			// depot work, so it counts as a hit in the paper's access-class
-			// accounting, plus the coalesce counter overload dashboards watch.
-			reg.Counter(obs.MAgentCoalesced).Inc()
+			// accounting, plus the coalesce count overload dashboards watch.
 			ca.mu.Lock()
 			ca.stats.Coalesced++
 			ca.mu.Unlock()
-			ca.recordHit(reg, a.key, a.viaPrefetch)
+			ca.recordHit(a.key, a.viaPrefetch)
 			rep.Class = AccessHit
 		}
 	}
@@ -208,17 +207,16 @@ func (ca *ClientAgent) fly(ctx context.Context, f *fetch) (err error) {
 	defer func() { f.err = err }()
 	ctx, cancel := context.WithTimeout(ctx, ca.cfg.FetchTimeout)
 	defer cancel()
-	reg := ca.registry()
 	// A fetch that has just finished may have landed the frame between the
 	// first caller's cache miss and its starting this flight.
 	if frame, ok := ca.cache.Get(f.key); ok {
-		ca.recordHit(reg, f.key, f.viaPrefetch)
+		ca.recordHit(f.key, f.viaPrefetch)
 		f.frame, f.class = frame, AccessHit
 		return nil
 	}
-	reg.Counter(obs.MAgentMisses).Inc()
 
 	ca.mu.Lock()
+	ca.stats.Misses++
 	staged := ca.staged[f.id]
 	ca.mu.Unlock()
 	if staged != nil {
@@ -259,7 +257,6 @@ func (ca *ClientAgent) fly(ctx context.Context, f *fetch) (err error) {
 		}, prof.KeyClass, "agent_fetch", prof.KeyVerb, "wan")
 		if err == nil {
 			if _, err = ca.download(ctx, f, copied, "wan"); err == nil {
-				reg.Counter(obs.MAgentStaged).Inc()
 				ca.mu.Lock()
 				ca.staged[f.id] = copied
 				ca.stats.Staged++

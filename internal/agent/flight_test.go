@@ -147,22 +147,18 @@ func referenceFrame(t *testing.T, r *rig, id lightfield.ViewSetID) []byte {
 	return frame
 }
 
-// agentCounts is what a request may move: the per-class fields of
-// ClientAgentStats and the agent.* counters beside them.
+// agentCounts is what a request may move: the counts of ClientAgentStats,
+// the agent's one record of its events.
 type agentCounts struct {
-	Hits, LAN, WAN, Edge, Prefetches, Staged, StageErrors, Coalesced int64
-	MHits, MMisses, MCoalesced, MPrefetchUseful                      int64
+	Hits, LAN, WAN, Edge, Misses, Prefetches, PrefetchUseful, Staged, StageErrors, Coalesced int64
 }
 
-func countsOf(ca *ClientAgent, reg *obs.Registry) agentCounts {
+func countsOf(ca *ClientAgent) agentCounts {
 	st := ca.Stats()
 	return agentCounts{
-		Hits: st.Hits, LAN: st.LANFetches, WAN: st.WANFetches, Edge: st.EdgeFetches,
-		Prefetches: st.Prefetches, Staged: st.Staged, StageErrors: st.StageErrors, Coalesced: st.Coalesced,
-		MHits:           reg.Counter(obs.MAgentHits).Value(),
-		MMisses:         reg.Counter(obs.MAgentMisses).Value(),
-		MCoalesced:      reg.Counter(obs.MAgentCoalesced).Value(),
-		MPrefetchUseful: reg.Counter(obs.MAgentPrefetchUseful).Value(),
+		Hits: st.Hits, LAN: st.LANFetches, WAN: st.WANFetches, Edge: st.EdgeFetches, Misses: st.Misses,
+		Prefetches: st.Prefetches, PrefetchUseful: st.PrefetchUseful,
+		Staged: st.Staged, StageErrors: st.StageErrors, Coalesced: st.Coalesced,
 	}
 }
 
@@ -198,7 +194,7 @@ func TestFlightSharedAcrossEntryPoints(t *testing.T) {
 	id := lightfield.ViewSetID{R: 1, C: 2}
 	want := referenceFrame(t, r, id)
 
-	check := func(t *testing.T, ca *ClientAgent, reg *obs.Registry, frames ...[]byte) {
+	check := func(t *testing.T, ca *ClientAgent, frames ...[]byte) {
 		t.Helper()
 		for i, f := range frames {
 			if !bytes.Equal(f, want) {
@@ -206,17 +202,16 @@ func TestFlightSharedAcrossEntryPoints(t *testing.T) {
 			}
 		}
 		st := ca.Stats()
-		if misses := reg.Counter(obs.MAgentMisses).Value(); st.WANFetches != 1 || st.Coalesced != 1 || misses != 1 {
-			t.Errorf("WANFetches = %d, Coalesced = %d, agent.misses = %d; want 1, 1, 1",
-				st.WANFetches, st.Coalesced, misses)
+		if st.WANFetches != 1 || st.Coalesced != 1 || st.Misses != 1 {
+			t.Errorf("WANFetches = %d, Coalesced = %d, Misses = %d; want 1, 1, 1",
+				st.WANFetches, st.Coalesced, st.Misses)
 		}
 	}
 
 	t.Run("stream then buffered", func(t *testing.T) {
 		far := netsim.NewDialer(netsim.LinkProfile{Name: "far", Latency: 20 * time.Millisecond, Bandwidth: 1 << 20})
-		reg := obs.NewRegistry()
 		ca := r.newClientAgent(t, func(c *ClientAgentConfig) {
-			c.Dialer, c.Obs = far, reg
+			c.Dialer = far
 			c.DVS = &dvs.Client{Addr: r.dvsClient.Addr, Dialer: far}
 		})
 		st, err := ca.GetViewSetStream(context.Background(), id)
@@ -232,16 +227,15 @@ func TestFlightSharedAcrossEntryPoints(t *testing.T) {
 		if srep.Class != AccessWAN || rep.Class != AccessHit {
 			t.Errorf("classes: stream %v, buffered %v; want wan, hit", srep.Class, rep.Class)
 		}
-		check(t, ca, reg, streamed, frame)
+		check(t, ca, streamed, frame)
 	})
 
 	// The second caller's first byte must arrive while the flight is still
 	// held mid-frame by the gate — it cannot have finished.
 	secondStreams := func(t *testing.T, viaPrefetch bool) {
 		gate := newGateDialer(t, int64(len(want))/2)
-		reg := obs.NewRegistry()
 		ca := r.newClientAgent(t, func(c *ClientAgentConfig) {
-			c.Dialer, c.Obs, c.Parallelism = gate, reg, 1
+			c.Dialer, c.Parallelism = gate, 1
 		})
 		first := make(chan []byte, 1)
 		go func() {
@@ -283,22 +277,22 @@ func TestFlightSharedAcrossEntryPoints(t *testing.T) {
 			t.Errorf("second caller's class = %v, want hit (coalesced)", rep.Class)
 		}
 		firstFrame = <-first
-		check(t, ca, reg, append(b[:], rest...), firstFrame)
+		check(t, ca, append(b[:], rest...), firstFrame)
 	}
 	t.Run("buffered then stream", func(t *testing.T) { secondStreams(t, false) })
 	t.Run("prefetch then stream", func(t *testing.T) { secondStreams(t, true) })
 }
 
-// tracedAgent is an agent with its own registry and tracer.
-func tracedAgent(t *testing.T, r *rig, mutate func(*ClientAgentConfig)) (*ClientAgent, *obs.Registry, *obs.Tracer) {
-	reg, tr := obs.NewRegistry(), obs.NewTracer(256)
+// tracedAgent is an agent with its own tracer.
+func tracedAgent(t *testing.T, r *rig, mutate func(*ClientAgentConfig)) (*ClientAgent, *obs.Tracer) {
+	tr := obs.NewTracer(256)
 	ca := r.newClientAgent(t, func(c *ClientAgentConfig) {
-		c.Obs, c.Tracer = reg, tr
+		c.Tracer = tr
 		if mutate != nil {
 			mutate(c)
 		}
 	})
-	return ca, reg, tr
+	return ca, tr
 }
 
 func spansNamed(tr *obs.Tracer, name string) (out []obs.SpanRecord) {
@@ -318,7 +312,7 @@ func TestFlightStagedGoneCostsOneMiss(t *testing.T) {
 	if _, err := r.sa.PrecomputeAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	ca, reg, tr := tracedAgent(t, r, nil)
+	ca, tr := tracedAgent(t, r, nil)
 	id := lightfield.ViewSetID{R: 0, C: 2}
 	if err := ca.stageOne(context.Background(), id); err != nil {
 		t.Fatal(err)
@@ -330,7 +324,7 @@ func TestFlightStagedGoneCostsOneMiss(t *testing.T) {
 		}
 	}
 	ca.mu.Unlock()
-	misses := reg.Counter(obs.MAgentMisses).Value()
+	misses := ca.Stats().Misses
 	resolves := len(spansNamed(tr, obs.SpanResolve))
 
 	v, err := NewViewer(r.params, ca)
@@ -347,7 +341,7 @@ func TestFlightStagedGoneCostsOneMiss(t *testing.T) {
 	if ca.IsStaged(id) {
 		t.Error("dead staged entry not forgotten")
 	}
-	dm := reg.Counter(obs.MAgentMisses).Value() - misses
+	dm := ca.Stats().Misses - misses
 	dr := len(spansNamed(tr, obs.SpanResolve)) - resolves
 	if dm != 1 || dr != 1 {
 		t.Errorf("one move cost %d misses and %d resolves, want 1 and 1", dm, dr)
@@ -438,7 +432,7 @@ func TestFlightRemembersTheExNodeThatServed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ca, _, tr := tracedAgent(t, r, func(c *ClientAgentConfig) { c.Dataset = "twin" })
+	ca, tr := tracedAgent(t, r, func(c *ClientAgentConfig) { c.Dataset = "twin" })
 	// miss fetches the view set past the frame cache and returns how many
 	// downloads were attempted and how many of them failed.
 	seen := 0
@@ -529,7 +523,7 @@ func TestFlightTracedFromViewer(t *testing.T) {
 	publishStriped(t, r, 64)
 	id := lightfield.ViewSetID{R: 1, C: 3}
 	gate := newGateDialer(t, 150)
-	ca, _, tr := tracedAgent(t, r, func(c *ClientAgentConfig) { c.Dialer, c.Parallelism = gate, 1 })
+	ca, tr := tracedAgent(t, r, func(c *ClientAgentConfig) { c.Dialer, c.Parallelism = gate, 1 })
 	prof.SetLabelsEnabled(true)
 	defer prof.SetLabelsEnabled(false)
 	logger := obs.DefaultLogger()
@@ -718,33 +712,31 @@ func TestFlightSemantics(t *testing.T) {
 			prepare: func(t *testing.T, ca *ClientAgent) {
 				ca.prefetch(id)
 			},
-			moves: agentCounts{Hits: 1, MHits: 1, MPrefetchUseful: 1}},
+			moves: agentCounts{Hits: 1, PrefetchUseful: 1}},
 		{name: "wan", class: AccessWAN,
-			moves: agentCounts{WAN: 1, MMisses: 1}},
+			moves: agentCounts{WAN: 1, Misses: 1}},
 		{name: "lan-depot", class: AccessLANDepot,
 			prepare: func(t *testing.T, ca *ClientAgent) {
 				if err := ca.stageOne(ctx, id); err != nil {
 					t.Fatal(err)
 				}
 			},
-			moves: agentCounts{LAN: 1, MMisses: 1}},
+			moves: agentCounts{LAN: 1, Misses: 1}},
 		{name: "edge", class: AccessEdge,
 			mutate: func(c *ClientAgentConfig) { c.EdgeAddr = edgeAddr },
-			moves:  agentCounts{Edge: 1, MMisses: 1}},
+			moves:  agentCounts{Edge: 1, Misses: 1}},
 		{name: "coalesced follower", class: AccessHit, leader: true,
-			moves: agentCounts{WAN: 1, MMisses: 1, Coalesced: 1, MCoalesced: 1, Hits: 1, MHits: 1}},
+			moves: agentCounts{WAN: 1, Misses: 1, Coalesced: 1, Hits: 1}},
 		{name: "route through depot", class: AccessWAN,
 			mutate: func(c *ClientAgentConfig) { c.RouteMissesThroughDepot = true },
-			moves:  agentCounts{WAN: 1, Staged: 1, MMisses: 1}},
+			moves:  agentCounts{WAN: 1, Staged: 1, Misses: 1}},
 	}
 
 	for _, class := range classes {
 		for _, entry := range entries {
 			t.Run(class.name+"/"+entry.name, func(t *testing.T) {
-				reg := obs.NewRegistry()
 				var gate *gateDialer
 				ca := r.newClientAgent(t, func(c *ClientAgentConfig) {
-					c.Obs = reg
 					if class.leader {
 						gate = newGateDialer(t, 0)
 						c.Dialer = gate
@@ -756,7 +748,7 @@ func TestFlightSemantics(t *testing.T) {
 				if class.prepare != nil {
 					class.prepare(t, ca)
 				}
-				before := countsOf(ca, reg)
+				before := countsOf(ca)
 				var got result
 				if class.leader {
 					led := make(chan error, 1)
@@ -785,7 +777,7 @@ func TestFlightSemantics(t *testing.T) {
 				if got.class != class.class || got.bytes != len(want) {
 					t.Errorf("report: class %v, %d bytes; want %v, %d", got.class, got.bytes, class.class, len(want))
 				}
-				if moved := countsOf(ca, reg).sub(before); moved != class.moves {
+				if moved := countsOf(ca).sub(before); moved != class.moves {
 					t.Errorf("counters moved by %+v, want %+v", moved, class.moves)
 				}
 			})
@@ -885,8 +877,7 @@ func TestFlightCancellation(t *testing.T) {
 
 	t.Run("everyone leaves", func(t *testing.T) {
 		gate := newGateDialer(t, 0)
-		reg := obs.NewRegistry()
-		ca := r.newClientAgent(t, func(c *ClientAgentConfig) { c.Dialer, c.Obs = gate, reg })
+		ca := r.newClientAgent(t, func(c *ClientAgentConfig) { c.Dialer = gate })
 		baseline := runtime.NumGoroutine()
 		lctx, cancel := context.WithCancel(bg)
 		defer cancel()
@@ -918,8 +909,8 @@ func TestFlightCancellation(t *testing.T) {
 		if frame, rep, err := ca.GetViewSet(bg, id); err != nil || rep.Class != AccessWAN || !bytes.Equal(frame, want) {
 			t.Errorf("after the abandoned flight: class %v, %v", rep.Class, err)
 		}
-		if misses := reg.Counter(obs.MAgentMisses).Value(); misses != 2 {
-			t.Errorf("agent.misses = %d, want 2 (the abandoned flight and the fresh one)", misses)
+		if misses := ca.Stats().Misses; misses != 2 {
+			t.Errorf("Misses = %d, want 2 (the abandoned flight and the fresh one)", misses)
 		}
 		ca.Close()
 		deadline := time.Now().Add(10 * time.Second)
@@ -965,7 +956,7 @@ func TestFlightFailureAfterPublishedBytes(t *testing.T) {
 	publishStriped(t, r, 64)
 	id := lightfield.ViewSetID{R: 0, C: 1}
 	want := referenceFrame(t, r, id)
-	ca, reg, tr := tracedAgent(t, r, func(c *ClientAgentConfig) { c.Parallelism = 1 })
+	ca, tr := tracedAgent(t, r, func(c *ClientAgentConfig) { c.Parallelism = 1 })
 	if err := ca.stageOne(context.Background(), id); err != nil {
 		t.Fatal(err)
 	}
@@ -1010,7 +1001,7 @@ func TestFlightFailureAfterPublishedBytes(t *testing.T) {
 		t.Errorf("WANFetches = %d, LANFetches = %d, still staged = %v; want 1, 0, false",
 			st.WANFetches, st.LANFetches, ca.IsStaged(id))
 	}
-	if misses, dr := reg.Counter(obs.MAgentMisses).Value(), len(spansNamed(tr, obs.SpanResolve))-resolves; misses != 1 || dr != 1 {
-		t.Errorf("agent.misses = %d, resolves = %d; want 1 and 1", misses, dr)
+	if misses, dr := ca.Stats().Misses, len(spansNamed(tr, obs.SpanResolve))-resolves; misses != 1 || dr != 1 {
+		t.Errorf("Misses = %d, resolves = %d; want 1 and 1", misses, dr)
 	}
 }

@@ -191,7 +191,7 @@ func TestRemoteHangupLeavesFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := newGateDialer(t, 0)
-	ca, reg, tr := tracedAgent(t, r, func(c *ClientAgentConfig) { c.Dialer = gate })
+	ca, tr := tracedAgent(t, r, func(c *ClientAgentConfig) { c.Dialer = gate })
 	srv, err := NewClientAgentServer(ca, "neghip")
 	if err != nil {
 		t.Fatal(err)
@@ -230,8 +230,8 @@ func TestRemoteHangupLeavesFlight(t *testing.T) {
 	if _, rep, err := ca.GetViewSet(context.Background(), id); err != nil || rep.Class != AccessWAN {
 		t.Errorf("after the hang-up: class %v, %v; want a fresh wan fetch", rep.Class, err)
 	}
-	if misses := reg.Counter(obs.MAgentMisses).Value(); misses != 2 {
-		t.Errorf("agent.misses = %d, want 2", misses)
+	if misses := ca.Stats().Misses; misses != 2 {
+		t.Errorf("Misses = %d, want 2", misses)
 	}
 	// The connection machinery survives a watched request: the same source
 	// is served again.

@@ -97,9 +97,9 @@ type ServerAgentStats struct {
 	BytesSent  int64
 	DVSUpdates int64
 	// Evicted counts waiters shed because a newer request pushed theirs
-	// out of a full pending queue; DeadlineDrops counts waiters whose
-	// queued request was discarded unrendered because every waiter's
-	// deadline had already expired.
+	// out of a full pending queue; DeadlineDrops counts waiters shed
+	// because their deadline budget ran out — spent on arrival, or
+	// expired for every waiter while their request sat queued.
 	Evicted       int64
 	DeadlineDrops int64
 }
@@ -165,21 +165,24 @@ func (sa *ServerAgent) registry() *obs.Registry {
 	return obs.Default()
 }
 
-// initMetrics eagerly registers the render overload families so load
-// dashboards see them at zero before any shed happens.
+// initMetrics eagerly registers the render queue gauge so load
+// dashboards see it at zero before any request arrives.
 func (sa *ServerAgent) initMetrics() {
-	reg := sa.registry()
-	reg.Counter(obs.Label(obs.MAgentRenderShed, "reason", reasonEvicted))
-	reg.Counter(obs.Label(obs.MAgentRenderShed, "reason", overload.ReasonDeadline))
-	reg.Gauge(obs.MAgentRenderQueueDepth).Set(0)
+	sa.registry().Gauge(obs.MAgentRenderQueueDepth).Set(0)
 }
 
-// shed records n shed render waiters and why.
+// shed counts n shed render waiters under their reason and logs it.
 func (sa *ServerAgent) shed(reason string, n int) {
 	if n <= 0 {
 		return
 	}
-	sa.registry().Counter(obs.Label(obs.MAgentRenderShed, "reason", reason)).Add(int64(n))
+	sa.mu.Lock()
+	if reason == reasonEvicted {
+		sa.stats.Evicted += int64(n)
+	} else {
+		sa.stats.DeadlineDrops += int64(n)
+	}
+	sa.mu.Unlock()
 	obs.DefaultLogger().Warn(context.Background(), obs.EvShed,
 		"component", "agent", "reason", reason, "dataset", sa.cfg.Dataset)
 }
@@ -218,8 +221,9 @@ func (sa *ServerAgent) uploadOpts() lors.UploadOptions {
 	}
 }
 
-// RegisterMetrics bridges this agent's counters into reg (scraped as
-// agent.server.* at /metrics). Passing nil bridges into obs.Default().
+// RegisterMetrics publishes this agent's Stats into reg: the work counts
+// as agent.server.*, the sheds as agent.render.shed{reason=...}, at zero
+// until the first shed. Passing nil publishes into obs.Default().
 func (sa *ServerAgent) RegisterMetrics(reg *obs.Registry) {
 	if reg == nil {
 		reg = obs.Default()
@@ -227,13 +231,18 @@ func (sa *ServerAgent) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterSnapshot("agent.server", func() map[string]float64 {
 		st := sa.Stats()
 		return map[string]float64{
-			"requests":       float64(st.Requests),
-			"rendered":       float64(st.Rendered),
-			"uploaded":       float64(st.Uploaded),
-			"bytes_sent":     float64(st.BytesSent),
-			"dvs_updates":    float64(st.DVSUpdates),
-			"evicted":        float64(st.Evicted),
-			"deadline_drops": float64(st.DeadlineDrops),
+			"requests":    float64(st.Requests),
+			"rendered":    float64(st.Rendered),
+			"uploaded":    float64(st.Uploaded),
+			"bytes_sent":  float64(st.BytesSent),
+			"dvs_updates": float64(st.DVSUpdates),
+		}
+	})
+	reg.RegisterSnapshot("agent.render", func() map[string]float64 {
+		st := sa.Stats()
+		return map[string]float64{
+			obs.Label("shed", "reason", reasonEvicted):           float64(st.Evicted),
+			obs.Label("shed", "reason", overload.ReasonDeadline): float64(st.DeadlineDrops),
 		}
 	})
 }
@@ -310,7 +319,6 @@ func (sa *ServerAgent) Request(ctx context.Context, id lightfield.ViewSetID) ([]
 			delete(sa.queued, old)
 			evicted = sa.waiters[old]
 			delete(sa.waiters, old)
-			sa.stats.Evicted += int64(len(evicted))
 		}
 	}
 	depth := len(sa.pending)
@@ -364,7 +372,6 @@ func (sa *ServerAgent) schedulerLoop() {
 			}
 			if !live {
 				delete(sa.waiters, id)
-				sa.stats.DeadlineDrops += int64(len(ws))
 				sa.mu.Unlock()
 				sa.setQueueDepth(depth)
 				sa.shed(overload.ReasonDeadline, len(ws))

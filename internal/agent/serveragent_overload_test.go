@@ -192,7 +192,8 @@ func TestDeadlineDropSkipsRender(t *testing.T) {
 }
 
 // TestExpiredBudgetShedsImmediately: a request arriving with its context
-// already done is refused with BUSY without touching the queue.
+// already done is refused with BUSY without touching the queue, and
+// counted as a deadline drop.
 func TestExpiredBudgetShedsImmediately(t *testing.T) {
 	gen := newGatedGen(t)
 	close(gen.gate)
@@ -201,6 +202,9 @@ func TestExpiredBudgetShedsImmediately(t *testing.T) {
 	cancel()
 	if _, err := sa.Request(ctx, lightfield.ViewSetID{R: 0, C: 0}); !errors.Is(err, ibp.ErrBusy) {
 		t.Fatalf("expired request returned %v, want ibp.ErrBusy", err)
+	}
+	if st := sa.Stats(); st.DeadlineDrops != 1 || st.Requests != 0 {
+		t.Fatalf("stats = %+v, want one deadline drop and no queued request", st)
 	}
 }
 

@@ -51,8 +51,9 @@ type CacheConfig struct {
 	// fallback for depots that don't speak PIPELINE). 0 means
 	// ibp.DefaultPipelineWindow; negative forces serial dials.
 	PipelineWindow int
-	// Obs receives the edge.* metric families; nil records into
-	// obs.Default().
+	// Obs receives the edge.fill.ms histogram and the origin connections'
+	// ibp.* families; nil records into obs.Default(). The cache's own
+	// counts live in Stats, published by RegisterMetrics.
 	Obs *obs.Registry
 }
 
@@ -146,10 +147,6 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 			items:    make(map[string][]byte),
 		})
 	}
-	// Registered at zero so /metrics shows them on an idle edge.
-	for _, name := range []string{obs.MEdgeHits, obs.MEdgeMisses, obs.MEdgeFills} {
-		c.registry().Counter(name)
-	}
 	return c, nil
 }
 
@@ -186,19 +183,15 @@ func cacheKey(cap Cap, off, length int64) string {
 // caches the result. hit reports the cache outcome for access-class
 // accounting.
 func (c *Cache) Load(ctx context.Context, cp Cap, off, length int64) (data []byte, hit bool, err error) {
-	reg := c.registry()
 	c.pop.Record(cp.Hint)
 	key := cacheKey(cp, off, length)
 	sh := c.shard(key)
 	if data, ok := sh.get(key); ok {
 		c.hits.Add(1)
 		c.bytesServed.Add(int64(len(data)))
-		reg.Counter(obs.MEdgeHits).Inc()
-		reg.Counter(obs.MEdgeBytesServed).Add(int64(len(data)))
 		return data, true, nil
 	}
 	c.misses.Add(1)
-	reg.Counter(obs.MEdgeMisses).Inc()
 	data, shared, err := c.flights.Do(ctx, key, func(fctx context.Context) ([]byte, error) {
 		fctx, cancel := context.WithTimeout(fctx, c.cfg.FillTimeout)
 		defer cancel()
@@ -209,16 +202,13 @@ func (c *Cache) Load(ctx context.Context, cp Cap, off, length int64) (data []byt
 	}
 	if shared {
 		c.coalesced.Add(1)
-		reg.Counter(obs.MEdgeCoalesced).Inc()
 	}
 	c.bytesServed.Add(int64(len(data)))
-	reg.Counter(obs.MEdgeBytesServed).Add(int64(len(data)))
 	return data, false, nil
 }
 
 // fill fetches one extent from its origin depot and caches it.
 func (c *Cache) fill(ctx context.Context, cp Cap, off, length int64) ([]byte, error) {
-	reg := c.registry()
 	// CPU attribution: miss-path origin fetches profile under
 	// {class=edge_fill, depot=<origin>}, separating fill cost from the
 	// hit path and naming the depot a stuck fill is waiting on.
@@ -234,17 +224,15 @@ func (c *Cache) fill(ctx context.Context, cp Cap, off, length int64) ([]byte, er
 	// connection to the origin when the depot speaks PIPELINE.
 	data := make([]byte, length)
 	err := c.pipes.LoadInto(ctx, cp.OriginDepot, cp.OriginCap, off, data)
-	reg.Histogram(obs.MEdgeFillMs, obs.LatencyBucketsMs...).Observe(float64(time.Since(start)) / 1e6)
+	c.registry().Histogram(obs.MEdgeFillMs, obs.LatencyBucketsMs...).Observe(float64(time.Since(start)) / 1e6)
 	if err != nil {
 		c.fillErrors.Add(1)
-		reg.Counter(obs.MEdgeFillErrors).Inc()
 		span.SetAttr("err", err.Error())
 		obs.DefaultLogger().Warn(ctx, obs.EvEdgeFillErr,
 			"origin", cp.OriginDepot, "hint", cp.Hint, "err", err.Error())
 		return nil, err
 	}
 	c.fills.Add(1)
-	reg.Counter(obs.MEdgeFills).Inc()
 	key := cacheKey(cp, off, length)
 	c.fillMu.Lock()
 	if _, again := c.filledKeys[key]; again {
@@ -285,9 +273,10 @@ func (c *Cache) Stats() CacheStats {
 	return st
 }
 
-// RegisterMetrics bridges the cache accounting and the hot set onto reg
-// (scraped as edge.* at /metrics); passing nil bridges into obs.Default().
-// Hot-set entries appear as edge.hot.<viewset> with their decayed counts.
+// RegisterMetrics publishes the cache's Stats and the hot set into reg
+// (scraped as edge.* at /metrics), at zero on an idle edge; passing nil
+// publishes into obs.Default(). Hot-set entries appear as
+// edge.hot.<viewset> with their decayed counts.
 func (c *Cache) RegisterMetrics(reg *obs.Registry) {
 	if reg == nil {
 		reg = obs.Default()
@@ -299,6 +288,12 @@ func (c *Cache) RegisterMetrics(reg *obs.Registry) {
 			hitRate = float64(st.Hits) / float64(total)
 		}
 		out := map[string]float64{
+			"hits":            float64(st.Hits),
+			"misses":          float64(st.Misses),
+			"fills":           float64(st.Fills),
+			"fill_errors":     float64(st.FillErrors),
+			"coalesced":       float64(st.Coalesced),
+			"bytes_served":    float64(st.BytesServed),
 			"cache.capacity":  float64(st.Capacity),
 			"cache.used":      float64(st.Used),
 			"cache.entries":   float64(st.Entries),

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -56,17 +57,21 @@ func TestLabelCardinalityGuardDefaultCap(t *testing.T) {
 	}
 }
 
-func TestWithLabel(t *testing.T) {
+func TestParseLabelsInvertsLabel(t *testing.T) {
 	cases := []struct {
-		name, key, value, want string
+		name, family string
+		labels       map[string]string
 	}{
-		{"plain.ms", "node", "h1:1", Label("plain.ms", "node", "h1:1")},
-		{Label("fam.ms", "depot", "d1"), "node", "h1:1", Label("fam.ms", "depot", "d1", "node", "h1:1")},
-		{Label("fam.ms", "z", "1"), "a", "2", Label("fam.ms", "a", "2", "z", "1")},
+		{"plain.ms", "plain.ms", nil},
+		{Label("fam.ms", "depot", "d1:6714"), "fam.ms", map[string]string{"depot": "d1:6714"}},
+		{Label("fam.ms", "node", "h1:1", "family", "ibp.op.ms"), "fam.ms", map[string]string{"node": "h1:1", "family": "ibp.op.ms"}},
+		{"fam.ms{broken", "fam.ms{broken", nil},
+		{"fam.ms{novalue,k=v}", "fam.ms", map[string]string{"k": "v"}},
 	}
 	for _, c := range cases {
-		if got := WithLabel(c.name, c.key, c.value); got != c.want {
-			t.Errorf("WithLabel(%q, %q, %q) = %q, want %q", c.name, c.key, c.value, got, c.want)
+		family, labels := ParseLabels(c.name)
+		if family != c.family || !reflect.DeepEqual(labels, c.labels) {
+			t.Errorf("ParseLabels(%q) = %q, %v; want %q, %v", c.name, family, labels, c.family, c.labels)
 		}
 	}
 }

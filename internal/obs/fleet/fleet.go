@@ -441,12 +441,7 @@ func (f *Fleet) ScrapeOnce(ctx context.Context) {
 // peerMetrics is one member's parsed /metrics snapshot.
 type peerMetrics struct {
 	scalars map[string]float64
-	hists   map[string]histValue
-}
-
-type histValue struct {
-	count int64
-	p99   float64
+	hists   map[string]obs.HistogramSnapshot
 }
 
 // scrapeResult is one member's raw pull before folding.
@@ -605,7 +600,7 @@ func (f *Fleet) scrapeMember(ctx context.Context, addr string) scrapeResult {
 func parseMetrics(raw map[string]json.RawMessage) *peerMetrics {
 	pm := &peerMetrics{
 		scalars: make(map[string]float64, len(raw)),
-		hists:   make(map[string]histValue),
+		hists:   make(map[string]obs.HistogramSnapshot),
 	}
 	for name, msg := range raw {
 		var v float64
@@ -613,12 +608,9 @@ func parseMetrics(raw map[string]json.RawMessage) *peerMetrics {
 			pm.scalars[name] = v
 			continue
 		}
-		var h struct {
-			Count int64   `json:"count"`
-			P99   float64 `json:"p99"`
-		}
+		var h obs.HistogramSnapshot
 		if err := json.Unmarshal(msg, &h); err == nil {
-			pm.hists[name] = histValue{count: h.Count, p99: h.P99}
+			pm.hists[name] = h
 		}
 	}
 	return pm
@@ -641,9 +633,9 @@ func (pm *peerMetrics) sumFamily(family string) (float64, bool) {
 func (pm *peerMetrics) histFamily(family string) (count int64, maxP99 float64, found bool) {
 	for name, h := range pm.hists {
 		if obs.BaseName(name) == family {
-			count += h.count
-			if h.p99 > maxP99 {
-				maxP99 = h.p99
+			count += h.Count
+			if h.P99 > maxP99 {
+				maxP99 = h.P99
 			}
 			found = true
 		}

@@ -92,7 +92,8 @@ const (
 	// MLBoneOpErrors: counter. Failed L-Bone client ops, {op=...}.
 	MLBoneOpErrors = "lbone.op.errors"
 
-	// --- client agent (also mirrored per-instance by agent.Stats) ---
+	// --- client agent: agent.fetch.ms is recorded into the registry; the
+	// counts are agent.ClientAgentStats, published by RegisterMetrics ---
 
 	// MAgentFetchMs: histogram, ms end-to-end GetViewSet: {class=hit|lan-depot|wan|edge}.
 	MAgentFetchMs = "agent.fetch.ms"
@@ -115,7 +116,8 @@ const (
 	// identical in-flight fetch instead of hitting the depots again.
 	MAgentCoalesced = "agent.coalesced"
 
-	// --- server agent render queue ---
+	// --- server agent render queue: the shed counts are
+	// agent.ServerAgentStats, published by RegisterMetrics ---
 
 	// MAgentRenderShed: counter. Render requests dropped by the bounded
 	// LIFO queue, {reason=evicted|deadline}: evicted = pushed out by a
@@ -126,7 +128,9 @@ const (
 	// renderer.
 	MAgentRenderQueueDepth = "agent.render.queue_depth"
 
-	// --- steward ---
+	// --- steward: the histograms are recorded into the registry; the
+	// counts are steward.Stats and HotSetReplicator.Stats, published by
+	// their RegisterMetrics ---
 
 	// MStewardCycleMs: histogram, ms per scan cycle.
 	MStewardCycleMs = "steward.cycle.ms"
@@ -153,7 +157,9 @@ const (
 	// MStewardHotsetWarmErrors: counter. Hot-set warm attempts that failed.
 	MStewardHotsetWarmErrors = "steward.hotset.warm_errors"
 
-	// --- edge cache tier (internal/edge, served by cmd/lfedged) ---
+	// --- edge cache tier (internal/edge, served by cmd/lfedged): the
+	// histograms and edge.shed are recorded into the registry; the counts
+	// are edge.CacheStats, published by Cache.RegisterMetrics ---
 
 	// MEdgeHits: counter. Edge LOADs served from the cached set (LAN cost).
 	MEdgeHits = "edge.hits"

@@ -424,23 +424,20 @@ func BaseName(name string) string {
 	return name
 }
 
-// WithLabel injects one more label pair into a metric name that may
-// already carry labels, keeping the canonical sorted-key rendering:
-// WithLabel("ibp.op.ms{op=load}", "node", "h1:99") is
-// "ibp.op.ms{node=h1:99,op=load}". The fleet scraper uses it to
-// namespace scraped per-node series into the cluster TSDB.
-func WithLabel(name, key, value string) string {
+// ParseLabels is the inverse of Label, the one reader of folded names:
+// "ibp.depot.ms{depot=h1:99}" is ("ibp.depot.ms", {depot: h1:99}). A
+// name without a {labels} block returns itself and nil labels; pairs
+// without "=" are skipped.
+func ParseLabels(name string) (family string, labels map[string]string) {
 	i := strings.IndexByte(name, '{')
 	if i < 0 || !strings.HasSuffix(name, "}") {
-		return Label(name, key, value)
+		return name, nil
 	}
-	kv := []string{key, value}
+	labels = make(map[string]string)
 	for _, pair := range strings.Split(name[i+1:len(name)-1], ",") {
-		k, v, ok := strings.Cut(pair, "=")
-		if !ok {
-			continue
+		if k, v, ok := strings.Cut(pair, "="); ok {
+			labels[k] = v
 		}
-		kv = append(kv, k, v)
 	}
-	return Label(name[:i], kv...)
+	return name[:i], labels
 }

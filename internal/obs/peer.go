@@ -4,7 +4,8 @@ package obs
 // from another process's -metrics-addr endpoint.
 //
 // Every cross-process observability pull — the Collector's trace merge,
-// the fleet scraper's /metrics and /debug/alerts sweeps — shares the
+// the fleet scraper's /metrics and /debug/alerts sweeps, every lftop
+// pane — shares the
 // same failure modes: a peer that is down, a peer that is slow, and a
 // peer that answers garbage. PeerClient centralizes the defenses (a
 // bounded per-request deadline layered on the caller's context, a body

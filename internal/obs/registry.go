@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -116,19 +115,15 @@ func (r *Registry) overflowLocked() {
 // "ibp.depot.ms{depot=other}". Overflowing instances of one family all
 // collapse onto the same bounded set of names.
 func foldLabels(name string) string {
-	i := strings.IndexByte(name, '{')
-	if i < 0 || !strings.HasSuffix(name, "}") {
+	family, labels := ParseLabels(name)
+	if labels == nil {
 		return name
 	}
-	var kv []string
-	for _, pair := range strings.Split(name[i+1:len(name)-1], ",") {
-		k, _, ok := strings.Cut(pair, "=")
-		if !ok {
-			continue
-		}
+	kv := make([]string, 0, 2*len(labels))
+	for k := range labels {
 		kv = append(kv, k, "other")
 	}
-	return Label(name[:i], kv...)
+	return Label(family, kv...)
 }
 
 // Counter returns the counter registered under name, creating it if

@@ -159,21 +159,6 @@ func (e *Engine) Subscribe(fn func(Alert)) {
 	e.mu.Unlock()
 }
 
-// parseLabels extracts the {k=v,...} block of a labeled metric name.
-func parseLabels(name string) map[string]string {
-	i := strings.IndexByte(name, '{')
-	if i < 0 || !strings.HasSuffix(name, "}") {
-		return nil
-	}
-	out := make(map[string]string)
-	for _, kv := range strings.Split(name[i+1:len(name)-1], ",") {
-		if k, v, ok := strings.Cut(kv, "="); ok {
-			out[k] = v
-		}
-	}
-	return out
-}
-
 // verdict is one rule instance's evaluation outcome.
 type verdict struct {
 	instance string
@@ -214,10 +199,11 @@ func (e *Engine) Evaluate() {
 		seen[key] = true
 		st := e.states[key]
 		if st == nil {
+			_, labels := obs.ParseLabels(rv.v.instance)
 			st = &alertState{
 				rule:     rv.rule,
 				instance: rv.v.instance,
-				labels:   parseLabels(rv.v.instance),
+				labels:   labels,
 				state:    "ok",
 			}
 			e.states[key] = st

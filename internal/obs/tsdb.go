@@ -741,8 +741,9 @@ func (db *TSDB) Handler() http.Handler {
 		case agg == "rate":
 			resp.Points = db.RateSeries(name, since)
 		case strings.HasPrefix(agg, "p"):
+			// Written so NaN, which fails every comparison, fails this one.
 			pct, err := strconv.ParseFloat(agg[1:], 64)
-			if err != nil || pct <= 0 || pct >= 100 {
+			if err != nil || !(pct > 0 && pct < 100) {
 				http.Error(w, "bad agg (want raw|rate|p<1-99>)", http.StatusBadRequest)
 				return
 			}

@@ -34,9 +34,6 @@ type HotSetConfig struct {
 	// (default 1m); the edge's own LRU keeps hot entries resident, so
 	// re-warming sooner only burns WAN bandwidth.
 	Cooldown time.Duration
-	// Obs receives the steward.hotset.* counters; nil records into
-	// obs.Default().
-	Obs *obs.Registry
 }
 
 // HotSetReplicator runs the feed→warm loop. Create with
@@ -79,12 +76,17 @@ func NewHotSetReplicator(cfg HotSetConfig) (*HotSetReplicator, error) {
 	}, nil
 }
 
-// registry resolves the metrics destination.
-func (h *HotSetReplicator) registry() *obs.Registry {
-	if h.cfg.Obs != nil {
-		return h.cfg.Obs
+// RegisterMetrics publishes the warm counts of Stats into reg (scraped
+// as steward.hotset.* at /metrics). Passing nil publishes into
+// obs.Default().
+func (h *HotSetReplicator) RegisterMetrics(reg *obs.Registry) {
+	if reg == nil {
+		reg = obs.Default()
 	}
-	return obs.Default()
+	reg.RegisterSnapshot("steward.hotset", func() map[string]float64 {
+		warms, warmErrors := h.Stats()
+		return map[string]float64{"warms": float64(warms), "warm_errors": float64(warmErrors)}
+	})
 }
 
 // Trigger requests an early pass. It never blocks; triggers coalesce
@@ -121,7 +123,6 @@ func (h *HotSetReplicator) Run(ctx context.Context) {
 // RunOnce executes one feed→warm pass and returns how many view sets it
 // warmed.
 func (h *HotSetReplicator) RunOnce(ctx context.Context) int {
-	reg := h.registry()
 	warmed := 0
 	for _, item := range h.cfg.Feed(h.cfg.TopN) {
 		if item.Count < h.cfg.MinCount {
@@ -148,12 +149,10 @@ func (h *HotSetReplicator) RunOnce(ctx context.Context) int {
 		}
 		h.mu.Unlock()
 		if err != nil {
-			reg.Counter(obs.MStewardHotsetWarmErrors).Inc()
 			obs.DefaultLogger().Warn(ctx, obs.EvStewardHotsetWarm,
 				"hint", item.Hint, "ok", "false", "err", err.Error())
 			continue
 		}
-		reg.Counter(obs.MStewardHotsetWarms).Inc()
 		obs.DefaultLogger().Info(ctx, obs.EvStewardHotsetWarm,
 			"hint", item.Hint, "ok", "true")
 		if ctx.Err() != nil {

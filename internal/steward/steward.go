@@ -17,11 +17,10 @@
 //
 // Repair work runs in a bounded worker pool under a per-cycle budget so
 // maintenance never starves foreground traffic, and every consequential
-// action is surfaced as an Event and counted in Stats. Cycle and repair
-// timings plus renewal/repair/prune/loss counters are also recorded to
-// an internal/obs registry (the steward.* metrics of
-// docs/OBSERVABILITY.md); RegisterMetrics bridges the full Stats struct
-// onto the /metrics endpoint.
+// action is surfaced as an Event and counted once, in Stats; RegisterMetrics
+// publishes Stats onto the /metrics endpoint (the steward.* metrics of
+// docs/OBSERVABILITY.md), and cycle and repair timings are recorded as
+// histograms in an internal/obs registry.
 package steward
 
 import (
@@ -102,10 +101,13 @@ type Stats struct {
 	VerifyFailures   int64
 	RepairsAttempted int64
 	RepairsSucceeded int64
-	ReplicasPruned   int64
-	ExtentsLost      int64
-	Republishes      int64
-	PublishFailures  int64
+	// RepairFailures counts repair copies that failed on a candidate
+	// depot (a locator that finds no candidate is an attempt, not one).
+	RepairFailures  int64
+	ReplicasPruned  int64
+	ExtentsLost     int64
+	Republishes     int64
+	PublishFailures int64
 	// AlertAudits counts targeted audits run because an SLO alert fired,
 	// ahead of the periodic cycle.
 	AlertAudits int64
@@ -188,9 +190,8 @@ type Config struct {
 	Timeout time.Duration
 	// Clock supplies time (for tests); nil means time.Now.
 	Clock func() time.Time
-	// Obs receives the steward.* metric families (cycle/repair timings,
-	// renewal/repair/prune counters) and is threaded into the steward's
-	// depot clients; nil records into obs.Default().
+	// Obs receives the cycle and repair timing histograms and is threaded
+	// into the steward's depot clients; nil records into obs.Default().
 	Obs *obs.Registry
 }
 
@@ -379,8 +380,8 @@ func (s *Steward) registry() *obs.Registry {
 	return obs.Default()
 }
 
-// RegisterMetrics bridges this steward's cumulative Stats into reg
-// (scraped as steward.* at /metrics). Passing nil bridges into
+// RegisterMetrics publishes this steward's cumulative Stats into reg
+// (scraped as steward.* at /metrics). Passing nil publishes into
 // obs.Default().
 func (s *Steward) RegisterMetrics(reg *obs.Registry) {
 	if reg == nil {
@@ -389,17 +390,18 @@ func (s *Steward) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterSnapshot("steward", func() map[string]float64 {
 		st := s.Stats()
 		return map[string]float64{
-			"cycles_total":      float64(st.Cycles),
+			"cycles":            float64(st.Cycles),
 			"extents_audited":   float64(st.ExtentsAudited),
 			"replicas_probed":   float64(st.ReplicasProbed),
-			"leases_renewed":    float64(st.LeasesRenewed),
+			"renewals":          float64(st.LeasesRenewed),
 			"renew_failures":    float64(st.RenewFailures),
 			"payloads_verified": float64(st.PayloadsVerified),
 			"verify_failures":   float64(st.VerifyFailures),
 			"repairs_attempted": float64(st.RepairsAttempted),
-			"repairs_succeeded": float64(st.RepairsSucceeded),
-			"replicas_pruned":   float64(st.ReplicasPruned),
-			"extents_lost_obj":  float64(st.ExtentsLost),
+			"repairs":           float64(st.RepairsSucceeded),
+			"repair_failures":   float64(st.RepairFailures),
+			"pruned":            float64(st.ReplicasPruned),
+			"extents_lost":      float64(st.ExtentsLost),
 			"republishes":       float64(st.Republishes),
 			"publish_failures":  float64(st.PublishFailures),
 			"alert_audits":      float64(st.AlertAudits),
@@ -490,7 +492,6 @@ func (s *Steward) AuditDepot(ctx context.Context, depot string) (CycleReport, er
 		s.processObject(ctx, name, depot, budget, &report)
 	}
 	s.addStats(func(st *Stats) { st.AlertAudits++ })
-	s.registry().Counter(obs.MStewardAlertAudits).Inc()
 	return report, ctx.Err()
 }
 
@@ -549,9 +550,7 @@ func (s *Steward) RunCycle(ctx context.Context) (CycleReport, error) {
 		st.Cycles++
 		st.LastCycle = time.Since(start)
 	})
-	reg := s.registry()
-	reg.Counter(obs.MStewardCycles).Inc()
-	reg.Histogram(obs.MStewardCycleMs, obs.LatencyBucketsMs...).
+	s.registry().Histogram(obs.MStewardCycleMs, obs.LatencyBucketsMs...).
 		Observe(float64(time.Since(start)) / 1e6)
 	return report, ctx.Err()
 }
@@ -731,7 +730,6 @@ func (s *Steward) auditObject(ctx context.Context, name string, ex *exnode.ExNod
 			for j, rep := range ext.Replicas {
 				if verdicts[j] == verdictDead {
 					s.emit(Event{Type: EventPrune, Object: name, Offset: ext.Offset, Depot: rep.Depot})
-					s.registry().Counter(obs.MStewardPruned).Inc()
 					s.addStats(func(st *Stats) { st.ReplicasPruned++ })
 					report.ReplicasPruned++
 					delete(unreach, replicaKey(rep))
@@ -743,7 +741,6 @@ func (s *Steward) auditObject(ctx context.Context, name string, ex *exnode.ExNod
 			ext.Replicas = kept
 		} else {
 			s.emit(Event{Type: EventExtentLost, Object: name, Offset: ext.Offset})
-			s.registry().Counter(obs.MStewardExtentsLost).Inc()
 			s.addStats(func(st *Stats) { st.ExtentsLost++ })
 			continue // no healthy source: nothing to repair from
 		}
@@ -859,7 +856,6 @@ func (s *Steward) auditReplica(ctx context.Context, name string, ext *exnode.Ext
 		*changed = true
 		s.emit(Event{Type: EventRenew, Object: name, Offset: ext.Offset, Depot: rep.Depot})
 		s.addStats(func(st *Stats) { st.LeasesRenewed++ })
-		s.registry().Counter(obs.MStewardRenewals).Inc()
 		report.LeasesRenewed++
 	}
 	report.Healthy++
@@ -935,7 +931,7 @@ func (s *Steward) repairExtent(ctx context.Context, name string, ext *exnode.Ext
 				rspan.SetAttr("err", err.Error())
 				rspan.Finish()
 				s.cfg.Health.ReportFailure(addr)
-				s.registry().Counter(obs.MStewardRepairFailures).Inc()
+				s.addStats(func(st *Stats) { st.RepairFailures++ })
 				s.emit(Event{Type: EventRepairFailed, Object: name, Offset: ext.Offset, Depot: addr, Err: err})
 				obs.DefaultLogger().Warn(rctx, obs.EvStewardRepairDone,
 					"dataset", name, "extent", strconv.FormatInt(ext.Offset, 10),
@@ -944,9 +940,7 @@ func (s *Steward) repairExtent(ctx context.Context, name string, ext *exnode.Ext
 			}
 			rspan.Finish()
 			s.cfg.Health.ReportSuccess(addr)
-			reg := s.registry()
-			reg.Counter(obs.MStewardRepairs).Inc()
-			reg.Histogram(obs.MStewardRepairMs, obs.LatencyBucketsMs...).
+			s.registry().Histogram(obs.MStewardRepairMs, obs.LatencyBucketsMs...).
 				Observe(float64(time.Since(repairStart)) / 1e6)
 			obs.DefaultLogger().Info(rctx, obs.EvStewardRepairDone,
 				"dataset", name, "extent", strconv.FormatInt(ext.Offset, 10),

@@ -178,12 +178,12 @@ func TestOverloadControlEndToEnd(t *testing.T) {
 	if v := reg.Counter(obs.MLorsBusyRejections).Value(); v == 0 {
 		t.Error("no BUSY rejections recorded by lors failover")
 	}
-	if v := reg.Counter(obs.MAgentCoalesced).Value(); v == 0 {
+	st := ca.Stats()
+	if st.Coalesced == 0 {
 		t.Error("no coalesced requests: 200 clients never shared a flight")
 	}
-	st := ca.Stats()
-	if st.Coalesced == 0 || st.BusyRejections == 0 {
-		t.Errorf("agent stats: coalesced=%d busy_rejections=%d, want both > 0", st.Coalesced, st.BusyRejections)
+	if st.BusyRejections == 0 {
+		t.Errorf("agent stats: busy_rejections=%d, want > 0", st.BusyRejections)
 	}
 	t.Logf("fleet: %.1f aggregate fps, worst p99 %.1f ms, spread %.2f; shed=%d busy_rejections=%d coalesced=%d",
 		res.AggregateFPS(), res.WorstP99Ms(), res.FairnessSpread(),

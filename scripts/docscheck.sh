@@ -7,7 +7,10 @@
 #     must name a defined flag — under a "### N. `cmd`" heading, one of
 #     cmd's own or the harness's, anywhere else any command's.
 #  2. Every metric family and span name declared in
-#     internal/obs/names.go must appear in docs/OBSERVABILITY.md.
+#     internal/obs/names.go must appear in docs/OBSERVABILITY.md; and the
+#     other way, every row of the client agent, server agent, edge cache
+#     and steward tables there must name a names.go constant or a key the
+#     component's RegisterMetrics publishes.
 #  3. Every HTTP endpoint the obs mux serves (including the SLO stack's
 #     extra handlers) must appear in docs/OBSERVABILITY.md.
 #  4. Every wire verb in a service's verb table, every IBP error code, and the
@@ -30,7 +33,7 @@
 #     lors.DownloadInto once, lors.Download never, and open the
 #     agent.getviewset span in one place (DESIGN.md §10, "One fetch
 #     flight": every entry point reaches the same flight).
-#  9. One harness: no file under cmd/ calls slo.Start, signal.Notify,
+#  9. One harness: no non-test file under cmd/ calls slo.Start, signal.Notify,
 #     obs.ConfigureDefaultLogger or overload.NewGate, or defines any of
 #     the six observability flags or the three admission flags — they
 #     live once, in internal/daemon (DESIGN.md, "One daemon harness").
@@ -97,6 +100,46 @@ for n in $names; do
 		echo "MISSING: metric/span name $n not documented in docs/OBSERVABILITY.md" >&2
 		fail=1
 	fi
+done
+
+# published_keys <go files>: the names RegisterMetrics publishes — each key
+# literal of its snapshot maps under the RegisterSnapshot prefix above it.
+published_keys() {
+	awk '
+		/^func .*RegisterMetrics\(/ { on = 1; next }
+		on && /^}/ { on = 0; prefix = "" }
+		on && match($0, /RegisterSnapshot\("[a-z_.]+"/) {
+			prefix = substr($0, RSTART + 18, RLENGTH - 19)
+			next
+		}
+		on && prefix != "" {
+			s = $0
+			while (match(s, /"[a-z_.]+"/)) {
+				print prefix "." substr(s, RSTART + 1, RLENGTH - 2)
+				s = substr(s, RSTART + RLENGTH)
+			}
+		}' "$@"
+}
+# A trailing <placeholder> in a row (edge.hot.<viewset>) stands for a key
+# completed at scrape time.
+for table in "Client agent:internal/agent/clientagent.go" \
+	"Server agent:internal/agent/serveragent.go" \
+	"Edge cache:internal/edge/edge.go" \
+	"Steward:internal/steward/steward.go internal/steward/hotset.go"; do
+	title=${table%%:*}
+	keys=$(published_keys ${table#*:})
+	rows=$(awk -v t="### $title " '
+		index($0, t) == 1 { on = 1; next }
+		/^##/ { on = 0 }
+		on && /^\| `/ { split($0, c, "`"); print c[2] }' docs/OBSERVABILITY.md)
+	nrows=$(printf '%s\n' "$rows" | grep -c .)
+	[ "$nrows" -ge 5 ] || { echo "docscheck: extracted only $nrows rows from the $title table of docs/OBSERVABILITY.md, want >= 5" >&2; exit 1; }
+	for r in $rows; do
+		if ! printf '%s\n' "$names" "$keys" | grep -qxF -- "${r%<*>}"; then
+			echo "STALE: the $title table of docs/OBSERVABILITY.md names $r, neither a names.go name nor a key its RegisterMetrics publishes" >&2
+			fail=1
+		fi
+	done
 done
 
 echo "== HTTP endpoints vs docs/OBSERVABILITY.md"
@@ -216,7 +259,7 @@ done
 
 echo "== one harness (DESIGN.md, \"One daemon harness\")"
 strays=$(grep -nE 'slo\.Start\(|signal\.Notify|obs\.ConfigureDefaultLogger\(|overload\.NewGate\(|flag\.[A-Z][A-Za-z0-9]*\((&[^,]+, *)?"(metrics-addr|slo-config|prof-rates|tsdb-interval|log-level|log-format|max-inflight|max-queue|max-queue-wait)"' \
-	cmd/*/*.go | grep -v 'flag\.Lookup(' || true)
+	cmd/*/*.go | grep -v '_test\.go:' | grep -v 'flag\.Lookup(' || true)
 if [ -n "$strays" ]; then
 	echo "STRAY: a main wires what internal/daemon owns:" >&2
 	echo "$strays" >&2
