@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -52,7 +51,7 @@ func main() {
 	budget := flag.Int("repair-budget", 16, "max repair copies per cycle")
 	verbose := flag.Bool("v", false, "log every steward event")
 	once := flag.Bool("once", false, "run a single scan cycle and exit")
-	fleetScrape := flag.Bool("fleet-scrape", false, "scrape the whole fleet's observability endpoints into a cluster TSDB served at /debug/fleet (needs -metrics-addr; discovers members via -lbone plus -fleet-peers)")
+	fleetScrape := flag.Bool("fleet-scrape", false, "scrape the whole fleet's observability endpoints into this process's /debug/tsdb, health matrix at /debug/fleet (needs -metrics-addr; discovers members via -lbone plus -fleet-peers)")
 	fleetPeers := flag.String("fleet-peers", "", "comma-separated static metrics addresses to scrape in addition to L-Bone discovery")
 	fleetInterval := flag.Duration("fleet-interval", 5*time.Second, "fleet scrape poll interval")
 	edgeAddr := flag.String("edge", "", "edge depot address for demand-driven hot-set warming (needs -fleet-scrape; empty disables)")
@@ -93,63 +92,50 @@ func main() {
 	}
 	s := steward.New(cfg)
 
-	// The fleet scraper is built before the stack so its endpoints mount
-	// on the same mux and its critical alerts degrade the same /healthz.
-	var fl *fleet.Fleet
 	if *fleetScrape {
 		if d.MetricsAddr() == "" {
 			log.Fatalf("lfsteward: -fleet-scrape needs -metrics-addr")
 		}
-		fcfg := fleet.Config{
-			Interval:    *fleetInterval,
-			Replication: *replicas,
-			Coverage:    s.ReplicaCoverage,
-			// A depot dropping out of the matrix jumps the audit queue the
-			// same way a firing latency alert does: its replicas get
-			// re-verified now, not at the next scan tick.
-			OnMemberState: func(m fleet.Member, from string) {
-				if m.Kind == lbone.KindDepot && m.State == fleet.StateDown && m.ServiceAddr != "" {
-					s.TriggerDepotAudit(m.ServiceAddr)
-				}
-			},
-		}
-		if *lboneURL != "" {
-			fcfg.LBone = &lbone.Client{BaseURL: *lboneURL}
-		}
-		for _, peer := range strings.Split(*fleetPeers, ",") {
-			if peer = strings.TrimSpace(peer); peer != "" {
-				fcfg.Peers = append(fcfg.Peers, peer)
-			}
-		}
-		fl = fleet.New(fcfg)
+		// The stack's one engine evaluates the fleet rules beside the node
+		// rules, so a fleet-critical alert degrades the same /healthz.
+		d.Rules = slo.FleetDefaultRules(*replicas)
 	}
-	d.Extra = map[string]http.Handler{
-		"/debug/fleet":      fl.Handler(),
-		"/debug/fleet/tsdb": fl.TSDBHandler(),
-	}
-	d.ExtraHealth = []func() error{fl.HealthError}
 
 	d.Run(func(ctx context.Context, stack *slo.Stack) error {
 		defer dvsClient.CloseIdle()
 		if stack.Enabled() {
 			s.RegisterMetrics(nil)
 		}
-		// A firing depot alert jumps the queue: audit that depot's
-		// replicas now instead of waiting out the scan interval.
+		// A firing depot alert, node or fleet scope, jumps the queue: audit
+		// that depot's replicas now instead of waiting out the scan interval.
 		stack.Subscribe(steward.AlertTrigger(s))
-		if fl != nil {
-			// The scraper itself is part of the fleet it watches.
-			fl.SetSelf(stack.Addr())
-			fl.AddStaticPeer(stack.Addr(), lbone.KindSteward)
-			// Fleet-scope alerts feed the same plumbing node alerts do: a
-			// critical breach captures a forensic bundle and jumps the
-			// steward's audit queue.
-			fl.Subscribe(func(a slo.Alert) {
-				if a.State == slo.StateFiring && a.Severity == slo.SeverityCritical {
-					stack.Recorder.TriggerAsync("fleet:"+a.Rule, a.Reason)
+		var fl *fleet.Fleet
+		if *fleetScrape {
+			fcfg := fleet.Config{
+				Self:     stack.Addr(),
+				Interval: *fleetInterval,
+				Coverage: s.ReplicaCoverage,
+				// A depot dropping out of the matrix jumps the audit queue the
+				// same way a firing latency alert does: its replicas get
+				// re-verified now, not at the next scan tick.
+				OnMemberState: func(m fleet.Member, from string) {
+					if m.Kind == lbone.KindDepot && m.State == fleet.StateDown && m.ServiceAddr != "" {
+						s.TriggerDepotAudit(m.ServiceAddr)
+					}
+				},
+			}
+			if *lboneURL != "" {
+				fcfg.LBone = &lbone.Client{BaseURL: *lboneURL}
+			}
+			for _, peer := range strings.Split(*fleetPeers, ",") {
+				if peer = strings.TrimSpace(peer); peer != "" {
+					fcfg.Peers = append(fcfg.Peers, peer)
 				}
-			})
-			fl.Subscribe(steward.AlertTrigger(s))
+			}
+			fl = fleet.New(fcfg)
+			// The scraper itself is part of the fleet it watches.
+			fl.AddStaticPeer(stack.Addr(), lbone.KindSteward)
+			stack.Server.Handle("/debug/fleet", fl.Handler(stack.Engine))
 		}
 
 		// Adopt every view set the lattice defines; sets the DVS does not
@@ -194,7 +180,10 @@ func main() {
 		}
 
 		if *once {
-			fl.ScrapeOnce(ctx)
+			if fl != nil {
+				fl.Scrape(ctx)
+				stack.TSDB.Sample()
+			}
 			rep, err := s.RunCycle(ctx)
 			if err != nil {
 				return err
@@ -235,8 +224,8 @@ func main() {
 				if stack.Enabled() {
 					hs.RegisterMetrics(nil)
 				}
-				fl.Subscribe(func(a slo.Alert) {
-					if a.State == slo.StateFiring {
+				stack.Subscribe(func(a slo.Alert) {
+					if a.Scope == slo.ScopeFleet && a.State == slo.StateFiring {
 						hs.Trigger()
 					}
 				})

@@ -13,7 +13,7 @@ import (
 )
 
 // fleetMemberLine is one health-matrix row from /debug/fleet, plus the
-// per-node latency sparkline lftop derives from the cluster TSDB.
+// per-node latency sparkline lftop derives from the steward's TSDB.
 type fleetMemberLine struct {
 	Addr         string  `json:"addr"`
 	Kind         string  `json:"kind"`
@@ -43,7 +43,7 @@ type fleetSummary struct {
 }
 
 // pollFleet pulls one scraping steward's /debug/fleet view and decorates
-// it with sparklines from the cluster TSDB at /debug/fleet/tsdb.
+// it with sparklines of the fleet.* series in its /debug/tsdb.
 func (t *lftop) pollFleet(ep string) fleetSummary {
 	sum := fleetSummary{Endpoint: ep}
 	var doc struct {
@@ -72,19 +72,18 @@ func (t *lftop) pollFleet(ep string) fleetSummary {
 }
 
 // fleetSparks fills the per-node latency sparklines and the fleet fps
-// sparkline from the cluster TSDB.
+// sparkline from the steward's TSDB.
 func (t *lftop) fleetSparks(ep string, sum *fleetSummary) {
-	const path = "/debug/fleet/tsdb"
 	// Per node, keep the sparkline of the hottest p99 family so the matrix
 	// column tracks whatever that member actually serves.
 	best := make(map[string]historyLine, len(sum.Members))
-	for _, name := range t.seriesNames(ep, path, obs.MFleetNodeP99Ms+"{") {
+	for _, name := range t.seriesNames(ep, obs.MFleetNodeP99Ms+"{") {
 		_, labels := obs.ParseLabels(name)
 		node := labels["node"]
 		if node == "" {
 			continue
 		}
-		h, ok := t.fetchSeries(ep, path, name, "")
+		h, ok := t.fetchSeries(ep, name, "")
 		if !ok {
 			continue
 		}
@@ -97,7 +96,7 @@ func (t *lftop) fleetSparks(ep string, sum *fleetSummary) {
 			sum.Members[i].Spark = h.Spark
 		}
 	}
-	if h, ok := t.fetchSeries(ep, path, obs.MFleetFPS, ""); ok {
+	if h, ok := t.fetchSeries(ep, obs.MFleetFPS, ""); ok {
 		sum.FPSSpark = h.Spark
 	}
 }

@@ -40,7 +40,7 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit one JSON summary document instead of the dashboard")
 	nTraces := flag.Int("traces", 5, "slowest recent traces to show per target")
 	history := flag.Bool("history", false, "show per-depot latency sparklines from each target's /debug/tsdb history")
-	fleetMode := flag.Bool("fleet", false, "fleet mode: targets are scraping stewards; show each one's /debug/fleet health matrix with per-node sparklines from the cluster TSDB")
+	fleetMode := flag.Bool("fleet", false, "fleet mode: targets are scraping stewards; show each one's /debug/fleet health matrix with per-node sparklines from its /debug/tsdb")
 	histWindow := flag.Duration("history-window", 5*time.Minute, "how far back -history looks")
 	waitReady := flag.Duration("wait-ready", 0, "poll each target's /readyz until it reports ready, up to this long, before the first sample (0 disables)")
 	flag.Parse()
@@ -392,15 +392,15 @@ func (d alertDoc) lines() []alertLine {
 	return out
 }
 
-// seriesNames lists the series of a TSDB index (path is /debug/tsdb or
-// /debug/fleet/tsdb) whose names start with prefix.
-func (t *lftop) seriesNames(ep, path, prefix string) []string {
+// seriesNames lists the series of ep's /debug/tsdb index whose names
+// start with prefix.
+func (t *lftop) seriesNames(ep, prefix string) []string {
 	var idx struct {
 		Series []struct {
 			Name string `json:"name"`
 		} `json:"series"`
 	}
-	if t.pc.GetJSON(context.Background(), ep, path, nil, &idx) != nil {
+	if t.pc.GetJSON(context.Background(), ep, "/debug/tsdb", nil, &idx) != nil {
 		return nil
 	}
 	var out []string
@@ -414,7 +414,7 @@ func (t *lftop) seriesNames(ep, path, prefix string) []string {
 
 // fetchSeries pulls one series' history over the -history-window — raw,
 // or agg (p99) over 30 s windows — and renders it as a sparkline.
-func (t *lftop) fetchSeries(ep, path, name, agg string) (historyLine, bool) {
+func (t *lftop) fetchSeries(ep, name, agg string) (historyLine, bool) {
 	q := url.Values{"name": {name}, "since": {t.histWindow.String()}}
 	if agg != "" {
 		q.Set("agg", agg)
@@ -423,7 +423,7 @@ func (t *lftop) fetchSeries(ep, path, name, agg string) (historyLine, bool) {
 	var series struct {
 		Points []obs.Point `json:"points"`
 	}
-	if t.pc.GetJSON(context.Background(), ep, path, q, &series) != nil || len(series.Points) == 0 {
+	if t.pc.GetJSON(context.Background(), ep, "/debug/tsdb", q, &series) != nil || len(series.Points) == 0 {
 		return historyLine{}, false
 	}
 	h := historyLine{
@@ -444,8 +444,8 @@ func (t *lftop) fetchSeries(ep, path, name, agg string) (historyLine, bool) {
 // window as sparklines.
 func (t *lftop) fetchHistory(ep string) []historyLine {
 	var out []historyLine
-	for _, name := range t.seriesNames(ep, "/debug/tsdb", obs.MIBPDepotMs+"{") {
-		if h, ok := t.fetchSeries(ep, "/debug/tsdb", name, "p99"); ok {
+	for _, name := range t.seriesNames(ep, obs.MIBPDepotMs+"{") {
+		if h, ok := t.fetchSeries(ep, name, "p99"); ok {
 			out = append(out, h)
 		}
 	}

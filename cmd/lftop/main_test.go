@@ -339,31 +339,45 @@ func TestPollFleetSummarizesTheMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The steward: its own stack, whose one engine evaluates that rule,
+	// with the fleet publishing on the stack's registry.
+	reg := obs.NewRegistry()
+	stack, err := slo.Start(slo.Options{
+		Addr:           "127.0.0.1:0",
+		Registry:       reg,
+		Tracer:         obs.NewTracer(16),
+		Rules:          rules,
+		SampleInterval: time.Hour,
+		Logger:         obs.NewLogger(io.Discard, 16),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = stack.Close(context.Background()) })
 	fl := fleet.New(fleet.Config{
+		Self:     stack.Addr(),
 		Peers:    []string{member.addr},
 		Interval: time.Hour,
-		Rules:    rules,
+		Registry: reg,
 		Tracer:   obs.NewTracer(16),
 		Logger:   obs.NewLogger(io.Discard, 16),
 	})
-	mux := http.NewServeMux()
-	mux.Handle("/debug/fleet", fl.Handler())
-	mux.Handle("/debug/fleet/tsdb", fl.TSDBHandler())
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-	fl.SetSelf(srv.Listener.Addr().String())
+	stack.Server.Handle("/debug/fleet", fl.Handler(stack.Engine))
+	steward := "http://" + stack.Addr()
 
 	ctx := context.Background()
-	fl.ScrapeOnce(ctx)
+	fl.Scrape(ctx)
+	stack.TSDB.Sample()
 	time.Sleep(5 * time.Millisecond)
 	member.observe() // same buckets: the p99 the matrix mirrors holds still
-	fl.ScrapeOnce(ctx)
+	fl.Scrape(ctx)
+	stack.TSDB.Sample()
 
 	var doc struct {
 		Updated  time.Time `json:"updated"`
 		ScrapeMs float64   `json:"scrape_ms"`
 	}
-	resp, err := http.Get(srv.URL + "/debug/fleet")
+	resp, err := http.Get(steward + "/debug/fleet")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,15 +396,15 @@ func TestPollFleetSummarizesTheMatrix(t *testing.T) {
 		})
 	}
 	want := fleetSummary{
-		Endpoint:   srv.URL,
-		Self:       srv.Listener.Addr().String(),
+		Endpoint:   steward,
+		Self:       stack.Addr(),
 		Updated:    doc.Updated.UTC().Format(time.RFC3339),
 		ScrapeMs:   doc.ScrapeMs,
 		Members:    members,
 		Aggregates: fl.Aggregates(),
 		FPSSpark:   "▁",
 		Firing:     1,
-		Alerts:     wantAlerts(fl.Engine().Alerts()),
+		Alerts:     wantAlerts(stack.Engine.Alerts()),
 	}
 	if len(members) != 1 || members[0].State != fleet.StateUp || members[0].P99Ms != p99 || members[0].AlertsFiring != 0 {
 		t.Fatalf("fixture member = %+v, want one up member with p99 %v and no alert", members, p99)
@@ -399,7 +413,7 @@ func TestPollFleetSummarizesTheMatrix(t *testing.T) {
 		t.Fatalf("fixture fleet alert not firing: %+v", want.Alerts)
 	}
 
-	got := newTop([]string{srv.URL}, 5, false, 5*time.Minute).pollFleet(srv.URL)
+	got := newTop([]string{steward}, 5, false, 5*time.Minute).pollFleet(steward)
 	assertFields(t, got, want)
 	if len(got.Members) == 1 {
 		assertFields(t, got.Members[0], want.Members[0])

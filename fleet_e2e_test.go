@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -70,10 +71,25 @@ func startFleetNode(t *testing.T, addr string) *fleetNode {
 // below the replication floor so the fleet SLO fires critical, and
 // degrade the steward's own /healthz through the federated health chain.
 // Restarting the depot on the same addresses clears all of it. Every
-// stage is observed from the operator surface: /debug/fleet, the cluster
-// TSDB at /debug/fleet/tsdb, and /healthz.
+// stage is observed from the operator surface: /debug/fleet, the fleet.*
+// series in the steward's /debug/tsdb, and /healthz. Teardown leaks no
+// goroutines.
 func TestFleetFederationEndToEnd(t *testing.T) {
 	ctx := context.Background()
+	// Registered first, so it runs after every other cleanup.
+	baseline := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > baseline+10 {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Errorf("goroutine leak: %d now vs %d at start\n%s",
+					runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
 
 	// The L-Bone registry the fleet sweep discovers members through.
 	lb := lbone.NewServer()
@@ -170,35 +186,31 @@ func TestFleetFederationEndToEnd(t *testing.T) {
 	}
 
 	// The federation layer, wired exactly as lfsteward -fleet-scrape does:
-	// built before the stack so its handlers ride Options.Extra, self
-	// address patched in after bind.
-	fl := fleet.New(fleet.Config{
-		LBone:       lbClient,
-		Interval:    150 * time.Millisecond,
-		PeerTimeout: 2 * time.Second,
-		Replication: 2,
-		Coverage:    stw.ReplicaCoverage,
-		Registry:    stewReg,
-	})
+	// the stack's one engine runs the fleet rules, and the fleet, built
+	// once the stack has bound, publishes on the stack's registry.
 	stack, err := slo.Start(slo.Options{
 		Addr:           "127.0.0.1:0",
 		Registry:       stewReg,
 		Tracer:         obs.NewTracer(256),
 		Logger:         obs.NewLogger(io.Discard, 64),
 		SampleInterval: 50 * time.Millisecond,
-		Extra: map[string]http.Handler{
-			"/debug/fleet":      fl.Handler(),
-			"/debug/fleet/tsdb": fl.TSDBHandler(),
-		},
-		ExtraHealth: []func() error{fl.HealthError},
+		Rules:          slo.FleetDefaultRules(2),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { stack.Close(context.Background()) })
 	stack.MarkReady()
-	fl.SetSelf(stack.Addr())
+	fl := fleet.New(fleet.Config{
+		Self:        stack.Addr(),
+		LBone:       lbClient,
+		Interval:    150 * time.Millisecond,
+		PeerTimeout: 2 * time.Second,
+		Coverage:    stw.ReplicaCoverage,
+		Registry:    stewReg,
+	})
 	fl.AddStaticPeer(stack.Addr(), lbone.KindSteward)
+	stack.Server.Handle("/debug/fleet", fl.Handler(stack.Engine))
 	fleetStop := make(chan struct{})
 	t.Cleanup(func() { close(fleetStop) })
 	go fl.Run(fleetStop)
@@ -302,7 +314,7 @@ func TestFleetFederationEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The steward's own /healthz degrades through the federated chain and
+	// The steward's own /healthz degrades through its one engine and
 	// names the fleet rule.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -358,20 +370,20 @@ func TestFleetFederationEndToEnd(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	// Stage 4: the cluster TSDB retained the outage — the coverage-min
+	// Stage 4: the steward's TSDB retained the outage — the coverage-min
 	// series has history that dips to 1 and returns to 2.
 	q := url.Values{"name": {obs.MFleetCoverageMin}, "since": {"120s"}, "agg": {"raw"}}
-	_, body := sloHTTPGet(t, base+"/debug/fleet/tsdb?"+q.Encode())
+	_, body := sloHTTPGet(t, base+"/debug/tsdb?"+q.Encode())
 	var rawResp struct {
 		Points []struct {
 			V float64 `json:"v"`
 		} `json:"points"`
 	}
 	if err := json.Unmarshal(body, &rawResp); err != nil {
-		t.Fatalf("/debug/fleet/tsdb unparseable: %v\n%s", err, body)
+		t.Fatalf("/debug/tsdb unparseable: %v\n%s", err, body)
 	}
 	if len(rawResp.Points) < 2 {
-		t.Fatalf("cluster TSDB has %d coverage points, want history", len(rawResp.Points))
+		t.Fatalf("steward TSDB has %d coverage points, want history", len(rawResp.Points))
 	}
 	sawDip, sawFull := false, false
 	for _, p := range rawResp.Points {

@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -43,10 +42,9 @@ type Body func(ctx context.Context, stack *slo.Stack) error
 // calls flag.Parse, and Run does the rest.
 type Daemon struct {
 	Name string
-	// Extra handlers and ExtraHealth hooks are mounted on the stack (see
+	// Rules are evaluated by the stack's engine beside its node rules (see
 	// slo.Options); set them before Run.
-	Extra       map[string]http.Handler
-	ExtraHealth []func() error
+	Rules []slo.Rule
 
 	fs                  *flag.FlagSet
 	opts                slo.Options
@@ -90,7 +88,7 @@ func (d *Daemon) run(ctx context.Context, body Body) error {
 		return err
 	}
 	opts := d.opts
-	opts.Extra, opts.ExtraHealth = d.Extra, d.ExtraHealth
+	opts.Rules = d.Rules
 	stack, err := slo.Start(opts)
 	if err != nil {
 		return fmt.Errorf("metrics listen: %w", err)

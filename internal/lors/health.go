@@ -166,9 +166,10 @@ func (h *HealthTracker) Snapshot() []DepotHealth {
 func (h *HealthTracker) Open(addr string) bool { return !h.Allow(addr) }
 
 // allowedReplicas filters a replica list down to depots whose circuit
-// admits traffic. It never invents capacity: when every replica is
-// circuit-open the empty slice is returned and the caller decides whether
-// to fail fast or wait out a cooldown.
+// admits traffic. When every circuit is open it lets one replica through
+// as a probe, the one whose cooldown ends soonest, so a client whose
+// every depot tripped still reaches one that has come back. A failed
+// probe re-opens that circuit, as a failed half-open probe does.
 func allowedReplicas[T any](h *HealthTracker, reps []T, depotOf func(T) string) []T {
 	if h == nil {
 		return reps
@@ -179,5 +180,16 @@ func allowedReplicas[T any](h *HealthTracker, reps []T, depotOf func(T) string) 
 			out = append(out, r)
 		}
 	}
-	return out
+	if len(out) > 0 || len(reps) == 0 {
+		return out
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	probe := reps[0]
+	for _, r := range reps[1:] {
+		if h.state(depotOf(r)).openUntil.Before(h.state(depotOf(probe)).openUntil) {
+			probe = r
+		}
+	}
+	return append(out, probe)
 }

@@ -127,17 +127,26 @@ func TestHealthTrackerNilSafe(t *testing.T) {
 }
 
 func TestAllowedReplicasFilters(t *testing.T) {
-	h, _ := newTestTracker(1, time.Minute)
+	h, clock := newTestTracker(1, time.Minute)
 	h.ReportFailure("bad:1")
 	reps := []string{"good:1", "bad:1", "good:2"}
 	got := allowedReplicas(h, reps, func(s string) string { return s })
 	if len(got) != 2 || got[0] != "good:1" || got[1] != "good:2" {
 		t.Errorf("filtered = %v", got)
 	}
-	// All circuits open -> empty, never a panic or fallback.
-	h.ReportFailure("good:1")
+	// All circuits open -> one probe, to the depot whose cooldown ends
+	// soonest.
+	clock.advance(time.Second)
 	h.ReportFailure("good:2")
-	if got := allowedReplicas(h, reps, func(s string) string { return s }); len(got) != 0 {
-		t.Errorf("all-open filter returned %v", got)
+	clock.advance(time.Second)
+	h.ReportFailure("good:1")
+	if got := allowedReplicas(h, reps, func(s string) string { return s }); len(got) != 1 || got[0] != "bad:1" {
+		t.Errorf("all-open filter returned %v, want the probe [bad:1]", got)
+	}
+	// A failed probe re-opens its circuit for a full cooldown, so the next
+	// probe goes elsewhere.
+	h.ReportFailure("bad:1")
+	if got := allowedReplicas(h, reps, func(s string) string { return s }); len(got) != 1 || got[0] != "good:2" {
+		t.Errorf("after a failed probe the filter returned %v, want [good:2]", got)
 	}
 }

@@ -528,6 +528,51 @@ func TestDownloadCircuitBreakerSkipsOpenDepot(t *testing.T) {
 	}
 }
 
+// TestDownloadProbesWhenEveryCircuitIsOpen: both replicas' circuits are
+// open, one depot is dead and the other alive. The extent must still load,
+// through one probe to the depot whose cooldown ends soonest (the live
+// one); the dead depot, still cooling down, is never dialed.
+func TestDownloadProbesWhenEveryCircuitIsOpen(t *testing.T) {
+	depots := depotFarm(t, 2, 1<<22)
+	data := testPayload(48*1024, 26)
+	ex, err := Upload(context.Background(), "all-open", data, UploadOptions{
+		Depots:     depots,
+		StripeSize: 16 * 1024,
+		Replicas:   2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alive, dead := depots[0], depots[1]
+	health, clock := newTestTracker(1, time.Hour)
+	health.ReportFailure(alive)
+	clock.advance(time.Second)
+	health.ReportFailure(dead)
+	if !health.Open(alive) || !health.Open(dead) {
+		t.Fatal("setup: both circuits should be open")
+	}
+	fd := netsim.NewFaultDialer(nil, 5)
+	fd.Kill(dead)
+	got, stats, err := Download(context.Background(), ex, DownloadOptions{
+		Dialer: fd, Health: health, Rand: rand.New(rand.NewSource(3)),
+	})
+	if err != nil {
+		t.Fatalf("download with every circuit open and one depot alive: %v", err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Error("download mismatch")
+	}
+	if health.Open(alive) {
+		t.Error("a successful probe left the live depot's circuit open")
+	}
+	if n := fd.Dials(dead); n != 0 {
+		t.Errorf("dead depot dialed %d times during its cooldown", n)
+	}
+	if stats.FailedAttempts != 0 {
+		t.Errorf("stats = %+v, want no failed attempts", stats)
+	}
+}
+
 func TestRaceReplicasSkipsOpenCircuits(t *testing.T) {
 	depots := depotFarm(t, 3, 1<<22)
 	data := testPayload(32*1024, 26)

@@ -1,9 +1,10 @@
 // Package fleet is the cluster tier of the observability stack: one
 // process (in practice the steward, behind -fleet-scrape) discovers
 // every member of a deployment, scrapes each member's observability
-// endpoint on a poll interval, and folds the results into a cluster
-// TSDB of per-node series and fleet-wide aggregates that a fleet-scope
-// SLO engine evaluates.
+// endpoint on a poll interval, and folds the results into per-node
+// series and fleet-wide aggregates on the host's own registry, where
+// the host's one TSDB retains them and its one engine evaluates the
+// fleet-scope rules.
 //
 // Node-local observability answers "is this process healthy"; the
 // questions the paper's deployment actually raises — is every published
@@ -23,16 +24,15 @@
 //     per-node gauges and p99s are mirrored under a node=<addr> label;
 //     replica coverage is recomputed from live depot membership every
 //     pass so a dying depot moves it immediately.
-//   - Evaluate: a fleet-scope slo.Engine runs over the cluster TSDB
-//     (slo.FleetDefaultRules by default), feeding the same alert
-//     plumbing node rules use — /healthz degradation, slo.alert
-//     events, flight-recorder captures — at cluster scope.
+//   - Publish: the fold is the registry's "fleet" snapshot, so the
+//     host's /debug/tsdb retains fleet.* beside its own series and the
+//     host's engine evaluates slo.FleetDefaultRules (passed to it as
+//     slo.Options.Rules) with the same alert plumbing node rules use —
+//     /healthz degradation, slo.alert events, flight-recorder captures.
 //
 // /debug/fleet serves the health matrix (topology, per-node state,
-// version, uptime, latency) plus the aggregates and active fleet
-// alerts; /debug/fleet/tsdb serves the cluster TSDB with the standard
-// query grammar. A nil *Fleet is inert: every method no-ops, and the
-// disabled path allocates nothing.
+// version, uptime, latency) plus the aggregates and the engine's
+// fleet-scope alerts.
 package fleet
 
 import (
@@ -46,7 +46,6 @@ import (
 
 	"lonviz/internal/lbone"
 	"lonviz/internal/obs"
-	"lonviz/internal/obs/slo"
 )
 
 // Member states in the health matrix.
@@ -59,8 +58,8 @@ const (
 // Config configures New.
 type Config struct {
 	// Self is this process's own metrics address, reported in the
-	// /debug/fleet topology (and scraped like any member when it also
-	// appears in Peers).
+	// /debug/fleet topology (and scraped like any member once added with
+	// AddStaticPeer).
 	Self string
 	// LBone, when set, is swept for members each pass: every registered
 	// record carrying a MetricsAddr joins the fleet.
@@ -75,12 +74,6 @@ type Config struct {
 	// roughly one timeout, so a 10-member scrape fits one poll interval
 	// even with members hanging.
 	PeerTimeout time.Duration
-	// Replication is the deployment's intended replica count, the floor
-	// the fleet-replica-coverage rule holds fleet.replica.coverage.min
-	// to (default 1). Ignored when Rules is set.
-	Replication int
-	// Rules overrides slo.FleetDefaultRules(Replication).
-	Rules []slo.Rule
 	// Coverage, when set, is called each pass with the depot service
 	// addresses currently up and returns per-exNode replica coverage
 	// (steward.ReplicaCoverage bound to the adopted set).
@@ -93,8 +86,8 @@ type Config struct {
 	// (marked down) after leaving the registry sweep before it is
 	// dropped (default 5m).
 	PruneAfter time.Duration
-	// Registry receives the fleet's cluster series; nil means a fresh
-	// registry with a raised label budget. Exposed for tests.
+	// Registry receives the "fleet" snapshot and the scraper's own
+	// accounting; nil means obs.Default().
 	Registry *obs.Registry
 	// Tracer records fleet.scrape spans on passes with member
 	// transitions; nil means obs.DefaultTracer().
@@ -155,10 +148,11 @@ type memberState struct {
 	missingSince time.Time          // absent from the discovery sweep since
 	prev         map[string]float64 // reset-aware counter fold state
 	prevTime     time.Time          // when prev was captured (rate base)
+	scrapeErrs   float64            // failed pulls, published as scrape.errors{node=}
 }
 
 // scalarFoldFamilies are the scalar families mirrored per node into the
-// cluster TSDB (summed over the member's label instances, re-labeled
+// fleet snapshot (summed over the member's label instances, re-labeled
 // node=<addr>).
 var scalarFoldFamilies = []string{
 	obs.MIBPShed, obs.MDVSShed, obs.MEdgeShed, obs.MAgentRenderShed,
@@ -183,24 +177,23 @@ var (
 )
 
 // Fleet is a running federation scraper. All exported methods are safe
-// for concurrent use and on a nil receiver.
+// for concurrent use.
 type Fleet struct {
 	cfg      Config
 	interval time.Duration
 	pc       *obs.PeerClient
 	reg      *obs.Registry
-	db       *obs.TSDB
-	engine   *slo.Engine
 	tracer   *obs.Tracer
 	logger   *obs.Logger
 	clock    func() time.Time
 
 	mu          sync.Mutex
 	members     map[string]*memberState // keyed by metrics addr
-	folded      map[string]float64      // the "fleet" snapshot served to the TSDB
+	folded      map[string]float64      // the "fleet" snapshot
 	hot         map[string]int64        // aggregated edge.hot.<hint> counts
 	shedTotal   float64
 	servedTotal float64
+	lboneErrs   float64 // failed directory sweeps
 	lastPass    time.Time
 	lastPassMs  float64
 }
@@ -229,10 +222,7 @@ func New(cfg Config) *Fleet {
 	}
 	reg := cfg.Registry
 	if reg == nil {
-		reg = obs.NewRegistry()
-		// The cluster registry holds one series set per member; give it
-		// label headroom beyond the node-local default.
-		reg.MaxLabelInstances = 1024
+		reg = obs.Default()
 	}
 	f := &Fleet{
 		cfg:      cfg,
@@ -246,28 +236,9 @@ func New(cfg Config) *Fleet {
 		folded:   make(map[string]float64),
 		hot:      make(map[string]int64),
 	}
-	f.db = obs.NewTSDB(obs.TSDBConfig{
-		Registry: reg,
-		Tiers:    obs.DefaultTiers(interval),
-		Clock:    cfg.Clock,
-		// Fleet rules ride the sampling pass like node rules do.
-		OnSample: func() { f.engine.Evaluate() },
-	})
-	rules := cfg.Rules
-	if len(rules) == 0 {
-		rules = slo.FleetDefaultRules(cfg.Replication)
-	}
-	f.engine = slo.NewEngine(slo.EngineConfig{
-		DB:       f.db,
-		Rules:    rules,
-		Registry: reg,
-		Tracer:   tracer,
-		Logger:   logger,
-		Clock:    cfg.Clock,
-	})
-	// The folded aggregates enter the cluster TSDB as the "fleet"
+	// The folded aggregates enter the host's TSDB as the "fleet"
 	// snapshot: float-valued, rebuilt each scrape pass.
-	reg.RegisterSnapshot("fleet", f.snapshotFolded)
+	reg.RegisterSnapshot("fleet", f.Aggregates)
 	for _, peer := range cfg.Peers {
 		f.members[peer] = &memberState{Member: Member{
 			Addr: peer, Kind: "peer", State: StateDown, Since: clock(), Static: true,
@@ -276,7 +247,9 @@ func New(cfg Config) *Fleet {
 	return f
 }
 
-func (f *Fleet) snapshotFolded() map[string]float64 {
+// Aggregates returns a copy of the current folded cluster aggregates —
+// the "fleet" snapshot.
+func (f *Fleet) Aggregates() map[string]float64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make(map[string]float64, len(f.folded))
@@ -286,24 +259,11 @@ func (f *Fleet) snapshotFolded() map[string]float64 {
 	return out
 }
 
-// SetSelf records the hosting process's own metrics address for the
-// /debug/fleet topology. Separate from Config because the address is
-// only known after the observability stack binds (New runs before
-// slo.Start so the fleet handlers can ride Options.Extra).
-func (f *Fleet) SetSelf(addr string) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.cfg.Self = addr
-	f.mu.Unlock()
-}
-
 // AddStaticPeer adds one never-pruned scrape target at runtime — the
 // hosting process adds its own bound address this way, so the fleet
 // view includes the scraper itself.
 func (f *Fleet) AddStaticPeer(addr, kind string) {
-	if f == nil || addr == "" {
+	if addr == "" {
 		return
 	}
 	f.mu.Lock()
@@ -321,52 +281,10 @@ func (f *Fleet) AddStaticPeer(addr, kind string) {
 }
 
 // Interval returns the poll interval.
-func (f *Fleet) Interval() time.Duration {
-	if f == nil {
-		return 0
-	}
-	return f.interval
-}
-
-// TSDB returns the cluster TSDB (nil on a nil fleet).
-func (f *Fleet) TSDB() *obs.TSDB {
-	if f == nil {
-		return nil
-	}
-	return f.db
-}
-
-// Engine returns the fleet-scope SLO engine (nil on a nil fleet).
-func (f *Fleet) Engine() *slo.Engine {
-	if f == nil {
-		return nil
-	}
-	return f.engine
-}
-
-// Subscribe registers an alert-transition callback on the fleet engine.
-func (f *Fleet) Subscribe(fn func(slo.Alert)) {
-	if f == nil {
-		return
-	}
-	f.engine.Subscribe(fn)
-}
-
-// HealthError reports a non-nil error while any fleet-scope critical
-// alert fires — plugged into the hosting process's /healthz via
-// slo.Options.ExtraHealth.
-func (f *Fleet) HealthError() error {
-	if f == nil {
-		return nil
-	}
-	return f.engine.HealthError()
-}
+func (f *Fleet) Interval() time.Duration { return f.interval }
 
 // Members returns the health matrix rows, sorted by address.
 func (f *Fleet) Members() []Member {
-	if f == nil {
-		return nil
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make([]Member, 0, len(f.members))
@@ -377,21 +295,10 @@ func (f *Fleet) Members() []Member {
 	return out
 }
 
-// Aggregates returns the current folded cluster aggregates.
-func (f *Fleet) Aggregates() map[string]float64 {
-	if f == nil {
-		return nil
-	}
-	return f.snapshotFolded()
-}
-
 // HotItems returns the top-n hints by aggregated edge-tier popularity
 // across every edge member — the cluster-demand feed the hot-set
 // replicator warms from.
 func (f *Fleet) HotItems(n int) []HotItem {
-	if f == nil {
-		return nil
-	}
 	f.mu.Lock()
 	out := make([]HotItem, 0, len(f.hot))
 	for hint, count := range f.hot {
@@ -410,32 +317,19 @@ func (f *Fleet) HotItems(n int) []HotItem {
 	return out
 }
 
-// Run polls until stop closes: discover, scrape, fold, sample, evaluate
-// — one pass immediately, then every interval.
+// Run polls until stop closes — one Scrape immediately, then every
+// interval. The host's TSDB samples the fold on its own clock.
 func (f *Fleet) Run(stop <-chan struct{}) {
-	if f == nil {
-		return
-	}
 	t := time.NewTicker(f.interval)
 	defer t.Stop()
 	for {
-		f.ScrapeOnce(context.Background())
+		f.Scrape(context.Background())
 		select {
 		case <-stop:
 			return
 		case <-t.C:
 		}
 	}
-}
-
-// ScrapeOnce runs one full pass: scrape + fold, then a cluster TSDB
-// sample (which runs the fleet rule evaluation).
-func (f *Fleet) ScrapeOnce(ctx context.Context) {
-	if f == nil {
-		return
-	}
-	f.Scrape(ctx)
-	f.db.Sample()
 }
 
 // peerMetrics is one member's parsed /metrics snapshot.
@@ -456,12 +350,8 @@ type scrapeResult struct {
 }
 
 // Scrape runs discovery plus the parallel member fan-out and folds the
-// results into the cluster registry. Exposed separately from ScrapeOnce
-// for tests that drive sampling themselves.
+// results into the "fleet" snapshot.
 func (f *Fleet) Scrape(ctx context.Context) {
-	if f == nil {
-		return
-	}
 	start := f.clock()
 	f.discover(ctx)
 
@@ -498,7 +388,9 @@ func (f *Fleet) discover(ctx context.Context) {
 	if err != nil {
 		// A briefly unreachable directory must not tear down the matrix:
 		// keep scraping the known membership.
-		f.reg.Counter(obs.Label(obs.MFleetScrapeErrors, "node", "lbone")).Inc()
+		f.mu.Lock()
+		f.lboneErrs++
+		f.mu.Unlock()
 		return
 	}
 	now := f.clock()
@@ -702,7 +594,7 @@ func (f *Fleet) fold(targets []*memberState, results []scrapeResult, start time.
 			if !m.missingSince.IsZero() {
 				m.Err = "left registry: " + m.Err
 			}
-			f.reg.Counter(obs.Label(obs.MFleetScrapeErrors, "node", m.Addr)).Inc()
+			m.scrapeErrs++
 		case !res.healthOK:
 			m.State = StateDegraded
 			m.Err = ""
@@ -712,8 +604,9 @@ func (f *Fleet) fold(targets []*memberState, results []scrapeResult, start time.
 			m.Err = ""
 			m.Health = ""
 		}
-		if res.softErrs > 0 {
-			f.reg.Counter(obs.Label(obs.MFleetScrapeErrors, "node", m.Addr)).Add(int64(res.softErrs))
+		m.scrapeErrs += float64(res.softErrs)
+		if m.scrapeErrs > 0 {
+			folded[obs.Label("scrape.errors", "node", m.Addr)] = m.scrapeErrs
 		}
 		if m.State != from {
 			m.Since = now
@@ -814,6 +707,9 @@ func (f *Fleet) fold(targets []*memberState, results []scrapeResult, start time.
 		}
 	}
 
+	if f.lboneErrs > 0 {
+		folded[obs.Label("scrape.errors", "node", "lbone")] = f.lboneErrs
+	}
 	f.shedTotal += shedDelta
 	f.servedTotal += servedDelta
 	folded["shed"] = f.shedTotal

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,7 +16,7 @@ import (
 	"lonviz/internal/obs/slo"
 )
 
-// fakeClock drives the fleet's fold timestamps and the fleet engine.
+// fakeClock drives the fleet's fold timestamps and the stack's TSDB and engine.
 type fakeClock struct {
 	mu  sync.Mutex
 	now time.Time
@@ -236,7 +237,7 @@ func TestMalformedTSDBPayloadKeepsMemberUp(t *testing.T) {
 	}
 	snap := reg.Snapshot()
 	errKey := obs.Label(obs.MFleetScrapeErrors, "node", m.addr())
-	if v, _ := snap[errKey].(int64); v != 1 {
+	if v, _ := snap[errKey].(float64); v != 1 {
 		t.Fatalf("scrape.errors{node=} = %v, want 1", snap[errKey])
 	}
 }
@@ -393,7 +394,7 @@ func TestUnreachableLBoneKeepsMatrix(t *testing.T) {
 		t.Fatalf("member after directory outage = %+v (ok=%v), want still up", m, ok)
 	}
 	errKey := obs.Label(obs.MFleetScrapeErrors, "node", "lbone")
-	if v, _ := reg.Snapshot()[errKey].(int64); v == 0 {
+	if v, _ := reg.Snapshot()[errKey].(float64); v == 0 {
 		t.Fatal("directory outage not counted")
 	}
 }
@@ -425,16 +426,36 @@ func TestTenMemberScrapeFitsOnePollInterval(t *testing.T) {
 	}
 }
 
-func TestCoverageRuleLifecycleThroughFleetEngine(t *testing.T) {
+// TestCoverageRuleFiresThroughTheStackEngine: the fleet publishes on the
+// registry of a slo.Start stack whose one engine runs the fleet rules, as
+// lfsteward -fleet-scrape wires it. A depot dying drops replica coverage
+// below the floor; the stack's /healthz, /debug/alerts and flight recorder
+// all see the fleet alert.
+func TestCoverageRuleFiresThroughTheStackEngine(t *testing.T) {
 	depot := newFakeMember(t)
 	lb := newFakeLBone(t)
 	lb.setRecords(lbone.DepotRecord{Addr: "d1:6714", Kind: lbone.KindDepot, MetricsAddr: depot.addr()})
 
 	clock := newFakeClock()
+	reg := obs.NewRegistry()
+	stack, err := slo.Start(slo.Options{
+		Addr:              "127.0.0.1:0",
+		Registry:          reg,
+		Tracer:            obs.NewTracer(64),
+		Logger:            obs.NewLogger(io.Discard, 64),
+		Rules:             slo.FleetDefaultRules(2),
+		SampleInterval:    time.Hour,
+		CaptureCPUProfile: 10 * time.Millisecond,
+		Clock:             clock.Now,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = stack.Close(context.Background()) })
 	f := New(Config{
-		LBone:       &lbone.Client{BaseURL: lb.srv.URL},
-		Replication: 2,
-		Clock:       clock.Now,
+		LBone:    &lbone.Client{BaseURL: lb.srv.URL},
+		Registry: reg,
+		Clock:    clock.Now,
 		Coverage: func(up map[string]bool) map[string]float64 {
 			// Coverage follows live depot membership: full when d1 is up,
 			// a lone replica when it is not.
@@ -444,17 +465,21 @@ func TestCoverageRuleLifecycleThroughFleetEngine(t *testing.T) {
 			return map[string]float64{"vs-0": 1, "vs-1": 2}
 		},
 	})
-	var alerts []slo.Alert
-	var alertMu sync.Mutex
-	f.Subscribe(func(a slo.Alert) {
-		alertMu.Lock()
-		alerts = append(alerts, a)
-		alertMu.Unlock()
-	})
 	ctx := context.Background()
-
+	base := "http://" + stack.Addr()
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
 	tick := func() {
-		f.ScrapeOnce(ctx)
+		f.Scrape(ctx)
+		stack.TSDB.Sample()
 		clock.Advance(time.Second)
 	}
 
@@ -462,8 +487,8 @@ func TestCoverageRuleLifecycleThroughFleetEngine(t *testing.T) {
 	if got := f.Aggregates()["replica.coverage.min"]; got != 2 {
 		t.Fatalf("coverage.min with depot up = %v, want 2", got)
 	}
-	if err := f.HealthError(); err != nil {
-		t.Fatalf("healthy fleet reports %v", err)
+	if code, body := get("/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz on a covered fleet = %d %s", code, body)
 	}
 
 	depot.srv.Close()
@@ -471,22 +496,38 @@ func TestCoverageRuleLifecycleThroughFleetEngine(t *testing.T) {
 	if got := f.Aggregates()["replica.coverage.min"]; got != 1 {
 		t.Fatalf("coverage.min with depot down = %v, want 1", got)
 	}
-	if err := f.HealthError(); err == nil {
-		t.Fatal("HealthError nil while replica coverage is below the replication factor")
+	if code, body := get("/healthz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "fleet-replica-coverage") {
+		t.Fatalf("/healthz while coverage is below the floor = %d %s, want 503 naming fleet-replica-coverage", code, body)
 	}
-	alertMu.Lock()
+	_, body := get("/debug/alerts")
+	var alerts struct {
+		Alerts []slo.Alert `json:"alerts"`
+	}
+	if err := json.Unmarshal([]byte(body), &alerts); err != nil {
+		t.Fatalf("/debug/alerts: %v\n%s", err, body)
+	}
 	var firing *slo.Alert
-	for i := range alerts {
-		if alerts[i].State == slo.StateFiring && alerts[i].Rule == "fleet-replica-coverage" {
-			firing = &alerts[i]
+	for i, a := range alerts.Alerts {
+		if a.Rule == "fleet-replica-coverage" && a.State == slo.StateFiring {
+			firing = &alerts.Alerts[i]
 		}
 	}
-	alertMu.Unlock()
-	if firing == nil {
-		t.Fatalf("no fleet-replica-coverage firing transition delivered (alerts: %+v)", alerts)
+	if firing == nil || firing.Scope != slo.ScopeFleet || firing.Severity != slo.SeverityCritical {
+		t.Fatalf("/debug/alerts has no critical fleet-scope coverage alert firing:\n%s", body)
 	}
-	if firing.Severity != slo.SeverityCritical || firing.Scope != slo.ScopeFleet {
-		t.Fatalf("firing alert = %+v", firing)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var triggers []string
+		for _, b := range stack.Recorder.Bundles() {
+			triggers = append(triggers, b.Trigger)
+		}
+		if strings.Contains(strings.Join(triggers, " "), "alert:fleet-replica-coverage") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no capture triggered alert:fleet-replica-coverage (bundles: %v)", triggers)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -513,45 +554,15 @@ func TestEdgeDemandAggregatesIntoHotItems(t *testing.T) {
 	}
 }
 
-func TestNilFleetIsInertAndAllocFree(t *testing.T) {
-	var f *Fleet
-	ctx := context.Background()
-	// Every disabled-path call must be a no-op...
-	f.Scrape(ctx)
-	f.ScrapeOnce(ctx)
-	f.Run(nil) // returns immediately on nil
-	f.Subscribe(nil)
-	f.SetSelf("x")
-	f.AddStaticPeer("x", "peer")
-	if f.Members() != nil || f.Aggregates() != nil || f.HotItems(3) != nil {
-		t.Fatal("nil fleet returned data")
-	}
-	if f.HealthError() != nil || f.TSDB() != nil || f.Engine() != nil || f.Interval() != 0 {
-		t.Fatal("nil fleet not inert")
-	}
-	// ...and allocation-free: a process without -fleet-scrape pays nothing.
-	allocs := testing.AllocsPerRun(100, func() {
-		f.ScrapeOnce(ctx)
-		_ = f.Members()
-		_ = f.Aggregates()
-		_ = f.HotItems(8)
-		_ = f.HealthError()
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled fleet path allocates %v per run, want 0", allocs)
-	}
-}
-
 func TestHandlerServesMatrixJSONAndText(t *testing.T) {
 	up := newFakeMember(t)
 	up.set(obs.MProcessUptime, 60.0)
-	f := New(Config{Peers: []string{up.addr()}, Replication: 1})
-	f.SetSelf("self:9000")
-	f.ScrapeOnce(context.Background())
+	f := New(Config{Self: "self:9000", Peers: []string{up.addr()}})
+	f.Scrape(context.Background())
 
 	// JSON: the health matrix plus aggregates and alert state.
 	rr := httptest.NewRecorder()
-	f.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/fleet", nil))
+	f.Handler(nil).ServeHTTP(rr, httptest.NewRequest("GET", "/debug/fleet", nil))
 	if rr.Code != 200 {
 		t.Fatalf("status %d", rr.Code)
 	}
@@ -576,30 +587,9 @@ func TestHandlerServesMatrixJSONAndText(t *testing.T) {
 
 	// Text: the operator matrix.
 	rr = httptest.NewRecorder()
-	f.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/fleet?format=text", nil))
+	f.Handler(nil).ServeHTTP(rr, httptest.NewRequest("GET", "/debug/fleet?format=text", nil))
 	body := rr.Body.String()
 	if !strings.Contains(body, "NODE") || !strings.Contains(body, up.addr()) {
 		t.Fatalf("text matrix missing member row:\n%s", body)
-	}
-
-	// The cluster TSDB handler answers with a series index containing the
-	// fleet family.
-	rr = httptest.NewRecorder()
-	f.TSDBHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/fleet/tsdb", nil))
-	if !strings.Contains(rr.Body.String(), `"fleet.`) {
-		t.Fatalf("cluster TSDB index has no fleet.* series:\n%s", rr.Body.String())
-	}
-
-	// A nil fleet serves 404s, not panics (the disabled steward path).
-	var nilF *Fleet
-	rr = httptest.NewRecorder()
-	nilF.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/fleet", nil))
-	if rr.Code != http.StatusNotFound {
-		t.Fatalf("nil handler status %d, want 404", rr.Code)
-	}
-	rr = httptest.NewRecorder()
-	nilF.TSDBHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/fleet/tsdb", nil))
-	if rr.Code != http.StatusNotFound {
-		t.Fatalf("nil tsdb handler status %d, want 404", rr.Code)
 	}
 }

@@ -23,28 +23,26 @@ type fleetResponse struct {
 	// Members is the health matrix, sorted by address.
 	Members []Member `json:"members"`
 	// Aggregates are the folded cluster series' current values (the
-	// same values the cluster TSDB retains as fleet.*).
+	// same values the host's TSDB retains as fleet.*).
 	Aggregates map[string]float64 `json:"aggregates"`
 	// Firing counts fleet-scope alerts currently firing; Alerts is the
-	// fleet engine's full alert state.
+	// engine's full fleet-scope alert state.
 	Firing int         `json:"firing"`
 	Alerts []slo.Alert `json:"alerts"`
 }
 
-func (f *Fleet) response() fleetResponse {
+func (f *Fleet) response(engine *slo.Engine) fleetResponse {
 	resp := fleetResponse{
 		IntervalS:  f.interval.Seconds(),
 		Members:    f.Members(),
 		Aggregates: f.Aggregates(),
-		Alerts:     f.engine.Alerts(),
+		Alerts:     []slo.Alert{},
 	}
-	if resp.Members == nil {
-		resp.Members = []Member{}
-	}
-	if resp.Alerts == nil {
-		resp.Alerts = []slo.Alert{}
-	}
-	for _, a := range resp.Alerts {
+	for _, a := range engine.Alerts() {
+		if a.Scope != slo.ScopeFleet {
+			continue
+		}
+		resp.Alerts = append(resp.Alerts, a)
 		if a.State == slo.StateFiring {
 			resp.Firing++
 		}
@@ -58,15 +56,11 @@ func (f *Fleet) response() fleetResponse {
 }
 
 // Handler serves the fleet view at /debug/fleet: the topology and
-// health matrix, cluster aggregates, and active fleet alerts — JSON by
-// default, a human-readable matrix with ?format=text.
-func (f *Fleet) Handler() http.Handler {
+// health matrix, cluster aggregates, and the engine's fleet-scope alerts
+// — JSON by default, a human-readable matrix with ?format=text.
+func (f *Fleet) Handler(engine *slo.Engine) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if f == nil {
-			http.Error(w, "fleet scraping disabled", http.StatusNotFound)
-			return
-		}
-		resp := f.response()
+		resp := f.response(engine)
 		if r.URL.Query().Get("format") == "text" {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			renderText(w, resp)
@@ -77,17 +71,6 @@ func (f *Fleet) Handler() http.Handler {
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(resp)
 	})
-}
-
-// TSDBHandler serves the cluster TSDB at /debug/fleet/tsdb with the
-// standard /debug/tsdb query grammar.
-func (f *Fleet) TSDBHandler() http.Handler {
-	if f == nil {
-		return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-			http.Error(w, "fleet scraping disabled", http.StatusNotFound)
-		})
-	}
-	return f.db.Handler()
 }
 
 // renderText writes the fleet view as an operator-readable matrix.

@@ -162,6 +162,17 @@ func jsonValue(v any) string {
 type Server struct {
 	addr string
 	srv  *http.Server
+	mux  *http.ServeMux
+}
+
+// Handle mounts one more endpoint on the running server: a handler whose
+// owner is built only after the address binds (the steward's
+// /debug/fleet) arrives this way. No-op on nil.
+func (s *Server) Handle(path string, h http.Handler) {
+	if s == nil {
+		return
+	}
+	s.mux.Handle(path, h)
 }
 
 // Addr returns the bound listen address (resolved, useful with ":0").
@@ -203,11 +214,12 @@ func ServeWith(addr string, opts ServeOptions) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	mux := NewMuxWith(opts)
 	srv := &http.Server{
-		Handler:           NewMuxWith(opts),
+		Handler:           mux,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	go func() { _ = srv.Serve(l) }()
 	SetPropagation(true)
-	return &Server{addr: l.Addr().String(), srv: srv}, nil
+	return &Server{addr: l.Addr().String(), srv: srv, mux: mux}, nil
 }

@@ -283,7 +283,8 @@ const (
 	MFleetMembers = "fleet.members"
 	// MFleetScrapes: counter. Completed fleet scrape passes.
 	MFleetScrapes = "fleet.scrapes"
-	// MFleetScrapeErrors: counter. Failed member scrapes, {node=addr}.
+	// MFleetScrapeErrors: counter in the fleet snapshot. Failed pulls per
+	// member, {node=addr}; node=lbone counts failed directory sweeps.
 	MFleetScrapeErrors = "fleet.scrape.errors"
 	// MFleetScrapeMs: histogram, ms per whole scrape pass (all members,
 	// parallel fan-out included).

@@ -85,8 +85,8 @@ const (
 const (
 	// ScopeNode rules read one process's own TSDB (the default).
 	ScopeNode = "node"
-	// ScopeFleet rules read the cluster TSDB a fleet scraper maintains:
-	// their metrics are fleet.* aggregates folded from every member.
+	// ScopeFleet rules read the fleet.* series a fleet scraper folds from
+	// every member into its host's registry.
 	ScopeFleet = "fleet"
 )
 
@@ -108,8 +108,8 @@ type Rule struct {
 	// Kind selects the evaluation: latency_quantile | error_rate |
 	// burn_rate | gauge_threshold.
 	Kind string `json:"kind"`
-	// Scope is "node" (default: the process's own TSDB) or "fleet" (a
-	// cluster TSDB maintained by a fleet scraper). Scope does not change
+	// Scope is "node" (default: the process's own series) or "fleet" (the
+	// fleet.* series a fleet scraper folds). Scope does not change
 	// evaluation — it documents provenance and is carried on alerts so
 	// subscribers can tell a local breach from a cluster-wide one.
 	Scope string `json:"scope,omitempty"`
@@ -391,10 +391,11 @@ func DefaultRules() []Rule {
 // Float is a convenience for authoring gauge_threshold bounds in code.
 func Float(v float64) *float64 { return &v }
 
-// FleetDefaultRules is the built-in rule set a fleet scraper evaluates
-// against its cluster TSDB. replication is the deployment's intended
-// replica count: coverage below it means some published exNode has lost
-// redundancy and a single further failure can lose data availability.
+// FleetDefaultRules is the built-in rule set a fleet scraper's host
+// evaluates beside its node rules (Options.Rules). replication is the
+// deployment's intended replica count: coverage below it means some
+// published exNode has lost redundancy and a single further failure can
+// lose data availability.
 func FleetDefaultRules(replication int) []Rule {
 	if replication <= 0 {
 		replication = 1

@@ -46,15 +46,11 @@ type Options struct {
 	CaptureCooldown time.Duration
 	// Clock overrides time.Now (tests).
 	Clock func() time.Time
-	// Extra handlers are mounted on the stack's mux alongside its own
-	// endpoints (the fleet scraper's /debug/fleet arrives this way).
-	// Paths colliding with the stack's own endpoints are ignored.
-	Extra map[string]http.Handler
-	// ExtraHealth hooks are combined with the engine's HealthError: the
-	// first non-nil error degrades /healthz to 503. The fleet engine's
-	// critical alerts plug in here so a cluster-scope breach is visible
-	// on the steward's own liveness probe.
-	ExtraHealth []func() error
+	// Rules are evaluated beside the node rules (RulesPath, or
+	// DefaultRules()) by the one engine; they must be valid. The steward's
+	// fleet rules arrive this way, so a fleet-scope critical alert
+	// degrades /healthz like any other.
+	Rules []Rule
 }
 
 // Stack is a running observability stack: the HTTP server, the sampling
@@ -95,6 +91,10 @@ func Start(opts Options) (*Stack, error) {
 			return nil, err
 		}
 	}
+	if len(rules) == 0 {
+		rules = DefaultRules()
+	}
+	rules = append(rules, opts.Rules...)
 	interval := opts.SampleInterval
 	if interval <= 0 {
 		interval = time.Second
@@ -153,38 +153,17 @@ func Start(opts Options) (*Stack, error) {
 		}
 	})
 
-	extra := map[string]http.Handler{
-		"/debug/alerts":   engine.Handler(),
-		"/debug/capture":  recorder.Handler(),
-		"/debug/capture/": recorder.Handler(),
-	}
-	for path, h := range opts.Extra {
-		if _, taken := extra[path]; !taken {
-			extra[path] = h
-		}
-	}
-	health := engine.HealthError
-	if len(opts.ExtraHealth) > 0 {
-		hooks := append([]func() error{engine.HealthError}, opts.ExtraHealth...)
-		health = func() error {
-			for _, h := range hooks {
-				if h == nil {
-					continue
-				}
-				if err := h(); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
 	srv, err := obs.ServeWith(opts.Addr, obs.ServeOptions{
 		Registry: opts.Registry,
 		Tracer:   opts.Tracer,
 		TSDB:     db,
 		Ready:    ready,
-		Health:   health,
-		Extra:    extra,
+		Health:   engine.HealthError,
+		Extra: map[string]http.Handler{
+			"/debug/alerts":   engine.Handler(),
+			"/debug/capture":  recorder.Handler(),
+			"/debug/capture/": recorder.Handler(),
+		},
 	})
 	if err != nil {
 		return nil, err

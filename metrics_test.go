@@ -3,6 +3,7 @@ package lonviz
 import (
 	"context"
 	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"lonviz/internal/ibp"
 	"lonviz/internal/lightfield"
 	"lonviz/internal/obs"
+	"lonviz/internal/obs/fleet"
 	"lonviz/internal/steward"
 )
 
@@ -22,7 +24,9 @@ import (
 // publish through RegisterMetrics. No key they publish may equal a metric
 // they registered directly (Registry.Snapshot would let one silently
 // overwrite the other), and every names.go name of their counts must be
-// among the keys.
+// among the keys. The fleet scraper shares the steward's registry, as
+// under lfsteward -fleet-scrape: its "fleet" snapshot may shadow neither
+// its own accounting nor the steward's.
 func TestNoSnapshotKeyShadowsARegisteredMetric(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -165,6 +169,24 @@ func TestNoSnapshotKeyShadowsARegisteredMetric(t *testing.T) {
 	comps = append(comps, component{"steward", stReg, stw.RegisterMetrics, []string{
 		obs.MStewardCycles, obs.MStewardRenewals, obs.MStewardRepairs, obs.MStewardRepairFailures,
 		obs.MStewardPruned, obs.MStewardExtentsLost, obs.MStewardAlertAudits,
+	}})
+
+	// Fleet scraper: one pass, on the steward's registry, over a peer that
+	// is down. Its fold is the snapshot New registers as "fleet".
+	gone, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadPeer := gone.Addr().String()
+	gone.Close()
+	fl := fleet.New(fleet.Config{Peers: []string{deadPeer}, Coverage: stw.ReplicaCoverage, Registry: stReg})
+	fl.Scrape(ctx)
+	comps = append(comps, component{"fleet scraper", stReg, func(pub *obs.Registry) {
+		stw.RegisterMetrics(pub)
+		pub.RegisterSnapshot("fleet", fl.Aggregates)
+	}, []string{
+		obs.MFleetShed, obs.MFleetServed, obs.MFleetCoverageMin,
+		obs.Label(obs.MFleetScrapeErrors, "node", deadPeer),
 	}})
 
 	// Hot-set replicator: one warm that lands, one that fails. It records

@@ -339,12 +339,27 @@ printf '%s' "$matrix" | grep -q '"replica.coverage.min"' \
 	|| fleet_fail "/debug/fleet aggregates missing replica.coverage.min: $matrix"
 curl -s "http://$smaddr/debug/fleet?format=text" | grep -q 'NODE' \
 	|| fleet_fail "/debug/fleet?format=text did not render the matrix header"
-# The cluster TSDB retains fleet series and answers range queries.
-curl -s "http://$smaddr/debug/fleet/tsdb" | grep -q '"fleet\.' \
-	|| fleet_fail "/debug/fleet/tsdb index lists no fleet.* series"
-sleep 0.7
-covpoints=$(curl -s "http://$smaddr/debug/fleet/tsdb?name=fleet.replica.coverage.min&since=30s&agg=raw" | grep -c '"t":' || true)
-[ "$covpoints" -ge 2 ] || fleet_fail "cluster TSDB coverage query returned $covpoints points, want >= 2"
+# One TSDB per process: the steward's own /debug/tsdb retains the fleet
+# series and answers range queries, and there is no second store.
+curl -s "http://$smaddr/debug/tsdb" | grep -q '"fleet\.' \
+	|| fleet_fail "/debug/tsdb index lists no fleet.* series"
+covpoints=0
+i=0
+while [ "$i" -lt 50 ]; do
+	covpoints=$(curl -s "http://$smaddr/debug/tsdb?name=fleet.replica.coverage.min&since=30s&agg=raw" | grep -c '"t":' || true)
+	[ "$covpoints" -ge 2 ] && break
+	i=$((i + 1))
+	sleep 0.2
+done
+[ "$covpoints" -ge 2 ] || fleet_fail "/debug/tsdb coverage query returned $covpoints points, want >= 2"
+code=$(curl -s -o /dev/null -w '%{http_code}' "http://$smaddr/debug/fleet/tsdb")
+[ "$code" = 404 ] || fleet_fail "/debug/fleet/tsdb answered $code, want 404"
+# The scraper's own accounting is on the steward's /metrics.
+stewmetrics=$(curl -s "http://$smaddr/metrics")
+for m in '"fleet.scrapes"' '"fleet.members{state=up}"'; do
+	printf '%s' "$stewmetrics" | grep -qF "$m" \
+		|| fleet_fail "the steward's /metrics has no $m"
+done
 # lftop's fleet mode reads the same surface.
 if ! "$benchdir/lftop" -fleet -once -json "$smaddr" >"$benchdir/lftop_fleet.json"; then
 	fleet_fail "lftop -fleet -once -json failed against $smaddr"
