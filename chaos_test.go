@@ -138,6 +138,7 @@ func TestChaosBrowseUnderFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak; run without -short")
 	}
+	checkGoroutines(t)
 	r := newChaosRig(t)
 	flappy, corrupting, clean := r.wanDepots[0], r.wanDepots[1], r.wanDepots[2]
 	_ = clean

@@ -20,6 +20,7 @@ func TestEdgeFleetEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second fleet run")
 	}
+	checkGoroutines(t)
 	cfg := experiments.DefaultConfig()
 	// The hit-rate comparison is about access classes, not transfer speed:
 	// a fatter WAN pipe keeps 50 concurrent clients from serializing on

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -75,21 +74,8 @@ func startFleetNode(t *testing.T, addr string) *fleetNode {
 // series in the steward's /debug/tsdb, and /healthz. Teardown leaks no
 // goroutines.
 func TestFleetFederationEndToEnd(t *testing.T) {
+	checkGoroutines(t)
 	ctx := context.Background()
-	// Registered first, so it runs after every other cleanup.
-	baseline := runtime.NumGoroutine()
-	t.Cleanup(func() {
-		deadline := time.Now().Add(10 * time.Second)
-		for runtime.NumGoroutine() > baseline+10 {
-			if time.Now().After(deadline) {
-				buf := make([]byte, 1<<20)
-				t.Errorf("goroutine leak: %d now vs %d at start\n%s",
-					runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
-				return
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	})
 
 	// The L-Bone registry the fleet sweep discovers members through.
 	lb := lbone.NewServer()

@@ -27,6 +27,7 @@ func TestBinariesEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs real binaries")
 	}
+	checkGoroutines(t)
 	bin := t.TempDir()
 	for _, tool := range []string{"depotd", "lboned", "dvsd", "lfserve", "lfbrowse", "lfgen", "lfedged"} {
 		out, err := exec.Command("go", "build", "-o", filepath.Join(bin, tool), "./cmd/"+tool).CombinedOutput()

@@ -16,6 +16,9 @@
 //
 // The payload length sits at the same offset in both, so UncompressedLen
 // and Ratio read either. Compress writes LVZ1 when given no cuts.
+//
+// compress/zlib writes the streams; the package's own decoder
+// (inflate.go) reads them, straight into each segment's buffer.
 package codec
 
 import (
@@ -153,11 +156,8 @@ func Compress(data []byte, level int, cuts ...int) ([]byte, error) {
 }
 
 // deflaters holds idle zlib writers, one pool per level 0..9 (a writer's
-// level is fixed when it is made); inflaters holds idle zlib readers.
-var (
-	deflaters [zlib.BestCompression + 1]sync.Pool
-	inflaters sync.Pool
-)
+// level is fixed when it is made).
+var deflaters [zlib.BestCompression + 1]sync.Pool
 
 // Segment is one entry of a frame's segment table.
 type Segment struct {
@@ -228,65 +228,44 @@ func ReadHeader(r io.Reader) (Header, error) {
 	return h, nil
 }
 
-// Reader inflates one segment as its bytes arrive and holds it to its
-// table entry: Read never yields more than the segment's length, and Close
-// reports ErrCorrupt unless exactly that many were inflated, the zlib
-// stream ended there (which is where zlib checks its Adler-32), the stream
-// took up its compressed length exactly, and the bytes' CRC-32 is the
-// entry's. Bytes a caller consumed before Close are unverified until Close
-// returns nil.
+// Reader inflates one segment into its destination as its bytes arrive
+// and holds it to its table entry: Next never yields more than the
+// segment's length, and Close reports ErrCorrupt unless exactly that many
+// were inflated, the zlib stream ended there (which is where its Adler-32
+// is checked), the stream took up its compressed length exactly, and the
+// bytes' CRC-32 is the entry's. Bytes a caller consumed before Close are
+// unverified until Close returns nil.
 type Reader struct {
 	src       *StreamReader
-	zr        io.ReadCloser
-	err       error // sticky, from opening or reading
-	remaining int
+	dst       []byte // the segment's payload, inflated in place
+	z         *inflater
+	n         int   // bytes of dst handed out
+	err       error // sticky
 	crc, want uint32
 	done      func() // tells the Frame the reader is closed; nil once it is
 }
 
-// open starts the inflater on the first Read or Close, so that a Reader
-// handed to another goroutine touches no byte before that goroutine runs.
-func (d *Reader) open() error {
-	if d.zr != nil || d.err != nil {
-		return d.err
+// Next inflates the segment's next n bytes, which must be inside its
+// length, into its destination and returns them. It returns as soon as
+// they are there, waiting for the frame's bytes only as long as they take
+// to arrive.
+func (d *Reader) Next(n int) ([]byte, error) {
+	if d.err != nil {
+		return nil, d.err
 	}
-	var err error
-	if zr, ok := inflaters.Get().(io.ReadCloser); ok {
-		d.zr, err = zr, zr.(zlib.Resetter).Reset(d.src, nil)
-	} else {
-		d.zr, err = zlib.NewReader(d.src)
+	// The inflater is taken on the first call, so that a Reader handed to
+	// another goroutine touches no byte before that goroutine runs.
+	if d.z == nil {
+		d.z = getInflater(d.src, d.dst)
 	}
-	if err != nil {
+	if err := d.z.run(d.n+n, false); err != nil {
 		d.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, d.err
 	}
-	return d.err
-}
-
-// Read inflates into p, never past the segment's length.
-func (d *Reader) Read(p []byte) (int, error) {
-	if err := d.open(); err != nil {
-		return 0, err
-	}
-	if d.remaining == 0 {
-		return 0, io.EOF
-	}
-	if len(p) > d.remaining {
-		p = p[:d.remaining]
-	}
-	n, err := d.zr.Read(p)
-	d.remaining -= n
-	d.crc = crc32.Update(d.crc, crc32.IEEETable, p[:n])
-	if err == io.EOF {
-		// Whether the stream may end here is Close's to judge, unless it
-		// ended short of the segment's length.
-		if err = nil; d.remaining > 0 {
-			err = io.ErrUnexpectedEOF
-		}
-	}
-	if err != nil {
-		d.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return n, d.err
+	b := d.dst[d.n : d.n+n]
+	d.n += n
+	d.crc = crc32.Update(d.crc, crc32.IEEETable, b)
+	return b, nil
 }
 
 // Close verifies the segment (see Reader) and releases the inflater.
@@ -296,26 +275,28 @@ func (d *Reader) Close() error {
 		return d.err
 	}
 	defer func() {
-		if d.zr != nil {
-			inflaters.Put(d.zr)
-			d.zr = nil
+		if d.z != nil {
+			putInflater(d.z)
+			d.z = nil
 		}
 		d.done()
 		d.done = nil
 	}()
-	if err := d.open(); err != nil {
-		return err
-	}
-	if d.remaining != 0 {
-		d.err = fmt.Errorf("%w: %d bytes short of the segment's length", ErrCorrupt, d.remaining)
+	if d.err != nil {
 		return d.err
+	}
+	if d.n != len(d.dst) {
+		d.err = fmt.Errorf("%w: %d bytes short of the segment's length", ErrCorrupt, len(d.dst)-d.n)
+		return d.err
+	}
+	if d.z == nil {
+		d.z = getInflater(d.src, d.dst)
 	}
 	// A lying header must not pass: the stream has to end exactly here, and
 	// so do its compressed bytes.
-	var one [1]byte
-	if n, err := d.zr.Read(one[:]); n != 0 || err != io.EOF {
+	if err := d.z.run(d.n, true); err != nil {
 		d.err = fmt.Errorf("%w: payload does not end where the header says (%v)", ErrCorrupt, err)
-	} else if _, err := d.src.ReadByte(); err != io.EOF {
+	} else if _, err := d.z.unread(); err != io.EOF {
 		d.err = fmt.Errorf("%w: zlib stream ends before its segment does (%v)", ErrCorrupt, err)
 	} else if d.crc != d.want {
 		d.err = fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
@@ -412,15 +393,16 @@ func (f *Frame) pump(r io.Reader) {
 }
 
 // Segment returns a Reader of segment i, which inflates from the arrival
-// buffer as its bytes land and may be handed to another goroutine.
-func (f *Frame) Segment(i int) *Reader {
+// buffer as its bytes land into dst[:Segs[i].Len] and may be handed to
+// another goroutine.
+func (f *Frame) Segment(i int, dst []byte) *Reader {
 	s := f.Segs[i]
 	end := len(f.sb.Bytes())
 	if s.CompLen >= 0 {
 		end = f.starts[i] + s.CompLen
 	}
 	f.readers.Add(1)
-	return &Reader{src: f.sb.Section(f.starts[i], end), remaining: s.Len, want: s.CRC, done: f.readers.Done}
+	return &Reader{src: f.sb.Section(f.starts[i], end), dst: dst[:s.Len], want: s.CRC, done: f.readers.Done}
 }
 
 // Close ends the frame and returns the error it ended with. Given the
@@ -469,8 +451,8 @@ func DecompressFrom(r io.Reader) (out []byte, err error) {
 	out = make([]byte, f.Len)
 	off := 0
 	for i, s := range f.Segs {
-		d := f.Segment(i)
-		_, err := io.ReadFull(d, out[off:off+s.Len])
+		d := f.Segment(i, out[off:])
+		_, err := d.Next(s.Len)
 		if cerr := d.Close(); err == nil {
 			err = cerr
 		}

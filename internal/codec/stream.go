@@ -72,19 +72,20 @@ func (s *StreamBuffer) Section(off, end int) *StreamReader {
 	return &StreamReader{s: s, win: s.buf[:off], pos: off, end: end}
 }
 
-// StreamReader is a cursor over a StreamBuffer. It is an io.ByteReader, so
-// an inflater reads it byte by byte with no bufio in between, and takes the
-// lock only when it has used up the prefix it last saw.
+// StreamReader is a cursor over a StreamBuffer. A segment's inflater reads
+// the window it last saw in place, eight bytes at a time, and takes the
+// lock (wait) only when it has used that window up; Read and ReadByte do
+// the same for other readers.
 type StreamReader struct {
 	s   *StreamBuffer
 	win []byte // buf up to what was published and inside the section when last looked
 	pos int
 	end int
 	// A Frame allocates its segments' cursors one after the other, and
-	// each is read byte by byte on a core of its own: the padding keeps
-	// one's fields off the cache line the next one's pos is written to.
-	// Without it, a two-lane decode on a 2-core VM spent three times as
-	// long in ReadByte.
+	// each is read on a core of its own: the padding keeps one's fields
+	// off the cache line the next one's pos is written to. Without it, a
+	// two-lane decode on a 2-core VM, when its inflater still read a byte
+	// per call, spent three times as long reading input.
 	_ [64]byte
 }
 

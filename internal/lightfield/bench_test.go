@@ -57,10 +57,12 @@ func BenchmarkEncodeViewSet(b *testing.B) {
 }
 
 // BenchmarkDecodeViewSetFrom decodes frames of the benchmark's database,
-// "buffered" from a cached frame and "streamed" as a download delivers
-// one, 64 KiB (a stripe) at a time. Beside wall time it reports the
-// process's CPU time per decode (user + system, from getrusage), so a
-// decode spread over several goroutines cannot hide extra work.
+// "buffered" from a cached frame, "streamed" as a download delivers one,
+// 64 KiB (a stripe) at a time, and "recycled" from a cached frame into the
+// set the previous decode filled, as the viewer decodes (DecodeViewSetInto
+// with a spare set). Beside wall time it reports the process's CPU time per
+// decode (user + system, from getrusage), so a decode spread over several
+// goroutines cannot hide extra work.
 func BenchmarkDecodeViewSetFrom(b *testing.B) {
 	p := benchParams()
 	sets := benchSets(b, 4)
@@ -72,10 +74,11 @@ func BenchmarkDecodeViewSetFrom(b *testing.B) {
 		}
 	}
 	for _, c := range []struct {
-		name   string
-		source func(frame []byte) io.Reader
+		name    string
+		source  func(frame []byte) io.Reader
+		recycle bool
 	}{
-		{"buffered", func(frame []byte) io.Reader { return bytes.NewReader(frame) }},
+		{"buffered", func(frame []byte) io.Reader { return bytes.NewReader(frame) }, false},
 		{"streamed", func(frame []byte) io.Reader {
 			sb := codec.NewStreamBuffer(frame)
 			go func() {
@@ -84,17 +87,22 @@ func BenchmarkDecodeViewSetFrom(b *testing.B) {
 				}
 			}()
 			return sb.Reader()
-		}},
+		}, false},
+		{"recycled", func(frame []byte) io.Reader { return bytes.NewReader(frame) }, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(p.BytesPerViewSet())
 			b.ResetTimer()
+			var spare *ViewSet
 			cpu := cpuTime()
 			for i := 0; i < b.N; i++ {
-				vs, err := DecodeViewSetFrom(c.source(frames[i%len(frames)]), p)
+				vs, err := DecodeViewSetInto(c.source(frames[i%len(frames)]), p, spare)
 				if err != nil {
 					b.Fatal(err)
+				}
+				if c.recycle {
+					spare = vs
 				}
 				benchSink = vs
 			}

@@ -73,9 +73,10 @@ func DecodeViewSetFrom(r io.Reader, p Params) (*ViewSet, error) {
 // an error old holds a mix of both payloads and is good only for recycling
 // again.
 //
-// The first segment inflates on the calling goroutine, every later one on
-// a lane of its own into a pooled buffer, each as its bytes arrive; the
-// loop places a lane's views when it reaches them. Lanes write only their
+// Every segment inflates in place into a pooled buffer of its own, as its
+// bytes arrive: the first on the calling goroutine, whose loop places each
+// view the moment it is inflated, every later one on a lane of its own,
+// whose views the loop places when it reaches them. Lanes write only their
 // buffers, and all have ended when DecodeViewSetInto returns.
 func DecodeViewSetInto(r io.Reader, p Params, old *ViewSet) (vs *ViewSet, err error) {
 	m, err := maskCache.get(p)
@@ -92,10 +93,10 @@ func DecodeViewSetInto(r io.Reader, p Params, old *ViewSet) (vs *ViewSet, err er
 	}
 	lanes := make([]*lane, len(firsts))
 	for i := 1; i < len(lanes); i++ {
-		lanes[i] = startLane(f.Segment(i), f.Segs[i].Len)
+		lanes[i] = startLane(f, i)
 	}
-	seg0 := f.Segment(0)
-	scratch := getBuf(&viewScratch, m.stored)
+	buf0 := getBuf(f.Segs[0].Len)
+	seg0 := f.Segment(0, *buf0)
 	defer func() {
 		seg0.Close()
 		if err = f.Close(err); err != nil {
@@ -103,16 +104,16 @@ func DecodeViewSetInto(r io.Reader, p Params, old *ViewSet) (vs *ViewSet, err er
 		}
 		for _, ln := range lanes[1:] {
 			<-ln.done
-			laneBufs.Put(ln.buf)
+			segBufs.Put(ln.buf)
 		}
-		viewScratch.Put(scratch)
+		segBufs.Put(buf0)
 	}()
-	var head [viewSetHdrLen]byte
-	if _, err := io.ReadFull(seg0, head[:]); err != nil {
+	head, err := seg0.Next(viewSetHdrLen)
+	if err != nil {
 		return nil, fmt.Errorf("lightfield: view set header: %w", err)
 	}
 	seg := 0 // the segment of the view last asked for
-	vs, err = readViewSet(head[:], p, m, old, func(k int) ([]byte, error) {
+	vs, err = readViewSet(head, p, m, old, func(k int) ([]byte, error) {
 		for seg+1 < len(firsts) && k >= firsts[seg+1] {
 			seg++
 			<-lanes[seg].done
@@ -121,8 +122,7 @@ func DecodeViewSetInto(r io.Reader, p Params, old *ViewSet) (vs *ViewSet, err er
 			}
 		}
 		if seg == 0 {
-			_, err := io.ReadFull(seg0, *scratch)
-			return *scratch, err
+			return seg0.Next(m.stored)
 		}
 		return (*lanes[seg].buf)[(k-firsts[seg])*m.stored:][:m.stored], nil
 	})
@@ -157,13 +157,13 @@ func segmentViews(h codec.Header, p Params, m *viewMask) ([]int, error) {
 	return firsts, nil
 }
 
-// viewScratch holds one view's worth of stored bytes between the first
-// segment's inflater and the view's Pix; laneBufs hold the residuals of
-// the segments the lanes inflate.
-var viewScratch, laneBufs sync.Pool
+// segBufs hold segments' payloads, which their inflaters write in place:
+// the first segment's, whose views the decode loop places as they arrive,
+// and the residuals of the segments the lanes inflate.
+var segBufs sync.Pool
 
-func getBuf(pool *sync.Pool, n int) *[]byte {
-	b, _ := pool.Get().(*[]byte)
+func getBuf(n int) *[]byte {
+	b, _ := segBufs.Get().(*[]byte)
 	if b == nil || cap(*b) < n {
 		s := make([]byte, n)
 		b = &s
@@ -179,11 +179,12 @@ type lane struct {
 	err  error // valid once done is closed
 }
 
-func startLane(d *codec.Reader, n int) *lane {
-	ln := &lane{buf: getBuf(&laneBufs, n), done: make(chan struct{})}
+func startLane(f *codec.Frame, i int) *lane {
+	ln := &lane{buf: getBuf(f.Segs[i].Len), done: make(chan struct{})}
+	d := f.Segment(i, *ln.buf)
 	go func() {
 		defer close(ln.done)
-		_, err := io.ReadFull(d, *ln.buf)
+		_, err := d.Next(len(*ln.buf))
 		if cerr := d.Close(); err == nil {
 			err = cerr
 		}

@@ -2,6 +2,7 @@ package lightfield
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -242,5 +243,42 @@ func waitGoroutines(t *testing.T, n int) {
 			t.Fatalf("goroutine leak: %d now, want %d\n%s", runtime.NumGoroutine(), n, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// A warm decode into a recycled set allocates only the frame's bookkeeping
+// (header, stream buffer, readers, the lane and its channel), a fixed
+// handful whatever the number of deflate blocks: the inflaters and their
+// Huffman tables come from a pool, and segments inflate into pooled
+// buffers.
+func TestWarmDecodeAllocatesPerFrameNotPerBlock(t *testing.T) {
+	p := benchParams()
+	gen, err := NewProceduralGenerator(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, err := gen.GenerateViewSet(context.Background(), ViewSetID{R: 3, C: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := EncodeViewSet(vs, p, codec.DefaultCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := DecodeViewSet(frame, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 32
+	allocs := testing.AllocsPerRun(20, func() {
+		if set, err = DecodeViewSetInto(bytes.NewReader(frame), p, set); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > bound {
+		t.Errorf("a warm decode into a recycled set allocated %.0f times, want at most %d", allocs, bound)
+	}
+	if !set.Equal(vs) {
+		t.Error("the recycled set decoded to other pixels")
 	}
 }

@@ -930,3 +930,71 @@ func TestDownloadPreferOrdersReplicas(t *testing.T) {
 		}
 	}
 }
+
+// TestChecksumFailureOpensCircuit pins the breaker's checksum decision
+// (DESIGN.md §6): a payload that fails its extent checksum counts as a
+// failure of the depot that sent it, the same as a refused dial. A depot
+// that corrupts every payload has its circuit opened after the threshold,
+// mid-download, and the next download skips it.
+func TestChecksumFailureOpensCircuit(t *testing.T) {
+	depots := depotFarm(t, 2, 1<<22)
+	data := testPayload(128*1024, 26)
+	ex, err := Upload(context.Background(), "checksum-breaker", data, UploadOptions{
+		Depots:     depots,
+		StripeSize: 8 * 1024, // 16 extents, each replicated on both depots
+		Replicas:   2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const threshold = 3
+	clock := time.Now()
+	health := NewHealthTracker(HealthConfig{
+		FailureThreshold: threshold,
+		Cooldown:         time.Hour,
+		Now:              func() time.Time { return clock },
+	})
+	fd := netsim.NewFaultDialer(nil, 4)
+	fd.SetFault(depots[0], netsim.FaultProfile{CorruptProb: 1})
+	opts := DownloadOptions{
+		Dialer:      fd,
+		Health:      health,
+		Parallelism: 1,
+		Rand:        rand.New(rand.NewSource(1)),
+		// The corrupting depot is every extent's first choice, so only its
+		// circuit keeps the download away from it.
+		Prefer: func(depot string) float64 {
+			if depot == depots[0] {
+				return 0
+			}
+			return 1000
+		},
+	}
+	got, stats, err := Download(context.Background(), ex, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("download mismatch")
+	}
+	if stats.ChecksumErrors != threshold || stats.FailedAttempts != threshold {
+		t.Errorf("stats = %+v, want %d checksum errors, each a failed attempt", stats, threshold)
+	}
+	if !health.Open(depots[0]) {
+		t.Fatal("checksum failures did not open the corrupting depot's circuit")
+	}
+	if stats.Skipped != len(ex.Extents)-threshold {
+		t.Errorf("skipped %d replicas, want the %d extents after the circuit opened", stats.Skipped, len(ex.Extents)-threshold)
+	}
+	before := fd.Dials(depots[0])
+	got, stats, err = Download(context.Background(), ex, opts)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("second download: %v", err)
+	}
+	if stats.ChecksumErrors != 0 || stats.Skipped != len(ex.Extents) {
+		t.Errorf("second download: stats = %+v, want the corrupting depot skipped for every extent", stats)
+	}
+	if after := fd.Dials(depots[0]); after != before {
+		t.Errorf("circuit-open depot dialed %d times", after-before)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
@@ -29,7 +28,7 @@ import (
 // coalesce counters prove each overload mechanism actually engaged.
 // Finally the whole stack tears down without leaking goroutines.
 func TestOverloadControlEndToEnd(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+	checkGoroutines(t)
 	reg := obs.NewRegistry()
 	params := lightfield.ScaledParams(45, 2, 8) // 2x4 sets, tiny frames
 	const clients = 200
@@ -190,17 +189,7 @@ func TestOverloadControlEndToEnd(t *testing.T) {
 		shed, st.BusyRejections, st.Coalesced)
 
 	// Teardown leaks nothing: the fleet's viewers, flights, and servers
-	// are all gone once the closers run.
-	closeAll()
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > baseline+10 {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutine leak: %d now vs %d at start\n%s",
-				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	// are all gone once the closers run (checkGoroutines).
 }
 
 // TestRetryBudgetCapsAmplificationEndToEnd drives a download whose only

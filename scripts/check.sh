@@ -113,6 +113,9 @@ echo "== fuzz the view-set payload and frame decoders (10s each)"
 go test -run '^$' -fuzz FuzzUnmarshalViewSet -fuzztime=10s -fuzzminimizetime=1s ./internal/lightfield
 go test -run '^$' -fuzz FuzzDecodeViewSetFrom -fuzztime=10s -fuzzminimizetime=1s ./internal/lightfield
 
+echo "== fuzz the codec's inflater against compress/zlib (10s)"
+go test -run '^$' -fuzz FuzzInflate -fuzztime=10s -fuzzminimizetime=1s ./internal/codec
+
 echo "== fuzz the exNode XML parser (10s)"
 go test -run '^$' -fuzz FuzzExNodeUnmarshal -fuzztime=10s -fuzzminimizetime=1s ./internal/exnode
 
@@ -149,7 +152,7 @@ run_named -race -count=1 \
 	./internal/ibp
 run_named -race -count=1 -run 'TestTranscriptParity|TestShed|TestClientCancelledLoadNeverWritesDst' ./internal/wire
 run_named -race -count=1 -run 'TestDownloadPipelinedPool' ./internal/lors
-run_named -race -count=1 -run 'TestStreamBuffer' ./internal/codec
+run_named -race -count=1 -run 'TestStreamBuffer|TestSegmentInflatesBeforeItArrives' ./internal/codec
 run_named -race -count=1 -run 'TestGetViewSetStream|TestViewerUsesStreamingPath' ./internal/agent
 
 # The figure path, so lfbench cannot rot: Figure 9's three cases end to end

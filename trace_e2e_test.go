@@ -25,6 +25,7 @@ import (
 // the failover retry visible as a failed lors.attempt beside the
 // successful one.
 func TestEndToEndTraceAcrossProcesses(t *testing.T) {
+	checkGoroutines(t)
 	obs.SetPropagation(true)
 	defer obs.SetPropagation(false)
 
