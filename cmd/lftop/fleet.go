@@ -18,7 +18,6 @@ type fleetMemberLine struct {
 	Addr         string  `json:"addr"`
 	Kind         string  `json:"kind"`
 	State        string  `json:"state"`
-	Version      string  `json:"version,omitempty"`
 	UptimeS      float64 `json:"uptime_s,omitempty"`
 	P99Ms        float64 `json:"p99_ms,omitempty"`
 	AlertsFiring int     `json:"alerts_firing,omitempty"`
@@ -130,15 +129,15 @@ func renderFleet(w io.Writer, sums []fleetSummary, live bool) {
 			fmt.Fprintf(w, "  fps %s", s.FPSSpark)
 		}
 		fmt.Fprintln(w)
-		fmt.Fprintf(w, "  %-26s %-8s %-9s %-10s %8s %8s %6s  %-18s %s\n",
-			"node", "kind", "state", "version", "uptime", "p99(ms)", "alerts", "p99 spark", "note")
+		fmt.Fprintf(w, "  %-26s %-8s %-9s %8s %8s %6s  %-18s %s\n",
+			"node", "kind", "state", "uptime", "p99(ms)", "alerts", "p99 spark", "note")
 		for _, m := range s.Members {
 			note := m.Err
 			if note == "" {
 				note = m.Health
 			}
-			fmt.Fprintf(w, "  %-26s %-8s %-9s %-10s %8s %8.1f %6d  %-18s %s\n",
-				m.Addr, m.Kind, m.State, m.Version, fmtUptime(m.UptimeS),
+			fmt.Fprintf(w, "  %-26s %-8s %-9s %8s %8.1f %6d  %-18s %s\n",
+				m.Addr, m.Kind, m.State, fmtUptime(m.UptimeS),
 				m.P99Ms, m.AlertsFiring, m.Spark, note)
 		}
 		keys := make([]string, 0, len(s.Aggregates))

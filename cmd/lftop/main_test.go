@@ -391,7 +391,7 @@ func TestPollFleetSummarizesTheMatrix(t *testing.T) {
 	var members []fleetMemberLine
 	for _, m := range fl.Members() {
 		members = append(members, fleetMemberLine{
-			Addr: m.Addr, Kind: m.Kind, State: m.State, Version: m.Version, UptimeS: m.UptimeS,
+			Addr: m.Addr, Kind: m.Kind, State: m.State, UptimeS: m.UptimeS,
 			P99Ms: m.P99Ms, AlertsFiring: m.AlertsFiring, Health: m.Health, Err: m.Err, Spark: "▁▁",
 		})
 	}

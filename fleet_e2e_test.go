@@ -7,6 +7,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"os/exec"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -233,6 +236,7 @@ func TestFleetFederationEndToEnd(t *testing.T) {
 		}
 	}
 
+	started := time.Now()
 	// Stage 1: the full fleet converges — three depots, the edge, and the
 	// steward itself, all up, with full replica coverage.
 	doc := waitFor("whole fleet up", 15*time.Second, func(doc fleetDoc) bool {
@@ -263,10 +267,14 @@ func TestFleetFederationEndToEnd(t *testing.T) {
 		t.Fatalf("/healthz on the healthy fleet = %d %q", code, body)
 	}
 
-	// The text rendering of the matrix works against the live fleet too.
-	_, text := sloHTTPGet(t, base+"/debug/fleet?format=text")
-	if !strings.Contains(string(text), "NODE") || !strings.Contains(string(text), depots[0].metrics) {
-		t.Fatalf("text matrix missing depot row:\n%s", text)
+	// lftop, the matrix's one text renderer, draws it against the live fleet.
+	lftop := filepath.Join(t.TempDir(), "lftop")
+	if out, err := exec.Command("go", "build", "-o", lftop, "./cmd/lftop").CombinedOutput(); err != nil {
+		t.Fatalf("building lftop: %v\n%s", err, out)
+	}
+	text, err := exec.Command(lftop, "-fleet", "-once", stack.Addr()).CombinedOutput()
+	if err != nil || !strings.Contains(string(text), "node") || !strings.Contains(string(text), depots[0].metrics) {
+		t.Fatalf("lftop -fleet -once: %v; matrix missing depot row:\n%s", err, text)
 	}
 
 	// Stage 2: kill depot 0 — service and metrics stack both. The matrix
@@ -357,8 +365,11 @@ func TestFleetFederationEndToEnd(t *testing.T) {
 	}
 
 	// Stage 4: the steward's TSDB retained the outage — the coverage-min
-	// series has history that dips to 1 and returns to 2.
-	q := url.Values{"name": {obs.MFleetCoverageMin}, "since": {"120s"}, "agg": {"raw"}}
+	// series has history that dips to 1 and returns to 2. The query spans
+	// the test's own history, which the full-resolution tier holds: the
+	// outage lasts a few scrape passes, shorter than one slot of the
+	// decimated tier a longer window would read.
+	q := url.Values{"name": {obs.MFleetCoverageMin}, "since": {strconv.FormatInt(started.UnixMilli(), 10)}, "agg": {"raw"}}
 	_, body := sloHTTPGet(t, base+"/debug/tsdb?"+q.Encode())
 	var rawResp struct {
 		Points []struct {

@@ -52,7 +52,7 @@ func benchAgent(b *testing.B) (*ClientAgent, lightfield.Params, lightfield.ViewS
 	reg := obs.NewRegistry()
 	sa, err := NewServerAgent(ServerAgentConfig{
 		Dataset: "bench", Gen: gen, Depots: depots, StripeSize: 64 << 10,
-		DVS: &dvs.Client{Addr: dvsAddr, Obs: reg}, Obs: reg,
+		DVS: &dvs.Client{Addr: dvsAddr}, Obs: reg,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -63,7 +63,7 @@ func benchAgent(b *testing.B) (*ClientAgent, lightfield.Params, lightfield.ViewS
 		b.Fatal(err)
 	}
 	ca, err := NewClientAgent(ClientAgentConfig{
-		Dataset: "bench", Params: p, DVS: &dvs.Client{Addr: dvsAddr, Obs: reg},
+		Dataset: "bench", Params: p, DVS: &dvs.Client{Addr: dvsAddr},
 		Obs: reg, Tracer: obs.NewTracer(64),
 	})
 	if err != nil {

@@ -371,26 +371,21 @@ func (ca *ClientAgent) RegisterMetrics(reg *obs.Registry) {
 			hitRate = float64(cs.Hits) / float64(total)
 		}
 		return map[string]float64{
-			"cache.hits":       float64(st.Hits),
-			"cache.misses":     float64(st.Misses),
-			"lan_fetches":      float64(st.LANFetches),
-			"wan_fetches":      float64(st.WANFetches),
-			"edge_fetches":     float64(st.EdgeFetches),
-			"prefetch.issued":  float64(st.Prefetches),
-			"prefetch.useful":  float64(st.PrefetchUseful),
-			"stage.completed":  float64(st.Staged),
-			"stage.errors":     float64(st.StageErrors),
-			"coalesced":        float64(st.Coalesced),
-			"replica_tries":    float64(st.ReplicaTries),
-			"failed_attempts":  float64(st.FailedAttempts),
-			"checksum_errors":  float64(st.ChecksumErrors),
-			"busy_rejections":  float64(st.BusyRejections),
-			"budget_exhausted": float64(st.BudgetExhausted),
-			"cache.hit_rate":   hitRate,
-			"cache.used":       float64(cs.Used),
-			"cache.entries":    float64(cs.Entries),
-			"cache.evictions":  float64(cs.Evictions),
-			"staged_count":     float64(ca.StagedCount()),
+			"cache.hits":      float64(st.Hits),
+			"cache.misses":    float64(st.Misses),
+			"lan_fetches":     float64(st.LANFetches),
+			"wan_fetches":     float64(st.WANFetches),
+			"edge_fetches":    float64(st.EdgeFetches),
+			"prefetch.issued": float64(st.Prefetches),
+			"prefetch.useful": float64(st.PrefetchUseful),
+			"stage.completed": float64(st.Staged),
+			"stage.errors":    float64(st.StageErrors),
+			"coalesced":       float64(st.Coalesced),
+			"cache.hit_rate":  hitRate,
+			"cache.used":      float64(cs.Used),
+			"cache.entries":   float64(cs.Entries),
+			"cache.evictions": float64(cs.Evictions),
+			"staged_count":    float64(ca.StagedCount()),
 		}
 	})
 }

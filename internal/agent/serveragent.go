@@ -231,11 +231,8 @@ func (sa *ServerAgent) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterSnapshot("agent.server", func() map[string]float64 {
 		st := sa.Stats()
 		return map[string]float64{
-			"requests":    float64(st.Requests),
-			"rendered":    float64(st.Rendered),
-			"uploaded":    float64(st.Uploaded),
-			"bytes_sent":  float64(st.BytesSent),
-			"dvs_updates": float64(st.DVSUpdates),
+			"requests": float64(st.Requests),
+			"rendered": float64(st.Rendered),
 		}
 	})
 	reg.RegisterSnapshot("agent.render", func() map[string]float64 {

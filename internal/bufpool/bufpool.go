@@ -50,7 +50,6 @@ var classes [numClasses]sync.Pool
 
 var (
 	gets        atomic.Int64
-	hits        atomic.Int64
 	misses      atomic.Int64
 	puts        atomic.Int64
 	oversize    atomic.Int64
@@ -81,7 +80,6 @@ func Get(n int) []byte {
 		return make([]byte, n)
 	}
 	if v := classes[c].Get(); v != nil {
-		hits.Add(1)
 		return (*(v.(*[]byte)))[:n]
 	}
 	misses.Add(1)
@@ -119,7 +117,6 @@ func CopyTracked(dst, src []byte) int {
 // Stats is a point-in-time snapshot of the pool counters.
 type Stats struct {
 	Gets        int64
-	Hits        int64
 	Misses      int64
 	Puts        int64
 	Oversize    int64
@@ -130,7 +127,6 @@ type Stats struct {
 func ReadStats() Stats {
 	return Stats{
 		Gets:        gets.Load(),
-		Hits:        hits.Load(),
 		Misses:      misses.Load(),
 		Puts:        puts.Load(),
 		Oversize:    oversize.Load(),
@@ -149,7 +145,6 @@ func RegisterMetrics(reg *obs.Registry) {
 		st := ReadStats()
 		return map[string]float64{
 			"gets":         float64(st.Gets),
-			"hits":         float64(st.Hits),
 			"misses":       float64(st.Misses),
 			"puts":         float64(st.Puts),
 			"oversize":     float64(st.Oversize),

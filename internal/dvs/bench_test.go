@@ -26,7 +26,7 @@ func BenchmarkGet(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	cl := &Client{Addr: addr, Obs: obs.NewRegistry()}
+	cl := &Client{Addr: addr}
 	defer cl.CloseIdle()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

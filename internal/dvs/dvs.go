@@ -82,8 +82,8 @@ type Server struct {
 	// requests (those carrying a trace= token); nil records into
 	// obs.DefaultTracer().
 	Tracer *obs.Tracer
-	// Obs receives the dvs.shed counters and load gauges; nil records
-	// into obs.Default().
+	// Obs receives the dvs.server.op.ms histogram, the dvs.shed counters
+	// and the load gauges; nil records into obs.Default().
 	Obs *obs.Registry
 
 	loop *wire.Server
@@ -108,6 +108,7 @@ func NewServer(parent string) *Server {
 			Component:  "dvs",
 			Span:       obs.SpanDVSServe,
 			ProfClass:  "dvs",
+			OpMs:       obs.MDVSServerOpMs,
 			Shed:       obs.MDVSShed,
 			Inflight:   obs.MDVSInflight,
 			QueueDepth: obs.MDVSQueueDepth,
@@ -367,7 +368,6 @@ const maxConns = 4
 // sees it. A connection is kept after OK and MISS only: the server drops it
 // with ERR BUSY, and any other ERR is treated alike.
 var clientProto = wire.Protocol{
-	Names:     wire.ClientNames{OpMs: obs.MDVSOpMs, Errors: obs.MDVSOpErrors},
 	Tokens:    true,
 	Err:       remoteErr,
 	Miss:      ErrMiss,
@@ -394,9 +394,6 @@ type Client struct {
 	Addr    string
 	Dialer  Dialer
 	Timeout time.Duration
-	// Obs receives per-operation latency histograms and error counters
-	// (dvs.op.*); nil records into obs.Default().
-	Obs *obs.Registry
 
 	once sync.Once
 	t    wire.Client
@@ -404,7 +401,7 @@ type Client struct {
 
 func (c *Client) wire() *wire.Client {
 	c.once.Do(func() {
-		c.t.Addr, c.t.Dialer, c.t.Obs, c.t.Proto, c.t.Keep = c.Addr, c.Dialer, c.Obs, &clientProto, maxConns
+		c.t.Addr, c.t.Dialer, c.t.Proto, c.t.Keep = c.Addr, c.Dialer, &clientProto, maxConns
 		if c.t.Timeout = c.Timeout; c.Timeout == 0 {
 			c.t.Timeout = 30 * time.Second
 		}

@@ -51,9 +51,9 @@ type CacheConfig struct {
 	// fallback for depots that don't speak PIPELINE). 0 means
 	// ibp.DefaultPipelineWindow; negative forces serial dials.
 	PipelineWindow int
-	// Obs receives the edge.fill.ms histogram and the origin connections'
-	// ibp.* families; nil records into obs.Default(). The cache's own
-	// counts live in Stats, published by RegisterMetrics.
+	// Obs receives the origin connections' ibp.* families; nil records
+	// into obs.Default(). The cache's own counts live in Stats, published
+	// by RegisterMetrics.
 	Obs *obs.Registry
 }
 
@@ -67,8 +67,6 @@ type CacheStats struct {
 	// an in-flight fill, FillErrors the fills that failed.
 	Hits, Misses, Fills, FillErrors, Coalesced int64
 	Evictions                                  int64
-	// BytesServed is payload bytes answered to clients (hits and fills).
-	BytesServed int64
 	// FilledSets is the number of distinct view sets that crossed the WAN
 	// at least once (distinct fill hints) — the denominator-free form of
 	// the "each view set fetched from the depot at most once" claim.
@@ -90,7 +88,7 @@ type Cache struct {
 	// fills load straight into the cache entry's buffer over it.
 	pipes *ibp.PipePool
 
-	hits, misses, fills, fillErrors, coalesced, bytesServed atomic.Int64
+	hits, misses, fills, fillErrors, coalesced atomic.Int64
 
 	// fillMu guards the fill-history sets behind FilledSets/Refills.
 	fillMu      sync.Mutex
@@ -150,14 +148,6 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	return c, nil
 }
 
-// registry resolves the metrics destination.
-func (c *Cache) registry() *obs.Registry {
-	if c.cfg.Obs != nil {
-		return c.cfg.Obs
-	}
-	return obs.Default()
-}
-
 // Popularity exposes the cache's hot-set tracker (the steward's
 // replication feed and lftop's hot-set pane read it).
 func (c *Cache) Popularity() *Popularity { return c.pop }
@@ -188,7 +178,6 @@ func (c *Cache) Load(ctx context.Context, cp Cap, off, length int64) (data []byt
 	sh := c.shard(key)
 	if data, ok := sh.get(key); ok {
 		c.hits.Add(1)
-		c.bytesServed.Add(int64(len(data)))
 		return data, true, nil
 	}
 	c.misses.Add(1)
@@ -203,7 +192,6 @@ func (c *Cache) Load(ctx context.Context, cp Cap, off, length int64) (data []byt
 	if shared {
 		c.coalesced.Add(1)
 	}
-	c.bytesServed.Add(int64(len(data)))
 	return data, false, nil
 }
 
@@ -218,13 +206,11 @@ func (c *Cache) fill(ctx context.Context, cp Cap, off, length int64) ([]byte, er
 	_, span := obs.DefaultTracer().StartSpan(ctx, obs.SpanEdgeFill)
 	span.SetAttr("origin", cp.OriginDepot)
 	defer span.Finish()
-	start := time.Now()
 	// The cache entry is allocated once at its final size and filled off
 	// the wire in place — no staging buffer, and a persistent pipelined
 	// connection to the origin when the depot speaks PIPELINE.
 	data := make([]byte, length)
 	err := c.pipes.LoadInto(ctx, cp.OriginDepot, cp.OriginCap, off, data)
-	c.registry().Histogram(obs.MEdgeFillMs, obs.LatencyBucketsMs...).Observe(float64(time.Since(start)) / 1e6)
 	if err != nil {
 		c.fillErrors.Add(1)
 		span.SetAttr("err", err.Error())
@@ -251,13 +237,12 @@ func (c *Cache) fill(ctx context.Context, cp Cap, off, length int64) ([]byte, er
 // Stats returns current accounting.
 func (c *Cache) Stats() CacheStats {
 	st := CacheStats{
-		Capacity:    c.cfg.CapacityBytes,
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Fills:       c.fills.Load(),
-		FillErrors:  c.fillErrors.Load(),
-		Coalesced:   c.coalesced.Load(),
-		BytesServed: c.bytesServed.Load(),
+		Capacity:   c.cfg.CapacityBytes,
+		Hits:       c.hits.Load(),
+		Misses:     c.misses.Load(),
+		Fills:      c.fills.Load(),
+		FillErrors: c.fillErrors.Load(),
+		Coalesced:  c.coalesced.Load(),
 	}
 	c.fillMu.Lock()
 	st.FilledSets = len(c.filledHints)
@@ -292,8 +277,6 @@ func (c *Cache) RegisterMetrics(reg *obs.Registry) {
 			"misses":          float64(st.Misses),
 			"fills":           float64(st.Fills),
 			"fill_errors":     float64(st.FillErrors),
-			"coalesced":       float64(st.Coalesced),
-			"bytes_served":    float64(st.BytesServed),
 			"cache.capacity":  float64(st.Capacity),
 			"cache.used":      float64(st.Used),
 			"cache.entries":   float64(st.Entries),

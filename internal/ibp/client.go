@@ -30,8 +30,6 @@ var serialProto = wire.Protocol{
 		OpMs:      obs.MIBPOpMs,
 		Errors:    obs.MIBPOpErrors,
 		PeerMs:    obs.MIBPDepotMs,
-		BytesOut:  obs.MIBPBytesOut,
-		BytesIn:   obs.MIBPBytesIn,
 	},
 	Tokens:    true,
 	Err:       replyErr,
@@ -41,11 +39,8 @@ var serialProto = wire.Protocol{
 
 var pipeProto = func() wire.Protocol {
 	p := serialProto
-	p.Names.PipeDials = obs.MIBPPipeDials
 	p.Names.PipeFallbacks = obs.MIBPPipeFallbacks
 	p.Names.PipeOps = obs.MIBPPipeOps
-	p.Names.PipeBroken = obs.MIBPPipeBroken
-	p.Names.PipeDepth = obs.MIBPPipeDepth
 	return p
 }()
 

@@ -57,7 +57,6 @@ func NewServer(d *Depot) *Server {
 			Span:       obs.SpanIBPServe,
 			ProfClass:  "ibp",
 			OpMs:       obs.MIBPServerOpMs,
-			Errors:     obs.MIBPServerErrors,
 			ErrEvent:   obs.EvIBPServeErr,
 			Shed:       obs.MIBPShed,
 			Inflight:   obs.MIBPInflight,

@@ -273,9 +273,6 @@ type Client struct {
 	BaseURL string
 	// HTTP is the client to use; nil means http.DefaultClient.
 	HTTP *http.Client
-	// Obs receives per-operation latency histograms and error counters
-	// (lbone.op.*); nil records into obs.Default().
-	Obs *obs.Registry
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -285,23 +282,9 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// observeOp records one directory operation's latency and outcome.
-func (c *Client) observeOp(op string, start time.Time, err error) {
-	reg := c.Obs
-	if reg == nil {
-		reg = obs.Default()
-	}
-	reg.Histogram(obs.Label(obs.MLBoneOpMs, "op", op), obs.LatencyBucketsMs...).
-		Observe(float64(time.Since(start)) / 1e6)
-	if err != nil {
-		reg.Counter(obs.Label(obs.MLBoneOpErrors, "op", op)).Inc()
-	}
-}
-
 // Register registers (or heartbeats) a depot record. The context's trace
 // context (if any) rides the X-Lonviz-Trace header.
-func (c *Client) Register(ctx context.Context, rec DepotRecord) (err error) {
-	defer func(start time.Time) { c.observeOp("register", start, err) }(time.Now())
+func (c *Client) Register(ctx context.Context, rec DepotRecord) error {
 	body, err := json.Marshal(rec)
 	if err != nil {
 		return err
@@ -330,8 +313,7 @@ func (c *Client) Lookup(ctx context.Context, x, y float64, n int, minFree int64)
 
 // LookupExcluding queries the nearest live depots whose address is not in
 // exclude (server-side filtering, so n counts usable results).
-func (c *Client) LookupExcluding(ctx context.Context, x, y float64, n int, minFree int64, exclude []string) (recs []DepotRecord, err error) {
-	defer func(start time.Time) { c.observeOp("lookup", start, err) }(time.Now())
+func (c *Client) LookupExcluding(ctx context.Context, x, y float64, n int, minFree int64, exclude []string) ([]DepotRecord, error) {
 	u := fmt.Sprintf("%s/lookup?x=%g&y=%g&n=%d&minfree=%d", c.BaseURL, x, y, n, minFree)
 	if len(exclude) > 0 {
 		u += "&exclude=" + url.QueryEscape(strings.Join(exclude, ","))
@@ -358,8 +340,7 @@ func (c *Client) LookupExcluding(ctx context.Context, x, y float64, n int, minFr
 
 // Members fetches every live directory member of any kind — the fleet
 // scraper's discovery path.
-func (c *Client) Members(ctx context.Context) (recs []DepotRecord, err error) {
-	defer func(start time.Time) { c.observeOp("members", start, err) }(time.Now())
+func (c *Client) Members(ctx context.Context) ([]DepotRecord, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/members", nil)
 	if err != nil {
 		return nil, err

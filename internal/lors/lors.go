@@ -44,11 +44,6 @@ func registryOr(reg *obs.Registry) *obs.Registry {
 	return obs.Default()
 }
 
-// observeMs records elapsed time into a named latency histogram.
-func observeMs(reg *obs.Registry, name string, elapsed time.Duration) {
-	reg.Histogram(name, obs.LatencyBucketsMs...).Observe(float64(elapsed) / 1e6)
-}
-
 // replicaRand orders replica attempts when DownloadOptions.Rand is nil. A
 // single package-level seeded source behind a mutex is cheaper than a
 // source per fetch, and two extents fetched in the same nanosecond no
@@ -147,9 +142,6 @@ func Upload(ctx context.Context, name string, data []byte, opts UploadOptions) (
 	if err := opts.defaults(); err != nil {
 		return nil, err
 	}
-	defer func(start time.Time) {
-		observeMs(registryOr(opts.Obs), obs.MLorsUploadMs, time.Since(start))
-	}(time.Now())
 	ex := &exnode.ExNode{
 		Name:     name,
 		Length:   int64(len(data)),
@@ -213,10 +205,6 @@ func uploadStripe(ctx context.Context, chunk []byte, j struct {
 	idx         int
 	offset, end int64
 }, opts UploadOptions) (exnode.Extent, error) {
-	reg := registryOr(opts.Obs)
-	defer func(start time.Time) {
-		observeMs(reg, obs.MLorsStripeMs, time.Since(start))
-	}(time.Now())
 	ext := exnode.Extent{
 		Offset:   j.offset,
 		Length:   j.end - j.offset,
@@ -256,7 +244,6 @@ func uploadStripe(ctx context.Context, chunk []byte, j struct {
 		}
 		rep.SetExpiry(expiry)
 		ext.Replicas = append(ext.Replicas, rep)
-		reg.Counter(obs.MLorsUploadBytes).Add(ext.Length)
 		placed++
 	}
 	if placed < opts.Replicas {
@@ -458,16 +445,14 @@ func DownloadInto(ctx context.Context, ex *exnode.ExNode, dst []byte, opts Downl
 	opts.defaults()
 	var stats DownloadStats
 	reg := registryOr(opts.Obs)
-	defer func(start time.Time) {
-		observeMs(reg, obs.MLorsDownloadMs, time.Since(start))
-		reg.Counter(obs.MLorsDownloadBytes).Add(stats.Bytes)
+	defer func() {
 		reg.Counter(obs.MLorsReplicaTries).Add(int64(stats.ReplicaTries))
 		reg.Counter(obs.MLorsFailedAttempts).Add(int64(stats.FailedAttempts))
 		reg.Counter(obs.MLorsChecksumErrors).Add(int64(stats.ChecksumErrors))
 		reg.Counter(obs.MLorsSkippedReplicas).Add(int64(stats.Skipped))
 		reg.Counter(obs.MLorsBusyRejections).Add(int64(stats.BusyRejections))
 		reg.Counter(obs.MLorsRetryBudgetExhausted).Add(int64(stats.BudgetExhausted))
-	}(time.Now())
+	}()
 	if err := ex.Validate(); err != nil {
 		return stats, err
 	}
@@ -550,10 +535,6 @@ var errAllCircuitsOpen = errors.New("lors: every replica depot is circuit-open")
 // corrupted payload is a failed attempt, never returned data.
 func fetchExtent(ctx context.Context, ext exnode.Extent, dst []byte, opts DownloadOptions) (DownloadStats, error) {
 	var stats DownloadStats
-	reg := registryOr(opts.Obs)
-	defer func(start time.Time) {
-		observeMs(reg, obs.MLorsExtentMs, time.Since(start))
-	}(time.Now())
 	ctx, espan := opts.span(ctx, obs.SpanLorsExtent)
 	espan.SetAttr("offset", strconv.FormatInt(ext.Offset, 10))
 	espan.SetAttr("length", strconv.FormatInt(ext.Length, 10))
@@ -598,7 +579,7 @@ func fetchExtent(ctx context.Context, ext exnode.Extent, dst []byte, opts Downlo
 				return stats, fmt.Errorf("lors: extent at %d: retry budget exhausted after %d passes: %w",
 					ext.Offset, attempt, lastErr)
 			}
-			reg.Counter(obs.MLorsRetryPasses).Inc()
+			registryOr(opts.Obs).Counter(obs.MLorsRetryPasses).Inc()
 			if err := opts.backoff(ctx, attempt); err != nil {
 				return stats, err
 			}
@@ -848,10 +829,6 @@ func CopyToStriped(ctx context.Context, ex *exnode.ExNode, targets []string, opt
 	if len(targets) == 0 {
 		return nil, errors.New("lors: no staging targets")
 	}
-	reg := registryOr(opts.Obs)
-	defer func(start time.Time) {
-		observeMs(reg, obs.MLorsStageMs, time.Since(start))
-	}(time.Now())
 	if err := ex.Validate(); err != nil {
 		return nil, err
 	}
@@ -893,7 +870,6 @@ func CopyToStriped(ctx context.Context, ex *exnode.ExNode, targets []string, opt
 		if !copied {
 			return nil, fmt.Errorf("lors: staging extent at %d failed: %w", ext.Offset, lastErr)
 		}
-		reg.Counter(obs.MLorsStageExtents).Inc()
 		out.Extents = append(out.Extents, exnode.Extent{
 			Offset:   ext.Offset,
 			Length:   ext.Length,

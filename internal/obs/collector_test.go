@@ -11,7 +11,7 @@ import (
 // startPeer serves a tracer's export like a daemon's /debug/traces.
 func startPeer(t *testing.T, tr *Tracer) string {
 	t.Helper()
-	srv := httptest.NewServer(NewMux(NewRegistry(), tr))
+	srv := httptest.NewServer(NewMux(ServeOptions{Registry: NewRegistry(), Tracer: tr}))
 	t.Cleanup(srv.Close)
 	return srv.URL
 }

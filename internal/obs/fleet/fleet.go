@@ -17,8 +17,9 @@
 //     already heartbeats there for liveness) plus a static peer list
 //     for processes that do not register.
 //   - Scrape: parallel fan-out over the membership, each member under a
-//     bounded per-peer deadline, pulling /metrics, /healthz,
-//     /debug/alerts, and the /debug/tsdb index.
+//     bounded per-peer deadline, pulling two documents: /metrics (the
+//     fold's input, the member's own firing-alert count included) and
+//     /healthz (up or degraded).
 //   - Fold: reset-aware per-member counter deltas accumulate into
 //     monotonic cluster series (fleet.shed, fleet.served, fleet.fps);
 //     per-node gauges and p99s are mirrored under a node=<addr> label;
@@ -31,14 +32,15 @@
 //     /healthz degradation, slo.alert events, flight-recorder captures.
 //
 // /debug/fleet serves the health matrix (topology, per-node state,
-// version, uptime, latency) plus the aggregates and the engine's
-// fleet-scope alerts.
+// uptime, latency) plus the aggregates and the engine's fleet-scope
+// alerts; lftop -fleet renders it.
 package fleet
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -117,15 +119,11 @@ type Member struct {
 	LastScrape time.Time `json:"last_scrape,omitempty"`
 	// UptimeS is the member's process.uptime_s as scraped.
 	UptimeS float64 `json:"uptime_s,omitempty"`
-	// Version is the member's binary name (from /debug/vars cmdline),
-	// fetched once per up-transition.
-	Version string `json:"version,omitempty"`
 	// Health is the degraded reason from the member's /healthz.
 	Health string `json:"health,omitempty"`
-	// AlertsFiring is the member's own firing alert count.
+	// AlertsFiring is the member's own firing alert count, its
+	// slo.alerts.firing gauge.
 	AlertsFiring int `json:"alerts_firing,omitempty"`
-	// Series is the member's retained TSDB series count.
-	Series int `json:"series,omitempty"`
 	// P99Ms is the member's served-op p99 (max across the scraped
 	// histogram families), the latency column of the matrix.
 	P99Ms float64 `json:"p99_ms,omitempty"`
@@ -164,15 +162,17 @@ var scalarFoldFamilies = []string{
 // histFoldFamilies are the histogram families whose per-member p99 is
 // mirrored as fleet.node.p99.ms{family=,node=}.
 var histFoldFamilies = []string{
-	obs.MIBPServerOpMs, obs.MEdgeServeMs, obs.MAgentFetchMs, obs.MDVSOpMs,
+	obs.MIBPServerOpMs, obs.MEdgeServeMs, obs.MAgentFetchMs, obs.MDVSServerOpMs,
 }
 
-// shedFamilies sum into the fleet.shed accumulator; servedFamilies
-// (histogram counts) into fleet.served; fpsFamilies (histogram counts)
-// into the fleet.fps rate.
+// shedFamilies sum into the fleet.shed accumulator and servedFamilies into
+// fleet.served: each service that sheds (depot, DVS, edge, render queue)
+// pairs with what it served — the three server loops' service-time
+// histogram counts and the render requests the server agent took.
+// fpsFamilies (histogram counts) feed the fleet.fps rate.
 var (
 	shedFamilies   = []string{obs.MIBPShed, obs.MDVSShed, obs.MEdgeShed, obs.MAgentRenderShed}
-	servedFamilies = []string{obs.MIBPServerOpMs, obs.MEdgeServeMs, obs.MDVSOpMs}
+	servedFamilies = []string{obs.MIBPServerOpMs, obs.MEdgeServeMs, obs.MDVSServerOpMs, obs.MAgentServerRequests}
 	fpsFamilies    = []string{obs.MAgentFetchMs}
 )
 
@@ -332,21 +332,26 @@ func (f *Fleet) Run(stop <-chan struct{}) {
 	}
 }
 
-// peerMetrics is one member's parsed /metrics snapshot.
+// peerMetrics is one member's /metrics document folded by family: each
+// scalar family's instances summed, each histogram family's counts summed
+// with the largest p99 kept.
 type peerMetrics struct {
 	scalars map[string]float64
-	hists   map[string]obs.HistogramSnapshot
+	hists   map[string]histFold
+}
+
+// histFold is one histogram family of a member, over its label instances.
+type histFold struct {
+	count int64
+	p99   float64
 }
 
 // scrapeResult is one member's raw pull before folding.
 type scrapeResult struct {
-	metrics      *peerMetrics
-	err          error // /metrics failure: the member is down
-	health       string
-	healthOK     bool
-	alertsFiring int
-	series       int
-	softErrs     int // tsdb/alerts pulls that failed while metrics succeeded
+	metrics  *peerMetrics
+	err      error // /metrics failure: the member is down
+	health   string
+	healthOK bool
 }
 
 // Scrape runs discovery plus the parallel member fan-out and folds the
@@ -433,12 +438,9 @@ func (f *Fleet) discover(ctx context.Context) {
 	}
 }
 
-// scrapeMember pulls one member's observability documents. /metrics is
+// scrapeMember pulls one member's two documents. /metrics is
 // load-bearing: its failure marks the member down. /healthz decides
-// up-vs-degraded. /debug/alerts and the /debug/tsdb index are
-// best-effort enrichments — a malformed or missing payload counts a
-// scrape error but the member stays up (the member is alive; its
-// telemetry is what is broken).
+// up-vs-degraded.
 func (f *Fleet) scrapeMember(ctx context.Context, addr string) scrapeResult {
 	var res scrapeResult
 	var raw map[string]json.RawMessage
@@ -464,75 +466,53 @@ func (f *Fleet) scrapeMember(ctx context.Context, addr string) scrapeResult {
 		}
 		res.health = deg.Reason
 	}
-
-	var alerts struct {
-		Firing int `json:"firing"`
-	}
-	if err := f.pc.GetJSON(ctx, addr, "/debug/alerts", nil, &alerts); err == nil {
-		res.alertsFiring = alerts.Firing
-	}
-	// Plain obs.Serve members have no /debug/alerts; a 404 there is not
-	// an error worth counting. The tsdb index below is expected of every
-	// stack member, so its failure (including malformed JSON) is.
-	var idx struct {
-		Series []struct {
-			Name string `json:"name"`
-		} `json:"series"`
-	}
-	if err := f.pc.GetJSON(ctx, addr, "/debug/tsdb", nil, &idx); err != nil {
-		res.softErrs++
-	} else {
-		res.series = len(idx.Series)
-	}
 	return res
 }
 
-// parseMetrics splits a /metrics document into scalars and histogram
-// summaries, dropping anything unparseable.
+// maxValue bounds what parseMetrics accepts of one entry: every family
+// the fold reads is a count, a gauge of things or a duration, never
+// negative, and past 2^53 a float64 no longer counts by ones. Entries
+// outside [0, maxValue] are a peer's corruption, dropped so that the
+// cluster totals built from them stay finite.
+const maxValue = 1 << 53
+
+// parseMetrics folds a /metrics document by family (obs.ParseLabels reads
+// each name once), dropping entries that are neither a number nor a
+// histogram, or that lie outside [0, maxValue].
 func parseMetrics(raw map[string]json.RawMessage) *peerMetrics {
 	pm := &peerMetrics{
 		scalars: make(map[string]float64, len(raw)),
-		hists:   make(map[string]obs.HistogramSnapshot),
+		hists:   make(map[string]histFold),
 	}
+	valid := func(v float64) bool { return v >= 0 && v <= maxValue }
 	for name, msg := range raw {
+		family, _ := obs.ParseLabels(name)
 		var v float64
 		if err := json.Unmarshal(msg, &v); err == nil {
-			pm.scalars[name] = v
+			if valid(v) {
+				pm.scalars[family] += v
+			}
 			continue
 		}
 		var h obs.HistogramSnapshot
-		if err := json.Unmarshal(msg, &h); err == nil {
-			pm.hists[name] = h
+		if err := json.Unmarshal(msg, &h); err == nil && valid(float64(h.Count)) && valid(h.P99) {
+			hf := pm.hists[family]
+			hf.count += h.Count
+			hf.p99 = math.Max(hf.p99, h.P99)
+			pm.hists[family] = hf
 		}
 	}
 	return pm
 }
 
-// sumFamily sums every instance of one scalar family.
-func (pm *peerMetrics) sumFamily(family string) (float64, bool) {
-	total, found := 0.0, false
-	for name, v := range pm.scalars {
-		if obs.BaseName(name) == family {
-			total += v
-			found = true
-		}
+// count is a family's running total: a counter's summed instances or a
+// histogram's summed observation counts.
+func (pm *peerMetrics) count(family string) (float64, bool) {
+	if v, ok := pm.scalars[family]; ok {
+		return v, true
 	}
-	return total, found
-}
-
-// histFamily folds every instance of one histogram family: summed
-// counts, max p99.
-func (pm *peerMetrics) histFamily(family string) (count int64, maxP99 float64, found bool) {
-	for name, h := range pm.hists {
-		if obs.BaseName(name) == family {
-			count += h.Count
-			if h.P99 > maxP99 {
-				maxP99 = h.P99
-			}
-			found = true
-		}
-	}
-	return count, maxP99, found
+	h, ok := pm.hists[family]
+	return float64(h.count), ok
 }
 
 // delta folds one member's cumulative value into a reset-aware
@@ -576,7 +556,6 @@ func (f *Fleet) fold(targets []*memberState, results []scrapeResult, start time.
 	upDepots := make(map[string]bool)
 	var depotP99s []float64
 	var shedDelta, servedDelta, fpsDelta float64
-	var edgeHits, edgeMisses float64
 	var ratePeriod float64 // seconds covered by the counter deltas
 
 	for i, m := range targets {
@@ -604,7 +583,6 @@ func (f *Fleet) fold(targets []*memberState, results []scrapeResult, start time.
 			m.Err = ""
 			m.Health = ""
 		}
-		m.scrapeErrs += float64(res.softErrs)
 		if m.scrapeErrs > 0 {
 			folded[obs.Label("scrape.errors", "node", m.Addr)] = m.scrapeErrs
 		}
@@ -632,10 +610,7 @@ func (f *Fleet) fold(targets []*memberState, results []scrapeResult, start time.
 		}
 		pm := res.metrics
 		m.LastScrape = now
-		m.AlertsFiring = res.alertsFiring
-		if res.series > 0 {
-			m.Series = res.series
-		}
+		m.AlertsFiring = int(pm.scalars[obs.MSLOAlertsFiring])
 		if up, ok := pm.scalars[obs.MProcessUptime]; ok {
 			// An uptime below the member's previous reading is a restart
 			// even when every counter happens to still be monotonic.
@@ -643,9 +618,6 @@ func (f *Fleet) fold(targets []*memberState, results []scrapeResult, start time.
 				m.prev = nil
 			}
 			m.UptimeS = up
-		}
-		if m.Version == "" {
-			m.Version = f.fetchVersion(m.Addr)
 		}
 
 		// Per-pass rate base: seconds since this member's previous fold.
@@ -658,45 +630,39 @@ func (f *Fleet) fold(targets []*memberState, results []scrapeResult, start time.
 
 		// Per-node scalar mirrors.
 		for _, family := range scalarFoldFamilies {
-			if v, ok := pm.sumFamily(family); ok {
+			if v, ok := pm.scalars[family]; ok {
 				folded[obs.Label(family, "node", m.Addr)] = v
 			}
 		}
 		// Per-node p99 mirrors and the member latency column.
 		m.P99Ms = 0
 		for _, family := range histFoldFamilies {
-			if _, p99, ok := pm.histFamily(family); ok {
-				folded[obs.Label("node.p99.ms", "family", family, "node", m.Addr)] = p99
-				if p99 > m.P99Ms {
-					m.P99Ms = p99
-				}
+			if h, ok := pm.hists[family]; ok {
+				folded[obs.Label("node.p99.ms", "family", family, "node", m.Addr)] = h.p99
+				m.P99Ms = math.Max(m.P99Ms, h.p99)
 			}
 		}
 		if m.Kind == lbone.KindDepot && m.State == StateUp {
-			if _, p99, ok := pm.histFamily(obs.MIBPServerOpMs); ok {
-				depotP99s = append(depotP99s, p99)
+			if h, ok := pm.hists[obs.MIBPServerOpMs]; ok {
+				depotP99s = append(depotP99s, h.p99)
 			}
 		}
 
 		// Cluster accumulators from reset-aware deltas.
 		for _, family := range shedFamilies {
-			if v, ok := pm.sumFamily(family); ok {
+			if v, ok := pm.count(family); ok {
 				shedDelta += m.delta("shed:"+family, v)
 			}
 		}
 		for _, family := range servedFamilies {
-			if count, _, ok := pm.histFamily(family); ok {
-				servedDelta += m.delta("served:"+family, float64(count))
+			if v, ok := pm.count(family); ok {
+				servedDelta += m.delta("served:"+family, v)
 			}
 		}
 		for _, family := range fpsFamilies {
-			if count, _, ok := pm.histFamily(family); ok {
-				fpsDelta += m.delta("fps:"+family, float64(count))
+			if v, ok := pm.count(family); ok {
+				fpsDelta += m.delta("fps:"+family, v)
 			}
-		}
-		if v, ok := pm.sumFamily(obs.MEdgeHits); ok {
-			edgeHits += v
-			edgeMisses, _ = pm.sumFamily(obs.MEdgeMisses)
 		}
 		// Edge demand: the edge snapshot exports per-hint popularity as
 		// edge.hot.<hint> counts.
@@ -716,9 +682,6 @@ func (f *Fleet) fold(targets []*memberState, results []scrapeResult, start time.
 	folded["served"] = f.servedTotal
 	if ratePeriod > 0 {
 		folded["fps"] = fpsDelta / ratePeriod
-	}
-	if edgeHits+edgeMisses > 0 {
-		folded["edge.hit_rate"] = edgeHits / (edgeHits + edgeMisses)
 	}
 	if depotsTotal > 0 {
 		folded["depots.degraded_ratio"] = float64(depotsNotUp) / float64(depotsTotal)
@@ -759,7 +722,6 @@ func (f *Fleet) fold(targets []*memberState, results []scrapeResult, start time.
 		f.reg.Gauge(obs.Label(obs.MFleetMembers, "state", state)).Set(int64(n))
 	}
 	f.reg.Counter(obs.MFleetScrapes).Inc()
-	f.reg.Histogram(obs.MFleetScrapeMs, obs.LatencyBucketsMs...).Observe(f.lastPassMs)
 
 	if len(transitions) == 0 {
 		return
@@ -786,22 +748,4 @@ func (f *Fleet) fold(targets []*memberState, results []scrapeResult, start time.
 		}
 	}
 	span.Finish()
-}
-
-// fetchVersion pulls the member's binary name from its /debug/vars
-// cmdline — once per up-transition, not per pass.
-func (f *Fleet) fetchVersion(addr string) string {
-	var vars struct {
-		Cmdline []string `json:"cmdline"`
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), f.pc.Timeout+obs.DefaultPeerTimeout)
-	defer cancel()
-	if err := f.pc.GetJSON(ctx, addr, "/debug/vars", nil, &vars); err != nil || len(vars.Cmdline) == 0 {
-		return ""
-	}
-	name := vars.Cmdline[0]
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	return name
 }

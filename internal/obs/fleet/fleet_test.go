@@ -3,7 +3,9 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -38,7 +40,8 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// fakeMember is a scrape target with controllable documents.
+// fakeMember is a scrape target with controllable documents. It serves
+// every path an observability stack does and counts what it is asked for.
 type fakeMember struct {
 	srv *httptest.Server
 
@@ -46,15 +49,17 @@ type fakeMember struct {
 	metrics      map[string]any
 	healthStatus int
 	healthBody   string
-	alertsFiring int
-	tsdbBody     string // raw /debug/tsdb override (malformed-payload tests)
 	delay        time.Duration
+	requests     map[string]int // by path
 }
 
 func newFakeMember(t *testing.T) *fakeMember {
 	t.Helper()
-	m := &fakeMember{metrics: map[string]any{}, healthStatus: 200}
+	m := &fakeMember{metrics: map[string]any{}, healthStatus: 200, requests: map[string]int{}}
 	mux := http.NewServeMux()
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(w).Encode(map[string]any{})
+	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		m.mu.Lock()
 		delay, snap := m.delay, make(map[string]any, len(m.metrics))
@@ -76,25 +81,12 @@ func newFakeMember(t *testing.T) *fakeMember {
 			_, _ = w.Write([]byte("ok"))
 		}
 	})
-	mux.HandleFunc("/debug/alerts", func(w http.ResponseWriter, _ *http.Request) {
+	m.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		m.mu.Lock()
-		firing := m.alertsFiring
+		m.requests[r.URL.Path]++
 		m.mu.Unlock()
-		_ = json.NewEncoder(w).Encode(map[string]any{"firing": firing})
-	})
-	mux.HandleFunc("/debug/tsdb", func(w http.ResponseWriter, _ *http.Request) {
-		m.mu.Lock()
-		body := m.tsdbBody
-		m.mu.Unlock()
-		if body == "" {
-			body = `{"tiers":[],"series":[{"name":"a"},{"name":"b"}]}`
-		}
-		_, _ = w.Write([]byte(body))
-	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-		_ = json.NewEncoder(w).Encode(map[string]any{"cmdline": []string{"/usr/bin/depotd"}})
-	})
-	m.srv = httptest.NewServer(mux)
+		mux.ServeHTTP(w, r)
+	}))
 	t.Cleanup(m.srv.Close)
 	return m
 }
@@ -134,9 +126,7 @@ func TestScrapeStatesUpDegradedDown(t *testing.T) {
 
 	degraded := newFakeMember(t)
 	degraded.setHealth(503, `{"status":"degraded","reason":"slo: critical alert firing: x"}`)
-	degraded.mu.Lock()
-	degraded.alertsFiring = 2
-	degraded.mu.Unlock()
+	degraded.set(obs.MSLOAlertsFiring, 2)
 
 	down := newFakeMember(t)
 	downAddr := down.addr()
@@ -158,12 +148,6 @@ func TestScrapeStatesUpDegradedDown(t *testing.T) {
 	}
 	if m.P99Ms != 7.5 {
 		t.Fatalf("p99 = %v, want 7.5", m.P99Ms)
-	}
-	if m.Version != "depotd" {
-		t.Fatalf("version = %q, want depotd (from /debug/vars cmdline)", m.Version)
-	}
-	if m.Series != 2 {
-		t.Fatalf("series = %d, want 2", m.Series)
 	}
 
 	m, _ = memberByAddr(f, degraded.addr())
@@ -221,25 +205,81 @@ func TestSlowPeerBoundedByDeadline(t *testing.T) {
 	}
 }
 
-func TestMalformedTSDBPayloadKeepsMemberUp(t *testing.T) {
-	m := newFakeMember(t)
-	m.mu.Lock()
-	m.tsdbBody = `{"series": [{"name": truncated...`
-	m.mu.Unlock()
-
-	reg := obs.NewRegistry()
-	f := New(Config{Peers: []string{m.addr()}, Registry: reg})
+// TestScrapeIsTwoRequestsPerMember: a pass asks each member for /metrics
+// and /healthz and nothing else, whatever else the member serves.
+func TestScrapeIsTwoRequestsPerMember(t *testing.T) {
+	a, b := newFakeMember(t), newFakeMember(t)
+	b.setHealth(503, `{"status":"degraded","reason":"x"}`)
+	f := New(Config{Peers: []string{a.addr(), b.addr()}, Registry: obs.NewRegistry()})
 	f.Scrape(context.Background())
+	f.Scrape(context.Background())
+	for _, m := range []*fakeMember{a, b} {
+		m.mu.Lock()
+		got := fmt.Sprint(m.requests)
+		m.mu.Unlock()
+		if want := "map[/healthz:2 /metrics:2]"; got != want {
+			t.Errorf("member %s was asked for %s in two passes, want %s", m.addr(), got, want)
+		}
+	}
+}
 
-	got, _ := memberByAddr(f, m.addr())
-	if got.State != StateUp {
-		t.Fatalf("member with broken telemetry = %+v, want up (the process is alive)", got)
+// TestFleetServedCountsServers: fleet.served, the fleet-shed-burn
+// denominator, counts what the fleet's servers served — the depot, edge and
+// DVS loops' service-time histograms and the server agent's render
+// requests — and nothing a client did.
+func TestFleetServedCountsServers(t *testing.T) {
+	client, dvsd, render := newFakeMember(t), newFakeMember(t), newFakeMember(t)
+	f := New(Config{Peers: []string{client.addr(), dvsd.addr(), render.addr()}, Registry: obs.NewRegistry()})
+	ctx := context.Background()
+	f.Scrape(ctx) // first sight of every family contributes nothing
+	// dvs.op.ms was the DVS client's histogram.
+	client.set("dvs.op.ms{op=GET}", hist(500, 1))
+	client.set(obs.Label(obs.MIBPOpMs, "op", "LOAD"), hist(900, 1))
+	dvsd.set(obs.Label(obs.MDVSServerOpMs, "op", "GET"), hist(0, 0))
+	render.set(obs.MAgentServerRequests, 0.0)
+	f.Scrape(ctx)
+	dvsd.set(obs.Label(obs.MDVSServerOpMs, "op", "GET"), hist(7, 1))
+	dvsd.set(obs.Label(obs.MDVSServerOpMs, "op", "PUT"), hist(3, 1))
+	client.set("dvs.op.ms{op=GET}", hist(800, 1))
+	render.set(obs.MAgentServerRequests, 4.0)
+	f.Scrape(ctx)
+	if got := f.Aggregates()["served"]; got != 14 {
+		t.Fatalf("fleet.served = %v, want 14 (10 DVS requests served + 4 renders; client ops add 0)", got)
 	}
-	snap := reg.Snapshot()
-	errKey := obs.Label(obs.MFleetScrapeErrors, "node", m.addr())
-	if v, _ := snap[errKey].(float64); v != 1 {
-		t.Fatalf("scrape.errors{node=} = %v, want 1", snap[errKey])
-	}
+}
+
+// FuzzFleetParseMetrics: whatever two successive documents a peer answers
+// /metrics with, the fold of both passes (counter deltas, restarts,
+// per-node mirrors) neither panics nor leaves a cluster aggregate or the
+// member's row outside the finite, non-negative range.
+func FuzzFleetParseMetrics(f *testing.F) {
+	f.Add([]byte(`{"ibp.shed{reason=queue_full}": 3, "ibp.server.op.ms{op=LOAD}": {"count": 9, "p99": 4.5}, "process.uptime_s": 12}`),
+		[]byte(`{"ibp.shed{reason=queue_full}": 1, "ibp.server.op.ms{op=LOAD}": {"count": 20, "p99": 2}, "process.uptime_s": 1}`))
+	f.Add([]byte(`{"edge.hot.vs-1": 2, "edge.hits": 1e308, "edge.hits{x=y}": 1e308, "slo.alerts.firing": 2}`),
+		[]byte(`{"dvs.shed": -1.7e308, "edge.shed": 1.7e308, "agent.server.requests": 9e15}`))
+	f.Add([]byte(`{"ibp.shed{": -1, "{}": {"count": -5}, "agent.fetch.ms{class=wan": {"p99": 1e309}}`),
+		[]byte(`{"a{b=c,d}": [1], "": null, "x": "7"}`))
+	f.Fuzz(func(t *testing.T, first, second []byte) {
+		fl := New(Config{Registry: obs.NewRegistry(), Logger: obs.NewLogger(io.Discard, 1), Tracer: obs.NewTracer(1)})
+		m := &memberState{Member: Member{Addr: "peer:1", Kind: lbone.KindDepot, ServiceAddr: "d:1"}}
+		fl.members[m.Addr] = m
+		for _, doc := range [][]byte{first, second} {
+			var raw map[string]json.RawMessage
+			if json.Unmarshal(doc, &raw) != nil {
+				return
+			}
+			fl.fold([]*memberState{m}, []scrapeResult{{metrics: parseMetrics(raw), healthOK: true}}, time.Now())
+		}
+		row := fl.Members()[0]
+		for k, v := range fl.Aggregates() {
+			if !(v >= 0 && v <= math.MaxFloat64) {
+				t.Fatalf("aggregate %s = %v", k, v)
+			}
+		}
+		if row.AlertsFiring < 0 || !(row.P99Ms >= 0 && row.UptimeS >= 0) {
+			t.Fatalf("member row %+v", row)
+		}
+	})
 }
 
 func TestCounterResetFoldsAsRestart(t *testing.T) {
@@ -414,7 +454,7 @@ func TestTenMemberScrapeFitsOnePollInterval(t *testing.T) {
 	start := time.Now()
 	f.Scrape(context.Background())
 	elapsed := time.Since(start)
-	// Serial would be ≥ 10×300ms across four documents each; the parallel
+	// Serial would be ≥ 10×300ms across two documents each; the parallel
 	// fan-out must complete well inside the poll interval.
 	if elapsed > f.Interval() {
 		t.Fatalf("10-member scrape took %v, poll interval is %v", elapsed, f.Interval())
@@ -554,7 +594,7 @@ func TestEdgeDemandAggregatesIntoHotItems(t *testing.T) {
 	}
 }
 
-func TestHandlerServesMatrixJSONAndText(t *testing.T) {
+func TestHandlerServesMatrixJSON(t *testing.T) {
 	up := newFakeMember(t)
 	up.set(obs.MProcessUptime, 60.0)
 	f := New(Config{Self: "self:9000", Peers: []string{up.addr()}})
@@ -583,13 +623,5 @@ func TestHandlerServesMatrixJSONAndText(t *testing.T) {
 	}
 	if len(doc.Members) != 1 || doc.Members[0].State != StateUp {
 		t.Fatalf("members = %+v", doc.Members)
-	}
-
-	// Text: the operator matrix.
-	rr = httptest.NewRecorder()
-	f.Handler(nil).ServeHTTP(rr, httptest.NewRequest("GET", "/debug/fleet?format=text", nil))
-	body := rr.Body.String()
-	if !strings.Contains(body, "NODE") || !strings.Contains(body, up.addr()) {
-		t.Fatalf("text matrix missing member row:\n%s", body)
 	}
 }

@@ -2,10 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"sort"
-	"strings"
 	"time"
 
 	"lonviz/internal/obs/slo"
@@ -55,67 +52,14 @@ func (f *Fleet) response(engine *slo.Engine) fleetResponse {
 	return resp
 }
 
-// Handler serves the fleet view at /debug/fleet: the topology and
-// health matrix, cluster aggregates, and the engine's fleet-scope alerts
-// — JSON by default, a human-readable matrix with ?format=text.
+// Handler serves the fleet view at /debug/fleet as JSON: the topology and
+// health matrix, cluster aggregates, and the engine's fleet-scope alerts.
+// lftop -fleet is its one renderer.
 func (f *Fleet) Handler(engine *slo.Engine) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		resp := f.response(engine)
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			renderText(w, resp)
-			return
-		}
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(resp)
+		_ = enc.Encode(f.response(engine))
 	})
-}
-
-// renderText writes the fleet view as an operator-readable matrix.
-func renderText(w http.ResponseWriter, resp fleetResponse) {
-	fmt.Fprintf(w, "fleet  self=%s  interval=%.0fs  last scrape %.1fms", resp.Self, resp.IntervalS, resp.ScrapeMs)
-	if !resp.Updated.IsZero() {
-		fmt.Fprintf(w, "  updated %s", resp.Updated.Format(time.RFC3339))
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-26s %-8s %-9s %-10s %8s %8s %7s  %s\n",
-		"NODE", "KIND", "STATE", "VERSION", "UPTIME", "P99MS", "ALERTS", "NOTE")
-	for _, m := range resp.Members {
-		note := m.Err
-		if note == "" {
-			note = m.Health
-		}
-		fmt.Fprintf(w, "%-26s %-8s %-9s %-10s %8s %8.1f %7d  %s\n",
-			m.Addr, m.Kind, m.State, m.Version,
-			formatUptime(m.UptimeS), m.P99Ms, m.AlertsFiring, note)
-	}
-	fmt.Fprintln(w)
-	keys := make([]string, 0, len(resp.Aggregates))
-	for k := range resp.Aggregates {
-		if strings.Contains(k, "{node=") || strings.Contains(k, ",node=") {
-			continue // per-node mirrors: the matrix above covers them
-		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(w, "fleet.%-32s %.3f\n", k, resp.Aggregates[k])
-	}
-	if len(resp.Alerts) > 0 {
-		fmt.Fprintln(w)
-		for _, a := range resp.Alerts {
-			fmt.Fprintf(w, "alert %-24s %-9s %-8s %s\n", a.Rule, a.State, a.Severity, a.Reason)
-		}
-	}
-}
-
-func formatUptime(s float64) string {
-	if s <= 0 {
-		return "-"
-	}
-	d := time.Duration(s * float64(time.Second)).Round(time.Second)
-	return d.String()
 }

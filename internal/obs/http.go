@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -15,11 +14,11 @@ import (
 // registry exposes.
 var processStart = time.Now()
 
-// ServeOptions configures the observability HTTP surface beyond the
-// registry and tracer: retained history, readiness, health degradation,
-// and extra endpoints (the SLO engine's /debug/alerts arrives this way —
-// obs cannot import internal/obs/slo, so the coupling stays generic).
-// The zero value reproduces the classic NewMux surface.
+// ServeOptions configures the observability HTTP surface: the registry
+// and tracer, retained history, readiness, health degradation, and extra
+// endpoints (the SLO engine's /debug/alerts arrives this way — obs cannot
+// import internal/obs/slo, so the coupling stays generic). The zero value
+// serves the process defaults.
 type ServeOptions struct {
 	// Registry to serve at /metrics; nil means Default().
 	Registry *Registry
@@ -39,18 +38,9 @@ type ServeOptions struct {
 	Extra map[string]http.Handler
 }
 
-// NewMux builds the classic observability HTTP surface over a registry
-// and tracer (nil means the process defaults). See NewMuxWith for the
-// full endpoint list.
-func NewMux(reg *Registry, tracer *Tracer) *http.ServeMux {
-	return NewMuxWith(ServeOptions{Registry: reg, Tracer: tracer})
-}
-
-// NewMuxWith builds the observability HTTP surface:
+// NewMux builds the observability HTTP surface:
 //
 //	/metrics        registry snapshot as flat JSON
-//	/debug/vars     the same snapshot (expvar-compatible shape), plus
-//	                the stdlib expvar variables (cmdline, memstats)
 //	/debug/pprof/   net/http/pprof profiles (profile, heap, goroutine,
 //	                trace, ...)
 //	/debug/traces   recently completed spans, oldest first
@@ -64,7 +54,7 @@ func NewMux(reg *Registry, tracer *Tracer) *http.ServeMux {
 //	                the Health hook reports an error (critical SLO alert)
 //	/readyz         startup probe: 503 + JSON phase until the process
 //	                marks itself ready, then 200 "ok"
-func NewMuxWith(opts ServeOptions) *http.ServeMux {
+func NewMux(opts ServeOptions) *http.ServeMux {
 	reg := opts.Registry
 	if reg == nil {
 		reg = Default()
@@ -81,28 +71,6 @@ func NewMuxWith(opts ServeOptions) *http.ServeMux {
 	})
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())
-	// /debug/vars merges the stdlib expvar map (cmdline, memstats) with
-	// the registry, serving one flat JSON object like expvar does.
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		fmt.Fprintf(w, "{\n")
-		first := true
-		expvar.Do(func(kv expvar.KeyValue) {
-			if !first {
-				fmt.Fprintf(w, ",\n")
-			}
-			first = false
-			fmt.Fprintf(w, "%q: %s", kv.Key, kv.Value.String())
-		})
-		for name, val := range reg.Snapshot() {
-			if !first {
-				fmt.Fprintf(w, ",\n")
-			}
-			first = false
-			fmt.Fprintf(w, "%q: %s", name, jsonValue(val))
-		}
-		fmt.Fprintf(w, "\n}\n")
-	})
 	mux.Handle("/debug/traces", tracer.Handler())
 	mux.Handle("/debug/events", DefaultLogger().Handler())
 	if opts.TSDB != nil {
@@ -145,14 +113,6 @@ func NewMuxWith(opts ServeOptions) *http.ServeMux {
 		mux.Handle(path, h)
 	}
 	return mux
-}
-
-func jsonValue(v any) string {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return "null"
-	}
-	return string(b)
 }
 
 // Server is a running observability endpoint: the bound address plus a
@@ -198,23 +158,16 @@ func (s *Server) Close(ctx context.Context) error {
 }
 
 // Serve binds the observability mux on addr and serves it on a
-// background goroutine. Pass nil reg/tracer for the process defaults.
-// Serving metrics also turns on cross-process trace propagation (the
-// trace=... line tokens and X-Lonviz-Trace headers) for this process:
-// the deployments that can receive a trace are exactly the ones that
-// export one.
-func Serve(addr string, reg *Registry, tracer *Tracer) (*Server, error) {
-	return ServeWith(addr, ServeOptions{Registry: reg, Tracer: tracer})
-}
-
-// ServeWith is Serve with the full option surface (TSDB, readiness,
-// degradable health, extra endpoints).
-func ServeWith(addr string, opts ServeOptions) (*Server, error) {
+// background goroutine. Serving metrics also turns on cross-process trace
+// propagation (the trace=... line tokens and X-Lonviz-Trace headers) for
+// this process: the deployments that can receive a trace are exactly the
+// ones that export one.
+func Serve(addr string, opts ServeOptions) (*Server, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	mux := NewMuxWith(opts)
+	mux := NewMux(opts)
 	srv := &http.Server{
 		Handler:           mux,
 		ReadHeaderTimeout: 5 * time.Second,

@@ -12,7 +12,7 @@ import (
 
 func TestMetricsEndpointJSONShape(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("ibp.bytes_in").Add(42)
+	r.Counter("requests").Add(42)
 	r.Histogram(Label(MIBPOpMs, "op", "LOAD"), LatencyBucketsMs...).Observe(3.5)
 	r.RegisterSnapshot("agent", func() map[string]float64 {
 		return map[string]float64{"cache.hit_rate": 0.75}
@@ -21,7 +21,7 @@ func TestMetricsEndpointJSONShape(t *testing.T) {
 	_, s := tr.StartSpan(context.Background(), "root")
 	s.Finish()
 
-	srv := httptest.NewServer(NewMux(r, tr))
+	srv := httptest.NewServer(NewMux(ServeOptions{Registry: r, Tracer: tr}))
 	defer srv.Close()
 
 	body := get(t, srv.URL+"/metrics")
@@ -29,7 +29,7 @@ func TestMetricsEndpointJSONShape(t *testing.T) {
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatalf("/metrics is not JSON: %v\n%s", err, body)
 	}
-	if snap["ibp.bytes_in"] != 42.0 {
+	if snap["requests"] != 42.0 {
 		t.Fatalf("counter missing: %v", snap)
 	}
 	hist, ok := snap["ibp.op.ms{op=LOAD}"].(map[string]any)
@@ -43,20 +43,6 @@ func TestMetricsEndpointJSONShape(t *testing.T) {
 	}
 	if snap["agent.cache.hit_rate"] != 0.75 {
 		t.Fatalf("snapshot bridge missing: %v", snap)
-	}
-
-	// /debug/vars serves the same metrics in expvar's flat-object shape,
-	// merged with the stdlib expvar variables.
-	vars := get(t, srv.URL+"/debug/vars")
-	var vm map[string]any
-	if err := json.Unmarshal(vars, &vm); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v\n%s", err, vars)
-	}
-	if _, ok := vm["memstats"]; !ok {
-		t.Fatal("/debug/vars must include stdlib expvar memstats")
-	}
-	if vm["ibp.bytes_in"] != 42.0 {
-		t.Fatalf("/debug/vars must include registry metrics: %v", vm["ibp.bytes_in"])
 	}
 
 	// /debug/traces dumps completed spans.
@@ -83,7 +69,7 @@ func TestServeBindsAndCloses(t *testing.T) {
 	defer SetPropagation(false)
 	r := NewRegistry()
 	r.Counter("x").Inc()
-	srv, err := Serve("127.0.0.1:0", r, NewTracer(4))
+	srv, err := Serve("127.0.0.1:0", ServeOptions{Registry: r, Tracer: NewTracer(4)})
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}

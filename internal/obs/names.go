@@ -15,17 +15,11 @@ const (
 	MIBPDepotMs = "ibp.depot.ms"
 	// MIBPOpErrors: counter. Failed operations, {op=...}.
 	MIBPOpErrors = "ibp.op.errors"
-	// MIBPBytesOut: counter. Payload bytes written to depots (STORE).
-	MIBPBytesOut = "ibp.bytes_out"
-	// MIBPBytesIn: counter. Payload bytes read from depots (LOAD).
-	MIBPBytesIn = "ibp.bytes_in"
 
 	// --- ibp server / depot (recorded by ibp.Server.dispatch) ---
 
 	// MIBPServerOpMs: histogram, ms per served verb: {op=...}.
 	MIBPServerOpMs = "ibp.server.op.ms"
-	// MIBPServerErrors: counter. Requests answered with ERR, {op=...}.
-	MIBPServerErrors = "ibp.server.errors"
 	// MIBPShed: counter. Requests rejected with BUSY by admission control,
 	// {reason=queue_full|queue_wait|deadline}.
 	MIBPShed = "ibp.shed"
@@ -36,12 +30,6 @@ const (
 
 	// --- lors transfer layer ---
 
-	// MLorsDownloadMs: histogram, ms per whole-object Download.
-	MLorsDownloadMs = "lors.download.ms"
-	// MLorsExtentMs: histogram, ms per extent fetch (failover or race).
-	MLorsExtentMs = "lors.download.extent.ms"
-	// MLorsDownloadBytes: counter. Payload bytes assembled by Download.
-	MLorsDownloadBytes = "lors.download.bytes"
 	// MLorsReplicaTries: counter. Replica load attempts, incl. failures.
 	MLorsReplicaTries = "lors.download.replica_tries"
 	// MLorsFailedAttempts: counter. Failed replica loads.
@@ -52,17 +40,6 @@ const (
 	MLorsSkippedReplicas = "lors.download.skipped_replicas"
 	// MLorsRetryPasses: counter. Replica-list retry passes beyond the first.
 	MLorsRetryPasses = "lors.download.retry_passes"
-	// MLorsUploadMs: histogram, ms per whole-object Upload.
-	MLorsUploadMs = "lors.upload.ms"
-	// MLorsStripeMs: histogram, ms per stripe placement (all replicas).
-	MLorsStripeMs = "lors.upload.stripe.ms"
-	// MLorsUploadBytes: counter. Payload bytes uploaded (once per stripe
-	// replica actually stored).
-	MLorsUploadBytes = "lors.upload.bytes"
-	// MLorsStageMs: histogram, ms per CopyToStriped staging transfer.
-	MLorsStageMs = "lors.stage.ms"
-	// MLorsStageExtents: counter. Extents staged by third-party copy.
-	MLorsStageExtents = "lors.stage.extents"
 	// MLorsCircuitTrips: counter. Depot circuits opened by the breaker.
 	MLorsCircuitTrips = "lors.circuit.trips"
 	// MLorsCircuitOpen: gauge. Depots whose circuit is currently open.
@@ -76,10 +53,8 @@ const (
 
 	// --- directory services ---
 
-	// MDVSOpMs: histogram, ms per DVS client op: {op=GET|PUT|REPLACE|...}.
-	MDVSOpMs = "dvs.op.ms"
-	// MDVSOpErrors: counter. Failed DVS client ops, {op=...}.
-	MDVSOpErrors = "dvs.op.errors"
+	// MDVSServerOpMs: histogram, ms per served DVS verb: {op=GET|PUT|...}.
+	MDVSServerOpMs = "dvs.server.op.ms"
 	// MDVSShed: counter. DVS requests rejected with BUSY by admission
 	// control, {reason=queue_full|queue_wait|deadline}.
 	MDVSShed = "dvs.shed"
@@ -87,10 +62,6 @@ const (
 	MDVSInflight = "dvs.server.inflight"
 	// MDVSQueueDepth: gauge. DVS requests waiting for an execution slot.
 	MDVSQueueDepth = "dvs.server.queue_depth"
-	// MLBoneOpMs: histogram, ms per L-Bone client op: {op=register|lookup}.
-	MLBoneOpMs = "lbone.op.ms"
-	// MLBoneOpErrors: counter. Failed L-Bone client ops, {op=...}.
-	MLBoneOpErrors = "lbone.op.errors"
 
 	// --- client agent: agent.fetch.ms is recorded into the registry; the
 	// counts are agent.ClientAgentStats, published by RegisterMetrics ---
@@ -124,6 +95,9 @@ const (
 	// newer request when the queue was full (latest request wins), deadline
 	// = every waiter's budget expired before the render started.
 	MAgentRenderShed = "agent.render.shed"
+	// MAgentServerRequests: counter. Render requests the server agent
+	// took (the served count the fleet pairs with agent.render.shed).
+	MAgentServerRequests = "agent.server.requests"
 	// MAgentRenderQueueDepth: gauge. Render requests queued behind the
 	// renderer.
 	MAgentRenderQueueDepth = "agent.render.queue_depth"
@@ -132,18 +106,12 @@ const (
 	// counts are steward.Stats and HotSetReplicator.Stats, published by
 	// their RegisterMetrics ---
 
-	// MStewardCycleMs: histogram, ms per scan cycle.
-	MStewardCycleMs = "steward.cycle.ms"
 	// MStewardCycles: counter. Completed scan cycles.
 	MStewardCycles = "steward.cycles"
-	// MStewardRepairMs: histogram, ms per successful extent repair copy.
-	MStewardRepairMs = "steward.repair.ms"
 	// MStewardRenewals: counter. Leases renewed.
 	MStewardRenewals = "steward.renewals"
 	// MStewardRepairs: counter. Repair copies that succeeded.
 	MStewardRepairs = "steward.repairs"
-	// MStewardRepairFailures: counter. Repair attempts that failed.
-	MStewardRepairFailures = "steward.repair_failures"
 	// MStewardPruned: counter. Dead replicas pruned from exNodes.
 	MStewardPruned = "steward.pruned"
 	// MStewardExtentsLost: counter. Extents left with zero healthy replicas.
@@ -171,15 +139,8 @@ const (
 	// MEdgeFillErrors: counter. Fills that failed (clients fail over to
 	// the origin replicas).
 	MEdgeFillErrors = "edge.fill_errors"
-	// MEdgeCoalesced: counter. Misses that piggybacked on an in-flight
-	// fill instead of fetching the origin again.
-	MEdgeCoalesced = "edge.coalesced"
-	// MEdgeFillMs: histogram, ms per origin fill.
-	MEdgeFillMs = "edge.fill.ms"
 	// MEdgeServeMs: histogram, ms per served request: {op=LOAD|STATUS}.
 	MEdgeServeMs = "edge.serve.ms"
-	// MEdgeBytesServed: counter. Payload bytes answered to clients.
-	MEdgeBytesServed = "edge.bytes_served"
 	// MEdgeShed: counter. Edge requests rejected with BUSY,
 	// {reason=queue_full|queue_wait|deadline}.
 	MEdgeShed = "edge.shed"
@@ -188,8 +149,6 @@ const (
 
 	// MBufpoolGets: counter. Buffers requested from the pool.
 	MBufpoolGets = "bufpool.gets"
-	// MBufpoolHits: counter. Gets satisfied by a recycled buffer.
-	MBufpoolHits = "bufpool.hits"
 	// MBufpoolMisses: counter. Gets that had to allocate a fresh buffer.
 	MBufpoolMisses = "bufpool.misses"
 	// MBufpoolPuts: counter. Buffers returned to the pool for reuse.
@@ -205,32 +164,18 @@ const (
 
 	// --- ibp pipelined transport (ibp.Pipe / ibp.PipePool) ---
 
-	// MIBPPipeDepth: gauge. Tagged requests currently in flight across
-	// all pipelined depot connections.
-	MIBPPipeDepth = "ibp.pipe.depth"
 	// MIBPPipeOps: counter. Operations issued through a PipePool,
 	// {mode=pipelined|serial}; serial counts fallbacks to one-shot
 	// connections against depots that do not speak PIPELINE.
 	MIBPPipeOps = "ibp.pipe.ops"
-	// MIBPPipeDials: counter. Pipelined connections established
-	// (includes the PIPELINE handshake round trip).
-	MIBPPipeDials = "ibp.pipe.dials"
-	// MIBPPipeBroken: counter. Pipelined connections torn down mid-use
-	// (read error, depot restart); in-flight requests fail over to lors
-	// retry passes and the next op redials.
-	MIBPPipeBroken = "ibp.pipe.broken"
 	// MIBPPipeFallbacks: counter. Depots detected as old-protocol
 	// (PIPELINE answered with ERR), pinned to serial mode.
 	MIBPPipeFallbacks = "ibp.pipe.fallbacks"
 
 	// --- SLO engine (internal/obs/slo) ---
 
-	// MSLOEvaluations: counter. Rule-evaluation passes completed.
-	MSLOEvaluations = "slo.evaluations"
 	// MSLOAlertsFiring: gauge. Alerts currently in the firing state.
 	MSLOAlertsFiring = "slo.alerts.firing"
-	// MSLOTransitions: counter. Alert state transitions: {to=firing|resolved}.
-	MSLOTransitions = "slo.transitions"
 
 	// --- Go runtime (internal/obs/prof harvester, sampled each TSDB tick) ---
 
@@ -286,9 +231,6 @@ const (
 	// MFleetScrapeErrors: counter in the fleet snapshot. Failed pulls per
 	// member, {node=addr}; node=lbone counts failed directory sweeps.
 	MFleetScrapeErrors = "fleet.scrape.errors"
-	// MFleetScrapeMs: histogram, ms per whole scrape pass (all members,
-	// parallel fan-out included).
-	MFleetScrapeMs = "fleet.scrape.ms"
 	// MFleetFPS: gauge. Fleet-wide frames per second: summed reset-aware
 	// view-set fetch rates of every member exposing agent.fetch.ms.
 	MFleetFPS = "fleet.fps"
@@ -300,9 +242,6 @@ const (
 	// reset-aware increases of the server-side op histograms folded into
 	// one monotonic series (the fleet shed-burn denominator).
 	MFleetServed = "fleet.served"
-	// MFleetEdgeHitRate: gauge. Cooperative edge hit rate across every
-	// edge member: sum(hits)/sum(hits+misses).
-	MFleetEdgeHitRate = "fleet.edge.hit_rate"
 	// MFleetCoverage: gauge. Live replicas of one published exNode's
 	// thinnest extent, {exnode=name}: layouts intersected with the depot
 	// members currently up, so a dying depot moves it immediately.

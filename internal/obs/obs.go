@@ -35,9 +35,9 @@
 //
 // # Exposure
 //
-// NewMux builds the HTTP surface: /metrics and /debug/vars serve the
-// registry as a flat JSON object (the expvar shape), /debug/pprof/* is
-// net/http/pprof, and /debug/traces dumps the recent span ring. Serve
+// NewMux builds the HTTP surface: /metrics serves the registry as a flat
+// JSON object, /debug/pprof/* is net/http/pprof, and /debug/traces dumps
+// the recent span ring. Serve
 // binds it to an address; every daemon exposes it behind a -metrics-addr
 // flag. See docs/OBSERVABILITY.md for the metric catalog and worked
 // diagnosis examples.

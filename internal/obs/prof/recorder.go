@@ -55,9 +55,8 @@ type Bundle struct {
 	// Note carries the alert reason (or the manual caller's note).
 	Note string `json:"note,omitempty"`
 	// Files maps file name to contents: cpu.pprof, heap.pprof,
-	// goroutines.txt (debug=1, includes pprof labels), goroutines-full.txt
-	// (debug=2, full stacks), mutex.pprof, block.pprof, spans.json,
-	// events.json, tsdb.json. A file that failed to record is replaced by
+	// goroutines.txt (debug=1, includes pprof labels), mutex.pprof,
+	// block.pprof, spans.json, events.json, tsdb.json. A file that failed to record is replaced by
 	// an entry in errors.txt rather than failing the bundle.
 	Files map[string][]byte `json:"-"`
 }
@@ -257,7 +256,6 @@ func (r *Recorder) record(id string, now time.Time, trigger, note string) *Bundl
 	// debug=1 renders text with the goroutines' pprof labels inline —
 	// the "what was every request doing" view of the incident.
 	snap("goroutines.txt", "goroutine", 1)
-	snap("goroutines-full.txt", "goroutine", 2)
 	snap("mutex.pprof", "mutex", 0)
 	snap("block.pprof", "block", 0)
 

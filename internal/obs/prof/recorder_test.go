@@ -136,7 +136,7 @@ func TestCaptureBundleContents(t *testing.T) {
 		t.Errorf("bundle trigger/note = %q/%q", b.Trigger, b.Note)
 	}
 	for _, name := range []string{
-		"cpu.pprof", "heap.pprof", "goroutines.txt", "goroutines-full.txt",
+		"cpu.pprof", "heap.pprof", "goroutines.txt",
 		"spans.json", "events.json", "tsdb.json",
 	} {
 		if len(b.Files[name]) == 0 {

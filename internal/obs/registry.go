@@ -222,8 +222,8 @@ func (r *Registry) Snapshot() map[string]any {
 	return out
 }
 
-// WriteJSON writes the snapshot as pretty-printed JSON, sorted by key —
-// the flat name->value object of expvar's /debug/vars.
+// WriteJSON writes the snapshot as pretty-printed JSON, sorted by key: one
+// flat name->value object.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

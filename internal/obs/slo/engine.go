@@ -240,7 +240,6 @@ func (e *Engine) Evaluate() {
 	subs := e.subs
 	e.mu.Unlock()
 
-	e.reg.Counter(obs.MSLOEvaluations).Inc()
 	e.reg.Gauge(obs.MSLOAlertsFiring).Set(int64(firing))
 
 	if len(transitions) == 0 {
@@ -252,7 +251,6 @@ func (e *Engine) Evaluate() {
 	ctx, span := e.tracer.StartSpan(context.Background(), obs.SpanSLOEvaluate)
 	span.SetAttr("transitions", strconv.Itoa(len(transitions)))
 	for _, a := range transitions {
-		e.reg.Counter(obs.Label(obs.MSLOTransitions, "to", a.State)).Inc()
 		kv := []string{
 			"rule", a.Rule, "instance", a.Instance, "state", a.State,
 			"severity", a.Severity,

@@ -114,6 +114,32 @@ func testLatencyRule() Rule {
 	}
 }
 
+// TestShedRateRuleReadsWhatTheDepotServed: ibp-shed-rate divides a
+// depot's sheds by the requests its server loop served, so a depot
+// shedding half its load fires it. The depot records no client-side
+// ibp.op.ms of its own, which the rule once divided by.
+func TestShedRateRuleReadsWhatTheDepotServed(t *testing.T) {
+	var rule Rule
+	for _, r := range DefaultRules() {
+		if r.Name == "ibp-shed-rate" {
+			rule = r
+		}
+	}
+	h := newLatencyHarness(t, rule)
+	served := h.reg.Histogram(obs.Label(obs.MIBPServerOpMs, "op", "LOAD"), obs.LatencyBucketsMs...)
+	shed := h.reg.Counter(obs.Label(obs.MIBPShed, "reason", "queue_full"))
+	for i := 0; i < 30; i++ {
+		for j := 0; j < 10; j++ {
+			served.Observe(1)
+		}
+		shed.Add(10)
+		h.tick(0, 0)
+	}
+	if got := h.states(); len(got) != 1 || got[0] != StateFiring {
+		t.Fatalf("transitions = %v, want the rule firing on a depot shedding half its load", got)
+	}
+}
+
 func TestEngineFiresAfterForAndResolvesAfterClearAfter(t *testing.T) {
 	h := newLatencyHarness(t, testLatencyRule())
 

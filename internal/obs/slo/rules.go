@@ -326,7 +326,7 @@ func DefaultRules() []Rule {
 			Severity:    SeverityWarn,
 			Kind:        KindErrorRate,
 			ErrorMetric: obs.MIBPShed,
-			TotalMetric: obs.MIBPOpMs,
+			TotalMetric: obs.MIBPServerOpMs,
 			MaxRatio:    0.25,
 			Window:      Duration(time.Minute),
 			For:         Duration(10 * time.Second),

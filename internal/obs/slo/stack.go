@@ -153,7 +153,7 @@ func Start(opts Options) (*Stack, error) {
 		}
 	})
 
-	srv, err := obs.ServeWith(opts.Addr, obs.ServeOptions{
+	srv, err := obs.Serve(opts.Addr, obs.ServeOptions{
 		Registry: opts.Registry,
 		Tracer:   opts.Tracer,
 		TSDB:     db,

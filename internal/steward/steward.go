@@ -101,18 +101,13 @@ type Stats struct {
 	VerifyFailures   int64
 	RepairsAttempted int64
 	RepairsSucceeded int64
-	// RepairFailures counts repair copies that failed on a candidate
-	// depot (a locator that finds no candidate is an attempt, not one).
-	RepairFailures  int64
-	ReplicasPruned  int64
-	ExtentsLost     int64
-	Republishes     int64
-	PublishFailures int64
+	ReplicasPruned   int64
+	ExtentsLost      int64
+	Republishes      int64
+	PublishFailures  int64
 	// AlertAudits counts targeted audits run because an SLO alert fired,
 	// ahead of the periodic cycle.
 	AlertAudits int64
-	// LastCycle is the wall-clock duration of the most recent scan cycle.
-	LastCycle time.Duration
 }
 
 // CycleReport summarizes one scan cycle; tests use it to detect
@@ -190,8 +185,8 @@ type Config struct {
 	Timeout time.Duration
 	// Clock supplies time (for tests); nil means time.Now.
 	Clock func() time.Time
-	// Obs receives the cycle and repair timing histograms and is threaded
-	// into the steward's depot clients; nil records into obs.Default().
+	// Obs is threaded into the steward's depot clients; nil records into
+	// obs.Default().
 	Obs *obs.Registry
 }
 
@@ -372,14 +367,6 @@ func (s *Steward) client(addr string) *ibp.Client {
 	return &ibp.Client{Addr: addr, Dialer: s.cfg.Dialer, Timeout: s.cfg.Timeout, Obs: s.cfg.Obs}
 }
 
-// registry resolves the metrics destination.
-func (s *Steward) registry() *obs.Registry {
-	if s.cfg.Obs != nil {
-		return s.cfg.Obs
-	}
-	return obs.Default()
-}
-
 // RegisterMetrics publishes this steward's cumulative Stats into reg
 // (scraped as steward.* at /metrics). Passing nil publishes into
 // obs.Default().
@@ -392,20 +379,15 @@ func (s *Steward) RegisterMetrics(reg *obs.Registry) {
 		return map[string]float64{
 			"cycles":            float64(st.Cycles),
 			"extents_audited":   float64(st.ExtentsAudited),
-			"replicas_probed":   float64(st.ReplicasProbed),
 			"renewals":          float64(st.LeasesRenewed),
 			"renew_failures":    float64(st.RenewFailures),
-			"payloads_verified": float64(st.PayloadsVerified),
 			"verify_failures":   float64(st.VerifyFailures),
 			"repairs_attempted": float64(st.RepairsAttempted),
 			"repairs":           float64(st.RepairsSucceeded),
-			"repair_failures":   float64(st.RepairFailures),
 			"pruned":            float64(st.ReplicasPruned),
 			"extents_lost":      float64(st.ExtentsLost),
 			"republishes":       float64(st.Republishes),
-			"publish_failures":  float64(st.PublishFailures),
 			"alert_audits":      float64(st.AlertAudits),
-			"last_cycle_ms":     float64(st.LastCycle) / 1e6,
 		}
 	})
 }
@@ -526,7 +508,6 @@ func (s *Steward) objectsOnDepot(depot string) []string {
 func (s *Steward) RunCycle(ctx context.Context) (CycleReport, error) {
 	s.cycleMu.Lock()
 	defer s.cycleMu.Unlock()
-	start := time.Now()
 	// Root one trace per maintenance cycle: repair copies the cycle issues
 	// carry its trace onto the wire, so a depot-side ibp.serve span can be
 	// attributed to "the steward's 14:05 cycle" rather than to a browsing
@@ -546,12 +527,7 @@ func (s *Steward) RunCycle(ctx context.Context) (CycleReport, error) {
 	report.FullyReplicated = report.ExtentsAudited > 0 &&
 		report.RepairsAttempted == 0 && report.Dead == 0 &&
 		report.Healthy >= report.ExtentsAudited*s.cfg.ReplicationTarget
-	s.addStats(func(st *Stats) {
-		st.Cycles++
-		st.LastCycle = time.Since(start)
-	})
-	s.registry().Histogram(obs.MStewardCycleMs, obs.LatencyBucketsMs...).
-		Observe(float64(time.Since(start)) / 1e6)
+	s.addStats(func(st *Stats) { st.Cycles++ })
 	return report, ctx.Err()
 }
 
@@ -922,7 +898,6 @@ func (s *Steward) repairExtent(ctx context.Context, name string, ext *exnode.Ext
 				continue
 			}
 			countAttempt()
-			repairStart := time.Now()
 			rctx, rspan := obs.DefaultTracer().StartSpan(ctx, obs.SpanStewardRepair)
 			rspan.SetAttr("object", name)
 			rspan.SetAttr("depot", addr)
@@ -931,7 +906,6 @@ func (s *Steward) repairExtent(ctx context.Context, name string, ext *exnode.Ext
 				rspan.SetAttr("err", err.Error())
 				rspan.Finish()
 				s.cfg.Health.ReportFailure(addr)
-				s.addStats(func(st *Stats) { st.RepairFailures++ })
 				s.emit(Event{Type: EventRepairFailed, Object: name, Offset: ext.Offset, Depot: addr, Err: err})
 				obs.DefaultLogger().Warn(rctx, obs.EvStewardRepairDone,
 					"dataset", name, "extent", strconv.FormatInt(ext.Offset, 10),
@@ -940,8 +914,6 @@ func (s *Steward) repairExtent(ctx context.Context, name string, ext *exnode.Ext
 			}
 			rspan.Finish()
 			s.cfg.Health.ReportSuccess(addr)
-			s.registry().Histogram(obs.MStewardRepairMs, obs.LatencyBucketsMs...).
-				Observe(float64(time.Since(repairStart)) / 1e6)
 			obs.DefaultLogger().Info(rctx, obs.EvStewardRepairDone,
 				"dataset", name, "extent", strconv.FormatInt(ext.Offset, 10),
 				"depot", addr, "ok", "true")

@@ -63,12 +63,10 @@ type ClientNames struct {
 	// the verb and the peer address (label key "depot") beside it.
 	ProfClass string
 	// OpMs is the latency histogram and Errors the failure counter, both
-	// labelled op. PeerMs is the latency histogram labelled depot=<addr>;
-	// BytesOut and BytesIn, counted where it is set, are payload and body bytes.
-	OpMs, Errors, PeerMs, BytesOut, BytesIn string
-	// The tagged-mode families: handshakes granted and refused, operations
-	// by mode, tagged connections that broke in use, requests in flight.
-	PipeDials, PipeFallbacks, PipeOps, PipeBroken, PipeDepth string
+	// labelled op. PeerMs is the latency histogram labelled depot=<addr>.
+	OpMs, Errors, PeerMs string
+	// The tagged-mode families: handshakes refused, operations by mode.
+	PipeFallbacks, PipeOps string
 }
 
 // Protocol is what a line protocol brings to the transport.
@@ -214,10 +212,6 @@ func (c *Client) run(ctx context.Context, call *Call, on *ClientConn) error {
 	reg.Histogram(obs.Label(n.OpMs, "op", verb), obs.LatencyBucketsMs...).ObserveTrace(ms, tid)
 	if n.PeerMs != "" {
 		reg.Histogram(obs.Label(n.PeerMs, "depot", c.Addr), obs.LatencyBucketsMs...).ObserveTrace(ms, tid)
-		reg.Counter(n.BytesOut).Add(int64(len(call.Payload)))
-		if err == nil {
-			reg.Counter(n.BytesIn).Add(int64(len(call.Dst) + len(call.Data)))
-		}
 	}
 	// A miss is an expected outcome, not an operational failure.
 	if err != nil && !(c.Proto.Miss != nil && errors.Is(err, c.Proto.Miss)) {
@@ -277,9 +271,6 @@ func (c *Client) do(ctx context.Context, call *Call, on *ClientConn, start time.
 		}
 		if out != broken || ctx.Err() != nil || bounded && !time.Now().Before(deadline) {
 			return err // answered; or timed out, not stale: a redial would only fail the same way
-		}
-		if tagged {
-			c.count(c.Proto.Names.PipeBroken)
 		}
 		if attempt > 0 || !reused || !(call.Idempotent || unwritten) {
 			return err
@@ -428,7 +419,6 @@ func (c *Client) tagged(ctx context.Context) (cc *ClientConn, reused bool, err e
 	switch {
 	case err == nil:
 		c.pipe = cc
-		c.count(c.Proto.Names.PipeDials)
 	case errors.Is(err, errRefused):
 		// A server that predates the verb ("unknown verb PIPELINE") or has
 		// pipelining disabled: either way, untagged from here on.
@@ -535,7 +525,6 @@ type ClientConn struct {
 	slots  chan struct{} // one token per request in flight: the window
 	done   chan struct{} // closed when the connection breaks
 	wmu    sync.Mutex    // serializes whole requests onto nc
-	depth  atomic.Int64
 
 	mu      sync.Mutex
 	waiters map[uint64]*Call
@@ -711,15 +700,8 @@ func (cc *ClientConn) fail(err error) {
 	close(cc.done)
 	cc.mu.Unlock()
 	cc.nc.Close()
-	cc.addDepth(-len(ws))
 	for _, w := range ws {
 		w.done <- result{broken, err}
-	}
-}
-
-func (cc *ClientConn) addDepth(n int) {
-	if name := cc.c.Proto.Names.PipeDepth; name != "" && n != 0 {
-		cc.c.registry().Gauge(name).Set(cc.depth.Add(int64(n)))
 	}
 }
 
@@ -749,7 +731,6 @@ func (cc *ClientConn) exchange(ctx context.Context, call *Call, tokens string) (
 	tag := cc.nextTag
 	cc.waiters[tag] = call
 	cc.mu.Unlock()
-	cc.addDepth(1)
 	cc.wmu.Lock()
 	_, err := cc.send(call, tag, tokens)
 	cc.wmu.Unlock()
@@ -815,7 +796,6 @@ func (cc *ClientConn) readLoop() {
 		if out == broken {
 			err = cc.brokenf("%v", err)
 		}
-		cc.addDepth(-1)
 		<-cc.slots
 		call.done <- result{out, err}
 		if out == broken {

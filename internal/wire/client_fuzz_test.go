@@ -95,19 +95,19 @@ var fuzzedVerbs = []fuzzedVerb{
 		return nil, p.Store(ctx, "wcap", 0, []byte("hello"))
 	}},
 	{name: "GET", call: func(ctx context.Context, d ibp.Dialer, _ *ibp.Pipe, _ []byte) ([]byte, error) {
-		cl := &dvs.Client{Addr: "x", Dialer: d, Obs: obs.NewRegistry()}
+		cl := &dvs.Client{Addr: "x", Dialer: d}
 		defer cl.CloseIdle()
 		reps, err := cl.Get(ctx, fuzzKey)
 		return bytes.Join(reps, nil), err
 	}},
 	{name: "AGENT", call: func(ctx context.Context, d ibp.Dialer, _ *ibp.Pipe, _ []byte) ([]byte, error) {
-		cl := &dvs.Client{Addr: "x", Dialer: d, Obs: obs.NewRegistry()}
+		cl := &dvs.Client{Addr: "x", Dialer: d}
 		defer cl.CloseIdle()
 		_, err := cl.AgentFor(ctx, "ds")
 		return nil, err
 	}},
 	{name: "PUT", call: func(ctx context.Context, d ibp.Dialer, _ *ibp.Pipe, _ []byte) ([]byte, error) {
-		cl := &dvs.Client{Addr: "x", Dialer: d, Obs: obs.NewRegistry()}
+		cl := &dvs.Client{Addr: "x", Dialer: d}
 		defer cl.CloseIdle()
 		return nil, cl.Put(ctx, fuzzKey, []byte("<exnode/>"))
 	}},

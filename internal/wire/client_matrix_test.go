@@ -42,7 +42,7 @@ func configurations(addr string, dialer ibp.Dialer) map[string]struct {
 	}
 	serial := &ibp.Client{Addr: addr, Dialer: dialer, Obs: obs.NewRegistry()}
 	pool := &ibp.PipePool{Dialer: dialer, Obs: obs.NewRegistry()}
-	kept := &dvs.Client{Addr: addr, Dialer: dialer, Obs: obs.NewRegistry()}
+	kept := &dvs.Client{Addr: addr, Dialer: dialer}
 	remote := &agent.RemoteSource{Addr: addr, Dataset: "ds", Dialer: dialer}
 	return map[string]cfg{
 		"unkept": {

@@ -249,7 +249,7 @@ func runClientRows(t *testing.T, rows []clientRow, tagged, tokens, tokenless boo
 			c := &clients{
 				addr:   peer.addr,
 				ibp:    &ibp.Client{Addr: peer.addr, Obs: obs.NewRegistry()},
-				dvs:    &dvs.Client{Addr: peer.addr, Obs: obs.NewRegistry()},
+				dvs:    &dvs.Client{Addr: peer.addr},
 				remote: &agent.RemoteSource{Addr: peer.addr, Dataset: "ds"},
 			}
 			defer c.dvs.CloseIdle()

@@ -190,9 +190,9 @@ type Names struct {
 	Span string
 	// ProfClass is the pprof class label put on handler execution.
 	ProfClass string
-	// OpMs is the service-time histogram, Errors the ERR-reply counter
-	// (both labelled op), ErrEvent the event logged per ERR reply.
-	OpMs, Errors, ErrEvent string
+	// OpMs is the service-time histogram (labelled op), ErrEvent the event
+	// logged per ERR reply.
+	OpMs, ErrEvent string
 	// Shed is the shed counter (labelled reason). A service without one
 	// does its own shedding (the render scheduler) or none: the loop
 	// admits all its requests.
@@ -550,9 +550,6 @@ func (c *conn) exec(x *exchange) (keep bool) {
 	bufpool.Put(req.Payload)
 	if rep.isErr() {
 		span.SetAttr("err", "1")
-		if n.Errors != "" {
-			reg.Counter(obs.Label(n.Errors, "op", verb)).Inc()
-		}
 		if n.ErrEvent != "" {
 			obs.DefaultLogger().Warn(sctx, n.ErrEvent, "op", verb, "peer", c.nc.RemoteAddr().String())
 		}

@@ -144,7 +144,6 @@ func TestNoSnapshotKeyShadowsARegisteredMetric(t *testing.T) {
 	}
 	comps = append(comps, component{"edge cache", edgeReg, cache.RegisterMetrics, []string{
 		obs.MEdgeHits, obs.MEdgeMisses, obs.MEdgeFills, obs.MEdgeFillErrors,
-		obs.MEdgeCoalesced, obs.MEdgeBytesServed,
 	}})
 
 	// Steward: a cycle over the published layouts, then an alert-triggered
@@ -167,7 +166,7 @@ func TestNoSnapshotKeyShadowsARegisteredMetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	comps = append(comps, component{"steward", stReg, stw.RegisterMetrics, []string{
-		obs.MStewardCycles, obs.MStewardRenewals, obs.MStewardRepairs, obs.MStewardRepairFailures,
+		obs.MStewardCycles, obs.MStewardRenewals, obs.MStewardRepairs,
 		obs.MStewardPruned, obs.MStewardExtentsLost, obs.MStewardAlertAudits,
 	}})
 

@@ -104,6 +104,11 @@ run_named -race -count=20 \
 	-run 'TestDecodeFailsInEitherSegment|TestDecodeLeavesNothingBehind|TestDecodeViewSetRejectsEveryCorruption|TestLyingSegmentTableBuysNoMemory' \
 	./internal/lightfield
 
+# The chaos soak, with and without a stager that could re-close the
+# corrupting depot's circuit: every replica of an extent behind an open
+# circuit is an ordering of failures, so it gets twenty rounds too.
+run_named -race -count=20 -run TestChaosBrowseUnderFaults .
+
 echo "== fuzz the one request parser, the one serve loop and the one client's reply path (10s each)"
 go test -run '^$' -fuzz FuzzParseRequest -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
 go test -run '^$' -fuzz FuzzServeConn -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
@@ -112,6 +117,9 @@ go test -run '^$' -fuzz FuzzClientReply -fuzztime=10s -fuzzminimizetime=1s ./int
 echo "== fuzz the view-set payload and frame decoders (10s each)"
 go test -run '^$' -fuzz FuzzUnmarshalViewSet -fuzztime=10s -fuzzminimizetime=1s ./internal/lightfield
 go test -run '^$' -fuzz FuzzDecodeViewSetFrom -fuzztime=10s -fuzzminimizetime=1s ./internal/lightfield
+
+echo "== fuzz the fleet's decode of a peer's /metrics (10s)"
+go test -run '^$' -fuzz FuzzFleetParseMetrics -fuzztime=10s -fuzzminimizetime=1s ./internal/obs/fleet
 
 echo "== fuzz the codec's inflater against compress/zlib (10s)"
 go test -run '^$' -fuzz FuzzInflate -fuzztime=10s -fuzzminimizetime=1s ./internal/codec
@@ -340,12 +348,13 @@ done
 matrix=$(curl -s "http://$smaddr/debug/fleet")
 printf '%s' "$matrix" | grep -q '"replica.coverage.min"' \
 	|| fleet_fail "/debug/fleet aggregates missing replica.coverage.min: $matrix"
-curl -s "http://$smaddr/debug/fleet?format=text" | grep -q 'NODE' \
-	|| fleet_fail "/debug/fleet?format=text did not render the matrix header"
+"$benchdir/lftop" -fleet -once "$smaddr" | grep -q 'node' \
+	|| fleet_fail "lftop -fleet -once did not render the matrix header"
 # One TSDB per process: the steward's own /debug/tsdb retains the fleet
-# series and answers range queries, and there is no second store.
-curl -s "http://$smaddr/debug/tsdb" | grep -q '"fleet\.' \
-	|| fleet_fail "/debug/tsdb index lists no fleet.* series"
+# series and answers range queries, and there is no second store. The
+# index is read once the store has sampled a fold: the matrix converges
+# within one scrape pass, and the first sample after it may be up to one
+# -tsdb-interval away.
 covpoints=0
 i=0
 while [ "$i" -lt 50 ]; do
@@ -355,6 +364,8 @@ while [ "$i" -lt 50 ]; do
 	sleep 0.2
 done
 [ "$covpoints" -ge 2 ] || fleet_fail "/debug/tsdb coverage query returned $covpoints points, want >= 2"
+curl -s "http://$smaddr/debug/tsdb" | grep -q '"fleet\.' \
+	|| fleet_fail "/debug/tsdb index lists no fleet.* series"
 code=$(curl -s -o /dev/null -w '%{http_code}' "http://$smaddr/debug/fleet/tsdb")
 [ "$code" = 404 ] || fleet_fail "/debug/fleet/tsdb answered $code, want 404"
 # The scraper's own accounting is on the steward's /metrics.

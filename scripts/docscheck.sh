@@ -38,6 +38,15 @@
 #     obs.ConfigureDefaultLogger or overload.NewGate, or defines any of
 #     the six observability flags or the three admission flags — they
 #     live once, in internal/daemon (DESIGN.md, "One daemon harness").
+# 10. Every signal names its reader: each metric family in
+#     internal/obs/names.go, each endpoint, built-in SLO rule, lftop pane
+#     and capture-bundle file is the first cell of a row of a
+#     docs/OBSERVABILITY.md table whose last column is "Read by", and
+#     every reader that column names exists: a rule name in
+#     internal/obs/slo/rules.go, a Test function, an OPERATIONS.md heading
+#     whose section names the row, a code symbol, a row of the lftop pane
+#     table, or a BENCHMARK.json column (docs/OBSERVABILITY.md, "Every
+#     signal names its reader").
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -134,7 +143,7 @@ for table in "Client agent:internal/agent/clientagent.go" \
 		/^##/ { on = 0 }
 		on && /^\| `/ { split($0, c, "`"); print c[2] }' docs/OBSERVABILITY.md)
 	nrows=$(printf '%s\n' "$rows" | grep -c .)
-	[ "$nrows" -ge 5 ] || { echo "docscheck: extracted only $nrows rows from the $title table of docs/OBSERVABILITY.md, want >= 5" >&2; exit 1; }
+	[ "$nrows" -ge 4 ] || { echo "docscheck: extracted only $nrows rows from the $title table of docs/OBSERVABILITY.md, want >= 4" >&2; exit 1; }
 	for r in $rows; do
 		if ! printf '%s\n' "$names" "$keys" | grep -qxF -- "${r%<*>}"; then
 			echo "STALE: the $title table of docs/OBSERVABILITY.md names $r, neither a names.go name nor a key its RegisterMetrics publishes" >&2
@@ -272,6 +281,98 @@ if [ -n "$strays" ]; then
 	echo "$strays" >&2
 	fail=1
 fi
+
+echo "== every signal names its reader (docs/OBSERVABILITY.md)"
+# One "<key><TAB><read-by cell>" line per row of a table whose last header
+# cell is "Read by". Splitting on "|" breaks the middle cells that hold an
+# escaped "\|", never the first or the last.
+readrows=$(awk -F'|' '
+	/^\|/ && $(NF-1) ~ /^ *Read by *$/ { on = 1; next }
+	on && /^\|---/ { next }
+	on && /^\|/ { k = $2; sub(/^[^`]*`/, "", k); sub(/`.*/, "", k); print k "\t" $(NF-1); next }
+	{ on = 0 }' docs/OBSERVABILITY.md)
+nread=$(printf '%s\n' "$readrows" | grep -c .)
+[ "$nread" -ge 140 ] || { echo "docscheck: extracted only $nread Read-by rows from docs/OBSERVABILITY.md, want >= 140" >&2; exit 1; }
+panes=$(awk -F'|' '
+	/^\| Pane \|/ { on = 1; next }
+	on && /^\|---/ { next }
+	on && /^\|/ { k = $2; sub(/^[^`]*`/, "", k); sub(/`.*/, "", k); print k; next }
+	{ on = 0 }' docs/OBSERVABILITY.md)
+[ -n "$panes" ] || { echo "docscheck: extracted no lftop panes from docs/OBSERVABILITY.md" >&2; exit 1; }
+lftopsrc=$(ls cmd/lftop/*.go | grep -v '_test\.go$')
+# runbook_names <heading> <key>: OPERATIONS.md has the heading (#'s and
+# backticks aside), and its section, up to the next heading, names key.
+runbook_names() {
+	awk -v h="$1" -v k="$2" '
+		/^```/ { fence = !fence }
+		!fence && /^#+ / { t = $0; sub(/^#+ /, "", t); gsub(/`/, "", t); on = (t == h); if (on) seen = 1; next }
+		on && index($0, k) { found = 1 }
+		END { exit !(seen && found) }' docs/OPERATIONS.md
+}
+# code_defines <pkg>.<Name>: a non-test file of a directory named pkg under
+# internal/ or cmd/ declares Name (func, method, type, var or const).
+code_defines() {
+	pkg=${1%%.*}
+	sym=${1#*.}
+	for dir in $(find internal cmd -type d -name "$pkg"); do
+		if ls "$dir"/*.go | grep -v '_test\.go$' | xargs grep -qE "^(func (\([^)]*\) )?$sym[[(]|type $sym |var $sym |const $sym |[[:space:]]+$sym +=)"; then
+			return 0
+		fi
+	done
+	return 1
+}
+while IFS='	' read -r key cell; do
+	readers=$(printf '%s' "$cell" | grep -oE '`[a-z]+:[^`]+`' | tr -d '`' || true)
+	if [ -z "$readers" ]; then
+		echo "UNREAD: docs/OBSERVABILITY.md row $key names no reader" >&2
+		fail=1
+		continue
+	fi
+	while read -r r; do
+		kind=${r%%:*}
+		what=${r#*:}
+		case $kind in
+		rule) grep -qE "Name: *\"$what\"" internal/obs/slo/rules.go ;;
+		test) grep -rqE "^func $what\(" --include='*_test.go' . ;;
+		runbook) runbook_names "$what" "$key" ;;
+		code) code_defines "$what" ;;
+		pane) printf '%s\n' "$panes" | grep -qxF -- "$what" && cat $lftopsrc | grep -qF -- "$what" ;;
+		bench) grep -qF "\"name\": \"$what\"" BENCHMARK.json ;;
+		*) false ;;
+		esac || {
+			echo "UNREAD: docs/OBSERVABILITY.md row $key names reader $r, which does not exist (or whose runbook section does not name $key)" >&2
+			fail=1
+		}
+	done <<READERS
+$readers
+READERS
+done <<ROWS
+$readrows
+ROWS
+readkeys=$(printf '%s\n' "$readrows" | cut -f1 | sed 's|/$||')
+# must_read <what> <names>: every name is the key of a Read-by row.
+must_read() {
+	for n in $2; do
+		if ! printf '%s\n' "$readkeys" | grep -qxF -- "${n%/}"; then
+			echo "UNREAD: $1 $n has no Read-by row in docs/OBSERVABILITY.md" >&2
+			fail=1
+		fi
+	done
+}
+must_read "metric family" "$(grep -oE '^	M[A-Za-z0-9]+ += "[^"]+"' internal/obs/names.go | sed 's/.*"\(.*\)"/\1/')"
+must_read "endpoint" "$endpoints $debugeps /debug/fleet"
+must_read "built-in rule" "$(grep -oE 'Name: *"[a-z0-9-]+"' internal/obs/slo/rules.go | grep -oE '"[^"]+"' | tr -d '"')"
+bundlefiles=$(grep -oE 'snap\("[^"]+"|Files\["[^"]+"\]' internal/obs/prof/recorder.go | grep -oE '"[^"]+"' | tr -d '"' | sort -u)
+[ -n "$bundlefiles" ] || { echo "docscheck: extracted no capture-bundle files from internal/obs/prof/recorder.go" >&2; exit 1; }
+must_read "capture-bundle file" "$bundlefiles"
+while read -r pane; do
+	if ! cat $lftopsrc | grep -qF -- "$pane"; then
+		echo "STALE: docs/OBSERVABILITY.md documents lftop pane $pane, which cmd/lftop does not draw" >&2
+		fail=1
+	fi
+done <<PANES
+$panes
+PANES
 
 if [ "$fail" -ne 0 ]; then
 	echo "docs audit failed" >&2

@@ -52,7 +52,7 @@ func TestEndToEndTraceAcrossProcesses(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
-		hs := httptest.NewServer(obs.NewMux(obs.NewRegistry(), tr))
+		hs := httptest.NewServer(obs.NewMux(obs.ServeOptions{Registry: obs.NewRegistry(), Tracer: tr}))
 		t.Cleanup(hs.Close)
 		depots = append(depots, depotProc{addr: addr, tracer: tr, endpoint: hs.URL})
 	}
@@ -66,7 +66,7 @@ func TestEndToEndTraceAcrossProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { dvsServer.Close() })
-	dvsHTTP := httptest.NewServer(obs.NewMux(obs.NewRegistry(), dvsTracer))
+	dvsHTTP := httptest.NewServer(obs.NewMux(obs.ServeOptions{Registry: obs.NewRegistry(), Tracer: dvsTracer}))
 	t.Cleanup(dvsHTTP.Close)
 	dvsClient := &dvs.Client{Addr: dvsAddr}
 
