@@ -51,6 +51,17 @@ func (s *ViewSetStream) Report() (AccessReport, error) {
 	return s.rep, s.err
 }
 
+// landed reports whether the transfer was over when the stream was handed
+// out (a cache hit): a reader then waits on nothing but the decode.
+func (s *ViewSetStream) landed() bool {
+	select {
+	case <-s.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // ViewSetStreamer is implemented by sources that can hand out view set
 // bytes before the whole transfer completes. The Viewer type-asserts its
 // source against this to enable the decompress-while-downloading path.

@@ -59,8 +59,15 @@ type Viewer struct {
 	spare     *lightfield.ViewSet
 	rendering int
 
+	// lastDist and lastRes are the camera distance and display resolution
+	// of the last Render: a move that has to wait for its view set lays
+	// out the frame it will want at them (see prepare).
+	lastDist float64
+	lastRes  int
+
 	// One renderer for the viewer's life: on first use it caches a camera
-	// per lattice position, too much to rebuild on every cursor move.
+	// per lattice position, too much to rebuild on every cursor move, and
+	// it holds the viewer's one frame layout.
 	rend *lightfield.Renderer
 }
 
@@ -89,6 +96,9 @@ func NewViewer(p lightfield.Params, src ViewSetSource) (*Viewer, error) {
 // a streamed one is as its last bytes arrive — or the fetch has failed), so
 // the prefetches it sets off fill the think time instead of sharing the
 // link with the transfer the user is waiting for.
+//
+// A move that has to wait for its view set spends the wait laying out the
+// frame the next Render will draw (see prepare).
 func (v *Viewer) MoveTo(ctx context.Context, sp geom.Spherical) (AccessRecord, error) {
 	i, j := v.P.NearestCamera(sp)
 	id := v.P.ViewSetOf(i, j)
@@ -104,7 +114,7 @@ func (v *Viewer) MoveTo(ctx context.Context, sp geom.Spherical) (AccessRecord, e
 	var vs *lightfield.ViewSet
 	var err error
 	if !have {
-		vs, rec, err = v.fetchDecode(ctx, id, spare)
+		vs, rec, err = v.fetchDecode(ctx, id, sp, spare)
 	}
 	v.Source.OnUserMove(sp)
 	if err != nil {
@@ -125,8 +135,9 @@ func (v *Viewer) MoveTo(ctx context.Context, sp geom.Spherical) (AccessRecord, e
 // flight; one that cannot (the remote proxy) hands over the whole frame
 // first. Whatever can be retried — another copy, another replica — the
 // source's flight has already tried, so a failure here fails the move. The
-// pixels go into spare's images, if there is one.
-func (v *Viewer) fetchDecode(ctx context.Context, id lightfield.ViewSetID, spare *lightfield.ViewSet) (*lightfield.ViewSet, AccessRecord, error) {
+// pixels go into spare's images, if there is one. A stream whose bytes
+// have not all landed sets off the layout of the frame at sp.
+func (v *Viewer) fetchDecode(ctx context.Context, id lightfield.ViewSetID, sp geom.Spherical, spare *lightfield.ViewSet) (*lightfield.ViewSet, AccessRecord, error) {
 	start := time.Now()
 	var (
 		vs   *lightfield.ViewSet
@@ -137,6 +148,9 @@ func (v *Viewer) fetchDecode(ctx context.Context, id lightfield.ViewSetID, spare
 		stream, err := src.GetViewSetStream(ctx, id)
 		if err != nil {
 			return nil, AccessRecord{}, err
+		}
+		if !stream.landed() {
+			v.prepare(sp)
 		}
 		vs, derr = lightfield.DecodeViewSetInto(stream.Reader, v.P, spare)
 		// The transfer's own error says more than the decoder's view of it.
@@ -202,6 +216,25 @@ func (v *Viewer) ViewSet(id lightfield.ViewSetID) (*lightfield.ViewSet, bool) {
 	return vs, ok
 }
 
+// prepare starts laying out, on a goroutine of its own, the frame a Render
+// from sp will draw, at the distance and resolution of the last Render —
+// which lfbrowse and the benchmark pass every time. Render uses the layout
+// only if sp, dist and res all match (the renderer compares cameras), and
+// if it is unfinished lays out the rest itself. Only a move that waits on
+// the network calls it: beside a decode of bytes already here, the layout
+// would slow the decode down by more than it saves.
+func (v *Viewer) prepare(sp geom.Spherical) {
+	v.mu.Lock()
+	dist, res := v.lastDist, v.lastRes
+	v.mu.Unlock()
+	if res == 0 {
+		return // no Render yet
+	}
+	if cam, err := v.P.ViewerCamera(sp, dist, res); err == nil {
+		v.rend.Prepare(cam)
+	}
+}
+
 // Render reconstructs the novel view from direction sp at the given
 // display resolution using whatever view sets are decoded locally.
 func (v *Viewer) Render(sp geom.Spherical, dist float64, res int) (*render.Image, lightfield.RenderStats, error) {
@@ -209,7 +242,10 @@ func (v *Viewer) Render(sp geom.Spherical, dist float64, res int) (*render.Image
 	if err != nil {
 		return nil, lightfield.RenderStats{}, err
 	}
-	v.countRender(1)
+	v.mu.Lock()
+	v.rendering++
+	v.lastDist, v.lastRes = dist, res
+	v.mu.Unlock()
 	defer v.countRender(-1)
 	return v.rend.RenderView(cam)
 }

@@ -11,6 +11,7 @@ import (
 
 	"lonviz/internal/codec"
 	"lonviz/internal/geom"
+	"lonviz/internal/render"
 )
 
 // benchParams is the database the repository benchmark (bench/) browses.
@@ -125,16 +126,32 @@ func cpuTime() time.Duration {
 // session, holding one view set as the benchmark's viewer does
 // (MaxDecoded = 1): "browse" from a cursor position of the benchmark's
 // scripts inside a mid-latitude set, its neighbours absent; "pole" from
-// beside the pole, where a frame sweeps every lattice column.
+// beside the pole, where a frame sweeps every lattice column. Each renders
+// two cameras a hair apart in turn, so that every frame is laid out, as a
+// session's are. "layout" and "shade" time the browse frame's two passes
+// apart, each on one goroutine: the layout as Prepare runs it, the shade
+// of a laid-out frame into an image it reuses.
 func BenchmarkRenderView(b *testing.B) {
 	p := benchParams()
 	sets := benchSets(b, 2) // r00c00 and r03c00
+	cameras := func(b *testing.B, sp geom.Spherical) [2]*geom.Camera {
+		var cams [2]*geom.Camera
+		for k := range cams {
+			var err error
+			sp.Phi += 1e-9
+			if cams[k], err = p.ViewerCamera(sp, p.OuterRadius*1.6, 128); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return cams
+	}
+	browse := browseCursor(p, sets[1].ID)
 	for _, c := range []struct {
 		name string
 		set  *ViewSet
 		sp   geom.Spherical
 	}{
-		{"browse", sets[1], browseCursor(p, sets[1].ID)},
+		{"browse", sets[1], browse},
 		{"pole", sets[0], geom.Spherical{Theta: math.Pi / 24, Phi: math.Pi / 24}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
@@ -142,24 +159,66 @@ func BenchmarkRenderView(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cam, err := p.ViewerCamera(c.sp, p.OuterRadius*1.6, 128)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, _, err := r.RenderView(cam); err != nil {
-				b.Fatal(err)
+			cams := cameras(b, c.sp)
+			for _, cam := range cams {
+				if _, _, err := r.RenderView(cam); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportAllocs()
-			b.SetBytes(int64(3 * cam.Res * cam.Res))
+			b.SetBytes(int64(3 * cams[0].Res * cams[0].Res))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				im, _, err := r.RenderView(cam)
+				im, _, err := r.RenderView(cams[i%2])
 				if err != nil {
 					b.Fatal(err)
 				}
 				benchSink = im
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cam.Res*cam.Res), "ns/pixel")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cams[0].Res*cams[0].Res), "ns/pixel")
 		})
 	}
+
+	r, err := NewRenderer(p, MapProvider{sets[1].ID: sets[1]})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := r.buildCameras(); err != nil {
+		b.Fatal(err)
+	}
+	cam := cameras(b, browse)[0]
+	l := new(layout)
+	layOut := func() {
+		l.reset(r, cam)
+		l.bg.Add(1)
+		l.layOutBackground()
+	}
+	b.Run("layout", func(b *testing.B) {
+		layOut()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			layOut()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cam.Res*cam.Res), "ns/pixel")
+	})
+	b.Run("shade", func(b *testing.B) {
+		layOut()
+		im, err := render.NewImage(cam.Res)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w := &shadeWorker{sets: make(map[ViewSetID]*ViewSet)}
+		shade := func() {
+			l.next.Store(0)
+			w.shadeRows(l, im)
+		}
+		shade()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			shade()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cam.Res*cam.Res), "ns/pixel")
+	})
 }

@@ -448,3 +448,162 @@ func TestRenderMatchesPerRayOracle(t *testing.T) {
 		runtime.GOMAXPROCS(prev)
 	}
 }
+
+// layOutFirst lays out the first n scanlines of cam's frame into r's
+// layout, as Prepare's goroutine would have by the time a RenderView
+// joins it, and leaves the rest to the RenderView.
+func layOutFirst(r *Renderer, cam *geom.Camera, n int) {
+	if err := r.buildCameras(); err != nil {
+		panic(err)
+	}
+	l := r.takeLayout()
+	l.reset(r, cam)
+	for y := 0; y < n; y++ {
+		l.back.layOutRow(l, y)
+		l.rows[y].Store(rowLaid)
+	}
+	r.lay.Store(l)
+}
+
+// awaitLayout waits for the layout Prepare started in r to end.
+func awaitLayout(r *Renderer) {
+	if l := r.lay.Load(); l != nil {
+		l.bg.Wait()
+	}
+}
+
+// TestPreparedFrameMatchesInline: a frame whose layout Prepare ran — to the
+// end, joined while it runs, or with only its first scanlines done — is
+// the frame a renderer that never prepared draws, pixels and stats.
+func TestPreparedFrameMatchesInline(t *testing.T) {
+	small := smallParams()
+	full := buildSmallDB(t, small)
+	bench := benchParams()
+	gen, err := NewProceduralGenerator(bench, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	benchID := ViewSetID{R: 3, C: 5}
+	benchSet, err := gen.GenerateViewSet(context.Background(), benchID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		p    Params
+		prov Provider
+		sp   geom.Spherical
+		res  int
+	}{
+		{"browse", bench, MapProvider{benchID: benchSet}, browseCursor(bench, benchID), 128},
+		{"pole", small, full, geom.Spherical{Theta: 0.01, Phi: 0.3}, 64},
+	}
+	modes := []struct {
+		name    string
+		prepare func(r *Renderer, cam *geom.Camera)
+	}{
+		{"finished", func(r *Renderer, cam *geom.Camera) { r.Prepare(cam); awaitLayout(r) }},
+		{"joined", func(r *Renderer, cam *geom.Camera) { r.Prepare(cam) }},
+		{"first third", func(r *Renderer, cam *geom.Camera) { layOutFirst(r, cam, cam.Res/3) }},
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, c := range cases {
+			for _, blend := range []bool{true, false} {
+				cam, err := c.p.ViewerCamera(c.sp, c.p.OuterRadius*1.6, c.res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inline, err := NewRenderer(c.p, c.prov)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inline.Blend = blend
+				want, wantStats, err := inline.RenderView(cam)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wantStats.Filled == 0 {
+					t.Fatalf("%s: nothing filled, the case compares black frames", c.name)
+				}
+				for _, m := range modes {
+					r, err := NewRenderer(c.p, c.prov)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r.Blend = blend
+					m.prepare(r, cam)
+					got, gotStats, err := r.RenderView(cam)
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("%s, %s, blend %v, GOMAXPROCS %d", c.name, m.name, blend, procs)
+					if !bytes.Equal(got.Pix, want.Pix) {
+						t.Errorf("%s: frame differs from the inline frame", name)
+					}
+					if gotStats != wantStats {
+						t.Errorf("%s: stats %+v, inline %+v", name, gotStats, wantStats)
+					}
+				}
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestLayoutForAnotherCameraIsDiscarded: a finished layout is used only by
+// a RenderView of its own camera. Change the cursor position, the distance,
+// the resolution or Blend, and the frame is laid out anew: it is the frame
+// of a renderer that never prepared.
+func TestLayoutForAnotherCameraIsDiscarded(t *testing.T) {
+	p := smallParams()
+	prov := buildSmallDB(t, p)
+	sp := geom.Spherical{Theta: 1.4, Phi: 2.0}
+	dist := p.OuterRadius * 1.6
+	const res = 48
+	prepared, err := p.ViewerCamera(sp, dist, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name     string
+		sp       geom.Spherical
+		dist     float64
+		res      int
+		blendOff bool
+	}{
+		{name: "sp", sp: geom.Spherical{Theta: 1.4, Phi: 2.05}, dist: dist, res: res},
+		{name: "dist", sp: sp, dist: dist * 1.1, res: res},
+		{name: "res", sp: sp, dist: dist, res: res + 1},
+		{name: "blend", sp: sp, dist: dist, res: res, blendOff: true},
+	} {
+		cam, err := p.ViewerCamera(c.sp, c.dist, c.res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inline, _ := NewRenderer(p, prov)
+		inline.Blend = !c.blendOff
+		want, wantStats, err := inline.RenderView(cam)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, _ := NewRenderer(p, prov)
+		r.Prepare(prepared)
+		awaitLayout(r)
+		stale, _, err := r.RenderView(prepared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.res == res && bytes.Equal(stale.Pix, want.Pix) {
+			t.Fatalf("%s changed: the prepared camera's frame is the new camera's, the case proves nothing", c.name)
+		}
+		r.Blend = !c.blendOff
+		got, gotStats, err := r.RenderView(cam)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Pix, want.Pix) || gotStats != wantStats {
+			t.Errorf("%s changed: frame or stats (%+v, want %+v) drawn from the other camera's layout", c.name, gotStats, wantStats)
+		}
+	}
+}

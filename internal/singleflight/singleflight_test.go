@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,10 +39,7 @@ func TestDoCoalescesConcurrentCalls(t *testing.T) {
 		}(i)
 	}
 	// Let all callers pile onto the flight, then release it.
-	for g.inFlight() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(10 * time.Millisecond)
+	g.awaitWaiters("k", n)
 	close(gate)
 	wg.Wait()
 
@@ -122,10 +120,7 @@ func TestCancellerDoesNotKillFlight(t *testing.T) {
 		got <- v
 		joinErr <- err
 	}()
-	for g.inFlight() != 1 {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(5 * time.Millisecond) // let the second caller register
+	g.awaitWaiters("k", 2) // the second caller has registered
 
 	// The leader gives up: it must return immediately with its ctx.Err.
 	cancel1()
@@ -232,6 +227,24 @@ func (g *Group[K, V]) inFlight() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return len(g.flights)
+}
+
+// awaitWaiters returns once the flight for key counts n waiters; only
+// these tests need it.
+func (g *Group[K, V]) awaitWaiters(key K, n int) {
+	for {
+		g.mu.Lock()
+		f := g.flights[key]
+		got := 0
+		if f != nil {
+			got = f.waiters
+		}
+		g.mu.Unlock()
+		if got == n {
+			return
+		}
+		runtime.Gosched()
+	}
 }
 
 // TestJoinSharesStarterState: Join returns before the flight ends, every

@@ -87,14 +87,17 @@ run_named -race -count=20 \
 run_named -race -count=20 \
 	-run 'TestFlightSharedAcrossEntryPoints|TestFlightStagedGoneCostsOneMiss|TestFlightTriesEveryExNodeReplica|TestFlightTracedFromViewer|TestFlightSemantics|TestFlightCancellation|TestFlightFailureAfterPublishedBytes' \
 	./internal/agent
-run_named -race -count=20 -run 'TestJoinSharesStarterState|TestCancellerDoesNotKillFlight|TestLastWaiterCancelsFlight|TestConcurrentCancellationStorm' ./internal/singleflight
+run_named -race -count=20 -run 'TestDoCoalescesConcurrentCalls|TestJoinSharesStarterState|TestCancellerDoesNotKillFlight|TestLastWaiterCancelsFlight|TestConcurrentCancellationStorm' ./internal/singleflight
 
 # The render kernel against the per-ray oracle it replaced (frames byte for
-# byte, at GOMAXPROCS 1 and 4), and the viewer decoding into the set it
-# evicted while another goroutine renders: the race detector is the judge
-# of "a set a Render may still read is never recycled".
-run_named -race -count=20 -run 'TestRenderMatchesPerRayOracle|TestDecodeIntoRecycledSet' ./internal/lightfield
-run_named -race -count=20 -run 'TestViewerRecyclesEvictedSet|TestViewerRecycleUnderRender' ./internal/agent
+# byte, at GOMAXPROCS 1 and 4), a frame laid out ahead by Prepare — finished,
+# joined while it runs, or begun — against one laid out inline, a layout
+# used only by its own camera, and the viewer decoding into the set it
+# evicted, or laying out its next frame, while another goroutine renders:
+# the race detector is the judge of "a set a Render may still read is never
+# recycled" and of the layout's hand-off between its two goroutines.
+run_named -race -count=20 -run 'TestRenderMatchesPerRayOracle|TestDecodeIntoRecycledSet|TestPreparedFrameMatchesInline|TestLayoutForAnotherCameraIsDiscarded' ./internal/lightfield
+run_named -race -count=20 -run 'TestViewerRecyclesEvictedSet|TestViewerRecycleUnderRender|TestRenderWhileMoveToLaysOut|TestRenderInsideOuterSphereFailsAsBefore' ./internal/agent
 
 # The two-lane decode: a source that fails in either segment, a decode that
 # fails while its pump is still in Read (nothing it started may write where

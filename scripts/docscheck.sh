@@ -47,6 +47,10 @@
 #     whose section names the row, a code symbol, a row of the lftop pane
 #     table, or a BENCHMARK.json column (docs/OBSERVABILITY.md, "Every
 #     signal names its reader").
+# 11. Every backticked metric-shaped name in docs/PROTOCOL.md (lower-case
+#     words joined by dots, like `ibp.pipe.fallbacks`) is a metric family
+#     of internal/obs/names.go: the protocol reference names no counter
+#     the code no longer keeps.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -373,6 +377,17 @@ while read -r pane; do
 done <<PANES
 $panes
 PANES
+
+echo "== metric names in docs/PROTOCOL.md vs internal/obs/names.go"
+protometrics=$(grep -noE '`[a-z][a-z0-9_]*(\.[a-z0-9_]+)+`' docs/PROTOCOL.md | tr -d '`')
+[ -n "$protometrics" ] || { echo "docscheck: extracted no metric names from docs/PROTOCOL.md" >&2; exit 1; }
+families=$(grep -oE '^	M[A-Za-z0-9]+ += "[^"]+"' internal/obs/names.go | sed 's/.*"\(.*\)"/\1/')
+for m in $protometrics; do
+	if ! printf '%s\n' "$families" | grep -qxF -- "${m#*:}"; then
+		echo "STALE: docs/PROTOCOL.md line ${m%%:*} names ${m#*:}, which is no metric family of internal/obs/names.go" >&2
+		fail=1
+	fi
+done
 
 if [ "$fail" -ne 0 ]; then
 	echo "docs audit failed" >&2
