@@ -4,13 +4,19 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+
+	"lonviz/internal/lru"
 )
 
+// The client agent keeps its frames and exNodes in lru.Caches; these tests
+// pin what it relies on: the byte budget, eviction order, pins, removal and
+// the accounting behind its cache.* metrics.
+
 func TestLRUValidation(t *testing.T) {
-	if _, err := NewLRU(0); err == nil {
+	if _, err := lru.New(0); err == nil {
 		t.Error("zero capacity accepted")
 	}
-	c, err := NewLRU(10)
+	c, err := lru.New(10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +26,7 @@ func TestLRUValidation(t *testing.T) {
 }
 
 func TestLRUBasics(t *testing.T) {
-	c, _ := NewLRU(100)
+	c, _ := lru.New(100)
 	if _, ok := c.Get("a"); ok {
 		t.Error("empty cache hit")
 	}
@@ -38,7 +44,7 @@ func TestLRUBasics(t *testing.T) {
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
-	c, _ := NewLRU(30)
+	c, _ := lru.New(30)
 	c.Put("a", make([]byte, 10))
 	c.Put("b", make([]byte, 10))
 	c.Put("c", make([]byte, 10))
@@ -58,7 +64,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 }
 
 func TestLRUPinning(t *testing.T) {
-	c, _ := NewLRU(20)
+	c, _ := lru.New(20)
 	c.Put("keep", make([]byte, 10))
 	if !c.Pin("keep") {
 		t.Fatal("pin failed")
@@ -83,7 +89,7 @@ func TestLRUPinning(t *testing.T) {
 }
 
 func TestLRURemove(t *testing.T) {
-	c, _ := NewLRU(100)
+	c, _ := lru.New(100)
 	c.Put("a", make([]byte, 40))
 	c.Remove("a")
 	if c.Contains("a") || c.Stats().Used != 0 {
@@ -93,7 +99,7 @@ func TestLRURemove(t *testing.T) {
 }
 
 func TestLRUHitMissCounters(t *testing.T) {
-	c, _ := NewLRU(100)
+	c, _ := lru.New(100)
 	c.Put("a", []byte("x"))
 	c.Get("a")
 	c.Get("a")
@@ -108,7 +114,7 @@ func TestLRUHitMissCounters(t *testing.T) {
 // exceeds capacity, across random operation sequences with pinning.
 func TestLRUAccountingQuick(t *testing.T) {
 	f := func(ops []uint16) bool {
-		c, err := NewLRU(256)
+		c, err := lru.New(256)
 		if err != nil {
 			return false
 		}
@@ -146,7 +152,7 @@ func TestLRUAccountingQuick(t *testing.T) {
 }
 
 func TestLRUConcurrent(t *testing.T) {
-	c, _ := NewLRU(1 << 16)
+	c, _ := lru.New(1 << 16)
 	done := make(chan bool, 8)
 	for g := 0; g < 8; g++ {
 		go func(g int) {

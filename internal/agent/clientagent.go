@@ -1,3 +1,15 @@
+// Package agent implements the two runtime brokers of the streaming model
+// (paper Figure 3): the server agent, which renders view sets on demand,
+// uploads them to server depots and registers them with the DVS; and the
+// client agent, which serves clients from an LRU cache, prefetches along
+// the quadrant policy, and aggressively prestages the database to a LAN
+// depot with third-party copies.
+//
+// Both agents are instrumented through internal/obs: the client agent
+// wraps every fetch in an agent.getviewset span with resolve/download/
+// stage children and records per-class latency, cache hit/miss, and
+// prefetch-usefulness metrics; RegisterMetrics bridges the per-instance
+// Stats counters onto a registry for the /metrics endpoint.
 package agent
 
 import (
@@ -15,6 +27,7 @@ import (
 	"lonviz/internal/ibp"
 	"lonviz/internal/lightfield"
 	"lonviz/internal/lors"
+	"lonviz/internal/lru"
 	"lonviz/internal/obs"
 	"lonviz/internal/singleflight"
 )
@@ -226,8 +239,8 @@ type ClientAgentStats struct {
 // the whole database by third-party copy in cursor-proximity order.
 type ClientAgent struct {
 	cfg    ClientAgentConfig
-	cache  *LRU // id.String() -> compressed frame
-	excach *LRU // id.String() -> exNode XML
+	cache  *lru.Cache // id.String() -> compressed frame
+	excach *lru.Cache // id.String() -> exNode XML
 
 	mu      sync.Mutex
 	cursor  geom.Spherical
@@ -301,11 +314,11 @@ func NewClientAgent(cfg ClientAgentConfig) (*ClientAgent, error) {
 	if cfg.FetchTimeout <= 0 {
 		cfg.FetchTimeout = time.Minute
 	}
-	cache, err := NewLRU(cfg.CacheBytes)
+	cache, err := lru.New(cfg.CacheBytes)
 	if err != nil {
 		return nil, err
 	}
-	excach, err := NewLRU(cfg.ExNodeCacheBytes)
+	excach, err := lru.New(cfg.ExNodeCacheBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -408,7 +421,7 @@ func (ca *ClientAgent) Stats() ClientAgentStats {
 }
 
 // CacheStats exposes the view set cache accounting.
-func (ca *ClientAgent) CacheStats() CacheStats { return ca.cache.Stats() }
+func (ca *ClientAgent) CacheStats() lru.Stats { return ca.cache.Stats() }
 
 // Health exposes the agent's depot circuit breaker (never nil after
 // NewClientAgent).

@@ -5,7 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strconv"
+	"log/slog"
 	"sync/atomic"
 	"time"
 
@@ -150,10 +150,9 @@ func (a *access) finish() (frame []byte, rep AccessReport, err error) {
 			a.span.SetAttr("class", rep.Class.String())
 			reg.Histogram(obs.Label(obs.MAgentFetchMs, "class", rep.Class.String()), obs.LatencyBucketsMs...).
 				Observe(float64(rep.Comm) / 1e6)
-			if log := obs.DefaultLogger(); log.Enabled(obs.LevelDebug) {
-				log.Debug(a.ctx, obs.EvAgentFetch,
-					"viewset", a.key, "class", rep.Class.String(),
-					"ms", strconv.FormatInt(rep.Comm.Milliseconds(), 10))
+			if log := obs.DefaultLogger(); log.Enabled(a.ctx, slog.LevelDebug) {
+				log.DebugContext(a.ctx, obs.EvAgentFetch,
+					"viewset", a.key, "class", rep.Class.String(), "ms", rep.Comm.Milliseconds())
 			}
 		} else {
 			a.span.SetAttr("error", err.Error())

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"reflect"
 	"runtime"
@@ -527,8 +528,8 @@ func TestFlightTracedFromViewer(t *testing.T) {
 	prof.SetLabelsEnabled(true)
 	defer prof.SetLabelsEnabled(false)
 	logger := obs.DefaultLogger()
-	defer logger.SetLevel(logger.Level())
-	logger.SetLevel(obs.LevelDebug)
+	defer logger.Level.Set(logger.Level.Level())
+	logger.Level.Set(slog.LevelDebug)
 
 	v, err := NewViewer(r.params, ca)
 	if err != nil {

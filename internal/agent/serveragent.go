@@ -183,7 +183,7 @@ func (sa *ServerAgent) shed(reason string, n int) {
 		sa.stats.DeadlineDrops += int64(n)
 	}
 	sa.mu.Unlock()
-	obs.DefaultLogger().Warn(context.Background(), obs.EvShed,
+	obs.DefaultLogger().Warn(obs.EvShed,
 		"component", "agent", "reason", reason, "dataset", sa.cfg.Dataset)
 }
 

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"lonviz/internal/ibp"
+	"lonviz/internal/lru"
 	"lonviz/internal/obs"
 	"lonviz/internal/obs/prof"
 	"lonviz/internal/singleflight"
@@ -80,7 +81,7 @@ type CacheStats struct {
 // Cache is the sharded single-flight read-through cache core.
 type Cache struct {
 	cfg    CacheConfig
-	shards []*cacheShard
+	shards []*lru.Cache // independently locked, one per key hash
 	// flights coalesces concurrent fills of the same extent.
 	flights singleflight.Group[string, []byte]
 	pop     *Popularity
@@ -88,23 +89,13 @@ type Cache struct {
 	// fills load straight into the cache entry's buffer over it.
 	pipes *ibp.PipePool
 
-	hits, misses, fills, fillErrors, coalesced atomic.Int64
+	fills, fillErrors, coalesced atomic.Int64
 
 	// fillMu guards the fill-history sets behind FilledSets/Refills.
 	fillMu      sync.Mutex
 	filledKeys  map[string]struct{}
 	filledHints map[string]struct{}
 	refills     int64
-}
-
-// cacheShard is one independently locked LRU over extent payloads.
-type cacheShard struct {
-	mu        sync.Mutex
-	capacity  int64
-	used      int64
-	order     []string // front = least recent
-	items     map[string][]byte
-	evictions int64
 }
 
 // NewCache builds an edge cache.
@@ -138,12 +129,12 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 			Obs:     cfg.Obs,
 		},
 	}
-	per := cfg.CapacityBytes / int64(cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
-		c.shards = append(c.shards, &cacheShard{
-			capacity: per,
-			items:    make(map[string][]byte),
-		})
+		sh, err := lru.New(cfg.CapacityBytes / int64(cfg.Shards))
+		if err != nil {
+			return nil, fmt.Errorf("edge: %w", err)
+		}
+		c.shards = append(c.shards, sh)
 	}
 	return c, nil
 }
@@ -155,7 +146,7 @@ func (c *Cache) Popularity() *Popularity { return c.pop }
 // Close tears down the cache's pipelined origin connections.
 func (c *Cache) Close() { c.pipes.Close() }
 
-func (c *Cache) shard(key string) *cacheShard {
+func (c *Cache) shard(key string) *lru.Cache {
 	h := fnv.New32a()
 	h.Write([]byte(key))
 	return c.shards[int(h.Sum32())%len(c.shards)]
@@ -176,11 +167,9 @@ func (c *Cache) Load(ctx context.Context, cp Cap, off, length int64) (data []byt
 	c.pop.Record(cp.Hint)
 	key := cacheKey(cp, off, length)
 	sh := c.shard(key)
-	if data, ok := sh.get(key); ok {
-		c.hits.Add(1)
+	if data, ok := sh.Get(key); ok {
 		return data, true, nil
 	}
-	c.misses.Add(1)
 	data, shared, err := c.flights.Do(ctx, key, func(fctx context.Context) ([]byte, error) {
 		fctx, cancel := context.WithTimeout(fctx, c.cfg.FillTimeout)
 		defer cancel()
@@ -214,8 +203,8 @@ func (c *Cache) fill(ctx context.Context, cp Cap, off, length int64) ([]byte, er
 	if err != nil {
 		c.fillErrors.Add(1)
 		span.SetAttr("err", err.Error())
-		obs.DefaultLogger().Warn(ctx, obs.EvEdgeFillErr,
-			"origin", cp.OriginDepot, "hint", cp.Hint, "err", err.Error())
+		obs.DefaultLogger().WarnContext(ctx, obs.EvEdgeFillErr,
+			"origin", cp.OriginDepot, "hint", cp.Hint, "err", err)
 		return nil, err
 	}
 	c.fills.Add(1)
@@ -230,16 +219,13 @@ func (c *Cache) fill(ctx context.Context, cp Cap, off, length int64) ([]byte, er
 		c.filledHints[cp.Hint] = struct{}{}
 	}
 	c.fillMu.Unlock()
-	c.shard(key).put(key, data)
+	_ = c.shard(key).Put(key, data) // larger than a shard: served, not cached
 	return data, nil
 }
 
 // Stats returns current accounting.
 func (c *Cache) Stats() CacheStats {
 	st := CacheStats{
-		Capacity:   c.cfg.CapacityBytes,
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
 		Fills:      c.fills.Load(),
 		FillErrors: c.fillErrors.Load(),
 		Coalesced:  c.coalesced.Load(),
@@ -249,11 +235,13 @@ func (c *Cache) Stats() CacheStats {
 	st.Refills = c.refills
 	c.fillMu.Unlock()
 	for _, sh := range c.shards {
-		sh.mu.Lock()
-		st.Used += sh.used
-		st.Entries += len(sh.items)
-		st.Evictions += sh.evictions
-		sh.mu.Unlock()
+		s := sh.Stats()
+		st.Capacity += s.Capacity
+		st.Used += s.Used
+		st.Entries += s.Entries
+		st.Hits += s.Hits
+		st.Misses += s.Misses
+		st.Evictions += s.Evictions
 	}
 	return st
 }
@@ -288,53 +276,4 @@ func (c *Cache) RegisterMetrics(reg *obs.Registry) {
 		}
 		return out
 	})
-}
-
-// get returns the cached payload and refreshes recency.
-func (s *cacheShard) get(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	data, ok := s.items[key]
-	if !ok {
-		return nil, false
-	}
-	s.touch(key)
-	return data, true
-}
-
-// touch moves key to the most-recent end of the order list.
-func (s *cacheShard) touch(key string) {
-	for i, k := range s.order {
-		if k == key {
-			copy(s.order[i:], s.order[i+1:])
-			s.order[len(s.order)-1] = key
-			return
-		}
-	}
-}
-
-// put inserts a payload, evicting least-recently-used entries past the
-// shard budget. Payloads larger than the whole shard are served but not
-// cached.
-func (s *cacheShard) put(key string, data []byte) {
-	if int64(len(data)) > s.capacity {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, ok := s.items[key]; ok {
-		s.used -= int64(len(old))
-		s.touch(key)
-	} else {
-		s.order = append(s.order, key)
-	}
-	s.items[key] = data
-	s.used += int64(len(data))
-	for s.used > s.capacity && len(s.order) > 0 {
-		victim := s.order[0]
-		s.order = s.order[1:]
-		s.used -= int64(len(s.items[victim]))
-		delete(s.items, victim)
-		s.evictions++
-	}
 }

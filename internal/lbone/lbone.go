@@ -83,6 +83,7 @@ type Server struct {
 	mu      sync.Mutex
 	records map[string]DepotRecord
 	httpSrv *http.Server
+	l       net.Listener
 }
 
 // NewServer creates an empty directory.
@@ -254,17 +255,20 @@ func (s *Server) ListenAndServe(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.httpSrv = &http.Server{Handler: s}
+	s.httpSrv, s.l = &http.Server{Handler: s}, l
 	go s.httpSrv.Serve(l)
 	return l.Addr().String(), nil
 }
 
-// Close stops the HTTP server if started with ListenAndServe.
+// Close stops the HTTP server if started with ListenAndServe, closing its
+// listener even if the serving goroutine has not reached it yet.
 func (s *Server) Close() error {
-	if s.httpSrv != nil {
-		return s.httpSrv.Close()
+	if s.httpSrv == nil {
+		return nil
 	}
-	return nil
+	err := s.httpSrv.Close()
+	_ = s.l.Close() // usually httpSrv.Close has closed it already
+	return err
 }
 
 // Client talks to a directory server over HTTP.

@@ -1,7 +1,6 @@
 package lors
 
 import (
-	"context"
 	"sort"
 	"sync"
 	"time"
@@ -132,7 +131,7 @@ func (h *HealthTracker) ReportFailure(addr string) {
 			reg := registryOr(h.cfg.Obs)
 			reg.Counter(obs.MLorsCircuitTrips).Inc()
 			reg.Gauge(obs.MLorsCircuitOpen).Add(1)
-			obs.DefaultLogger().Warn(context.Background(), obs.EvLorsCircuitOpen, "depot", addr)
+			obs.DefaultLogger().Warn(obs.EvLorsCircuitOpen, "depot", addr)
 		}
 		st.openUntil = h.cfg.Now().Add(h.cfg.Cooldown)
 	}

@@ -625,9 +625,8 @@ func fetchExtent(ctx context.Context, ext exnode.Extent, dst []byte, opts Downlo
 				}
 				stats.FailedAttempts++
 				opts.Health.ReportFailure(rep.Depot)
-				obs.DefaultLogger().Warn(actx, obs.EvLorsFailover,
-					"extent", strconv.FormatInt(ext.Offset, 10),
-					"replica", rep.Depot, "err", err.Error())
+				obs.DefaultLogger().WarnContext(actx, obs.EvLorsFailover,
+					"extent", ext.Offset, "replica", rep.Depot, "err", err)
 				lastErr = err
 				continue
 			}
@@ -824,7 +823,8 @@ func CopyTo(ctx context.Context, ex *exnode.ExNode, targetAddr string, opts Copy
 // extents round-robin — the paper's configuration stripes staged view sets
 // "across four depots attached to the client agent by a 1Gb/s LAN". Extent
 // checksums carry over to the staged exNode, so reads from the staging
-// depot are verified exactly like reads from the origin.
+// depot are verified exactly like reads from the origin. A call that fails
+// frees every staging allocation it made.
 func CopyToStriped(ctx context.Context, ex *exnode.ExNode, targets []string, opts CopyOptions) (*exnode.ExNode, error) {
 	if len(targets) == 0 {
 		return nil, errors.New("lors: no staging targets")
@@ -836,6 +836,12 @@ func CopyToStriped(ctx context.Context, ex *exnode.ExNode, targets []string, opt
 		opts.Policy = ibp.Volatile // staged copies are cache, soft by default
 	}
 	out := &exnode.ExNode{Name: ex.Name, Length: ex.Length, Checksum: ex.Checksum}
+	staged := false
+	defer func() {
+		if !staged { // the stage's own error is the one to report
+			_ = Free(context.WithoutCancel(ctx), out, opts.Dialer)
+		}
+	}()
 	for k, ext := range ex.SortedExtents() {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -847,6 +853,16 @@ func CopyToStriped(ctx context.Context, ex *exnode.ExNode, targets []string, opt
 			return nil, fmt.Errorf("lors: staging allocation on %s: %w", targetAddr, err)
 		}
 		opts.Health.ReportSuccess(targetAddr)
+		out.Extents = append(out.Extents, exnode.Extent{
+			Offset:   ext.Offset,
+			Length:   ext.Length,
+			Checksum: ext.Checksum,
+			Replicas: []exnode.Replica{{
+				Depot:     targetAddr,
+				ReadCap:   caps.Read,
+				ManageCap: caps.Manage,
+			}},
+		})
 		copied := false
 		var lastErr error
 		// Sort replica attempts deterministically for reproducible tests.
@@ -870,19 +886,10 @@ func CopyToStriped(ctx context.Context, ex *exnode.ExNode, targets []string, opt
 		if !copied {
 			return nil, fmt.Errorf("lors: staging extent at %d failed: %w", ext.Offset, lastErr)
 		}
-		out.Extents = append(out.Extents, exnode.Extent{
-			Offset:   ext.Offset,
-			Length:   ext.Length,
-			Checksum: ext.Checksum,
-			Replicas: []exnode.Replica{{
-				Depot:     targetAddr,
-				ReadCap:   caps.Read,
-				ManageCap: caps.Manage,
-			}},
-		})
 	}
 	if err := out.Validate(); err != nil {
 		return nil, fmt.Errorf("lors: staged exnode invalid: %w", err)
 	}
+	staged = true
 	return out, nil
 }

@@ -297,6 +297,43 @@ func TestCopyToSurvivesOneDeadSource(t *testing.T) {
 	}
 }
 
+// A stage that fails part way leaves the target depot holding what it held
+// before: the failed extent's allocation and those of the extents staged
+// ahead of it are freed.
+func TestFailedCopyToFreesItsAllocations(t *testing.T) {
+	src := depotFarm(t, 2, 1<<22)
+	lanDepot := depotFarm(t, 1, 1<<22)[0]
+	ex, err := Upload(context.Background(), "obj9b", testPayload(64*1024, 9), UploadOptions{
+		Depots:     src,
+		StripeSize: 16 * 1024,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No source can copy the third extent.
+	third := ex.SortedExtents()[2].Offset
+	for i := range ex.Extents {
+		if ex.Extents[i].Offset == third {
+			ex.Extents[i].Replicas[0].ReadCap = "poisoned"
+		}
+	}
+	target := &ibp.Client{Addr: lanDepot}
+	_, _, before, err := target.Status(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CopyTo(context.Background(), ex, lanDepot, CopyOptions{Lease: time.Minute}); err == nil {
+		t.Fatal("staging with an uncopyable extent succeeded")
+	}
+	_, _, after, err := target.Status(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != before {
+		t.Errorf("target holds %d allocations after the failed stage, %d before", after, before)
+	}
+}
+
 func TestUploadSkipsFullDepot(t *testing.T) {
 	// One depot too small to take anything, one large: upload succeeds by
 	// walking past the refusal.

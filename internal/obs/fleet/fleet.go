@@ -40,6 +40,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"math"
 	"sort"
 	"strings"
@@ -731,18 +732,15 @@ func (f *Fleet) fold(targets []*memberState, results []scrapeResult, start time.
 	ctx, span := f.tracer.StartSpan(context.Background(), obs.SpanFleetScrape)
 	span.SetAttr("transitions", fmt.Sprintf("%d", len(transitions)))
 	for _, tr := range transitions {
-		kv := []string{
-			"node", tr.m.Addr, "kind", tr.m.Kind,
-			"from", tr.from, "to", tr.m.State,
-		}
+		args := []any{"node", tr.m.Addr, "kind", tr.m.Kind, "from", tr.from, "to", tr.m.State}
 		if tr.m.Err != "" {
-			kv = append(kv, "err", tr.m.Err)
+			args = append(args, "err", tr.m.Err)
 		}
+		lv := slog.LevelWarn
 		if tr.m.State == StateUp {
-			f.logger.Info(ctx, obs.EvFleetMember, kv...)
-		} else {
-			f.logger.Warn(ctx, obs.EvFleetMember, kv...)
+			lv = slog.LevelInfo
 		}
+		f.logger.Log(ctx, lv, obs.EvFleetMember, args...)
 		if onState != nil {
 			onState(tr.m, tr.from)
 		}

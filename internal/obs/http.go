@@ -72,7 +72,7 @@ func NewMux(opts ServeOptions) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())
 	mux.Handle("/debug/traces", tracer.Handler())
-	mux.Handle("/debug/events", DefaultLogger().Handler())
+	mux.Handle("/debug/events", DefaultLogger().EventsHandler())
 	if opts.TSDB != nil {
 		mux.Handle("/debug/tsdb", opts.TSDB.Handler())
 	}
@@ -120,9 +120,9 @@ func NewMux(opts ServeOptions) *http.ServeMux {
 // unconditionally and Close it on every exit path even when
 // -metrics-addr was off.
 type Server struct {
-	addr string
-	srv  *http.Server
-	mux  *http.ServeMux
+	l   net.Listener
+	srv *http.Server
+	mux *http.ServeMux
 }
 
 // Handle mounts one more endpoint on the running server: a handler whose
@@ -140,12 +140,13 @@ func (s *Server) Addr() string {
 	if s == nil {
 		return ""
 	}
-	return s.addr
+	return s.l.Addr().String()
 }
 
 // Close gracefully drains the HTTP server: in-flight scrapes finish,
 // then the listener closes. The context bounds the drain; on expiry the
-// server is closed hard. Safe on nil.
+// server is closed hard. The listener is closed even if the serving
+// goroutine has not reached it yet. Safe on nil.
 func (s *Server) Close(ctx context.Context) error {
 	if s == nil || s.srv == nil {
 		return nil
@@ -154,6 +155,7 @@ func (s *Server) Close(ctx context.Context) error {
 	if err != nil {
 		_ = s.srv.Close()
 	}
+	_ = s.l.Close() // usually Shutdown has closed it already
 	return err
 }
 
@@ -174,5 +176,5 @@ func Serve(addr string, opts ServeOptions) (*Server, error) {
 	}
 	go func() { _ = srv.Serve(l) }()
 	SetPropagation(true)
-	return &Server{addr: l.Addr().String(), srv: srv, mux: mux}, nil
+	return &Server{l: l, srv: srv, mux: mux}, nil
 }

@@ -2,78 +2,29 @@ package obs
 
 // Structured, leveled event logging correlated with the active trace.
 //
-// Every event carries a monotonic sequence number, a level, a short
-// dotted event name (the "what"), free key=value fields (the "which"),
-// and — when the context carries a span — the active trace and span IDs,
-// so a log line can be joined against /debug/traces and against the other
-// hosts' logs sharing the trace. Events render to the writer as one line
-// each, either key=value (human tails) or JSON (machine shippers), and
-// are additionally retained in a bounded ring served at /debug/events,
-// NetLogger-style: ssh-less forensics for "what was this process doing
-// around the slow frame".
+// A Logger is a *slog.Logger whose handler does two things with every
+// record: it keeps it in a bounded ring served at /debug/events,
+// NetLogger-style — a monotonic sequence number, the level, the dotted
+// event name (the record's message), the key=value fields, and, when the
+// context carries a span, the active trace and span IDs, so an event can be
+// joined against /debug/traces and against the other hosts' logs sharing
+// the trace — and it hands it to slog's own text or JSON handler for the
+// stderr line, with the trace stamped as trace_id=/span_id= (hex).
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-)
-
-// Level orders event severities.
-type Level int32
-
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
-
-// String implements fmt.Stringer.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	default:
-		return fmt.Sprintf("level(%d)", int32(l))
-	}
-}
-
-// ParseLevel parses "debug" | "info" | "warn" | "error".
-func ParseLevel(s string) (Level, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "debug":
-		return LevelDebug, nil
-	case "info":
-		return LevelInfo, nil
-	case "warn", "warning":
-		return LevelWarn, nil
-	case "error":
-		return LevelError, nil
-	default:
-		return LevelInfo, fmt.Errorf("obs: unknown log level %q (want debug|info|warn|error)", s)
-	}
-}
-
-// Log line formats.
-const (
-	// FormatKV renders events as space-separated key=value lines.
-	FormatKV = "kv"
-	// FormatJSON renders events as one JSON object per line.
-	FormatJSON = "json"
 )
 
 // Event is one recorded log event.
@@ -83,7 +34,7 @@ type Event struct {
 	Seq uint64 `json:"seq"`
 	// Time is the event timestamp.
 	Time time.Time `json:"time"`
-	// Level is the severity.
+	// Level is the severity, lowercase ("debug", "info", "warn", "error").
 	Level string `json:"level"`
 	// Name is the dotted event name ("ibp.serve", "lors.failover", ...).
 	// Canonical names are declared in names.go next to the metrics.
@@ -92,7 +43,8 @@ type Event struct {
 	// context carried none.
 	TraceID uint64 `json:"trace_id,omitempty"`
 	SpanID  uint64 `json:"span_id,omitempty"`
-	// Fields are the event's key=value pairs, in call order.
+	// Fields are the event's key=value pairs, in call order, each value
+	// rendered as a string.
 	Fields []Field `json:"fields,omitempty"`
 }
 
@@ -102,30 +54,33 @@ type Field struct {
 	Value string `json:"v"`
 }
 
-// Logger is a leveled, trace-correlated event log. The zero value is
-// unusable; use NewLogger or DefaultLogger. A nil logger drops every
-// event, so optional instrumentation needs no guards.
+// Logger is a leveled, trace-correlated event log: log with its embedded
+// *slog.Logger's InfoContext/WarnContext/..., the record's message being
+// the event name. Use NewLogger or DefaultLogger.
 type Logger struct {
-	level  atomic.Int32
-	format atomic.Value // string: FormatKV | FormatJSON
-	seq    atomic.Uint64
+	*slog.Logger
+	// Level is the minimum recorded level (default info).
+	Level slog.LevelVar
+	json  atomic.Bool // line format: slog's JSON handler instead of its text one
 
 	mu   sync.Mutex
-	w    io.Writer
+	seq  uint64
 	ring []Event
 	pos  int
 	n    int
 }
 
-// NewLogger builds a logger writing to w (nil silences line output; the
-// ring still fills) retaining up to capacity events (default 1024).
+// NewLogger builds a logger writing lines to w (nil silences line output;
+// the ring still fills) retaining up to capacity events (default 1024).
 func NewLogger(w io.Writer, capacity int) *Logger {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	l := &Logger{w: w, ring: make([]Event, capacity)}
-	l.level.Store(int32(LevelInfo))
-	l.format.Store(FormatKV)
+	if w == nil {
+		w = io.Discard
+	}
+	l := &Logger{ring: make([]Event, capacity)}
+	l.Logger = slog.New(&handler{l: l, text: slog.NewTextHandler(w, nil), json: slog.NewJSONHandler(w, nil)})
 	return l
 }
 
@@ -141,160 +96,101 @@ func DefaultLogger() *Logger {
 	return defLogger
 }
 
-// ConfigureDefaultLogger applies the -log-level/-log-format flag values to
-// the process-wide logger.
+// ConfigureDefaultLogger applies the -log-level (any spelling
+// slog.Level.UnmarshalText accepts: debug, info, warn, error, any case)
+// and -log-format (kv or json) flag values to the process-wide logger.
 func ConfigureDefaultLogger(level, format string) error {
-	lv, err := ParseLevel(level)
-	if err != nil {
-		return err
+	var lv slog.Level
+	if err := lv.UnmarshalText([]byte(level)); err != nil {
+		return fmt.Errorf("obs: unknown log level %q (want debug|info|warn|error)", level)
 	}
-	switch format {
-	case FormatKV, FormatJSON:
-	default:
+	if format != "kv" && format != "json" {
 		return fmt.Errorf("obs: unknown log format %q (want kv|json)", format)
 	}
 	l := DefaultLogger()
-	l.SetLevel(lv)
-	l.SetFormat(format)
+	l.Level.Set(lv)
+	l.json.Store(format == "json")
 	return nil
 }
 
-// SetLevel sets the minimum recorded level.
-func (l *Logger) SetLevel(lv Level) {
-	if l == nil {
-		return
-	}
-	l.level.Store(int32(lv))
+// handler is a Logger's slog.Handler. Derived handlers (WithAttrs,
+// WithGroup) share the logger's ring, level and format.
+type handler struct {
+	l          *Logger
+	text, json slog.Handler
+	fields     []Field // WithAttrs attributes, keys group-qualified
+	group      string  // WithGroup qualifier for the ring's keys: "a.b."
 }
 
-// Level returns the minimum recorded level.
-func (l *Logger) Level() Level {
-	if l == nil {
-		return LevelInfo
-	}
-	return Level(l.level.Load())
+func (h *handler) Enabled(_ context.Context, lv slog.Level) bool {
+	return lv >= h.l.Level.Level()
 }
 
-// SetFormat selects the line rendering (FormatKV or FormatJSON; anything
-// else is ignored).
-func (l *Logger) SetFormat(format string) {
-	if l == nil || (format != FormatKV && format != FormatJSON) {
-		return
-	}
-	l.format.Store(format)
-}
-
-// Enabled reports whether events at lv would be recorded — cheap enough
-// to guard expensive attribute construction.
-func (l *Logger) Enabled(lv Level) bool {
-	return l != nil && lv >= Level(l.level.Load())
-}
-
-// Debug records a debug event. kv is alternating key, value pairs (an odd
-// trailing key gets an empty value).
-func (l *Logger) Debug(ctx context.Context, name string, kv ...string) {
-	l.log(ctx, LevelDebug, name, kv)
-}
-
-// Info records an info event.
-func (l *Logger) Info(ctx context.Context, name string, kv ...string) {
-	l.log(ctx, LevelInfo, name, kv)
-}
-
-// Warn records a warning event.
-func (l *Logger) Warn(ctx context.Context, name string, kv ...string) {
-	l.log(ctx, LevelWarn, name, kv)
-}
-
-// Error records an error event.
-func (l *Logger) Error(ctx context.Context, name string, kv ...string) {
-	l.log(ctx, LevelError, name, kv)
-}
-
-func (l *Logger) log(ctx context.Context, lv Level, name string, kv []string) {
-	if !l.Enabled(lv) {
-		return
-	}
-	ev := Event{
-		Seq:   l.seq.Add(1),
-		Time:  time.Now(),
-		Level: lv.String(),
-		Name:  name,
-	}
+func (h *handler) Handle(ctx context.Context, r slog.Record) error {
+	ev := Event{Time: r.Time, Level: strings.ToLower(r.Level.String()), Name: r.Message}
+	ev.Fields = append(ev.Fields, h.fields...)
+	r.Attrs(func(a slog.Attr) bool {
+		ev.Fields = appendField(ev.Fields, h.group, a)
+		return true
+	})
 	if tc, ok := ContextFrom(ctx); ok {
-		ev.TraceID = tc.TraceID
-		ev.SpanID = tc.SpanID
+		ev.TraceID, ev.SpanID = tc.TraceID, tc.SpanID
+		r = r.Clone()
+		r.AddAttrs(slog.String("trace_id", strconv.FormatUint(tc.TraceID, 16)),
+			slog.String("span_id", strconv.FormatUint(tc.SpanID, 16)))
 	}
-	if len(kv) > 0 {
-		if len(kv)%2 != 0 {
-			kv = append(kv, "")
-		}
-		ev.Fields = make([]Field, 0, len(kv)/2)
-		for i := 0; i < len(kv); i += 2 {
-			ev.Fields = append(ev.Fields, Field{Key: kv[i], Value: kv[i+1]})
-		}
-	}
-	line := l.render(ev)
+	l := h.l
 	l.mu.Lock()
+	l.seq++
+	ev.Seq = l.seq
 	l.ring[l.pos] = ev
 	l.pos = (l.pos + 1) % len(l.ring)
-	if l.n < len(l.ring) {
-		l.n++
-	}
-	w := l.w
-	if w != nil {
-		_, _ = io.WriteString(w, line)
-	}
+	l.n = min(l.n+1, len(l.ring))
 	l.mu.Unlock()
+	if l.json.Load() {
+		return h.json.Handle(ctx, r)
+	}
+	return h.text.Handle(ctx, r)
 }
 
-// render produces the newline-terminated output line for an event.
-func (l *Logger) render(ev Event) string {
-	if f, _ := l.format.Load().(string); f == FormatJSON {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return ""
-		}
-		return string(b) + "\n"
+func (h *handler) WithAttrs(as []slog.Attr) slog.Handler {
+	c := *h
+	c.text, c.json = h.text.WithAttrs(as), h.json.WithAttrs(as)
+	c.fields = slices.Clip(h.fields)
+	for _, a := range as {
+		c.fields = appendField(c.fields, h.group, a)
 	}
-	var b strings.Builder
-	b.Grow(96)
-	b.WriteString("ts=")
-	b.WriteString(ev.Time.Format(time.RFC3339Nano))
-	b.WriteString(" level=")
-	b.WriteString(ev.Level)
-	b.WriteString(" event=")
-	b.WriteString(ev.Name)
-	if ev.TraceID != 0 {
-		b.WriteString(" trace=")
-		b.WriteString(strconv.FormatUint(ev.TraceID, 16))
-		b.WriteString("/")
-		b.WriteString(strconv.FormatUint(ev.SpanID, 16))
-	}
-	for _, f := range ev.Fields {
-		b.WriteByte(' ')
-		b.WriteString(f.Key)
-		b.WriteByte('=')
-		b.WriteString(quoteIfNeeded(f.Value))
-	}
-	b.WriteByte('\n')
-	return b.String()
+	return &c
 }
 
-// quoteIfNeeded quotes values containing spaces, quotes, or control
-// characters so kv lines stay machine-splittable.
-func quoteIfNeeded(v string) string {
-	if strings.ContainsAny(v, " \t\n\r\"=") || v == "" {
-		return strconv.Quote(v)
+func (h *handler) WithGroup(name string) slog.Handler {
+	if name == "" {
+		return h
 	}
-	return v
+	c := *h
+	c.text, c.json = h.text.WithGroup(name), h.json.WithGroup(name)
+	c.group += name + "."
+	return &c
+}
+
+// appendField flattens one attribute into the ring's string fields, a
+// group's members qualified by its key.
+func appendField(fs []Field, prefix string, a slog.Attr) []Field {
+	v := a.Value.Resolve()
+	if v.Kind() != slog.KindGroup {
+		return append(fs, Field{Key: prefix + a.Key, Value: v.String()})
+	}
+	if a.Key != "" {
+		prefix += a.Key + "."
+	}
+	for _, g := range v.Group() {
+		fs = appendField(fs, prefix, g)
+	}
+	return fs
 }
 
 // Events returns the retained events, oldest first.
 func (l *Logger) Events() []Event {
-	if l == nil {
-		return nil
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := make([]Event, 0, l.n)
@@ -308,9 +204,9 @@ func (l *Logger) Events() []Event {
 	return out
 }
 
-// Handler serves the event ring as JSON, oldest first. The optional
+// EventsHandler serves the event ring as JSON, oldest first. The optional
 // ?trace=<hex trace id> query filters to events of one trace.
-func (l *Logger) Handler() http.Handler {
+func (l *Logger) EventsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		events := l.Events()

@@ -291,9 +291,8 @@ func (h *Histogram) Count() int64 {
 }
 
 // Quantile estimates the q-th quantile (0 < q < 1) by linear
-// interpolation within the containing bucket; the overflow bucket
-// reports the largest bound (quantiles above the layout saturate). An
-// empty histogram reports 0.
+// interpolation within the containing bucket; quantiles in the overflow
+// bucket report the max seen. An empty histogram reports 0.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
@@ -302,35 +301,37 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if total == 0 {
 		return 0
 	}
+	return bucketQuantile(h.bounds, func(i int) int64 { return h.counts[i].Load() }, total, q,
+		math.Float64frombits(h.max.Load()))
+}
+
+// bucketQuantile interpolates the q-th quantile of a bucketed
+// distribution: bounds ascending, count(i) the count of bucket i for
+// i <= len(bounds) (the last being the overflow bucket), total their sum.
+// A quantile in the overflow bucket, which has no upper edge, reports
+// overflow.
+func bucketQuantile(bounds []float64, count func(i int) int64, total int64, q, overflow float64) float64 {
 	rank := q * float64(total)
 	cum := int64(0)
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
+	for i := 0; i <= len(bounds); i++ {
+		n := count(i)
+		if n <= 0 {
 			continue
 		}
 		if float64(cum+n) >= rank {
+			if i == len(bounds) {
+				return overflow
+			}
 			lo := 0.0
 			if i > 0 {
-				lo = h.bounds[i-1]
+				lo = bounds[i-1]
 			}
-			if i >= len(h.bounds) {
-				// Overflow bucket has no upper edge; clamp at the max seen.
-				return math.Float64frombits(h.max.Load())
-			}
-			hi := h.bounds[i]
-			frac := (rank - float64(cum)) / float64(n)
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			return lo + (hi-lo)*frac
+			frac := min(max((rank-float64(cum))/float64(n), 0), 1)
+			return lo + (bounds[i]-lo)*frac
 		}
 		cum += n
 	}
-	return math.Float64frombits(h.max.Load())
+	return overflow
 }
 
 // Snapshot returns the JSON-ready view.

@@ -2,7 +2,6 @@ package prof
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -208,9 +207,8 @@ func (r *Recorder) finish(b *Bundle, kind string) {
 		total += len(f)
 	}
 	r.cfg.Registry.Counter(obs.Label(obs.MCaptureBundles, "trigger", kind)).Inc()
-	r.cfg.Logger.Info(context.Background(), obs.EvCaptureBundle,
-		"id", b.ID, "trigger", b.Trigger,
-		"files", fmt.Sprint(len(b.Files)), "bytes", fmt.Sprint(total))
+	r.cfg.Logger.Info(obs.EvCaptureBundle,
+		"id", b.ID, "trigger", b.Trigger, "files", len(b.Files), "bytes", total)
 }
 
 // record performs the capture itself. It runs outside r.mu (a capture

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
@@ -251,17 +252,12 @@ func (e *Engine) Evaluate() {
 	ctx, span := e.tracer.StartSpan(context.Background(), obs.SpanSLOEvaluate)
 	span.SetAttr("transitions", strconv.Itoa(len(transitions)))
 	for _, a := range transitions {
-		kv := []string{
-			"rule", a.Rule, "instance", a.Instance, "state", a.State,
-			"severity", a.Severity,
-			"value", strconv.FormatFloat(a.Value, 'f', 3, 64),
-			"threshold", strconv.FormatFloat(a.Threshold, 'f', 3, 64),
-		}
+		lv := slog.LevelInfo
 		if a.State == StateFiring {
-			e.logger.Warn(ctx, obs.EvSLOAlert, kv...)
-		} else {
-			e.logger.Info(ctx, obs.EvSLOAlert, kv...)
+			lv = slog.LevelWarn
 		}
+		e.logger.Log(ctx, lv, obs.EvSLOAlert, "rule", a.Rule, "instance", a.Instance,
+			"state", a.State, "severity", a.Severity, "value", a.Value, "threshold", a.Threshold)
 		for _, fn := range subs {
 			fn(a)
 		}

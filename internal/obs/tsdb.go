@@ -551,41 +551,9 @@ func (db *TSDB) QuantileOver(name string, q float64, window time.Duration) (floa
 	if count <= 0 {
 		return 0, 0
 	}
-	return quantileFromBuckets(s.bounds, delta, count, q), count
-}
-
-// quantileFromBuckets interpolates the q-th quantile of a bucketed
-// distribution (bounds ascending, counts per bucket with one overflow
-// bucket appended, total = sum of counts).
-func quantileFromBuckets(bounds []float64, counts []int64, total int64, q float64) float64 {
-	rank := q * float64(total)
-	cum := int64(0)
-	for i, n := range counts {
-		if n <= 0 {
-			continue
-		}
-		if float64(cum+n) >= rank {
-			if i >= len(bounds) {
-				// Overflow bucket: saturate at the largest bound.
-				return bounds[len(bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = bounds[i-1]
-			}
-			hi := bounds[i]
-			frac := (rank - float64(cum)) / float64(n)
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum += n
-	}
-	return bounds[len(bounds)-1]
+	// Quantiles past the layout saturate at its largest bound.
+	top := s.bounds[len(s.bounds)-1]
+	return bucketQuantile(s.bounds, func(i int) int64 { return delta[i] }, count, q, top), count
 }
 
 // RateSeries renders a cumulative series as pointwise per-second rates

@@ -1,8 +1,6 @@
 package steward
 
 import (
-	"context"
-
 	"lonviz/internal/obs"
 	"lonviz/internal/obs/slo"
 )
@@ -20,14 +18,12 @@ func AlertTrigger(s *Steward) func(slo.Alert) {
 			return
 		}
 		if depot := a.Labels["depot"]; depot != "" {
-			obs.DefaultLogger().Info(context.Background(), obs.EvStewardAlertTrigger,
-				"rule", a.Rule, "depot", depot)
+			obs.DefaultLogger().Info(obs.EvStewardAlertTrigger, "rule", a.Rule, "depot", depot)
 			s.TriggerDepotAudit(depot)
 			return
 		}
 		if a.Severity == slo.SeverityCritical {
-			obs.DefaultLogger().Info(context.Background(), obs.EvStewardAlertTrigger,
-				"rule", a.Rule, "depot", "")
+			obs.DefaultLogger().Info(obs.EvStewardAlertTrigger, "rule", a.Rule, "depot", "")
 			s.TriggerCycle()
 		}
 	}

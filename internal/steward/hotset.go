@@ -149,12 +149,11 @@ func (h *HotSetReplicator) RunOnce(ctx context.Context) int {
 		}
 		h.mu.Unlock()
 		if err != nil {
-			obs.DefaultLogger().Warn(ctx, obs.EvStewardHotsetWarm,
-				"hint", item.Hint, "ok", "false", "err", err.Error())
+			obs.DefaultLogger().WarnContext(ctx, obs.EvStewardHotsetWarm,
+				"hint", item.Hint, "ok", false, "err", err)
 			continue
 		}
-		obs.DefaultLogger().Info(ctx, obs.EvStewardHotsetWarm,
-			"hint", item.Hint, "ok", "true")
+		obs.DefaultLogger().InfoContext(ctx, obs.EvStewardHotsetWarm, "hint", item.Hint, "ok", true)
 		if ctx.Err() != nil {
 			return warmed
 		}

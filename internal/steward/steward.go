@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -907,16 +906,14 @@ func (s *Steward) repairExtent(ctx context.Context, name string, ext *exnode.Ext
 				rspan.Finish()
 				s.cfg.Health.ReportFailure(addr)
 				s.emit(Event{Type: EventRepairFailed, Object: name, Offset: ext.Offset, Depot: addr, Err: err})
-				obs.DefaultLogger().Warn(rctx, obs.EvStewardRepairDone,
-					"dataset", name, "extent", strconv.FormatInt(ext.Offset, 10),
-					"depot", addr, "ok", "false")
+				obs.DefaultLogger().WarnContext(rctx, obs.EvStewardRepairDone,
+					"dataset", name, "extent", ext.Offset, "depot", addr, "ok", false)
 				continue
 			}
 			rspan.Finish()
 			s.cfg.Health.ReportSuccess(addr)
-			obs.DefaultLogger().Info(rctx, obs.EvStewardRepairDone,
-				"dataset", name, "extent", strconv.FormatInt(ext.Offset, 10),
-				"depot", addr, "ok", "true")
+			obs.DefaultLogger().InfoContext(rctx, obs.EvStewardRepairDone,
+				"dataset", name, "extent", ext.Offset, "depot", addr, "ok", true)
 			rep.SetExpiry(now.Add(s.cfg.LeaseTerm))
 			ext.Replicas = append(ext.Replicas, rep)
 			exclude[addr] = true

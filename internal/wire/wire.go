@@ -279,15 +279,12 @@ func (s *Server) initMetrics() {
 }
 
 // Serve accepts connections on l until Close. It returns when the listener
-// fails (net.ErrClosed after Close).
+// fails (net.ErrClosed after Close); a server already closed closes l and
+// returns net.ErrClosed at once.
 func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("%s: server closed", s.svc.Names.Component)
+	if !s.own(l) {
+		return fmt.Errorf("%s: server closed: %w", s.svc.Names.Component, net.ErrClosed)
 	}
-	s.listener = l
-	s.mu.Unlock()
 	s.initMetrics()
 	for {
 		nc, err := l.Accept()
@@ -314,8 +311,12 @@ func (s *Server) ListenAndServe(addr string) (string, error) {
 		return "", err
 	}
 	// Here, not on the new goroutine: callers go on to set their service's
-	// fields once this returns, and settings reads them all.
+	// fields once this returns, and settings reads them all. And the server
+	// owns l before this returns, so a Close that follows at once closes it.
 	s.initMetrics()
+	if !s.own(l) {
+		return "", fmt.Errorf("%s: server closed", s.svc.Names.Component)
+	}
 	go func() {
 		if err := s.Serve(l); err != nil && !errors.Is(err, net.ErrClosed) {
 			if logf := s.settings().Logf; logf != nil {
@@ -324,6 +325,18 @@ func (s *Server) ListenAndServe(addr string) (string, error) {
 		}
 	}()
 	return l.Addr().String(), nil
+}
+
+// own makes l the listener Close closes, or closes it if Close has run.
+func (s *Server) own(l net.Listener) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		l.Close()
+		return false
+	}
+	s.listener = l
+	return true
 }
 
 // Close stops the listener and closes every accepted connection, so no
@@ -517,7 +530,7 @@ func (c *conn) exec(x *exchange) (keep bool) {
 	case admitErr != nil:
 		reason := overload.Reason(admitErr)
 		reg.Counter(obs.Label(n.Shed, "reason", reason)).Inc()
-		obs.DefaultLogger().Warn(context.Background(), obs.EvShed,
+		obs.DefaultLogger().Warn(obs.EvShed,
 			"component", n.Component, "reason", reason, "op", verb)
 		rep.Line(s.svc.Busy(reason))
 	case !known && verb == "":
@@ -551,7 +564,7 @@ func (c *conn) exec(x *exchange) (keep bool) {
 	if rep.isErr() {
 		span.SetAttr("err", "1")
 		if n.ErrEvent != "" {
-			obs.DefaultLogger().Warn(sctx, n.ErrEvent, "op", verb, "peer", c.nc.RemoteAddr().String())
+			obs.DefaultLogger().WarnContext(sctx, n.ErrEvent, "op", verb, "peer", c.nc.RemoteAddr().String())
 		}
 	}
 	err := c.send(x, span)

@@ -31,7 +31,6 @@ import (
 	"lonviz/internal/multiview"
 	"lonviz/internal/netsim"
 	"lonviz/internal/render"
-	"lonviz/internal/timevary"
 	"lonviz/internal/volume"
 )
 
@@ -232,14 +231,6 @@ type Track = multiview.Track
 // NewTrack builds stations along a path (paper section 3.2).
 func NewTrack(base string, template Params, path []Vec3, radiusScale float64) (*Track, error) {
 	return multiview.NewTrack(base, template, path, radiusScale)
-}
-
-// Sequence is a time-varying light field database.
-type Sequence = timevary.Sequence
-
-// NewSequence describes a time-varying database of the given step count.
-func NewSequence(base string, p Params, steps int) (*Sequence, error) {
-	return timevary.NewSequence(base, p, steps)
 }
 
 // Context aliases context.Context to keep facade signatures tidy.

@@ -88,15 +88,11 @@ func TestFacadeFabric(t *testing.T) {
 	}
 }
 
-// TestFacadeExtensions sanity-checks the interior/time-varying entry
-// points.
+// TestFacadeExtensions sanity-checks the interior-navigation entry point.
 func TestFacadeExtensions(t *testing.T) {
 	p := ScaledParams(45, 2, 8)
 	if _, err := NewTrack("base", p, []Vec3{{X: 0.2}}, 0.5); err != nil {
 		t.Errorf("NewTrack: %v", err)
-	}
-	if _, err := NewSequence("base", p, 4); err != nil {
-		t.Errorf("NewSequence: %v", err)
 	}
 	if srv := NewDVS(""); srv == nil {
 		t.Error("NewDVS returned nil")

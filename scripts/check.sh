@@ -38,7 +38,7 @@ go test -race -shuffle=on ./...
 # -run pattern that matches no test is a failure. A renamed test silently
 # matching nothing is how coverage rots.
 run_named() {
-	out=$(go test -v "$@" 2>&1) || { printf '%s\n' "$out" | grep -v '^ts=' | tail -40 >&2; exit 1; }
+	out=$(go test -v "$@" 2>&1) || { printf '%s\n' "$out" | grep -v '^time=' | tail -40 >&2; exit 1; }
 	pattern=""
 	prev=""
 	for a in "$@"; do
@@ -106,6 +106,12 @@ run_named -race -count=20 -run 'TestViewerRecyclesEvictedSet|TestViewerRecycleUn
 run_named -race -count=20 \
 	-run 'TestDecodeFailsInEitherSegment|TestDecodeLeavesNothingBehind|TestDecodeViewSetRejectsEveryCorruption|TestLyingSegmentTableBuysNoMemory' \
 	./internal/lightfield
+
+# A closed server has closed its listener, whether or not its serving
+# goroutine had started: every server a daemon starts, closed the moment it
+# binds, and the daemon harness's whole stack under a cancelled context.
+run_named -race -count=20 -run TestClosedServerRefusesDials .
+run_named -race -count=20 -run TestCancelledContextClosesStack ./internal/daemon
 
 # The chaos soak, with and without a stager that could re-close the
 # corrupting depot's circuit: every replica of an extent behind an open
