@@ -7,11 +7,12 @@
 //
 // Run with:
 //
-//	go run ./examples/interior_walkthrough
+//	go run ./examples/interior_walkthrough [-out dir]  # default: a new temporary directory
 package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"log"
 	"os"
@@ -27,6 +28,8 @@ import (
 )
 
 func main() {
+	out := flag.String("out", "", "directory for the PNG frames (default: a new temporary directory)")
+	flag.Parse()
 	// A track of three stations across the negHip molecule.
 	template := lightfield.ScaledParams(30, 3, 48)
 	template.InnerRadius = 0.9
@@ -110,7 +113,11 @@ func main() {
 		geom.V(0.9, 0.8, 0.2),
 		geom.V(1.5, 0.2, 0.1),
 	}
-	if err := os.MkdirAll("walkthrough_frames", 0o755); err != nil {
+	dir, err := *out, os.MkdirAll(*out, 0o755)
+	if dir == "" {
+		dir, err = os.MkdirTemp("", "walkthrough_frames-")
+	}
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%-6s %-22s %-9s %-10s %-10s\n", "move", "position", "station", "class", "total(s)")
@@ -125,7 +132,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		f, err := os.Create(fmt.Sprintf("walkthrough_frames/move%02d.png", i))
+		f, err := os.Create(fmt.Sprintf("%s/move%02d.png", dir, i))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -134,5 +141,5 @@ func main() {
 		}
 		f.Close()
 	}
-	fmt.Println("interior_walkthrough: wrote walkthrough_frames/*.png")
+	fmt.Printf("interior_walkthrough: wrote %s\n", dir+"/*.png")
 }

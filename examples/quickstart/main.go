@@ -5,11 +5,12 @@
 //
 // Run with:
 //
-//	go run ./examples/quickstart
+//	go run ./examples/quickstart [-out dir]  # default: a new temporary directory
 package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"log"
 	"os"
@@ -22,6 +23,8 @@ import (
 )
 
 func main() {
+	out := flag.String("out", "", "directory for the PNG frames (default: a new temporary directory)")
+	flag.Parse()
 	// 1. The dataset: a 64^3 potential field standing in for negHip.
 	vol, err := volume.NegHip(64)
 	if err != nil {
@@ -63,7 +66,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := os.MkdirAll("quickstart_frames", 0o755); err != nil {
+	dir, err := *out, os.MkdirAll(*out, 0o755)
+	if dir == "" {
+		dir, err = os.MkdirTemp("", "quickstart_frames-")
+	}
+	if err != nil {
 		log.Fatal(err)
 	}
 	views := []geom.Spherical{
@@ -81,7 +88,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		name := fmt.Sprintf("quickstart_frames/view%d.png", i)
+		name := fmt.Sprintf("%s/view%d.png", dir, i)
 		f, err := os.Create(name)
 		if err != nil {
 			log.Fatal(err)
@@ -93,5 +100,5 @@ func main() {
 		fmt.Printf("quickstart: %s rendered in %v (%d px filled, %d background)\n",
 			name, time.Since(t0).Round(time.Microsecond), stats.Filled, stats.Background)
 	}
-	fmt.Println("quickstart: done — open quickstart_frames/*.png")
+	fmt.Printf("quickstart: done — open %s\n", dir+"/*.png")
 }

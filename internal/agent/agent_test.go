@@ -743,33 +743,3 @@ func TestRouteMissesFallsBackWithoutDepot(t *testing.T) {
 		t.Errorf("fallback class = %v", rep.Class)
 	}
 }
-
-func TestSuppressStageOnMissPausesStager(t *testing.T) {
-	r := newRig(t)
-	if _, err := r.sa.PrecomputeAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ca := r.newClientAgent(t, func(c *ClientAgentConfig) { c.SuppressStageOnMiss = true })
-	// Mark the agent as busy with a miss; the staging workers must idle.
-	ca.mu.Lock()
-	ca.wanBusy = 1
-	ca.mu.Unlock()
-	if _, err := ca.StartPrestaging(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	if got := ca.StagedCount(); got != 0 {
-		t.Fatalf("staged %d sets while a miss was outstanding", got)
-	}
-	// Release the miss: staging proceeds to completion.
-	ca.mu.Lock()
-	ca.wanBusy = 0
-	ca.mu.Unlock()
-	deadline := time.Now().Add(20 * time.Second)
-	for ca.StagedCount() < r.params.NumViewSets() {
-		if time.Now().After(deadline) {
-			t.Fatalf("staging stalled at %d of %d", ca.StagedCount(), r.params.NumViewSets())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}

@@ -109,8 +109,8 @@ type ClientAgentConfig struct {
 	StageLease time.Duration
 	// StageOrderPolicy selects staging order (default proximity).
 	StageOrderPolicy StageOrder
-	// SuppressStageOnMiss pauses the prestager while a client-facing WAN
-	// miss is being served (the mitigation discussed in section 4.3).
+	// SuppressStageOnMiss pauses the prestager while a user's miss is in
+	// flight (the mitigation discussed in section 4.3).
 	SuppressStageOnMiss bool
 	// RouteMissesThroughDepot implements the paper's other suggested
 	// mitigation: when a view set misses both cache and staged store, the
@@ -118,7 +118,8 @@ type ClientAgentConfig struct {
 	// downloads from there, so the WAN transfer is never redundant — the
 	// staged copy remains for future accesses. Requires LANDepots.
 	RouteMissesThroughDepot bool
-	// Prefetch enables quadrant prefetching on cursor movement.
+	// Prefetch enables quadrant prefetching on cursor movement, one view
+	// set at a time and never beside a user's miss.
 	Prefetch bool
 	// PrefetchAllNeighbors prefetches the full 8-neighborhood instead of
 	// the quadrant prediction (ablation baseline for Figure 4's policy:
@@ -247,8 +248,12 @@ type ClientAgent struct {
 	haveCur bool
 	staged  map[lightfield.ViewSetID]*exnode.ExNode
 	staging map[lightfield.ViewSetID]bool // claimed by a staging worker
-	wanBusy int                           // outstanding client-facing WAN fetches
 	stats   ClientAgentStats
+	// userFlights counts users' flights in the air; idle (on mu) is signalled
+	// when it falls to 0, when a move refills prefetchQ, and on a stop.
+	userFlights int
+	idle        sync.Cond
+	prefetchQ   []lightfield.ViewSetID
 	// flights holds the one fetch in progress per view set (flight.go):
 	// every request that misses the cache joins it, whichever entry point
 	// it came through.
@@ -269,10 +274,10 @@ type ClientAgent struct {
 	// every download this agent performs.
 	pipes *ibp.PipePool
 
-	stageWake chan struct{}
-	stopOnce  sync.Once
-	stopCh    chan struct{}
-	stageDone chan struct{}
+	life         context.Context // ends at Close
+	stop         context.CancelFunc
+	stageDone    chan struct{}
+	prefetchDone chan struct{} // closed when the prefetch worker has returned
 }
 
 // NewClientAgent validates the configuration and builds the agent. Call
@@ -334,11 +339,16 @@ func NewClientAgent(cfg ClientAgentConfig) (*ClientAgent, error) {
 			Window: cfg.PipelineWindow,
 			Obs:    cfg.Obs,
 		},
-		stageWake: make(chan struct{}, 1),
-		stopCh:    make(chan struct{}),
 	}
+	ca.idle.L = &ca.mu
+	ca.life, ca.stop = context.WithCancel(context.Background())
+	ca.wakeOnDone(ca.life)
 	if cfg.TrajectoryPrefetch {
 		ca.predictor = lightfield.NewTrajectoryPredictor(cfg.Params, cfg.TrajectoryLookahead)
+	}
+	if cfg.Prefetch {
+		ca.prefetchDone = make(chan struct{})
+		go ca.prefetchWorker()
 	}
 	// A frame evicted before any hit consumed it must drop its prefetch
 	// mark, or the map entry leaks and a much later re-fetch+hit would be
@@ -403,14 +413,15 @@ func (ca *ClientAgent) RegisterMetrics(reg *obs.Registry) {
 	})
 }
 
-// Close stops background work and tears down the pipelined depot
-// connections and the DVS client's idle ones.
+// Close stops background work, waits for the prefetch worker, and tears
+// down the pipelined depot connections and the DVS client's idle ones.
 func (ca *ClientAgent) Close() {
-	ca.stopOnce.Do(func() {
-		close(ca.stopCh)
-		ca.pipes.Close()
-		ca.cfg.DVS.CloseIdle()
-	})
+	ca.stop()
+	ca.pipes.Close()
+	ca.cfg.DVS.CloseIdle()
+	if ca.prefetchDone != nil {
+		<-ca.prefetchDone
+	}
 }
 
 // Stats returns a snapshot of agent counters.
@@ -560,17 +571,14 @@ func (ca *ClientAgent) replicaPrefer() func(depot string) float64 {
 }
 
 // OnUserMove tells the agent where the cursor is. It reorders the staging
-// queue and (if enabled) launches quadrant prefetches. Prefetch transfers
-// run asynchronously; errors are counted, not surfaced.
+// queue and (if enabled) replaces the prefetch queue with the move's
+// targets in the policy's order. The prefetch worker fetches those not
+// cached; errors are counted, not surfaced.
 func (ca *ClientAgent) OnUserMove(sp geom.Spherical) {
 	ca.mu.Lock()
 	ca.cursor = sp
 	ca.haveCur = true
 	ca.mu.Unlock()
-	select {
-	case ca.stageWake <- struct{}{}:
-	default:
-	}
 	if !ca.cfg.Prefetch {
 		return
 	}
@@ -587,19 +595,66 @@ func (ca *ClientAgent) OnUserMove(sp geom.Spherical) {
 			targets = predicted
 		}
 	}
-	for _, id := range targets {
-		if ca.cache.Contains(id.String()) {
-			continue
+	ca.mu.Lock()
+	ca.prefetchQ = targets
+	ca.idle.Broadcast()
+	ca.mu.Unlock()
+}
+
+// foreground counts a user's flight in (+1) or out (-1) of the air.
+func (ca *ClientAgent) foreground(d int) {
+	ca.mu.Lock()
+	if ca.userFlights += d; ca.userFlights == 0 {
+		ca.idle.Broadcast()
+	}
+	ca.mu.Unlock()
+}
+
+// wakeOnDone wakes the waiters at the foreground gate when ctx ends.
+func (ca *ClientAgent) wakeOnDone(ctx context.Context) (stop func() bool) {
+	return context.AfterFunc(ctx, func() {
+		ca.mu.Lock()
+		ca.idle.Broadcast()
+		ca.mu.Unlock()
+	})
+}
+
+// await waits on idle, with ca.mu held, until ready() (true) or ctx or the
+// agent ends (false). The foreground gate is a ready() of userFlights == 0.
+func (ca *ClientAgent) await(ctx context.Context, ready func() bool) bool {
+	for ctx.Err() == nil && ca.life.Err() == nil && !ready() {
+		ca.idle.Wait()
+	}
+	return ctx.Err() == nil && ca.life.Err() == nil
+}
+
+// prefetchWorker is the agent's one prefetcher: it takes the queue's head
+// when the foreground gate is open and fetches it to the end before the
+// next. A prefetch in flight when a user's miss starts goes on: its bytes
+// are on the pipe.
+func (ca *ClientAgent) prefetchWorker() {
+	defer close(ca.prefetchDone)
+	for {
+		ca.mu.Lock()
+		if !ca.await(ca.life, func() bool { return ca.userFlights == 0 && len(ca.prefetchQ) > 0 }) {
+			ca.mu.Unlock()
+			return
 		}
-		go ca.prefetch(id)
+		id := ca.prefetchQ[0]
+		ca.prefetchQ = ca.prefetchQ[1:]
+		ca.mu.Unlock()
+		ca.prefetch(id)
 	}
 }
 
 // prefetch is a GetViewSet on the agent's own account that nobody waits
-// for. A view set somebody is fetching already needs no prefetch and
-// counts as none.
+// for. A view set that is cached by now, or that somebody is fetching
+// already, needs no prefetch and counts as none.
 func (ca *ClientAgent) prefetch(id lightfield.ViewSetID) {
-	ctx, cancel := context.WithTimeout(context.Background(), ca.cfg.FetchTimeout)
+	if ca.cache.Contains(id.String()) {
+		return
+	}
+	ctx, cancel := context.WithTimeout(ca.life, ca.cfg.FetchTimeout)
 	defer cancel()
 	a, err := ca.open(ctx, id, true)
 	if err != nil {
@@ -680,6 +735,7 @@ func (ca *ClientAgent) nextToStage(claim bool) (lightfield.ViewSetID, bool) {
 // prestageLoop runs StageParallelism concurrent staging workers until the
 // database is localized or the agent stops.
 func (ca *ClientAgent) prestageLoop(ctx context.Context) {
+	defer ca.wakeOnDone(ctx)()
 	var wg sync.WaitGroup
 	for w := 0; w < ca.cfg.StageParallelism; w++ {
 		wg.Add(1)
@@ -693,27 +749,11 @@ func (ca *ClientAgent) prestageLoop(ctx context.Context) {
 
 func (ca *ClientAgent) stageWorker(ctx context.Context) {
 	for {
-		select {
-		case <-ctx.Done():
+		ca.mu.Lock()
+		ok := ca.await(ctx, func() bool { return ca.userFlights == 0 || !ca.cfg.SuppressStageOnMiss })
+		ca.mu.Unlock()
+		if !ok {
 			return
-		case <-ca.stopCh:
-			return
-		default:
-		}
-		if ca.cfg.SuppressStageOnMiss {
-			ca.mu.Lock()
-			busy := ca.wanBusy > 0
-			ca.mu.Unlock()
-			if busy {
-				select {
-				case <-time.After(time.Millisecond):
-				case <-ctx.Done():
-					return
-				case <-ca.stopCh:
-					return
-				}
-				continue
-			}
 		}
 		id, ok := ca.nextToStage(true)
 		if !ok {

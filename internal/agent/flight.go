@@ -215,6 +215,10 @@ type fetch struct {
 // and the flight's context ends early only when every caller has left.
 func (ca *ClientAgent) fly(ctx context.Context, f *fetch) (err error) {
 	defer func() { f.err = err }()
+	if !f.viaPrefetch { // the foreground gate is shut until a user's flight ends
+		ca.foreground(1)
+		defer ca.foreground(-1)
+	}
 	ctx, cancel := context.WithTimeout(ctx, ca.cfg.FetchTimeout)
 	defer cancel()
 	// A fetch that has just finished may have landed the frame between the
@@ -244,14 +248,6 @@ func (ca *ClientAgent) fly(ctx context.Context, f *fetch) (err error) {
 		ca.mu.Unlock()
 	}
 
-	ca.mu.Lock()
-	ca.wanBusy++
-	ca.mu.Unlock()
-	defer func() {
-		ca.mu.Lock()
-		ca.wanBusy--
-		ca.mu.Unlock()
-	}()
 	exs, cached, err := ca.resolveExNodes(ctx, f.id)
 	if err != nil {
 		return err

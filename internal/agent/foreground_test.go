@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -21,14 +22,42 @@ import (
 
 // eventLog is an ordered record shared by a test's fakes.
 type eventLog struct {
-	mu     sync.Mutex
-	events []string
+	mu      sync.Mutex
+	events  []string
+	changed chan struct{} // closed when an event is added, if a reader waits
 }
 
 func (l *eventLog) add(e string) {
 	l.mu.Lock()
 	l.events = append(l.events, e)
+	if l.changed != nil {
+		close(l.changed)
+		l.changed = nil
+	}
 	l.mu.Unlock()
+}
+
+// await waits until e is among the events not yet taken.
+func (l *eventLog) await(t *testing.T, e string) {
+	t.Helper()
+	timeout := time.After(10 * time.Second)
+	for {
+		l.mu.Lock()
+		if slices.Contains(l.events, e) {
+			l.mu.Unlock()
+			return
+		}
+		if l.changed == nil {
+			l.changed = make(chan struct{})
+		}
+		changed := l.changed
+		l.mu.Unlock()
+		select {
+		case <-changed:
+		case <-timeout:
+			t.Fatalf("%q never happened", e)
+		}
+	}
 }
 
 func (l *eventLog) take() []string {
@@ -259,14 +288,13 @@ func TestPrefetchWaitsForForegroundFrame(t *testing.T) {
 	if rec, err := v.MoveTo(context.Background(), sp); err != nil || rec.Class != AccessWAN {
 		t.Fatalf("move: %+v, %v", rec, err)
 	}
-	// The prefetches run in the think time; wait for them to land.
-	deadline := time.Now().Add(10 * time.Second)
+	// The prefetches run in the think time, one after another; once a
+	// target's lookup is out its flight has begun, and a request for it
+	// joins that flight or hits the frame it landed.
 	for _, target := range targets {
-		for !ca.cache.Contains(target.String()) {
-			if time.Now().After(deadline) {
-				t.Fatalf("prefetch of %v never landed", target)
-			}
-			time.Sleep(time.Millisecond)
+		log.await(t, "GET "+target.String())
+		if _, rep, err := ca.GetViewSet(context.Background(), target); err != nil || rep.Class != AccessHit {
+			t.Fatalf("request for prefetched %v: %+v, %v", target, rep, err)
 		}
 	}
 

@@ -74,7 +74,7 @@ const (
 	MAgentMisses = "agent.cache.misses"
 	// MAgentHitRate: gauge via snapshot, hits/(hits+misses) of the LRU.
 	MAgentHitRate = "agent.cache.hit_rate"
-	// MAgentPrefetches: counter. Prefetch fetches issued on cursor moves.
+	// MAgentPrefetches: counter. Prefetch flights started (dropped targets count none).
 	MAgentPrefetches = "agent.prefetch.issued"
 	// MAgentPrefetchUseful: counter. Cache hits that a prefetch had loaded
 	// (the prefetch-useful numerator; divide by agent.prefetch.issued).

@@ -87,6 +87,13 @@ run_named -race -count=20 \
 run_named -race -count=20 \
 	-run 'TestFlightSharedAcrossEntryPoints|TestFlightStagedGoneCostsOneMiss|TestFlightTriesEveryExNodeReplica|TestFlightTracedFromViewer|TestFlightSemantics|TestFlightCancellation|TestFlightFailureAfterPublishedBytes' \
 	./internal/agent
+# The prefetcher's queue and the foreground gate: one prefetch in flight,
+# an earlier move's unstarted targets dropped, nothing started while a
+# user's fetch is in flight, Close with the worker waiting at the gate, and
+# the stager (SuppressStageOnMiss) waiting at the same gate.
+run_named -race -count=20 \
+	-run 'TestOnePrefetchInFlight|TestMoveDropsStalePrefetches|TestNoPrefetchStartsWhileUserWaits|TestCloseStopsParkedPrefetcher|TestSuppressStageOnMissPausesStager' \
+	./internal/agent
 run_named -race -count=20 -run 'TestDoCoalescesConcurrentCalls|TestJoinSharesStarterState|TestCancellerDoesNotKillFlight|TestLastWaiterCancelsFlight|TestConcurrentCancellationStorm' ./internal/singleflight
 
 # The render kernel against the per-ray oracle it replaced (frames byte for
