@@ -8,7 +8,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
 	"time"
 
 	"lonviz/internal/daemon"
@@ -38,7 +37,6 @@ func main() {
 			return err
 		}
 		srv := ibp.NewServer(depot)
-		srv.Logf = log.Printf
 		srv.PipelineWindow = pipelineWindow()
 		srv.Admission = admission.Gate()
 		bound, err := srv.ListenAndServe(*addr)

@@ -13,7 +13,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
 	"time"
 
 	"lonviz/internal/daemon"
@@ -50,7 +49,6 @@ func main() {
 		}
 		cache.RegisterMetrics(nil)
 		srv := edge.NewServer(cache)
-		srv.Logf = log.Printf
 		srv.PipelineWindow = pipelineWindow()
 		srv.Admission = admission.Gate()
 		bound, err := srv.ListenAndServe(*addr)

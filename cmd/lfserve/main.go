@@ -164,11 +164,6 @@ func main() {
 					}
 					return dvsClient.Replace(ctx, dvs.Key{Dataset: *dataset, ViewSet: name}, xml)
 				},
-				OnEvent: func(ev steward.Event) {
-					if ev.Type != steward.EventRenew {
-						log.Printf("lfserve: steward: %s", ev)
-					}
-				},
 			}
 			if *lboneURL != "" {
 				cfg.Locate = steward.LBoneLocator(&lbone.Client{BaseURL: *lboneURL}, 0, 0)

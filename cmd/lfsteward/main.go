@@ -49,7 +49,6 @@ func main() {
 	renewWindow := flag.Duration("renew-window", 5*time.Minute, "renew leases expiring within this window")
 	lease := flag.Duration("lease", 30*time.Minute, "lease term for renewals and repairs")
 	budget := flag.Int("repair-budget", 16, "max repair copies per cycle")
-	verbose := flag.Bool("v", false, "log every steward event")
 	once := flag.Bool("once", false, "run a single scan cycle and exit")
 	fleetScrape := flag.Bool("fleet-scrape", false, "scrape the whole fleet's observability endpoints into this process's /debug/tsdb, health matrix at /debug/fleet (needs -metrics-addr; discovers members via -lbone plus -fleet-peers)")
 	fleetPeers := flag.String("fleet-peers", "", "comma-separated static metrics addresses to scrape in addition to L-Bone discovery")
@@ -84,11 +83,6 @@ func main() {
 	}
 	if *lboneURL != "" {
 		cfg.Locate = steward.LBoneLocator(&lbone.Client{BaseURL: *lboneURL}, *x, *y)
-	}
-	cfg.OnEvent = func(ev steward.Event) {
-		if *verbose || ev.Type != steward.EventRenew {
-			log.Printf("lfsteward: %s", ev)
-		}
 	}
 	s := steward.New(cfg)
 

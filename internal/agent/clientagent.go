@@ -87,6 +87,16 @@ const (
 	StageSequential
 )
 
+const (
+	// exNodeCacheBytes is the exNode cache budget.
+	exNodeCacheBytes = 8 << 20
+	// stageLease is the lease on staged (volatile) copies.
+	stageLease = 10 * time.Minute
+	// trajectoryLookahead is how many velocity steps ahead the trajectory
+	// predictor extrapolates.
+	trajectoryLookahead = 3
+)
+
 // ClientAgentConfig wires a client agent to the streaming infrastructure.
 type ClientAgentConfig struct {
 	// Dataset and Params describe the database being browsed.
@@ -99,14 +109,10 @@ type ClientAgentConfig struct {
 	Dialer ibp.Dialer
 	// CacheBytes is the view set cache budget (compressed frames).
 	CacheBytes int64
-	// ExNodeCacheBytes is the exNode cache budget.
-	ExNodeCacheBytes int64
 	// LANDepots, when set, enables two-stage aggressive prestaging onto
 	// these depots (staged extents stripe round-robin across them, like
 	// the paper's four LAN depots).
 	LANDepots []string
-	// StageLease is the lease for staged copies (default 10m, volatile).
-	StageLease time.Duration
 	// StageOrderPolicy selects staging order (default proximity).
 	StageOrderPolicy StageOrder
 	// SuppressStageOnMiss pauses the prestager while a user's miss is in
@@ -130,9 +136,6 @@ type ClientAgentConfig struct {
 	// quadrant (which remains the fallback while the cursor is still and
 	// the ablation baseline when this is off). Requires Prefetch.
 	TrajectoryPrefetch bool
-	// TrajectoryLookahead is how many velocity steps ahead the predictor
-	// extrapolates (default 3).
-	TrajectoryLookahead int
 	// EdgeAddr, when set, routes misses through the shared edge cache tier
 	// at this host:port (an lfedged instance): resolved exNodes gain a
 	// preferred edge replica whose composite capability lets the edge fill
@@ -295,12 +298,6 @@ func NewClientAgent(cfg ClientAgentConfig) (*ClientAgent, error) {
 	if cfg.CacheBytes <= 0 {
 		cfg.CacheBytes = 64 << 20
 	}
-	if cfg.ExNodeCacheBytes <= 0 {
-		cfg.ExNodeCacheBytes = 8 << 20
-	}
-	if cfg.StageLease == 0 {
-		cfg.StageLease = 10 * time.Minute
-	}
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = 4
 	}
@@ -323,7 +320,7 @@ func NewClientAgent(cfg ClientAgentConfig) (*ClientAgent, error) {
 	if err != nil {
 		return nil, err
 	}
-	excach, err := lru.New(cfg.ExNodeCacheBytes)
+	excach, err := lru.New(exNodeCacheBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -344,7 +341,7 @@ func NewClientAgent(cfg ClientAgentConfig) (*ClientAgent, error) {
 	ca.life, ca.stop = context.WithCancel(context.Background())
 	ca.wakeOnDone(ca.life)
 	if cfg.TrajectoryPrefetch {
-		ca.predictor = lightfield.NewTrajectoryPredictor(cfg.Params, cfg.TrajectoryLookahead)
+		ca.predictor = lightfield.NewTrajectoryPredictor(cfg.Params, trajectoryLookahead)
 	}
 	if cfg.Prefetch {
 		ca.prefetchDone = make(chan struct{})
@@ -452,7 +449,7 @@ func (ca *ClientAgent) addTransferStats(st lors.DownloadStats) {
 // copyOpts builds the staging options for this agent.
 func (ca *ClientAgent) copyOpts() lors.CopyOptions {
 	return lors.CopyOptions{
-		Lease:  ca.cfg.StageLease,
+		Lease:  stageLease,
 		Policy: ibp.Volatile,
 		Dialer: ca.cfg.Dialer,
 		Health: ca.cfg.Health,

@@ -49,9 +49,6 @@ type ServerAgentConfig struct {
 	StripeSize int64
 	Replicas   int
 	Lease      time.Duration
-	// Level is the codec compression level (codec.DefaultCompression if 0;
-	// the paper compresses every view set with zlib before upload).
-	Level int
 	// Dialer shapes connections to depots and the DVS; nil means plain TCP.
 	Dialer ibp.Dialer
 	// Workers is the generator parallelism for PrecomputeAll (0 =
@@ -127,9 +124,6 @@ func NewServerAgent(cfg ServerAgentConfig) (*ServerAgent, error) {
 	}
 	if len(cfg.Depots) == 0 {
 		return nil, fmt.Errorf("agent: server agent needs at least one depot")
-	}
-	if cfg.Level == 0 {
-		cfg.Level = codec.DefaultCompression
 	}
 	if cfg.Lease == 0 {
 		cfg.Lease = 10 * time.Minute
@@ -258,7 +252,7 @@ func (sa *ServerAgent) renderAndPublish(ctx context.Context, id lightfield.ViewS
 	if err != nil {
 		return nil, fmt.Errorf("agent: generating %v: %w", id, err)
 	}
-	frame, err := lightfield.EncodeViewSet(vs, p, sa.cfg.Level)
+	frame, err := lightfield.EncodeViewSet(vs, p, codec.DefaultCompression)
 	if err != nil {
 		return nil, fmt.Errorf("agent: encoding %v: %w", id, err)
 	}

@@ -21,8 +21,7 @@
 // Accounting is atomic counters bridged onto an obs registry by
 // RegisterMetrics (bufpool.* families). CopyTracked is the instrumented
 // replacement for copy() on data-plane paths: the bytes_copied counter it
-// feeds is the residual memcpy budget of the zero-copy plane, and the
-// benchmark-facing guard tests pin it near zero for pipelined downloads.
+// feeds is the residual memcpy budget of the zero-copy plane.
 package bufpool
 
 import (
@@ -104,9 +103,10 @@ func Put(b []byte) {
 }
 
 // CopyTracked is copy() with accounting: every byte moved through it
-// lands on the bufpool.bytes_copied counter. Data-plane code uses it at
-// the few sites where a copy is still unavoidable (racing replicas,
-// serial-fallback loads), so the metric measures exactly the memcpy work
+// lands on the bufpool.bytes_copied counter. Data-plane code uses it where
+// a copy is still unavoidable — today one site, lors' replica race, which
+// loads each racer into a buffer of its own and copies the winner's bytes
+// into the destination — so the metric measures exactly the memcpy work
 // the zero-copy plane has not eliminated.
 func CopyTracked(dst, src []byte) int {
 	n := copy(dst, src)

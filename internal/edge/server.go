@@ -46,8 +46,6 @@ type Server struct {
 	// origin replica. nil admits everything but still sheds requests whose
 	// propagated deadline budget is exhausted.
 	Admission *overload.Gate
-	// Logf logs server events; nil disables logging.
-	Logf func(format string, args ...interface{})
 	// Obs receives the edge.* serve metrics; nil records into obs.Default().
 	Obs *obs.Registry
 	// Tracer receives server-side spans for traced requests; nil records
@@ -79,7 +77,7 @@ func NewServer(c *Cache) *Server {
 		Refuse:  func(msg string) string { return errLine(codeProto, msg) },
 	}, func() wire.Settings {
 		return wire.Settings{PipelineWindow: s.PipelineWindow, Admission: s.Admission,
-			Logf: s.Logf, Obs: s.Obs, Tracer: s.Tracer}
+			Obs: s.Obs, Tracer: s.Tracer}
 	})
 	return s
 }

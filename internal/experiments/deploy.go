@@ -36,6 +36,10 @@ const (
 	Case3Staged Case = 3
 )
 
+// numWANDepots and numLANDepots size the two depot pools, as in the
+// paper's deployment.
+const numWANDepots, numLANDepots = 3, 4
+
 // Config scales the experiment. The default shrinks the paper's setup so
 // the whole suite runs in seconds while preserving latency orderings; see
 // DESIGN.md section 4 for the mapping.
@@ -51,8 +55,6 @@ type Config struct {
 	ThinkTime time.Duration
 	// WAN and LAN are the link profiles for remote and local depots.
 	WAN, LAN netsim.LinkProfile
-	// NumWANDepots and NumLANDepots size the two pools (paper: 3 and 4).
-	NumWANDepots, NumLANDepots int
 	// CacheBytes is the client agent cache budget.
 	CacheBytes int64
 	// StripeSize for uploads; 0 lets lors pick.
@@ -92,8 +94,6 @@ func DefaultConfig() Config {
 			Name: "lan", Latency: 300 * time.Microsecond,
 			Bandwidth: 60 << 20, Shared: true,
 		},
-		NumWANDepots:     3,
-		NumLANDepots:     4,
 		CacheBytes:       16 << 20,
 		StripeSize:       64 << 10,
 		StageParallelism: 12,
@@ -196,7 +196,7 @@ func Deploy(ctx context.Context, cfg Config, res int, cs Case) (*Deployment, err
 	if cs == Case1LAN {
 		serverProfile = cfg.LAN
 	}
-	for i := 0; i < cfg.NumWANDepots; i++ {
+	for i := 0; i < numWANDepots; i++ {
 		addr, closer, err := startDepot(capacity, copyDialer)
 		if err != nil {
 			return nil, err
@@ -206,7 +206,7 @@ func Deploy(ctx context.Context, cfg Config, res int, cs Case) (*Deployment, err
 		d.WANDepotClosers = append(d.WANDepotClosers, closer)
 		d.Dialer.SetRoute(addr, serverProfile)
 	}
-	for i := 0; i < cfg.NumLANDepots; i++ {
+	for i := 0; i < numLANDepots; i++ {
 		addr, closer, err := startDepot(capacity, nil)
 		if err != nil {
 			return nil, err
@@ -289,7 +289,7 @@ func Deploy(ctx context.Context, cfg Config, res int, cs Case) (*Deployment, err
 	// appropriate depots to serve as the network caches").
 	var lanForStaging []string
 	if cs == Case3Staged {
-		near, err := lbClient.Lookup(ctx, 0, 0, cfg.NumLANDepots, 1)
+		near, err := lbClient.Lookup(ctx, 0, 0, numLANDepots, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -20,12 +20,13 @@ import (
 	"lonviz/internal/session"
 )
 
+// edgeCacheBytes sizes the edge.
+const edgeCacheBytes = 64 << 20
+
 // EdgeFleetOptions shapes one shared-vs-isolated comparison.
 type EdgeFleetOptions struct {
 	// Clients is the fleet size (default 10).
 	Clients int
-	// EdgeCacheBytes sizes the edge (default 64 MiB).
-	EdgeCacheBytes int64
 	// Trajectory turns on trajectory-predictive prefetch for the shared
 	// leg (the isolated leg always runs the quadrant baseline).
 	Trajectory bool
@@ -145,9 +146,6 @@ func EdgeFleetExperiment(ctx context.Context, cfg Config, paperRes int, opts Edg
 	if opts.Clients <= 0 {
 		opts.Clients = 10
 	}
-	if opts.EdgeCacheBytes <= 0 {
-		opts.EdgeCacheBytes = 64 << 20
-	}
 	d, err := Deploy(ctx, cfg, ScaleRes(paperRes), Case2WAN)
 	if err != nil {
 		return nil, err
@@ -166,7 +164,7 @@ func EdgeFleetExperiment(ctx context.Context, cfg Config, paperRes int, opts Edg
 	// carries the WAN routes to the server depots); clients reach the edge
 	// itself at LAN cost.
 	cache, err := edge.NewCache(edge.CacheConfig{
-		CapacityBytes: opts.EdgeCacheBytes,
+		CapacityBytes: edgeCacheBytes,
 		Dialer:        d.Dialer,
 		Obs:           obs.NewRegistry(),
 	})

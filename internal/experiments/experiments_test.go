@@ -171,7 +171,7 @@ func TestDeployWiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if len(d.WANDepots) != cfg.NumWANDepots || len(d.LANDepots) != cfg.NumLANDepots {
+	if len(d.WANDepots) != numWANDepots || len(d.LANDepots) != numLANDepots {
 		t.Errorf("depot pools = %d/%d", len(d.WANDepots), len(d.LANDepots))
 	}
 	// The client dialer must route server depots over the WAN profile and

@@ -35,8 +35,6 @@ type Server struct {
 	// party communication without consuming resources on either the client
 	// or the client agent".
 	CopyDialer Dialer
-	// Logf logs server events; nil disables logging.
-	Logf func(format string, args ...interface{})
 	// Obs receives per-verb service-time histograms and error counters;
 	// nil records into obs.Default().
 	Obs *obs.Registry
@@ -79,7 +77,7 @@ func NewServer(d *Depot) *Server {
 		Refuse:  func(msg string) string { return errLine(ErrProto, msg) },
 	}, func() wire.Settings {
 		return wire.Settings{PipelineWindow: s.PipelineWindow, Admission: s.Admission,
-			Logf: s.Logf, Obs: s.Obs, Tracer: s.Tracer}
+			Obs: s.Obs, Tracer: s.Tracer}
 	})
 	return s
 }

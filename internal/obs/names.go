@@ -328,14 +328,44 @@ const (
 	// GetViewSet completed; fields: viewset, class, ms.
 	EvAgentFetch = "agent.fetch"
 	// EvIBPServeErr: warn. A depot answered a request with ERR; fields:
-	// op, err.
+	// op, peer.
 	EvIBPServeErr = "ibp.serve_err"
+	// EvWirePanic: error. A verb handler panicked; its connection was
+	// closed and the server goes on serving; fields: component, peer,
+	// panic.
+	EvWirePanic = "wire.panic"
+	// EvWireStopped: error. A server's accept loop ended on a listener
+	// error other than Close; fields: component, addr, err.
+	EvWireStopped = "wire.stopped"
 	// EvShed: warn. Admission control rejected or dropped work under
 	// overload; fields: component, reason.
 	EvShed = "overload.shed"
-	// EvStewardRepairDone: info. A repair copy finished; fields: dataset,
-	// extent, depot, ok.
+	// EvStewardRepairDone: info, warn when ok=false. A repair copy
+	// finished, or found no candidate depot (depot ""); fields: dataset,
+	// extent, depot, ok, and err when it failed.
 	EvStewardRepairDone = "steward.repair_done"
+	// EvStewardRenew: debug (one per replica per lease term). The steward
+	// extended a lease; fields: dataset, extent, depot.
+	EvStewardRenew = "steward.renew"
+	// EvStewardRenewFailed: warn. A lease renewal failed on a live
+	// allocation; fields: dataset, extent, depot, err.
+	EvStewardRenewFailed = "steward.renew_failed"
+	// EvStewardVerifyFailed: warn. A sampled replica's payload failed to
+	// load or to verify, so the replica is treated as dead; fields:
+	// dataset, extent, depot, err.
+	EvStewardVerifyFailed = "steward.verify_failed"
+	// EvStewardPrune: info. A dead replica was dropped from its exNode;
+	// fields: dataset, extent, depot.
+	EvStewardPrune = "steward.prune"
+	// EvStewardExtentLost: warn. An extent has no healthy replica left;
+	// fields: dataset, extent.
+	EvStewardExtentLost = "steward.extent_lost"
+	// EvStewardPublish: info. An updated exNode was published; fields:
+	// dataset.
+	EvStewardPublish = "steward.publish"
+	// EvStewardPublishFailed: warn. Publishing an updated exNode failed
+	// (retried next cycle); fields: dataset, err.
+	EvStewardPublishFailed = "steward.publish_failed"
 	// EvSLOAlert: warn on firing, info on resolved. An SLO alert changed
 	// state; fields: rule, instance, state, severity, value, threshold.
 	EvSLOAlert = "slo.alert"
@@ -345,8 +375,9 @@ const (
 	// EvEdgeFillErr: warn. An edge origin fill failed (clients fall back
 	// to origin replicas); fields: origin, hint, err.
 	EvEdgeFillErr = "edge.fill_err"
-	// EvStewardHotsetWarm: info. The hot-set replicator warmed one view
-	// set into the edge tier; fields: hint, ok.
+	// EvStewardHotsetWarm: info, warn when ok=false. The hot-set
+	// replicator warmed one view set into the edge tier; fields: hint, ok,
+	// and err when it failed.
 	EvStewardHotsetWarm = "steward.hotset_warm"
 	// EvCaptureBundle: info. The flight recorder finished a forensic
 	// bundle; fields: id, trigger, files, bytes.

@@ -15,6 +15,9 @@ import (
 	"lonviz/internal/obs"
 )
 
+// tsdbWindow is how far back a bundle's tsdb.json reaches.
+const tsdbWindow = 5 * time.Minute
+
 // RecorderConfig configures NewRecorder.
 type RecorderConfig struct {
 	// Registry receives the capture.* counters; nil means obs.Default().
@@ -36,8 +39,6 @@ type RecorderConfig struct {
 	// Capacity bounds the in-memory bundle ring; the oldest bundle is
 	// evicted when a new one lands (default 4).
 	Capacity int
-	// TSDBWindow is how far back tsdb.json reaches (default 5m).
-	TSDBWindow time.Duration
 	// Clock overrides time.Now (tests).
 	Clock func() time.Time
 }
@@ -114,9 +115,6 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 	}
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 4
-	}
-	if cfg.TSDBWindow <= 0 {
-		cfg.TSDBWindow = 5 * time.Minute
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -269,7 +267,7 @@ func (r *Recorder) record(id string, now time.Time, trigger, note string) *Bundl
 	}
 	if db := r.cfg.TSDB; db != nil {
 		window := map[string][]obs.Point{}
-		since := r.cfg.Clock().Add(-r.cfg.TSDBWindow)
+		since := r.cfg.Clock().Add(-tsdbWindow)
 		for _, name := range db.Names() {
 			if pts := db.Points(name, since); len(pts) > 0 {
 				window[name] = pts

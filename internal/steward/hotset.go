@@ -23,8 +23,6 @@ type HotSetConfig struct {
 	// implementation resolves the view set's exNode and calls edge.Warm
 	// with the edge address.
 	Warm func(ctx context.Context, hint string) error
-	// TopN is how many feed entries each pass considers (default 8).
-	TopN int
 	// MinCount ignores feed entries below this decayed access count, so a
 	// single stray view doesn't trigger replication (default 2).
 	MinCount float64
@@ -35,6 +33,9 @@ type HotSetConfig struct {
 	// re-warming sooner only burns WAN bandwidth.
 	Cooldown time.Duration
 }
+
+// hotSetTopN is how many feed entries each pass considers.
+const hotSetTopN = 8
 
 // HotSetReplicator runs the feed→warm loop. Create with
 // NewHotSetReplicator, start with Run; Trigger forces an early pass (the
@@ -56,9 +57,6 @@ func NewHotSetReplicator(cfg HotSetConfig) (*HotSetReplicator, error) {
 	}
 	if cfg.Warm == nil {
 		return nil, errors.New("steward: hot-set replicator needs a warm function")
-	}
-	if cfg.TopN <= 0 {
-		cfg.TopN = 8
 	}
 	if cfg.MinCount <= 0 {
 		cfg.MinCount = 2
@@ -124,7 +122,7 @@ func (h *HotSetReplicator) Run(ctx context.Context) {
 // warmed.
 func (h *HotSetReplicator) RunOnce(ctx context.Context) int {
 	warmed := 0
-	for _, item := range h.cfg.Feed(h.cfg.TopN) {
+	for _, item := range h.cfg.Feed(hotSetTopN) {
 		if item.Count < h.cfg.MinCount {
 			continue // hottest-first feed: everything below is colder
 		}

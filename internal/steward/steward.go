@@ -17,10 +17,10 @@
 //
 // Repair work runs in a bounded worker pool under a per-cycle budget so
 // maintenance never starves foreground traffic, and every consequential
-// action is surfaced as an Event and counted once, in Stats; RegisterMetrics
-// publishes Stats onto the /metrics endpoint (the steward.* metrics of
-// docs/OBSERVABILITY.md), and cycle and repair timings are recorded as
-// histograms in an internal/obs registry.
+// action is logged as a steward.* record on the obs event log and counted
+// once, in Stats; RegisterMetrics publishes Stats onto the /metrics
+// endpoint (the steward.* metrics of docs/OBSERVABILITY.md), and cycles,
+// alert audits and repair copies are traced as spans.
 package steward
 
 import (
@@ -48,46 +48,6 @@ type LocateFunc func(ctx context.Context, n int, minFree int64, exclude map[stri
 // browsing clients resolve from (typically dvs.Client.Replace). The
 // steward passes a private copy; the hook may retain it.
 type PublishFunc func(ctx context.Context, name string, ex *exnode.ExNode) error
-
-// EventType labels one steward event.
-type EventType string
-
-// Event types, in lifecycle order.
-const (
-	EventRenew         EventType = "renew"
-	EventRenewFailed   EventType = "renew-failed"
-	EventRepair        EventType = "repair"
-	EventRepairFailed  EventType = "repair-failed"
-	EventPrune         EventType = "prune"
-	EventVerifyFailed  EventType = "verify-failed"
-	EventExtentLost    EventType = "extent-lost"
-	EventPublish       EventType = "publish"
-	EventPublishFailed EventType = "publish-failed"
-)
-
-// Event is one entry of the steward's structured event stream.
-type Event struct {
-	Type   EventType
-	Object string // adopted exNode name
-	Offset int64  // extent offset, -1 for object-level events
-	Depot  string // depot involved, when applicable
-	Err    error  // failure cause, when applicable
-}
-
-// String renders the event for logs.
-func (e Event) String() string {
-	s := fmt.Sprintf("%s %s", e.Type, e.Object)
-	if e.Offset >= 0 {
-		s += fmt.Sprintf("@%d", e.Offset)
-	}
-	if e.Depot != "" {
-		s += " depot=" + e.Depot
-	}
-	if e.Err != nil {
-		s += " err=" + e.Err.Error()
-	}
-	return s
-}
 
 // Stats is a cumulative snapshot of steward activity.
 type Stats struct {
@@ -126,6 +86,9 @@ type CycleReport struct {
 	FullyReplicated bool
 }
 
+// repairParallelism bounds concurrent repair transfers.
+const repairParallelism = 2
+
 // Config tunes a Steward. The zero value of every field has a sensible
 // default, but a useful steward needs at least Publish (to be visible)
 // or Locate (to repair).
@@ -144,8 +107,6 @@ type Config struct {
 	// RepairBudget caps repair copies per cycle across all objects
 	// (default 16), so a mass failure cannot monopolize the depots.
 	RepairBudget int
-	// RepairParallelism bounds concurrent repair transfers (default 2).
-	RepairParallelism int
 	// VerifyPerCycle is how many extents per object get a full payload
 	// CRC verification each cycle, rotating round-robin (default 1;
 	// negative disables sampling).
@@ -155,15 +116,6 @@ type Config struct {
 	// capability is positively gone — expired, revoked, unknown — are
 	// pruned immediately.
 	PruneAfter int
-	// SkipRepairVerify skips the read-back CRC check on freshly repaired
-	// replicas. Verification is on by default because a corrupt repair
-	// would otherwise be advertised as healthy redundancy.
-	SkipRepairVerify bool
-	// TrustRecordedLeases skips probing replicas whose recorded expiry
-	// (exnode.Replica.ExpiresMs) lies beyond the renewal window, except
-	// on extents sampled for payload verification. Cheaper cycles, at
-	// the cost of slower dead-depot detection.
-	TrustRecordedLeases bool
 	// Policy is the allocation policy for repairs (default Stable).
 	Policy ibp.Policy
 	// Dialer shapes depot connections; nil means plain TCP.
@@ -177,9 +129,6 @@ type Config struct {
 	// Publish pushes updated exNodes to the directory; nil disables
 	// republishing (the steward still maintains its own copies).
 	Publish PublishFunc
-	// OnEvent receives the structured event stream; nil discards it. It
-	// is called synchronously from cycle goroutines and must not block.
-	OnEvent func(Event)
 	// Timeout bounds each IBP operation (0 uses the ibp default, 30s).
 	Timeout time.Duration
 	// Clock supplies time (for tests); nil means time.Now.
@@ -204,9 +153,6 @@ func (c *Config) defaults() {
 	}
 	if c.RepairBudget <= 0 {
 		c.RepairBudget = 16
-	}
-	if c.RepairParallelism <= 0 {
-		c.RepairParallelism = 2
 	}
 	if c.VerifyPerCycle == 0 {
 		c.VerifyPerCycle = 1
@@ -354,12 +300,6 @@ func (s *Steward) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats
-}
-
-func (s *Steward) emit(ev Event) {
-	if s.cfg.OnEvent != nil {
-		s.cfg.OnEvent(ev)
-	}
 }
 
 func (s *Steward) client(addr string) *ibp.Client {
@@ -556,10 +496,10 @@ func (s *Steward) processObject(ctx context.Context, name, focusDepot string, bu
 
 	if dirty && s.cfg.Publish != nil {
 		if err := s.cfg.Publish(ctx, name, ex.Clone()); err != nil {
-			s.emit(Event{Type: EventPublishFailed, Object: name, Offset: -1, Err: err})
+			obs.DefaultLogger().WarnContext(ctx, obs.EvStewardPublishFailed, "dataset", name, "err", err)
 			s.addStats(func(st *Stats) { st.PublishFailures++ })
 		} else {
-			s.emit(Event{Type: EventPublish, Object: name, Offset: -1})
+			obs.DefaultLogger().InfoContext(ctx, obs.EvStewardPublish, "dataset", name)
 			s.addStats(func(st *Stats) { st.Republishes++ })
 			dirty = false
 		}
@@ -655,7 +595,7 @@ func (s *Steward) auditObject(ctx context.Context, name string, ex *exnode.ExNod
 
 		verdicts := make([]replicaVerdict, len(ext.Replicas))
 		for j := range ext.Replicas {
-			verdicts[j] = s.auditReplica(ctx, name, ext, j, now, sampled[i], unreach, report, &changed)
+			verdicts[j] = s.auditReplica(ctx, name, ext, j, now, unreach, report, &changed)
 		}
 
 		// Payload sampling: verify one healthy replica's bytes against the
@@ -680,7 +620,8 @@ func (s *Steward) auditObject(ctx context.Context, name string, ex *exnode.ExNod
 				if err == nil {
 					s.addStats(func(st *Stats) { st.PayloadsVerified++ })
 				} else {
-					s.emit(Event{Type: EventVerifyFailed, Object: name, Offset: ext.Offset, Depot: rep.Depot, Err: err})
+					obs.DefaultLogger().WarnContext(ctx, obs.EvStewardVerifyFailed,
+						"dataset", name, "extent", ext.Offset, "depot", rep.Depot, "err", err)
 					s.addStats(func(st *Stats) { st.VerifyFailures++ })
 					verdicts[j] = verdictDead
 					report.Healthy--
@@ -704,7 +645,8 @@ func (s *Steward) auditObject(ctx context.Context, name string, ex *exnode.ExNod
 			kept := ext.Replicas[:0]
 			for j, rep := range ext.Replicas {
 				if verdicts[j] == verdictDead {
-					s.emit(Event{Type: EventPrune, Object: name, Offset: ext.Offset, Depot: rep.Depot})
+					obs.DefaultLogger().InfoContext(ctx, obs.EvStewardPrune,
+						"dataset", name, "extent", ext.Offset, "depot", rep.Depot)
 					s.addStats(func(st *Stats) { st.ReplicasPruned++ })
 					report.ReplicasPruned++
 					delete(unreach, replicaKey(rep))
@@ -715,7 +657,7 @@ func (s *Steward) auditObject(ctx context.Context, name string, ex *exnode.ExNod
 			}
 			ext.Replicas = kept
 		} else {
-			s.emit(Event{Type: EventExtentLost, Object: name, Offset: ext.Offset})
+			obs.DefaultLogger().WarnContext(ctx, obs.EvStewardExtentLost, "dataset", name, "extent", ext.Offset)
 			s.addStats(func(st *Stats) { st.ExtentsLost++ })
 			continue // no healthy source: nothing to repair from
 		}
@@ -729,7 +671,7 @@ func (s *Steward) auditObject(ctx context.Context, name string, ex *exnode.ExNod
 	// its extent, so concurrent appends never collide; per-job results are
 	// folded into the report only after the pool drains.
 	if len(repairs) > 0 {
-		sem := make(chan struct{}, s.cfg.RepairParallelism)
+		sem := make(chan struct{}, repairParallelism)
 		var wg sync.WaitGroup
 		results := make([]repairResult, len(repairs))
 		for k, job := range repairs {
@@ -754,7 +696,7 @@ func (s *Steward) auditObject(ctx context.Context, name string, ex *exnode.ExNod
 // auditReplica probes one replica, renewing its lease when it is inside
 // the renewal window, and returns its verdict. It mutates the replica's
 // recorded expiry in place.
-func (s *Steward) auditReplica(ctx context.Context, name string, ext *exnode.Extent, j int, now time.Time, sampledExtent bool, unreach map[string]int, report *CycleReport, changed *bool) replicaVerdict {
+func (s *Steward) auditReplica(ctx context.Context, name string, ext *exnode.Extent, j int, now time.Time, unreach map[string]int, report *CycleReport, changed *bool) replicaVerdict {
 	rep := &ext.Replicas[j]
 	key := replicaKey(*rep)
 
@@ -772,16 +714,6 @@ func (s *Steward) auditReplica(ctx context.Context, name string, ext *exnode.Ext
 	// unreachable cycle for the prune policy.
 	if s.cfg.Health != nil && !s.cfg.Health.Allow(rep.Depot) {
 		return markUnreachable()
-	}
-
-	// Fast path: a fresh recorded lease can be trusted without a probe
-	// (except on extents sampled for payload verification, which probe so
-	// corruption detection stays live).
-	if s.cfg.TrustRecordedLeases && !sampledExtent {
-		if exp := rep.Expiry(); !exp.IsZero() && exp.After(now.Add(s.cfg.RenewalWindow)) {
-			report.Healthy++
-			return verdictHealthy
-		}
 	}
 
 	if rep.ManageCap == "" {
@@ -821,7 +753,8 @@ func (s *Steward) auditReplica(ctx context.Context, name string, ext *exnode.Ext
 				report.Dead++
 				return verdictDead
 			}
-			s.emit(Event{Type: EventRenewFailed, Object: name, Offset: ext.Offset, Depot: rep.Depot, Err: err})
+			obs.DefaultLogger().WarnContext(ctx, obs.EvStewardRenewFailed,
+				"dataset", name, "extent", ext.Offset, "depot", rep.Depot, "err", err)
 			s.addStats(func(st *Stats) { st.RenewFailures++ })
 			// Still alive until its lease actually runs out.
 			report.Healthy++
@@ -829,7 +762,7 @@ func (s *Steward) auditReplica(ctx context.Context, name string, ext *exnode.Ext
 		}
 		rep.SetExpiry(exp)
 		*changed = true
-		s.emit(Event{Type: EventRenew, Object: name, Offset: ext.Offset, Depot: rep.Depot})
+		obs.DefaultLogger().DebugContext(ctx, obs.EvStewardRenew, "dataset", name, "extent", ext.Offset, "depot", rep.Depot)
 		s.addStats(func(st *Stats) { st.LeasesRenewed++ })
 		report.LeasesRenewed++
 	}
@@ -885,7 +818,8 @@ func (s *Steward) repairExtent(ctx context.Context, name string, ext *exnode.Ext
 		candidates, err := s.cfg.Locate(ctx, need-placed+1, ext.Length, exclude)
 		if err != nil || len(candidates) == 0 {
 			countAttempt()
-			s.emit(Event{Type: EventRepairFailed, Object: name, Offset: ext.Offset, Err: firstErr(err, errors.New("steward: no candidate depots"))})
+			obs.DefaultLogger().WarnContext(ctx, obs.EvStewardRepairDone, "dataset", name, "extent", ext.Offset,
+				"depot", "", "ok", false, "err", firstErr(err, errors.New("steward: no candidate depots")))
 			return res
 		}
 		placedHere := false
@@ -905,9 +839,8 @@ func (s *Steward) repairExtent(ctx context.Context, name string, ext *exnode.Ext
 				rspan.SetAttr("err", err.Error())
 				rspan.Finish()
 				s.cfg.Health.ReportFailure(addr)
-				s.emit(Event{Type: EventRepairFailed, Object: name, Offset: ext.Offset, Depot: addr, Err: err})
 				obs.DefaultLogger().WarnContext(rctx, obs.EvStewardRepairDone,
-					"dataset", name, "extent", ext.Offset, "depot", addr, "ok", false)
+					"dataset", name, "extent", ext.Offset, "depot", addr, "ok", false, "err", err)
 				continue
 			}
 			rspan.Finish()
@@ -917,7 +850,6 @@ func (s *Steward) repairExtent(ctx context.Context, name string, ext *exnode.Ext
 			rep.SetExpiry(now.Add(s.cfg.LeaseTerm))
 			ext.Replicas = append(ext.Replicas, rep)
 			exclude[addr] = true
-			s.emit(Event{Type: EventRepair, Object: name, Offset: ext.Offset, Depot: addr})
 			s.addStats(func(st *Stats) { st.RepairsSucceeded++ })
 			res.succeeded++
 			placedHere = true
@@ -931,8 +863,9 @@ func (s *Steward) repairExtent(ctx context.Context, name string, ext *exnode.Ext
 }
 
 // copyOnto allocates on addr and third-party-copies the extent there from
-// the first source that succeeds, verifying the payload CRC unless
-// disabled. On failure the target allocation is freed rather than leaked.
+// the first source that succeeds, then reads it back and verifies the
+// payload CRC: a corrupt repair would otherwise be advertised as healthy
+// redundancy. On failure the target allocation is freed rather than leaked.
 func (s *Steward) copyOnto(ctx context.Context, ext *exnode.Extent, sources []exnode.Replica, addr string) (exnode.Replica, error) {
 	target := s.client(addr)
 	caps, err := target.Allocate(ctx, ext.Length, s.cfg.LeaseTerm, s.cfg.Policy)
@@ -955,7 +888,7 @@ func (s *Steward) copyOnto(ctx context.Context, ext *exnode.Extent, sources []ex
 		free()
 		return exnode.Replica{}, fmt.Errorf("copy: %w", lastErr)
 	}
-	if !s.cfg.SkipRepairVerify && ext.Checksum != "" {
+	if ext.Checksum != "" {
 		data, err := target.Load(ctx, caps.Read, 0, ext.Length)
 		if err == nil {
 			err = ext.VerifyData(data)

@@ -3,7 +3,7 @@ package steward
 import (
 	"bytes"
 	"context"
-	"fmt"
+	"log/slog"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -14,6 +14,7 @@ import (
 	"lonviz/internal/ibp"
 	"lonviz/internal/lbone"
 	"lonviz/internal/lors"
+	"lonviz/internal/obs"
 )
 
 // rig is a small depot farm whose depots share one skewable clock, so
@@ -68,30 +69,6 @@ func fixedLocator(addrs ...string) LocateFunc {
 	}
 }
 
-// eventLog collects steward events thread-safely.
-type eventLog struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-func (l *eventLog) record(ev Event) {
-	l.mu.Lock()
-	l.events = append(l.events, ev)
-	l.mu.Unlock()
-}
-
-func (l *eventLog) count(t EventType) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, ev := range l.events {
-		if ev.Type == t {
-			n++
-		}
-	}
-	return n
-}
-
 func TestStewardRenewsExpiringLeases(t *testing.T) {
 	r := newRig(t, 2)
 	data := testPayload(96*1024, 1)
@@ -102,14 +79,12 @@ func TestStewardRenewsExpiringLeases(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var log eventLog
 	s := New(Config{
 		ReplicationTarget: 2,
 		RenewalWindow:     5 * time.Minute,
 		LeaseTerm:         30 * time.Minute,
 		VerifyPerCycle:    -1,
 		Clock:             r.now,
-		OnEvent:           log.record,
 	})
 	if err := s.Adopt("obj", ex); err != nil {
 		t.Fatal(err)
@@ -129,6 +104,7 @@ func TestStewardRenewsExpiringLeases(t *testing.T) {
 
 	// 7 minutes later the 10m leases fall inside the 5m renewal window.
 	r.skew.Store(int64(7 * time.Minute))
+	before := s.Stats()
 	rep, err = s.RunCycle(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -140,8 +116,8 @@ func TestStewardRenewsExpiringLeases(t *testing.T) {
 	if rep.LeasesRenewed != wantReplicas {
 		t.Fatalf("renewed %d leases, want %d (report %+v)", rep.LeasesRenewed, wantReplicas, rep)
 	}
-	if got := log.count(EventRenew); got != wantReplicas {
-		t.Errorf("renew events = %d, want %d", got, wantReplicas)
+	if got := s.Stats().LeasesRenewed - before.LeasesRenewed; got != int64(wantReplicas) {
+		t.Errorf("renewals counted = %d, want %d", got, wantReplicas)
 	}
 
 	// The steward's copy must record the new expiries: all beyond the
@@ -180,7 +156,6 @@ func TestStewardRepairsUnderReplication(t *testing.T) {
 	}
 	numExtents := len(ex.Extents)
 
-	var log eventLog
 	published := make(map[string]*exnode.ExNode)
 	var pubMu sync.Mutex
 	s := New(Config{
@@ -195,7 +170,6 @@ func TestStewardRepairsUnderReplication(t *testing.T) {
 			pubMu.Unlock()
 			return nil
 		},
-		OnEvent: log.record,
 	})
 	if err := s.Adopt("obj", ex); err != nil {
 		t.Fatal(err)
@@ -205,6 +179,7 @@ func TestStewardRepairsUnderReplication(t *testing.T) {
 	dead := r.addrs[0]
 	r.servers[0].Close()
 
+	before := s.Stats()
 	rep, err := s.RunCycle(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -244,9 +219,9 @@ func TestStewardRepairsUnderReplication(t *testing.T) {
 		t.Error("post-repair download mismatch")
 	}
 
-	if log.count(EventRepair) != numExtents || log.count(EventPrune) != numExtents {
-		t.Errorf("events: repair=%d prune=%d, want %d each",
-			log.count(EventRepair), log.count(EventPrune), numExtents)
+	st := s.Stats()
+	if repaired, pruned := st.RepairsSucceeded-before.RepairsSucceeded, st.ReplicasPruned-before.ReplicasPruned; repaired != int64(numExtents) || pruned != int64(numExtents) {
+		t.Errorf("counted: repairs=%d pruned=%d, want %d each", repaired, pruned, numExtents)
 	}
 
 	// Next cycle: healthy steady state, nothing to do.
@@ -342,14 +317,12 @@ func TestStewardVerifyCatchesCorruption(t *testing.T) {
 		}},
 	}
 
-	var log eventLog
 	s := New(Config{
 		ReplicationTarget: 2,
 		VerifyPerCycle:    1,
 		// Offer only the spare depot, so the repair demonstrably moves the
 		// data off the corrupt allocation's depot.
-		Locate:  fixedLocator(r.addrs[2]),
-		OnEvent: log.record,
+		Locate: fixedLocator(r.addrs[2]),
 	})
 	if err := s.Adopt("obj", ex); err != nil {
 		t.Fatal(err)
@@ -379,9 +352,6 @@ func TestStewardVerifyCatchesCorruption(t *testing.T) {
 	if !bytes.Equal(got, good) {
 		t.Error("post-repair download mismatch")
 	}
-	if log.count(EventVerifyFailed) != 1 {
-		t.Errorf("verify-failed events = %d, want 1", log.count(EventVerifyFailed))
-	}
 }
 
 func TestStewardNeverPrunesLastReplica(t *testing.T) {
@@ -394,12 +364,10 @@ func TestStewardNeverPrunesLastReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var log eventLog
 	s := New(Config{
 		ReplicationTarget: 1,
 		PruneAfter:        1,
 		VerifyPerCycle:    -1,
-		OnEvent:           log.record,
 	})
 	if err := s.Adopt("obj", ex); err != nil {
 		t.Fatal(err)
@@ -415,9 +383,6 @@ func TestStewardNeverPrunesLastReplica(t *testing.T) {
 	}
 	if got := s.Stats().ExtentsLost; got != int64(len(ex.Extents)) {
 		t.Errorf("extents lost = %d, want %d", got, len(ex.Extents))
-	}
-	if log.count(EventExtentLost) != len(ex.Extents) {
-		t.Errorf("extent-lost events = %d", log.count(EventExtentLost))
 	}
 	// The stale replica is kept as the forensic trail.
 	if len(s.ExNode("obj").Extents[0].Replicas) != 1 {
@@ -556,10 +521,80 @@ func TestStewardRunLoop(t *testing.T) {
 	}
 }
 
-func TestEventString(t *testing.T) {
-	ev := Event{Type: EventRepairFailed, Object: "o", Offset: 64, Depot: "d:1", Err: fmt.Errorf("boom")}
-	want := "repair-failed o@64 depot=d:1 err=boom"
-	if got := ev.String(); got != want {
-		t.Errorf("String() = %q, want %q", got, want)
+// TestStewardEventsReachEventLog: the steward reports on the one event log.
+// A renewal lands in the ring at debug and a repair whose target depot
+// fails at warn, each naming its object, extent and depot, the failure with
+// its error.
+func TestStewardEventsReachEventLog(t *testing.T) {
+	lg := obs.DefaultLogger()
+	level := lg.Level.Level()
+	lg.Level.Set(slog.LevelDebug)
+	t.Cleanup(func() { lg.Level.Set(level) })
+
+	r := newRig(t, 3)
+	ex, err := lors.Upload(context.Background(), "obj", testPayload(8*1024, 8), lors.UploadOptions{
+		Depots: r.addrs[:2], Replicas: 2, Lease: 10 * time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ex.Extents) != 1 {
+		t.Fatalf("want one extent, got %d", len(ex.Extents))
+	}
+	// Depot 1's replica is dead; the only repair target, depot 2, is down.
+	r.servers[1].Close()
+	r.servers[2].Close()
+	s := New(Config{
+		ReplicationTarget: 2,
+		RenewalWindow:     5 * time.Minute,
+		PruneAfter:        1,
+		VerifyPerCycle:    -1,
+		Locate:            fixedLocator(r.addrs[2]),
+		Clock:             r.now,
+	})
+	if err := s.Adopt("obj", ex); err != nil {
+		t.Fatal(err)
+	}
+	var since uint64
+	if evs := lg.Events(); len(evs) > 0 {
+		since = evs[len(evs)-1].Seq
+	}
+	// Depot 0's 10m lease falls inside the 5m renewal window.
+	r.skew.Store(int64(7 * time.Minute))
+	if _, err := s.RunCycle(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.LeasesRenewed != 1 || st.RepairsAttempted != 1 || st.RepairsSucceeded != 0 {
+		t.Fatalf("stats = %+v, want one renewal and one failed repair", st)
+	}
+
+	got := map[string][]map[string]string{}
+	for _, ev := range lg.Events() {
+		if ev.Seq <= since {
+			continue
+		}
+		fields := map[string]string{"level": ev.Level}
+		for _, f := range ev.Fields {
+			fields[f.Key] = f.Value
+		}
+		got[ev.Name] = append(got[ev.Name], fields)
+	}
+	want := map[string]map[string]string{
+		obs.EvStewardRenew:      {"level": "debug", "dataset": "obj", "extent": "0", "depot": r.addrs[0]},
+		obs.EvStewardRepairDone: {"level": "warn", "dataset": "obj", "extent": "0", "depot": r.addrs[2], "ok": "false"},
+	}
+	for name, fields := range want {
+		if len(got[name]) != 1 {
+			t.Errorf("%d %s records, want 1: %v", len(got[name]), name, got[name])
+			continue
+		}
+		for k, v := range fields {
+			if got[name][0][k] != v {
+				t.Errorf("%s %s = %q, want %q", name, k, got[name][0][k], v)
+			}
+		}
+	}
+	if fails := got[obs.EvStewardRepairDone]; len(fails) == 1 && fails[0]["err"] == "" {
+		t.Errorf("failed repair record carries no err: %v", fails[0])
 	}
 }

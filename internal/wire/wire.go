@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"strconv"
 	"strings"
@@ -227,7 +226,6 @@ type Settings struct {
 	// Admission bounds concurrent execution; nil admits everything but a
 	// request whose deadline budget is already spent.
 	Admission *overload.Gate
-	Logf      func(format string, args ...interface{})
 	Obs       *obs.Registry
 	Tracer    *obs.Tracer
 }
@@ -319,9 +317,8 @@ func (s *Server) ListenAndServe(addr string) (string, error) {
 	}
 	go func() {
 		if err := s.Serve(l); err != nil && !errors.Is(err, net.ErrClosed) {
-			if logf := s.settings().Logf; logf != nil {
-				logf("%s server on %s stopped: %v", s.svc.Names.Component, l.Addr(), err)
-			}
+			obs.DefaultLogger().Error(obs.EvWireStopped,
+				"component", s.svc.Names.Component, "addr", l.Addr().String(), "err", err)
 		}
 	}()
 	return l.Addr().String(), nil
@@ -398,7 +395,8 @@ func (s *Server) serveConn(nc net.Conn) {
 	nworkers := 0
 	defer func() {
 		if r := recover(); r != nil {
-			log.Printf("%s: panic handling %v: %v", s.svc.Names.Component, nc.RemoteAddr(), r)
+			obs.DefaultLogger().Error(obs.EvWirePanic,
+				"component", s.svc.Names.Component, "peer", nc.RemoteAddr().String(), "panic", fmt.Sprint(r))
 		}
 		if c.idle != nil {
 			close(c.idle) // the waiting workers exit, the busy ones after their exchange

@@ -24,6 +24,7 @@ go build ./...
 # ROADMAP's tracked numbers: they should fall.
 echo "== non-test Go lines outside bench/: $(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
 echo "== non-test Go lines of internal/obs and cmd/lftop: $(find internal/obs cmd/lftop -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)"
+echo "== exported Config/Options fields outside bench/: $(go test -count=1 -run '^TestEveryOptionHasASetter$' -v . | sed -n 's/.* \([0-9]*\) exported Config\/Options fields.*/\1/p')"
 
 # -shuffle=on randomizes test order within each package, so hidden
 # inter-test coupling (shared registries, leaked goroutines, package
