@@ -342,7 +342,7 @@ func BenchmarkAblationStripes(b *testing.B) {
 }
 
 // BenchmarkAblationPrefetchPolicy compares no prefetch, the paper's
-// quadrant policy, and full-neighborhood prefetch.
+// quadrant policy, full-neighborhood prefetch, and path-first prefetch.
 func BenchmarkAblationPrefetchPolicy(b *testing.B) {
 	type variant struct {
 		name   string
@@ -351,7 +351,8 @@ func BenchmarkAblationPrefetchPolicy(b *testing.B) {
 	for _, v := range []variant{
 		{"none", func(c *experiments.Config) { c.NoPrefetch = true }},
 		{"quadrant", func(c *experiments.Config) {}},
-		{"all_neighbors", func(c *experiments.Config) { c.PrefetchAllNeighbors = true }},
+		{"all_neighbors", func(c *experiments.Config) { c.PrefetchPolicy = agent.PrefetchNeighbors }},
+		{"path", func(c *experiments.Config) { c.PrefetchPolicy = agent.PrefetchPath }},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			cfg := benchConfig()

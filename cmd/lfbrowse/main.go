@@ -26,6 +26,13 @@ import (
 	"lonviz/internal/session"
 )
 
+// prefetchPolicies are the -prefetch values that turn prefetching on.
+var prefetchPolicies = map[string]agent.PrefetchPolicy{
+	"path":      agent.PrefetchPath,
+	"quadrant":  agent.PrefetchQuadrant,
+	"neighbors": agent.PrefetchNeighbors,
+}
+
 func main() {
 	d := daemon.New("lfbrowse")
 	dvsAddr := flag.String("dvs", "", "DVS address (required)")
@@ -36,11 +43,10 @@ func main() {
 	lanDepots := flag.String("lan-depots", "", "comma-separated LAN depot addresses for prestaging")
 	edgeAddr := flag.String("edge-addr", "", "shared edge cache (lfedged) address; misses route through it instead of the WAN depots")
 	pipelineWindow := d.PipelineWindow("in-flight window per pipelined depot connection (0 or negative forces serial one-connection-per-operation transfers)")
-	trajectory := flag.Bool("trajectory", false, "trajectory-predictive prefetch (extrapolated cursor motion) instead of the quadrant policy")
 	accesses := flag.Int("accesses", session.PaperAccessCount, "orchestrated accesses")
 	think := flag.Duration("think", 100*time.Millisecond, "cursor think time")
 	seed := flag.Int64("seed", 1, "cursor script seed")
-	prefetch := flag.Bool("prefetch", true, "enable quadrant prefetching")
+	prefetch := flag.String("prefetch", "path", "prefetch policy: path (the view set the cursor's motion enters next, else the quadrant's first), quadrant (the paper's three), neighbors (all eight), or off")
 	frames := flag.String("frames", "", "directory to write rendered PNG frames into")
 	display := flag.Int("display", 200, "display resolution for rendered frames")
 	serve := flag.String("serve", "", "also expose the client agent to remote clients on this address")
@@ -55,6 +61,10 @@ func main() {
 	if err := p.Validate(); err != nil {
 		log.Fatalf("lfbrowse: %v", err)
 	}
+	policy, ok := prefetchPolicies[*prefetch]
+	if !ok && *prefetch != "off" {
+		log.Fatalf("lfbrowse: -prefetch %q: want path, quadrant, neighbors or off", *prefetch)
+	}
 
 	d.Run(func(ctx context.Context, stack *slo.Stack) error {
 		var lan []string
@@ -63,14 +73,14 @@ func main() {
 		}
 		stack.SetStatus("starting client agent")
 		ca, err := agent.NewClientAgent(agent.ClientAgentConfig{
-			Dataset:            *dataset,
-			Params:             p,
-			DVS:                &dvs.Client{Addr: *dvsAddr},
-			LANDepots:          lan,
-			Prefetch:           *prefetch,
-			EdgeAddr:           *edgeAddr,
-			PipelineWindow:     pipelineWindow(),
-			TrajectoryPrefetch: *trajectory,
+			Dataset:        *dataset,
+			Params:         p,
+			DVS:            &dvs.Client{Addr: *dvsAddr},
+			LANDepots:      lan,
+			Prefetch:       ok,
+			PrefetchPolicy: policy,
+			EdgeAddr:       *edgeAddr,
+			PipelineWindow: pipelineWindow(),
 			// Bias replica selection toward depots with good recent
 			// latency history; nil (metrics off) keeps the pure shuffled
 			// order.

@@ -33,8 +33,7 @@ func TestEdgeFleetEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
 	run, err := experiments.EdgeFleetExperiment(ctx, cfg, 200, experiments.EdgeFleetOptions{
-		Clients:    clients,
-		Trajectory: true,
+		Clients: clients,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -303,7 +303,9 @@ func TestClientAgentPrefetchPopulatesCache(t *testing.T) {
 	if _, err := r.sa.PrecomputeAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	ca := r.newClientAgent(t, func(c *ClientAgentConfig) { c.Prefetch = true })
+	ca := r.newClientAgent(t, func(c *ClientAgentConfig) {
+		c.Prefetch, c.PrefetchPolicy = true, PrefetchQuadrant
+	})
 	// Move to the center of set (1,2); quadrant prefetch targets neighbors.
 	sp := r.params.SetCenterAngles(lightfield.ViewSetID{R: 1, C: 2})
 	ca.OnUserMove(sp)

@@ -1,9 +1,9 @@
 // Package agent implements the two runtime brokers of the streaming model
 // (paper Figure 3): the server agent, which renders view sets on demand,
 // uploads them to server depots and registers them with the DVS; and the
-// client agent, which serves clients from an LRU cache, prefetches along
-// the quadrant policy, and aggressively prestages the database to a LAN
-// depot with third-party copies.
+// client agent, which serves clients from an LRU cache, prefetches the
+// view set the cursor's path enters next, and aggressively prestages the
+// database to a LAN depot with third-party copies.
 //
 // Both agents are instrumented through internal/obs: the client agent
 // wraps every fetch in an agent.getviewset span with resolve/download/
@@ -87,14 +87,30 @@ const (
 	StageSequential
 )
 
+// PrefetchPolicy selects what a move queues for the prefetcher.
+type PrefetchPolicy int
+
+const (
+	// PrefetchPath queues one view set per move: the one the cursor enters
+	// if it takes one more step of its last motion, else (no motion yet, a
+	// step inside the current set, or that set cached) the first of the
+	// quadrant's targets not cached. One think window on a far link carries
+	// one view-set transfer, so a second would still be on the wire when
+	// the next move misses.
+	PrefetchPath PrefetchPolicy = iota
+	// PrefetchQuadrant queues the paper's Figure 4 policy: the three view
+	// sets on the side of the cursor's quadrant.
+	PrefetchQuadrant
+	// PrefetchNeighbors queues the full 8-neighborhood (ablation baseline
+	// for Figure 4's policy: more coverage, ~2.7x the extraneous transfer).
+	PrefetchNeighbors
+)
+
 const (
 	// exNodeCacheBytes is the exNode cache budget.
 	exNodeCacheBytes = 8 << 20
 	// stageLease is the lease on staged (volatile) copies.
 	stageLease = 10 * time.Minute
-	// trajectoryLookahead is how many velocity steps ahead the trajectory
-	// predictor extrapolates.
-	trajectoryLookahead = 3
 )
 
 // ClientAgentConfig wires a client agent to the streaming infrastructure.
@@ -124,18 +140,11 @@ type ClientAgentConfig struct {
 	// downloads from there, so the WAN transfer is never redundant — the
 	// staged copy remains for future accesses. Requires LANDepots.
 	RouteMissesThroughDepot bool
-	// Prefetch enables quadrant prefetching on cursor movement, one view
-	// set at a time and never beside a user's miss.
+	// Prefetch enables prefetching on cursor movement, one view set at a
+	// time and never beside a user's miss.
 	Prefetch bool
-	// PrefetchAllNeighbors prefetches the full 8-neighborhood instead of
-	// the quadrant prediction (ablation baseline for Figure 4's policy:
-	// more coverage, ~2.7x the extraneous transfer).
-	PrefetchAllNeighbors bool
-	// TrajectoryPrefetch extrapolates cursor velocity on the view sphere
-	// and prefetches along the predicted path instead of the static
-	// quadrant (which remains the fallback while the cursor is still and
-	// the ablation baseline when this is off). Requires Prefetch.
-	TrajectoryPrefetch bool
+	// PrefetchPolicy selects the sets a move queues (default PrefetchPath).
+	PrefetchPolicy PrefetchPolicy
 	// EdgeAddr, when set, routes misses through the shared edge cache tier
 	// at this host:port (an lfedged instance): resolved exNodes gain a
 	// preferred edge replica whose composite capability lets the edge fill
@@ -238,9 +247,9 @@ type ClientAgentStats struct {
 }
 
 // ClientAgent is the broker between clients and the LoN fabric: it caches
-// view sets and exNodes, prefetches the quadrant neighborhood on cursor
-// movement, and (when a LAN depot is configured) aggressively prestages
-// the whole database by third-party copy in cursor-proximity order.
+// view sets and exNodes, prefetches on cursor movement, and (when a LAN
+// depot is configured) aggressively prestages the whole database by
+// third-party copy in cursor-proximity order.
 type ClientAgent struct {
 	cfg    ClientAgentConfig
 	cache  *lru.Cache // id.String() -> compressed frame
@@ -268,8 +277,7 @@ type ClientAgent struct {
 	// otherwise entries for evicted-unconsumed frames leak forever and
 	// inflate the usefulness metric's future numerator.
 	prefetched map[string]bool
-	// predictor extrapolates cursor motion for trajectory prefetch (nil
-	// unless TrajectoryPrefetch).
+	// predictor follows the cursor for PrefetchPath (nil unless Prefetch).
 	predictor *lightfield.TrajectoryPredictor
 
 	// pipes holds one persistent pipelined connection per depot (and per
@@ -340,10 +348,8 @@ func NewClientAgent(cfg ClientAgentConfig) (*ClientAgent, error) {
 	ca.idle.L = &ca.mu
 	ca.life, ca.stop = context.WithCancel(context.Background())
 	ca.wakeOnDone(ca.life)
-	if cfg.TrajectoryPrefetch {
-		ca.predictor = lightfield.NewTrajectoryPredictor(cfg.Params, trajectoryLookahead)
-	}
 	if cfg.Prefetch {
+		ca.predictor = lightfield.NewTrajectoryPredictor(cfg.Params)
 		ca.prefetchDone = make(chan struct{})
 		go ca.prefetchWorker()
 	}
@@ -579,17 +585,16 @@ func (ca *ClientAgent) OnUserMove(sp geom.Spherical) {
 	if !ca.cfg.Prefetch {
 		return
 	}
-	targets := ca.cfg.Params.QuadrantPrefetch(sp)
-	if ca.cfg.PrefetchAllNeighbors {
-		i, j := ca.cfg.Params.NearestCamera(sp)
-		targets = ca.cfg.Params.Neighbors(ca.cfg.Params.ViewSetOf(i, j))
-	}
-	if ca.predictor != nil {
-		// Trajectory prediction replaces the static quadrant while the
-		// cursor is moving; a still cursor (no velocity yet, or stopped)
-		// keeps the quadrant targets so coverage never drops to zero.
-		if predicted := ca.predictor.Advance(sp); len(predicted) > 0 {
-			targets = predicted
+	var targets []lightfield.ViewSetID
+	switch p := ca.cfg.Params; ca.cfg.PrefetchPolicy {
+	case PrefetchQuadrant:
+		targets = p.QuadrantPrefetch(sp)
+	case PrefetchNeighbors:
+		targets = p.Neighbors(p.ViewSetOf(p.NearestCamera(sp)))
+	default:
+		held := func(id lightfield.ViewSetID) bool { return ca.cache.Contains(id.String()) }
+		if id, ok := ca.predictor.PathPrefetch(sp, held); ok {
+			targets = []lightfield.ViewSetID{id}
 		}
 	}
 	ca.mu.Lock()

@@ -267,6 +267,8 @@ func TestPrefetchWaitsForForegroundFrame(t *testing.T) {
 		DVS:      &dvs.Client{Addr: r.dvsClient.Addr, Dialer: dialer},
 		Dialer:   dialer,
 		Prefetch: true,
+		// Three targets a move, so the trailing ones show too.
+		PrefetchPolicy: PrefetchQuadrant,
 	})
 	if err != nil {
 		t.Fatal(err)

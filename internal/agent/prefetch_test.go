@@ -18,7 +18,8 @@ import (
 // The prefetcher is one queue and one worker: a move replaces the queue
 // with its targets, the worker fetches them one at a time, and it starts
 // none while a flight a user request started is in flight. These tests
-// read that off the DVS lookups the agent sends, held by the test.
+// read that off the DVS lookups the agent sends, held by the test; the
+// ones that need a queue of more than one set run the quadrant policy.
 
 // lookupGate passes the agent's requests through to the real servers but
 // holds each view set's DVS lookup ("GET <dataset> <view set>") until the
@@ -183,6 +184,9 @@ func (c *lookupGateConn) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
+// quadrant sets the paper's policy, which queues three sets a move.
+func quadrant(c *ClientAgentConfig) { c.PrefetchPolicy = PrefetchQuadrant }
+
 // cursorFor returns the cursor at the centre of view set id and the
 // quadrant policy's targets from there.
 func cursorFor(p lightfield.Params, id lightfield.ViewSetID) (geom.Spherical, []lightfield.ViewSetID) {
@@ -214,7 +218,7 @@ func userFetch(ca *ClientAgent, id lightfield.ViewSetID) <-chan error {
 // previous target's frame has landed.
 func TestOnePrefetchInFlight(t *testing.T) {
 	r := newRig(t)
-	ca, gate := gatedAgent(t, r, nil)
+	ca, gate := gatedAgent(t, r, quadrant)
 	sp, targets := cursorFor(r.params, lightfield.ViewSetID{R: 1, C: 1})
 	if len(targets) < 2 {
 		t.Fatalf("the move predicts %d prefetch targets, want at least 2", len(targets))
@@ -236,7 +240,7 @@ func TestOnePrefetchInFlight(t *testing.T) {
 // earlier move's targets that had not started are never fetched.
 func TestMoveDropsStalePrefetches(t *testing.T) {
 	r := newRig(t)
-	ca, gate := gatedAgent(t, r, nil)
+	ca, gate := gatedAgent(t, r, quadrant)
 	// Two moves with no target in common, the first with more than one.
 	var spA, spB geom.Spherical
 	var targetsA, targetsB []lightfield.ViewSetID
@@ -280,7 +284,7 @@ search:
 // once the user's frame has landed.
 func TestNoPrefetchStartsWhileUserWaits(t *testing.T) {
 	r := newRig(t)
-	ca, gate := gatedAgent(t, r, nil)
+	ca, gate := gatedAgent(t, r, quadrant)
 	user := lightfield.ViewSetID{R: 1, C: 3}
 	sp, targets := cursorFor(r.params, lightfield.ViewSetID{R: 1, C: 1})
 	if len(targets) == 0 || slices.Contains(targets, user) {
@@ -387,5 +391,89 @@ func TestSuppressStageOnMissPausesStager(t *testing.T) {
 	}
 	if copies == 0 {
 		t.Error("no staging COPY reached a depot")
+	}
+}
+
+// parkedPathAgent is the rig's agent under the default policy, with its
+// prefetch worker held at the foreground gate for the whole test, so what
+// a move queues stays in the queue to be read. A user's GetViewSet still
+// caches its frame.
+func parkedPathAgent(t *testing.T, r *rig) *ClientAgent {
+	t.Helper()
+	if _, err := r.sa.PrecomputeAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ca := r.newClientAgent(t, func(c *ClientAgentConfig) { c.Prefetch = true })
+	ca.foreground(1)
+	return ca
+}
+
+// queuedBy makes the move and returns the prefetch queue it left.
+func queuedBy(ca *ClientAgent, sp geom.Spherical) []lightfield.ViewSetID {
+	ca.OnUserMove(sp)
+	ca.mu.Lock()
+	defer ca.mu.Unlock()
+	return slices.Clone(ca.prefetchQ)
+}
+
+// fetchAll has a user fetch each of ids, so the agent caches them.
+func fetchAll(t *testing.T, ca *ClientAgent, ids ...lightfield.ViewSetID) {
+	t.Helper()
+	for _, id := range ids {
+		if _, _, err := ca.GetViewSet(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// pathWalk is two moves east, a set apart, and the set one more step
+// enters. At the centre of a southern set the quadrant has all three
+// targets: north, west and north-west.
+func pathWalk(p lightfield.Params) (first, second geom.Spherical, next lightfield.ViewSetID) {
+	return p.SetCenterAngles(lightfield.ViewSetID{R: 1, C: 0}),
+		p.SetCenterAngles(lightfield.ViewSetID{R: 1, C: 1}),
+		lightfield.ViewSetID{R: 1, C: 2}
+}
+
+// TestFirstMoveTakesQuadrantFirst: a move with no motion behind it queues
+// the quadrant's first target, and only that.
+func TestFirstMoveTakesQuadrantFirst(t *testing.T) {
+	r := newRig(t)
+	ca := parkedPathAgent(t, r)
+	sp, _, _ := pathWalk(r.params)
+	want := r.params.QuadrantPrefetch(sp)[:1]
+	if got := queuedBy(ca, sp); !slices.Equal(got, want) {
+		t.Errorf("first move queued %v, want %v", got, want)
+	}
+}
+
+// TestPathMoveQueuesOneSet: a moving cursor queues exactly one set, the
+// one its next step enters, and not the quadrant's three.
+func TestPathMoveQueuesOneSet(t *testing.T) {
+	r := newRig(t)
+	ca := parkedPathAgent(t, r)
+	first, second, next := pathWalk(r.params)
+	queuedBy(ca, first)
+	if quad := r.params.QuadrantPrefetch(second); len(quad) < 2 || quad[0] == next {
+		t.Fatalf("quadrant %v: want several targets, led by another set than %v", quad, next)
+	}
+	if got := queuedBy(ca, second); !slices.Equal(got, []lightfield.ViewSetID{next}) {
+		t.Errorf("path move queued %v, want [%v]", got, next)
+	}
+}
+
+// TestCachedPathTargetFallsThrough: when the set the next step enters is
+// cached, the move queues the quadrant's first target that is not — one
+// set again.
+func TestCachedPathTargetFallsThrough(t *testing.T) {
+	r := newRig(t)
+	ca := parkedPathAgent(t, r)
+	first, second, next := pathWalk(r.params)
+	quad := r.params.QuadrantPrefetch(second)
+	fetchAll(t, ca, next, quad[0])
+	want := quad[slices.IndexFunc(quad, func(id lightfield.ViewSetID) bool { return id != next && id != quad[0] })]
+	queuedBy(ca, first)
+	if got := queuedBy(ca, second); !slices.Equal(got, []lightfield.ViewSetID{want}) {
+		t.Errorf("with %v and %v cached the move queued %v, want [%v]", next, quad[0], got, want)
 	}
 }

@@ -59,12 +59,13 @@ type Config struct {
 	CacheBytes int64
 	// StripeSize for uploads; 0 lets lors pick.
 	StripeSize int64
-	// NoPrefetch disables the quadrant prefetch policy (ablation; the
-	// paper always prefetches).
+	// NoPrefetch disables prefetching (ablation; the paper always
+	// prefetches).
 	NoPrefetch bool
-	// PrefetchAllNeighbors prefetches the whole 8-neighborhood instead of
-	// the quadrant prediction (ablation).
-	PrefetchAllNeighbors bool
+	// PrefetchPolicy selects the client agent's prefetch policy.
+	// DefaultConfig sets the paper's quadrant; the 8-neighborhood is an
+	// ablation, path-first prefetch the agent's own default.
+	PrefetchPolicy agent.PrefetchPolicy
 	// SuppressStageOnMiss enables the section 4.3 mitigation of pausing
 	// staging while a miss is served (ablation).
 	SuppressStageOnMiss bool
@@ -97,6 +98,7 @@ func DefaultConfig() Config {
 		CacheBytes:       16 << 20,
 		StripeSize:       64 << 10,
 		StageParallelism: 12,
+		PrefetchPolicy:   agent.PrefetchQuadrant,
 	}
 }
 
@@ -301,17 +303,17 @@ func Deploy(ctx context.Context, cfg Config, res int, cs Case) (*Deployment, err
 		}
 	}
 	d.CA, err = agent.NewClientAgent(agent.ClientAgentConfig{
-		Dataset:              "neghip",
-		Params:               p,
-		DVS:                  &dvs.Client{Addr: d.DVSAddr, Dialer: d.Dialer},
-		Dialer:               d.Dialer,
-		CacheBytes:           cfg.CacheBytes,
-		LANDepots:            lanForStaging,
-		Prefetch:             !cfg.NoPrefetch,
-		PrefetchAllNeighbors: cfg.PrefetchAllNeighbors,
-		SuppressStageOnMiss:  cfg.SuppressStageOnMiss,
-		StageOrderPolicy:     cfg.StageOrderPolicy,
-		StageParallelism:     cfg.StageParallelism,
+		Dataset:             "neghip",
+		Params:              p,
+		DVS:                 &dvs.Client{Addr: d.DVSAddr, Dialer: d.Dialer},
+		Dialer:              d.Dialer,
+		CacheBytes:          cfg.CacheBytes,
+		LANDepots:           lanForStaging,
+		Prefetch:            !cfg.NoPrefetch,
+		PrefetchPolicy:      cfg.PrefetchPolicy,
+		SuppressStageOnMiss: cfg.SuppressStageOnMiss,
+		StageOrderPolicy:    cfg.StageOrderPolicy,
+		StageParallelism:    cfg.StageParallelism,
 	})
 	if err != nil {
 		return nil, err

@@ -27,9 +27,6 @@ const edgeCacheBytes = 64 << 20
 type EdgeFleetOptions struct {
 	// Clients is the fleet size (default 10).
 	Clients int
-	// Trajectory turns on trajectory-predictive prefetch for the shared
-	// leg (the isolated leg always runs the quadrant baseline).
-	Trajectory bool
 }
 
 // EdgeFleetRun is the comparison outcome.
@@ -92,7 +89,7 @@ func sumAgentStats(agents []*agent.ClientAgent) agent.ClientAgentStats {
 
 // edgeFleetLeg runs one fleet with a fresh client agent (and private
 // cache) per client, pointed at edgeAddr when non-empty.
-func edgeFleetLeg(ctx context.Context, d *Deployment, clients int, edgeAddr string, trajectory bool) (*session.FleetResult, agent.ClientAgentStats, error) {
+func edgeFleetLeg(ctx context.Context, d *Deployment, clients int, edgeAddr string, policy agent.PrefetchPolicy) (*session.FleetResult, agent.ClientAgentStats, error) {
 	var mu sync.Mutex
 	var agents []*agent.ClientAgent
 	defer func() {
@@ -108,15 +105,14 @@ func edgeFleetLeg(ctx context.Context, d *Deployment, clients int, edgeAddr stri
 		ThinkTime: d.Cfg.ThinkTime,
 		NewViewer: func(i int) (*agent.Viewer, error) {
 			ca, err := agent.NewClientAgent(agent.ClientAgentConfig{
-				Dataset:              "neghip",
-				Params:               d.Params,
-				DVS:                  &dvs.Client{Addr: d.DVSAddr, Dialer: d.Dialer},
-				Dialer:               d.Dialer,
-				CacheBytes:           d.Cfg.CacheBytes,
-				Prefetch:             !d.Cfg.NoPrefetch,
-				PrefetchAllNeighbors: d.Cfg.PrefetchAllNeighbors,
-				EdgeAddr:             edgeAddr,
-				TrajectoryPrefetch:   trajectory,
+				Dataset:        "neghip",
+				Params:         d.Params,
+				DVS:            &dvs.Client{Addr: d.DVSAddr, Dialer: d.Dialer},
+				Dialer:         d.Dialer,
+				CacheBytes:     d.Cfg.CacheBytes,
+				Prefetch:       !d.Cfg.NoPrefetch,
+				PrefetchPolicy: policy,
+				EdgeAddr:       edgeAddr,
 			})
 			if err != nil {
 				return nil, err
@@ -141,7 +137,9 @@ func edgeFleetLeg(ctx context.Context, d *Deployment, clients int, edgeAddr stri
 // EdgeFleetExperiment deploys one case-2 system, runs the isolated
 // baseline leg and then the shared-edge leg, and returns both. Client i
 // browses with seed cfg.Seed+i in both legs, so the cursor paths — and
-// hence the demand each leg must serve — are identical.
+// hence the demand each leg must serve — are identical. The isolated leg
+// prefetches by cfg.PrefetchPolicy (the paper's quadrant by default), the
+// shared leg by the agent's default, path-first prefetch.
 func EdgeFleetExperiment(ctx context.Context, cfg Config, paperRes int, opts EdgeFleetOptions) (*EdgeFleetRun, error) {
 	if opts.Clients <= 0 {
 		opts.Clients = 10
@@ -155,7 +153,7 @@ func EdgeFleetExperiment(ctx context.Context, cfg Config, paperRes int, opts Edg
 	run := &EdgeFleetRun{Clients: opts.Clients, Accesses: cfg.Accesses}
 
 	// Baseline first: every client on its own, no edge tier.
-	run.Isolated, run.IsolatedAgents, err = edgeFleetLeg(ctx, d, opts.Clients, "", false)
+	run.Isolated, run.IsolatedAgents, err = edgeFleetLeg(ctx, d, opts.Clients, "", cfg.PrefetchPolicy)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: isolated leg: %w", err)
 	}
@@ -179,7 +177,7 @@ func EdgeFleetExperiment(ctx context.Context, cfg Config, paperRes int, opts Edg
 	defer esrv.Close()
 	d.Dialer.SetRoute(edgeAddr, cfg.LAN)
 
-	run.Shared, run.SharedAgents, err = edgeFleetLeg(ctx, d, opts.Clients, edgeAddr, opts.Trajectory)
+	run.Shared, run.SharedAgents, err = edgeFleetLeg(ctx, d, opts.Clients, edgeAddr, agent.PrefetchPath)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: shared leg: %w", err)
 	}

@@ -7,66 +7,68 @@ import (
 	"lonviz/internal/geom"
 )
 
-// TrajectoryPredictor extrapolates the cursor's motion on the view sphere
-// and names the view sets the cursor is about to enter, so the client
-// agent can prefetch along the predicted path instead of the static
-// quadrant (BigDataViewer's demand-shaped fetching applied to the paper's
-// view-sphere browsing). Velocity is the per-sample angle delta — no wall
-// clock is consulted, so a given cursor path always yields the same
-// prediction sequence (determinism the tests pin down).
+// TrajectoryPredictor follows the cursor on the view sphere and names the
+// one view set a move should prefetch: the set the cursor enters if it
+// takes one more step of its last motion, with the paper's quadrant
+// (Figure 4) as the fallback — BigDataViewer's "what the next frame needs,
+// most important first", applied to the paper's view-sphere browsing. One
+// step and one set because one think window carries one view-set transfer
+// on a far link. Velocity is the per-sample angle delta — no wall clock is
+// consulted, so a given cursor path always yields the same prediction
+// sequence (determinism the tests pin down).
 type TrajectoryPredictor struct {
-	p         Params
-	lookahead int
+	p Params
 
 	mu           sync.Mutex
 	prev         geom.Spherical
 	havePrev     bool
 	dTheta, dPhi float64
-	haveVel      bool
 }
 
-// NewTrajectoryPredictor builds a predictor extrapolating lookahead
-// velocity steps ahead (default 3 when non-positive).
-func NewTrajectoryPredictor(p Params, lookahead int) *TrajectoryPredictor {
-	if lookahead <= 0 {
-		lookahead = 3
-	}
-	return &TrajectoryPredictor{p: p, lookahead: lookahead}
+// NewTrajectoryPredictor builds a predictor over the database geometry p.
+func NewTrajectoryPredictor(p Params) *TrajectoryPredictor {
+	return &TrajectoryPredictor{p: p}
 }
 
-// Advance records one cursor sample and returns the predicted view sets
-// along the extrapolated path, nearest first, deduplicated, excluding the
-// set the cursor is currently in. A cursor with no velocity yet (first
-// sample, or two identical samples) predicts nothing — callers keep their
-// static fallback policy for that case.
-func (t *TrajectoryPredictor) Advance(sp geom.Spherical) []ViewSetID {
+// Advance records one cursor sample and returns the view set the cursor
+// enters if it takes one more step of its last motion. ok is false while
+// the cursor has no velocity (first sample, or two identical samples) and
+// when that step stays inside the cursor's current set.
+func (t *TrajectoryPredictor) Advance(sp geom.Spherical) (id ViewSetID, ok bool) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.havePrev {
+	moving := t.havePrev
+	if moving {
 		t.dTheta = sp.Theta - t.prev.Theta
 		t.dPhi = wrapDeltaPhi(sp.Phi - t.prev.Phi)
-		t.haveVel = true
+		moving = t.dTheta != 0 || t.dPhi != 0
 	}
-	t.prev = sp
-	t.havePrev = true
-	if !t.haveVel || (t.dTheta == 0 && t.dPhi == 0) {
-		return nil
+	t.prev, t.havePrev = sp, true
+	dTheta, dPhi := t.dTheta, t.dPhi
+	t.mu.Unlock()
+	if !moving {
+		return ViewSetID{}, false
 	}
 	ci, cj := t.p.NearestCamera(sp)
-	cur := t.p.ViewSetOf(ci, cj)
-	theta, phi := sp.Theta, sp.Phi
-	var out []ViewSetID
-	for k := 0; k < t.lookahead; k++ {
-		theta += t.dTheta
-		phi += t.dPhi
-		rt, rp := reflectSphere(theta, phi)
-		i, j := t.p.NearestCamera(geom.Spherical{Theta: rt, Phi: rp})
-		id := t.p.ViewSetOf(i, j)
-		if id != cur && t.p.ValidID(id) {
-			out = append(out, id)
+	rt, rp := reflectSphere(sp.Theta+dTheta, sp.Phi+dPhi)
+	i, j := t.p.NearestCamera(geom.Spherical{Theta: rt, Phi: rp})
+	id = t.p.ViewSetOf(i, j)
+	return id, id != t.p.ViewSetOf(ci, cj) && t.p.ValidID(id)
+}
+
+// PathPrefetch records one cursor sample and returns the one view set the
+// path policy prefetches for it: the set Advance names, or — when there is
+// none or held has it — the first of QuadrantPrefetch(sp)'s targets that
+// held does not have. ok is false when held has every candidate.
+func (t *TrajectoryPredictor) PathPrefetch(sp geom.Spherical, held func(ViewSetID) bool) (ViewSetID, bool) {
+	if id, ok := t.Advance(sp); ok && !held(id) {
+		return id, true
+	}
+	for _, id := range t.p.QuadrantPrefetch(sp) {
+		if !held(id) {
+			return id, true
 		}
 	}
-	return dedupIDs(out)
+	return ViewSetID{}, false
 }
 
 // wrapDeltaPhi maps an azimuth delta into (-π, π] so a cursor crossing

@@ -35,6 +35,12 @@ const PaperAccessCount = 58
 // within the target set's angular span so positions look like human cursor
 // input.
 func StandardScript(p lightfield.Params, n int, seed int64) (Script, error) {
+	return walk(p, n, seed, 0.6)
+}
+
+// walk is StandardScript's walk, keeping its direction from one move to
+// the next with probability momentum.
+func walk(p lightfield.Params, n int, seed int64, momentum float64) (Script, error) {
 	if err := p.Validate(); err != nil {
 		return Script{}, err
 	}
@@ -45,11 +51,10 @@ func StandardScript(p lightfield.Params, n int, seed int64) (Script, error) {
 	// safe even when scripts are generated from concurrent tests.
 	rng := rand.New(rand.NewSource(seed))
 	cur := lightfield.ViewSetID{R: p.SetRows() / 2, C: p.SetCols() / 2}
-	// Momentum: keep moving the same direction with probability 0.6.
 	dr, dc := 0, 1
 	var moves []geom.Spherical
 	for len(moves) < n {
-		if rng.Float64() > 0.6 {
+		if rng.Float64() > momentum {
 			dirs := [][2]int{{0, 1}, {0, -1}, {1, 0}, {-1, 0}, {1, 1}, {-1, -1}, {1, -1}, {-1, 1}}
 			d := dirs[rng.Intn(len(dirs))]
 			dr, dc = d[0], d[1]

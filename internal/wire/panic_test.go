@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,7 +16,9 @@ import (
 // TestHandlerPanicReachesEventLog: a verb handler that panics costs its own
 // connection only — the connection closes, a new one is served — and the
 // panic lands in the event log (so in /debug/events and a capture bundle's
-// events.json) as one error record naming the component.
+// events.json) as one error record naming the component. That holds on an
+// untagged connection and on a pipelined one, whose handlers run on
+// workers of their own.
 func TestHandlerPanicReachesEventLog(t *testing.T) {
 	const component = "panictest"
 	svc := testService(nil)
@@ -30,23 +33,44 @@ func TestHandlerPanicReachesEventLog(t *testing.T) {
 	if evs := obs.DefaultLogger().Events(); len(evs) > 0 {
 		since = evs[len(evs)-1].Seq
 	}
-	exchange := func(line string) (string, error) {
+	// exchange sends lines on a new connection and returns the first n
+	// replies, or all those read before the connection ends.
+	exchange := func(lines string, n int) ([]string, error) {
 		nc, err := net.Dial("tcp", l.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer nc.Close()
 		nc.SetDeadline(time.Now().Add(5 * time.Second))
-		if _, err := io.WriteString(nc, line); err != nil {
+		if _, err := io.WriteString(nc, lines); err != nil {
 			t.Fatal(err)
 		}
-		return bufio.NewReader(nc).ReadString('\n')
+		br := bufio.NewReader(nc)
+		var replies []string
+		for len(replies) != n {
+			reply, err := br.ReadString('\n')
+			if err != nil {
+				return replies, err
+			}
+			replies = append(replies, reply)
+		}
+		return replies, nil
 	}
-	if reply, err := exchange("BOOM\n"); err != io.EOF {
-		t.Fatalf("panicking request: reply %q, err %v; want the connection closed (EOF)", reply, err)
-	}
-	if reply, err := exchange("PING\n"); err != nil || reply != "OK\n" {
-		t.Fatalf("request after the panic: reply %q, err %v; want OK", reply, err)
+	for _, tc := range []struct {
+		name, lines string
+		replies     []string
+	}{
+		{"untagged", "BOOM\n", nil},
+		{"pipelined", "PIPELINE 4\nBOOM tag=1\n", []string{"OK 4\n"}},
+	} {
+		replies, err := exchange(tc.lines, -1)
+		if err != io.EOF || !slices.Equal(replies, tc.replies) {
+			t.Fatalf("%s panicking request: replies %q, err %v; want %q and the connection closed (EOF)",
+				tc.name, replies, err, tc.replies)
+		}
+		if replies, err := exchange("PING\n", 1); err != nil || !slices.Equal(replies, []string{"OK\n"}) {
+			t.Fatalf("request after the %s panic: replies %q, err %v; want OK", tc.name, replies, err)
+		}
 	}
 
 	var got []obs.Event
@@ -55,14 +79,16 @@ func TestHandlerPanicReachesEventLog(t *testing.T) {
 			got = append(got, ev)
 		}
 	}
-	if len(got) != 1 {
-		t.Fatalf("%d %s records, want 1: %+v", len(got), obs.EvWirePanic, got)
+	if len(got) != 2 {
+		t.Fatalf("%d %s records, want 2: %+v", len(got), obs.EvWirePanic, got)
 	}
-	fields := map[string]string{}
-	for _, f := range got[0].Fields {
-		fields[f.Key] = f.Value
-	}
-	if got[0].Level != "error" || fields["component"] != component || fields["panic"] != "handler blew up" {
-		t.Errorf("panic record = %+v, want level error, component %s, panic %q", got[0], component, "handler blew up")
+	for _, ev := range got {
+		fields := map[string]string{}
+		for _, f := range ev.Fields {
+			fields[f.Key] = f.Value
+		}
+		if ev.Level != "error" || fields["component"] != component || fields["panic"] != "handler blew up" {
+			t.Errorf("panic record = %+v, want level error, component %s, panic %q", ev, component, "handler blew up")
+		}
 	}
 }

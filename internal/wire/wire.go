@@ -395,8 +395,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	nworkers := 0
 	defer func() {
 		if r := recover(); r != nil {
-			obs.DefaultLogger().Error(obs.EvWirePanic,
-				"component", s.svc.Names.Component, "peer", nc.RemoteAddr().String(), "panic", fmt.Sprint(r))
+			c.logPanic(r)
 		}
 		if c.idle != nil {
 			close(c.idle) // the waiting workers exit, the busy ones after their exchange
@@ -454,9 +453,28 @@ func (s *Server) serveConn(nc net.Conn) {
 func (c *conn) work(x *exchange, workers *sync.WaitGroup) {
 	defer workers.Done()
 	for ok := true; ok; x, ok = <-c.idle {
-		c.exec(x)
+		c.execTagged(x)
 		c.free <- x
 	}
+}
+
+// execTagged runs one exchange on a worker. A handler that panics costs
+// its connection only, as on an untagged one: the panic is logged and the
+// connection closed, so the reader ends it and its workers leave.
+func (c *conn) execTagged(x *exchange) {
+	defer func() {
+		if r := recover(); r != nil {
+			c.logPanic(r)
+			c.nc.Close()
+		}
+	}()
+	c.exec(x)
+}
+
+// logPanic records a handler panic recovered on this connection.
+func (c *conn) logPanic(r any) {
+	obs.DefaultLogger().Error(obs.EvWirePanic,
+		"component", c.srv.svc.Names.Component, "peer", c.nc.RemoteAddr().String(), "panic", fmt.Sprint(r))
 }
 
 // ReadLine reads one \n-terminated line of at most max bytes, newline

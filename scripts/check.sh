@@ -75,11 +75,12 @@ run_named -race -count=20 \
 	./internal/wire
 # Tagged execution and the gathered write: workers number the peak
 # concurrency and leave with their connection, a blocked handler holds its
-# own worker only, and a reply whose write fails mid-body is the
+# own worker only, a handler that panics costs its own connection only,
+# tagged or not, and a reply whose write fails mid-body is the
 # connection's last with its pooled body returned. The client's half-written
 # PUT is a row of TestClientRepeatsOnlyWhatIsSafe above.
 run_named -race -count=20 \
-	-run 'TestWorkersNumberPeakConcurrency|TestWorkersLeaveWithTheConnection|TestWorkerBlockedDoesNotStallOthers|TestReplyWriteFailsMidBody' \
+	-run 'TestWorkersNumberPeakConcurrency|TestWorkersLeaveWithTheConnection|TestWorkerBlockedDoesNotStallOthers|TestHandlerPanicReachesEventLog|TestReplyWriteFailsMidBody' \
 	./internal/wire
 
 # The one fetch flight: who shares a transfer, who may leave it, what a
@@ -91,9 +92,11 @@ run_named -race -count=20 \
 # The prefetcher's queue and the foreground gate: one prefetch in flight,
 # an earlier move's unstarted targets dropped, nothing started while a
 # user's fetch is in flight, Close with the worker waiting at the gate, and
-# the stager (SuppressStageOnMiss) waiting at the same gate.
+# the stager (SuppressStageOnMiss) waiting at the same gate; and what the
+# default policy queues: one set a move, along the cursor's path, else the
+# quadrant's first not cached.
 run_named -race -count=20 \
-	-run 'TestOnePrefetchInFlight|TestMoveDropsStalePrefetches|TestNoPrefetchStartsWhileUserWaits|TestCloseStopsParkedPrefetcher|TestSuppressStageOnMissPausesStager' \
+	-run 'TestOnePrefetchInFlight|TestMoveDropsStalePrefetches|TestNoPrefetchStartsWhileUserWaits|TestCloseStopsParkedPrefetcher|TestSuppressStageOnMissPausesStager|TestPathMoveQueuesOneSet|TestCachedPathTargetFallsThrough|TestFirstMoveTakesQuadrantFirst' \
 	./internal/agent
 run_named -race -count=20 -run 'TestDoCoalescesConcurrentCalls|TestJoinSharesStarterState|TestCancellerDoesNotKillFlight|TestLastWaiterCancelsFlight|TestConcurrentCancellationStorm' ./internal/singleflight
 
