@@ -26,11 +26,22 @@ import (
 	"lonviz/internal/session"
 )
 
-// prefetchPolicies are the -prefetch values that turn prefetching on.
-var prefetchPolicies = map[string]agent.PrefetchPolicy{
-	"path":      agent.PrefetchPath,
-	"quadrant":  agent.PrefetchQuadrant,
-	"neighbors": agent.PrefetchNeighbors,
+// prefetchPolicy resolves -prefetch; on is false for "off". Unset, it is
+// path, but quadrant under -serve: the path predictor follows one cursor,
+// and a served agent takes every client's moves, interleaved.
+func prefetchPolicy(name string, serving bool) (policy agent.PrefetchPolicy, on bool, err error) {
+	if name == "" && serving {
+		name = "quadrant"
+	}
+	switch name {
+	case "", "path":
+		return agent.PrefetchPath, true, nil
+	case "quadrant":
+		return agent.PrefetchQuadrant, true, nil
+	case "off":
+		return 0, false, nil
+	}
+	return 0, false, fmt.Errorf("-prefetch %q: want path, quadrant or off", name)
 }
 
 func main() {
@@ -46,7 +57,7 @@ func main() {
 	accesses := flag.Int("accesses", session.PaperAccessCount, "orchestrated accesses")
 	think := flag.Duration("think", 100*time.Millisecond, "cursor think time")
 	seed := flag.Int64("seed", 1, "cursor script seed")
-	prefetch := flag.String("prefetch", "path", "prefetch policy: path (the view set the cursor's motion enters next, else the quadrant's first), quadrant (the paper's three), neighbors (all eight), or off")
+	prefetch := flag.String("prefetch", "", "prefetch policy: path (the view set the cursor's motion enters next, else the quadrant's first; the default), quadrant (the paper's three; the default with -serve), or off")
 	frames := flag.String("frames", "", "directory to write rendered PNG frames into")
 	display := flag.Int("display", 200, "display resolution for rendered frames")
 	serve := flag.String("serve", "", "also expose the client agent to remote clients on this address")
@@ -61,9 +72,9 @@ func main() {
 	if err := p.Validate(); err != nil {
 		log.Fatalf("lfbrowse: %v", err)
 	}
-	policy, ok := prefetchPolicies[*prefetch]
-	if !ok && *prefetch != "off" {
-		log.Fatalf("lfbrowse: -prefetch %q: want path, quadrant, neighbors or off", *prefetch)
+	policy, ok, err := prefetchPolicy(*prefetch, *serve != "")
+	if err != nil {
+		log.Fatalf("lfbrowse: %v", err)
 	}
 
 	d.Run(func(ctx context.Context, stack *slo.Stack) error {

@@ -96,7 +96,9 @@ const (
 	// step inside the current set, or that set cached) the first of the
 	// quadrant's targets not cached. One think window on a far link carries
 	// one view-set transfer, so a second would still be on the wire when
-	// the next move misses.
+	// the next move misses. It follows one cursor: an agent whose moves
+	// come from several clients (ClientAgentServer) reads their
+	// interleaving as steps, and runs PrefetchQuadrant instead.
 	PrefetchPath PrefetchPolicy = iota
 	// PrefetchQuadrant queues the paper's Figure 4 policy: the three view
 	// sets on the side of the cursor's quadrant.

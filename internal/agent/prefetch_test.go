@@ -477,3 +477,58 @@ func TestCachedPathTargetFallsThrough(t *testing.T) {
 		t.Errorf("with %v and %v cached the move queued %v, want [%v]", next, quad[0], got, want)
 	}
 }
+
+// TestServedAgentQueuesAroundTheMover: two remote clients share one agent
+// and take turns to move — A east along row 1, B standing at r00c02. A
+// shared agent runs the quadrant, which reads no history, so each move
+// queues the mover's own quadrant, every set a neighbour of the mover's,
+// whatever the other client did in between. (The path predictor would
+// read the jump between the two cursors as a step.)
+func TestServedAgentQueuesAroundTheMover(t *testing.T) {
+	r := newRig(t)
+	if _, err := r.sa.PrecomputeAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ca := r.newClientAgent(t, func(c *ClientAgentConfig) {
+		c.Prefetch = true
+		c.PrefetchPolicy = PrefetchQuadrant
+	})
+	ca.foreground(1) // the worker stays parked, so the queue stays to be read
+	srv, err := NewClientAgentServer(ca, "neghip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := srv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	a := &RemoteSource{Addr: addr, Dataset: "neghip"}
+	b := &RemoteSource{Addr: addr, Dataset: "neghip"}
+	t.Cleanup(a.CloseIdle)
+	t.Cleanup(b.CloseIdle)
+
+	p := r.params
+	standing := lightfield.ViewSetID{R: 0, C: 2}
+	for c := range p.SetCols() {
+		for _, mv := range []struct {
+			name string
+			src  *RemoteSource
+			at   lightfield.ViewSetID
+		}{{"A", a, lightfield.ViewSetID{R: 1, C: c}}, {"B", b, standing}} {
+			sp := p.SetCenterAngles(mv.at)
+			mv.src.OnUserMove(sp)
+			ca.mu.Lock()
+			got := slices.Clone(ca.prefetchQ)
+			ca.mu.Unlock()
+			if want := p.QuadrantPrefetch(sp); len(got) == 0 || !slices.Equal(got, want) {
+				t.Errorf("client %s at %v queued %v, want its quadrant %v", mv.name, mv.at, got, want)
+			}
+			for _, id := range got {
+				if !slices.Contains(p.Neighbors(mv.at), id) {
+					t.Errorf("client %s at %v queued %v, not a neighbour of its set", mv.name, mv.at, id)
+				}
+			}
+		}
+	}
+}

@@ -30,11 +30,11 @@ func NewTrajectoryPredictor(p Params) *TrajectoryPredictor {
 	return &TrajectoryPredictor{p: p}
 }
 
-// Advance records one cursor sample and returns the view set the cursor
+// advance records one cursor sample and returns the view set the cursor
 // enters if it takes one more step of its last motion. ok is false while
 // the cursor has no velocity (first sample, or two identical samples) and
 // when that step stays inside the cursor's current set.
-func (t *TrajectoryPredictor) Advance(sp geom.Spherical) (id ViewSetID, ok bool) {
+func (t *TrajectoryPredictor) advance(sp geom.Spherical) (id ViewSetID, ok bool) {
 	t.mu.Lock()
 	moving := t.havePrev
 	if moving {
@@ -56,11 +56,11 @@ func (t *TrajectoryPredictor) Advance(sp geom.Spherical) (id ViewSetID, ok bool)
 }
 
 // PathPrefetch records one cursor sample and returns the one view set the
-// path policy prefetches for it: the set Advance names, or — when there is
+// path policy prefetches for it: the set advance names, or — when there is
 // none or held has it — the first of QuadrantPrefetch(sp)'s targets that
 // held does not have. ok is false when held has every candidate.
 func (t *TrajectoryPredictor) PathPrefetch(sp geom.Spherical, held func(ViewSetID) bool) (ViewSetID, bool) {
-	if id, ok := t.Advance(sp); ok && !held(id) {
+	if id, ok := t.advance(sp); ok && !held(id) {
 		return id, true
 	}
 	for _, id := range t.p.QuadrantPrefetch(sp) {

@@ -28,18 +28,18 @@ func TestTrajectoryZeroVelocity(t *testing.T) {
 	p := trajParams(t)
 	tp := NewTrajectoryPredictor(p)
 	sp := geom.Spherical{Theta: math.Pi / 2, Phi: 1.0}
-	if id, ok := tp.Advance(sp); ok {
+	if id, ok := tp.advance(sp); ok {
 		t.Fatalf("first sample (no velocity yet) predicted %v, want none", id)
 	}
-	if id, ok := tp.Advance(sp); ok {
+	if id, ok := tp.advance(sp); ok {
 		t.Fatalf("still cursor predicted %v, want none", id)
 	}
 	// Movement resumes prediction; stopping again silences it.
 	moved := geom.Spherical{Theta: math.Pi / 2, Phi: 1.4}
-	if _, ok := tp.Advance(moved); !ok {
+	if _, ok := tp.advance(moved); !ok {
 		t.Fatal("moving cursor predicted nothing")
 	}
-	if id, ok := tp.Advance(moved); ok {
+	if id, ok := tp.advance(moved); ok {
 		t.Fatalf("re-stopped cursor predicted %v, want none", id)
 	}
 }
@@ -49,9 +49,9 @@ func TestTrajectoryFollowsMotion(t *testing.T) {
 	tp := NewTrajectoryPredictor(p)
 	// Eastward along the equator by about one set: the prediction must sit
 	// east of the cursor's current view set, not behind it.
-	tp.Advance(geom.Spherical{Theta: math.Pi / 2, Phi: 0.3})
+	tp.advance(geom.Spherical{Theta: math.Pi / 2, Phi: 0.3})
 	sp := geom.Spherical{Theta: math.Pi / 2, Phi: 0.8}
-	id, ok := tp.Advance(sp)
+	id, ok := tp.advance(sp)
 	if !ok {
 		t.Fatal("eastward motion predicted nothing")
 	}
@@ -71,8 +71,8 @@ func TestTrajectoryFollowsMotion(t *testing.T) {
 		t.Fatalf("one step east predicted %v, want %v (current %v)", id, want, cur)
 	}
 	// A step that stays inside the current set names no set.
-	tp.Advance(geom.Spherical{Theta: math.Pi / 2, Phi: 0.85})
-	if id, ok := tp.Advance(geom.Spherical{Theta: math.Pi / 2, Phi: 0.9}); ok {
+	tp.advance(geom.Spherical{Theta: math.Pi / 2, Phi: 0.85})
+	if id, ok := tp.advance(geom.Spherical{Theta: math.Pi / 2, Phi: 0.9}); ok {
 		t.Fatalf("a step inside the current set predicted %v, want none", id)
 	}
 }
@@ -81,11 +81,11 @@ func TestTrajectoryDirectionReversal(t *testing.T) {
 	p := trajParams(t)
 	tp := NewTrajectoryPredictor(p)
 	// East first...
-	tp.Advance(geom.Spherical{Theta: math.Pi / 2, Phi: 1.0})
-	east, okEast := tp.Advance(geom.Spherical{Theta: math.Pi / 2, Phi: 1.5})
+	tp.advance(geom.Spherical{Theta: math.Pi / 2, Phi: 1.0})
+	east, okEast := tp.advance(geom.Spherical{Theta: math.Pi / 2, Phi: 1.5})
 	// ...then reverse west. The prediction must flip sides.
 	sp := geom.Spherical{Theta: math.Pi / 2, Phi: 1.0}
-	west, okWest := tp.Advance(sp)
+	west, okWest := tp.advance(sp)
 	if !okEast || !okWest {
 		t.Fatalf("expected predictions both ways, got east=%v,%v west=%v,%v", east, okEast, west, okWest)
 	}
@@ -104,9 +104,9 @@ func TestTrajectoryPoleWraparound(t *testing.T) {
 	// Straight over the north pole: the extrapolated step crosses θ=0 and
 	// must continue down the far side (φ shifted by π), never producing an
 	// out-of-range view set.
-	tp.Advance(geom.Spherical{Theta: 0.35, Phi: 0.5})
+	tp.advance(geom.Spherical{Theta: 0.35, Phi: 0.5})
 	sp := geom.Spherical{Theta: 0.15, Phi: 0.5}
-	id, ok := tp.Advance(sp)
+	id, ok := tp.advance(sp)
 	if !ok {
 		t.Fatal("pole-crossing motion predicted nothing")
 	}
@@ -132,8 +132,8 @@ func TestTrajectoryDeterminism(t *testing.T) {
 	a, b := NewTrajectoryPredictor(p), NewTrajectoryPredictor(p)
 	predicted := 0
 	for i, sp := range path {
-		ida, oka := a.Advance(sp)
-		idb, okb := b.Advance(sp)
+		ida, oka := a.advance(sp)
+		idb, okb := b.advance(sp)
 		if ida != idb || oka != okb {
 			t.Fatalf("step %d: same path diverged: %v,%v vs %v,%v", i, ida, oka, idb, okb)
 		}
@@ -169,7 +169,7 @@ func TestPathPrefetchFallsThroughToQuadrant(t *testing.T) {
 		tp.PathPrefetch(from, none)
 		return tp
 	}
-	step, ok := moving().Advance(sp)
+	step, ok := moving().advance(sp)
 	if !ok {
 		t.Fatal("the move predicted no step")
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lonviz/internal/obs"
+	"lonviz/internal/overload"
 	"lonviz/internal/wire"
 )
 
@@ -18,16 +19,23 @@ import (
 // panic lands in the event log (so in /debug/events and a capture bundle's
 // events.json) as one error record naming the component. That holds on an
 // untagged connection and on a pipelined one, whose handlers run on
-// workers of their own.
+// workers of their own. The server admits one request at a time, so a
+// panic that kept its admission slot would leave every later request shed.
 func TestHandlerPanicReachesEventLog(t *testing.T) {
 	const component = "panictest"
 	svc := testService(nil)
 	svc.Names.Component = component
+	svc.Names.Shed = "panictest.shed"
 	svc.Verbs["BOOM"] = wire.Verb{Handle: func(context.Context, *wire.Request, *wire.Reply) bool {
 		panic("handler blew up")
 	}}
 	l := tcpListener(t)()
-	serveTest(t, svc, l)
+	gate := overload.NewGate(1, 0, 0)
+	srv := wire.NewServer(svc, func() wire.Settings {
+		return wire.Settings{Obs: obs.NewRegistry(), Admission: gate}
+	})
+	go srv.Serve(l)
+	t.Cleanup(func() { srv.Close() })
 
 	var since uint64
 	if evs := obs.DefaultLogger().Events(); len(evs) > 0 {

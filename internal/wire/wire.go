@@ -537,11 +537,39 @@ func (c *conn) exec(x *exchange) (keep bool) {
 		}
 		known = false // the mode switch is once per connection
 	}
+	start := time.Now()
+	keep = c.handle(sctx, x, set, v, known)
+	if rep.isErr() {
+		span.SetAttr("err", "1")
+		if n.ErrEvent != "" {
+			obs.DefaultLogger().WarnContext(sctx, n.ErrEvent, "op", verb, "peer", c.nc.RemoteAddr().String())
+		}
+	}
+	err := c.send(x, span)
+	if n.OpMs != "" {
+		reg.Histogram(obs.Label(n.OpMs, "op", verb), obs.LatencyBucketsMs...).
+			Observe(float64(time.Since(start)) / 1e6)
+	}
+	if err != nil && c.tagged {
+		c.nc.Close() // poisoned writer: tear the pipe down, client redials
+	}
+	return keep && err == nil
+}
+
+// handle admits x and runs its verb's handler. What it takes — the
+// deadline, the admission slot, the payload buffer, the profile labels — it
+// gives back by defer, so a handler that panics leaks none of it and a
+// daemon under admission control keeps its capacity.
+func (c *conn) handle(sctx context.Context, x *exchange, set Settings, v Verb, known bool) (keep bool) {
+	s, req, rep := c.srv, &x.req, &x.rep
+	n, reg, verb := &s.svc.Names, set.registry(), req.Verb()
 	// The deadline token bounds the request context, so work whose client
 	// has already moved on is dropped.
 	rctx, cancel := obs.DeadlineContext(sctx, req.Budget, req.HasBudget)
-	start := time.Now()
+	defer cancel()
+	defer func() { bufpool.Put(req.Payload) }() // read below on an untagged connection
 	release, admitErr := admit(rctx, n, set.Admission, reg)
+	defer release()
 	switch {
 	case admitErr != nil:
 		reason := overload.Reason(admitErr)
@@ -560,38 +588,18 @@ func (c *conn) exec(x *exchange) (keep bool) {
 		lctx := rctx
 		if n.ProfClass != "" {
 			lctx = prof.Begin2(rctx, prof.KeyClass, n.ProfClass, prof.KeyVerb, verb)
+			defer prof.End(rctx)
 		}
 		if v.Payload == nil || c.tagged || c.readPayload(v, x) {
 			if v.Hangup && !c.tagged {
 				hctx, stop := c.watchHangup(lctx)
-				keep = v.Handle(hctx, req, rep)
-				stop()
-			} else {
-				keep = v.Handle(lctx, req, rep)
+				defer stop()
+				return v.Handle(hctx, req, rep)
 			}
-		}
-		if n.ProfClass != "" {
-			prof.End(rctx)
+			return v.Handle(lctx, req, rep)
 		}
 	}
-	release()
-	cancel()
-	bufpool.Put(req.Payload)
-	if rep.isErr() {
-		span.SetAttr("err", "1")
-		if n.ErrEvent != "" {
-			obs.DefaultLogger().WarnContext(sctx, n.ErrEvent, "op", verb, "peer", c.nc.RemoteAddr().String())
-		}
-	}
-	err := c.send(x, span)
-	if n.OpMs != "" {
-		reg.Histogram(obs.Label(n.OpMs, "op", verb), obs.LatencyBucketsMs...).
-			Observe(float64(time.Since(start)) / 1e6)
-	}
-	if err != nil && c.tagged {
-		c.nc.Close() // poisoned writer: tear the pipe down, client redials
-	}
-	return keep && err == nil
+	return false
 }
 
 // watchHangup returns ctx cancelled if the peer of an untagged connection

@@ -94,9 +94,10 @@ run_named -race -count=20 \
 # user's fetch is in flight, Close with the worker waiting at the gate, and
 # the stager (SuppressStageOnMiss) waiting at the same gate; and what the
 # default policy queues: one set a move, along the cursor's path, else the
-# quadrant's first not cached.
+# quadrant's first not cached; and that an agent two clients share queues
+# around the client that moved.
 run_named -race -count=20 \
-	-run 'TestOnePrefetchInFlight|TestMoveDropsStalePrefetches|TestNoPrefetchStartsWhileUserWaits|TestCloseStopsParkedPrefetcher|TestSuppressStageOnMissPausesStager|TestPathMoveQueuesOneSet|TestCachedPathTargetFallsThrough|TestFirstMoveTakesQuadrantFirst' \
+	-run 'TestOnePrefetchInFlight|TestMoveDropsStalePrefetches|TestNoPrefetchStartsWhileUserWaits|TestCloseStopsParkedPrefetcher|TestSuppressStageOnMissPausesStager|TestPathMoveQueuesOneSet|TestCachedPathTargetFallsThrough|TestFirstMoveTakesQuadrantFirst|TestServedAgentQueuesAroundTheMover' \
 	./internal/agent
 run_named -race -count=20 -run 'TestDoCoalescesConcurrentCalls|TestJoinSharesStarterState|TestCancellerDoesNotKillFlight|TestLastWaiterCancelsFlight|TestConcurrentCancellationStorm' ./internal/singleflight
 
