@@ -180,14 +180,7 @@ func chaosBrowse(t *testing.T, stage bool) {
 			LANDepots:  lan,
 			Health:     health,
 			Retries:    4,
-			// The fault injector poisons the first byte after the first
-			// newline of each connection — the payload on a serial
-			// connection, but the tagged response framing on a pipelined
-			// one (where corruption surfaces as a broken pipe, covered by
-			// the ibp pipe tests). Pin serial transport so this test keeps
-			// proving the CHECKSUM layer catches silent payload rot.
-			PipelineWindow: -1,
-			Rand:           rand.New(rand.NewSource(99)),
+			Rand:       rand.New(rand.NewSource(99)),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -196,7 +189,7 @@ func chaosBrowse(t *testing.T, stage bool) {
 		return ca
 	}
 
-	// Phase 1 — hard corruption: every connection to the corrupting depot
+	// Phase 1 — hard corruption: every reply from the corrupting depot
 	// flips a payload byte. Each extent has a replica elsewhere, so every
 	// access must fail over to clean bytes and the checksum layer must be
 	// what caught it.

@@ -53,7 +53,7 @@ func main() {
 	l := flag.Int("l", 3, "view set side length (must match)")
 	lanDepots := flag.String("lan-depots", "", "comma-separated LAN depot addresses for prestaging")
 	edgeAddr := flag.String("edge-addr", "", "shared edge cache (lfedged) address; misses route through it instead of the WAN depots")
-	pipelineWindow := d.PipelineWindow("in-flight window per pipelined depot connection (0 or negative forces serial one-connection-per-operation transfers)")
+	pipelineWindow := d.PipelineWindow("in-flight window per pipelined depot connection (0 or negative means the default)")
 	accesses := flag.Int("accesses", session.PaperAccessCount, "orchestrated accesses")
 	think := flag.Duration("think", 100*time.Millisecond, "cursor think time")
 	seed := flag.Int64("seed", 1, "cursor script seed")

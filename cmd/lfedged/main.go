@@ -27,7 +27,7 @@ func main() {
 	cacheBytes := flag.Int64("cache-bytes", 256<<20, "cache capacity in bytes")
 	shards := flag.Int("shards", 0, "LRU shard count (0 = default 16, clamped to keep shards usefully sized)")
 	fillTimeout := flag.Duration("fill-timeout", 30*time.Second, "max duration of one origin-depot fill")
-	pipelineWindow := d.PipelineWindow("in-flight window for pipelined mode, both granted to clients and used on origin-depot fill connections (0 disables; everything falls back to serial)")
+	pipelineWindow := d.PipelineWindow("in-flight window for pipelined mode, both granted to clients and used on origin-depot fill connections (0 disables the grant, and clients fall back to kept untagged connections; fills then ask for the default)")
 	popHalfLife := flag.Duration("pop-half-life", 30*time.Second, "popularity tracker decay half-life")
 	admission := d.Admission()
 	lboneURL := flag.String("lbone", "", "L-Bone base URL to announce membership to (e.g. http://host:port); lets a fleet scraper discover this edge")

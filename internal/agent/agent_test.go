@@ -11,7 +11,6 @@ import (
 	"lonviz/internal/geom"
 	"lonviz/internal/ibp"
 	"lonviz/internal/lightfield"
-	"lonviz/internal/lors"
 )
 
 // rig is a miniature deployment: depots, a DVS, and a server agent over a
@@ -673,25 +672,6 @@ func TestStageOneUnknownViewSet(t *testing.T) {
 	err := ca.stageOne(context.Background(), lightfield.ViewSetID{R: 0, C: 0})
 	if err == nil {
 		t.Error("staging unknown view set succeeded")
-	}
-}
-
-func TestRefreshStagedLeases(t *testing.T) {
-	r := newRig(t)
-	if _, err := r.sa.PrecomputeAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ca := r.newClientAgent(t, nil)
-	id := lightfield.ViewSetID{R: 0, C: 0}
-	if err := ca.stageOne(context.Background(), id); err != nil {
-		t.Fatal(err)
-	}
-	ca.mu.Lock()
-	staged := ca.staged[id]
-	ca.mu.Unlock()
-	n, err := lors.Refresh(context.Background(), staged, 20*time.Minute, nil)
-	if err != nil || n == 0 {
-		t.Errorf("refresh staged: %d, %v", n, err)
 	}
 }
 

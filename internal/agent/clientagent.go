@@ -158,10 +158,10 @@ type ClientAgentConfig struct {
 	Parallelism int
 	// PipelineWindow caps in-flight requests per pipelined depot
 	// connection. The agent keeps one persistent multiplexed connection
-	// per depot (serial fallback for depots that don't speak PIPELINE),
-	// so every stripe of a view set rides one already-open socket. 0
-	// means ibp.DefaultPipelineWindow; negative forces the serial
-	// one-connection-per-operation path (ablation baseline).
+	// per depot (kept untagged connections, as many, for depots that
+	// don't speak PIPELINE), so every stripe of a view set and every
+	// staging request rides an already-open socket. 0 or negative means
+	// ibp.DefaultPipelineWindow.
 	PipelineWindow int
 	// StageParallelism is the number of concurrent staging transfers
 	// (default 4) — the aggressiveness of the prestager, which "exploits
@@ -284,7 +284,7 @@ type ClientAgent struct {
 
 	// pipes holds one persistent pipelined connection per depot (and per
 	// edge server, which speaks the same PIPELINE protocol), shared by
-	// every download this agent performs.
+	// every download and staging copy this agent performs.
 	pipes *ibp.PipePool
 
 	life         context.Context // ends at Close
@@ -459,7 +459,7 @@ func (ca *ClientAgent) copyOpts() lors.CopyOptions {
 	return lors.CopyOptions{
 		Lease:  stageLease,
 		Policy: ibp.Volatile,
-		Dialer: ca.cfg.Dialer,
+		Pipes:  ca.pipes,
 		Health: ca.cfg.Health,
 		Obs:    ca.cfg.Obs,
 	}

@@ -81,6 +81,7 @@ type ServerAgent struct {
 	queued  map[lightfield.ViewSetID]bool
 	stats   ServerAgentStats
 	loop    *wire.Server
+	pipes   *ibp.PipePool // the uploads' depot connections, kept until Close
 	wake    chan struct{}
 	done    chan struct{}
 	once    sync.Once
@@ -132,6 +133,7 @@ func NewServerAgent(cfg ServerAgentConfig) (*ServerAgent, error) {
 		cfg:     cfg,
 		waiters: make(map[lightfield.ViewSetID][]renderWaiter),
 		queued:  make(map[lightfield.ViewSetID]bool),
+		pipes:   &ibp.PipePool{Dialer: cfg.Dialer, Obs: cfg.Obs},
 		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
@@ -192,6 +194,7 @@ func (sa *ServerAgent) Close() error {
 	if sa.cfg.DVS != nil {
 		sa.cfg.DVS.CloseIdle()
 	}
+	sa.pipes.Close()
 	return sa.loop.Close()
 }
 
@@ -210,7 +213,7 @@ func (sa *ServerAgent) uploadOpts() lors.UploadOptions {
 		Replicas:   sa.cfg.Replicas,
 		Lease:      sa.cfg.Lease,
 		Policy:     ibp.Stable,
-		Dialer:     sa.cfg.Dialer,
+		Pipes:      sa.pipes,
 		Obs:        sa.cfg.Obs,
 	}
 }
@@ -489,9 +492,10 @@ var renderProto = wire.Protocol{
 
 // RequestRemote asks a remote server agent (by address) to render a view
 // set, returning the exNode XML. It is also the standard dvs.GenerateFunc
-// implementation. Each request dials its own connection.
+// implementation. Each request dials its own connection and closes it.
 func RequestRemote(ctx context.Context, dialer ibp.Dialer, agentAddr, dataset, viewSetKey string) ([]byte, error) {
 	t := wire.Client{Addr: agentAddr, Dialer: dialer, Timeout: 5 * time.Minute, Proto: &renderProto}
+	defer t.Close()
 	call := wire.Call{Line: "RENDER " + dataset + " " + viewSetKey, Body: wire.SizedBody, Max: 4 << 20}
 	if err := t.Do(ctx, &call); err != nil {
 		return nil, err

@@ -133,9 +133,12 @@ func (a *Admission) Gate() *overload.Gate {
 
 // PipelineWindow registers -pipeline-window with the one rule every
 // command shares: default ibp.DefaultPipelineWindow, and 0 or negative
-// means serial (pipelining off). The returned func reads the value in the
-// library's spelling, where off is negative because a library 0 means
-// "default".
+// turns pipelining off where the command serves, so its PIPELINE answers
+// ERR and clients fall back to kept untagged connections. The returned
+// func reads the value in the library's spelling, where a server's off is
+// negative because a library 0 means "default"; a client given a window
+// of 0 or less asks for the default, since every client keeps its
+// connections either way.
 func (d *Daemon) PipelineWindow(usage string) func() int {
 	w := d.fs.Int("pipeline-window", ibp.DefaultPipelineWindow, usage)
 	return func() int {

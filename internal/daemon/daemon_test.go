@@ -97,6 +97,10 @@ func TestAdmissionGate(t *testing.T) {
 	}
 }
 
+// TestPipelineWindowOneRule: the flag reads in the library's spelling,
+// where a server's "off" is -1 because a library 0 means the default; a
+// client handed -1 asks for the default, since every client keeps its
+// connections either way.
 func TestPipelineWindowOneRule(t *testing.T) {
 	for _, c := range []struct {
 		args []string

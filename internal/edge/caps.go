@@ -90,6 +90,7 @@ func RewriteExNode(ex *exnode.ExNode, edgeAddr, hint string) *exnode.ExNode {
 func Warm(ctx context.Context, ex *exnode.ExNode, edgeAddr, hint string, dialer ibp.Dialer) error {
 	rew := RewriteExNode(ex, edgeAddr, hint)
 	cl := &ibp.Client{Addr: edgeAddr, Dialer: dialer}
+	defer cl.Close()
 	for _, x := range rew.SortedExtents() {
 		if len(x.Replicas) == 0 || x.Replicas[0].Depot != edgeAddr {
 			return fmt.Errorf("edge: warm %q: extent at %d has no edge replica", hint, x.Offset)

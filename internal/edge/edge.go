@@ -48,9 +48,9 @@ type CacheConfig struct {
 	HalfLife time.Duration
 	// PipelineWindow caps in-flight requests on the cache's pipelined
 	// origin connections: fills ride one persistent multiplexed
-	// connection per depot instead of dialing per extent (serial
-	// fallback for depots that don't speak PIPELINE). 0 means
-	// ibp.DefaultPipelineWindow; negative forces serial dials.
+	// connection per depot instead of dialing per extent (kept untagged
+	// connections for depots that don't speak PIPELINE). 0 or negative
+	// means ibp.DefaultPipelineWindow.
 	PipelineWindow int
 	// Obs receives the origin connections' ibp.* families; nil records
 	// into obs.Default(). The cache's own counts live in Stats, published

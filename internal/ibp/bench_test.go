@@ -46,6 +46,7 @@ func benchDepot(b *testing.B) (addr string, caps Capabilities) {
 func BenchmarkSerialLoad64K(b *testing.B) {
 	addr, caps := benchDepot(b)
 	cl := &Client{Addr: addr, Obs: obs.NewRegistry()}
+	defer cl.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	dst := make([]byte, benchStripe)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"lonviz/internal/obs"
@@ -13,36 +14,31 @@ import (
 
 // The client side is a verb table over the one transport in internal/wire:
 // each verb below formats its request line and parses its OK fields, once,
-// whichever way the connection is held. Client dials per operation; Pipe is
-// one upgraded connection; PipePool keeps one of those per depot.
+// whichever way the connection is held. Client keeps its connections to one
+// depot; Pipe is one upgraded connection; PipePool keeps a Client per depot.
 
 // Dialer abstracts connection establishment so tests and experiments can
 // inject netsim-shaped links. *netsim.Dialer satisfies it.
 type Dialer = wire.Dialer
 
-// serialProto is the protocol as Client speaks it; pipeProto adds the
-// ibp.pipe.* families that Pipe and PipePool feed. The other series are fed
-// by every operation, serial or pipelined alike: obs.DepotLatencyBias and the
-// depot-latency SLO rules read the per-depot histogram and must see them all.
-var serialProto = wire.Protocol{
+// proto is the protocol as every IBP client speaks it. Its series are fed
+// by every operation, untagged or tagged alike: obs.DepotLatencyBias and
+// the depot-latency SLO rules read the per-depot histogram and must see
+// them all.
+var proto = wire.Protocol{
 	Names: wire.ClientNames{
-		ProfClass: "ibp_client",
-		OpMs:      obs.MIBPOpMs,
-		Errors:    obs.MIBPOpErrors,
-		PeerMs:    obs.MIBPDepotMs,
+		ProfClass:     "ibp_client",
+		OpMs:          obs.MIBPOpMs,
+		Errors:        obs.MIBPOpErrors,
+		PeerMs:        obs.MIBPDepotMs,
+		PipeFallbacks: obs.MIBPPipeFallbacks,
+		PipeOps:       obs.MIBPPipeOps,
 	},
 	Tokens:    true,
 	Err:       replyErr,
 	Malformed: ErrProto,
 	Broken:    ErrPipeBroken,
 }
-
-var pipeProto = func() wire.Protocol {
-	p := serialProto
-	p.Names.PipeFallbacks = obs.MIBPPipeFallbacks
-	p.Names.PipeOps = obs.MIBPPipeOps
-	return p
-}()
 
 // replyErr maps the fields after "ERR" — a code, then the message — to the
 // typed error.
@@ -91,13 +87,15 @@ func probe(ctx context.Context, t transport, manageCap string) (AllocInfo, error
 	return AllocInfo{Size: size, Expires: time.UnixMilli(expMs), Policy: Policy(f[2])}, nil
 }
 
-// Client performs IBP operations against one depot address. Each operation
-// opens its own connection and keeps nothing afterwards, so independent
-// operations parallelize across sockets (the LoRS download algorithms rely
-// on this), per-call literals are free, and there is nothing to Close.
-// Every operation takes a context: cancellation interrupts in-flight
-// transfers, and a context deadline tightens the per-operation timeout. The
-// zero value is not usable; set Addr.
+// Client performs IBP operations against one depot address over the
+// connections it keeps until Close: a Client of its own holds one untagged
+// connection, a request at a time; one from a PipePool asks the depot for
+// PIPELINE and shares one tagged connection among all its operations
+// (falling back to untagged connections, a window's worth, against a depot
+// that refuses). Every operation takes a context: cancellation interrupts
+// in-flight transfers, and a context deadline tightens the per-operation
+// timeout. The zero value plus Addr is ready to use; the fields are read at
+// the first operation, and the Client must not be copied after it.
 type Client struct {
 	// Addr is the depot's host:port.
 	Addr string
@@ -110,6 +108,10 @@ type Client struct {
 	// error counts; nil records into obs.Default(). See
 	// docs/OBSERVABILITY.md for the ibp.* metric catalog.
 	Obs *obs.Registry
+
+	window int // set by PipePool: the PIPELINE window to ask for
+	once   sync.Once
+	t      wire.Client
 }
 
 // defaultTimeout bounds an operation whose owner set no Timeout.
@@ -122,10 +124,18 @@ func orDefault(timeout time.Duration) time.Duration {
 	return defaultTimeout
 }
 
-// wire is the transport of one operation: no upgrade, nothing kept.
+// wire is the Client's transport, made on first use from its fields.
 func (c *Client) wire() *wire.Client {
-	return &wire.Client{Addr: c.Addr, Dialer: c.Dialer, Timeout: orDefault(c.Timeout), Obs: c.Obs, Proto: &serialProto}
+	c.once.Do(func() {
+		c.t.Addr, c.t.Dialer, c.t.Timeout, c.t.Obs = c.Addr, c.Dialer, orDefault(c.Timeout), c.Obs
+		c.t.Proto, c.t.Window = &proto, c.window
+	})
+	return &c.t
 }
+
+// Close closes the kept connections; requests in flight on a tagged one
+// fail. The Client remains usable: later operations redial.
+func (c *Client) Close() error { return c.wire().Close() }
 
 // Allocate requests an allocation on the depot.
 func (c *Client) Allocate(ctx context.Context, size int64, lease time.Duration, policy Policy) (Capabilities, error) {

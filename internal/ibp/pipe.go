@@ -23,7 +23,7 @@ func DialPipe(ctx context.Context, addr string, dialer Dialer, window int, reg *
 	if window <= 0 {
 		window = DefaultPipelineWindow
 	}
-	t := &wire.Client{Addr: addr, Dialer: dialer, Obs: reg, Proto: &pipeProto, Window: window}
+	t := &wire.Client{Addr: addr, Dialer: dialer, Obs: reg, Proto: &proto, Window: window}
 	conn, err := t.Connect(ctx)
 	if err != nil {
 		return nil, err

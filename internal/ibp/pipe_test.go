@@ -358,7 +358,7 @@ func (d *severDialer) sever() {
 // TestPipePoolSerialFallback pins the back-compat contract: against a
 // depot that predates PIPELINE (simulated by a server with pipelining
 // disabled), the pool detects the refusal once, pins the depot serial,
-// and every subsequent load still succeeds over one-shot connections.
+// and every subsequent load still succeeds over kept untagged connections.
 func TestPipePoolSerialFallback(t *testing.T) {
 	d, err := NewDepot(DepotConfig{Capacity: 1 << 20, MaxLease: time.Hour})
 	if err != nil {

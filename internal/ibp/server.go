@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"strconv"
+	"sync"
 	"time"
 
 	"lonviz/internal/bufpool"
@@ -19,8 +20,8 @@ type Server struct {
 	// PipelineWindow caps the in-flight window granted to clients that
 	// negotiate pipelined mode with the PIPELINE verb. 0 means
 	// DefaultPipelineWindow; negative disables pipelining entirely
-	// (PIPELINE answers ERR PROTO and clients fall back to serial
-	// one-request-per-connection mode).
+	// (PIPELINE answers ERR PROTO and clients fall back to kept untagged
+	// connections, one request on each at a time).
 	PipelineWindow int
 	// Admission bounds concurrent request execution: beyond MaxInFlight
 	// running plus MaxQueue waiting, requests are rejected with ERR BUSY
@@ -33,7 +34,8 @@ type Server struct {
 	// TCP. Third-party transfers are the mechanism behind the paper's
 	// aggressive prestaging: "all such LoN operations take place as third
 	// party communication without consuming resources on either the client
-	// or the client agent".
+	// or the client agent". The connections to targets are kept, at most
+	// maxOnward targets' worth.
 	CopyDialer Dialer
 	// Obs receives per-verb service-time histograms and error counters;
 	// nil records into obs.Default().
@@ -43,7 +45,8 @@ type Server struct {
 	// obs.DefaultTracer().
 	Tracer *obs.Tracer
 
-	loop *wire.Server
+	loop   *wire.Server
+	onward onward
 }
 
 // NewServer wraps a depot.
@@ -90,8 +93,13 @@ func (s *Server) Serve(l net.Listener) error { return s.loop.Serve(l) }
 // the bound address (useful with ":0").
 func (s *Server) ListenAndServe(addr string) (string, error) { return s.loop.ListenAndServe(addr) }
 
-// Close stops the listener and closes active connections.
-func (s *Server) Close() error { return s.loop.Close() }
+// Close stops the listener and closes active connections, the onward ones
+// to COPY targets too.
+func (s *Server) Close() error {
+	err := s.loop.Close()
+	s.onward.close()
+	return err
+}
 
 // errLine renders "ERR <CODE> <message>" for a typed error, kept to one
 // line. Codes map 1:1 to the typed errors (codeOf).
@@ -249,10 +257,12 @@ func (s *Server) doCopy(ctx context.Context, req *wire.Request, r *wire.Reply) b
 	if err := s.Depot.LoadInto(f[1], offset, data); err != nil {
 		return fail(r, err, "local read")
 	}
-	target := &Client{Addr: f[4], Dialer: s.CopyDialer}
+	target := s.onward.acquire(f[4], s.CopyDialer)
 	// ctx carries the caller's propagated deadline (if any); the client's
 	// Timeout bounds the onward store otherwise.
-	if err := target.Store(ctx, f[5], targetOff, data); err != nil {
+	err = target.Store(ctx, f[5], targetOff, data)
+	s.onward.release(target)
+	if err != nil {
 		return fail(r, err, "target store")
 	}
 	fmt.Fprintf(r, "OK %d\n", length)
@@ -266,4 +276,73 @@ func (s *Server) doStatus(_ context.Context, req *wire.Request, r *wire.Reply) b
 	st := s.Depot.Stat()
 	fmt.Fprintf(r, "OK %d %d %d\n", st.Capacity, st.Used, st.Allocations)
 	return true
+}
+
+// maxOnward bounds the COPY targets a depot keeps connections to: a
+// target's address comes off the wire, so the set must not grow with what
+// callers name. The paper's client agent stages onto four LAN depots.
+const maxOnward = 16
+
+// onward is a depot's kept connections to COPY targets, a Client per
+// target. Making room for a new target retires the least recently used,
+// whose Client closes once no COPY is on it.
+type onward struct {
+	mu      sync.Mutex
+	targets map[string]*onwardTarget
+	clock   uint64
+}
+
+type onwardTarget struct {
+	*Client
+	users int
+	used  uint64
+}
+
+// acquire returns addr's Client, held open until release.
+func (o *onward) acquire(addr string, dialer Dialer) *onwardTarget {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	t := o.targets[addr]
+	if t == nil {
+		if len(o.targets) >= maxOnward {
+			var lru *onwardTarget
+			for _, c := range o.targets {
+				if lru == nil || c.used < lru.used {
+					lru = c
+				}
+			}
+			o.retire(lru)
+		}
+		if o.targets == nil {
+			o.targets = make(map[string]*onwardTarget)
+		}
+		t = &onwardTarget{Client: &Client{Addr: addr, Dialer: dialer, window: DefaultPipelineWindow}}
+		o.targets[addr] = t
+	}
+	o.clock++
+	t.users, t.used = t.users+1, o.clock
+	return t
+}
+
+func (o *onward) release(t *onwardTarget) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if t.users--; t.users == 0 && o.targets[t.Addr] != t {
+		t.Close()
+	}
+}
+
+// retire drops t, closing it unless a COPY is on it; callers hold o.mu.
+func (o *onward) retire(t *onwardTarget) {
+	if delete(o.targets, t.Addr); t.users == 0 {
+		t.Close()
+	}
+}
+
+func (o *onward) close() {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for _, t := range o.targets {
+		o.retire(t)
+	}
 }

@@ -89,12 +89,15 @@ type UploadOptions struct {
 	Lease time.Duration
 	// Policy is the IBP allocation policy (default Stable).
 	Policy ibp.Policy
-	// Dialer shapes depot connections; nil means plain TCP.
+	// Dialer shapes depot connections when Pipes is nil; nil means plain
+	// TCP.
 	Dialer ibp.Dialer
 	// Parallelism bounds concurrent stripe uploads (default 4).
 	Parallelism int
-	// Timeout bounds each IBP operation (0 uses the ibp default, 30s).
-	Timeout time.Duration
+	// Pipes carries the upload's ALLOCATE, STORE and FREE requests over
+	// the caller's kept depot connections; nil keeps connections for this
+	// one call and closes them on return.
+	Pipes *ibp.PipePool
 	// Obs receives upload timings and byte counters (lors.upload.*); nil
 	// records into obs.Default().
 	Obs *obs.Registry
@@ -130,8 +133,14 @@ func (o *UploadOptions) defaults() error {
 	return nil
 }
 
-func (o *UploadOptions) client(addr string) *ibp.Client {
-	return &ibp.Client{Addr: addr, Dialer: o.Dialer, Timeout: o.Timeout, Obs: o.Obs}
+// scoped returns pipes, or when it is nil a pool kept for one call, and
+// the func that closes what it made.
+func scoped(pipes *ibp.PipePool, dialer ibp.Dialer, reg *obs.Registry) (*ibp.PipePool, func()) {
+	if pipes != nil {
+		return pipes, func() {}
+	}
+	pp := &ibp.PipePool{Dialer: dialer, Obs: reg}
+	return pp, func() { pp.Close() }
 }
 
 // Upload stripes data across depots and returns the exNode describing it.
@@ -142,6 +151,9 @@ func Upload(ctx context.Context, name string, data []byte, opts UploadOptions) (
 	if err := opts.defaults(); err != nil {
 		return nil, err
 	}
+	var done func()
+	opts.Pipes, done = scoped(opts.Pipes, opts.Dialer, opts.Obs)
+	defer done()
 	ex := &exnode.ExNode{
 		Name:     name,
 		Length:   int64(len(data)),
@@ -225,7 +237,7 @@ func uploadStripe(ctx context.Context, chunk []byte, j struct {
 			continue
 		}
 		tried[addr] = true
-		cl := opts.client(addr)
+		cl := opts.Pipes.Client(addr)
 		caps, err := cl.Allocate(ctx, ext.Length, opts.Lease, opts.Policy)
 		if err != nil {
 			continue // admission refusal or dead depot: try the next
@@ -254,7 +266,8 @@ func uploadStripe(ctx context.Context, chunk []byte, j struct {
 
 // DownloadOptions configures Download.
 type DownloadOptions struct {
-	// Dialer shapes depot connections; nil means plain TCP.
+	// Dialer shapes depot connections when Pipes is nil; nil means plain
+	// TCP.
 	Dialer ibp.Dialer
 	// Parallelism bounds concurrent extent downloads (default 4). This is
 	// the paper's "simultaneous downloads in parallel" knob.
@@ -273,8 +286,6 @@ type DownloadOptions struct {
 	BackoffBase time.Duration
 	// BackoffMax caps the between-pass delay (default 2s).
 	BackoffMax time.Duration
-	// Timeout bounds each IBP operation (0 uses the ibp default, 30s).
-	Timeout time.Duration
 	// Health, when set, is consulted before every replica attempt and told
 	// about every outcome: replicas on circuit-open depots are skipped for
 	// the cooldown, so a dead or flapping depot is not hammered.
@@ -295,11 +306,11 @@ type DownloadOptions struct {
 	// downloads away from depots whose latency has regressed before
 	// their circuit ever trips.
 	Prefer func(depot string) float64
-	// Pipes, when set, carries extent loads over persistent pipelined
-	// depot connections (ibp.PipePool): payloads land directly in the
-	// caller's destination buffer with no intermediate allocation, and
-	// depots that don't speak PIPELINE fall back to one-shot serial
-	// clients automatically. nil dials a serial connection per attempt.
+	// Pipes carries extent loads over the caller's kept depot connections
+	// (ibp.PipePool): payloads land directly in the caller's destination
+	// buffer with no intermediate allocation, and depots that don't speak
+	// PIPELINE are reached over kept untagged connections. nil keeps
+	// connections for this one call and closes them on return.
 	Pipes *ibp.PipePool
 	// OnPrefix, when set, is invoked with the byte length of the
 	// verified contiguous prefix of the object each time it grows — the
@@ -335,18 +346,10 @@ func (o *DownloadOptions) defaults() {
 	}
 }
 
-func (o *DownloadOptions) client(addr string) *ibp.Client {
-	return &ibp.Client{Addr: addr, Dialer: o.Dialer, Timeout: o.Timeout, Obs: o.Obs}
-}
-
-// loadInto fetches one replica's payload directly into dst, over the
-// pipelined pool when one is configured and a fresh serial connection
-// otherwise. len(dst) is the requested length.
+// loadInto fetches one replica's payload directly into dst. len(dst) is
+// the requested length.
 func (o *DownloadOptions) loadInto(ctx context.Context, rep exnode.Replica, dst []byte) error {
-	if o.Pipes != nil {
-		return o.Pipes.LoadInto(ctx, rep.Depot, rep.ReadCap, rep.AllocOffset, dst)
-	}
-	return o.client(rep.Depot).LoadInto(ctx, rep.ReadCap, rep.AllocOffset, dst)
+	return o.Pipes.LoadInto(ctx, rep.Depot, rep.ReadCap, rep.AllocOffset, dst)
 }
 
 // span opens a child span when the download is actually being traced
@@ -443,6 +446,9 @@ func Download(ctx context.Context, ex *exnode.ExNode, opts DownloadOptions) ([]b
 // When OnPrefix is set, it fires as the verified contiguous prefix grows.
 func DownloadInto(ctx context.Context, ex *exnode.ExNode, dst []byte, opts DownloadOptions) (DownloadStats, error) {
 	opts.defaults()
+	var done func()
+	opts.Pipes, done = scoped(opts.Pipes, opts.Dialer, opts.Obs)
+	defer done()
 	var stats DownloadStats
 	reg := registryOr(opts.Obs)
 	defer func() {
@@ -732,43 +738,15 @@ func raceReplicas(ctx context.Context, ext exnode.Extent, dst []byte, replicas [
 		ext.Offset, len(candidates), lastErr)
 }
 
-// Refresh extends the lease on every replica allocation that carries a
-// manage capability, returning the number of successful extensions and
-// recording each renewed expiry on the replica. The client agent uses it
-// to keep cached-on-depot view sets alive.
-func Refresh(ctx context.Context, ex *exnode.ExNode, lease time.Duration, dialer ibp.Dialer) (int, error) {
-	if err := ex.Validate(); err != nil {
-		return 0, err
-	}
-	ok := 0
-	var lastErr error
-	for i := range ex.Extents {
-		for j := range ex.Extents[i].Replicas {
-			rep := &ex.Extents[i].Replicas[j]
-			if rep.ManageCap == "" {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return ok, err
-			}
-			cl := &ibp.Client{Addr: rep.Depot, Dialer: dialer}
-			exp, err := cl.Extend(ctx, rep.ManageCap, lease)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			rep.SetExpiry(exp)
-			ok++
-		}
-	}
-	if ok == 0 && lastErr != nil {
-		return 0, lastErr
-	}
-	return ok, nil
+// Free releases every replica allocation with a manage capability, over
+// connections kept for this one call.
+func Free(ctx context.Context, ex *exnode.ExNode, dialer ibp.Dialer) error {
+	pipes, done := scoped(nil, dialer, nil)
+	defer done()
+	return free(ctx, ex, pipes)
 }
 
-// Free releases every replica allocation with a manage capability.
-func Free(ctx context.Context, ex *exnode.ExNode, dialer ibp.Dialer) error {
+func free(ctx context.Context, ex *exnode.ExNode, pipes *ibp.PipePool) error {
 	var lastErr error
 	for _, ext := range ex.Extents {
 		for _, rep := range ext.Replicas {
@@ -778,8 +756,7 @@ func Free(ctx context.Context, ex *exnode.ExNode, dialer ibp.Dialer) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			cl := &ibp.Client{Addr: rep.Depot, Dialer: dialer}
-			if err := cl.Free(ctx, rep.ManageCap); err != nil {
+			if err := pipes.Client(rep.Depot).Free(ctx, rep.ManageCap); err != nil {
 				lastErr = err
 			}
 		}
@@ -794,20 +771,19 @@ type CopyOptions struct {
 	// Policy is the target allocation policy; empty means Volatile, since
 	// staged copies are cache and should yield to hard allocations.
 	Policy ibp.Policy
-	// Dialer shapes depot connections; nil means plain TCP.
+	// Dialer shapes depot connections when Pipes is nil; nil means plain
+	// TCP.
 	Dialer ibp.Dialer
-	// Timeout bounds each IBP operation (0 uses the ibp default, 30s).
-	Timeout time.Duration
+	// Pipes carries the staging ALLOCATE, COPY and FREE requests over the
+	// caller's kept depot connections; nil keeps connections for this one
+	// call and closes them on return.
+	Pipes *ibp.PipePool
 	// Health steers source-replica choice away from circuit-open depots
 	// and records staging outcomes, like DownloadOptions.Health.
 	Health *HealthTracker
 	// Obs receives staging timings and counters (lors.stage.*); nil
 	// records into obs.Default().
 	Obs *obs.Registry
-}
-
-func (o *CopyOptions) client(addr string) *ibp.Client {
-	return &ibp.Client{Addr: addr, Dialer: o.Dialer, Timeout: o.Timeout, Obs: o.Obs}
 }
 
 // CopyTo replicates the whole object onto the target depot with third-party
@@ -835,11 +811,13 @@ func CopyToStriped(ctx context.Context, ex *exnode.ExNode, targets []string, opt
 	if opts.Policy == "" {
 		opts.Policy = ibp.Volatile // staged copies are cache, soft by default
 	}
+	pipes, done := scoped(opts.Pipes, opts.Dialer, opts.Obs)
+	defer done()
 	out := &exnode.ExNode{Name: ex.Name, Length: ex.Length, Checksum: ex.Checksum}
 	staged := false
 	defer func() {
 		if !staged { // the stage's own error is the one to report
-			_ = Free(context.WithoutCancel(ctx), out, opts.Dialer)
+			_ = free(context.WithoutCancel(ctx), out, pipes)
 		}
 	}()
 	for k, ext := range ex.SortedExtents() {
@@ -847,7 +825,7 @@ func CopyToStriped(ctx context.Context, ex *exnode.ExNode, targets []string, opt
 			return nil, err
 		}
 		targetAddr := targets[k%len(targets)]
-		caps, err := opts.client(targetAddr).Allocate(ctx, ext.Length, opts.Lease, opts.Policy)
+		caps, err := pipes.Client(targetAddr).Allocate(ctx, ext.Length, opts.Lease, opts.Policy)
 		if err != nil {
 			opts.Health.ReportFailure(targetAddr)
 			return nil, fmt.Errorf("lors: staging allocation on %s: %w", targetAddr, err)
@@ -874,7 +852,7 @@ func CopyToStriped(ctx context.Context, ex *exnode.ExNode, targets []string, opt
 			lastErr = errAllCircuitsOpen
 		}
 		for _, rep := range reps {
-			if err := opts.client(rep.Depot).Copy(ctx, rep.ReadCap, rep.AllocOffset, ext.Length, targetAddr, caps.Write, 0); err != nil {
+			if err := pipes.Client(rep.Depot).Copy(ctx, rep.ReadCap, rep.AllocOffset, ext.Length, targetAddr, caps.Write, 0); err != nil {
 				opts.Health.ReportFailure(rep.Depot)
 				lastErr = err
 				continue

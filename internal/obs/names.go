@@ -164,12 +164,13 @@ const (
 
 	// --- ibp pipelined transport (ibp.Pipe / ibp.PipePool) ---
 
-	// MIBPPipeOps: counter. Operations issued through a PipePool,
-	// {mode=pipelined|serial}; serial counts fallbacks to one-shot
-	// connections against depots that do not speak PIPELINE.
+	// MIBPPipeOps: counter. Operations issued by an IBP client,
+	// {mode=pipelined|serial}; serial counts those on kept untagged
+	// connections, including a PipePool's against depots that do not
+	// speak PIPELINE.
 	MIBPPipeOps = "ibp.pipe.ops"
 	// MIBPPipeFallbacks: counter. Depots detected as old-protocol
-	// (PIPELINE answered with ERR), pinned to serial mode.
+	// (PIPELINE answered with ERR), reached untagged from then on.
 	MIBPPipeFallbacks = "ibp.pipe.fallbacks"
 
 	// --- SLO engine (internal/obs/slo) ---

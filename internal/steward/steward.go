@@ -133,8 +133,8 @@ type Config struct {
 	Timeout time.Duration
 	// Clock supplies time (for tests); nil means time.Now.
 	Clock func() time.Time
-	// Obs is threaded into the steward's depot clients; nil records into
-	// obs.Default().
+	// Obs is threaded into the steward's depot connections; nil records
+	// into obs.Default().
 	Obs *obs.Registry
 }
 
@@ -183,9 +183,12 @@ type object struct {
 }
 
 // Steward keeps adopted exNodes healthy. Create with New, feed it
-// exNodes with Adopt, and drive it with Run (or RunCycle from a test).
+// exNodes with Adopt, and drive it with Run (or RunCycle from a test,
+// then Close).
 type Steward struct {
 	cfg Config
+	// pipes keeps the steward's depot connections from cycle to cycle.
+	pipes *ibp.PipePool
 
 	// cycleMu serializes scan cycles; mu guards the maps and stats and is
 	// never held across network I/O.
@@ -205,6 +208,7 @@ func New(cfg Config) *Steward {
 	cfg.defaults()
 	return &Steward{
 		cfg:     cfg,
+		pipes:   &ibp.PipePool{Dialer: cfg.Dialer, Timeout: cfg.Timeout, Obs: cfg.Obs},
 		objects: make(map[string]*object),
 		trigger: make(chan string, 16),
 		queued:  make(map[string]bool),
@@ -302,9 +306,10 @@ func (s *Steward) Stats() Stats {
 	return s.stats
 }
 
-func (s *Steward) client(addr string) *ibp.Client {
-	return &ibp.Client{Addr: addr, Dialer: s.cfg.Dialer, Timeout: s.cfg.Timeout, Obs: s.cfg.Obs}
-}
+func (s *Steward) client(addr string) *ibp.Client { return s.pipes.Client(addr) }
+
+// Close closes the steward's depot connections; a later cycle redials.
+func (s *Steward) Close() { s.pipes.Close() }
 
 // RegisterMetrics publishes this steward's cumulative Stats into reg
 // (scraped as steward.* at /metrics). Passing nil publishes into
@@ -334,8 +339,10 @@ func (s *Steward) RegisterMetrics(reg *obs.Registry) {
 // Run executes scan cycles every ScanInterval until ctx is cancelled.
 // Between ticks it also services alert triggers (TriggerDepotAudit /
 // TriggerCycle): a firing SLO alert gets its targeted audit immediately
-// instead of waiting out the interval.
+// instead of waiting out the interval. It closes the steward's depot
+// connections on return.
 func (s *Steward) Run(ctx context.Context) error {
+	defer s.Close()
 	t := time.NewTicker(s.cfg.ScanInterval)
 	defer t.Stop()
 	for {

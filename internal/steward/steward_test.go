@@ -86,6 +86,7 @@ func TestStewardRenewsExpiringLeases(t *testing.T) {
 		VerifyPerCycle:    -1,
 		Clock:             r.now,
 	})
+	defer s.Close()
 	if err := s.Adopt("obj", ex); err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +127,21 @@ func TestStewardRenewsExpiringLeases(t *testing.T) {
 	horizon := cur.LeaseHorizon()
 	if !horizon.After(time.Now().Add(15 * time.Minute)) {
 		t.Errorf("lease horizon %v not pushed out by renewal", horizon)
+	}
+	// Each replica records the expiry its depot granted, not a client
+	// guess: the depots' clock runs 7 minutes ahead of this one.
+	for _, x := range cur.Extents {
+		for _, rp := range x.Replicas {
+			cl := &ibp.Client{Addr: rp.Depot}
+			info, err := cl.Probe(context.Background(), rp.ManageCap)
+			cl.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rp.Expiry().Equal(info.Expires) {
+				t.Errorf("replica on %s records expiry %v, depot granted %v", rp.Depot, rp.Expiry(), info.Expires)
+			}
+		}
 	}
 
 	// 11 minutes in, the original leases would be dead; renewed ones live.

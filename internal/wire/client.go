@@ -10,9 +10,10 @@ package wire
 // cancellation, connection reuse with its retry rule, and the metrics.
 //
 // As on the server there is one connection type, untagged with a window of
-// one until upgraded. How many connections a Client keeps and whether it
-// upgrades them (Window, Keep) is its whole configuration, fixed by the
-// wrapping package. DESIGN.md §10 lists who uses which.
+// one until upgraded. A Client keeps what it dials: whether it asks for the
+// upgrade and how many untagged connections it keeps (Window, Keep) is its
+// whole configuration, fixed by the wrapping package. DESIGN.md §10 lists
+// who uses which.
 
 import (
 	"bufio"
@@ -146,13 +147,12 @@ func (c *Call) verb() string {
 	return verb
 }
 
-// Client reaches one address. Window and Keep choose among the three ways
-// of holding connections: neither set, every operation dials and closes its
-// own connection and the Client holds nothing between calls; Window asks the
-// server for PIPELINE on one connection that all operations then share
-// (falling back for good to a connection per operation if it refuses); Keep
-// holds up to that many untagged connections open, one request on each at a
-// time. The exported fields are read-only after the first operation.
+// Client reaches one address and keeps the connections it dials until
+// Close. With Window set it asks the server for PIPELINE on one connection
+// that all operations then share; without it, or for good once the server
+// refuses, it holds up to Keep untagged connections open, one request on
+// each at a time (Keep 0 means Window's worth, at least one). The exported
+// fields are read-only after the first operation.
 type Client struct {
 	Addr string
 	// Dialer establishes connections; nil means plain TCP.
@@ -169,14 +169,22 @@ type Client struct {
 	idle time.Duration // tests shorten the watchdog; 0 means idleTimeout
 
 	mu        sync.Mutex
-	slots     chan struct{} // Keep: one token per request in flight
-	kept      []*ClientConn // Keep: idle connections, most recently used last
+	slots     chan struct{} // untagged: one token per request in flight
+	kept      []*ClientConn // untagged: idle connections, most recently used last
 	pipe      *ClientConn   // Window: the tagged connection
 	refused   bool          // Window: the server answered PIPELINE with ERR
 	upgrading chan struct{} // Window: held (one token) by whoever is handshaking
 }
 
 func (c *Client) registry() *obs.Registry { return Settings{Obs: c.Obs}.registry() }
+
+// keep is how many untagged connections the Client holds at most.
+func (c *Client) keep() int {
+	if c.Keep > 0 {
+		return c.Keep
+	}
+	return max(c.Window, 1)
+}
 
 // count bumps the counter a protocol named, if it named one.
 func (c *Client) count(name string) {
@@ -289,27 +297,25 @@ func (c *Client) acquire(ctx context.Context) (cc *ClientConn, reused bool, err 
 			return cc, reused, err
 		}
 	}
-	if c.Keep > 0 {
-		c.mu.Lock()
-		if c.slots == nil {
-			c.slots = make(chan struct{}, c.Keep)
-		}
-		c.mu.Unlock()
-		select {
-		case c.slots <- struct{}{}:
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
-		c.mu.Lock()
-		if n := len(c.kept); n > 0 {
-			cc, c.kept = c.kept[n-1], c.kept[:n-1]
-		}
-		c.mu.Unlock()
-		if cc != nil {
-			return cc, true, nil
-		}
+	c.mu.Lock()
+	if c.slots == nil {
+		c.slots = make(chan struct{}, c.keep())
 	}
-	if cc, err = c.dial(ctx); err != nil && c.Keep > 0 {
+	c.mu.Unlock()
+	select {
+	case c.slots <- struct{}{}:
+	case <-ctx.Done():
+		return nil, false, ctx.Err()
+	}
+	c.mu.Lock()
+	if n := len(c.kept); n > 0 {
+		cc, c.kept = c.kept[n-1], c.kept[:n-1]
+	}
+	c.mu.Unlock()
+	if cc != nil {
+		return cc, true, nil
+	}
+	if cc, err = c.dial(ctx); err != nil {
 		<-c.slots
 	}
 	return cc, false, err
@@ -318,19 +324,17 @@ func (c *Client) acquire(ctx context.Context) (cc *ClientConn, reused bool, err 
 // release gives back the slot and keeps cc with its deadline cleared, or
 // closes it. Unread reply bytes mean it is out of step with the server.
 func (c *Client) release(cc *ClientConn, keep bool) {
-	keep = keep && c.Keep > 0 && cc.br.Buffered() == 0 && cc.nc.SetDeadline(time.Time{}) == nil
+	keep = keep && cc.br.Buffered() == 0 && cc.nc.SetDeadline(time.Time{}) == nil
 	c.mu.Lock()
-	if keep && len(c.kept) < c.Keep {
+	if keep {
 		c.kept = append(c.kept, cc)
 		cc = nil
 	}
 	c.mu.Unlock()
 	if cc != nil {
-		cc.closeUntagged()
+		cc.nc.Close()
 	}
-	if c.Keep > 0 {
-		<-c.slots
-	}
+	<-c.slots
 }
 
 // CloseIdle closes the kept idle connections; the Client redials on demand.
@@ -340,7 +344,7 @@ func (c *Client) CloseIdle() {
 	c.kept = nil
 	c.mu.Unlock()
 	for _, cc := range kept {
-		cc.closeUntagged()
+		cc.nc.Close()
 	}
 }
 
@@ -462,7 +466,7 @@ func (c *Client) handshake(ctx context.Context) (*ClientConn, error) {
 			return cc, nil
 		}
 	}
-	cc.closeUntagged()
+	cc.nc.Close()
 	return nil, err
 }
 
@@ -493,22 +497,10 @@ func (c *Client) dial(ctx context.Context) (*ClientConn, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
-		cc := &ClientConn{c: c, nc: r.nc, br: readers.Get().(*bufio.Reader)}
-		cc.br.Reset(r.nc)
-		return cc, nil
+		return &ClientConn{c: c, nc: r.nc, br: bufio.NewReaderSize(r.nc, connBuf)}, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-}
-
-// A connection that serves one operation must not cost a fresh 64 KiB
-// buffer: a client connection's reader comes from here and goes back once
-// no goroutine can touch it.
-var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, connBuf) }}
-
-func putReader(br *bufio.Reader) {
-	br.Reset(nil)
-	readers.Put(br)
 }
 
 // ClientConn is one client connection: untagged, carrying one request at a
@@ -530,13 +522,6 @@ type ClientConn struct {
 	waiters map[uint64]*Call
 	nextTag uint64
 	broken  error
-}
-
-// closeUntagged closes a connection no goroutine but the caller's can be
-// using, which is what makes its reader safe to hand on.
-func (cc *ClientConn) closeUntagged() {
-	cc.nc.Close()
-	putReader(cc.br)
 }
 
 // send writes one request — line, tag, tokens, newline, payload — as one
@@ -757,7 +742,6 @@ func (cc *ClientConn) exchange(ctx context.Context, call *Call, tokens string) (
 // calls by tag, lets readReply consume them, and turns any corruption or
 // connection error into the failure of every request in flight.
 func (cc *ClientConn) readLoop() {
-	defer putReader(cc.br)
 	idle := cc.c.idle
 	if idle == 0 {
 		idle = idleTimeout

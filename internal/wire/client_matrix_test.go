@@ -1,9 +1,10 @@
 package wire_test
 
-// One behaviour matrix over the three ways a client holds connections:
-// nothing kept (ibp.Client), one upgraded connection (ibp.Pipe, and
-// ibp.PipePool which adds fallback and redial), and a few untagged kept ones
-// (dvs.Client, agent.RemoteSource). Each row states a rule of the transport
+// One behaviour matrix over the three ways a caller holds connections: for
+// one call only ("unkept": an ibp.Client made and closed around the call,
+// as edge.Warm does, and agent.RequestRemote), one upgraded connection
+// (ibp.Pipe, and ibp.PipePool which adds fallback and redial), and a few
+// untagged kept ones (dvs.Client, agent.RemoteSource). Each row states a rule of the transport
 // and runs it on every configuration it applies to, through exported
 // constructors against a scripted peer.
 
@@ -40,13 +41,16 @@ func configurations(addr string, dialer ibp.Dialer) map[string]struct {
 		read  func(ctx context.Context) error
 		close func()
 	}
-	serial := &ibp.Client{Addr: addr, Dialer: dialer, Obs: obs.NewRegistry()}
 	pool := &ibp.PipePool{Dialer: dialer, Obs: obs.NewRegistry()}
 	kept := &dvs.Client{Addr: addr, Dialer: dialer}
 	remote := &agent.RemoteSource{Addr: addr, Dataset: "ds", Dialer: dialer}
 	return map[string]cfg{
 		"unkept": {
-			read:  func(ctx context.Context) error { return serial.LoadInto(ctx, "rcap", 0, make([]byte, 5)) },
+			read: func(ctx context.Context) error {
+				cl := &ibp.Client{Addr: addr, Dialer: dialer, Obs: obs.NewRegistry()}
+				defer cl.Close()
+				return cl.LoadInto(ctx, "rcap", 0, make([]byte, 5))
+			},
 			close: func() {},
 		},
 		"unkept-render": {
@@ -338,6 +342,7 @@ func TestClientRepeatsOnlyWhatIsSafe(t *testing.T) {
 	t.Run("unkept/never", func(t *testing.T) {
 		peer := startScriptedPeer(t, hangup, "OK 5\nhello")
 		cl := &ibp.Client{Addr: peer.addr, Obs: obs.NewRegistry()}
+		defer cl.Close()
 		if err := cl.LoadInto(ctx, "rcap", 0, make([]byte, 5)); !errors.Is(err, ibp.ErrProto) {
 			t.Fatalf("load on a connection that hangs up: %v, want ErrProto", err)
 		}
@@ -348,8 +353,8 @@ func TestClientRepeatsOnlyWhatIsSafe(t *testing.T) {
 }
 
 // TestClientRemembersPipelineRefusal: a depot that answers PIPELINE with an
-// error is asked once; every later request goes untagged on a connection of
-// its own.
+// error is asked once; every later request goes untagged on a kept
+// connection.
 func TestClientRemembersPipelineRefusal(t *testing.T) {
 	peer := startScriptedPeer(t, "OK 5\nhello", "OK 5\nhello", "OK 5\nhello")
 	peer.rescript(func() { peer.refuse = true })
@@ -366,8 +371,8 @@ func TestClientRemembersPipelineRefusal(t *testing.T) {
 	if got := strings.Join(peer.requests(), "|"); got != want {
 		t.Errorf("peer saw %q, want %q", got, want)
 	}
-	if n := peer.accepted(); n != 4 {
-		t.Errorf("peer accepted %d connections, want 4 (the handshake and one per load)", n)
+	if n := peer.accepted(); n != 2 {
+		t.Errorf("peer accepted %d connections, want 2 (the handshake and one kept for the loads)", n)
 	}
 	if pool.Mode(peer.addr) != "serial" {
 		t.Errorf("pool mode = %q, want serial", pool.Mode(peer.addr))

@@ -143,7 +143,7 @@ func TestFlightRecorderCaptureEndToEnd(t *testing.T) {
 		spinners.Wait()
 	})
 
-	// The chaos fault: every connection to depot 0 eats a latency spike.
+	// The chaos fault: every reply from depot 0 eats a latency spike.
 	fd := netsim.NewFaultDialer(nil, 9431)
 	fd.SetFault(addrs[0], netsim.FaultProfile{SpikeProb: 1, Spike: 150 * time.Millisecond})
 
@@ -156,11 +156,8 @@ func TestFlightRecorderCaptureEndToEnd(t *testing.T) {
 		CacheBytes:  1 << 10,
 		Retries:     4,
 		Parallelism: 1,
-		// Serial transport so every browse op pays the per-connection
-		// spike (see TestSLOAlertDrivenRepairEndToEnd for the rationale).
-		PipelineWindow: -1,
-		Obs:            reg,
-		Rand:           rand.New(rand.NewSource(23)),
+		Obs:         reg,
+		Rand:        rand.New(rand.NewSource(23)),
 	})
 	if err != nil {
 		t.Fatal(err)

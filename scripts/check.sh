@@ -56,7 +56,7 @@ run_named() {
 }
 
 # Twenty rounds each of the places where an ordering, not a value, is the
-# contract: the one client transport under its three configurations (reuse,
+# contract: the one client transport under its two configurations (reuse,
 # redial, deadlines, cancellation, the handshake wait, the retry rule — the
 # client matrix and transcript in internal/wire, and the suites of the two
 # packages that wrap it) and "the server span is exported before the reply
@@ -127,8 +127,14 @@ run_named -race -count=20 -run TestCancelledContextClosesStack ./internal/daemon
 
 # The chaos soak, with and without a stager that could re-close the
 # corrupting depot's circuit: every replica of an extent behind an open
-# circuit is an ordering of failures, so it gets twenty rounds too.
-run_named -race -count=20 -run TestChaosBrowseUnderFaults .
+# circuit is an ordering of failures, so it gets twenty rounds too. It,
+# the slow-depot SLO repair and the flight-recorder capture run on the
+# default transport — kept, pipelined connections — with faults drawn per
+# reply, under which the fault layer's own cases and "every verb through
+# one kept client dials once" are orderings as well.
+run_named -race -count=20 -run 'TestChaosBrowseUnderFaults|TestSLOAlertDrivenRepairEndToEnd|TestFlightRecorderCaptureEndToEnd' .
+run_named -race -count=20 -run 'TestFaultPerReplyCorruptsOnlyTheKthBody|TestFaultPerReplySpikeDelaysOnlyTheKthReply|TestFaultKillBreaksOpenConnections' ./internal/netsim
+run_named -race -count=20 -run 'TestEveryVerbDialsOnce|TestOnwardCopyConnectionsStayBounded' ./internal/ibp
 
 echo "== fuzz the one request parser, the one serve loop and the one client's reply path (10s each)"
 go test -run '^$' -fuzz FuzzParseRequest -fuzztime=10s -fuzzminimizetime=1s ./internal/wire

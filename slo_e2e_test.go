@@ -188,7 +188,7 @@ func TestSLOAlertDrivenRepairEndToEnd(t *testing.T) {
 	runDone := make(chan error, 1)
 	go func() { runDone <- stw.Run(runCtx) }()
 
-	// The fault: every connection to depot 0 eats a 150ms latency spike.
+	// The fault: every reply from depot 0 eats a 150ms latency spike.
 	fd := netsim.NewFaultDialer(nil, 4245)
 	fd.SetFault(addrs[0], netsim.FaultProfile{SpikeProb: 1, Spike: 150 * time.Millisecond})
 
@@ -200,16 +200,8 @@ func TestSLOAlertDrivenRepairEndToEnd(t *testing.T) {
 		CacheBytes:  1 << 10, // tiny: every browse refetches from depots
 		Retries:     4,
 		Parallelism: 1,
-		// Serial transport on purpose: the injected fault is a
-		// per-connection latency spike, which a persistent pipelined
-		// connection pays exactly once at dial time — the following
-		// thousands of fast per-op samples would drown the rule's p90.
-		// Serial mode dials per operation, so every browse round trip
-		// eats the spike, which is the slow-depot signal this rule (and
-		// this test) is about.
-		PipelineWindow: -1,
-		Obs:            reg,
-		Rand:           rand.New(rand.NewSource(17)),
+		Obs:         reg,
+		Rand:        rand.New(rand.NewSource(17)),
 		// No ReplicaBias here on purpose: the bias would steer the browse
 		// traffic off the slow depot and starve the rule's window. The
 		// bias path has its own test (TestDownloadPreferOrdersReplicas).
