@@ -151,70 +151,59 @@ func caseNames() map[experiments.Case]string {
 
 // BenchmarkFig12_CommLatency isolates the communication latency of the
 // three access classes (Figure 12's log-scale bands): an agent cache hit,
-// a LAN depot fetch, and a WAN fetch.
+// a LAN depot fetch, and a WAN fetch. The last two run on agents whose
+// cache no frame fits in, so every access crosses their link: a prestaged
+// case-3 agent reads the LAN depot, a case-2 agent the WAN.
 func BenchmarkFig12_CommLatency(b *testing.B) {
-	cfg := benchConfig()
-	res := experiments.ScaleRes(300)
-	d, err := experiments.Deploy(context.Background(), cfg, res, experiments.Case3Staged)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer d.Close()
-	done, err := d.CA.StartPrestaging(context.Background())
-	if err != nil {
-		b.Fatal(err)
-	}
-	select {
-	case <-done:
-	case <-time.After(2 * time.Minute):
-		b.Fatal("prestaging did not finish")
-	}
-	ids := d.Params.AllViewSets()
-
-	b.Run("hit", func(b *testing.B) {
-		id := ids[0]
-		if _, _, err := d.CA.GetViewSet(context.Background(), id); err != nil {
+	for _, c := range []struct {
+		name  string
+		cs    experiments.Case
+		cache int64
+		class agent.AccessClass
+	}{
+		{"hit", experiments.Case1LAN, 0, agent.AccessHit},
+		{"lan_depot", experiments.Case3Staged, 1, agent.AccessLANDepot},
+		{"wan", experiments.Case2WAN, 1, agent.AccessWAN},
+	} {
+		cfg := benchConfig()
+		if c.cache > 0 {
+			cfg.CacheBytes = c.cache
+		}
+		d, err := experiments.Deploy(context.Background(), cfg, experiments.ScaleRes(300), c.cs)
+		if err != nil {
 			b.Fatal(err)
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_, rep, err := d.CA.GetViewSet(context.Background(), id)
-			if err != nil || rep.Class != agent.AccessHit {
-				b.Fatalf("class %v err %v", rep.Class, err)
-			}
-		}
-	})
-	b.Run("lan_depot", func(b *testing.B) {
-		// Fetch staged view sets directly from the LAN depot each time by
-		// bypassing the cache (download via the staged exNode path).
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			id := ids[1+i%(len(ids)-1)]
-			d.CA.DropCached(id)
-			_, rep, err := d.CA.GetViewSet(context.Background(), id)
+		if c.cs == experiments.Case3Staged {
+			done, err := d.CA.StartPrestaging(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
-			if rep.Class != agent.AccessLANDepot {
-				b.Fatalf("access %d class %v, want lan-depot", i, rep.Class)
+			select {
+			case <-done:
+			case <-time.After(2 * time.Minute):
+				b.Fatal("prestaging did not finish")
 			}
 		}
-	})
-	b.Run("wan", func(b *testing.B) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			id := ids[1+i%(len(ids)-1)]
-			d.CA.DropCached(id)
-			d.CA.DropStaged(id)
-			_, rep, err := d.CA.GetViewSet(context.Background(), id)
-			if err != nil {
+		ids := d.Params.AllViewSets()
+		if c.class == agent.AccessHit {
+			ids = ids[:1]
+			if _, _, err := d.CA.GetViewSet(context.Background(), ids[0]); err != nil {
 				b.Fatal(err)
 			}
-			if rep.Class != agent.AccessWAN {
-				b.Fatalf("access %d class %v, want wan", i, rep.Class)
-			}
 		}
-	})
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_, rep, err := d.CA.GetViewSet(context.Background(), ids[i%len(ids)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.Class != c.class {
+					b.Fatalf("access %d class %v, want %v", i, rep.Class, c.class)
+				}
+			}
+		})
+		d.Close()
+	}
 }
 
 // BenchmarkClientRenderFPS measures the client's table-lookup rendering

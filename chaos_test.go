@@ -111,10 +111,14 @@ func newChaosRig(t *testing.T) *chaosRig {
 	return r
 }
 
-// browseAll fetches every view set once (dropping the frame cache after
-// each access so the next pass hits the network again) and fails the test
-// on any error or any byte deviating from the precomputed reference — the
-// "every GetViewSet returns checksum-clean bytes" acceptance bar.
+// noFrameCache is a client agent cache budget that no view set frame fits
+// in, so every access of a browse pass reaches the depots.
+const noFrameCache = 1
+
+// browseAll fetches every view set once through ca, whose cache is
+// noFrameCache so that every pass hits the network again, and fails the
+// test on any error or any byte deviating from the precomputed reference —
+// the "every GetViewSet returns checksum-clean bytes" acceptance bar.
 func (r *chaosRig) browseAll(t *testing.T, ca *agent.ClientAgent, phase string) {
 	t.Helper()
 	for _, id := range r.params.AllViewSets() {
@@ -125,7 +129,6 @@ func (r *chaosRig) browseAll(t *testing.T, ca *agent.ClientAgent, phase string) 
 		if !bytes.Equal(frame, r.reference[id]) {
 			t.Fatalf("%s: GetViewSet(%v) returned corrupted bytes", phase, id)
 		}
-		ca.DropCached(id)
 	}
 }
 
@@ -176,7 +179,7 @@ func chaosBrowse(t *testing.T, stage bool) {
 			Params:     r.params,
 			DVS:        r.dvsClient,
 			Dialer:     fd,
-			CacheBytes: 1 << 22,
+			CacheBytes: noFrameCache,
 			LANDepots:  lan,
 			Health:     health,
 			Retries:    4,
@@ -470,8 +473,10 @@ func TestChaosStewardSelfHealing(t *testing.T) {
 	}
 	for _, name := range stw.Objects() {
 		ex := stw.ExNode(name)
-		if got := ex.ReplicationFactor(); got < 2 {
-			t.Errorf("%s: replication factor %d after healing", name, got)
+		for _, x := range ex.Extents {
+			if len(x.Replicas) < 2 {
+				t.Errorf("%s: extent at %d has %d replicas after healing", name, x.Offset, len(x.Replicas))
+			}
 		}
 		for _, d := range ex.Depots() {
 			if d == dead {
@@ -527,7 +532,7 @@ func TestChaosDeterministicReplay(t *testing.T) {
 			Params:      r.params,
 			DVS:         r.dvsClient,
 			Dialer:      fd,
-			CacheBytes:  1 << 22,
+			CacheBytes:  noFrameCache,
 			Retries:     4,
 			Parallelism: 1, // sequential extents keep the dial order fixed
 			Rand:        rand.New(rand.NewSource(7)),

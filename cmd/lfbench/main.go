@@ -10,6 +10,8 @@
 //	lfbench -fig 12     Figure 12: communication latency (log-scale data)
 //	lfbench -fig fps    in-text: client rendering frame rate
 //	lfbench -fig rates  in-text 4.3: WAN access & hit rates, cases 2 vs 3
+//	lfbench -fig qgr    in-text 4.2: Quality Guaranteed Rate per case
+//	lfbench -fig edge   the edge tier: fleet hit rate, shared vs isolated
 //	lfbench -fig all    everything
 //
 // -csv DIR writes each series as CSV next to the printed tables.
@@ -32,7 +34,7 @@ import (
 func main() {
 	d := daemon.New("lfbench")
 	flag.Lookup("metrics-addr").Usage = "serve /metrics and /debug/pprof on this address while the benchmark runs (empty disables)"
-	fig := flag.String("fig", "all", "figure to regenerate: 7|8|9|10|11|12|fps|rates|qgr|all")
+	fig := flag.String("fig", "all", "figure to regenerate: 7|8|9|10|11|12|fps|rates|qgr|edge|all")
 	full := flag.Bool("full", false, "use the paper-scale lattice (2.5 deg, l=6); much slower")
 	seed := flag.Int64("seed", 1, "experiment seed")
 	accesses := flag.Int("accesses", session.PaperAccessCount, "session length in view set accesses")
@@ -71,6 +73,7 @@ func main() {
 			{"fps", "In-text: client rendering frame rate", func() error { return figFPS(ctx, cfg) }},
 			{"rates", "In-text 4.3: initial-phase WAN access and hit rates", func() error { return figRates(ctx, cfg) }},
 			{"qgr", "In-text 4.2: Quality Guaranteed Rate per case", func() error { return figQGR(ctx, cfg) }},
+			{"edge", "Edge tier: fleet hit rate, shared edge vs isolated caches", func() error { return figEdge(ctx, cfg) }},
 		}
 		for _, f := range figs {
 			if *fig != "all" && *fig != f.name {
@@ -230,6 +233,25 @@ func figRates(ctx context.Context, cfg experiments.Config) error {
 		100*r.WANRate2, 100*r.WANRate3)
 	fmt.Printf("session hit rate: case2=%.0f%%, case3=%.0f%% (paper: 28%% vs 33%%)\n",
 		100*r.HitRate2, 100*r.HitRate3)
+	return nil
+}
+
+// edgeClients is the edge figure's fleet: enough clients that their
+// cursor paths overlap, as in TestEdgeFleetEndToEnd.
+const edgeClients = 50
+
+func figEdge(ctx context.Context, cfg experiments.Config) error {
+	// The comparison is about access classes, not transfer speed: a fatter
+	// WAN pipe keeps the fleet from serializing on the shared token bucket
+	// without changing what counts as a WAN fetch.
+	cfg.WAN.Bandwidth = 32 << 20
+	run, err := experiments.EdgeFleetExperiment(ctx, cfg, 200, experiments.EdgeFleetOptions{Clients: edgeClients})
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%d clients x %d accesses, both legs on path-first prefetch\n", run.Clients, run.Accesses)
+	fmt.Printf("hit rate: shared=%.3f isolated=%.3f (edge filled %d view sets, %d hits)\n",
+		run.SharedHitRate(), run.IsolatedHitRate(), run.EdgeStats.FilledSets, run.EdgeStats.Hits)
 	return nil
 }
 

@@ -54,9 +54,10 @@ func TestEdgeFleetEndToEnd(t *testing.T) {
 	if shared < 0.75 {
 		t.Errorf("shared-edge fleet hit rate %.3f, want >= 0.75", shared)
 	}
-	// The isolated baseline sits in the historical single-cache band
-	// (about 0.62 for a full-length session) — in particular it
-	// must not itself clear the shared bar, or the comparison is vacuous.
+	// The isolated baseline sits in the single-cache band (0.61 at this
+	// configuration with path-first prefetch; a full-length 58-access
+	// session reads about 0.78) — in particular it must not itself clear
+	// the shared bar, or the comparison is vacuous.
 	if isolated < 0.30 || isolated > 0.72 {
 		t.Errorf("isolated baseline hit rate %.3f outside the expected [0.30, 0.72] band", isolated)
 	}

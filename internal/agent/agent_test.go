@@ -384,6 +384,30 @@ func TestClientAgentStagingOrderFollowsCursor(t *testing.T) {
 	if !ok || id != target {
 		t.Errorf("nextToStage = %v, want %v", id, target)
 	}
+	// Claimed one by one, the stager's order visits every set once, in
+	// order of angular distance from the cursor (Figure 5: "ordered by
+	// proximity to cursor").
+	sp := r.params.SetCenterAngles(target)
+	seen := map[lightfield.ViewSetID]bool{}
+	prev := -1.0
+	for {
+		id, ok := ca.nextToStage(true)
+		if !ok {
+			break
+		}
+		if seen[id] {
+			t.Fatalf("staging order claims %v twice", id)
+		}
+		seen[id] = true
+		d := r.params.AngularDistToSet(sp, id)
+		if d < prev-1e-12 {
+			t.Fatalf("staging order not sorted by proximity: %v at %v after %v", id, d, prev)
+		}
+		prev = d
+	}
+	if len(seen) != r.params.NumViewSets() {
+		t.Errorf("staging order covers %d sets, want %d", len(seen), r.params.NumViewSets())
+	}
 	// Sequential policy ignores the cursor.
 	seq := r.newClientAgent(t, func(c *ClientAgentConfig) { c.StageOrderPolicy = StageSequential })
 	seq.OnUserMove(r.params.SetCenterAngles(target))
@@ -417,7 +441,7 @@ func TestClientAgentStagedFallbackToWAN(t *testing.T) {
 	if rep.Class != AccessWAN {
 		t.Errorf("fallback class = %v", rep.Class)
 	}
-	if ca.IsStaged(id) {
+	if isStaged(ca, id) {
 		t.Error("dead staged entry not forgotten")
 	}
 }
@@ -690,11 +714,11 @@ func TestRouteMissesThroughDepot(t *testing.T) {
 		t.Fatalf("routed miss = %+v", rep)
 	}
 	// The routed transfer leaves a staged copy behind.
-	if !ca.IsStaged(id) {
+	if !isStaged(ca, id) {
 		t.Error("routed miss did not leave a staged copy")
 	}
 	// After dropping only the cache, the next access is a LAN depot fetch.
-	ca.DropCached(id)
+	ca.cache.Remove(id.String())
 	_, rep2, err := ca.GetViewSet(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
@@ -724,4 +748,11 @@ func TestRouteMissesFallsBackWithoutDepot(t *testing.T) {
 	if rep.Class != AccessWAN {
 		t.Errorf("fallback class = %v", rep.Class)
 	}
+}
+
+// isStaged reports whether the agent holds a staged copy of id.
+func isStaged(ca *ClientAgent, id lightfield.ViewSetID) bool {
+	ca.mu.Lock()
+	defer ca.mu.Unlock()
+	return ca.staged[id] != nil
 }

@@ -80,7 +80,7 @@ func BenchmarkClientAgentMiss(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ca.DropCached(id)
+			ca.cache.Remove(id.String())
 			frame, rep, err := ca.GetViewSet(ctx, id)
 			if err != nil || rep.Class != AccessWAN {
 				b.Fatalf("miss: class %v, %v", rep.Class, err)
@@ -95,7 +95,7 @@ func BenchmarkClientAgentMiss(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ca.DropCached(id)
+			ca.cache.Remove(id.String())
 			st, err := ca.GetViewSetStream(ctx, id)
 			if err != nil {
 				b.Fatal(err)
@@ -128,7 +128,7 @@ func BenchmarkViewerMove(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ca.DropCached(id)
+		ca.cache.Remove(id.String())
 		v.mu.Lock()
 		delete(v.decoded, id)
 		v.order = v.order[:0]

@@ -807,24 +807,3 @@ func (ca *ClientAgent) StagedCount() int {
 	}
 	return n
 }
-
-// IsStaged reports whether a specific view set has been staged.
-func (ca *ClientAgent) IsStaged(id lightfield.ViewSetID) bool {
-	ca.mu.Lock()
-	defer ca.mu.Unlock()
-	return ca.staged[id] != nil
-}
-
-// DropCached removes a view set frame from the agent cache. It exists for
-// benchmarks and tests that need to force a specific access class.
-func (ca *ClientAgent) DropCached(id lightfield.ViewSetID) {
-	ca.cache.Remove(id.String())
-}
-
-// DropStaged forgets the staged copy of a view set, forcing the next miss
-// to the WAN. Benchmark/test hook.
-func (ca *ClientAgent) DropStaged(id lightfield.ViewSetID) {
-	ca.mu.Lock()
-	delete(ca.staged, id)
-	ca.mu.Unlock()
-}

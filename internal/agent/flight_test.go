@@ -339,7 +339,7 @@ func TestFlightStagedGoneCostsOneMiss(t *testing.T) {
 	if rec.Class != AccessWAN {
 		t.Errorf("class = %v, want wan", rec.Class)
 	}
-	if ca.IsStaged(id) {
+	if isStaged(ca, id) {
 		t.Error("dead staged entry not forgotten")
 	}
 	dm := ca.Stats().Misses - misses
@@ -998,9 +998,9 @@ func TestFlightFailureAfterPublishedBytes(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if st := ca.Stats(); st.WANFetches != 1 || st.LANFetches != 0 || ca.IsStaged(id) {
+	if st := ca.Stats(); st.WANFetches != 1 || st.LANFetches != 0 || isStaged(ca, id) {
 		t.Errorf("WANFetches = %d, LANFetches = %d, still staged = %v; want 1, 0, false",
-			st.WANFetches, st.LANFetches, ca.IsStaged(id))
+			st.WANFetches, st.LANFetches, isStaged(ca, id))
 	}
 	if misses, dr := ca.Stats().Misses, len(spansNamed(tr, obs.SpanResolve))-resolves; misses != 1 || dr != 1 {
 		t.Errorf("Misses = %d, resolves = %d; want 1 and 1", misses, dr)

@@ -87,10 +87,13 @@ func (s *recordingSource) OnUserMove(geom.Spherical) { s.log.add("move") }
 // recordingStreamer adds the streaming path. As with a real download, the
 // stream's report becomes final on the transfer's own schedule, a little
 // after the reader has everything; streamErr fails the transfer after the
-// first half of the frame instead.
+// first half of the frame instead. landed hands out a stream whose transfer
+// is already over, as an agent-cache hit does, and logs "read" when the
+// decoder first reads it.
 type recordingStreamer struct {
 	recordingSource
 	streamErr error
+	landed    bool
 }
 
 func (s *recordingStreamer) GetViewSetStream(ctx context.Context, id lightfield.ViewSetID) (*ViewSetStream, error) {
@@ -104,6 +107,12 @@ func (s *recordingStreamer) GetViewSetStream(ctx context.Context, id lightfield.
 	if s.streamErr != nil {
 		st.Reader = io.MultiReader(bytes.NewReader(s.frame[:len(s.frame)/2]), errReader{s.streamErr})
 	}
+	if s.landed {
+		s.log.add("stream:end")
+		close(st.done)
+		st.Reader = &firstReadLog{Reader: st.Reader, log: s.log}
+		return st, nil
+	}
 	go func() {
 		time.Sleep(10 * time.Millisecond)
 		s.log.add("stream:end")
@@ -113,6 +122,18 @@ func (s *recordingStreamer) GetViewSetStream(ctx context.Context, id lightfield.
 }
 
 type errReader struct{ err error }
+
+// firstReadLog logs "read" the first time its reader is read.
+type firstReadLog struct {
+	io.Reader
+	log  *eventLog
+	once sync.Once
+}
+
+func (r *firstReadLog) Read(b []byte) (int, error) {
+	r.once.Do(func() { r.log.add("read") })
+	return r.Reader.Read(b)
+}
 
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
@@ -135,8 +156,9 @@ func encodedViewSet(t *testing.T, p lightfield.Params, id lightfield.ViewSetID) 
 
 // TestViewerTellsSourceAfterForeground pins the foreground-first order:
 // the source hears of a move once the move's own view set is in hand —
-// after the fetch on a miss or a failure, at once on a decoded hit — and
-// exactly once on every path.
+// after the fetch on a miss or a failure, before the decode on a stream
+// that had landed, at once on a decoded hit — and exactly once on every
+// path.
 func TestViewerTellsSourceAfterForeground(t *testing.T) {
 	p := tinyParams()
 	id := lightfield.ViewSetID{R: 1, C: 2}
@@ -162,6 +184,9 @@ func TestViewerTellsSourceAfterForeground(t *testing.T) {
 		{"failed stream fails the move", func(l *eventLog) ViewSetSource {
 			return &recordingStreamer{recordingSource: recordingSource{log: l, frame: frame}, streamErr: fetchErr}
 		}, []string{"stream:start", "stream:end", "move"}, true},
+		{"landed stream", func(l *eventLog) ViewSetSource {
+			return &recordingStreamer{recordingSource: recordingSource{log: l, frame: frame}, landed: true}
+		}, []string{"stream:start", "stream:end", "move", "read"}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -47,7 +47,6 @@ type Viewer struct {
 	mu      sync.Mutex
 	decoded map[lightfield.ViewSetID]*lightfield.ViewSet
 	order   []lightfield.ViewSetID // FIFO for eviction
-	current lightfield.ViewSetID
 	records []AccessRecord
 
 	// spare is the decoded set evicted last; the next decode writes into
@@ -92,10 +91,12 @@ func NewViewer(p lightfield.Params, src ViewSetSource) (*Viewer, error) {
 // AccessHit.
 //
 // Foreground first: the agent hears of the move once the move's own view
-// set is in hand (at once on a decoded hit, else when it is decoded — which
-// a streamed one is as its last bytes arrive — or the fetch has failed), so
-// the prefetches it sets off fill the think time instead of sharing the
-// link with the transfer the user is waiting for.
+// set is in hand — at once on a decoded hit; before the decode when the
+// stream hands over bytes that had all landed (an agent-cache hit), since
+// the decode needs no link; else when it is decoded, which a streamed one
+// is as its last bytes arrive, or the fetch has failed — so the prefetches
+// it sets off fill the think time instead of sharing the link with the
+// transfer the user is waiting for.
 //
 // A move that has to wait for its view set spends the wait laying out the
 // frame the next Render will draw (see prepare).
@@ -113,10 +114,17 @@ func (v *Viewer) MoveTo(ctx context.Context, sp geom.Spherical) (AccessRecord, e
 	rec := AccessRecord{ID: id, Class: AccessHit}
 	var vs *lightfield.ViewSet
 	var err error
-	if !have {
-		vs, rec, err = v.fetchDecode(ctx, id, sp, spare)
+	told := false
+	tell := func() {
+		if !told {
+			told = true
+			v.Source.OnUserMove(sp)
+		}
 	}
-	v.Source.OnUserMove(sp)
+	if !have {
+		vs, rec, err = v.fetchDecode(ctx, id, sp, spare, tell)
+	}
+	tell()
 	if err != nil {
 		return AccessRecord{}, err
 	}
@@ -124,7 +132,6 @@ func (v *Viewer) MoveTo(ctx context.Context, sp geom.Spherical) (AccessRecord, e
 	if vs != nil {
 		v.insertDecoded(id, vs)
 	}
-	v.current = id
 	v.records = append(v.records, rec)
 	v.mu.Unlock()
 	return rec, nil
@@ -136,8 +143,9 @@ func (v *Viewer) MoveTo(ctx context.Context, sp geom.Spherical) (AccessRecord, e
 // first. Whatever can be retried — another copy, another replica — the
 // source's flight has already tried, so a failure here fails the move. The
 // pixels go into spare's images, if there is one. A stream whose bytes
-// have not all landed sets off the layout of the frame at sp.
-func (v *Viewer) fetchDecode(ctx context.Context, id lightfield.ViewSetID, sp geom.Spherical, spare *lightfield.ViewSet) (*lightfield.ViewSet, AccessRecord, error) {
+// have all landed calls tell before the decode; one whose bytes have not
+// sets off the layout of the frame at sp.
+func (v *Viewer) fetchDecode(ctx context.Context, id lightfield.ViewSetID, sp geom.Spherical, spare *lightfield.ViewSet, tell func()) (*lightfield.ViewSet, AccessRecord, error) {
 	start := time.Now()
 	var (
 		vs   *lightfield.ViewSet
@@ -149,7 +157,9 @@ func (v *Viewer) fetchDecode(ctx context.Context, id lightfield.ViewSetID, sp ge
 		if err != nil {
 			return nil, AccessRecord{}, err
 		}
-		if !stream.landed() {
+		if stream.landed() {
+			tell()
+		} else {
 			v.prepare(sp)
 		}
 		vs, derr = lightfield.DecodeViewSetInto(stream.Reader, v.P, spare)
@@ -263,11 +273,4 @@ func (v *Viewer) Records() []AccessRecord {
 	out := make([]AccessRecord, len(v.records))
 	copy(out, v.records)
 	return out
-}
-
-// Current returns the view set the viewer considers current.
-func (v *Viewer) Current() lightfield.ViewSetID {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.current
 }

@@ -155,40 +155,6 @@ func (e *ExNode) SortedExtents() []Extent {
 	return out
 }
 
-// ReplicationFactor returns the minimum number of replicas across extents
-// (0 for an empty exNode).
-func (e *ExNode) ReplicationFactor() int {
-	if len(e.Extents) == 0 {
-		return 0
-	}
-	minReps := len(e.Extents[0].Replicas)
-	for _, x := range e.Extents[1:] {
-		if len(x.Replicas) < minReps {
-			minReps = len(x.Replicas)
-		}
-	}
-	return minReps
-}
-
-// LeaseHorizon returns the earliest recorded replica lease expiry, or the
-// zero time when no replica records one. A maintenance pass whose horizon
-// is comfortably in the future can skip per-depot probing.
-func (e *ExNode) LeaseHorizon() time.Time {
-	var horizon time.Time
-	for _, x := range e.Extents {
-		for _, r := range x.Replicas {
-			exp := r.Expiry()
-			if exp.IsZero() {
-				continue
-			}
-			if horizon.IsZero() || exp.Before(horizon) {
-				horizon = exp
-			}
-		}
-	}
-	return horizon
-}
-
 // Clone returns a deep copy sharing no slices with the receiver, so one
 // copy can be mutated (lease renewals, replica repair) while the other is
 // read concurrently.

@@ -132,7 +132,7 @@ func TestReadStream(t *testing.T) {
 	}
 }
 
-func TestDepotsAndReplicationFactor(t *testing.T) {
+func TestDepots(t *testing.T) {
 	e := sampleExNode()
 	depots := e.Depots()
 	want := []string{"ca1:6714", "ca2:6714", "ca3:6714"}
@@ -143,12 +143,6 @@ func TestDepotsAndReplicationFactor(t *testing.T) {
 		if depots[i] != want[i] {
 			t.Errorf("depots[%d] = %q", i, depots[i])
 		}
-	}
-	if rf := e.ReplicationFactor(); rf != 1 {
-		t.Errorf("replication factor = %d, want 1 (min across extents)", rf)
-	}
-	if rf := (&ExNode{}).ReplicationFactor(); rf != 0 {
-		t.Errorf("empty replication factor = %d", rf)
 	}
 }
 
@@ -181,7 +175,15 @@ func TestStripedExNodeQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return got.Length == e.Length && len(got.Extents) == stripes && got.ReplicationFactor() == reps
+		if got.Length != e.Length || len(got.Extents) != stripes {
+			return false
+		}
+		for _, x := range got.Extents {
+			if len(x.Replicas) != reps {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -245,20 +247,6 @@ func TestSetExpiryZeroClears(t *testing.T) {
 	r.SetExpiry(time.Time{})
 	if r.ExpiresMs != 0 || !r.Expiry().IsZero() {
 		t.Errorf("zero time did not clear expiry: %d", r.ExpiresMs)
-	}
-}
-
-func TestLeaseHorizon(t *testing.T) {
-	e := sampleExNode()
-	if !e.LeaseHorizon().IsZero() {
-		t.Errorf("horizon with no recorded leases = %v", e.LeaseHorizon())
-	}
-	late := time.Now().Add(time.Hour)
-	early := time.Now().Add(10 * time.Minute)
-	e.Extents[0].Replicas[0].SetExpiry(late)
-	e.Extents[2].Replicas[0].SetExpiry(early)
-	if got := e.LeaseHorizon(); !got.Equal(time.UnixMilli(early.UnixMilli())) {
-		t.Errorf("horizon = %v, want earliest %v", got, early)
 	}
 }
 

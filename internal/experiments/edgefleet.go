@@ -89,7 +89,7 @@ func sumAgentStats(agents []*agent.ClientAgent) agent.ClientAgentStats {
 
 // edgeFleetLeg runs one fleet with a fresh client agent (and private
 // cache) per client, pointed at edgeAddr when non-empty.
-func edgeFleetLeg(ctx context.Context, d *Deployment, clients int, edgeAddr string, policy agent.PrefetchPolicy) (*session.FleetResult, agent.ClientAgentStats, error) {
+func edgeFleetLeg(ctx context.Context, d *Deployment, clients int, edgeAddr string) (*session.FleetResult, agent.ClientAgentStats, error) {
 	var mu sync.Mutex
 	var agents []*agent.ClientAgent
 	defer func() {
@@ -105,14 +105,13 @@ func edgeFleetLeg(ctx context.Context, d *Deployment, clients int, edgeAddr stri
 		ThinkTime: d.Cfg.ThinkTime,
 		NewViewer: func(i int) (*agent.Viewer, error) {
 			ca, err := agent.NewClientAgent(agent.ClientAgentConfig{
-				Dataset:        "neghip",
-				Params:         d.Params,
-				DVS:            &dvs.Client{Addr: d.DVSAddr, Dialer: d.Dialer},
-				Dialer:         d.Dialer,
-				CacheBytes:     d.Cfg.CacheBytes,
-				Prefetch:       !d.Cfg.NoPrefetch,
-				PrefetchPolicy: policy,
-				EdgeAddr:       edgeAddr,
+				Dataset:    "neghip",
+				Params:     d.Params,
+				DVS:        &dvs.Client{Addr: d.DVSAddr, Dialer: d.Dialer},
+				Dialer:     d.Dialer,
+				CacheBytes: d.Cfg.CacheBytes,
+				Prefetch:   !d.Cfg.NoPrefetch,
+				EdgeAddr:   edgeAddr,
 			})
 			if err != nil {
 				return nil, err
@@ -137,9 +136,9 @@ func edgeFleetLeg(ctx context.Context, d *Deployment, clients int, edgeAddr stri
 // EdgeFleetExperiment deploys one case-2 system, runs the isolated
 // baseline leg and then the shared-edge leg, and returns both. Client i
 // browses with seed cfg.Seed+i in both legs, so the cursor paths — and
-// hence the demand each leg must serve — are identical. The isolated leg
-// prefetches by cfg.PrefetchPolicy (the paper's quadrant by default), the
-// shared leg by the agent's default, path-first prefetch.
+// hence the demand each leg must serve — are identical. Both legs prefetch
+// by the agent's default, path-first prefetch, whatever cfg.PrefetchPolicy
+// says, so the two differ in the edge tier only.
 func EdgeFleetExperiment(ctx context.Context, cfg Config, paperRes int, opts EdgeFleetOptions) (*EdgeFleetRun, error) {
 	if opts.Clients <= 0 {
 		opts.Clients = 10
@@ -153,7 +152,7 @@ func EdgeFleetExperiment(ctx context.Context, cfg Config, paperRes int, opts Edg
 	run := &EdgeFleetRun{Clients: opts.Clients, Accesses: cfg.Accesses}
 
 	// Baseline first: every client on its own, no edge tier.
-	run.Isolated, run.IsolatedAgents, err = edgeFleetLeg(ctx, d, opts.Clients, "", cfg.PrefetchPolicy)
+	run.Isolated, run.IsolatedAgents, err = edgeFleetLeg(ctx, d, opts.Clients, "")
 	if err != nil {
 		return nil, fmt.Errorf("experiments: isolated leg: %w", err)
 	}
@@ -177,7 +176,7 @@ func EdgeFleetExperiment(ctx context.Context, cfg Config, paperRes int, opts Edg
 	defer esrv.Close()
 	d.Dialer.SetRoute(edgeAddr, cfg.LAN)
 
-	run.Shared, run.SharedAgents, err = edgeFleetLeg(ctx, d, opts.Clients, edgeAddr, agent.PrefetchPath)
+	run.Shared, run.SharedAgents, err = edgeFleetLeg(ctx, d, opts.Clients, edgeAddr)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: shared leg: %w", err)
 	}

@@ -10,7 +10,7 @@ func TestLookAtBasis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Forward().ApproxEq(V(0, 1, 0), 1e-12) {
+	if !approxEq(c.Forward(), V(0, 1, 0), 1e-12) {
 		t.Errorf("forward = %v", c.Forward())
 	}
 	// Orthonormal basis.
@@ -50,7 +50,7 @@ func TestPrimaryRayCenterPixel(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := c.PrimaryRay(4, 4)
-	if !r.Dir.ApproxEq(c.Forward(), 1e-12) {
+	if !approxEq(r.Dir, c.Forward(), 1e-12) {
 		t.Errorf("center ray dir = %v, want %v", r.Dir, c.Forward())
 	}
 	if r.Origin != c.Eye {
@@ -93,7 +93,7 @@ func TestOrbitCameraLooksAtCenter(t *testing.T) {
 			t.Errorf("eye not on orbit sphere: %v", c.Eye)
 		}
 		want := center.Sub(c.Eye).Norm()
-		if !c.Forward().ApproxEq(want, 1e-9) {
+		if !approxEq(c.Forward(), want, 1e-9) {
 			t.Errorf("forward = %v, want %v", c.Forward(), want)
 		}
 	}
@@ -124,7 +124,7 @@ func TestPrimaryRayRawMatchesPrimaryRay(t *testing.T) {
 			if a.Origin != b.Origin {
 				t.Fatal("origins differ")
 			}
-			if !a.Dir.ApproxEq(b.Dir.Norm(), 1e-12) {
+			if !approxEq(a.Dir, b.Dir.Norm(), 1e-12) {
 				t.Fatalf("directions differ at (%d,%d)", px, py)
 			}
 		}

@@ -75,9 +75,6 @@ func AngularDist(a, b Spherical) float64 {
 	return math.Acos(Clamp(a.Dir().Dot(b.Dir()), -1, 1))
 }
 
-// Degrees converts radians to degrees.
-func Degrees(rad float64) float64 { return rad * 180 / math.Pi }
-
 // Radians converts degrees to radians.
 func Radians(deg float64) float64 { return deg * math.Pi / 180 }
 

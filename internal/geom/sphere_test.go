@@ -57,7 +57,7 @@ func TestSphericalRoundTrip(t *testing.T) {
 			continue
 		}
 		back := ToSpherical(d).Dir()
-		if !back.ApproxEq(d, 1e-9) {
+		if !approxEq(back, d, 1e-9) {
 			t.Fatalf("round trip failed: %v -> %v", d, back)
 		}
 	}
@@ -66,7 +66,7 @@ func TestSphericalRoundTrip(t *testing.T) {
 func TestSphericalRanges(t *testing.T) {
 	f := func(x, y, z float64) bool {
 		v := V(x, y, z)
-		if !v.IsFinite() || v.Len() < 1e-9 || v.Len() > 1e9 {
+		if !isFinite(v) || v.Len() < 1e-9 || v.Len() > 1e9 {
 			return true
 		}
 		sp := ToSpherical(v)
@@ -116,8 +116,8 @@ func TestAngularDist(t *testing.T) {
 }
 
 func TestDegreesRadians(t *testing.T) {
-	if Degrees(math.Pi) != 180 {
-		t.Error("Degrees(pi) != 180")
+	if Radians(180) != math.Pi {
+		t.Error("Radians(180) != pi")
 	}
 	if math.Abs(Radians(90)-math.Pi/2) > 1e-15 {
 		t.Error("Radians(90) != pi/2")
@@ -206,7 +206,7 @@ func TestIntersectRayGeneralMatchesUnit(t *testing.T) {
 			continue
 		}
 		// Points must coincide even though parameters differ.
-		if !unit.At(tn1).ApproxEq(raw.At(tn2), 1e-6) || !unit.At(tf1).ApproxEq(raw.At(tf2), 1e-6) {
+		if !approxEq(unit.At(tn1), raw.At(tn2), 1e-6) || !approxEq(unit.At(tf1), raw.At(tf2), 1e-6) {
 			t.Fatalf("intersection points differ")
 		}
 	}

@@ -30,12 +30,6 @@ func (a Vec3) Sub(b Vec3) Vec3 { return Vec3{a.X - b.X, a.Y - b.Y, a.Z - b.Z} }
 // Scale returns a * s.
 func (a Vec3) Scale(s float64) Vec3 { return Vec3{a.X * s, a.Y * s, a.Z * s} }
 
-// Mul returns the component-wise product of a and b.
-func (a Vec3) Mul(b Vec3) Vec3 { return Vec3{a.X * b.X, a.Y * b.Y, a.Z * b.Z} }
-
-// Neg returns -a.
-func (a Vec3) Neg() Vec3 { return Vec3{-a.X, -a.Y, -a.Z} }
-
 // Dot returns the dot product of a and b.
 func (a Vec3) Dot(b Vec3) float64 { return a.X*b.X + a.Y*b.Y + a.Z*b.Z }
 
@@ -64,15 +58,6 @@ func (a Vec3) Norm() Vec3 {
 	return a.Scale(1 / l)
 }
 
-// Lerp returns the linear interpolation (1-t)*a + t*b.
-func (a Vec3) Lerp(b Vec3, t float64) Vec3 {
-	return Vec3{
-		a.X + (b.X-a.X)*t,
-		a.Y + (b.Y-a.Y)*t,
-		a.Z + (b.Z-a.Z)*t,
-	}
-}
-
 // Dist returns the Euclidean distance between a and b.
 func (a Vec3) Dist(b Vec3) float64 { return a.Sub(b).Len() }
 
@@ -86,20 +71,8 @@ func (a Vec3) Max(b Vec3) Vec3 {
 	return Vec3{math.Max(a.X, b.X), math.Max(a.Y, b.Y), math.Max(a.Z, b.Z)}
 }
 
-// IsFinite reports whether all components are finite numbers.
-func (a Vec3) IsFinite() bool {
-	return !math.IsNaN(a.X) && !math.IsInf(a.X, 0) &&
-		!math.IsNaN(a.Y) && !math.IsInf(a.Y, 0) &&
-		!math.IsNaN(a.Z) && !math.IsInf(a.Z, 0)
-}
-
 // String implements fmt.Stringer.
 func (a Vec3) String() string { return fmt.Sprintf("(%g, %g, %g)", a.X, a.Y, a.Z) }
-
-// ApproxEq reports whether a and b agree component-wise within eps.
-func (a Vec3) ApproxEq(b Vec3, eps float64) bool {
-	return math.Abs(a.X-b.X) <= eps && math.Abs(a.Y-b.Y) <= eps && math.Abs(a.Z-b.Z) <= eps
-}
 
 // Clamp limits v to [lo, hi].
 func Clamp(v, lo, hi float64) float64 {

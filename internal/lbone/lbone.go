@@ -118,24 +118,6 @@ func (s *Server) Register(rec DepotRecord) error {
 	return nil
 }
 
-// Sweep drops every record whose heartbeat is older than TTL and returns
-// how many were dropped. Lookup sweeps implicitly; a directory serving a
-// maintenance service (the steward's repair path) can also sweep on a
-// timer so dead depots age out even between queries.
-func (s *Server) Sweep() int {
-	cutoff := s.now().Add(-s.TTL)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dropped := 0
-	for addr, rec := range s.records {
-		if rec.LastSeen.Before(cutoff) {
-			delete(s.records, addr)
-			dropped++
-		}
-	}
-	return dropped
-}
-
 // Lookup returns up to n live depots with at least minFree bytes free,
 // sorted by distance from (x, y). n <= 0 means all.
 func (s *Server) Lookup(x, y float64, n int, minFree int64) []DepotRecord {
@@ -151,19 +133,13 @@ func (s *Server) LookupExcluding(x, y float64, n int, minFree int64, exclude []s
 	for _, addr := range exclude {
 		excluded[addr] = true
 	}
-	cutoff := s.now().Add(-s.TTL)
-	s.mu.Lock()
-	out := make([]DepotRecord, 0, len(s.records))
-	for addr, rec := range s.records {
-		if rec.LastSeen.Before(cutoff) {
-			delete(s.records, addr)
-			continue
-		}
-		if rec.IsDepot() && rec.Free >= minFree && !excluded[addr] {
+	live := s.live()
+	out := live[:0]
+	for _, rec := range live {
+		if rec.IsDepot() && rec.Free >= minFree && !excluded[rec.Addr] {
 			out = append(out, rec)
 		}
 	}
-	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		di := math.Hypot(out[i].X-x, out[i].Y-y)
 		dj := math.Hypot(out[j].X-x, out[j].Y-y)
@@ -179,11 +155,20 @@ func (s *Server) LookupExcluding(x, y float64, n int, minFree int64, exclude []s
 }
 
 // Members returns every live member record of any kind, sorted by
-// address — the fleet scraper's discovery sweep. Stale records are
-// dropped on the way through, like Lookup does.
+// address — the fleet scraper's discovery sweep.
 func (s *Server) Members() []DepotRecord {
+	out := s.live()
+	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
+	return out
+}
+
+// live drops every record whose heartbeat is older than TTL and returns
+// the rest, in no order. Every read sweeps, so a dead member is gone from
+// the directory the first time anyone asks after its TTL.
+func (s *Server) live() []DepotRecord {
 	cutoff := s.now().Add(-s.TTL)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	out := make([]DepotRecord, 0, len(s.records))
 	for addr, rec := range s.records {
 		if rec.LastSeen.Before(cutoff) {
@@ -192,8 +177,6 @@ func (s *Server) Members() []DepotRecord {
 		}
 		out = append(out, rec)
 	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
 

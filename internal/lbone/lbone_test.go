@@ -165,19 +165,22 @@ func TestSweepDropsStaleRecords(t *testing.T) {
 	clk.Advance(6 * time.Second)
 	s.Register(DepotRecord{Addr: "b:1", Capacity: 10, Free: 10})
 
-	if n := s.Sweep(); n != 0 {
-		t.Errorf("premature sweep dropped %d", n)
+	if got := s.Members(); len(got) != 2 {
+		t.Errorf("premature sweep left %+v", got)
 	}
 	clk.Advance(6 * time.Second) // a is 12s stale, b 6s
-	if n := s.Sweep(); n != 1 {
-		t.Errorf("sweep dropped %d, want 1", n)
-	}
 	if got := s.Lookup(0, 0, 0, 0); len(got) != 1 || got[0].Addr != "b:1" {
 		t.Errorf("after sweep = %+v", got)
 	}
-	// Idempotent: nothing left to drop.
-	if n := s.Sweep(); n != 0 {
-		t.Errorf("second sweep dropped %d", n)
+	// The read deleted the stale record, not merely filtered it out.
+	s.mu.Lock()
+	_, kept := s.records["a:1"]
+	s.mu.Unlock()
+	if kept {
+		t.Error("the stale record outlived the sweep")
+	}
+	if got := s.Members(); len(got) != 1 || got[0].Addr != "b:1" {
+		t.Errorf("members after sweep = %+v", got)
 	}
 }
 

@@ -86,22 +86,6 @@ func (s *DirStore) List() ([]ViewSetID, error) {
 	return out, nil
 }
 
-// WriteAll encodes and stores a full in-memory build.
-func (s *DirStore) WriteAll(build *BuildResult, level int) (int64, error) {
-	var total int64
-	for id, vs := range build.Sets {
-		frame, err := EncodeViewSet(vs, s.P, level)
-		if err != nil {
-			return total, err
-		}
-		if err := s.WriteFrame(id, frame); err != nil {
-			return total, err
-		}
-		total += int64(len(frame))
-	}
-	return total, nil
-}
-
 // DirGenerator adapts a DirStore to the Generator interface: GenerateViewSet
 // decodes the stored frame instead of rendering. Misses surface as errors,
 // so a server agent backed by it serves exactly the pre-generated database.

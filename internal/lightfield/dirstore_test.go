@@ -20,12 +20,14 @@ func TestDirStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total, err := store.WriteAll(build, codec.DefaultCompression)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total <= 0 {
-		t.Fatal("WriteAll wrote nothing")
+	for id, vs := range build.Sets {
+		frame, err := EncodeViewSet(vs, p, codec.DefaultCompression)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.WriteFrame(id, frame); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ids, err := store.List()
 	if err != nil {

@@ -96,7 +96,7 @@ func TestRaycastGeneratorEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalViewSet(data, p)
+	got, err := unmarshalViewSet(data, p)
 	if err != nil {
 		t.Fatal(err)
 	}

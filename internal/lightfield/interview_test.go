@@ -27,7 +27,7 @@ func marshalFlag0(t testing.TB, vs *ViewSet, p Params) []byte {
 	hdr[4] = byte(vs.L)
 	binary.LittleEndian.PutUint32(hdr[5:], uint32(vs.Res))
 	buf = append(buf, hdr[:]...)
-	mask, err := p.ViewMask(0, 0)
+	mask, err := occlusionMask(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func smoothViewSet(t testing.TB, p Params, id ViewSetID, seed int64, noise int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	mask, err := p.ViewMask(0, 0)
+	mask, err := occlusionMask(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestViewSetRoundTripProperty(t *testing.T) {
 				if got := flagsOf(payload) == flagInterView; got != c.interView {
 					t.Errorf("%s: inter-view coded = %v, want %v", name, got, c.interView)
 				}
-				got, err := UnmarshalViewSet(payload, p)
+				got, err := unmarshalViewSet(payload, p)
 				if err != nil {
 					t.Fatalf("%s: unmarshal: %v", name, err)
 				}
@@ -176,7 +176,7 @@ func TestFlag0PayloadStillDecodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := marshalFlag0(t, vs, p)
-	got, err := UnmarshalViewSet(old, p)
+	got, err := unmarshalViewSet(old, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestUnmarshalRejectsUnknownFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload[len(viewSetMagic)+9] = 2
-	if _, err := UnmarshalViewSet(payload, p); err == nil {
+	if _, err := unmarshalViewSet(payload, p); err == nil {
 		t.Error("payload with an unknown format flag accepted")
 	}
 }
@@ -482,7 +482,7 @@ func FuzzUnmarshalViewSet(f *testing.F) {
 	f.Add(coded)
 	f.Add(marshalFlag0(f, vs, p))
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		got, err := UnmarshalViewSet(payload, p)
+		got, err := unmarshalViewSet(payload, p)
 		if err != nil {
 			if got != nil {
 				t.Fatal("error and a view set")
@@ -495,7 +495,7 @@ func FuzzUnmarshalViewSet(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := UnmarshalViewSet(again, p)
+		back, err := unmarshalViewSet(again, p)
 		if err != nil || !back.Equal(got) {
 			t.Fatalf("accepted payload does not survive re-encoding: %v", err)
 		}
@@ -542,7 +542,7 @@ func FuzzDecodeViewSetFrom(f *testing.F) {
 			}
 			off += s.Len
 		}
-		want, err := UnmarshalViewSet(payload, p)
+		want, err := unmarshalViewSet(payload, p)
 		if err != nil || !want.Equal(got) {
 			t.Fatalf("streamed and buffered decode disagree: %v", err)
 		}

@@ -49,14 +49,3 @@ func (c *maskCacheT) get(p Params) (*viewMask, error) {
 	c.m[p] = m
 	return m, nil
 }
-
-// MaskFraction returns the fraction of pixels stored per view under the
-// occlusion mask — the raw (pre-zlib) storage saving of the spherical
-// parameterization is 1 minus this value.
-func (p Params) MaskFraction() (float64, error) {
-	m, err := p.ViewMask(0, 0)
-	if err != nil {
-		return 0, err
-	}
-	return float64(m.Count()) / float64(m.Len()), nil
-}

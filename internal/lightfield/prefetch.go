@@ -2,7 +2,6 @@ package lightfield
 
 import (
 	"math"
-	"sort"
 
 	"lonviz/internal/geom"
 )
@@ -73,29 +72,4 @@ func (p Params) QuadrantPrefetch(sp geom.Spherical) []ViewSetID {
 	add(cur.R, cur.C+dc)    // horizontal neighbor on the cursor's side
 	add(cur.R+dr, cur.C+dc) // the diagonal between them
 	return dedupIDs(out)
-}
-
-// StagingOrder returns all view sets ordered by angular distance from the
-// cursor direction — the order in which the client agent's aggressive
-// prestaging stage copies them to the LAN depot (Figure 5: "ordered by
-// proximity to cursor ... updated dynamically as the cursor moves"). Ties
-// break in row-major ID order so the ordering is deterministic.
-func (p Params) StagingOrder(sp geom.Spherical) []ViewSetID {
-	ids := p.AllViewSets()
-	dist := make(map[ViewSetID]float64, len(ids))
-	for _, id := range ids {
-		dist[id] = p.AngularDistToSet(sp, id)
-	}
-	sort.Slice(ids, func(x, y int) bool {
-		a, b := ids[x], ids[y]
-		da, db := dist[a], dist[b]
-		if da != db {
-			return da < db
-		}
-		if a.R != b.R {
-			return a.R < b.R
-		}
-		return a.C < b.C
-	})
-	return ids
 }

@@ -171,45 +171,3 @@ func TestQuadrantPrefetchPropertyQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestStagingOrderSortsByProximity(t *testing.T) {
-	p := ScaledParams(15, 3, 8)
-	sp := geom.Spherical{Theta: math.Pi / 2, Phi: math.Pi}
-	order := p.StagingOrder(sp)
-	if len(order) != p.NumViewSets() {
-		t.Fatalf("order covers %d sets, want %d", len(order), p.NumViewSets())
-	}
-	prev := -1.0
-	for _, id := range order {
-		d := p.AngularDistToSet(sp, id)
-		if d < prev-1e-12 {
-			t.Fatalf("staging order not sorted: %v at %v after %v", id, d, prev)
-		}
-		prev = d
-	}
-	// First element is the current view set (distance ~0).
-	i, j := p.NearestCamera(sp)
-	if order[0] != p.ViewSetOf(i, j) {
-		t.Errorf("first staged set = %v, want current %v", order[0], p.ViewSetOf(i, j))
-	}
-	// Every set appears exactly once.
-	seen := map[ViewSetID]bool{}
-	for _, id := range order {
-		if seen[id] {
-			t.Fatalf("duplicate %v in staging order", id)
-		}
-		seen[id] = true
-	}
-}
-
-func TestStagingOrderDeterministic(t *testing.T) {
-	p := ScaledParams(15, 3, 8)
-	sp := geom.Spherical{Theta: 1.0, Phi: 2.0}
-	a := p.StagingOrder(sp)
-	b := p.StagingOrder(sp)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("staging order not deterministic")
-		}
-	}
-}

@@ -91,13 +91,6 @@ func (r *Renderer) buildCameras() error {
 	return r.camsErr
 }
 
-// CurrentViewSetID returns the view set that supports viewing from
-// direction sp — the one containing the nearest sample camera.
-func (r *Renderer) CurrentViewSetID(sp geom.Spherical) ViewSetID {
-	i, j := r.P.NearestCamera(sp)
-	return r.P.ViewSetOf(i, j)
-}
-
 // RenderView reconstructs the view seen by cam. The camera should be
 // outside the outer sphere looking toward the volume (the paper's external
 // browsing regime). Scanlines render in parallel on GOMAXPROCS goroutines,

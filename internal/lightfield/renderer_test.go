@@ -147,21 +147,6 @@ func TestNearestVsBlendModes(t *testing.T) {
 	}
 }
 
-func TestCurrentViewSetIDMatchesNearestCamera(t *testing.T) {
-	p := smallParams()
-	r, _ := NewRenderer(p, MapProvider{})
-	for _, sp := range []geom.Spherical{
-		{Theta: 0.2, Phi: 0.1},
-		{Theta: math.Pi / 2, Phi: math.Pi},
-		{Theta: 3.0, Phi: 6.0},
-	} {
-		i, j := p.NearestCamera(sp)
-		if got := r.CurrentViewSetID(sp); got != p.ViewSetOf(i, j) {
-			t.Errorf("CurrentViewSetID(%+v) = %v", sp, got)
-		}
-	}
-}
-
 func TestViewerCameraValidation(t *testing.T) {
 	p := smallParams()
 	if _, err := p.ViewerCamera(geom.Spherical{Theta: 1}, p.OuterRadius*0.5, 16); err == nil {

@@ -295,21 +295,6 @@ func entropy(hist *[256]int) float64 {
 	return h
 }
 
-// UnmarshalViewSet reconstructs a view set serialized by Marshal. Masked-out
-// pixels are restored as black background.
-func UnmarshalViewSet(data []byte, p Params) (*ViewSet, error) {
-	m, err := maskCache.get(p)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkPayloadLen(len(data), p, m); err != nil {
-		return nil, err
-	}
-	return readViewSet(data[:viewSetHdrLen], p, m, nil, func(k int) ([]byte, error) {
-		return data[viewSetHdrLen+k*m.stored:][:m.stored], nil
-	})
-}
-
 // checkPayloadLen checks a payload's length against what p implies. Its
 // callers check before they allocate anything, which covers truncation and
 // trailing bytes both.
@@ -458,21 +443,6 @@ func popcount(x uint64) int {
 		n++
 	}
 	return n
-}
-
-// ViewMask returns the occlusion mask for the sample camera at lattice
-// (i, j): bit idx is set iff the primary ray of pixel idx intersects the
-// inner sphere and therefore may see the volume. Masks are cached per
-// lattice row — by symmetry all cameras in a row share the same mask.
-func (p Params) ViewMask(i, j int) (*Bitmask, error) {
-	// All orbit cameras are related by rotation about the sphere center,
-	// and the mask depends only on the camera-to-center geometry, which is
-	// identical for every lattice position. Compute once per Params value.
-	m, err := maskCache.get(p)
-	if err != nil {
-		return nil, err
-	}
-	return m.bits, nil
 }
 
 // computeMask builds the mask for the canonical camera.

@@ -63,21 +63,17 @@ func TestViewSetIDString(t *testing.T) {
 // masked-out pixels black, as a generator would.
 func fillRandomMasked(t *testing.T, vs *ViewSet, p Params, seed int64) {
 	t.Helper()
+	mask, err := occlusionMask(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(seed))
-	for a := 0; a < vs.L; a++ {
-		for b := 0; b < vs.L; b++ {
-			i, j := vs.LatticePos(a, b)
-			mask, err := p.ViewMask(i, j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			im := vs.Views[a*vs.L+b]
-			for idx := 0; idx < vs.Res*vs.Res; idx++ {
-				if mask.Get(idx) {
-					im.Pix[3*idx] = byte(rng.Intn(256))
-					im.Pix[3*idx+1] = byte(rng.Intn(256))
-					im.Pix[3*idx+2] = byte(rng.Intn(256))
-				}
+	for _, im := range vs.Views {
+		for idx := 0; idx < vs.Res*vs.Res; idx++ {
+			if mask.Get(idx) {
+				im.Pix[3*idx] = byte(rng.Intn(256))
+				im.Pix[3*idx+1] = byte(rng.Intn(256))
+				im.Pix[3*idx+2] = byte(rng.Intn(256))
 			}
 		}
 	}
@@ -94,7 +90,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalViewSet(data, p)
+	got, err := unmarshalViewSet(data, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +106,11 @@ func TestMarshalSavesMaskedPixels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frac, err := p.MaskFraction()
+	m, err := occlusionMask(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	frac := float64(m.Count()) / float64(m.Len())
 	if frac >= 1 {
 		t.Fatalf("mask fraction %v gives no savings", frac)
 	}
@@ -142,30 +139,30 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := UnmarshalViewSet(data[:5], p); err == nil {
+	if _, err := unmarshalViewSet(data[:5], p); err == nil {
 		t.Error("expected error for truncated payload")
 	}
-	if _, err := UnmarshalViewSet(data[:len(data)-7], p); err == nil {
+	if _, err := unmarshalViewSet(data[:len(data)-7], p); err == nil {
 		t.Error("expected error for truncated pixels")
 	}
-	if _, err := UnmarshalViewSet(append(append([]byte{}, data...), 0xAA), p); err == nil {
+	if _, err := unmarshalViewSet(append(append([]byte{}, data...), 0xAA), p); err == nil {
 		t.Error("expected error for trailing bytes")
 	}
 	bad := append([]byte{}, data...)
 	bad[0] = 'X'
-	if _, err := UnmarshalViewSet(bad, p); err == nil {
+	if _, err := unmarshalViewSet(bad, p); err == nil {
 		t.Error("expected error for bad magic")
 	}
 	// Mismatched params on decode.
 	other := p
 	other.Res = p.Res + 4
-	if _, err := UnmarshalViewSet(data, other); err == nil {
+	if _, err := unmarshalViewSet(data, other); err == nil {
 		t.Error("expected error for params mismatch on decode")
 	}
 	// Out-of-range ID in the header.
 	bad2 := append([]byte{}, data...)
 	bad2[len(viewSetMagic)] = 0xFF // R = huge
-	if _, err := UnmarshalViewSet(bad2, p); err == nil {
+	if _, err := unmarshalViewSet(bad2, p); err == nil {
 		t.Error("expected error for out-of-range view set ID")
 	}
 }
@@ -178,19 +175,15 @@ func TestMarshalRoundTripQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		mask, err := occlusionMask(p)
+		if err != nil {
+			return false
+		}
 		rng := rand.New(rand.NewSource(seed))
-		for a := 0; a < vs.L; a++ {
-			for b := 0; b < vs.L; b++ {
-				i, j := vs.LatticePos(a, b)
-				mask, err := p.ViewMask(i, j)
-				if err != nil {
-					return false
-				}
-				im := vs.Views[a*vs.L+b]
-				for idx := 0; idx < vs.Res*vs.Res; idx++ {
-					if mask.Get(idx) {
-						im.Pix[3*idx] = byte(rng.Intn(256))
-					}
+		for _, im := range vs.Views {
+			for idx := 0; idx < vs.Res*vs.Res; idx++ {
+				if mask.Get(idx) {
+					im.Pix[3*idx] = byte(rng.Intn(256))
 				}
 			}
 		}
@@ -198,7 +191,7 @@ func TestMarshalRoundTripQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := UnmarshalViewSet(data, p)
+		got, err := unmarshalViewSet(data, p)
 		return err == nil && got.Equal(vs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -228,7 +221,7 @@ func TestBitmask(t *testing.T) {
 
 func TestViewMaskGeometry(t *testing.T) {
 	p := smallParams()
-	m, err := p.ViewMask(0, 0)
+	m, err := occlusionMask(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,14 +233,6 @@ func TestViewMaskGeometry(t *testing.T) {
 	}
 	if m.Get(0) {
 		t.Error("corner pixel masked in")
-	}
-	// Same mask for every lattice position (rotational symmetry).
-	m2, err := p.ViewMask(p.Rows()-1, p.Cols()-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Count() != m.Count() {
-		t.Error("mask differs across lattice positions")
 	}
 }
 
@@ -267,11 +252,39 @@ func TestGeneratedViewSetRespectsMask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalViewSet(data, p)
+	got, err := unmarshalViewSet(data, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(vs) {
 		t.Error("procedural view set not mask-clean: marshal round trip lost pixels")
 	}
+}
+
+// unmarshalViewSet reconstructs a view set serialized by Marshal, from a
+// payload held whole: the buffered twin of the streaming decode, kept here
+// as the tests' direct way into readViewSet. Masked-out pixels are
+// restored as black background.
+func unmarshalViewSet(data []byte, p Params) (*ViewSet, error) {
+	m, err := maskCache.get(p)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkPayloadLen(len(data), p, m); err != nil {
+		return nil, err
+	}
+	return readViewSet(data[:viewSetHdrLen], p, m, nil, func(k int) ([]byte, error) {
+		return data[viewSetHdrLen+k*m.stored:][:m.stored], nil
+	})
+}
+
+// occlusionMask is p's occlusion mask: bit idx is set iff the primary ray
+// of pixel idx meets the inner sphere and so may see the volume. Every
+// lattice camera shares it, by rotational symmetry about the center.
+func occlusionMask(p Params) (*Bitmask, error) {
+	m, err := maskCache.get(p)
+	if err != nil {
+		return nil, err
+	}
+	return m.bits, nil
 }

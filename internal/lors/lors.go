@@ -764,7 +764,7 @@ func free(ctx context.Context, ex *exnode.ExNode, pipes *ibp.PipePool) error {
 	return lastErr
 }
 
-// CopyOptions configures CopyTo/CopyToStriped staging transfers.
+// CopyOptions configures CopyToStriped staging transfers.
 type CopyOptions struct {
 	// Lease is the allocation lease on the staging targets (required).
 	Lease time.Duration
@@ -786,21 +786,15 @@ type CopyOptions struct {
 	Obs *obs.Registry
 }
 
-// CopyTo replicates the whole object onto the target depot with third-party
-// copies executed by the source depots, returning a new exNode whose
-// extents point at the target. This is the primitive behind prestaging view
-// sets to a LAN depot (paper Figure 5): no payload bytes traverse the
-// caller.
-func CopyTo(ctx context.Context, ex *exnode.ExNode, targetAddr string, opts CopyOptions) (*exnode.ExNode, error) {
-	return CopyToStriped(ctx, ex, []string{targetAddr}, opts)
-}
-
 // CopyToStriped stages the object across several target depots, assigning
-// extents round-robin — the paper's configuration stripes staged view sets
-// "across four depots attached to the client agent by a 1Gb/s LAN". Extent
-// checksums carry over to the staged exNode, so reads from the staging
-// depot are verified exactly like reads from the origin. A call that fails
-// frees every staging allocation it made.
+// extents round-robin, with third-party copies executed by the source
+// depots: no payload bytes traverse the caller. This is the primitive
+// behind prestaging view sets to the LAN depots (paper Figure 5), which the
+// paper's configuration stripes "across four depots attached to the client
+// agent by a 1Gb/s LAN". It returns a new exNode whose extents point at
+// the targets. Extent checksums carry over to the staged exNode, so reads
+// from the staging depot are verified exactly like reads from the origin.
+// A call that fails frees every staging allocation it made.
 func CopyToStriped(ctx context.Context, ex *exnode.ExNode, targets []string, opts CopyOptions) (*exnode.ExNode, error) {
 	if len(targets) == 0 {
 		return nil, errors.New("lors: no staging targets")

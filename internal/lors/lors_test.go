@@ -84,10 +84,10 @@ func TestUploadReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rf := ex.ReplicationFactor(); rf != 2 {
-		t.Errorf("replication factor = %d", rf)
-	}
 	for _, ext := range ex.Extents {
+		if len(ext.Replicas) != 2 {
+			t.Fatalf("extent at %d has %d replicas, want 2", ext.Offset, len(ext.Replicas))
+		}
 		if ext.Replicas[0].Depot == ext.Replicas[1].Depot {
 			t.Error("replicas placed on the same depot")
 		}
@@ -226,7 +226,7 @@ func TestCopyToStagesWholeObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	staged, err := CopyTo(context.Background(), ex, lanDepot, CopyOptions{Lease: time.Minute, Policy: ibp.Volatile})
+	staged, err := CopyToStriped(context.Background(), ex, []string{lanDepot}, CopyOptions{Lease: time.Minute, Policy: ibp.Volatile})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +254,11 @@ func TestCopyToSurvivesOneDeadSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Poison one replica per extent; CopyTo must fail over to the other.
+	// Poison one replica per extent; the copy must fail over to the other.
 	for i := range ex.Extents {
 		ex.Extents[i].Replicas[0].ReadCap = "poisoned"
 	}
-	staged, err := CopyTo(context.Background(), ex, lanDepot, CopyOptions{Lease: time.Minute})
+	staged, err := CopyToStriped(context.Background(), ex, []string{lanDepot}, CopyOptions{Lease: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestFailedCopyToFreesItsAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CopyTo(context.Background(), ex, lanDepot, CopyOptions{Lease: time.Minute}); err == nil {
+	if _, err := CopyToStriped(context.Background(), ex, []string{lanDepot}, CopyOptions{Lease: time.Minute}); err == nil {
 		t.Fatal("staging with an uncopyable extent succeeded")
 	}
 	_, _, after, err := target.Status(context.Background())
@@ -800,9 +800,6 @@ func TestUploadRecordsLeaseExpiry(t *testing.T) {
 				t.Errorf("replica expiry %v outside [%v, %v]", exp, lo, hi)
 			}
 		}
-	}
-	if h := ex.LeaseHorizon(); h.IsZero() || h.Before(lo) {
-		t.Errorf("lease horizon = %v", h)
 	}
 }
 

@@ -9,9 +9,8 @@ import (
 	"sync"
 )
 
-// Cache is a byte-budget LRU cache from string keys to byte slices. Entries
-// may be pinned to exempt them from eviction (e.g. the client's current
-// view set). It is safe for concurrent use.
+// Cache is a byte-budget LRU cache from string keys to byte slices. It is
+// safe for concurrent use.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int64
@@ -26,9 +25,8 @@ type Cache struct {
 }
 
 type lruEntry struct {
-	key    string
-	val    []byte
-	pinned bool
+	key string
+	val []byte
 }
 
 // New creates a cache holding at most capacity bytes of values.
@@ -93,8 +91,8 @@ func (c *Cache) notifyEvicted(keys []string) {
 	}
 }
 
-// Put inserts or replaces a value, evicting least-recently-used unpinned
-// entries as needed. Values larger than the whole capacity are rejected.
+// Put inserts or replaces a value, evicting least-recently-used entries as
+// needed. Values larger than the whole capacity are rejected.
 func (c *Cache) Put(key string, val []byte) error {
 	if int64(len(val)) > c.capacity {
 		return fmt.Errorf("lru: value of %d bytes exceeds cache capacity %d", len(val), c.capacity)
@@ -116,49 +114,20 @@ func (c *Cache) Put(key string, val []byte) error {
 	return nil
 }
 
-// evictLocked removes unpinned LRU entries until within budget, returning
-// the evicted keys for the post-unlock callback.
+// evictLocked removes LRU entries until within budget, returning the
+// evicted keys for the post-unlock callback.
 func (c *Cache) evictLocked() []string {
 	var evicted []string
-	el := c.ll.Back()
-	for c.used > c.capacity && el != nil {
-		prev := el.Prev()
+	for c.used > c.capacity {
+		el := c.ll.Back()
 		e := el.Value.(*lruEntry)
-		if !e.pinned {
-			c.ll.Remove(el)
-			delete(c.items, e.key)
-			c.used -= int64(len(e.val))
-			c.evictions++
-			evicted = append(evicted, e.key)
-		}
-		el = prev
+		c.ll.Remove(el)
+		delete(c.items, e.key)
+		c.used -= int64(len(e.val))
+		c.evictions++
+		evicted = append(evicted, e.key)
 	}
 	return evicted
-}
-
-// Pin marks a key as non-evictable. Pinning an absent key is a no-op and
-// returns false.
-func (c *Cache) Pin(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	el.Value.(*lruEntry).pinned = true
-	return true
-}
-
-// Unpin clears the pin and re-applies the budget.
-func (c *Cache) Unpin(key string) {
-	c.mu.Lock()
-	var evicted []string
-	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry).pinned = false
-		evicted = c.evictLocked()
-	}
-	c.mu.Unlock()
-	c.notifyEvicted(evicted)
 }
 
 // Remove deletes a key if present.

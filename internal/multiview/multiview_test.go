@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"lonviz/internal/agent"
+	"lonviz/internal/codec"
 	"lonviz/internal/dvs"
 	"lonviz/internal/geom"
 	"lonviz/internal/ibp"
@@ -100,18 +101,18 @@ func TestStationGeneratorsClip(t *testing.T) {
 	if len(gens) != 3 {
 		t.Fatalf("generators = %d", len(gens))
 	}
-	// A generated station view set survives the masked marshal round trip
-	// (the clip restored the occlusion guarantee).
+	// A generated station view set survives the masked encode/decode round
+	// trip (the clip restored the occlusion guarantee).
 	gen := gens["d#s00"]
 	vs, err := gen.GenerateViewSet(context.Background(), lightfield.ViewSetID{R: 1, C: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := vs.Marshal(gen.Params())
+	frame, err := lightfield.EncodeViewSet(vs, gen.Params(), codec.DefaultCompression)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := lightfield.UnmarshalViewSet(data, gen.Params())
+	got, err := lightfield.DecodeViewSet(frame, gen.Params())
 	if err != nil {
 		t.Fatal(err)
 	}

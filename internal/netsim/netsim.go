@@ -3,8 +3,10 @@
 // experiments span a real WAN (UT Knoxville to three depots in California)
 // and a 1 Gb/s departmental LAN; reproducing them deterministically
 // requires controlling latency and bandwidth, so every simulated link runs
-// through a shaper that injects propagation delay and enforces a
-// token-bucket rate limit on both directions.
+// through a shaper on the dialing side. What the shaper does, and no more:
+// a dial sleeps one Latency after connecting; a connection's first read
+// that returns bytes sleeps one Latency and later reads sleep none; reads
+// are rate-limited by a token bucket, and writes are not shaped at all.
 //
 // Shaping wraps net.Conn, so the IBP wire protocol, the L-Bone, and the
 // DVS all run over genuinely concurrent sockets — the code paths are the
@@ -18,13 +20,16 @@ import (
 	"time"
 )
 
-// LinkProfile describes one direction-symmetric link.
+// LinkProfile describes one link as the dialing side sees it.
 type LinkProfile struct {
 	// Name labels the profile in logs and metrics.
 	Name string
-	// Latency is the one-way propagation delay added to every read.
+	// Latency is the one-way propagation delay. A dial sleeps it once
+	// after connecting, and a connection's first read that returns bytes
+	// sleeps it once; later reads and all writes sleep nothing.
 	Latency time.Duration
-	// Bandwidth is the sustained rate in bytes per second (0 = unlimited).
+	// Bandwidth is the sustained read rate in bytes per second (0 =
+	// unlimited). Writes are not rate-limited.
 	Bandwidth int64
 	// Burst is the token bucket depth in bytes; defaults to one RTT of
 	// bandwidth or 64 KiB, whichever is larger.
@@ -47,21 +52,6 @@ var (
 	// ProfileLocal is effectively unshaped loopback.
 	ProfileLocal = LinkProfile{Name: "local"}
 )
-
-// Scaled returns a copy of the profile with latency divided by f and
-// bandwidth multiplied by f — used to shrink experiment wall-clock time
-// while preserving latency/bandwidth orderings.
-func (p LinkProfile) Scaled(f float64) LinkProfile {
-	if f <= 0 {
-		return p
-	}
-	out := p
-	out.Latency = time.Duration(float64(p.Latency) / f)
-	if p.Bandwidth > 0 {
-		out.Bandwidth = int64(float64(p.Bandwidth) * f)
-	}
-	return out
-}
 
 func (p LinkProfile) burst() int64 {
 	if p.Burst > 0 {
@@ -120,14 +110,14 @@ func (tb *tokenBucket) wait(n int) {
 	}
 }
 
-// Conn shapes an underlying net.Conn. Reads are delayed by the link latency
-// (modeling one-way propagation of the bytes that just arrived) and paced
-// by the token bucket.
+// Conn shapes an underlying net.Conn. Its first read that returns bytes is
+// delayed by the link latency, and every read is paced by the token
+// bucket; writes pass through unshaped.
 type Conn struct {
 	net.Conn
 	profile LinkProfile
 	bucket  *tokenBucket
-	// firstByte delays only the first read to model propagation without
+	// latencyOnce delays only the first read to model propagation without
 	// adding per-segment latency (TCP pipelines segments within a stream).
 	latencyOnce sync.Once
 }
@@ -157,26 +147,6 @@ func (c *Conn) Read(b []byte) (int, error) {
 
 // Profile returns the link profile of the connection.
 func (c *Conn) Profile() LinkProfile { return c.profile }
-
-// Listener shapes every accepted connection with a fixed profile.
-type Listener struct {
-	net.Listener
-	profile LinkProfile
-}
-
-// ShapeListener wraps l so all accepted conns are shaped with p.
-func ShapeListener(l net.Listener, p LinkProfile) *Listener {
-	return &Listener{Listener: l, profile: p}
-}
-
-// Accept implements net.Listener.
-func (l *Listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return Shape(c, l.profile), nil
-}
 
 // Dialer dials with a per-destination link profile, shaping the client
 // side of the connection. The zero Dialer dials unshaped.

@@ -117,52 +117,6 @@ func TestUnlimitedProfileFast(t *testing.T) {
 	}
 }
 
-func TestScaledProfile(t *testing.T) {
-	p := LinkProfile{Latency: 100 * time.Millisecond, Bandwidth: 1000}
-	s := p.Scaled(10)
-	if s.Latency != 10*time.Millisecond {
-		t.Errorf("scaled latency = %v", s.Latency)
-	}
-	if s.Bandwidth != 10000 {
-		t.Errorf("scaled bandwidth = %d", s.Bandwidth)
-	}
-	if got := p.Scaled(0); got != p {
-		t.Error("Scaled(0) should be identity")
-	}
-	u := LinkProfile{Latency: time.Second}
-	if got := u.Scaled(4); got.Bandwidth != 0 {
-		t.Error("scaling must keep unlimited bandwidth unlimited")
-	}
-}
-
-func TestShapeListener(t *testing.T) {
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := ShapeListener(inner, LinkProfile{Name: "x", Latency: time.Millisecond})
-	defer l.Close()
-	go func() {
-		c, err := net.Dial("tcp", l.Addr().String())
-		if err == nil {
-			c.Write([]byte("hi"))
-			c.Close()
-		}
-	}()
-	c, err := l.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, ok := c.(*Conn); !ok {
-		t.Fatalf("accepted conn is %T, want *netsim.Conn", c)
-	}
-	buf := make([]byte, 2)
-	if _, err := io.ReadFull(c, buf); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDialerRoutes(t *testing.T) {
 	d := NewDialer(ProfileLocal)
 	d.SetRoute("10.0.0.1:5000", ProfileWAN)

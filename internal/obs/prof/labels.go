@@ -31,10 +31,6 @@ var labelsOn atomic.Bool
 // directly.
 func SetLabelsEnabled(on bool) { labelsOn.Store(on) }
 
-// LabelsEnabled reports whether the hot-path wrappers are applying
-// labels.
-func LabelsEnabled() bool { return labelsOn.Load() }
-
 // Do runs fn under the given pprof label pairs (k1, v1, k2, v2, ...),
 // restoring the previous labels when fn returns. With the gate off it
 // calls fn directly. Meant for sites that already allocate per call

@@ -11,7 +11,7 @@ import (
 // the wire-hot serve loops are zero-alloc no-ops, so unobserved
 // deployments pay nothing per request.
 func TestLabelsOffPathAllocs(t *testing.T) {
-	if LabelsEnabled() {
+	if labelsOn.Load() {
 		t.Fatal("label gate unexpectedly on at test start")
 	}
 	ctx := context.Background()

@@ -477,20 +477,6 @@ func (db *TSDB) Delta(name string, window time.Duration) (float64, int) {
 	return counterIncrease(pts), len(pts)
 }
 
-// Rate returns the reset-aware per-second rate of a cumulative series
-// over the trailing window. ok is false with fewer than two samples.
-func (db *TSDB) Rate(name string, window time.Duration) (float64, bool) {
-	pts := db.windowPoints(name, window)
-	if len(pts) < 2 {
-		return 0, false
-	}
-	dt := float64(pts[len(pts)-1].T-pts[0].T) / 1000
-	if dt <= 0 {
-		return 0, false
-	}
-	return counterIncrease(pts) / dt, true
-}
-
 func (db *TSDB) windowPoints(name string, window time.Duration) []Point {
 	if db == nil {
 		return nil

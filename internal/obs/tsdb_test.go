@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -124,12 +125,13 @@ func TestTSDBRateCounterReset(t *testing.T) {
 	if inc != 15 {
 		t.Errorf("reset-aware Delta = %v, want 15", inc)
 	}
-	rate, ok := db.Rate("test.reset", 10*time.Second)
-	if !ok {
-		t.Fatal("Rate not ok")
+	// Pointwise, the sample after the reset counts its own value.
+	var rates []float64
+	for _, p := range db.RateSeries("test.reset", time.Time{}) {
+		rates = append(rates, p.V)
 	}
-	if want := 15.0 / 3.0; rate != want {
-		t.Errorf("Rate = %v, want %v", rate, want)
+	if want := []float64{10, 3, 2}; !reflect.DeepEqual(rates, want) {
+		t.Errorf("RateSeries = %v, want %v", rates, want)
 	}
 }
 
@@ -312,7 +314,7 @@ func TestTSDBConcurrentSampleAndQuery(t *testing.T) {
 				default:
 				}
 				db.Points("test.conc", since)
-				db.Rate("test.conc", time.Minute)
+				db.RateSeries("test.conc", since)
 				db.QuantileOver("test.conc.ms", 0.99, time.Minute)
 				db.Series()
 			}
@@ -331,7 +333,7 @@ func TestTSDBOffPathAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		db.Sample()
 		db.Points("x", time.Time{})
-		db.Rate("x", time.Minute)
+		db.RateSeries("x", time.Time{})
 		db.QuantileOver("x", 0.99, time.Minute)
 		if db.Names() != nil {
 			t.Fatal("nil TSDB returned names")

@@ -72,16 +72,6 @@ func (im *Image) WritePNG(w io.Writer) error {
 	return png.Encode(w, out)
 }
 
-// WritePPM encodes the image as binary PPM (P6), handy for quick viewing
-// without an image library.
-func (im *Image) WritePPM(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "P6\n%d %d\n255\n", im.Res, im.Res); err != nil {
-		return err
-	}
-	_, err := w.Write(im.Pix)
-	return err
-}
-
 // SampleBilinear returns the bilinearly interpolated color at continuous
 // pixel coordinates (fx, fy), clamping to the image border.
 func (im *Image) SampleBilinear(fx, fy float64) (r, g, b float64) {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"image/png"
-	"strings"
 	"testing"
 
 	"lonviz/internal/geom"
@@ -71,20 +70,6 @@ func TestWritePNGRoundTrip(t *testing.T) {
 	r, g, b, _ := decoded.At(3, 4).RGBA()
 	if r>>8 != 200 || g>>8 != 100 || b>>8 != 50 {
 		t.Errorf("decoded pixel = %d,%d,%d", r>>8, g>>8, b>>8)
-	}
-}
-
-func TestWritePPMHeader(t *testing.T) {
-	im, _ := NewImage(4)
-	var buf bytes.Buffer
-	if err := im.WritePPM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "P6\n4 4\n255\n") {
-		t.Errorf("PPM header wrong: %q", buf.String()[:20])
-	}
-	if buf.Len() != len("P6\n4 4\n255\n")+3*16 {
-		t.Errorf("PPM size = %d", buf.Len())
 	}
 }
 

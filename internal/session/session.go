@@ -81,17 +81,6 @@ func walk(p lightfield.Params, n int, seed int64, momentum float64) (Script, err
 	return Script{Moves: moves}, nil
 }
 
-// Transitions returns the view set request sequence the script will
-// generate (useful for asserting the 58-access property).
-func (s Script) Transitions(p lightfield.Params) []lightfield.ViewSetID {
-	out := make([]lightfield.ViewSetID, 0, len(s.Moves))
-	for _, sp := range s.Moves {
-		i, j := p.NearestCamera(sp)
-		out = append(out, p.ViewSetOf(i, j))
-	}
-	return out
-}
-
 // RunOptions controls session pacing.
 type RunOptions struct {
 	// ThinkTime is the pause between cursor movements, modeling the

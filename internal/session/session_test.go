@@ -24,7 +24,7 @@ func TestStandardScriptProperties(t *testing.T) {
 	if len(s.Moves) != 58 {
 		t.Fatalf("moves = %d", len(s.Moves))
 	}
-	trans := s.Transitions(p)
+	trans := transitions(s, p)
 	if len(trans) != 58 {
 		t.Fatalf("transitions = %d", len(trans))
 	}
@@ -173,7 +173,7 @@ func TestStandardScriptAtPaperScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trans := s.Transitions(p)
+	trans := transitions(s, p)
 	distinct := map[lightfield.ViewSetID]bool{}
 	for _, id := range trans {
 		distinct[id] = true
@@ -224,3 +224,14 @@ func (failingSource) GetViewSet(ctx context.Context, id lightfield.ViewSetID) ([
 }
 
 func (failingSource) OnUserMove(sp geom.Spherical) {}
+
+// transitions is the view set request sequence s generates over p: the set
+// of the nearest camera to each move.
+func transitions(s Script, p lightfield.Params) []lightfield.ViewSetID {
+	out := make([]lightfield.ViewSetID, 0, len(s.Moves))
+	for _, sp := range s.Moves {
+		i, j := p.NearestCamera(sp)
+		out = append(out, p.ViewSetOf(i, j))
+	}
+	return out
+}

@@ -231,13 +231,6 @@ func (s *Steward) Adopt(name string, ex *exnode.ExNode) error {
 	return nil
 }
 
-// Forget drops an object from management.
-func (s *Steward) Forget(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.objects, name)
-}
-
 // Objects returns the adopted object names, sorted.
 func (s *Steward) Objects() []string {
 	s.mu.Lock()

@@ -106,27 +106,3 @@ func DefaultNegHipTF() *TransferFunction {
 	}
 	return tf
 }
-
-// IsosurfaceTF returns a transfer function approximating an opaque
-// isosurface at iso with the given color, useful for the fully-opaque
-// viewing regime.
-func IsosurfaceTF(iso float32, r, g, b float32) (*TransferFunction, error) {
-	const w = 0.02
-	return NewTransferFunction([]TFPoint{
-		{Value: 0, A: 0},
-		{Value: clamp01(iso - w), A: 0},
-		{Value: iso, R: r, G: g, B: b, A: 1},
-		{Value: clamp01(iso + w), R: r, G: g, B: b, A: 1},
-		{Value: 1, R: r, G: g, B: b, A: 1},
-	})
-}
-
-func clamp01(x float32) float32 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
-}

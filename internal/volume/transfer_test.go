@@ -90,23 +90,3 @@ func TestDefaultNegHipTFShape(t *testing.T) {
 		t.Errorf("positive potential not red: %+v", c)
 	}
 }
-
-func TestIsosurfaceTF(t *testing.T) {
-	tf, err := IsosurfaceTF(0.5, 0, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a := tf.Lookup(0.1).A; a != 0 {
-		t.Errorf("below iso alpha = %v, want 0", a)
-	}
-	if a := tf.Lookup(0.9).A; a != 1 {
-		t.Errorf("above iso alpha = %v, want 1", a)
-	}
-	// Edge iso values must not error out even when the ramp clamps.
-	if _, err := IsosurfaceTF(0.0, 1, 0, 0); err != nil {
-		t.Errorf("iso at 0: %v", err)
-	}
-	if _, err := IsosurfaceTF(1.0, 1, 0, 0); err != nil {
-		t.Errorf("iso at 1: %v", err)
-	}
-}

@@ -261,24 +261,3 @@ func clampInt(v, lo, hi int) int {
 	}
 	return v
 }
-
-// ClipToSphere returns a copy of v with every voxel whose center lies
-// outside the sphere set to the fill value. Interior navigation builds one
-// light field database per track station from the sub-volume its focal
-// sphere can contain (paper section 3.2: multiple databases, same
-// framework).
-func (v *Volume) ClipToSphere(s geom.Sphere, fill float32) *Volume {
-	out := &Volume{
-		NX: v.NX, NY: v.NY, NZ: v.NZ,
-		Origin: v.Origin, Size: v.Size,
-		Data: make([]float32, len(v.Data)),
-	}
-	copy(out.Data, v.Data)
-	forEachVoxel(out, func(i, j, k int, p geom.Vec3) float32 {
-		if p.Sub(s.Center).Len2() > s.Radius*s.Radius {
-			return fill
-		}
-		return out.Data[out.index(i, j, k)]
-	})
-	return out
-}

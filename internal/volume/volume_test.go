@@ -240,23 +240,3 @@ func TestBoundsContainVolume(t *testing.T) {
 		t.Errorf("bounds = %+v", b)
 	}
 }
-
-func TestClipToSphere(t *testing.T) {
-	v, _ := New(16, 16, 16)
-	for i := range v.Data {
-		v.Data[i] = 1
-	}
-	s := geom.Sphere{Center: geom.V(0.2, 0, 0), Radius: 0.2}
-	clipped := v.ClipToSphere(s, 0.5)
-	// Original untouched.
-	if v.Data[0] != 1 {
-		t.Fatal("ClipToSphere mutated the source volume")
-	}
-	// Inside keeps data, outside gets the fill value.
-	if got := clipped.Sample(geom.V(0.2, 0, 0)); got != 1 {
-		t.Errorf("inside sample = %v", got)
-	}
-	if got := clipped.Sample(geom.V(-0.4, 0.4, 0.4)); got != 0.5 {
-		t.Errorf("outside sample = %v, want fill", got)
-	}
-}

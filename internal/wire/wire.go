@@ -353,13 +353,6 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Conns returns how many accepted connections are being served.
-func (s *Server) Conns() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.conns)
-}
-
 // conn is one accepted connection. Untagged, its window is the one
 // exchange exch; tagged, it is the granted number of exchanges cycling
 // through free, each carried by one worker goroutine at a time. A worker

@@ -163,10 +163,10 @@ func TestWorkersLeaveWithTheConnection(t *testing.T) {
 	close(release)
 	waitWorkers(t, before)
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Conns() > 0 || runtime.NumGoroutine() > baseline {
+	for wire.Served(srv) > 0 || runtime.NumGoroutine() > baseline {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
-			t.Fatalf("%d connections, %d goroutines vs %d at start\n%s", srv.Conns(),
+			t.Fatalf("%d connections, %d goroutines vs %d at start\n%s", wire.Served(srv),
 				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -263,7 +263,7 @@ func TestReplyWriteFailsMidBody(t *testing.T) {
 
 	close(release) // WAIT's reply is ready only now, after the failure
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Conns() > 0 {
+	for wire.Served(srv) > 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("the connection whose reply failed is still served")
 		}

@@ -30,7 +30,7 @@ import (
 func TestNoSnapshotKeyShadowsARegisteredMetric(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	p := ScaledParams(45, 2, 12)
+	p := lightfield.ScaledParams(45, 2, 12)
 
 	var depots []string
 	for i := 0; i < 2; i++ {

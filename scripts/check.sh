@@ -25,6 +25,7 @@ go build ./...
 echo "== non-test Go lines outside bench/: $(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
 echo "== non-test Go lines of internal/obs and cmd/lftop: $(find internal/obs cmd/lftop -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)"
 echo "== exported Config/Options fields outside bench/: $(go test -count=1 -run '^TestEveryOptionHasASetter$' -v . | sed -n 's/.* \([0-9]*\) exported Config\/Options fields.*/\1/p')"
+echo "== exported functions and methods under internal/ and cmd/ without a non-test caller: $(go test -count=1 -run '^TestEveryExportHasACaller$' -v . | sed -n 's/.*: \([0-9]*\) without a non-test caller, \([0-9]*\) of them allow-listed.*/\1 (\2 allow-listed)/p')"
 
 # -shuffle=on randomizes test order within each package, so hidden
 # inter-test coupling (shared registries, leaked goroutines, package
